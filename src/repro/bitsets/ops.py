@@ -45,10 +45,12 @@ __all__ = [
     "probe_bits",
 ]
 
-#: Default ceiling on the bytes a cover-local link matrix (or the stack of
-#: per-budget matrices for (h,k)-reach) may occupy before the batch
-#: engines fall back to their chunked/scalar paths.  64 MiB admits covers
-#: up to ~23k vertices per matrix — far beyond the paper's datasets.
+#: Default ceiling on the bytes the cover-local link matrices of one index
+#: may occupy together — the k-reach stack of three nested level views,
+#: or the (h,k)-reach stack of per-budget matrices — before the batch
+#: engines fall back to their keyed/chunked/scalar paths.  64 MiB admits
+#: the k-reach stack for covers up to ~13k vertices (one matrix alone up
+#: to ~23k) — far beyond the paper's datasets.
 DEFAULT_MATRIX_BYTES = 64 << 20
 
 _WORD_BITS = 64

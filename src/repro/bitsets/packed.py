@@ -135,21 +135,32 @@ class PackedIntArray:
         """The backing uint64 word array (including the spare padding word)."""
         return self._words
 
-    def as_numpy(self) -> np.ndarray:
-        """Unpack every entry into an int64 array (vectorized).
+    def as_numpy(self, dtype=np.int64) -> np.ndarray:
+        """Unpack every entry into a ``dtype`` array (vectorized).
 
-        The inverse of :meth:`from_numpy`; one ``np.unpackbits`` pass plus
-        a matmul against the bit weights, no Python loop.
+        The inverse of :meth:`from_numpy`, with no Python loop.  Widths
+        that divide 8 (the §4.3 2-bit weights among them) split each
+        byte into its fields directly, so a narrow ``dtype`` such as
+        uint8 costs one byte per entry and no wider temporary.  Other
+        widths take one ``np.unpackbits`` pass plus a matmul against
+        the bit weights.
         """
         if self.length == 0:
-            return np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=dtype)
+        if 8 % self.bits == 0:
+            per_byte = 8 // self.bits
+            raw = self._words.view(np.uint8)[: -(-self.length // per_byte)]
+            shifts = np.arange(0, 8, self.bits, dtype=np.uint8)
+            fields = (raw[:, None] >> shifts) & np.uint8(self._mask)
+            return fields.reshape(-1)[: self.length].astype(dtype, copy=False)
         stream = np.unpackbits(
             self._words.view(np.uint8),
             count=self.length * self.bits,
             bitorder="little",
         )
         bit_matrix = stream.reshape(self.length, self.bits).astype(np.int64)
-        return bit_matrix @ (np.int64(1) << np.arange(self.bits, dtype=np.int64))
+        values = bit_matrix @ (np.int64(1) << np.arange(self.bits, dtype=np.int64))
+        return values.astype(dtype, copy=False)
 
     def leq_mask(self, value: int) -> np.ndarray:
         """Vectorized ``entry <= value`` over all entries (a bool array).

@@ -48,6 +48,7 @@ __all__ = [
     "MISSING_WEIGHT",
     "UNBOUNDED_BUDGET",
     "KeyedRowStore",
+    "as_pair_array",
     "as_pair_arrays",
     "coalesce_pairs",
     "gather_segments",
@@ -70,17 +71,18 @@ MISSING_WEIGHT = np.int64(1) << 62
 UNBOUNDED_BUDGET = np.int64(1) << 61
 
 
-def as_pair_arrays(pairs: object, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a batch of (s, t) pairs and split it into int64 columns.
+def as_pair_array(pairs: object, n: int) -> np.ndarray:
+    """Validate a batch of (s, t) pairs as one ``(m, 2)`` int64 array.
 
     Accepts anything :func:`numpy.asarray` turns into an ``(m, 2)`` integer
-    array (lists of tuples included).  Empty inputs yield two length-0
-    arrays.  Raises :class:`ValueError` on malformed shapes or on any
-    vertex id outside ``[0, n)`` — same contract as the scalar queries.
+    array (lists of tuples included).  Empty inputs yield a ``(0, 2)``
+    array.  Raises :class:`ValueError` on non-integer ids, malformed
+    shapes, or any vertex id outside ``[0, n)`` — same contract as the
+    scalar queries.
     """
     arr = np.asarray(pairs)
     if arr.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return np.empty((0, 2), dtype=np.int64)
     if arr.dtype.kind not in "iu":
         raise ValueError(
             f"pairs must be integer vertex ids, got dtype {arr.dtype}"
@@ -88,8 +90,16 @@ def as_pair_arrays(pairs: object, n: int) -> tuple[np.ndarray, np.ndarray]:
     arr = arr.astype(np.int64, copy=False)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"pairs must be an (m, 2) array, got shape {arr.shape}")
-    if int(arr.min()) < 0 or int(arr.max()) >= n:
+    # One reduction checks both bounds: negative ids read as huge uint64.
+    if int(arr.view(np.uint64).max()) >= n:
         raise ValueError(f"query vertex out of range [0, {n})")
+    return arr
+
+
+def as_pair_arrays(pairs: object, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a batch of (s, t) pairs (see :func:`as_pair_array`) and
+    split it into int64 columns; empty inputs yield two length-0 arrays."""
+    arr = as_pair_array(pairs, n)
     return np.ascontiguousarray(arr[:, 0]), np.ascontiguousarray(arr[:, 1])
 
 

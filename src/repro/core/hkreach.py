@@ -405,8 +405,9 @@ class HKReachIndex:
         :attr:`bitset_matrix_bytes`."""
         self._keyed()
         if self._bitset_ready():
-            for budget in self._bitset_budgets():
-                self._matrix(budget)
+            self._ig.link_matrices(
+                [(budget, True) for budget in self._bitset_budgets()]
+            )
         return self
 
     def _join_params(self) -> tuple[int, int, int, int]:

@@ -48,11 +48,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import native
-from repro.bitsets.ops import DEFAULT_MATRIX_BYTES
+from repro import faults, native
+from repro.bitsets.ops import DEFAULT_MATRIX_BYTES, probe_bits
 from repro.bitsets.packed import PackedIntArray
 from repro.core.batch import (
-    MISSING_WEIGHT,
     UNBOUNDED_BUDGET,
     KeyedRowStore,
     as_pair_arrays,
@@ -109,13 +108,18 @@ class KReachIndex:
         pre-refactor path, kept for differential tests and benchmarks).
         Both produce bit-identical :class:`IndexGraph` contents.
     bitset_matrix_bytes:
-        Memory ceiling for the Case-4 bitset-join link matrix
-        (``~|S|²/8`` bytes; default
-        :data:`~repro.bitsets.ops.DEFAULT_MATRIX_BYTES`).  Covers too
-        large for the ceiling make ``engine='auto'`` batches fall back
-        to the chunked cross-product engine; ``0`` keeps ``'auto'`` off
-        the bitset path entirely (an explicit ``engine='bitset'`` still
-        forces the matrix build).
+        Memory ceiling for the batch engine's cover-position bit views
+        (``~|S|²/8`` bytes each; default
+        :data:`~repro.bitsets.ops.DEFAULT_MATRIX_BYTES`).  When the
+        three nested views of :meth:`query_batch` (≤k-2, ≤k-1, ≤k; one
+        presence view for n-reach) fit together, every Case 1–3 probe
+        is a bit load and Case 4 is a bitset join.  Past that, batches
+        probe the keyed row store, and Case 4 still takes the bitset
+        join while its one link matrix fits; covers too large even for
+        that make ``engine='auto'`` fall back to the chunked
+        cross-product engine.  ``0`` keeps ``'auto'`` off every bit view
+        (an explicit ``engine='bitset'`` still forces the Case-4 matrix
+        build).
     rng:
         Randomness for ``cover_strategy='random'``.
 
@@ -564,7 +568,7 @@ class KReachIndex:
     # Batch query processing (vectorized Algorithm 2)
     # ------------------------------------------------------------------
     def _keyed(self) -> KeyedRowStore:
-        """The batch engine's probe view — zero-copy from the IndexGraph.
+        """The keyed path's probe view — zero-copy from the IndexGraph.
 
         With ``storage='wah'`` this is the compressed
         :class:`~repro.core.rowstore.WahRowStore` instead (same
@@ -588,19 +592,90 @@ class KReachIndex:
             ).astype(bool)
         return self._flags_np
 
+    def _level_specs(self) -> list[tuple[int | None, bool]]:
+        """``(budget, diagonal)`` of the ≤k-2, ≤k-1 and ≤k link views.
+
+        These are the three levels the §4.3 2-bit weights encode: Case 4
+        bridges within k-2, Cases 2/3 link within k-1, and Case 1 needs
+        any stored link (Definition 1 stores only pairs within k).  A
+        view holds the ``u == v`` handshake on its diagonal iff a zero
+        distance fits its budget.  For n-reach all three collapse to the
+        one presence view.
+        """
+        k = self.k
+        if k is None:
+            return [(None, True)] * 3
+        return [(k - 2, k >= 2), (k - 1, k >= 1), (None, True)]
+
+    def _level_stack(self) -> list[np.ndarray] | None:
+        """The three views of :meth:`_level_specs` as cover-position bit
+        matrices, or None when the keyed path must answer instead.
+
+        Only the dense backing builds them (``storage='wah'`` exists to
+        keep the resident footprint compressed), and only when every
+        distinct view fits :attr:`bitset_matrix_bytes` together.  Built
+        in one pass on first use and cached on the :class:`IndexGraph`.
+        """
+        ig = self._ig
+        specs = self._level_specs()
+        if (
+            ig.storage != "dense"
+            or len(set(specs)) * ig.link_matrix_bytes() > self.bitset_matrix_bytes
+        ):
+            return None
+        return ig.link_matrices(specs)
+
+    def _within(self, stack: list[np.ndarray] | None):
+        """``within(level, u, v)``: for aligned vertex arrays, whether the
+        index links each ``u[i]`` to ``v[i]`` within that level's budget
+        (level 0, 1, 2 = ≤k-2, ≤k-1, ≤k), the handshake included.
+
+        With the level stack each test is one bit probe; otherwise it is
+        a sorted-key weight lookup in :meth:`_keyed`.
+        """
+        if stack is not None:
+            row_pos = self._ig.row_pos()
+
+            def within(level: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+                if faults.ENABLED:
+                    faults.fire("batch.kernel_slow")
+                pu = row_pos[u]
+                pv = row_pos[v]
+                # A self-loop on an uncovered endpoint is the only
+                # neighbor outside the cover; it links nothing.
+                ok = (pu >= 0) & (pv >= 0)
+                return probe_bits(stack[level], pu * ok, pv * ok) & ok
+
+            return within
+        store = self._keyed()
+        levels = [
+            (UNBOUNDED_BUDGET if budget is None else np.int64(budget), diagonal)
+            for budget, diagonal in self._level_specs()
+        ]
+
+        def within(level: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+            budget, diagonal = levels[level]
+            hit = store.lookup(u, v) <= budget
+            if diagonal:
+                hit |= u == v
+            return hit
+
+        return within
+
     def prepare_batch(self) -> "KReachIndex":
         """Build the batch engine's lookup structures now.
 
         They are otherwise built lazily on the first :meth:`query_batch`
-        call (a one-time key/weight materialization from the IndexGraph,
-        plus the Case-4 link matrix when it fits
-        :attr:`bitset_matrix_bytes`); serving setups and benchmarks call
-        this to keep that cost out of the steady-state query path.
-        Returns ``self`` for chaining.
+        call: the level stack of :meth:`query_batch` when it fits
+        :attr:`bitset_matrix_bytes`, else the keyed row store plus the
+        Case-4 link matrix when that one view fits.  Serving setups and
+        benchmarks call this to keep that cost out of the steady-state
+        query path.  Returns ``self`` for chaining.
         """
-        self._keyed()
         self._flags()
-        self._case4_matrix()
+        if self._level_stack() is None:
+            self._keyed()
+            self._case4_matrix()
         return self
 
     def query_batch(self, pairs, *, engine: str = "auto") -> np.ndarray:
@@ -612,26 +687,34 @@ class KReachIndex:
         engines return bit-identical answers.
 
         Algorithm 2's case split is evaluated over the cover-membership
-        flags of all pairs at once.  Case-1 weights are gathered in one
-        sorted-key binary search over the row store and Cases 2/3 batch
-        the neighbor probes over the CSR arrays.  Case 4 depends on
-        ``engine``:
+        flags of all pairs at once.  The cases probe three nested link
+        levels: Case 1 asks for any stored link ``(s, t)``, Cases 2/3
+        for a link within k-1 from ``s`` to an in-neighbor of ``t`` (or
+        from an out-neighbor of ``s`` to ``t``, gathered from the CSR),
+        and Case 4 bridges within k-2.  When the three cover-position
+        bit views fit :attr:`bitset_matrix_bytes` together (dense
+        storage only), each Case-1–3 probe is one word load from its
+        view and Case 4 runs the bitset join on the k-2 view.  Past that
+        ceiling, with ``storage='wah'``, and with ``engine='chunked'``
+        the probes are sorted-key lookups in the row store instead.
+        ``engine`` selects:
 
-        * ``'auto'`` (default) — the bitset join when the cover-local
-          link matrix fits :attr:`bitset_matrix_bytes`, else the chunked
+        * ``'auto'`` (default) — the level stack when it fits; otherwise
+          keyed probes, with the Case-4 bitset join when its one link
+          matrix fits :attr:`bitset_matrix_bytes`, else the chunked
           engine.
-        * ``'native'`` — same case split as ``'auto'``, but the kernels
-          prefer the compiled tier for this batch
-          (:func:`repro.native.use`); identical answers, and a plain
-          ``'auto'`` run when numba is absent.
-        * ``'bitset'`` — force the bitset join: per-pair verdicts become
-          word-wise AND-any tests against per-endpoint cover bitsets; no
-          cross product is materialized and no pair ever takes the
-          hub-spill path.
-        * ``'chunked'`` — the chunked ``outNei(s) × inNei(t)`` cross
-          products with the scalar early-exit spill for hub×hub pairs
-          (the pre-bitset engine, kept for benchmarks/differential
-          tests).
+        * ``'native'`` — same as ``'auto'``, but the kernels prefer the
+          compiled tier for this batch (:func:`repro.native.use`);
+          identical answers, and a plain ``'auto'`` run when numba is
+          absent.
+        * ``'bitset'`` — as ``'auto'``, but Case 4 always takes the
+          bitset join: per-pair verdicts become word-wise AND-any tests
+          against per-endpoint cover bitsets; no cross product is
+          materialized and no pair ever takes the hub-spill path.
+        * ``'chunked'`` — keyed probes, and the chunked
+          ``outNei(s) × inNei(t)`` cross products with the scalar
+          early-exit spill for hub×hub pairs (the pre-bitset engine,
+          kept for benchmarks/differential tests).
         * ``'scalar'`` — a plain per-pair :meth:`query` loop (the
           differential reference).
 
@@ -674,71 +757,58 @@ class KReachIndex:
         m = len(s)
         out = np.zeros(m, dtype=bool)
         np.equal(s, t, out=out)
-        k = self.k
-        if k == 0:
+        if self.k == 0:
             return out
-        store = self._keyed()
+        stack = None if engine == "chunked" else self._level_stack()
+        within = self._within(stack)
         flags = self._flags()
         s_in = flags[s]
         t_in = flags[t]
         undecided = ~out  # s != t
-        b1 = UNBOUNDED_BUDGET if k is None else np.int64(k - 1)
-        b2 = UNBOUNDED_BUDGET if k is None else np.int64(k - 2)
 
-        # Case 1: one bulk weight gather; presence alone decides (stored
-        # weights never exceed k by construction).
+        # Case 1: any stored link (s, t).
         sel = np.flatnonzero(undecided & s_in & t_in)
         if len(sel):
-            out[sel] = store.lookup(s[sel], t[sel]) < MISSING_WEIGHT
+            out[sel] = within(2, s[sel], t[sel])
 
-        # Case 2: some in-neighbor v of t with v == s or ω(s, v) <= k-1.
+        # Case 2: some in-neighbor v of t with s linked to v within k-1.
         sel = np.flatnonzero(undecided & s_in & ~t_in)
         if len(sel):
             nbrs, owner, _ = gather_segments(g.in_indptr, g.in_indices, t[sel])
-            src = s[sel][owner]
-            hit = store.lookup(src, nbrs) <= b1
-            if self._b1_ok:
-                hit |= nbrs == src
+            hit = within(1, s[sel][owner], nbrs)
             out[sel] = segment_any(hit, owner, len(sel))
 
         # Case 3: mirror of Case 2 over out-neighbors of s.
         sel = np.flatnonzero(undecided & ~s_in & t_in)
         if len(sel):
             nbrs, owner, _ = gather_segments(g.out_indptr, g.out_indices, s[sel])
-            dst = t[sel][owner]
-            hit = store.lookup(nbrs, dst) <= b1
-            if self._b1_ok:
-                hit |= nbrs == dst
+            hit = within(1, nbrs, t[sel][owner])
             out[sel] = segment_any(hit, owner, len(sel))
 
         # Case 4: bridge outNei(s) × inNei(t) through the index.
         sel = np.flatnonzero(undecided & ~s_in & ~t_in)
         if len(sel):
-            out[sel] = self._case4_batch(store, s[sel], t[sel], b2, engine)
+            out[sel] = self._case4_batch(s[sel], t[sel], engine, within)
         return out
 
     def _case4_matrix(self, *, force: bool = False) -> np.ndarray | None:
         """The Case-4 link matrix, or None when it exceeds the memory gate.
 
-        Row ``i`` holds the cover vertices reachable from
-        ``cover_ids[i]`` within budget ``k-2`` (any stored link for
-        n-reach), with the diagonal standing in for the ``u == v``
-        handshake whenever a 2-hop bridge is legal.  Built lazily and
-        cached on the :class:`IndexGraph`.
+        The ≤k-2 view of :meth:`_level_specs` (so the cached level-stack
+        view whenever the stack fits): row ``i`` holds the cover
+        vertices reachable from ``cover_ids[i]`` within budget ``k-2``
+        (any stored link for n-reach), with the diagonal standing in for
+        the ``u == v`` handshake whenever a 2-hop bridge is legal.
+        Built lazily and cached on the :class:`IndexGraph`.
         """
         ig = self._ig
         if not force and ig.link_matrix_bytes() > self.bitset_matrix_bytes:
             return None
-        budget = None if self.k is None else self.k - 2
-        return ig.link_matrix(budget, diagonal=self._b2_ok)
+        budget, diagonal = self._level_specs()[0]
+        return ig.link_matrix(budget, diagonal=diagonal)
 
     def _case4_batch(
-        self,
-        store: KeyedRowStore,
-        s: np.ndarray,
-        t: np.ndarray,
-        budget: np.int64,
-        engine: str,
+        self, s: np.ndarray, t: np.ndarray, engine: str, within
     ) -> np.ndarray:
         """Case-4 verdicts for aligned uncovered (s, t) arrays."""
         if engine != "chunked":
@@ -750,9 +820,7 @@ class KReachIndex:
         res = np.zeros(len(s), dtype=bool)
         big, chunks = plan_cross_products(self.graph, s, t)
         for sub, u, v, owner in chunks:
-            hit = store.lookup(u, v) <= budget
-            if self._b2_ok:
-                hit |= u == v  # the s -> u -> t handshake
+            hit = within(0, u, v)  # the s -> u -> t handshake included
             res[sub] |= segment_any(hit, owner, len(sub))
         for j in big.tolist():  # hub×hub pairs: scalar path short-circuits
             res[j] = self.query(int(s[j]), int(t[j]))

@@ -1022,6 +1022,11 @@ class QueryServer:
         return len(self._workers)
 
     @property
+    def n(self) -> int:
+        """Vertex count of the served index (valid ids are ``[0, n)``)."""
+        return self._n
+
+    @property
     def index(self):
         """The parent's zero-copy view of the served index (read-only use)."""
         return self._index
@@ -1366,6 +1371,11 @@ class ThreadQueryServer:
     def workers(self) -> int:
         """Pool size."""
         return len(self._threads)
+
+    @property
+    def n(self) -> int:
+        """Vertex count of the served index (valid ids are ``[0, n)``)."""
+        return self._n
 
     @property
     def index(self):

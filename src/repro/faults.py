@@ -29,7 +29,8 @@ Sites (see :data:`SITES` for the authoritative list):
     like an OOM kill — supervision must re-dispatch its shards.
 ``batch.kernel_slow``
     Fires at the head of the hot batch kernels
-    (:meth:`~repro.core.batch.KeyedRowStore.lookup`,
+    (:meth:`~repro.core.batch.KeyedRowStore.lookup`, the level-view bit
+    probes of :meth:`~repro.core.kreach.KReachIndex.query_batch`,
     :func:`~repro.core.batch.case4_bitset_join`); mode ``sleep`` delays
     them, turning fast tests into slow-consumer/deadline tests.
 ``ingest.spill_write``

@@ -42,6 +42,8 @@ from collections import OrderedDict, deque
 
 import numpy as np
 
+from repro.core.batch import as_pair_array
+
 __all__ = ["FrontDoor", "FrontDoorOverloaded", "http_request"]
 
 
@@ -75,7 +77,10 @@ class FrontDoor:
     ----------
     server:
         Any pool with ``query_batch(pairs, engine=...)`` and
-        ``stats()`` — sharded or single.
+        ``stats()`` — sharded or single.  When it also exposes ``n``
+        (all three server classes do), each request's vertex ids are
+        range-checked against it before the request joins a batch, so
+        one bad request cannot fail the other riders of its batch.
     window_ms:
         Micro-batch window: how long the batcher waits after the first
         request for more riders before flushing.
@@ -102,6 +107,9 @@ class FrontDoor:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self._server = server
+        # Without a declared vertex count only dtype, shape and sign can
+        # be checked here; the pool range-checks the batch itself.
+        self._n = getattr(server, "n", np.iinfo(np.int64).max)
         self._window = max(0.0, window_ms) / 1000.0
         self._max_batch = int(max_batch)
         self._cache_cap = int(cache_pairs)
@@ -170,13 +178,19 @@ class FrontDoor:
     # ------------------------------------------------------------- serving
 
     async def query(self, pairs) -> list[bool]:
-        """Answer a client's pairs (cache first, batched pool second)."""
+        """Answer a client's pairs (cache first, batched pool second).
+
+        Raises :class:`ValueError` for pairs that are not an ``(m, 2)``
+        array of integer vertex ids in ``[0, server.n)``.
+        """
         if self._closed:
             raise RuntimeError("front door is closed")
-        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        arr = as_pair_array(pairs, self._n)
         self.requests += 1
         born = time.monotonic()
-        out = np.zeros(len(arr), dtype=bool)
+        # Plain lists: per-pair numpy scalar writes would cost more than
+        # the validation above.
+        out = [False] * len(arr)
         missing: list[int] = []
         if self._cache_cap > 0:
             for i, (s, t) in enumerate(arr.tolist()):
@@ -197,17 +211,19 @@ class FrontDoor:
                 self.admission_rejects += 1
                 raise FrontDoorOverloaded(self._backlog_pairs, self._max_backlog)
             await self.start()
+            todo = arr[missing]
             request = _Request(
-                arr[missing],
+                todo,
                 asyncio.get_running_loop().create_future(),
                 self._cache_generation,
             )
             self._backlog_pairs += len(missing)
             await self._queue.put(request)
             verdicts = await request.future
-            out[missing] = verdicts
+            for i, v in zip(missing, verdicts):
+                out[i] = v
             if self._cache_cap > 0 and request.generation == self._cache_generation:
-                for (s, t), v in zip(arr[missing].tolist(), verdicts.tolist()):
+                for (s, t), v in zip(todo.tolist(), verdicts):
                     self._cache[(s, t)] = v
                     self._cache.move_to_end((s, t))
                 while len(self._cache) > self._cache_cap:
@@ -219,7 +235,7 @@ class FrontDoor:
         self._qps_window.append((now, len(arr)))
         while self._qps_window and now - self._qps_window[0][0] > 10.0:
             self._qps_window.popleft()
-        return out.tolist()
+        return out
 
     def invalidate_cache(self) -> None:
         """Drop every cached verdict (call after graph churn).
@@ -277,6 +293,7 @@ class FrontDoor:
             if not isinstance(exc, Exception):
                 raise
             return
+        verdicts = np.asarray(verdicts).tolist()
         offset = 0
         for req in batch:
             span = verdicts[offset : offset + len(req.pairs)]

@@ -103,10 +103,12 @@ def test_property_round_trip(bits, values):
 class TestVectorizedPackUnpack:
     def test_numpy_round_trip(self):
         rng = np.random.default_rng(3)
-        for bits in (1, 2, 5, 8, 13, 32):
+        for bits in (1, 2, 4, 5, 8, 13, 32):
             values = rng.integers(0, 1 << bits, size=523, dtype=np.int64)
             a = PackedIntArray.from_numpy(values, bits=bits)
             assert np.array_equal(a.as_numpy(), values)
+            narrow = a.as_numpy(np.uint8 if bits <= 8 else np.uint32)
+            assert narrow.dtype.itemsize < 8 and np.array_equal(narrow, values)
             # Scalar and vectorized decoders agree on the same words.
             assert a.to_list()[:17] == values[:17].tolist()
 

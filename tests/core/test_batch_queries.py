@@ -30,7 +30,7 @@ from repro.graph.generators import (
 )
 from repro.graph.traversal import bidirectional_reaches_within
 
-K_VALUES = [2, 3, 5, None]
+K_VALUES = [1, 2, 3, 5, 6, None]
 
 
 def _graphs() -> list[tuple[str, DiGraph]]:

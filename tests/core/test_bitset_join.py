@@ -10,6 +10,7 @@ oracle — for KReach and HKReach alike, over k ∈ {0, 1, 2, 6, None}.
 import numpy as np
 import pytest
 
+import repro.core.index_graph as index_graph_module
 import repro.core.kreach as kreach_module
 from repro.bitsets.ops import (
     and_any,
@@ -19,7 +20,8 @@ from repro.bitsets.ops import (
     words_for,
 )
 from repro.core import CoverDistanceOracle, HKReachIndex, KReachIndex
-from repro.core.batch import plan_cross_products
+from repro.core.batch import KeyedRowStore, plan_cross_products
+from repro.core.index_graph import IndexGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
     celebrity_crossfire_digraph,
@@ -95,24 +97,77 @@ class TestKReachEngines:
             fits.query_batch(pairs), gated.query_batch(pairs)
         )
 
+    @pytest.mark.parametrize("k", (1, 2, 6))
+    def test_level_stack_gate(self, k, monkeypatch):
+        """A ceiling that admits one view but not the level stack keeps
+        ``auto`` on the keyed path, with the Case-4 join still on."""
+        g = celebrity_graph(2)
+        pairs = workload(g, 2, 600)
+        fits = KReachIndex(g, k)
+        one_view = KReachIndex(
+            g,
+            k,
+            cover=fits.cover,
+            bitset_matrix_bytes=fits.index_graph.link_matrix_bytes(),
+        )
+        lookups = []
+        original = KeyedRowStore.lookup
+
+        def spy(store, u, v):
+            lookups.append(len(u))
+            return original(store, u, v)
+
+        monkeypatch.setattr(KeyedRowStore, "lookup", spy)
+        expected = one_view.query_batch(pairs, engine="scalar")
+        assert one_view._level_stack() is None
+        assert one_view._case4_matrix() is not None
+        assert np.array_equal(one_view.query_batch(pairs), expected)
+        assert lookups  # the keyed probes answered Cases 1-3
+        assert fits._level_stack() is not None
+        assert np.array_equal(fits.query_batch(pairs), expected)
+
+    def test_nreach_stack_is_one_view(self):
+        g = celebrity_graph(2)
+        fits = KReachIndex(g, None)
+        idx = KReachIndex(
+            g,
+            None,
+            cover=fits.cover,
+            bitset_matrix_bytes=fits.index_graph.link_matrix_bytes(),
+        )
+        le2, le1, le_k = idx._level_stack()
+        assert le2 is le1 is le_k
+
+    def test_prepare_batch_skips_keyed_store_when_stack_fits(self):
+        g = celebrity_graph(1)
+        idx = KReachIndex(g, 6).prepare_batch()
+        assert idx._level_stack() is not None
+        assert idx._keyed_rows is None
+        gated = KReachIndex(g, 6, cover=idx.cover, bitset_matrix_bytes=0)
+        assert gated.prepare_batch()._keyed_rows is not None
+
     def test_auto_engine_never_plans_cross_products(self, monkeypatch):
-        """Acceptance: when the matrix fits, no pair touches the
-        cross-product planner (and hence never the hub spill)."""
+        """Acceptance: when the level stack fits, no pair touches the
+        cross-product planner (and hence never the hub spill) or the
+        keyed row store."""
         g = celebrity_crossfire_digraph(60, 12, 30, seed=7)
         idx = KReachIndex(g, 6, cover=frozenset(range(60)))
         pairs = np.stack(
             [
-                np.random.default_rng(7).integers(60, g.n, 200),
-                np.random.default_rng(8).integers(60, g.n, 200),
+                np.random.default_rng(7).integers(0, g.n, 400),
+                np.random.default_rng(8).integers(0, g.n, 400),
             ],
             axis=1,
         )
+        assert set(idx.query_case_batch(pairs).tolist()) == {1, 2, 3, 4}
+        expected = idx.query_batch(pairs, engine="scalar")
 
         def boom(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("cross-product planner reached on auto path")
+            raise AssertionError("keyed path reached on auto path")
 
         monkeypatch.setattr(kreach_module, "plan_cross_products", boom)
-        assert idx.query_batch(pairs).shape == (200,)
+        monkeypatch.setattr(KeyedRowStore, "lookup", boom)
+        assert np.array_equal(idx.query_batch(pairs), expected)
 
     def test_engine_validation(self):
         idx = KReachIndex(paper_example_graph(), 3)
@@ -196,6 +251,37 @@ class TestLinkMatrix:
                     j = pos[v]
                     expect[pos[u], j >> 6] |= np.uint64(1) << np.uint64(j & 63)
             assert np.array_equal(matrix, expect), budget
+
+    def test_stack_matches_single_views(self, monkeypatch):
+        """One-pass nested views equal the views built one at a time,
+        across row blocks, mixed diagonals, and non-cover targets."""
+        monkeypatch.setattr(index_graph_module, "_SCATTER_EDGES", 64)
+        g = celebrity_graph(0)
+        ig = KReachIndex(g, 6).index_graph
+        rows = ig.rows_dict()
+        rows[int(ig.cover_ids[0])][int(np.flatnonzero(ig.row_pos() < 0)[0])] = 5
+
+        def build():
+            return IndexGraph.from_rows(
+                g.n, ig.cover_ids, rows, weight_base=4, weight_bits=2
+            )
+
+        hand, single = build(), build()
+        specs = [(None, True), (3, False), (4, True), (5, False), (6, True)]
+        stacked = hand.link_matrices(specs)
+        pos = {int(v): i for i, v in enumerate(hand.cover_ids)}
+        for (budget, diagonal), got in zip(specs, stacked):
+            expect = np.zeros(got.shape, dtype=np.uint64)
+            for u, v, w in hand.weighted_edges():
+                if v in pos and (budget is None or w <= budget):
+                    j = pos[v]
+                    expect[pos[u], j >> 6] |= np.uint64(1) << np.uint64(j & 63)
+            if diagonal:
+                for j in range(len(pos)):
+                    expect[j, j >> 6] |= np.uint64(1) << np.uint64(j & 63)
+            assert np.array_equal(got, expect), budget
+            assert np.array_equal(single.link_matrix(budget, diagonal=diagonal), got)
+            assert hand.link_matrix(budget, diagonal=diagonal) is got  # cached
 
     def test_diagonal_and_cache(self):
         g = paper_example_graph()

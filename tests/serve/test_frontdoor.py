@@ -239,6 +239,42 @@ class TestHttp:
         assert status == 400 and "error" in body
 
 
+class TestValidation:
+    def test_bad_request_fails_alone_in_its_window(self, tmp_path):
+        """A good and a bad request share one micro-batch window: the
+        good one is answered, the bad one alone is refused, and float
+        ids are refused rather than truncated."""
+        g = gnp_digraph(50, 0.08, seed=22)
+        index = KReachIndex(g, 6)
+        path = tmp_path / "i.kr5"
+        save_mmap(index, path)
+
+        async def scenario():
+            with ThreadQueryServer(path, workers=1) as server:
+                door = FrontDoor(server, window_ms=100, cache_pairs=0)
+                host, port = await door.start_http()
+                good, bad = await asyncio.gather(
+                    door.query([[0, 1], [2, 3]]),
+                    door.query([[0, 10000]]),
+                    return_exceptions=True,
+                )
+                oob = await http_request(
+                    host, port, "POST", "/query", {"pairs": [[0, 10000]]}
+                )
+                flt = await http_request(
+                    host, port, "POST", "/query", {"pairs": [[1.7, 2]]}
+                )
+                batches = door.batches
+                await door.close()
+            return good, bad, oob, flt, batches
+
+        good, bad, oob, flt, batches = asyncio.run(scenario())
+        assert good == index.query_batch([[0, 1], [2, 3]]).tolist()
+        assert isinstance(bad, ValueError)
+        assert oob[0] == 400 and flt[0] == 400
+        assert batches == 1  # the refused requests never reached the pool
+
+
 class TestFaults:
     def test_worker_sigkill_no_wrong_or_dropped_verdicts(
         self, tmp_path, graph, reference, manifest
