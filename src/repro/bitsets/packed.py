@@ -68,9 +68,12 @@ class PackedIntArray:
     def from_numpy(cls, values: np.ndarray, *, bits: int) -> "PackedIntArray":
         """Pack a numpy integer array without a Python-level loop.
 
-        The little-endian bit stream is assembled with ``np.packbits``, so
-        packing |E_I|-sized weight arrays during index construction costs
-        a handful of vectorized passes instead of one ``__setitem__`` per
+        The inverse of :meth:`as_numpy`.  Widths that divide 8 (the §4.3
+        2-bit weights among them) OR each byte's fields together directly,
+        one byte-wide pass per field; other widths assemble the
+        little-endian bit stream with ``np.packbits``.  Either way packing
+        |E_I|-sized weight arrays during index construction costs a
+        handful of vectorized passes instead of one ``__setitem__`` per
         entry.
 
         >>> PackedIntArray.from_numpy(np.array([3, 0, 1]), bits=2).to_list()
@@ -82,6 +85,16 @@ class PackedIntArray:
             return arr
         if int(values.min()) < 0 or int(values.max()) > arr._mask:
             raise ValueError(f"values do not fit in {bits} bits")
+        if 8 % bits == 0:
+            per_byte = 8 // bits
+            fields = np.zeros(-(-len(values) // per_byte) * per_byte, dtype=np.uint8)
+            fields[: len(values)] = values
+            fields = fields.reshape(-1, per_byte)
+            raw = arr._words.view(np.uint8)[: len(fields)]
+            raw[:] = fields[:, 0]
+            for j in range(1, per_byte):
+                raw |= fields[:, j] << np.uint8(j * bits)
+            return arr
         stream = (
             (values[:, None] >> np.arange(bits, dtype=np.int64)) & 1
         ).astype(np.uint8)

@@ -500,15 +500,13 @@ class DynamicKReachIndex:
             w = np.zeros(len(dist), dtype=np.int64)
         else:
             w = np.maximum(dist, self.k - 2)
-        order = np.argsort(src * np.int64(self.n) + dst)
-        src, dst, w = src[order], dst[order], w[order]
         starts = np.searchsorted(src, sources, side="left")
         stops = np.searchsorted(src, sources, side="right")
         for x, lo, hi in zip(sources.tolist(), starts.tolist(), stops.tolist()):
             xi = int(x)
             self._delta[xi] = dict(zip(dst[lo:hi].tolist(), w[lo:hi].tolist()))
-            # The fused-key sort leaves each row's targets ascending, so
-            # the slices double as the row's flattened-array cache.
+            # The blocked BFS emits (src, dst) ascending, so each row's
+            # slices double as its flattened-array cache.
             self._row_arrays[xi] = (dst[lo:hi], w[lo:hi])
             if self._patch.pop(xi, None) is not None:
                 self._patch_cache = None

@@ -18,15 +18,16 @@ cover-position bit views built in one scatter over the CSR
 :class:`~repro.core.batch.KeyedRowStore` takes the sorted
 ``u * n + v`` key array zero-copy, serialization dumps the arrays
 verbatim, and the parallel builder merges per-worker triple arrays with
-one concatenate + lexsort.  The ``{u: {v: w}}`` dict-of-dicts that three
-layers used to re-flatten independently no longer exists on the core
-path.
+one concatenate.  The ``{u: {v: w}}`` dict-of-dicts that three layers
+used to re-flatten independently no longer exists on the core path.
 
 Construction feeds the structure from ``(src, dst, dist)`` triple arrays
 — produced either by the per-source BFS loop (:func:`cover_triples_serial`,
 the pre-refactor Algorithm-1 inner loop, kept as the differential and
 benchmark baseline) or by the bit-parallel blocked multi-source BFS
-(:func:`cover_triples_blocked`, the default).
+(:func:`cover_triples_blocked`, the default).  The blocked stream arrives
+in ``(src, dst)`` order, so :meth:`IndexGraph.from_triples` builds the
+CSR from it without sorting; other input is sorted there first.
 """
 
 from __future__ import annotations
@@ -149,6 +150,13 @@ class IndexGraph:
         mode stores no distance information).  ``weight_bits`` pins the
         packed width (§4.3 mandates 2 bits for fixed-k regardless of the
         weights actually observed); by default the minimum width is used.
+
+        Input already in strictly ascending ``(src, dst)`` order — what
+        :func:`~repro.graph.traversal.bfs_distances_blocked` emits — is
+        taken as is after one pass over the fused ``u * n + v`` keys
+        (strict ascent also rules out duplicates).  Anything else is
+        sorted first and then checked for duplicate pairs.  Either way
+        the graph keeps its own copies, never the caller's arrays.
         """
         cover_ids = np.unique(np.fromiter((int(v) for v in cover), dtype=np.int64))
         src = np.asarray(src, dtype=np.int64)
@@ -159,17 +167,26 @@ class IndexGraph:
         if len(dst) and (int(dst.min()) < 0 or int(dst.max()) >= n):
             raise ValueError(f"target vertex out of range [0, {n})")
         if 0 < n < (1 << 31):
-            # One radix pass over the fused u * n + v key instead of
-            # lexsort's two — measurably cheaper on merge-compaction and
-            # blocked-build hot paths (the key also feeds the dup check).
-            keys = src * np.int64(n) + dst
-            order = np.argsort(keys, kind="stable")
-            src, dst, w = src[order], dst[order], dist[order]
-            keys = keys[order]
-            dup = len(keys) > 1 and bool(np.any(keys[1:] == keys[:-1]))
+            # One ascent check over the fused u * n + v key decides
+            # whether to sort at all; sorting it is one argsort where
+            # lexsort takes two passes.
+            keys = src * np.int64(n)
+            keys += dst
+            if bool(np.all(keys[1:] > keys[:-1])):
+                # Sorted and duplicate-free: copy only what the graph keeps.
+                dst = dst.copy()
+                if not zero_weights and floor is None:
+                    dist = dist.copy()
+                dup = False
+            else:
+                order = np.argsort(keys, kind="stable")
+                src, dst, dist = src[order], dst[order], dist[order]
+                keys = keys[order]
+                dup = bool(np.any(keys[1:] == keys[:-1]))
+            del keys
         else:
             order = np.lexsort((dst, src))
-            src, dst, w = src[order], dst[order], dist[order]
+            src, dst, dist = src[order], dst[order], dist[order]
             dup = len(src) > 1 and bool(
                 np.any((src[1:] == src[:-1]) & (dst[1:] == dst[:-1]))
             )
@@ -177,29 +194,31 @@ class IndexGraph:
             # Silent last-wins merging would let weight_of (binary
             # search) and flat() (hash) disagree; fail loudly instead.
             raise ValueError("duplicate (src, dst) triples")
-        pos = np.searchsorted(cover_ids, src)
-        if len(src) and (
-            int(pos.max(initial=0)) >= len(cover_ids)
-            or not bool(np.all(cover_ids[np.minimum(pos, len(cover_ids) - 1)] == src))
-        ):
+        # Row i is the run of cover_ids[i] in the sorted src; the runs
+        # cover every triple iff every source is a cover vertex.
+        starts = np.searchsorted(src, cover_ids, side="left")
+        stops = np.searchsorted(src, cover_ids, side="right")
+        if int((stops - starts).sum()) != len(src):
             raise ValueError("triple source outside the cover")
         if zero_weights:
-            w = np.zeros(len(w), dtype=np.int64)
+            w = np.zeros(len(dist), dtype=np.int64)
             base = 0
         elif floor is not None:
-            w = np.maximum(w, floor)
+            w = np.maximum(dist, floor)
             base = floor
         else:
+            w = dist
             base = 0
         if weight_bits is None:
             span = int(w.max()) - base + 1 if len(w) else 1
             weight_bits = bits_needed(span)
-        counts = np.bincount(pos, minlength=len(cover_ids)) if len(src) else (
-            np.zeros(len(cover_ids), dtype=np.int64)
-        )
         indptr = np.zeros(len(cover_ids) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        packed = PackedIntArray.from_numpy(w - base, bits=weight_bits)
+        indptr[1:] = stops
+        # w is this graph's own array, so the codes are packed from it
+        # shifted in place rather than from an |E_I|-sized temporary.
+        w -= base
+        packed = PackedIntArray.from_numpy(w, bits=weight_bits)
+        w += base
         ig = cls(n, cover_ids, indptr, dst, packed, base)
         ig._weights64 = w
         return ig
@@ -685,7 +704,8 @@ def cover_triples_blocked(
 
     Wraps :func:`~repro.graph.traversal.bfs_distances_blocked` with the
     cover as both source set and emit mask — exactly the (src, dst, dist)
-    stream Algorithm 1 needs, 64 sources per sweep.
+    stream Algorithm 1 needs, 64 sources per sweep, in ascending
+    ``(src, dst)`` order.
     """
     cover_arr = np.unique(np.fromiter((int(v) for v in cover), dtype=np.int64))
     in_cover = np.zeros(graph.n, dtype=bool)

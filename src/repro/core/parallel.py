@@ -5,10 +5,11 @@ more machines or CPU cores are available": the BFS sweeps from the cover
 vertices are independent.  :func:`parallel_khop_triples` fans contiguous
 chunks of the sorted cover out over a process pool; each worker runs the
 bit-parallel blocked multi-source BFS over its chunk and sends back plain
-``(src, dst, dist)`` numpy arrays, which the parent merges with one
-concatenate (the final lexsort happens inside
-:meth:`IndexGraph.from_triples <repro.core.index_graph.IndexGraph.from_triples>`)
-— no per-entry dict merging anywhere.
+``(src, dst, dist)`` numpy arrays in ascending ``(src, dst)`` order.  The
+chunks are contiguous and ascending, so the parent's one concatenate is
+already in the row order
+:meth:`IndexGraph.from_triples <repro.core.index_graph.IndexGraph.from_triples>`
+takes without sorting — no per-entry dict merging anywhere.
 
 On fork-capable platforms the graph is shared copy-on-write through a
 module-level global, so workers pay no serialization cost for the CSR
@@ -76,8 +77,9 @@ def parallel_khop_triples(
 
     Equivalent to the single-process builders; raises for ``workers < 1``.
     ``workers=1`` runs inline (useful for tests and as a spawn-cost-free
-    fallback).  Triples come back unsorted; feed them to
-    :meth:`IndexGraph.from_triples
+    fallback).  Triples come back in strictly ascending ``(src, dst)``
+    order, as :func:`~repro.graph.traversal.bfs_distances_blocked` emits
+    them, ready for :meth:`IndexGraph.from_triples
     <repro.core.index_graph.IndexGraph.from_triples>`.
     """
     if workers < 1:
@@ -90,7 +92,8 @@ def parallel_khop_triples(
     if workers == 1 or len(cover_arr) < 2 * workers:
         return bfs_distances_blocked(graph, cover_arr, k=k, emit=in_cover)
 
-    # Contiguous chunks keep each worker's 64-source blocks dense.
+    # Contiguous chunks keep each worker's 64-source blocks dense, and
+    # pool.map keeps their order, so the concatenation stays ascending.
     chunks = [c for c in np.array_split(cover_arr, workers) if len(c)]
     ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
     with ctx.Pool(

@@ -205,7 +205,14 @@ def bfs_distances_blocked(
     restricts the *reported* vertices to a boolean mask over vertex ids
     (traversal still crosses non-emitted vertices); index construction
     passes the cover membership mask here.  A source never reports
-    itself, and triples come back in no particular order.
+    itself.
+
+    Triples come back in strictly ascending ``(src, dst)`` order — the
+    row order of :meth:`IndexGraph.from_triples
+    <repro.core.index_graph.IndexGraph.from_triples>`, which then sorts
+    nothing.  Each block keeps its levels' hits, sorts them by vertex
+    once (the levels are already-ascending runs) and decodes the masks
+    source-major, so the sort follows the block's output size.
     """
     sources = np.unique(np.asarray(sources, dtype=np.int64))
     if len(sources) and (int(sources.min()) < 0 or int(sources.max()) >= g.n):
@@ -217,7 +224,7 @@ def bfs_distances_blocked(
         emit = np.asarray(emit, dtype=bool)
         if len(emit) != g.n:
             raise ValueError(f"emit mask must have length {g.n}, got {len(emit)}")
-    out_src: list[np.ndarray] = []
+    counts = np.zeros(len(sources), dtype=np.int64)  # triples per source
     out_dst: list[np.ndarray] = []
     out_dist: list[np.ndarray] = []
     expand, scratch = _resolve_expand(g.n)
@@ -231,6 +238,9 @@ def bfs_distances_blocked(
         np.bitwise_or.at(visited, block, bit)
         front_v, front_m = _or_group(block, bit)
         level = 0
+        hits: list[np.ndarray] = []
+        masks: list[np.ndarray] = []
+        levels: list[int] = []
         while len(front_v) and (k is None or level < k):
             nv, nm = expand(indptr, indices, front_v, front_m, visited, scratch)
             if not len(nv):
@@ -238,26 +248,45 @@ def bfs_distances_blocked(
             visited[nv] |= nm
             level += 1
             if emit is None:
-                hits, hit_masks = nv, nm
+                hit_v, hit_m = nv, nm
             else:
                 sel = emit[nv]
-                hits, hit_masks = nv[sel], nm[sel]
-            if len(hits):
-                bits = np.unpackbits(
-                    np.ascontiguousarray(hit_masks).view(np.uint8).reshape(-1, 8),
-                    axis=1,
-                    bitorder="little",
-                )[:, :width]
-                rows, cols = np.nonzero(bits)
-                out_src.append(block[cols])
-                out_dst.append(hits[rows])
-                out_dist.append(np.full(len(rows), level, dtype=np.int64))
+                hit_v, hit_m = nv[sel], nm[sel]
+            if len(hit_v):
+                hits.append(hit_v)
+                masks.append(hit_m)
+                levels.append(level)
             front_v, front_m = nv, nm
-    if not out_src:
+        if not hits:
+            continue
+        # A vertex reached at several levels carries disjoint source bits
+        # in each, so once the hits are sorted by vertex every source
+        # sees its targets strictly ascending.
+        hit_v = np.concatenate(hits)
+        order = np.argsort(hit_v, kind="stable")
+        hit_v = hit_v[order]
+        hit_m = np.concatenate(masks)[order]
+        hit_d = np.repeat(np.asarray(levels, dtype=np.int64), [len(h) for h in hits])
+        hit_d = hit_d[order]
+        # The masks' bytes transposed to (8, hits) unpack along axis 0
+        # into (64, hits), row b holding source bit b, so the flat
+        # nonzero walks source-major.
+        bits = np.unpackbits(
+            np.ascontiguousarray(hit_m.view(np.uint8).reshape(-1, 8).T),
+            axis=0,
+            bitorder="little",
+        )[:width].view(bool)
+        block_counts = counts[start : start + width]
+        block_counts[:] = np.count_nonzero(bits, axis=1)
+        rows = np.flatnonzero(bits)
+        rows -= np.repeat(np.arange(0, bits.size, len(hit_v)), block_counts)
+        out_dst.append(hit_v[rows])
+        out_dist.append(hit_d[rows])
+    if not out_dst:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy(), empty.copy()
     return (
-        np.concatenate(out_src),
+        np.repeat(sources, counts),
         np.concatenate(out_dst),
         np.concatenate(out_dist),
     )

@@ -309,13 +309,14 @@ class FrontDoor:
         latencies = np.array(self._latencies, dtype=np.float64)
         now = time.monotonic()
         window = [n for ts, n in self._qps_window if now - ts <= 10.0]
-        span = 10.0 if len(self._qps_window) else 1.0
+        # A door younger than the window has served for its uptime only.
+        span = min(10.0, now - self._born)
         total_cache = self.cache_hits + self.cache_misses
         return {
             "uptime_s": round(now - self._born, 3),
             "requests": self.requests,
             "pairs_served": self.pairs_served,
-            "qps": round(sum(window) / span, 2),
+            "qps": round(sum(window) / span, 2) if span > 0 else 0.0,
             "batches": self.batches,
             "batch_occupancy": round(
                 self.batched_pairs / (self.batches * self._max_batch), 4

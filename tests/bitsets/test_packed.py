@@ -112,6 +112,23 @@ class TestVectorizedPackUnpack:
             # Scalar and vectorized decoders agree on the same words.
             assert a.to_list()[:17] == values[:17].tolist()
 
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 5, 8])
+    def test_from_numpy_words_match_packbits_reference(self, bits):
+        """Byte-split (widths dividing 8) and bit-stream encoders write
+        the words of a plain little-endian packbits stream."""
+        rng = np.random.default_rng(bits)
+        for length in (1, 7, 65, 523):
+            values = rng.integers(0, 1 << bits, size=length, dtype=np.int64)
+            stream = ((values[:, None] >> np.arange(bits)) & 1).astype(np.uint8)
+            packed = np.packbits(stream.reshape(-1), bitorder="little")
+            a = PackedIntArray.from_numpy(values, bits=bits)
+            want = np.zeros(a.words.nbytes, dtype=np.uint8)
+            want[: len(packed)] = packed
+            assert np.array_equal(a.words.view(np.uint8), want)
+            for bad in (1 << bits, -1):
+                with pytest.raises(ValueError):
+                    PackedIntArray.from_numpy(np.append(values, bad), bits=bits)
+
     def test_from_numpy_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             PackedIntArray.from_numpy(np.array([4]), bits=2)

@@ -195,3 +195,57 @@ class TestDuplicateTriples:
             IndexGraph.for_kreach(
                 4, [0], np.array([0, 0]), np.array([2, 2]), np.array([1, 1]), 3
             )
+
+
+class TestSortedInput:
+    """from_triples takes (src, dst)-ascending input without sorting;
+    any other order is sorted first, with the same result."""
+
+    @pytest.fixture(scope="class")
+    def triples(self):
+        g = gnp_digraph(120, 0.05, seed=31)
+        cover = KReachIndex(g, 3).cover
+        return g.n, cover, cover_triples_blocked(g, cover, 4)
+
+    @pytest.mark.parametrize("floor", [None, 2])
+    def test_shuffled_input_builds_the_same_graph(self, triples, floor):
+        n, cover, (src, dst, dist) = triples
+        perm = np.random.default_rng(31).permutation(len(src))
+        want = IndexGraph.from_triples(n, cover, src, dst, dist, floor=floor)
+        got = IndexGraph.from_triples(
+            n, cover, src[perm], dst[perm], dist[perm], floor=floor
+        )
+        assert got == want
+        assert np.array_equal(got.packed.words, want.packed.words)
+
+    def test_sorted_input_with_duplicate_rejected(self, triples):
+        n, cover, (src, dst, dist) = triples
+        i = len(src) // 2
+        src, dst, dist = (np.insert(a, i, a[i]) for a in (src, dst, dist))
+        with pytest.raises(ValueError, match="duplicate"):
+            IndexGraph.from_triples(n, cover, src, dst, dist)
+
+    def test_sorted_input_with_source_outside_cover_rejected(self, triples):
+        n, cover, (src, dst, dist) = triples
+        outside = min(set(range(n)) - set(cover))
+        i = int(np.searchsorted(src * n + dst, outside * n))
+        src, dst, dist = (
+            np.insert(a, i, v) for a, v in ((src, outside), (dst, 0), (dist, 1))
+        )
+        keys = src * n + dst
+        assert bool(np.all(keys[1:] > keys[:-1]))
+        with pytest.raises(ValueError, match="cover"):
+            IndexGraph.from_triples(n, cover, src, dst, dist)
+
+    @pytest.mark.parametrize("floor", [None, 2])
+    def test_result_does_not_alias_caller_arrays(self, triples, floor):
+        n, cover, (src, dst, dist) = triples
+        src, dst, dist = src.copy(), dst.copy(), dist.copy()
+        ig = IndexGraph.from_triples(n, cover, src, dst, dist, floor=floor)
+        want = IndexGraph.from_triples(
+            n, cover, src.copy(), dst.copy(), dist.copy(), floor=floor
+        )
+        src[:] = 0
+        dst[:] = 0
+        dist[:] = 3
+        assert ig == want

@@ -19,6 +19,15 @@ class TestParallelTriples:
         ig = IndexGraph.for_kreach(g.n, serial.cover, *triples, k)
         assert ig == serial.index_graph
 
+    def test_pooled_triples_ascend(self):
+        """Contiguous chunks concatenated in order keep the blocked
+        kernel's (src, dst) order across the pool."""
+        g = gnp_digraph(150, 0.04, seed=9)
+        cover = KReachIndex(g, 3).cover
+        src, dst, _ = parallel_khop_triples(g, cover, 3, workers=2)
+        keys = src * g.n + dst
+        assert len(keys) and bool(np.all(keys[1:] > keys[:-1]))
+
     def test_workers_validation(self):
         with pytest.raises(ValueError):
             parallel_khop_triples(path_graph(4), {1, 2}, 2, workers=0)

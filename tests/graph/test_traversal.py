@@ -268,6 +268,32 @@ class TestBfsDistancesBlocked:
                     want[(u, v)] = int(d[v])
         assert got == want
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 6, None])
+    @pytest.mark.parametrize("direction", ["out", "in"])
+    @pytest.mark.parametrize("with_emit", [False, True])
+    def test_triples_ascend_by_source_then_target(self, k, direction, with_emit):
+        """The (src, dst) order IndexGraph.from_triples builds from
+        without sorting: fused keys strictly ascend, even for unsorted,
+        duplicated sources spanning several 64-source blocks."""
+        from repro.graph.traversal import bfs_distances_blocked
+
+        g = gnp_digraph(200, 0.02, seed=23)
+        rng = np.random.default_rng(23)
+        sources = rng.permutation(np.repeat(np.arange(0, g.n, 2), 2))  # 100 distinct
+        emit = rng.random(g.n) < 0.6 if with_emit else None
+        src, dst, dist = bfs_distances_blocked(
+            g, sources, k=k, direction=direction, emit=emit
+        )
+        keys = src * g.n + dst
+        assert bool(np.all(keys[1:] > keys[:-1]))
+        want = set()
+        for u in np.unique(sources).tolist():
+            d = bfs_distances(g, u, k=k, direction=direction)
+            for v in np.flatnonzero(d != UNREACHED).tolist():
+                if v != u and (emit is None or emit[v]):
+                    want.add((u, v, int(d[v])))
+        assert set(zip(src.tolist(), dst.tolist(), dist.tolist())) == want
+
     def test_more_than_64_sources(self):
         from repro.graph.traversal import bfs_distances_blocked
 

@@ -9,6 +9,7 @@ faults registry never produces a wrong or dropped verdict.
 """
 
 import asyncio
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from repro.core.serialize import save_mmap, save_sharded
 from repro.core.serve import ThreadQueryServer
 from repro.core.sharded import ShardedQueryServer
 from repro.graph.generators import gnp_digraph
-from repro.serve import FrontDoor, FrontDoorOverloaded, http_request
+from repro.serve import FrontDoor, FrontDoorOverloaded, frontdoor, http_request
 from repro.workloads import random_pairs
 
 
@@ -151,6 +152,40 @@ class TestCache:
                 return door.metrics()["cache"]["entries"]
 
         assert asyncio.run(scenario()) <= 8
+
+
+class TestMetrics:
+    def test_qps_divides_by_uptime_until_the_window_fills(
+        self, graph, reference, monkeypatch
+    ):
+        """qps is pairs over the trailing 10 s, or over the uptime while
+        the door is younger than that."""
+        clock = SimpleNamespace(now=100.0)
+        monkeypatch.setattr(
+            frontdoor, "time", SimpleNamespace(monotonic=lambda: clock.now)
+        )
+
+        async def scenario():
+            class Srv:
+                def query_batch(self, pairs, engine=None):
+                    return reference.query_batch(pairs)
+
+                def stats(self):
+                    return {"health": "ok"}
+
+            rng = np.random.default_rng(5)
+            async with FrontDoor(Srv(), window_ms=0, cache_pairs=0) as door:
+                clock.now += 0.5
+                await door.query(rng.integers(0, graph.n, size=(1000, 2)))
+                young = door.metrics()["qps"]
+                clock.now += 12.0  # the first 1000 pairs leave the window
+                await door.query(rng.integers(0, graph.n, size=(500, 2)))
+                old = door.metrics()["qps"]
+            return young, old
+
+        young, old = asyncio.run(scenario())
+        assert young == 2000.0  # 1000 pairs in 0.5 s of uptime
+        assert old == 50.0  # 500 pairs in the full 10 s window
 
 
 class TestAdmission:
