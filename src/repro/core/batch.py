@@ -307,8 +307,6 @@ def case4_bitset_join(
     row_pos: np.ndarray,
     *,
     max_words: int = 1 << 23,
-    gather_out=None,
-    gather_in=None,
 ) -> np.ndarray:
     """Case-4 verdicts for aligned uncovered (s, t) arrays via bitset join.
 
@@ -331,14 +329,6 @@ def case4_bitset_join(
     pair; no cross product is ever materialized and no pair falls back
     to a scalar walk.  Self-loop neighbors of an uncovered endpoint are
     the only non-cover entries either list can contain and are skipped.
-
-    Neighbor enumeration defaults to ``graph``'s CSR arrays; callers
-    whose adjacency is *not* one immutable CSR (the dynamic engine's
-    base-snapshot + overlay mix) pass ``gather_out`` / ``gather_in``
-    instead — each takes a unique vertex array and returns
-    ``(neighbors, owner)`` with ``owner`` sorted ascending, exactly the
-    :func:`gather_segments` contract.  With both provided, ``graph`` may
-    be ``None``.
     """
     out = np.zeros(len(s), dtype=bool)
     words = matrix.shape[1] if matrix.ndim == 2 else 0
@@ -350,18 +340,12 @@ def case4_bitset_join(
     uniq_s, s_inv = np.unique(s, return_inverse=True)
     uniq_t, t_inv = np.unique(t, return_inverse=True)
 
-    if gather_in is None:
-        nbrs, owner, _ = gather_segments(graph.in_indptr, graph.in_indices, uniq_t)
-    else:
-        nbrs, owner = gather_in(uniq_t)
+    nbrs, owner, _ = gather_segments(graph.in_indptr, graph.in_indices, uniq_t)
     pos = row_pos[nbrs]
     keep = pos >= 0
     tbits = bit_matrix(owner[keep], pos[keep], len(uniq_t), cover_size)
 
-    if gather_out is None:
-        nbrs, owner, _ = gather_segments(graph.out_indptr, graph.out_indices, uniq_s)
-    else:
-        nbrs, owner = gather_out(uniq_s)
+    nbrs, owner, _ = gather_segments(graph.out_indptr, graph.out_indices, uniq_s)
     pos = row_pos[nbrs]
     keep = pos >= 0
     if isinstance(matrix, np.ndarray):

@@ -19,14 +19,17 @@ architecture:
   (:func:`~repro.core.serialize.save_dynamic`) persists.
 
 Queries — scalar *and* :meth:`DynamicKReachIndex.query_batch` — route
-through the same four-case Algorithm 2 the static engine runs.  Batch
-reads stay on the PR-3 bulk paths under write churn: Case 1 is one
-two-tier weight gather (dirty sources override the base store), Cases
-2/3 gather neighbors from the base CSR for clean vertices and patch in
-overlay adjacency for the few dirty ones, and Case 4 joins against a
-*patched* link matrix — the base snapshot's cached matrix with dirty
-rows masked out and refilled from overlay lookups, extended with the
-cover vertices added since the snapshot.
+through the same four-case Algorithm 2 the static engine runs; batch
+reads run its very body (:func:`~repro.core.kreach.algorithm2_batch`)
+over two array views of the current state, rebuilt on the first read
+after a write burst changed them.  The **patched CSR** is the base
+snapshot's CSRs with the rows of vertices whose adjacency changed
+rewritten from their sets; deferred repairs and compactions traverse it
+too.  The **patched level stack** is the base snapshot's cached ≤k-2 /
+≤k-1 / ≤k link views with replaced rows refilled from the overlay,
+min-patches ORed in, and rows for the cover vertices added since, so
+Cases 1–3 are one bit probe each and Case 4 is the bitset join.  Past
+the memory gate the keyed three-tier lookup answers the probes instead.
 
 **Maintenance** is the same incremental algebra as before, applied to
 the overlay:
@@ -83,17 +86,17 @@ from repro.bitsets.ops import (
     words_for,
 )
 from repro.core.batch import (
-    MISSING_WEIGHT,
-    UNBOUNDED_BUDGET,
     KeyedRowStore,
     as_pair_arrays,
-    case4_bitset_join,
     case_codes,
-    gather_segments,
-    segment_any,
 )
 from repro.core.index_graph import IndexGraph
-from repro.core.kreach import KReachIndex
+from repro.core.kreach import (
+    KReachIndex,
+    algorithm2_batch,
+    level_specs,
+    level_within,
+)
 from repro.graph.digraph import DiGraph
 from repro.graph.traversal import bfs_distances_blocked
 
@@ -108,8 +111,10 @@ _ENGINES = ("auto", "native", "bitset", "scalar")
 
 #: Affected-row count at which a deletion repairs through one blocked
 #: bit-parallel MS-BFS over the current graph instead of per-row scalar
-#: sweeps.  The blocked path pays an O(n + m) graph snapshot up front,
-#: so tiny repair sets stay on the scalar sweeps.
+#: sweeps.  The blocked path runs over the patched CSR, whose O(n + m)
+#: numpy build the next read needs anyway, but each 64-source sweep
+#: still pays an O(n) reset and numpy dispatch per level, so tiny
+#: repair sets stay on the scalar sweeps.
 _BLOCKED_REBUILD_MIN = 16
 
 #: Caps on queued insert-relaxation candidates: the outer-product chunk
@@ -141,10 +146,12 @@ class DynamicKReachIndex:
         Run the threshold check after every update (default).  Off, the
         overlay grows until an explicit :meth:`compact` / :meth:`freeze`.
     bitset_matrix_bytes:
-        Memory ceiling for the patched Case-4 link matrix (~|S|²/8
-        bytes), mirroring the static index's parameter.  Batches whose
-        cover exceeds it fall back to the scalar Case-4 walk under
-        ``engine='auto'``.
+        Memory ceiling for the patched level stack, mirroring the static
+        index's parameter: the three ≤k-2 / ≤k-1 / ≤k views (one for
+        n-reach) of ~|S|²/8 bytes each must fit together.  Past it,
+        batches probe the keyed three-tier lookup and Case 4 joins
+        against the patched ≤k-2 view alone while that fits; past that
+        too, ``engine='auto'`` walks the chunked cross products.
 
     Examples
     --------
@@ -248,8 +255,8 @@ class DynamicKReachIndex:
         self.bitset_matrix_bytes = int(bitset_matrix_bytes)
         self.compactions = 0
         self._journal = None  # optional crash-safe OpLog (attach_journal)
-        self._b1_ok = k is None or k >= 1  # may a u == v handshake use k-1?
-        self._b2_ok = k is None or k >= 2  # ... use k-2?
+        # Backing of the patched link views, overwritten by later bursts.
+        self._view_buf: np.ndarray | None = None
 
     def _install_base(self, base: KReachIndex) -> None:
         """Promote ``base`` to the immutable tier and reset the overlay."""
@@ -258,6 +265,10 @@ class DynamicKReachIndex:
         self._out: list[set[int]] = [set(row) for row in g.out_lists()]
         self._in: list[set[int]] = [set(row) for row in g.in_lists()]
         self._cover: set[int] = set(base.cover)
+        # Sorted arrays of the dirty adjacency rows, each kept until its
+        # row changes (the patched CSR's per-burst input).
+        self._out_rows: dict[int, np.ndarray] = {}
+        self._in_rows: dict[int, np.ndarray] = {}
         # Overlay state: everything that diverged since the snapshot.
         self._delta: dict[int, dict[int, int]] = {}
         # Per-row flattened (sorted dst, w) views of delta rows; entries
@@ -287,10 +298,11 @@ class DynamicKReachIndex:
         """Drop every derived batch view; they rebuild on next use.
 
         Only base promotion needs this.  Ordinary writes maintain the
-        O(n) views (cover flags, position map, dirty-adjacency flags)
-        *incrementally* and drop just the delta-dependent ones in
-        :meth:`_after_write` — otherwise every write would make the next
-        batch pay full O(n) rebuilds.
+        O(n) views (cover flags, position map) *incrementally* and drop
+        only what they change: the patched CSR, plus the overlay views
+        when a cover addition replaces a row (repairs and relaxations
+        drop them at the flush).  A write burst thus frees nothing the
+        next read rebuilds unchanged.
         """
         self._flags_np: np.ndarray | None = None
         self._row_pos_np: np.ndarray | None = None
@@ -301,9 +313,8 @@ class DynamicKReachIndex:
         self._patch_cache: (
             tuple[KeyedRowStore, np.ndarray, np.ndarray, np.ndarray] | None
         ) = None
-        self._dirty_out_np: np.ndarray | None = None
-        self._dirty_in_np: np.ndarray | None = None
-        self._matrix_cache: tuple[np.ndarray | None] | None = None
+        self._graph_cache: DiGraph | None = None
+        self._views: tuple[list, list[np.ndarray]] | None = None
 
     # ------------------------------------------------------------------
     # Internal helpers (maintenance algebra)
@@ -320,12 +331,12 @@ class DynamicKReachIndex:
         """BFS distances from ``source``, ``limit`` hops deep, as a full
         ``(n,)`` int64 array (-1 = unreached).
 
-        Level-synchronous over the same clean/dirty adjacency split the
-        batch engine gathers through (:meth:`_gather`): clean frontier
-        vertices expand via the base snapshot's CSR in bulk, only
-        diverged vertices read their mutable sets.  This is the
-        maintenance path's workhorse — insert relaxation balls and the
-        deletion pin test both consume the arrays directly.
+        A level-synchronous walk over the mutable adjacency sets, so
+        writes never need the patched CSR (a numpy gather for wide
+        frontiers showed no clear gain on the churn benchmark's graph).
+        This is the maintenance path's workhorse — insert relaxation
+        balls and the deletion pin test both consume the arrays
+        directly.
         """
         dist = np.full(self.n, -1, dtype=np.int64)
         dist[source] = 0
@@ -334,23 +345,13 @@ class DynamicKReachIndex:
         d = 0
         while frontier and (limit is None or d < limit):
             d += 1
-            if len(frontier) < 96:
-                # Narrow frontier: plain set hops beat numpy dispatch.
-                nxt: list[int] = []
-                for x in frontier:
-                    for y in adjacency[x]:
-                        if dist[y] < 0:
-                            dist[y] = d
-                            nxt.append(y)
-                frontier = nxt
-            else:
-                nbrs, _ = self._gather(
-                    np.asarray(frontier, dtype=np.int64), direction
-                )
-                nbrs = np.unique(nbrs)
-                new = nbrs[dist[nbrs] < 0]
-                dist[new] = d
-                frontier = new.tolist()
+            nxt: list[int] = []
+            for x in frontier:
+                for y in adjacency[x]:
+                    if dist[y] < 0:
+                        dist[y] = d
+                        nxt.append(y)
+            frontier = nxt
         return dist
 
     def _row_get(self, x: int, y: int) -> int | None:
@@ -447,7 +448,7 @@ class DynamicKReachIndex:
                 prow = patch[x] = {}
             prow[y] = wv
         self._patch_cache = None
-        self._matrix_cache = None
+        self._views = None
 
     def _rebuild_row(self, x: int) -> None:
         """Recompute cover vertex ``x``'s row with a fresh bounded BFS."""
@@ -464,6 +465,8 @@ class DynamicKReachIndex:
         # (absence from the overlay means "clean", not "empty").
         self._delta[x] = row
         self._row_arrays.pop(x, None)
+        self._delta_cache = None
+        self._views = None
         # A fresh recompute supersedes the row's pending patch and repair.
         if self._patch.pop(x, None) is not None:
             self._patch_cache = None
@@ -482,11 +485,10 @@ class DynamicKReachIndex:
         materializing a dict overlay that the very next write burst
         would flatten again.
         """
-        g = self.to_digraph()
-        in_cover = self._bool_flags(self._cover)
+        g = self._graph()
         sources = np.unique(np.asarray(affected, dtype=np.int64))
         src, dst, dist = bfs_distances_blocked(
-            g, sources, k=self.k, emit=in_cover
+            g, sources, k=self.k, emit=self._flags()
         )
         # A repair crossing the compaction threshold merges straight
         # into a fresh snapshot — the overlay would only hand the same
@@ -691,16 +693,11 @@ class DynamicKReachIndex:
         """An edge (u, v) changed: u's out-list and v's in-list diverged."""
         self._dirty_out.add(u)
         self._dirty_in.add(v)
-        if self._dirty_out_np is not None:
-            self._dirty_out_np[u] = True
-        if self._dirty_in_np is not None:
-            self._dirty_in_np[v] = True
+        self._out_rows.pop(u, None)
+        self._in_rows.pop(v, None)
+        self._graph_cache = None
 
     def _after_write(self) -> None:
-        # Only the delta-dependent views go stale; the O(n) flag arrays
-        # were already patched in place by the write itself.
-        self._delta_cache = None
-        self._matrix_cache = None
         if self.auto_compact and len(self._delta) >= self.compaction_threshold:
             self.compact()
 
@@ -729,7 +726,7 @@ class DynamicKReachIndex:
             for x in affected:
                 self._rebuild_row(x)
         self._delta_cache = None
-        self._matrix_cache = None
+        self._views = None
         if self.auto_compact and len(self._delta) >= self.compaction_threshold:
             self.compact()
 
@@ -764,7 +761,7 @@ class DynamicKReachIndex:
         self._flush_repairs()  # may itself promote a merged snapshot
         if not self._log and not self._delta:
             return self._base  # nothing pending; keep the snapshot
-        g = self.to_digraph()
+        g = self._graph()
         if rebuild:
             base = KReachIndex(
                 g, self.k, bitset_matrix_bytes=self.bitset_matrix_bytes
@@ -858,19 +855,12 @@ class DynamicKReachIndex:
     # ------------------------------------------------------------------
     # Batch queries (vectorized Algorithm 2 over base + overlay)
     # ------------------------------------------------------------------
-    def _bool_flags(self, members) -> np.ndarray:
-        """A per-vertex bool array with ``members`` set."""
-        flags = np.zeros(self.n, dtype=bool)
-        if members:
-            flags[
-                np.fromiter(members, dtype=np.int64, count=len(members))
-            ] = True
-        return flags
-
     def _flags(self) -> np.ndarray:
         """Current cover membership as a bool array."""
         if self._flags_np is None:
-            self._flags_np = self._bool_flags(self._cover)
+            flags = np.zeros(self.n, dtype=bool)
+            flags[np.fromiter(self._cover, dtype=np.int64)] = True
+            self._flags_np = flags
         return self._flags_np
 
     def _row_pos(self) -> np.ndarray:
@@ -983,123 +973,121 @@ class DynamicKReachIndex:
             )
         return weights
 
-    def _dirty_adj_flags(self, direction: str) -> np.ndarray:
-        if direction == "out":
-            if self._dirty_out_np is None:
-                self._dirty_out_np = self._bool_flags(self._dirty_out)
-            return self._dirty_out_np
-        if self._dirty_in_np is None:
-            self._dirty_in_np = self._bool_flags(self._dirty_in)
-        return self._dirty_in_np
+    def _graph(self) -> DiGraph:
+        """The current graph: the base snapshot's CSRs with the diverged
+        rows rewritten (:func:`_patched_csr`).  Built on first use after
+        a write and shared by batch reads, deferred repairs, compaction
+        and :meth:`to_digraph`; a clean overlay serves the base graph."""
+        if self._graph_cache is None:
+            g = self._base.graph
+            if self._dirty_out:
+                out_indptr, out_indices = _patched_csr(
+                    g.out_indptr, g.out_indices, self._out, self._dirty_out,
+                    self._out_rows,
+                )
+                in_indptr, in_indices = _patched_csr(
+                    g.in_indptr, g.in_indices, self._in, self._dirty_in,
+                    self._in_rows,
+                )
+                g = DiGraph.from_csr(
+                    out_indptr, out_indices, in_indptr=in_indptr,
+                    in_indices=in_indices, validate=False,
+                )
+            self._graph_cache = g
+        return self._graph_cache
 
-    def _gather(self, vertices: np.ndarray, direction: str) -> tuple[np.ndarray, np.ndarray]:
-        """Current-graph adjacency of ``vertices`` with owner tags.
+    def _patched_views(self, specs: list[tuple[int | None, bool]]) -> list[np.ndarray]:
+        """The link views of distinct ``(budget, diagonal)`` ``specs``
+        over the current index, all built in one pass per write burst.
 
-        Clean vertices gather from the base snapshot's CSR in bulk;
-        vertices whose adjacency diverged since the snapshot read their
-        mutable sets.  Owners come back sorted ascending — the
-        :func:`~repro.core.batch.gather_segments` contract the bitset
-        join's OR-fold relies on.
+        Each is the base snapshot's cached view copied into the top-left
+        block (base positions are stable across overlay growth), with the
+        replaced rows cleared and refilled from the overlay, the
+        min-patches ORed in (they only ever lower weights), and the
+        diagonal set on replaced rows — cover additions among them —
+        where the view holds the handshake.  A clean overlay serves the
+        base's cached views themselves.  The patched views share one
+        buffer that later bursts overwrite; its rows are rounded up to
+        whole words (the extra rows stay zero), so cover growth
+        reallocates it once per 64 vertices.
         """
-        g = self._base.graph
-        if direction == "out":
-            indptr, indices, adj = g.out_indptr, g.out_indices, self._out
-            dirty_set = self._dirty_out
-        else:
-            indptr, indices, adj = g.in_indptr, g.in_indices, self._in
-            dirty_set = self._dirty_in
-        if not dirty_set:
-            nbrs, owner, _ = gather_segments(indptr, indices, vertices)
-            return nbrs, owner
-        is_dirty = self._dirty_adj_flags(direction)[vertices]
-        if not is_dirty.any():
-            nbrs, owner, _ = gather_segments(indptr, indices, vertices)
-            return nbrs, owner
-        clean = np.flatnonzero(~is_dirty)
-        nbrs_c, owner_c, _ = gather_segments(indptr, indices, vertices[clean])
-        parts = [nbrs_c]
-        owners = [clean[owner_c]]
-        for j in np.flatnonzero(is_dirty).tolist():
-            row = adj[int(vertices[j])]
-            if row:
-                parts.append(np.fromiter(row, dtype=np.int64, count=len(row)))
-                owners.append(np.full(len(row), j, dtype=np.int64))
-        nbrs = np.concatenate(parts)
-        owner = np.concatenate(owners)
-        order = np.argsort(owner, kind="stable")
-        return nbrs[order], owner[order]
+        ig = self._base.index_graph
+        if not (self._delta or self._patch):
+            return ig.link_matrices(specs)
+        if self._views is not None and self._views[0] == specs:
+            return self._views[1]
+        words = words_for(len(self._cover))
+        shape = (len(specs), words * 64, words)
+        if self._view_buf is None or self._view_buf.shape != shape:
+            self._view_buf = np.empty(shape, dtype=np.uint64)
+        rows_b, words_b = ig.cover_size, words_for(ig.cover_size)
+        row_pos = self._row_pos()
+        dirty_pos = row_pos[np.fromiter(self._delta, dtype=np.int64)]
+        links = []
+        for src, dst, w in (self._delta_store()[2:], self._patch_store()[1:]):
+            pv = row_pos[dst]
+            keep = pv >= 0
+            links.append((row_pos[src][keep], pv[keep], w[keep]))
+        views = list(self._view_buf)
+        for view, base, (budget, diagonal) in zip(
+            views, ig.link_matrices(specs), specs
+        ):
+            view[:rows_b, :words_b] = base
+            view[:rows_b, words_b:] = 0
+            view[rows_b:] = 0
+            view[dirty_pos] = 0
+            for pu, pv, w in links:
+                fit = slice(None) if budget is None else w <= budget
+                set_bits(view, pu[fit], pv[fit])
+            if diagonal:
+                set_bits(view, dirty_pos, dirty_pos)
+        self._views = (specs, views)
+        return views
+
+    def _level_stack(self) -> list[np.ndarray] | None:
+        """The patched ≤k-2 / ≤k-1 / ≤k views, or None past the gate:
+        as for the static stack, the distinct views must fit
+        :attr:`bitset_matrix_bytes` together."""
+        specs = level_specs(self.k)
+        distinct = list(dict.fromkeys(specs))
+        size = len(self._cover)
+        if len(distinct) * matrix_bytes(size, size) > self.bitset_matrix_bytes:
+            return None
+        views = dict(zip(distinct, self._patched_views(distinct)))
+        return [views[spec] for spec in specs]
 
     def _case4_matrix(self, *, force: bool = False) -> np.ndarray | None:
-        """The patched Case-4 link matrix, or None past the memory gate.
-
-        Built as: base snapshot matrix copied into the top-left block
-        (base positions are stable across overlay growth), dirty rows
-        zeroed, overlay rows scattered back in at the query budget, and
-        the diagonal restored wherever the ``u == v`` handshake is legal.
-        Rebuilt lazily after each write burst and cached until the next
-        write.
-        """
-        cached = self._matrix_cache
-        if cached is not None:
-            if cached[0] is not None or not force:
-                return cached[0]
-        size = self._base.index_graph.cover_size + len(self._cover_added)
+        """The patched ≤k-2 view: the level stack's first view when the
+        stack fits, else the view alone while it fits
+        :attr:`bitset_matrix_bytes` (``force`` skips that gate), else
+        None.  Cached until the next write."""
+        stack = self._level_stack()
+        if stack is not None:
+            return stack[0]
+        size = len(self._cover)
         if not force and matrix_bytes(size, size) > self.bitset_matrix_bytes:
-            self._matrix_cache = (None,)
             return None
-        budget = None if self.k is None else self.k - 2
-        diagonal = self._b2_ok
-        base_mat = self._base.index_graph.link_matrix(budget, diagonal=diagonal)
-        mat = np.zeros((size, words_for(size)), dtype=np.uint64)
-        rows_b, words_b = base_mat.shape
-        if rows_b:
-            mat[:rows_b, :words_b] = base_mat
-        row_pos = self._row_pos()
-        if self._delta:
-            dirty_pos = row_pos[
-                np.fromiter(self._delta, dtype=np.int64, count=len(self._delta))
-            ]
-            mat[dirty_pos] = 0
-            _, _, d_src, d_dst, d_w = self._delta_store()
-            pu = row_pos[d_src]
-            pv = row_pos[d_dst]
-            keep = pv >= 0
-            if budget is not None:
-                keep &= d_w <= budget
-            set_bits(mat, pu[keep], pv[keep])
-            if diagonal:
-                set_bits(mat, dirty_pos, dirty_pos)
-        if self._patch:
-            # Pending insert patches only ever lower weights, so they
-            # can only turn link bits ON — OR them over the base rows.
-            _, p_src, p_dst, p_w = self._patch_store()
-            pu = row_pos[p_src]
-            pv = row_pos[p_dst]
-            keep = pv >= 0
-            if budget is not None:
-                keep &= p_w <= budget
-            set_bits(mat, pu[keep], pv[keep])
-        if diagonal and self._cover_added:
-            added_pos = np.arange(rows_b, size, dtype=np.int64)
-            set_bits(mat, added_pos, added_pos)
-        self._matrix_cache = (mat,)
-        return mat
+        return self._patched_views(level_specs(self.k)[:1])[0]
 
     def prepare_batch(self) -> "DynamicKReachIndex":
         """Build the batch engine's lookup structures now.
 
         Mirrors :meth:`KReachIndex.prepare_batch
-        <repro.core.kreach.KReachIndex.prepare_batch>`: warms the base
-        row store and link matrix plus the overlay views, keeping their
-        one-time cost out of the steady-state query path.  Returns
-        ``self`` for chaining.
+        <repro.core.kreach.KReachIndex.prepare_batch>`: settles the
+        deferred write work and builds the patched CSR plus the patched
+        level stack when it fits :attr:`bitset_matrix_bytes` (the base's
+        own cached views while the overlay is clean), else the keyed
+        three-tier lookup and the patched ≤k-2 view.  Returns ``self``
+        for chaining.
         """
         self._flush_repairs()
-        self._base._keyed()
         self._flags()
-        self._delta_store()
-        self._patch_store()
-        self._case4_matrix()
+        self._graph()
+        if self._level_stack() is None:
+            self._base._keyed()
+            self._delta_store()
+            self._patch_store()
+            self._case4_matrix()
         return self
 
     def query_batch(self, pairs, *, engine: str = "auto") -> np.ndarray:
@@ -1107,18 +1095,21 @@ class DynamicKReachIndex:
 
         Same batch API contract as the static engine: any ``(m, 2)``
         integer array-like in, an aligned ``(m,)`` bool array out,
-        bit-identical to the scalar :meth:`query` loop.  ``engine``:
+        bit-identical to the scalar :meth:`query` loop.  The vector
+        engines run the static engine's Algorithm-2 body
+        (:func:`~repro.core.kreach.algorithm2_batch`) over the patched
+        CSR, probing the patched level stack while it fits
+        :attr:`bitset_matrix_bytes` and the keyed three-tier lookup past
+        it.  ``engine``:
 
-        * ``'auto'`` (default) — the four-case bulk path; Case 4 runs
-          the bitset join against the patched link matrix when it fits
-          :attr:`bitset_matrix_bytes`, else falls back to the scalar
-          walk for those pairs.
+        * ``'auto'`` (default) — Case 4 joins against the patched ≤k-2
+          view while that fits, else walks the chunked cross products.
         * ``'native'`` — ``'auto'`` with the kernels preferring the
           compiled tier for this batch (:func:`repro.native.use`);
           identical answers, numpy fallback when numba is absent.
-        * ``'bitset'`` — force the patched-matrix join past the gate.
+        * ``'bitset'`` — force the ≤k-2 view join past the gate.
         * ``'scalar'`` — a plain per-pair :meth:`query` loop (the
-          differential reference, and the pre-overlay behavior).
+          differential reference).
         """
         if engine not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
@@ -1127,77 +1118,18 @@ class DynamicKReachIndex:
                 return self.query_batch(pairs, engine="auto")
         self._flush_repairs()
         s, t = as_pair_arrays(pairs, self.n)
-        m = len(s)
-        out = np.zeros(m, dtype=bool)
-        if m == 0:
-            return out
         if engine == "scalar":
-            query = self.query
-            for i, (si, ti) in enumerate(zip(s.tolist(), t.tolist())):
-                out[i] = query(si, ti)
-            return out
-        np.equal(s, t, out=out)
-        k = self.k
-        if k == 0:
-            return out
-        flags = self._flags()
-        s_in = flags[s]
-        t_in = flags[t]
-        undecided = ~out  # s != t
-        b1 = UNBOUNDED_BUDGET if k is None else np.int64(k - 1)
-
-        # Case 1: one two-tier weight gather; presence alone decides
-        # (overlay and base both store only weights <= k).
-        sel = np.flatnonzero(undecided & s_in & t_in)
-        if len(sel):
-            out[sel] = self._lookup(s[sel], t[sel]) < MISSING_WEIGHT
-
-        # Case 2: some in-neighbor v of t with v == s or ω(s, v) <= k-1.
-        sel = np.flatnonzero(undecided & s_in & ~t_in)
-        if len(sel):
-            nbrs, owner = self._gather(t[sel], "in")
-            src = s[sel][owner]
-            hit = self._lookup(src, nbrs) <= b1
-            if self._b1_ok:
-                hit |= nbrs == src
-            out[sel] = segment_any(hit, owner, len(sel))
-
-        # Case 3: mirror of Case 2 over out-neighbors of s.
-        sel = np.flatnonzero(undecided & ~s_in & t_in)
-        if len(sel):
-            nbrs, owner = self._gather(s[sel], "out")
-            dst = t[sel][owner]
-            hit = self._lookup(nbrs, dst) <= b1
-            if self._b1_ok:
-                hit |= nbrs == dst
-            out[sel] = segment_any(hit, owner, len(sel))
-
-        # Case 4: bridge outNei(s) × inNei(t) through the patched matrix.
-        sel = np.flatnonzero(undecided & ~s_in & ~t_in)
-        if len(sel):
-            out[sel] = self._case4_batch(s[sel], t[sel], engine)
-        return out
-
-    def _case4_batch(
-        self, s: np.ndarray, t: np.ndarray, engine: str
-    ) -> np.ndarray:
-        matrix = self._case4_matrix(force=engine == "bitset")
-        if matrix is not None:
-            return case4_bitset_join(
-                None,
-                s,
-                t,
-                matrix,
-                self._row_pos(),
-                gather_out=lambda vs: self._gather(vs, "out"),
-                gather_in=lambda vs: self._gather(vs, "in"),
+            return np.fromiter(
+                map(self.query, s.tolist(), t.tolist()), dtype=bool, count=len(s)
             )
-        # Memory-gated fallback: the early-exiting per-pair walk.
-        res = np.zeros(len(s), dtype=bool)
-        query = self.query
-        for i, (si, ti) in enumerate(zip(s.tolist(), t.tolist())):
-            res[i] = query(si, ti)
-        return res
+        if self.k == 0 or len(s) == 0:
+            return s == t
+        row_pos = self._row_pos()
+        within = level_within(self.k, self._level_stack(), row_pos, self._lookup)
+        matrix = self._case4_matrix(force=engine == "bitset")
+        return algorithm2_batch(
+            self._graph(), s, t, self._flags(), row_pos, within, matrix, self.query
+        )
 
     def query_case_batch(self, pairs) -> np.ndarray:
         """Vectorized :meth:`query_case`: an ``(m,)`` uint8 array of 1–4."""
@@ -1286,18 +1218,9 @@ class DynamicKReachIndex:
                 raise ValueError(f"unknown delta-log op code {op}")
 
     def to_digraph(self) -> DiGraph:
-        """Snapshot the current graph as an immutable :class:`DiGraph`."""
-        counts = np.fromiter(
-            (len(row) for row in self._out), dtype=np.int64, count=self.n
-        )
-        m = int(counts.sum())
-        if m == 0:
-            return DiGraph(self.n)
-        src = np.repeat(np.arange(self.n, dtype=np.int64), counts)
-        dst = np.fromiter(
-            (v for row in self._out for v in row), dtype=np.int64, count=m
-        )
-        return DiGraph(self.n, np.column_stack([src, dst]))
+        """Snapshot the current graph as an immutable :class:`DiGraph`
+        (the patched CSRs, installed without a rebuild)."""
+        return self._graph()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         k = "inf" if self.k is None else self.k
@@ -1306,3 +1229,37 @@ class DynamicKReachIndex:
             f"overlay={self.overlay_rows} rows/{self.pending_ops} ops, "
             f"compactions={self.compactions})"
         )
+
+
+def _patched_csr(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    adjacency: list[set[int]],
+    dirty: set[int],
+    rows: dict[int, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """A base CSR with the ``dirty`` vertices' rows replaced by their
+    current ``adjacency`` sets: O(n + m) numpy plus the dirty rows.
+
+    ``rows`` caches each dirty row's sorted array until a write drops
+    it.  Clean rows keep their relative order, so they move over as one
+    masked block.
+    """
+    ids = np.sort(np.fromiter(dirty, dtype=np.int64))
+    arrays = []
+    for v in ids.tolist():
+        if v not in rows:
+            rows[v] = np.sort(np.fromiter(adjacency[v], dtype=indices.dtype))
+        arrays.append(rows[v])
+    is_dirty = np.zeros(len(indptr) - 1, dtype=bool)
+    is_dirty[ids] = True
+    counts = np.diff(indptr)
+    new_counts = counts.copy()
+    new_counts[ids] = [len(row) for row in arrays]
+    new_indptr = np.zeros(len(indptr), dtype=np.int64)
+    np.cumsum(new_counts, out=new_indptr[1:])
+    new_indices = np.empty(int(new_indptr[-1]), dtype=indices.dtype)
+    slots = np.repeat(is_dirty, new_counts)
+    new_indices[~slots] = indices[~np.repeat(is_dirty, counts)]
+    new_indices[slots] = np.concatenate(arrays)
+    return new_indptr, new_indices

@@ -72,7 +72,7 @@ from repro.core.vertex_cover import cover_from_strategy, is_vertex_cover
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import condensation
 
-__all__ = ["KReachIndex"]
+__all__ = ["KReachIndex", "algorithm2_batch", "level_specs", "level_within"]
 
 _BUILDERS = ("blocked", "serial")
 _ENGINES = ("auto", "native", "bitset", "chunked", "scalar")
@@ -592,23 +592,8 @@ class KReachIndex:
             ).astype(bool)
         return self._flags_np
 
-    def _level_specs(self) -> list[tuple[int | None, bool]]:
-        """``(budget, diagonal)`` of the ≤k-2, ≤k-1 and ≤k link views.
-
-        These are the three levels the §4.3 2-bit weights encode: Case 4
-        bridges within k-2, Cases 2/3 link within k-1, and Case 1 needs
-        any stored link (Definition 1 stores only pairs within k).  A
-        view holds the ``u == v`` handshake on its diagonal iff a zero
-        distance fits its budget.  For n-reach all three collapse to the
-        one presence view.
-        """
-        k = self.k
-        if k is None:
-            return [(None, True)] * 3
-        return [(k - 2, k >= 2), (k - 1, k >= 1), (None, True)]
-
     def _level_stack(self) -> list[np.ndarray] | None:
-        """The three views of :meth:`_level_specs` as cover-position bit
+        """The three views of :func:`level_specs` as cover-position bit
         matrices, or None when the keyed path must answer instead.
 
         Only the dense backing builds them (``storage='wah'`` exists to
@@ -617,50 +602,13 @@ class KReachIndex:
         in one pass on first use and cached on the :class:`IndexGraph`.
         """
         ig = self._ig
-        specs = self._level_specs()
+        specs = level_specs(self.k)
         if (
             ig.storage != "dense"
             or len(set(specs)) * ig.link_matrix_bytes() > self.bitset_matrix_bytes
         ):
             return None
         return ig.link_matrices(specs)
-
-    def _within(self, stack: list[np.ndarray] | None):
-        """``within(level, u, v)``: for aligned vertex arrays, whether the
-        index links each ``u[i]`` to ``v[i]`` within that level's budget
-        (level 0, 1, 2 = ≤k-2, ≤k-1, ≤k), the handshake included.
-
-        With the level stack each test is one bit probe; otherwise it is
-        a sorted-key weight lookup in :meth:`_keyed`.
-        """
-        if stack is not None:
-            row_pos = self._ig.row_pos()
-
-            def within(level: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-                if faults.ENABLED:
-                    faults.fire("batch.kernel_slow")
-                pu = row_pos[u]
-                pv = row_pos[v]
-                # A self-loop on an uncovered endpoint is the only
-                # neighbor outside the cover; it links nothing.
-                ok = (pu >= 0) & (pv >= 0)
-                return probe_bits(stack[level], pu * ok, pv * ok) & ok
-
-            return within
-        store = self._keyed()
-        levels = [
-            (UNBOUNDED_BUDGET if budget is None else np.int64(budget), diagonal)
-            for budget, diagonal in self._level_specs()
-        ]
-
-        def within(level: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-            budget, diagonal = levels[level]
-            hit = store.lookup(u, v) <= budget
-            if diagonal:
-                hit |= u == v
-            return hit
-
-        return within
 
     def prepare_batch(self) -> "KReachIndex":
         """Build the batch engine's lookup structures now.
@@ -753,48 +701,24 @@ class KReachIndex:
     ) -> np.ndarray:
         """The vector engines over validated (s, t) columns (see
         :meth:`query_batch`)."""
-        g = self.graph
-        m = len(s)
-        out = np.zeros(m, dtype=bool)
-        np.equal(s, t, out=out)
         if self.k == 0:
-            return out
-        stack = None if engine == "chunked" else self._level_stack()
-        within = self._within(stack)
-        flags = self._flags()
-        s_in = flags[s]
-        t_in = flags[t]
-        undecided = ~out  # s != t
-
-        # Case 1: any stored link (s, t).
-        sel = np.flatnonzero(undecided & s_in & t_in)
-        if len(sel):
-            out[sel] = within(2, s[sel], t[sel])
-
-        # Case 2: some in-neighbor v of t with s linked to v within k-1.
-        sel = np.flatnonzero(undecided & s_in & ~t_in)
-        if len(sel):
-            nbrs, owner, _ = gather_segments(g.in_indptr, g.in_indices, t[sel])
-            hit = within(1, s[sel][owner], nbrs)
-            out[sel] = segment_any(hit, owner, len(sel))
-
-        # Case 3: mirror of Case 2 over out-neighbors of s.
-        sel = np.flatnonzero(undecided & ~s_in & t_in)
-        if len(sel):
-            nbrs, owner, _ = gather_segments(g.out_indptr, g.out_indices, s[sel])
-            hit = within(1, nbrs, t[sel][owner])
-            out[sel] = segment_any(hit, owner, len(sel))
-
-        # Case 4: bridge outNei(s) × inNei(t) through the index.
-        sel = np.flatnonzero(undecided & ~s_in & ~t_in)
-        if len(sel):
-            out[sel] = self._case4_batch(s[sel], t[sel], engine, within)
-        return out
+            return s == t
+        row_pos = self._ig.row_pos()
+        stack, matrix = None, None
+        if engine != "chunked":
+            stack = self._level_stack()
+            matrix = self._case4_matrix(force=engine == "bitset")
+        within = level_within(
+            self.k, stack, row_pos, lambda u, v: self._keyed().lookup(u, v)
+        )
+        return algorithm2_batch(
+            self.graph, s, t, self._flags(), row_pos, within, matrix, self.query
+        )
 
     def _case4_matrix(self, *, force: bool = False) -> np.ndarray | None:
         """The Case-4 link matrix, or None when it exceeds the memory gate.
 
-        The ≤k-2 view of :meth:`_level_specs` (so the cached level-stack
+        The ≤k-2 view of :func:`level_specs` (so the cached level-stack
         view whenever the stack fits): row ``i`` holds the cover
         vertices reachable from ``cover_ids[i]`` within budget ``k-2``
         (any stored link for n-reach), with the diagonal standing in for
@@ -804,27 +728,8 @@ class KReachIndex:
         ig = self._ig
         if not force and ig.link_matrix_bytes() > self.bitset_matrix_bytes:
             return None
-        budget, diagonal = self._level_specs()[0]
+        budget, diagonal = level_specs(self.k)[0]
         return ig.link_matrix(budget, diagonal=diagonal)
-
-    def _case4_batch(
-        self, s: np.ndarray, t: np.ndarray, engine: str, within
-    ) -> np.ndarray:
-        """Case-4 verdicts for aligned uncovered (s, t) arrays."""
-        if engine != "chunked":
-            matrix = self._case4_matrix(force=engine == "bitset")
-            if matrix is not None:
-                return case4_bitset_join(
-                    self.graph, s, t, matrix, self._ig.row_pos()
-                )
-        res = np.zeros(len(s), dtype=bool)
-        big, chunks = plan_cross_products(self.graph, s, t)
-        for sub, u, v, owner in chunks:
-            hit = within(0, u, v)  # the s -> u -> t handshake included
-            res[sub] |= segment_any(hit, owner, len(sub))
-        for j in big.tolist():  # hub×hub pairs: scalar path short-circuits
-            res[j] = self.query(int(s[j]), int(t[j]))
-        return res
 
     def query_case_batch(self, pairs) -> np.ndarray:
         """Vectorized :meth:`query_case`: an ``(m,)`` uint8 array of 1–4."""
@@ -922,3 +827,121 @@ class KReachIndex:
         return (
             f"KReachIndex(k={k}, |V_I|={self.cover_size}, |E_I|={self.edge_count})"
         )
+
+
+def level_specs(k: int | None) -> list[tuple[int | None, bool]]:
+    """``(budget, diagonal)`` of the ≤k-2, ≤k-1 and ≤k link views.
+
+    These are the three levels the §4.3 2-bit weights encode: Case 4
+    bridges within k-2, Cases 2/3 link within k-1, and Case 1 needs any
+    stored link (Definition 1 stores only pairs within k).  A view holds
+    the ``u == v`` handshake on its diagonal iff a zero distance fits its
+    budget.  For n-reach all three collapse to the one presence view.
+    """
+    if k is None:
+        return [(None, True)] * 3
+    return [(k - 2, k >= 2), (k - 1, k >= 1), (None, True)]
+
+
+def level_within(k: int | None, stack, row_pos: np.ndarray, lookup):
+    """``within(level, u, v)``: for aligned vertex arrays, whether the
+    index links each ``u[i]`` to ``v[i]`` within that level's budget
+    (level 0, 1, 2 = ≤k-2, ≤k-1, ≤k of :func:`level_specs`), the
+    handshake included.
+
+    With a level ``stack`` (the three views as cover-position bit
+    matrices) each test is one bit probe; otherwise it is a stored-weight
+    ``lookup(u, v)`` (:data:`~repro.core.batch.MISSING_WEIGHT` for
+    absent links) compared against the budget.
+    """
+    if stack is not None:
+
+        def within(level: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+            if faults.ENABLED:
+                faults.fire("batch.kernel_slow")
+            pu = row_pos[u]
+            pv = row_pos[v]
+            # A self-loop on an uncovered endpoint is the only
+            # neighbor outside the cover; it links nothing.
+            ok = (pu >= 0) & (pv >= 0)
+            return probe_bits(stack[level], pu * ok, pv * ok) & ok
+
+        return within
+    levels = [
+        (UNBOUNDED_BUDGET if budget is None else np.int64(budget), diagonal)
+        for budget, diagonal in level_specs(k)
+    ]
+
+    def within(level: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        budget, diagonal = levels[level]
+        hit = lookup(u, v) <= budget
+        if diagonal:
+            hit |= u == v
+        return hit
+
+    return within
+
+
+def algorithm2_batch(
+    graph: DiGraph,
+    s: np.ndarray,
+    t: np.ndarray,
+    flags: np.ndarray,
+    row_pos: np.ndarray,
+    within,
+    matrix,
+    query,
+) -> np.ndarray:
+    """Algorithm 2 over aligned, validated (s, t) columns with k >= 1.
+
+    The batch body shared by :class:`KReachIndex` and
+    :class:`~repro.core.dynamic.DynamicKReachIndex`.  ``graph`` supplies
+    the adjacency CSRs, ``flags`` the cover membership and ``row_pos``
+    the cover positions of the index being queried; ``within`` is its
+    :func:`level_within` probe.  Case 4 runs the bitset join on
+    ``matrix`` (the ≤k-2 link view); with ``matrix=None`` it walks the
+    chunked ``outNei(s) × inNei(t)`` cross products through
+    ``within(0, ...)`` instead and sends hub×hub pairs to the scalar
+    ``query(s, t)``, which exits early.
+    """
+    out = s == t
+    s_in = flags[s]
+    t_in = flags[t]
+    undecided = ~out
+
+    # Case 1: any stored link (s, t).
+    sel = np.flatnonzero(undecided & s_in & t_in)
+    if len(sel):
+        out[sel] = within(2, s[sel], t[sel])
+
+    # Case 2: some in-neighbor v of t with s linked to v within k-1.
+    sel = np.flatnonzero(undecided & s_in & ~t_in)
+    if len(sel):
+        nbrs, owner, _ = gather_segments(graph.in_indptr, graph.in_indices, t[sel])
+        hit = within(1, s[sel][owner], nbrs)
+        out[sel] = segment_any(hit, owner, len(sel))
+
+    # Case 3: mirror of Case 2 over out-neighbors of s.
+    sel = np.flatnonzero(undecided & ~s_in & t_in)
+    if len(sel):
+        nbrs, owner, _ = gather_segments(graph.out_indptr, graph.out_indices, s[sel])
+        hit = within(1, nbrs, t[sel][owner])
+        out[sel] = segment_any(hit, owner, len(sel))
+
+    # Case 4: bridge outNei(s) × inNei(t) through the index.
+    sel = np.flatnonzero(undecided & ~s_in & ~t_in)
+    if not len(sel):
+        return out
+    s, t = s[sel], t[sel]
+    if matrix is not None:
+        out[sel] = case4_bitset_join(graph, s, t, matrix, row_pos)
+        return out
+    res = np.zeros(len(sel), dtype=bool)
+    big, chunks = plan_cross_products(graph, s, t)
+    for sub, u, v, owner in chunks:
+        hit = within(0, u, v)  # the s -> u -> t handshake included
+        res[sub] |= segment_any(hit, owner, len(sub))
+    for j in big.tolist():  # hub×hub pairs: the scalar path short-circuits
+        res[j] = query(int(s[j]), int(t[j]))
+    out[sel] = res
+    return out

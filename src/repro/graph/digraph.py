@@ -33,19 +33,21 @@ _ID_DTYPE = np.int32
 
 
 def _build_csr(
-    n: int, heads: np.ndarray, tails: np.ndarray
+    n: int, heads: np.ndarray, tails: np.ndarray, order: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Build a CSR (indptr, indices) pair from parallel edge arrays.
 
-    ``heads[i] -> tails[i]`` is edge ``i``.  The returned ``indices`` are
-    sorted within each vertex's slice so that membership tests can use
-    binary search.
+    ``heads[i] -> tails[i]`` is edge ``i``, and ``order`` lists the edges
+    by ascending ``(head, tail)`` (None: they already come in that
+    order).  The returned ``indices`` are sorted within each vertex's
+    slice so that membership tests can use binary search.
     """
     counts = np.bincount(heads, minlength=n).astype(_ID_DTYPE)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    order = np.lexsort((tails, heads))
-    indices = tails[order].astype(_ID_DTYPE, copy=True)
+    if order is not None:
+        tails = tails[order]
+    indices = tails.astype(_ID_DTYPE, copy=True)
     return indptr, indices
 
 
@@ -89,9 +91,10 @@ class DiGraph:
     n:
         Number of vertices; vertex ids are ``0 .. n-1``.
     edges:
-        Iterable of ``(u, v)`` pairs.  Duplicate edges are collapsed;
-        self-loops are kept only when ``allow_self_loops`` is true (the
-        paper's graphs are simple, so the default drops them).
+        Iterable of ``(u, v)`` pairs, or an ``(m, 2)`` integer array
+        (taken as is, without a per-row conversion).  Duplicate edges are
+        collapsed; self-loops are kept only when ``allow_self_loops`` is
+        true (the paper's graphs are simple, so the default drops them).
     allow_self_loops:
         Keep ``(u, u)`` edges when true.
 
@@ -128,9 +131,10 @@ class DiGraph:
     ) -> None:
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
-        edge_list = list(edges)
-        if edge_list:
-            arr = np.asarray(edge_list, dtype=np.int64)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        if len(edges):
+            arr = np.asarray(edges, dtype=np.int64)
             if arr.ndim != 2 or arr.shape[1] != 2:
                 raise ValueError("edges must be (u, v) pairs")
             if arr.min() < 0 or arr.max() >= n:
@@ -138,18 +142,25 @@ class DiGraph:
                     f"edge endpoint out of range [0, {n}): "
                     f"min={arr.min()}, max={arr.max()}"
                 )
+            heads, tails = arr[:, 0], arr[:, 1]
             if not allow_self_loops:
-                arr = arr[arr[:, 0] != arr[:, 1]]
-            # Deduplicate.
-            if len(arr):
-                arr = np.unique(arr, axis=0)
+                loop_free = heads != tails
+                heads, tails = heads[loop_free], tails[loop_free]
+            # Deduplicate on sorted fused u * n + v keys: their order is
+            # the out-direction CSR's, so only the in-direction sorts.
+            keys = np.sort(heads * np.int64(n) + tails)
+            fresh = np.ones(len(keys), dtype=bool)
+            np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+            heads, tails = np.divmod(keys[fresh], np.int64(n))
         else:
-            arr = np.empty((0, 2), dtype=np.int64)
+            heads = tails = np.empty(0, dtype=np.int64)
 
         self.n: int = n
-        self.m: int = int(len(arr))
-        self.out_indptr, self.out_indices = _build_csr(n, arr[:, 0], arr[:, 1])
-        self.in_indptr, self.in_indices = _build_csr(n, arr[:, 1], arr[:, 0])
+        self.m: int = int(len(heads))
+        self.out_indptr, self.out_indices = _build_csr(n, heads, tails)
+        self.in_indptr, self.in_indices = _build_csr(
+            n, tails, heads, np.argsort(tails * np.int64(n) + heads)
+        )
         self._labels: list | None = None
         self._label_to_id: dict | None = None
         self._out_lists: list[list[int]] | None = None

@@ -60,6 +60,60 @@ class TestConstruction:
         assert g == h
 
 
+CSR_FIELDS = ("out_indptr", "out_indices", "in_indptr", "in_indices")
+
+
+def assert_same_csr(a: DiGraph, b: DiGraph) -> None:
+    assert a.n == b.n and a.m == b.m
+    for name in CSR_FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x, y), name
+
+
+class TestArrayInput:
+    """An ``(m, 2)`` array builds the same CSR as the list it holds."""
+
+    @pytest.mark.parametrize("allow_self_loops", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_array_matches_list_of_tuples(self, seed, allow_self_loops):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 80))
+        arr = rng.integers(0, n, size=(int(rng.integers(1, 500)), 2))
+        loops = np.repeat(rng.integers(0, n, size=(4, 1)), 2, axis=1)
+        arr = rng.permutation(np.concatenate([arr, arr[: len(arr) // 3], loops]))
+        edges = [tuple(e) for e in arr.tolist()]
+        from_list = DiGraph(n, edges, allow_self_loops=allow_self_loops)
+        # An independent reference: per-vertex sorted neighbor sets.
+        kept = {(u, v) for u, v in edges if allow_self_loops or u != v}
+        assert from_list.to_dict() == {
+            u: sorted(v for x, v in kept if x == u) for u in range(n)
+        }
+        for u in range(n):
+            assert from_list.in_neighbors(u).tolist() == sorted(
+                x for x, v in kept if v == u
+            )
+        for dtype in (np.int64, np.int32, np.uint16):
+            assert_same_csr(
+                DiGraph(n, arr.astype(dtype), allow_self_loops=allow_self_loops),
+                from_list,
+            )
+
+    def test_empty_array(self):
+        g = DiGraph(5, np.empty((0, 2), dtype=np.int64))
+        assert_same_csr(g, DiGraph(5, []))
+        assert g.m == 0
+
+    def test_wrong_shape_array_rejected(self):
+        for bad in (np.zeros((3, 3), dtype=np.int64), np.zeros(4, dtype=np.int64)):
+            with pytest.raises(ValueError):
+                DiGraph(4, bad)
+
+    def test_out_of_range_array_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            DiGraph(2, np.array([[0, 5]]))
+
+
 class TestLabels:
     def test_from_labeled(self):
         g = DiGraph.from_labeled([("x", "y"), ("y", "z")])
