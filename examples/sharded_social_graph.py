@@ -65,7 +65,7 @@ def community_hub_graph(communities: int, size: int, hubs: int, seed: int) -> Di
 
 async def run_front_door(server, reference, n, clients: int, requests: int) -> bool:
     """Hammer the HTTP front door with concurrent clients; verify live."""
-    door = FrontDoor(server, window_ms=3, max_batch=8192, cache_pairs=16384)
+    door = FrontDoor(server, max_batch=8192, cache_pairs=16384)
     host, port = await door.start_http()
     print(f"  front door listening on http://{host}:{port}")
 

@@ -7,11 +7,12 @@ pools underneath (:class:`~repro.core.sharded.ShardedQueryServer`,
 batches.  :class:`FrontDoor` bridges the two:
 
 * **Micro-batching.**  Requests land on an asyncio queue; a batcher
-  task opens a window (``window_ms``) on the first arrival and flushes
-  when the window closes or the accumulated batch reaches
-  ``max_batch`` pairs, whichever comes first.  The flush runs
-  ``submit``/``collect`` in a worker thread so the event loop keeps
-  accepting clients while the pools compute.
+  task waits for the first one, takes every request already queued
+  behind it while the batch holds fewer than ``max_batch`` pairs, and
+  flushes at once.  No timer holds a batch open: whatever queues while
+  one flush runs rides the next.  The flush runs the pool call in a
+  worker thread so the event loop keeps accepting clients while the
+  pools compute.
 * **Hot-pair answer cache.**  An LRU of recent verdicts
   (``cache_pairs`` entries) short-circuits repeat queries — social
   workloads hit the same celebrity pairs constantly.  The cache is
@@ -61,12 +62,11 @@ class FrontDoorOverloaded(RuntimeError):
 class _Request:
     """One client's uncached pairs awaiting a batched flush."""
 
-    __slots__ = ("pairs", "future", "born", "generation")
+    __slots__ = ("pairs", "future", "generation")
 
     def __init__(self, pairs, future, generation: int) -> None:
         self.pairs = pairs
         self.future = future
-        self.born = time.monotonic()
         self.generation = generation
 
 
@@ -81,11 +81,9 @@ class FrontDoor:
         (all three server classes do), each request's vertex ids are
         range-checked against it before the request joins a batch, so
         one bad request cannot fail the other riders of its batch.
-    window_ms:
-        Micro-batch window: how long the batcher waits after the first
-        request for more riders before flushing.
     max_batch:
-        Flush immediately once this many pairs have accumulated.
+        Stop adding queued requests to a batch once it holds this many
+        pairs; the rest ride the next flush.
     cache_pairs:
         LRU answer-cache capacity in pairs (0 disables caching).
     max_backlog:
@@ -98,7 +96,6 @@ class FrontDoor:
         self,
         server,
         *,
-        window_ms: float = 2.0,
         max_batch: int = 8192,
         cache_pairs: int = 65536,
         max_backlog: int = 65536,
@@ -110,7 +107,6 @@ class FrontDoor:
         # Without a declared vertex count only dtype, shape and sign can
         # be checked here; the pool range-checks the batch itself.
         self._n = getattr(server, "n", np.iinfo(np.int64).max)
-        self._window = max(0.0, window_ms) / 1000.0
         self._max_batch = int(max_batch)
         self._cache_cap = int(cache_pairs)
         self._max_backlog = int(max_backlog)
@@ -249,7 +245,8 @@ class FrontDoor:
     # ------------------------------------------------------------ batching
 
     async def _batcher(self) -> None:
-        loop = asyncio.get_running_loop()
+        # Work-conserving: one flush in flight, and each flush takes the
+        # requests that queued while the previous one ran.
         stopping = False
         while not stopping:
             first = await self._queue.get()
@@ -257,17 +254,8 @@ class FrontDoor:
                 break
             batch = [first]
             total = len(first.pairs)
-            flush_at = loop.time() + self._window
-            while total < self._max_batch:
-                remaining = flush_at - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    item = await asyncio.wait_for(
-                        self._queue.get(), timeout=remaining
-                    )
-                except asyncio.TimeoutError:
-                    break
+            while total < self._max_batch and not self._queue.empty():
+                item = self._queue.get_nowait()
                 if item is None:
                     stopping = True
                     break
@@ -363,26 +351,33 @@ class FrontDoor:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request_line = await reader.readline()
-            parts = request_line.decode("latin-1").split()
-            if len(parts) < 2:
-                return
-            method, path = parts[0].upper(), parts[1]
-            content_length = 0
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                if name.strip().lower() == "content-length":
-                    content_length = int(value.strip())
-            body = await reader.readexactly(content_length) if content_length else b""
-            status, payload = await self._dispatch(method, path, body)
-        except (asyncio.IncompleteReadError, ConnectionError, ValueError):
-            return
-        except Exception as exc:  # never kill the listener on one request
-            status, payload = 500, {"error": str(exc)}
-        try:
+            try:
+                request_line = await reader.readline()
+                if not request_line:
+                    return  # the client left without sending a request
+                parts = request_line.decode("latin-1").split()
+                if len(parts) < 2:
+                    raise ValueError(f"malformed request line {request_line!r}")
+                method, path = parts[0].upper(), parts[1]
+                content_length = 0
+                while True:
+                    line = await reader.readline()
+                    if line in (b"\r\n", b"\n", b""):
+                        break
+                    name, _, value = line.decode("latin-1").partition(":")
+                    if name.strip().lower() == "content-length":
+                        value = value.strip()
+                        if not value.isdecimal():  # refuses a sign too
+                            raise ValueError(f"bad Content-Length {value!r}")
+                        content_length = int(value)
+                body = await reader.readexactly(content_length) if content_length else b""
+            except ValueError as exc:  # malformed, or a line over the limit
+                status, payload = 400, {"error": f"bad request: {exc}"}
+            else:
+                try:
+                    status, payload = await self._dispatch(method, path, body)
+                except Exception as exc:  # never kill the listener on one request
+                    status, payload = 500, {"error": str(exc)}
             blob = json.dumps(payload).encode("utf-8")
             reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
                       503: "Service Unavailable", 500: "Internal Server Error"}
@@ -396,8 +391,8 @@ class FrontDoor:
                 + blob
             )
             await writer.drain()
-        except ConnectionError:
-            pass
+        except (asyncio.IncompleteReadError, ConnectionError):
+            pass  # the client left mid-request: nobody to answer
         finally:
             writer.close()
             try:

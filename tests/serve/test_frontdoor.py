@@ -9,6 +9,9 @@ faults registry never produces a wrong or dropped verdict.
 """
 
 import asyncio
+import json
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,12 +45,60 @@ def manifest(graph, tmp_path_factory):
     return directory
 
 
+#: Bound on every wait in the gated tests, so a stuck batcher fails them.
+TIMEOUT_S = 5.0
+
+
+class GatedServer:
+    """A pool whose ``query_batch`` blocks until ``release`` is set.
+
+    ``entered`` is set when a call starts, so a test can queue requests
+    behind a flush it knows is in flight; ``batches`` records each
+    call's pair count.
+    """
+
+    def __init__(self, reference):
+        self._reference = reference
+        self.batches: list[int] = []
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def query_batch(self, pairs, engine=None):
+        self.batches.append(len(pairs))
+        self.entered.set()
+        if not self.release.wait(TIMEOUT_S):
+            raise TimeoutError("the test never released the pool")
+        return self._reference.query_batch(pairs)
+
+    def stats(self):
+        return {"health": "ok"}
+
+
+async def _until(condition):
+    deadline = time.monotonic() + TIMEOUT_S
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        await asyncio.sleep(0.001)
+
+
+async def _start_blocked_flush(door, server, pairs):
+    """Send ``pairs`` and return once their flush is stuck in the pool."""
+    task = asyncio.ensure_future(door.query(pairs))
+    assert await asyncio.to_thread(server.entered.wait, TIMEOUT_S)
+    return task
+
+
+def _requests(graph, sizes, seed=0):
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, graph.n, size=(m, 2)).tolist() for m in sizes]
+
+
 class TestBatching:
     def test_64_concurrent_clients_agree(self, graph, reference, manifest):
         async def scenario():
             with ShardedQueryServer(manifest, backend="thread") as server:
                 async with FrontDoor(
-                    server, window_ms=3, max_batch=2048, cache_pairs=4096
+                    server, max_batch=2048, cache_pairs=4096
                 ) as door:
                     async def client(cid):
                         rng = np.random.default_rng(cid)
@@ -88,7 +139,7 @@ class TestBatching:
 
             spy = CountingServer()
             async with FrontDoor(
-                spy, window_ms=200, max_batch=64, cache_pairs=0
+                spy, max_batch=64, cache_pairs=0
             ) as door:
                 pairs = np.stack(
                     [np.arange(64), np.roll(np.arange(64), 1)], axis=1
@@ -103,6 +154,89 @@ class TestBatching:
         batches = asyncio.run(scenario())
         # 64 pairs hit max_batch=64 well before the 200ms window closes.
         assert sum(batches) == 64 and len(batches) <= 2
+
+    def test_requests_queued_behind_a_flush_ride_the_next_one(
+        self, graph, reference
+    ):
+        """B, C and D queue while flush A is blocked in the pool, so
+        they leave together as soon as A returns.  E, sent the moment
+        A's answer lands, finds that flush already gone and takes the
+        one after: no timer holds a batch open for late riders."""
+        a, b, c, d, e = _requests(graph, [3, 5, 7, 11, 2])
+
+        async def scenario():
+            server = GatedServer(reference)
+            async with FrontDoor(server, cache_pairs=0) as door:
+                async def a_then_e():
+                    return await door.query(a), await door.query(e)
+
+                head = asyncio.ensure_future(a_then_e())
+                assert await asyncio.to_thread(server.entered.wait, TIMEOUT_S)
+                rest = [asyncio.ensure_future(door.query(r)) for r in (b, c, d)]
+                await _until(lambda: door.metrics()["backlog_pairs"] == 26)
+                server.release.set()
+                answers = await asyncio.wait_for(
+                    asyncio.gather(head, *rest), TIMEOUT_S
+                )
+            return server.batches, answers
+
+        batches, ((got_a, got_e), got_b, got_c, got_d) = asyncio.run(scenario())
+        assert batches == [3, 5 + 7 + 11, 2]
+        for want, got in zip((a, b, c, d, e), (got_a, got_b, got_c, got_d, got_e)):
+            assert got == reference.query_batch(np.array(want)).tolist()
+
+    def test_max_batch_caps_each_follow_up_flush(self, graph, reference):
+        """Eight 16-pair requests queued behind a blocked flush leave
+        in flushes of exactly max_batch=32 pairs."""
+        head, *queued = _requests(graph, [16] * 9)
+
+        async def scenario():
+            server = GatedServer(reference)
+            async with FrontDoor(server, max_batch=32, cache_pairs=0) as door:
+                first = await _start_blocked_flush(door, server, head)
+                rest = [asyncio.ensure_future(door.query(r)) for r in queued]
+                await _until(lambda: door.metrics()["backlog_pairs"] == 144)
+                server.release.set()
+                answers = await asyncio.wait_for(
+                    asyncio.gather(first, *rest), TIMEOUT_S
+                )
+            return server.batches, answers
+
+        batches, answers = asyncio.run(scenario())
+        assert batches == [16, 32, 32, 32, 32]
+        for want, got in zip([head, *queued], answers):
+            assert got == reference.query_batch(np.array(want)).tolist()
+
+
+class TestLifecycle:
+    def test_close_drains_requests_queued_behind_a_flush(
+        self, graph, reference
+    ):
+        """close() during a blocked flush still answers every request
+        queued before it; the door then refuses new queries."""
+        head, *queued = _requests(graph, [16, 8, 8], seed=1)
+
+        async def scenario():
+            server = GatedServer(reference)
+            door = await FrontDoor(server, cache_pairs=0).start()
+            first = await _start_blocked_flush(door, server, head)
+            rest = [asyncio.ensure_future(door.query(r)) for r in queued]
+            await _until(lambda: door.metrics()["backlog_pairs"] == 32)
+            closing = asyncio.ensure_future(door.close())
+            await asyncio.sleep(0)  # close() marks the door, queues its sentinel
+            server.release.set()
+            await asyncio.wait_for(closing, TIMEOUT_S)
+            answers = await asyncio.wait_for(
+                asyncio.gather(first, *rest), TIMEOUT_S
+            )
+            with pytest.raises(RuntimeError):
+                await door.query(head)
+            return server.batches, answers
+
+        batches, answers = asyncio.run(scenario())
+        assert sum(batches) == 32
+        for want, got in zip([head, *queued], answers):
+            assert got == reference.query_batch(np.array(want)).tolist()
 
 
 class TestCache:
@@ -119,7 +253,7 @@ class TestCache:
                     return {"health": "ok"}
 
             async with FrontDoor(
-                SpyServer(), window_ms=0, cache_pairs=1024
+                SpyServer(), cache_pairs=1024
             ) as door:
                 hot = [[0, 5], [5, 9], [9, 0]]
                 first = await door.query(hot)
@@ -146,7 +280,7 @@ class TestCache:
                 def stats(self):
                     return {"health": "ok"}
 
-            async with FrontDoor(Srv(), window_ms=0, cache_pairs=8) as door:
+            async with FrontDoor(Srv(), cache_pairs=8) as door:
                 for i in range(40):
                     await door.query([[i % graph.n, (i + 1) % graph.n]])
                 return door.metrics()["cache"]["entries"]
@@ -174,7 +308,7 @@ class TestMetrics:
                     return {"health": "ok"}
 
             rng = np.random.default_rng(5)
-            async with FrontDoor(Srv(), window_ms=0, cache_pairs=0) as door:
+            async with FrontDoor(Srv(), cache_pairs=0) as door:
                 clock.now += 0.5
                 await door.query(rng.integers(0, graph.n, size=(1000, 2)))
                 young = door.metrics()["qps"]
@@ -204,7 +338,7 @@ class TestAdmission:
                     return {"health": "ok"}
 
             door = FrontDoor(
-                SlowServer(), window_ms=0, max_batch=4, cache_pairs=0,
+                SlowServer(), max_batch=4, cache_pairs=0,
                 max_backlog=8,
             )
             async with door:
@@ -227,7 +361,7 @@ class TestHttp:
     def test_routes(self, graph, reference, manifest):
         async def scenario():
             with ShardedQueryServer(manifest, backend="thread") as server:
-                door = FrontDoor(server, window_ms=1)
+                door = FrontDoor(server)
                 host, port = await door.start_http()
                 pairs = [[0, 5], [5, 9]]
                 status, body = await http_request(
@@ -262,7 +396,7 @@ class TestHttp:
                 def stats(self):
                     return {"health": "ok"}
 
-            door = FrontDoor(Srv(), window_ms=0)
+            door = FrontDoor(Srv())
             host, port = await door.start_http()
             oob = await http_request(
                 host, port, "POST", "/query", {"pairs": [[0, 10**9]]}
@@ -272,6 +406,38 @@ class TestHttp:
 
         status, body = asyncio.run(scenario())
         assert status == 400 and "error" in body
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"GET\r\n\r\n",
+            b"POST /query HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+            b"POST /query HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        ],
+        ids=["no-path", "non-integer-length", "negative-length"],
+    )
+    def test_malformed_framing_is_400_and_closed(self, reference, raw):
+        async def scenario():
+            server = GatedServer(reference)
+            door = FrontDoor(server)
+            host, port = await door.start_http()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(raw)
+                await writer.drain()
+                # read() returns at EOF only: the server must close.
+                reply = await asyncio.wait_for(reader.read(), 2.0)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                await door.close()
+            return reply, server.batches
+
+        reply, batches = asyncio.run(scenario())
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b" ", 2)[1] == b"400"
+        assert "error" in json.loads(body)
+        assert batches == []
 
 
 class TestValidation:
@@ -286,7 +452,7 @@ class TestValidation:
 
         async def scenario():
             with ThreadQueryServer(path, workers=1) as server:
-                door = FrontDoor(server, window_ms=100, cache_pairs=0)
+                door = FrontDoor(server, cache_pairs=0)
                 host, port = await door.start_http()
                 good, bad = await asyncio.gather(
                     door.query([[0, 1], [2, 3]]),
@@ -327,7 +493,7 @@ class TestFaults:
                     server_kwargs={"slot_pairs": 256},
                 ) as server:
                     async with FrontDoor(
-                        server, window_ms=2, cache_pairs=0
+                        server, cache_pairs=0
                     ) as door:
                         async def client(cid):
                             rng = np.random.default_rng(100 + cid)
