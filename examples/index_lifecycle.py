@@ -7,7 +7,7 @@ Exercises the three operational features around the core index:
   machines or CPU cores are available": `build_kreach_parallel`;
 * §4.3 — compact WAH storage for high-degree rows: `compress_rows_at`;
 * §4.1.3 — "the constructed index is then stored on disk":
-  `save_kreach` / `load_kreach`.
+  `save_mmap` / `load_mmap`.
 
 Run:  python examples/index_lifecycle.py [--fast]
 """
@@ -17,7 +17,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.core import KReachIndex, build_kreach_parallel, load_kreach, save_kreach
+from repro.core import KReachIndex, build_kreach_parallel, load_mmap, save_mmap
 from repro.datasets import load
 
 
@@ -59,15 +59,15 @@ def main() -> None:
     # 3. Disk round-trip (§4.1.3).
     # ------------------------------------------------------------------
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "citeseer-6reach.npz"
-        save_kreach(serial, path)
+        path = Path(tmp) / "citeseer-6reach.kr6"
+        save_mmap(serial, path)
         on_disk = path.stat().st_size
         t0 = time.perf_counter()
-        loaded = load_kreach(path)
+        loaded = load_mmap(path)
         load_s = time.perf_counter() - t0
         assert all(serial.query(s, t) == loaded.query(s, t) for s, t in sample)
-        print(f"  on disk: {on_disk/1e6:.2f} MB (npz), reloaded in "
-              f"{load_s*1e3:.1f} ms, answers identical ✓")
+        print(f"  on disk: {on_disk/1e6:.2f} MB (v6 index file), opened in "
+              f"{load_s*1e3:.2f} ms, answers identical ✓")
 
 
 if __name__ == "__main__":

@@ -3,9 +3,9 @@
 
 The §1 story at serving scale: a social graph where a few celebrity
 accounts dominate the query stream.  The index is built once, written as
-a v4 memory-mapped file, and served by a persistent multi-process pool —
-every worker maps the same file (the OS shares the clean pages), query
-pairs travel through shared-memory slots, and results come back in input
+a v6 index file, and served by a persistent multi-process pool — every
+worker maps the same file (the OS shares the clean pages), query pairs
+travel through shared-memory slots, and results come back in input
 order.
 
 Run:  python examples/serve_social_graph.py [--fast] [--workers N]
@@ -24,10 +24,8 @@ from repro.core import (
     QueryServer,
     ThreadQueryServer,
     load_mmap,
-    save_kreach,
     save_mmap,
 )
-from repro.core.serialize import load_kreach
 from repro.graph.generators import celebrity_crossfire_digraph
 from repro.workloads import random_pairs
 
@@ -48,23 +46,15 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         # --------------------------------------------------------------
-        # 1. One file, two open paths: v2 eager vs v4 zero-copy.
+        # 1. One file, opened zero-copy: O(header), not O(index).
         # --------------------------------------------------------------
-        v2_path = Path(tmp) / "social.npz"
-        v4_path = Path(tmp) / "social.kr4"
-        save_kreach(index, v2_path)
-        save_mmap(index, v4_path)
+        path = Path(tmp) / "social.kr6"
+        save_mmap(index, path)
         t0 = time.perf_counter()
-        load_kreach(v2_path)
-        v2_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        load_mmap(v4_path)
-        v4_s = time.perf_counter() - t0
-        print(f"  v2 eager load: {v2_s*1e3:8.2f} ms "
-              f"({v2_path.stat().st_size/1e6:.2f} MB compressed)")
-        print(f"  v4 mmap open:  {v4_s*1e3:8.3f} ms "
-              f"({v4_path.stat().st_size/1e6:.2f} MB flat, "
-              f"{v2_s/max(v4_s, 1e-9):.0f}x faster)")
+        load_mmap(path)
+        open_s = time.perf_counter() - t0
+        print(f"  mmap open:      {open_s*1e3:8.3f} ms "
+              f"({path.stat().st_size/1e6:.2f} MB flat)")
 
         # --------------------------------------------------------------
         # 2. Serve: a worker pool sharing the file's pages.
@@ -72,7 +62,7 @@ def main() -> None:
         t0 = time.perf_counter()
         inproc = index.query_batch(pairs)
         inproc_s = time.perf_counter() - t0
-        with QueryServer(v4_path, workers=args.workers) as server:
+        with QueryServer(path, workers=args.workers) as server:
             server.query_batch(pairs[:1024])  # warm the pool
             t0 = time.perf_counter()
             served = server.query_batch(pairs)
@@ -106,7 +96,7 @@ def main() -> None:
         #    single-core server.
         # --------------------------------------------------------------
         print(f"  {native.describe_line()}")
-        with ThreadQueryServer(v4_path, workers=args.workers) as tserver:
+        with ThreadQueryServer(path, workers=args.workers) as tserver:
             tserver.query_batch(pairs[:1024])  # warm the pool (JIT compile)
             t0 = time.perf_counter()
             threaded = tserver.query_batch(pairs)

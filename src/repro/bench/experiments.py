@@ -777,21 +777,20 @@ def run_dynamic(config: SuiteConfig) -> Table:
 
 
 def run_serve(config: SuiteConfig) -> tuple[Table, Table]:
-    """The serving tier measured: v4 mmap open time + multi-core throughput.
+    """The serving tier measured: index file open time + multi-core throughput.
 
     Not a paper table — this serves the ROADMAP's "fast as the hardware
     allows" goal.  Two tables per run:
 
-    * **Open time** — every dataset's 6-reach index is written both as a
-      v2 compressed npz and a v4 memory-mapped file; the table compares
-      eager :func:`~repro.core.serialize.load_kreach` (decompress +
-      materialize + validate every array) against
-      :func:`~repro.core.serialize.load_mmap` (parse a header, map the
-      file, install zero-copy views).  CI gates v4 < v2 on the TOTAL
-      row; the acceptance target is ≥ 20x.
+    * **Open time** — every dataset's 6-reach index is written as a v6
+      file; the table reports its size and the time
+      :func:`~repro.core.serialize.load_mmap` takes to open it (parse a
+      header, map the file, install zero-copy views — O(header), not
+      O(index); ``tests/core/test_serialize_mmap.py::TestOpenCost`` pins
+      that property).
     * **Throughput** — one big random batch per dataset pushed through
       the in-process engine and through :class:`~repro.core.serve.QueryServer`
-      pools of ``config.serve_workers`` sizes sharing the same v4 file,
+      pools of ``config.serve_workers`` sizes sharing the same file,
       plus a pipelined ``submit``/``collect`` run at the target pool
       size.  Every served result is checked bit-for-bit against the
       in-process engine ("agree"), so the benchmark doubles as a live
@@ -802,7 +801,7 @@ def run_serve(config: SuiteConfig) -> tuple[Table, Table]:
     import tempfile
     from pathlib import Path
 
-    from repro.core.serialize import load_kreach, load_mmap, save_kreach, save_mmap
+    from repro.core.serialize import load_mmap, save_mmap
     from repro.core.serve import QueryServer, ThreadQueryServer
 
     counts = tuple(config.serve_workers)
@@ -811,15 +810,13 @@ def run_serve(config: SuiteConfig) -> tuple[Table, Table]:
     n_pairs = 8 * config.queries
     reps = max(2, config.repeat)
     open_table = Table(
-        f"Serve — index open time, v4 mmap vs v2 eager npz "
+        f"Serve — v6 index file size and open time "
         f"(scale={config.scale}, k={k})",
-        ["dataset", "|E_I|", "v2 MB", "v4 MB", "v2 load ms", "v4 open ms",
-         "open speedup"],
+        ["dataset", "|E_I|", "MB", "open ms"],
         caption=(
-            "v2 = load_kreach (decompress + materialize + validate); v4 = "
-            "load_mmap (header parse + zero-copy views; O(header), not "
-            "O(index)).  The TOTAL row holds summed milliseconds; CI "
-            "gates v4 < v2 on it."
+            "open = load_mmap (header parse + zero-copy views; O(header), "
+            "not O(index)).  The TOTAL row holds summed megabytes and "
+            "milliseconds."
         ),
     )
     serve_cols = [f"serve@{w} ms" for w in counts]
@@ -830,7 +827,7 @@ def run_serve(config: SuiteConfig) -> tuple[Table, Table]:
          f"pipe@{target} ms", "speedup", "agree"],
         caption=(
             "inproc = one in-process query_batch call; serve@W = the same "
-            "batch through a W-worker QueryServer sharing the v4 file "
+            "batch through a W-worker QueryServer sharing the index file "
             f"(shared-memory dispatch); thread@{target} = the same batch "
             f"through a {target}-thread ThreadQueryServer (one address "
             f"space, zero IPC); pipe@{target} = pipelined submit/collect "
@@ -839,7 +836,7 @@ def run_serve(config: SuiteConfig) -> tuple[Table, Table]:
             "to in-process.  TOTAL sums milliseconds per column."
         ),
     )
-    open_totals = {"v2": 0.0, "v4": 0.0}
+    open_totals = {"bytes": 0, "open": 0.0}
     totals: dict[object, float] = {"inproc": 0.0, "thread": 0.0, "pipe": 0.0}
     totals.update({w: 0.0 for w in counts})
     all_agree = True
@@ -848,23 +845,18 @@ def run_serve(config: SuiteConfig) -> tuple[Table, Table]:
         for name in config.datasets:
             g = config.graph(name)
             idx = KReachIndex(g, k).prepare_batch()
-            v2_path = Path(tmp) / f"{name}.npz"
-            v4_path = Path(tmp) / f"{name}.kr4"
-            save_kreach(idx, v2_path)
-            save_mmap(idx, v4_path)
-            _, v2_s = timed(lambda: load_kreach(v2_path))
-            _, v4_s = timed(lambda: load_mmap(v4_path))
-            open_totals["v2"] += v2_s
-            open_totals["v4"] += v4_s
+            path = Path(tmp) / f"{name}.kr6"
+            save_mmap(idx, path)
+            _, open_s = timed(lambda: load_mmap(path))
+            size = path.stat().st_size
+            open_totals["bytes"] += size
+            open_totals["open"] += open_s
             open_table.add_row(
                 {
                     "dataset": name,
                     "|E_I|": idx.edge_count,
-                    "v2 MB": fmt_mb(v2_path.stat().st_size),
-                    "v4 MB": fmt_mb(v4_path.stat().st_size),
-                    "v2 load ms": 1e3 * v2_s,
-                    "v4 open ms": 1e3 * v4_s,
-                    "open speedup": f"{v2_s / max(v4_s, 1e-9):.0f}x",
+                    "MB": fmt_mb(size),
+                    "open ms": 1e3 * open_s,
                 }
             )
 
@@ -890,7 +882,7 @@ def run_serve(config: SuiteConfig) -> tuple[Table, Table]:
             }
             agree = True
             for w in counts:
-                with QueryServer(v4_path, workers=w) as server:
+                with QueryServer(path, workers=w) as server:
                     server.query_batch(pairs[:1024])  # warm the pool
                     served, served_s = best_of(
                         lambda: server.query_batch(pairs)
@@ -918,7 +910,7 @@ def run_serve(config: SuiteConfig) -> tuple[Table, Table]:
                         )
                         totals["pipe"] += pipe_s
                         row[f"pipe@{target} ms"] = 1e3 * pipe_s
-            with ThreadQueryServer(v4_path, workers=target) as tserver:
+            with ThreadQueryServer(path, workers=target) as tserver:
                 tserver.query_batch(pairs[:1024])  # warm the pool
                 served, thread_s = best_of(
                     lambda: tserver.query_batch(pairs)
@@ -932,11 +924,8 @@ def run_serve(config: SuiteConfig) -> tuple[Table, Table]:
     open_table.add_row(
         {
             "dataset": "TOTAL",
-            "v2 load ms": 1e3 * open_totals["v2"],
-            "v4 open ms": 1e3 * open_totals["v4"],
-            "open speedup": (
-                f"{open_totals['v2'] / max(open_totals['v4'], 1e-9):.0f}x"
-            ),
+            "MB": fmt_mb(open_totals["bytes"]),
+            "open ms": 1e3 * open_totals["open"],
         }
     )
     total_row: dict[str, object] = {

@@ -10,7 +10,7 @@ Usage::
     python -m repro.cli build --scale 0.2 --json build.json
     python -m repro.cli all --scale 0.2 --output results.txt
     kreach-bench table8            # installed console script
-    kreach-bench verify index.kr4 base.npz updates.krlog  # checksum audit
+    kreach-bench verify index.kr6 updates.krlog shards/  # checksum audit
 
 Query-timing experiments (Tables 5/7 and ``throughput``) run through the
 vectorized batch engine — ``--engine`` picks which one for the k-reach
@@ -22,13 +22,12 @@ scalar dynamic path, and a rebuild-per-batch baseline (CI gates
 overlay >= scalar on the TOTAL row), and ``build`` compares the blocked
 MS-BFS construction path against the per-source serial build.
 
-``serve`` measures the memory-mapped serving tier: v4
-:func:`~repro.core.serialize.load_mmap` open time against the v2 eager
-load, and batch throughput through 1/2/4/8-worker
-:class:`~repro.core.serve.QueryServer` pools sharing one index file
-(CI gates v4 < v2 open and 2-worker ≥ 1-worker throughput).  ``native``
-benchmarks the compiled kernel tier (:mod:`repro.native`) against the
-numpy baseline per dispatched kernel and times
+``serve`` measures the memory-mapped serving tier: the v6 index file's
+size and :func:`~repro.core.serialize.load_mmap` open time, and batch
+throughput through 1/2/4/8-worker :class:`~repro.core.serve.QueryServer`
+pools sharing one index file (CI gates 2-worker ≥ 1-worker throughput).
+``native`` benchmarks the compiled kernel tier (:mod:`repro.native`)
+against the numpy baseline per dispatched kernel and times
 :class:`~repro.core.serve.ThreadQueryServer` against the in-process
 engine; every invocation prints the active tier line and ``--json``
 provenance records ``native.describe()`` so BENCH artifacts say which
@@ -273,16 +272,16 @@ def _verify_main(argv: list[str]) -> int:
     """``kreach-bench verify <file>...`` — audit on-disk checksums.
 
     Prints one line per section with its stored/computed CRC32 status
-    and exits 0 iff every file is clean (``no-crc`` legacy sections and
-    a recoverable op-log ``torn-tail`` count as clean; ``mismatch`` /
-    ``truncated`` / ``malformed`` do not).
+    and exits 0 iff every file is clean (a recoverable op-log
+    ``torn-tail`` counts as clean; ``mismatch`` / ``truncated`` /
+    ``malformed`` do not).
     """
     parser = argparse.ArgumentParser(
         prog="kreach-bench verify",
         description=(
-            "Audit the integrity of k-reach on-disk artifacts: v5/v4 "
-            "mmap indexes (header + per-section CRC32), v2/v3 npz dumps "
-            "(zip member CRCs), and framed op logs (record frames)."
+            "Audit the integrity of k-reach on-disk artifacts: v6 index "
+            "files (header + per-section CRC32), framed op logs (record "
+            "frames), and sharded-manifest directories (per-file CRC32)."
         ),
     )
     parser.add_argument("files", nargs="+", metavar="FILE")

@@ -28,15 +28,11 @@ from repro.core.serialize import (
     IndexCorruptionError,
     OpLog,
     ShardManifest,
-    load_dynamic,
-    load_kreach,
     load_mmap,
     load_sharded,
     read_oplog,
     recover_dynamic,
     recover_oplog,
-    save_dynamic,
-    save_kreach,
     save_mmap,
     save_sharded,
     verify_file,
@@ -70,10 +66,6 @@ __all__ = [
     "compress_rows",
     "build_kreach_parallel",
     "parallel_khop_triples",
-    "save_kreach",
-    "load_kreach",
-    "save_dynamic",
-    "load_dynamic",
     "save_mmap",
     "load_mmap",
     "save_sharded",

@@ -15,8 +15,8 @@ architecture:
   since the snapshot (copy-on-write, full-row semantics), sparse
   *min-patches* on otherwise-clean rows, the vertices whose adjacency
   diverged from the snapshot graph, the cover vertices added since, and
-  the replayable operation log the v3 on-disk format
-  (:func:`~repro.core.serialize.save_dynamic`) persists.
+  the replayable operation log an :class:`~repro.core.serialize.OpLog`
+  persists beside the base snapshot's index file.
 
 Queries — scalar *and* :meth:`DynamicKReachIndex.query_batch` — route
 through the same four-case Algorithm 2 the static engine runs; batch
@@ -102,8 +102,8 @@ from repro.graph.traversal import bfs_distances_blocked
 
 __all__ = ["DynamicKReachIndex", "OP_INSERT", "OP_DELETE"]
 
-#: Operation codes of the replayable delta log (the v3 on-disk format
-#: stores the log as an ``(ops, 3)`` int64 array of ``(op, u, v)`` rows).
+#: Operation codes of the replayable delta log, an ``(ops, 3)`` int64
+#: array of ``(op, u, v)`` rows (one framed record each in an OpLog).
 OP_INSERT = 0
 OP_DELETE = 1
 
@@ -202,10 +202,13 @@ class DynamicKReachIndex:
     ) -> "DynamicKReachIndex":
         """Wrap an existing static index as the base snapshot (no build).
 
-        The on-disk loader (:func:`~repro.core.serialize.load_dynamic`)
-        uses this to install a validated snapshot before replaying the
-        pending delta log; it also lets a settled :meth:`freeze` output
-        re-enter dynamic service without paying a reconstruction.
+        :func:`~repro.core.serialize.recover_dynamic` uses this to
+        install a validated snapshot from a v6 index file before
+        replaying the journaled delta log; it also lets a settled
+        :meth:`freeze` output re-enter dynamic service without paying a
+        reconstruction.  The snapshot's ``bitset_matrix_bytes`` carries
+        over: to run a non-default memory gate, pass it to
+        :func:`~repro.core.serialize.load_mmap` when opening the base.
 
         The base must use the default dense row storage: the dynamic
         tier merges delta rows against the base's flat key/weight
@@ -1182,13 +1185,18 @@ class DynamicKReachIndex:
 
     @property
     def pending_ops(self) -> int:
-        """Updates logged since the last compaction (the v3 delta log)."""
+        """Updates logged since the last compaction (the delta log)."""
         return len(self._log)
 
     def pending_log(self) -> np.ndarray:
         """The replayable delta log as an ``(ops, 3)`` int64 array of
-        ``(op, u, v)`` rows — what :func:`~repro.core.serialize.save_dynamic`
-        persists alongside the base snapshot."""
+        ``(op, u, v)`` rows.
+
+        To persist the index at rest, write the base snapshot and this
+        log: ``save_mmap(dyn.base, base_path)`` and
+        ``OpLog(log_path).extend(dyn.pending_log())``;
+        :func:`~repro.core.serialize.recover_dynamic` restores it.
+        """
         if not self._log:
             return np.empty((0, 3), dtype=np.int64)
         return np.asarray(self._log, dtype=np.int64)
@@ -1199,7 +1207,7 @@ class DynamicKReachIndex:
         ``journal`` is a :class:`~repro.core.serialize.OpLog` (anything
         with ``append(op, u, v)`` works); ``None`` detaches.  No-op
         writes — duplicate inserts, missing deletes, self-loops — are
-        not journaled, exactly as they never enter the v3 delta log, so
+        not journaled, exactly as they never enter the delta log, so
         a replay of the journal reproduces this index's state.  Attach
         *after* :func:`~repro.core.serialize.recover_dynamic` has
         replayed history, not before, or the replay would re-journal
@@ -1215,7 +1223,7 @@ class DynamicKReachIndex:
             elif op == OP_DELETE:
                 self.delete_edge(u, v)
             else:
-                raise ValueError(f"unknown delta-log op code {op}")
+                raise ValueError(f"corrupt delta log: unknown op code {op}")
 
     def to_digraph(self) -> DiGraph:
         """Snapshot the current graph as an immutable :class:`DiGraph`

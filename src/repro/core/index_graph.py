@@ -16,10 +16,11 @@ reads weights through one flat probe dict, the batch engines probe
 cover-position bit views built in one scatter over the CSR
 (:meth:`IndexGraph.link_matrices`), their keyed fallback
 :class:`~repro.core.batch.KeyedRowStore` takes the sorted
-``u * n + v`` key array zero-copy, serialization dumps the arrays
-verbatim, and the parallel builder merges per-worker triple arrays with
-one concatenate.  The ``{u: {v: w}}`` dict-of-dicts that three layers
-used to re-flatten independently no longer exists on the core path.
+``u * n + v`` key array zero-copy, serialization writes the arrays
+verbatim (and none of these views), and the parallel builder merges
+per-worker triple arrays with one concatenate.  The ``{u: {v: w}}``
+dict-of-dicts that three layers used to re-flatten independently no
+longer exists on the core path.
 
 Construction feeds the structure from ``(src, dst, dist)`` triple arrays
 — produced either by the per-source BFS loop (:func:`cover_triples_serial`,
@@ -75,6 +76,10 @@ class IndexGraph:
 
     Use the classmethods (:meth:`from_triples`, :meth:`from_rows`) rather
     than the low-level constructor; they sort, quantize, and validate.
+    The constructor installs its arrays verbatim — the zero-copy loader
+    (:func:`~repro.core.serialize.load_mmap`) passes it memory-mapped,
+    read-only views and owns their integrity.  Every derived view built
+    later (keys, int64 weights, link matrices) is copy-on-build.
 
     Examples
     --------
@@ -248,37 +253,6 @@ class IndexGraph:
         return cls.from_triples(
             n, cover, src, dst, dist, floor=k - 2, weight_bits=2
         )
-
-    @classmethod
-    def from_storage(
-        cls,
-        n: int,
-        cover_ids: np.ndarray,
-        indptr: np.ndarray,
-        targets: np.ndarray,
-        packed: PackedIntArray,
-        weight_base: int,
-        *,
-        keys: np.ndarray | None = None,
-        weights64: np.ndarray | None = None,
-    ) -> "IndexGraph":
-        """Install pre-built storage arrays verbatim (the zero-copy loader).
-
-        Unlike :meth:`from_triples` nothing is sorted, quantized, or
-        checked here — the caller (the v4 memory-mapped loader) owns the
-        arrays' integrity, typically via a format header plus optional
-        :meth:`validate`.  ``keys`` / ``weights64`` pre-install the
-        derived views the batch engine reads, so a query never has to
-        materialize them from the packed words; all arrays may be
-        read-only (memory-mapped) — every derived structure built later
-        is copy-on-build.
-        """
-        ig = cls(n, cover_ids, indptr, targets, packed, int(weight_base))
-        if keys is not None:
-            ig._keys = keys
-        if weights64 is not None:
-            ig._weights64 = weights64
-        return ig
 
     @classmethod
     def from_rows(

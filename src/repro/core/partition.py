@@ -1,6 +1,6 @@
 """Hub-aware graph partitioning for the sharded serving tier.
 
-One v5 file behind one :class:`~repro.core.serve.QueryServer` pool is
+One index file behind one :class:`~repro.core.serve.QueryServer` pool is
 one box.  To scale past it, :func:`partition_kreach` splits the index
 into ``N`` independently servable shards whose answers are **bit
 identical** to the single global index, by construction rather than by

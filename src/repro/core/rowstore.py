@@ -157,7 +157,7 @@ class WahRowStore:
     uncompressed ``(targets, weights)`` pairs, which a batch grouped by
     source row (the common Case-2/3 shape) hits repeatedly.
 
-    Layout (four flat arrays, each a zero-copy mmap section in the v5
+    Layout (four flat arrays, each a zero-copy mmap section in the v6
     format's ``storage='wah'`` flavor):
 
     * ``row_indptr``  — int64, ``|S| + 1``: level span of each cover row;

@@ -1,42 +1,38 @@
 """On-disk serialization of k-reach indexes.
 
 §4.1.3: "the constructed index is then stored on disk."  This module
-implements that step for all three tiers of the system:
+holds the one index file format and the two artifacts built on it:
 
-* **v2 — static** (:func:`save_kreach` / :func:`load_kreach`): a
-  :class:`~repro.core.kreach.KReachIndex` as a single compressed ``.npz``
-  holding the §4.3 physical layout — which, with the CSR-native
-  :class:`~repro.core.index_graph.IndexGraph` as the canonical in-memory
-  representation, is a **straight array dump**: the cover-id table, the
-  index CSR (offsets + targets), the packed weight words, and the graph's
-  own dual CSR so a load is self-contained.
-* **v3 — dynamic** (:func:`save_dynamic` / :func:`load_dynamic`): a
-  :class:`~repro.core.dynamic.DynamicKReachIndex` as the same base-snapshot
-  array dump **plus the pending delta log** — the ``(op, u, v)`` updates
-  applied since the last compaction.  Loading validates the base arrays
-  (CSR invariants via :meth:`IndexGraph.validate
-  <repro.core.index_graph.IndexGraph.validate>` and
-  :meth:`DiGraph.from_csr <repro.graph.digraph.DiGraph.from_csr>`), then
-  replays the log through the ordinary maintenance path, reproducing the
-  exact overlay state; corrupt or truncated dumps raise
-  :class:`ValueError` with a diagnosis instead of deserializing garbage.
-* **v4 — memory-mapped serving** (:func:`save_mmap` / :func:`load_mmap`):
-  the same static payload as v2, laid out **uncompressed** in one flat
-  file — a fixed magic/length prologue, a JSON section table, and every
-  array at a 64-byte-aligned offset in its exact in-memory dtype.
-  :func:`load_mmap` maps the file once and installs each array as a
-  zero-copy view: open time is O(header), not O(index), the first query
-  faults in only the pages it touches, and the OS page cache shares the
-  clean bytes across every process serving the same file (the substrate
-  :mod:`repro.core.serve` builds its worker pool on).  The derived
-  sorted key / weight row-store arrays are precomputed into the file, so
-  the batch engine's probe view is also zero-copy.  Arrays arrive
-  read-only (``mode='r'``); the whole query path is audited to be
-  copy-on-build on top of them.
+* **The v6 index file** (:func:`save_mmap` / :func:`load_mmap`) stores
+  the §4.3 physical layout of a :class:`~repro.core.kreach.KReachIndex`
+  — the cover-id table, the index CSR (offsets + targets) and the packed
+  weight words — plus the graph's own dual CSR, so a load is
+  self-contained.  It is one flat, uncompressed file: a fixed prologue,
+  a JSON header with a section table, and every array at a
+  64-byte-aligned offset in its exact in-memory dtype.  :func:`load_mmap`
+  maps the file once and installs each array as a zero-copy view: open
+  time is O(header), not O(index), the first query faults in only the
+  pages it touches, and the OS page cache shares the clean bytes across
+  every process serving the same file (the substrate
+  :mod:`repro.core.serve` builds its worker pool on).  Nothing derived
+  is stored: the level-stack bit views and the sorted key / weight
+  arrays of the keyed fallback are built from the CSR and the weight
+  words on first use, as for a freshly built index.  Arrays arrive
+  read-only (``mode='r'``); the whole query path is copy-on-build on
+  top of them.
+* **The op log** (:class:`OpLog`) journals a dynamic index's updates.  A
+  :class:`~repro.core.dynamic.DynamicKReachIndex` persists as its base
+  snapshot in a v6 file plus that journal, and :func:`recover_dynamic`
+  replays the journal over the validated base.
+* **The shard manifest** (:func:`save_sharded` / :func:`load_sharded`)
+  is a directory of per-shard v6 files plus the routing and portal
+  arrays of a :class:`~repro.core.partition.ShardedKReach`.
+
+Retired layouts are not read: the v2/v3 compressed ``.npz`` dumps, and
+the v4/v5 index files, which also stored the derived key / weight
+arrays.  Rebuild such an index and save it with :func:`save_mmap`.
 
 No Python-level edge loop runs in any direction on the array payloads.
-Round-trip fidelity (identical query answers) is asserted in
-``tests/core/test_serialize.py`` and ``tests/core/test_serialize_mmap.py``.
 
 Durability & integrity
 ----------------------
@@ -47,21 +43,17 @@ crash mid-save leaves the previous snapshot byte-identical, never a torn
 file under the expected name (chaos-tested through the
 ``serialize.v4_write_mid`` failpoint in :mod:`repro.faults`).
 
-The mmap format is now **v5**: the prologue carries a CRC32 of the JSON
-header (verified on every open — O(header), so the zero-copy open cost
-is unchanged) and the section table carries a CRC32 per array payload,
-verified by the opt-in ``verify=True`` full scan and by
-``kreach-bench verify``.  v4 files written before checksums existed
-still load (their header records no CRCs to check).  Integrity failures
-raise :class:`IndexCorruptionError` — a :class:`ValueError` subclass
-carrying the offending section and byte offset.
+The prologue carries a CRC32 of the JSON header, verified on every open
+(O(header), so the zero-copy open cost is unchanged), and the section
+table carries a CRC32 per array payload, verified by the opt-in
+``verify=True`` full scan and by ``kreach-bench verify``.  Integrity
+failures raise :class:`IndexCorruptionError` — a :class:`ValueError`
+subclass carrying the offending section and byte offset.
 
-:class:`OpLog` is the crash-safe form of the v3 delta log: an
-append-only journal of fixed-size framed ``(op, u, v)`` records, each
-carrying its own CRC32.  A crash mid-append (the
-``serialize.v3_log_tail`` failpoint) leaves a torn tail that the next
-open silently truncates — acknowledged records replay exactly, garbage
-never does.  :func:`recover_dynamic` = base snapshot + journal replay.
+Each :class:`OpLog` record carries its own CRC32.  A crash mid-append
+(the ``serialize.v3_log_tail`` failpoint) leaves a torn tail that the
+next open silently truncates — acknowledged records replay exactly,
+garbage never does.
 """
 
 from __future__ import annotations
@@ -73,24 +65,19 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from zipfile import BadZipFile
 
 import numpy as np
 
 from repro import faults
 from repro.bitsets.ops import DEFAULT_MATRIX_BYTES
 from repro.bitsets.packed import PackedIntArray
-from repro.core.dynamic import OP_DELETE, OP_INSERT, DynamicKReachIndex
+from repro.core.dynamic import DynamicKReachIndex
 from repro.core.index_graph import IndexGraph
 from repro.core.kreach import KReachIndex
 from repro.graph.digraph import DiGraph
 
 __all__ = [
     "IndexCorruptionError",
-    "save_kreach",
-    "load_kreach",
-    "save_dynamic",
-    "load_dynamic",
     "save_mmap",
     "load_mmap",
     "OpLog",
@@ -106,36 +93,24 @@ __all__ = [
 #: Stored sentinel for the unbounded (n-reach) mode.
 _K_UNBOUNDED = -1
 
-#: Version 2: straight IndexGraph array dump (v1 stored per-edge triples
-#: rebuilt through Python loops; no longer readable).
-_FORMAT_VERSION = 2
+#: Version 6 of the index file: v5's layout without its two derived
+#: sections (the sorted ``u * n + v`` keys and the int64 weights).
+_MMAP_FORMAT_VERSION = 6
 
-#: Version 3: v2's base-snapshot arrays plus the pending delta log of a
-#: dynamic index.
-_DYNAMIC_FORMAT_VERSION = 3
-
-#: Version 5: the flat memory-mappable layout with an always-verified
-#: header CRC32 and per-section payload CRC32s.  Version 4 (the same
-#: layout, no checksums) still loads.
-_MMAP_FORMAT_VERSION = 5
-_MMAP_LEGACY_VERSION = 4
-
-#: File magic (8 bytes).  v5 follows it with a little-endian uint64
-#: header length and a little-endian uint32 CRC32 of the JSON header;
-#: legacy v4 files have only the length.
-_MMAP_MAGIC = b"KREACH5\x00"
-_MMAP_MAGIC_V4 = b"KREACH4\x00"
+#: File magic (8 bytes, ``KREACH<version>\0``), followed by a
+#: little-endian uint64 header length and a little-endian uint32 CRC32
+#: of the JSON header.
+_MMAP_MAGIC = b"KREACH%d\x00" % _MMAP_FORMAT_VERSION
 _MMAP_PROLOGUE = 20
-_MMAP_PROLOGUE_V4 = 16
 
-#: Every v4 section starts at a multiple of this (cache-line alignment;
+#: Every section starts at a multiple of this (cache-line alignment;
 #: any multiple of the widest itemsize would do for the views).
 _MMAP_ALIGN = 64
 
-#: The v4 section table: name -> dtype each array is stored (and mapped)
+#: The section table: name -> dtype each array is stored (and mapped)
 #: in.  Dtypes match the in-memory representation exactly so every view
 #: is zero-copy (`graph_*_indices` are the DiGraph's int32 id dtype).
-_V4_SECTIONS = {
+_SECTIONS = {
     "graph_out_indptr": np.dtype("<i8"),
     "graph_out_indices": np.dtype("<i4"),
     "graph_in_indptr": np.dtype("<i8"),
@@ -144,12 +119,9 @@ _V4_SECTIONS = {
     "index_indptr": np.dtype("<i8"),
     "index_targets": np.dtype("<i8"),
     "weight_words": np.dtype("<u8"),
-    "row_keys": np.dtype("<i8"),
-    "row_weights": np.dtype("<i8"),
 }
 
-#: Sections replacing ``row_keys`` / ``row_weights`` when the header
-#: declares ``storage='wah'``: the flat arrays of
+#: Sections a ``storage='wah'`` index adds: the flat arrays of
 #: :class:`~repro.core.rowstore.WahRowStore`, mapped zero-copy.
 _WAH_SECTIONS = {
     "wah_row_indptr": np.dtype("<i8"),
@@ -159,17 +131,27 @@ _WAH_SECTIONS = {
 }
 
 
+def _magic_version(magic: bytes) -> int | None:
+    """The version a ``KREACH<digit>\\0`` index-file magic names, or None."""
+    if magic[:6] == b"KREACH" and magic[7:8] == b"\x00" and magic[6:7].isdigit():
+        return int(magic[6:7])
+    return None
+
+
+def _other_version(version: int) -> str:
+    """Why an index file of another format version is not opened."""
+    return (
+        f"a v{version} k-reach index file; this reader opens only "
+        f"v{_MMAP_FORMAT_VERSION} — rebuild the index and save it with "
+        "save_mmap"
+    )
+
+
 def _mmap_sections(storage: str) -> dict[str, np.dtype]:
-    """The section table for a v5 file with the given row storage."""
+    """The section table for an index file with the given row storage."""
     if storage == "dense":
-        return _V4_SECTIONS
-    table = {
-        name: dtype
-        for name, dtype in _V4_SECTIONS.items()
-        if name not in ("row_keys", "row_weights")
-    }
-    table.update(_WAH_SECTIONS)
-    return table
+        return _SECTIONS
+    return {**_SECTIONS, **_WAH_SECTIONS}
 
 
 class IndexCorruptionError(ValueError):
@@ -233,248 +215,21 @@ def _atomic_write(path: Path, writer) -> None:
     _fsync_dir(path.parent)
 
 
-def _base_payload(index: KReachIndex) -> dict[str, np.ndarray]:
-    """The v2/v3-shared array dump of an index and its graph."""
-    g = index.graph
-    ig = index.index_graph
-    return {
-        "k": np.int64(_K_UNBOUNDED if index.k is None else index.k),
-        "n": np.int64(g.n),
-        "graph_out_indptr": g.out_indptr,
-        "graph_out_indices": g.out_indices,
-        "graph_in_indptr": g.in_indptr,
-        "graph_in_indices": g.in_indices,
-        "cover": ig.cover_ids,
-        "index_indptr": ig.indptr,
-        "index_targets": ig.targets,
-        "weight_words": ig.packed.words,
-        "weight_bits": np.int64(ig.packed.bits),
-        "weight_base": np.int64(ig.weight_base),
-    }
-
-
-def _load_base(data, **kreach_kwargs) -> KReachIndex:
-    """Reassemble the v2/v3-shared base snapshot, validating invariants.
-
-    The embedded graph is reconstructed directly from its CSR arrays
-    (invariants checked by :meth:`DiGraph.from_csr`), and the index
-    arrays are installed verbatim after :meth:`IndexGraph.validate` — no
-    BFS and no per-edge Python work at load time.
-    """
-    g = DiGraph.from_csr(
-        data["graph_out_indptr"],
-        data["graph_out_indices"],
-        in_indptr=data["graph_in_indptr"],
-        in_indices=data["graph_in_indices"],
-    )
-    if g.n != int(data["n"]):
-        raise ValueError("stored vertex count disagrees with the graph CSR")
-    k_raw = int(data["k"])
-    k = None if k_raw == _K_UNBOUNDED else k_raw
-    cover_ids = data["cover"].astype(np.int64)
-    targets = data["index_targets"].astype(np.int64)
-    packed = PackedIntArray.from_words(
-        data["weight_words"], len(targets), bits=int(data["weight_bits"])
-    )
-    ig = IndexGraph(
-        g.n,
-        cover_ids,
-        data["index_indptr"].astype(np.int64),
-        targets,
-        packed,
-        int(data["weight_base"]),
-    ).validate()
-    return KReachIndex.from_index_graph(
-        g,
-        k,
-        cover=frozenset(cover_ids.tolist()),
-        index_graph=ig,
-        **kreach_kwargs,
-    )
-
-
-def save_kreach(index: KReachIndex, path: str | os.PathLike) -> None:
-    """Write ``index`` (and its graph) to ``path`` as compressed NPZ.
-
-    The canonical :class:`IndexGraph` arrays go to disk verbatim.  WAH
-    row views are *derived* structures and are not stored; the loader
-    re-enables row compression via its ``compress_rows_at`` argument.
-    The write is atomic (temp + fsync + rename): a crash mid-save leaves
-    any previous dump at ``path`` intact.
-    """
-    _atomic_write(
-        Path(path),
-        lambda fh: np.savez_compressed(
-            fh,
-            format_version=np.int64(_FORMAT_VERSION),
-            **_base_payload(index),
-        ),
-    )
-
-
-def _reject_v4(path: Path) -> None:
-    """Raise the diagnosed cross-version error for a memory-mapped dump."""
-    try:
-        with open(path, "rb") as fh:
-            magic = fh.read(len(_MMAP_MAGIC))
-    except OSError:
-        return  # let the npz loader produce its own error
-    if magic == _MMAP_MAGIC or magic == _MMAP_MAGIC_V4:
-        version = (
-            _MMAP_FORMAT_VERSION if magic == _MMAP_MAGIC else _MMAP_LEGACY_VERSION
-        )
-        raise ValueError(
-            f"{path} is a v{version} memory-mapped dump; load it with load_mmap"
-        )
-
-
-def load_kreach(
-    path: str | os.PathLike, *, compress_rows_at: int | None = None
-) -> KReachIndex:
-    """Load an index written by :func:`save_kreach`."""
-    _reject_v4(Path(path))
-    with np.load(Path(path)) as data:
-        version = int(data["format_version"])
-        if version == _DYNAMIC_FORMAT_VERSION:
-            raise ValueError(
-                f"{path} is a v{version} dynamic dump; load it with load_dynamic"
-            )
-        if version != _FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported k-reach file version {version} "
-                f"(expected {_FORMAT_VERSION})"
-            )
-        return _load_base(data, compress_rows_at=compress_rows_at)
-
-
-def save_dynamic(index: DynamicKReachIndex, path: str | os.PathLike) -> None:
-    """Write a dynamic index as base snapshot + pending delta log (v3).
-
-    The overlay itself is *not* flattened to disk: the base arrays plus
-    the replayable log determine it exactly, and replaying through the
-    ordinary maintenance path on load means the on-disk format never has
-    to mirror the in-memory overlay layout.  Call
-    :meth:`~repro.core.dynamic.DynamicKReachIndex.compact` first for a
-    log-free dump of a settled index.  The write is atomic (temp +
-    fsync + rename): a crash mid-save leaves any previous dump intact.
-    """
-    log = index.pending_log()
-    _atomic_write(
-        Path(path),
-        lambda fh: np.savez_compressed(
-            fh,
-            format_version=np.int64(_DYNAMIC_FORMAT_VERSION),
-            **_base_payload(index.base),
-            log=log,
-            log_count=np.int64(len(log)),
-            compaction_ratio=np.float64(index.compaction_ratio),
-            compaction_min_rows=np.int64(index.compaction_min_rows),
-            auto_compact=np.int64(index.auto_compact),
-            bitset_matrix_bytes=np.int64(index.bitset_matrix_bytes),
-        ),
-    )
-
-
-def load_dynamic(path: str | os.PathLike) -> DynamicKReachIndex:
-    """Load a dynamic index written by :func:`save_dynamic`.
-
-    The base snapshot's CSR invariants are re-validated before install
-    (the arrays come from outside the process and a single unsorted row
-    would silently corrupt every binary-search probe), then the pending
-    delta log is checked — shape, declared length, op codes, vertex
-    ranges — and replayed.  Any inconsistency, including a truncated or
-    otherwise unreadable file, raises :class:`ValueError` describing
-    what is wrong with the dump.
-    """
-    _reject_v4(Path(path))
-    try:
-        data_file = np.load(Path(path))
-    except (BadZipFile, OSError, ValueError, EOFError) as exc:
-        raise ValueError(
-            f"corrupt or truncated k-reach dynamic dump {path}: {exc}"
-        ) from exc
-    try:
-        with data_file as data:
-            try:
-                version = int(data["format_version"])
-                if version == _FORMAT_VERSION:
-                    raise ValueError(
-                        f"{path} is a v{version} static dump; load it with "
-                        "load_kreach"
-                    )
-                if version != _DYNAMIC_FORMAT_VERSION:
-                    raise ValueError(
-                        f"unsupported dynamic k-reach file version {version} "
-                        f"(expected {_DYNAMIC_FORMAT_VERSION})"
-                    )
-                base = _load_base(
-                    data,
-                    bitset_matrix_bytes=int(data["bitset_matrix_bytes"]),
-                )
-                log = np.asarray(data["log"], dtype=np.int64)
-                log_count = int(data["log_count"])
-                ratio = float(data["compaction_ratio"])
-                min_rows = int(data["compaction_min_rows"])
-                auto = bool(int(data["auto_compact"]))
-            except KeyError as exc:
-                raise ValueError(
-                    f"corrupt k-reach dynamic dump {path}: missing field {exc}"
-                ) from exc
-    except (BadZipFile, zlib.error, EOFError, OSError) as exc:
-        raise ValueError(
-            f"corrupt or truncated k-reach dynamic dump {path}: {exc}"
-        ) from exc
-    _validate_log(log, log_count, base.graph.n)
-    dyn = DynamicKReachIndex.from_base(
-        base,
-        compaction_ratio=ratio,
-        compaction_min_rows=min_rows,
-        auto_compact=auto,
-    )
-    dyn.replay(log)
-    return dyn
-
-
-def _validate_log(log: np.ndarray, declared: int, n: int) -> None:
-    """Reject malformed delta logs with a diagnosis."""
-    if log.ndim != 2 or (log.size and log.shape[1] != 3):
-        raise ValueError(
-            f"corrupt delta log: expected an (ops, 3) array, got shape {log.shape}"
-        )
-    if len(log) != declared:
-        raise ValueError(
-            f"truncated delta log: header declares {declared} ops, "
-            f"payload holds {len(log)}"
-        )
-    if not log.size:
-        return
-    ops = log[:, 0]
-    if not bool(np.isin(ops, (OP_INSERT, OP_DELETE)).all()):
-        bad = ops[~np.isin(ops, (OP_INSERT, OP_DELETE))][0]
-        raise ValueError(f"corrupt delta log: unknown op code {int(bad)}")
-    endpoints = log[:, 1:]
-    if int(endpoints.min()) < 0 or int(endpoints.max()) >= n:
-        raise ValueError(
-            f"corrupt delta log: vertex id out of range [0, {n})"
-        )
-
-
 # ----------------------------------------------------------------------
-# v4: the flat memory-mapped serving format
+# The index file
 # ----------------------------------------------------------------------
 def _align(offset: int) -> int:
-    """Round ``offset`` up to the v4 section alignment."""
+    """Round ``offset`` up to the section alignment."""
     return (offset + _MMAP_ALIGN - 1) // _MMAP_ALIGN * _MMAP_ALIGN
 
 
-def _v4_arrays(index: KReachIndex) -> dict[str, np.ndarray]:
-    """The v4 payload in section order, coerced to the on-disk dtypes.
+def _payload_arrays(index: KReachIndex) -> dict[str, np.ndarray]:
+    """The payload in section order, coerced to the on-disk dtypes.
 
     For an index whose arrays already live in the canonical dtypes (every
-    index this package builds) the coercions are no-ops; the derived
-    sorted key / weight row-store arrays are materialized here so the
-    loader never has to.  A ``storage='wah'`` index swaps those two
-    (16 bytes/edge) for the four flat :class:`WahRowStore` arrays.
+    index this package builds) the coercions are no-ops.  A
+    ``storage='wah'`` index adds the four flat :class:`WahRowStore`
+    arrays.
     """
     g = index.graph
     ig = index.index_graph
@@ -494,9 +249,6 @@ def _v4_arrays(index: KReachIndex) -> dict[str, np.ndarray]:
         arrays["wah_level_weights"] = store.level_weights
         arrays["wah_level_indptr"] = store.level_indptr
         arrays["wah_words"] = store.words
-    else:
-        arrays["row_keys"] = ig.keys()
-        arrays["row_weights"] = ig.weights64()
     table = _mmap_sections(ig.storage)
     return {
         name: np.ascontiguousarray(arr, dtype=table[name])
@@ -505,30 +257,24 @@ def _v4_arrays(index: KReachIndex) -> dict[str, np.ndarray]:
 
 
 def save_mmap(index: KReachIndex, path: str | os.PathLike) -> None:
-    """Write ``index`` as a flat memory-mappable file (v5).
+    """Write ``index`` as a flat memory-mappable v6 file.
 
     Layout: an 8-byte magic, a little-endian uint64 header length, a
     little-endian uint32 CRC32 of the JSON header, the JSON header
     carrying the scalars (``k``, ``n``, weight encoding) and the section
     table (relative offset, element count, dtype, and payload CRC32 per
     array), then every array's raw bytes at a 64-byte-aligned offset.
-    Unlike the v2 ``.npz`` the payload is **uncompressed** — the cost of
-    a larger file buys :func:`load_mmap` the right to map it zero-copy
-    and lets the OS page cache share the bytes across every serving
-    process.
+    The payload is **uncompressed**, so :func:`load_mmap` can map it
+    zero-copy and the OS page cache can share the bytes across every
+    serving process.  An index built with ``storage='wah'`` records
+    ``"storage": "wah"`` in the header (absent means dense) and adds the
+    four :class:`WahRowStore` sections.
 
     The write is atomic: a crash mid-save (chaos-tested through the
     ``serialize.v4_write_mid`` failpoint) leaves any previous snapshot
     at ``path`` byte-identical.
-
-    An index built with ``storage='wah'`` is saved in the compressed
-    flavor: the header gains a ``"storage": "wah"`` field and the flat
-    ``row_keys`` / ``row_weights`` sections (16 bytes per index edge)
-    are replaced by the four :class:`WahRowStore` arrays.  Dense files
-    carry no ``storage`` field and stay byte-compatible with older
-    readers.
     """
-    arrays = _v4_arrays(index)
+    arrays = _payload_arrays(index)
     sections: dict[str, dict[str, object]] = {}
     offset = 0  # relative to the aligned payload base
     payload_bytes = 0  # true (unpadded) end of the last section
@@ -552,8 +298,6 @@ def save_mmap(index: KReachIndex, path: str | os.PathLike) -> None:
         "sections": sections,
     }
     if index.index_graph.storage != "dense":
-        # Absent field == dense, so dense files stay byte-compatible
-        # with pre-wah readers.
         header["storage"] = index.index_graph.storage
     blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
     base = _align(_MMAP_PROLOGUE + len(blob))
@@ -578,22 +322,6 @@ def save_mmap(index: KReachIndex, path: str | os.PathLike) -> None:
     _atomic_write(Path(path), write)
 
 
-def _npz_version_hint(path: Path) -> str:
-    """The cross-version message for a zip (npz) file handed to load_mmap."""
-    try:
-        with np.load(path) as data:
-            version = int(data["format_version"])
-    except Exception:
-        return (
-            f"{path} is a zip archive, not a v4 memory-mapped dump "
-            "(and not a readable k-reach npz either)"
-        )
-    loader = "load_dynamic" if version == _DYNAMIC_FORMAT_VERSION else "load_kreach"
-    return (
-        f"{path} is a v{version} compressed npz dump; load it with {loader}"
-    )
-
-
 def load_mmap(
     path: str | os.PathLike,
     *,
@@ -608,28 +336,27 @@ def load_mmap(
     The file is mapped once (``mode='r'``: shared read-only pages;
     ``mode='c'``: copy-on-write, private) and every array is installed as
     a view into the mapping — open cost is parsing the header plus O(1)
-    bounds checks per section, independent of index size.  On v5 files
-    the JSON header's CRC32 is always verified (still O(header)), so a
-    bit flip in the section table can never install a wrong view.
-    Structural problems the header can reveal — bad magic, corrupt JSON,
-    a missing / misaligned / out-of-bounds section, disagreeing array
-    lengths — raise :class:`ValueError`
+    bounds checks per section, independent of index size.  The JSON
+    header's CRC32 is always verified (still O(header)), so a bit flip in
+    the section table can never install a wrong view.  Structural
+    problems the header can reveal — bad magic, a retired format version,
+    corrupt JSON, a missing / misaligned / out-of-bounds section,
+    disagreeing array lengths — raise :class:`ValueError`
     (:class:`IndexCorruptionError` where a section is identifiable)
     naming the offending section.
 
     ``verify=True`` additionally checks every section's stored CRC32
     against its payload bytes (O(index) — opt in, the default preserves
     the O(header) open); a mismatch raises :class:`IndexCorruptionError`
-    with the section and byte offset.  Legacy v4 files record no
-    checksums, so ``verify=True`` refuses them explicitly rather than
-    pretending to audit.  ``validate=True`` runs the full structural
-    scan (CSR invariants, sorted keys, weight consistency) for arrays of
-    uncertain provenance.
+    with the section and byte offset.  ``validate=True`` runs the full
+    structural scan (the graph's and the index's CSR invariants, and
+    WAH rows against the CSR) for arrays of uncertain provenance.
 
     The returned :class:`KReachIndex` serves queries directly off the
-    read-only pages; every cache it builds lazily (link matrices, scalar
-    probe dicts, adjacency lists) is a private copy-on-build structure,
-    so many processes can open the same file and share its clean pages.
+    read-only pages; every cache it builds lazily (link matrices, keyed
+    probe arrays, scalar probe dicts, adjacency lists) is a private
+    copy-on-build structure, so many processes can open the same file
+    and share its clean pages.
     """
     path = Path(path)
     if mode not in ("r", "c"):
@@ -638,49 +365,36 @@ def load_mmap(
         file_size = path.stat().st_size
         with open(path, "rb") as fh:
             prologue = fh.read(_MMAP_PROLOGUE)
-            if len(prologue) < _MMAP_PROLOGUE_V4:
+            magic_version = _magic_version(prologue)
+            if magic_version not in (None, _MMAP_FORMAT_VERSION):
+                raise ValueError(f"{path} is {_other_version(magic_version)}")
+            if len(prologue) < _MMAP_PROLOGUE:
                 raise ValueError(
                     f"corrupt header in {path}: file shorter than the "
-                    f"{_MMAP_PROLOGUE_V4}-byte prologue"
+                    f"{_MMAP_PROLOGUE}-byte prologue"
                 )
-            if prologue[:2] == b"PK":  # a zip: some npz-format dump
-                raise ValueError(_npz_version_hint(path))
-            magic = prologue[:8]
-            if magic == _MMAP_MAGIC:
-                legacy = False
-                plen = _MMAP_PROLOGUE
-                if len(prologue) < _MMAP_PROLOGUE:
-                    raise ValueError(
-                        f"corrupt header in {path}: file shorter than the "
-                        f"{_MMAP_PROLOGUE}-byte v5 prologue"
-                    )
-            elif magic == _MMAP_MAGIC_V4:
-                legacy = True
-                plen = _MMAP_PROLOGUE_V4
-            else:
+            if magic_version is None:
                 raise ValueError(
                     f"{path} is not a k-reach mmap dump (bad magic)"
                 )
             hlen = int.from_bytes(prologue[8:16], "little")
-            if hlen <= 0 or plen + hlen > file_size:
+            if hlen <= 0 or _MMAP_PROLOGUE + hlen > file_size:
                 raise ValueError(
                     f"corrupt header in {path}: declared header length "
                     f"{hlen} does not fit the {file_size}-byte file"
                 )
-            fh.seek(plen)
             blob = fh.read(hlen)
     except OSError as exc:
         raise ValueError(f"cannot read mmap dump {path}: {exc}") from exc
-    if not legacy:
-        stored_crc = int.from_bytes(prologue[16:20], "little")
-        actual_crc = zlib.crc32(blob)
-        if actual_crc != stored_crc:
-            raise IndexCorruptionError(
-                f"corrupt header in {path}: header checksum mismatch "
-                f"(stored 0x{stored_crc:08x}, computed 0x{actual_crc:08x})",
-                path=path,
-                offset=_MMAP_PROLOGUE,
-            )
+    stored_crc = int.from_bytes(prologue[16:20], "little")
+    actual_crc = zlib.crc32(blob)
+    if actual_crc != stored_crc:
+        raise IndexCorruptionError(
+            f"corrupt header in {path}: header checksum mismatch "
+            f"(stored 0x{stored_crc:08x}, computed 0x{actual_crc:08x})",
+            path=path,
+            offset=_MMAP_PROLOGUE,
+        )
     try:
         header = json.loads(blob)
     except ValueError as exc:
@@ -688,16 +402,10 @@ def load_mmap(
             f"corrupt header in {path}: not valid JSON ({exc})"
         ) from exc
     version = header.get("format_version")
-    expected_version = _MMAP_LEGACY_VERSION if legacy else _MMAP_FORMAT_VERSION
-    if version != expected_version:
+    if version != _MMAP_FORMAT_VERSION:
         raise ValueError(
             f"unsupported k-reach mmap file version {version} "
-            f"(expected {expected_version})"
-        )
-    if verify and legacy:
-        raise ValueError(
-            f"{path} is a legacy v{_MMAP_LEGACY_VERSION} dump with no stored "
-            "checksums; re-save with save_mmap to make it verifiable"
+            f"(expected {_MMAP_FORMAT_VERSION})"
         )
     kind = header.get("kind")
     if kind != "kreach":
@@ -710,15 +418,15 @@ def load_mmap(
         sections = header["sections"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
-            f"corrupt v4 header in {path}: missing or malformed field ({exc})"
+            f"corrupt header in {path}: missing or malformed field ({exc})"
         ) from exc
     if n < 0 or not 1 <= weight_bits <= 32:
         raise ValueError(
-            f"corrupt v4 header in {path}: n={n}, weight_bits={weight_bits}"
+            f"corrupt header in {path}: n={n}, weight_bits={weight_bits}"
         )
     k = None if k_raw is None else int(k_raw)
     if not isinstance(sections, dict):
-        raise ValueError(f"corrupt v4 header in {path}: no section table")
+        raise ValueError(f"corrupt header in {path}: no section table")
     storage = header.get("storage", "dense")
     if storage not in ("dense", "wah"):
         raise ValueError(
@@ -726,7 +434,7 @@ def load_mmap(
         )
     section_table = _mmap_sections(storage)
 
-    base = _align(plen + hlen)
+    base = _align(_MMAP_PROLOGUE + hlen)
     # One shared mapping for the whole payload; every section is a view
     # into it.  The raw mmap module beats np.memmap's subclass machinery
     # by ~0.2 ms per open — which matters when open is the O(header)
@@ -862,8 +570,6 @@ def load_mmap(
                 "wah_level_indptr",
                 f"must end at the {len(views['wah_words'])}-word payload",
             )
-    elif len(views["row_keys"]) != edges or len(views["row_weights"]) != edges:
-        raise bad("row_keys", "must align with index_targets")
     expected_words = (edges * weight_bits + 63) // 64 + 1
     if len(views["weight_words"]) != expected_words:
         raise bad(
@@ -882,36 +588,30 @@ def load_mmap(
     packed = PackedIntArray.from_words(
         views["weight_words"], edges, bits=weight_bits, copy=False
     )
+    # The stored arrays go in verbatim: the header checks above keep
+    # every access in bounds, and validate=True adds the O(index) scan.
+    ig = IndexGraph(
+        n,
+        cover_ids,
+        views["index_indptr"],
+        views["index_targets"],
+        packed,
+        weight_base,
+    )
     if storage == "wah":
         from repro.core.rowstore import WahRowStore
 
-        store = WahRowStore(
-            views["cover_ids"],
-            n,
-            views["wah_row_indptr"],
-            views["wah_level_weights"],
-            views["wah_level_indptr"],
-            views["wah_words"],
-            size=edges,
-        )
-        ig = IndexGraph.from_storage(
-            n,
-            views["cover_ids"],
-            views["index_indptr"],
-            views["index_targets"],
-            packed,
-            weight_base,
-        ).use_storage("wah", store)
-    else:
-        ig = IndexGraph.from_storage(
-            n,
-            views["cover_ids"],
-            views["index_indptr"],
-            views["index_targets"],
-            packed,
-            weight_base,
-            keys=views["row_keys"],
-            weights64=views["row_weights"],
+        ig.use_storage(
+            "wah",
+            WahRowStore(
+                cover_ids,
+                n,
+                views["wah_row_indptr"],
+                views["wah_level_weights"],
+                views["wah_level_indptr"],
+                views["wah_words"],
+                size=edges,
+            ),
         )
     if validate:
         ig.validate()
@@ -931,27 +631,10 @@ def load_mmap(
                         "wah_level_weights",
                         "disagrees with the packed weight words",
                     )
-        else:
-            keys = views["row_keys"]
-            if len(keys) > 1 and not bool(np.all(keys[:-1] < keys[1:])):
-                raise bad("row_keys", "must be strictly ascending")
-            heads = np.repeat(
-                views["cover_ids"], np.diff(views["index_indptr"])
-            )
-            if not np.array_equal(
-                keys, heads * np.int64(n) + views["index_targets"]
-            ):
-                raise bad("row_keys", "disagrees with the index CSR")
-            if not np.array_equal(
-                views["row_weights"], packed.as_numpy() + weight_base
-            ):
-                raise bad(
-                    "row_weights", "disagrees with the packed weight words"
-                )
     return KReachIndex.from_index_graph(
         g,
         k,
-        cover=frozenset(views["cover_ids"].tolist()),
+        cover=frozenset(cover_ids.tolist()),
         index_graph=ig,
         compress_rows_at=compress_rows_at,
         bitset_matrix_bytes=bitset_matrix_bytes,
@@ -959,7 +642,7 @@ def load_mmap(
 
 
 # ----------------------------------------------------------------------
-# Crash-safe framed op log (the durable form of the v3 delta log)
+# Crash-safe framed op log (the durable form of the delta log)
 # ----------------------------------------------------------------------
 #: Op-log file magic (8 bytes).
 _OPLOG_MAGIC = b"KRLOG1\x00\x00"
@@ -1049,16 +732,19 @@ def recover_oplog(path: str | os.PathLike) -> tuple[np.ndarray, int]:
 class OpLog:
     """Append-only crash-safe journal of dynamic ``(op, u, v)`` updates.
 
-    The durable transport form of the v3 delta log: each record is a
-    fixed 32-byte frame carrying a checksummed length prefix, so a crash
-    mid-append — the ``serialize.v3_log_tail`` failpoint — leaves at
-    most one torn trailing frame, which the next :class:`OpLog` open (or
-    :func:`recover_oplog`) silently truncates.  Acknowledged records
-    replay exactly; garbage never does.
+    The durable form of a dynamic index's delta log
+    (:meth:`~repro.core.dynamic.DynamicKReachIndex.pending_log`): each
+    record is a fixed 32-byte frame carrying a checksummed length
+    prefix, so a crash mid-append — the ``serialize.v3_log_tail``
+    failpoint — leaves at most one torn trailing frame, which the next
+    :class:`OpLog` open (or :func:`recover_oplog`) silently truncates.
+    Acknowledged records replay exactly; garbage never does.
 
     Attach one to a live :class:`~repro.core.dynamic.DynamicKReachIndex`
     via :meth:`~repro.core.dynamic.DynamicKReachIndex.attach_journal` so
-    every accepted update is journaled; rebuild after a crash with
+    every accepted update is journaled, or persist a dynamic index at
+    rest as ``save_mmap(dyn.base, base_path)`` plus
+    ``OpLog(log_path).extend(dyn.pending_log())``; rebuild it with
     :func:`recover_dynamic`.
 
     ``fsync=True`` (default) syncs every append — the journal is the
@@ -1146,25 +832,21 @@ def recover_dynamic(
 ) -> DynamicKReachIndex:
     """Rebuild a dynamic index from a base snapshot plus its journal.
 
-    ``base_path`` may be a v2 npz (:func:`save_kreach`) or a v4/v5 mmap
-    dump (:func:`save_mmap`; opened copy-on-write so the overlay never
-    touches the shared pages).  The journal's torn tail, if any, is
-    truncated (see :func:`recover_oplog`), the surviving records are
-    validated against the base's vertex range, and the log is replayed
-    through the ordinary maintenance path — exactly what
-    :func:`load_dynamic` does for the embedded v3 log, but driven from
-    the crash-safe framed journal.  Attach a fresh (or the recovered)
-    journal afterwards to keep journaling.
+    ``base_path`` is a v6 index file (:func:`save_mmap`), opened
+    copy-on-write so the overlay never touches the shared pages, and
+    validated in full (``validate=True``): the base comes from outside
+    the process, and a broken CSR row must fail here, not inside a
+    later query.  The journal's torn tail, if any, is truncated (see
+    :func:`recover_oplog`) and the surviving records are replayed
+    through the ordinary maintenance path, which rejects an unknown op
+    code or an out-of-range vertex with :class:`ValueError`.
+    ``from_base_options`` (``compaction_ratio``, ``compaction_min_rows``,
+    ``auto_compact``) go to
+    :meth:`~repro.core.dynamic.DynamicKReachIndex.from_base`.  Attach a
+    fresh (or the recovered) journal afterwards to keep journaling.
     """
-    base_path = Path(base_path)
-    with open(base_path, "rb") as fh:
-        magic = fh.read(8)
-    if magic in (_MMAP_MAGIC, _MMAP_MAGIC_V4):
-        base = load_mmap(base_path, mode="c")
-    else:
-        base = load_kreach(base_path)
+    base = load_mmap(base_path, mode="c", validate=True)
     ops, _ = recover_oplog(log_path)
-    _validate_log(ops, len(ops), base.graph.n)
     dyn = DynamicKReachIndex.from_base(base, **from_base_options)
     dyn.replay(ops)
     return dyn
@@ -1175,44 +857,38 @@ def recover_dynamic(
 # ----------------------------------------------------------------------
 def _audit_mmap(path: Path, report: dict) -> None:
     raw = path.read_bytes()
-    legacy = raw[:8] == _MMAP_MAGIC_V4
-    plen = _MMAP_PROLOGUE_V4 if legacy else _MMAP_PROLOGUE
-    report["format"] = f"v{_MMAP_LEGACY_VERSION if legacy else _MMAP_FORMAT_VERSION} mmap index"
-    if len(raw) < plen:
+    report["format"] = f"v{_MMAP_FORMAT_VERSION} index file"
+    if len(raw) < _MMAP_PROLOGUE:
         report["detail"] = "file shorter than its prologue"
         return
     hlen = int.from_bytes(raw[8:16], "little")
-    if hlen <= 0 or plen + hlen > len(raw):
+    if hlen <= 0 or _MMAP_PROLOGUE + hlen > len(raw):
         report["detail"] = f"declared header length {hlen} does not fit the file"
         return
-    blob = raw[plen : plen + hlen]
-    if legacy:
-        report["sections"].append(
-            {"name": "<header>", "bytes": hlen, "status": "no-crc"}
-        )
-    else:
-        stored = int.from_bytes(raw[16:20], "little")
-        computed = zlib.crc32(blob)
-        report["sections"].append(
-            {
-                "name": "<header>",
-                "bytes": hlen,
-                "stored": stored,
-                "computed": computed,
-                "status": "ok" if stored == computed else "mismatch",
-            }
-        )
+    blob = raw[_MMAP_PROLOGUE : _MMAP_PROLOGUE + hlen]
+    stored = int.from_bytes(raw[16:20], "little")
+    computed = zlib.crc32(blob)
+    report["sections"].append(
+        {
+            "name": "<header>",
+            "bytes": hlen,
+            "stored": stored,
+            "computed": computed,
+            "status": "ok" if stored == computed else "mismatch",
+        }
+    )
     try:
         header = json.loads(blob)
         sections = header["sections"]
     except (ValueError, KeyError, TypeError):
         report["detail"] = "header is not parseable JSON with a section table"
         return
-    base = _align(plen + hlen)
+    base = _align(_MMAP_PROLOGUE + hlen)
     for name, entry in sections.items():
         try:
             start = base + int(entry["offset"])
             nbytes = int(entry["count"]) * np.dtype(entry["dtype"]).itemsize
+            stored = int(entry["crc32"])
         except (KeyError, TypeError, ValueError):
             report["sections"].append({"name": name, "status": "malformed"})
             continue
@@ -1220,42 +896,13 @@ def _audit_mmap(path: Path, report: dict) -> None:
         if start + nbytes > len(raw):
             row["status"] = "truncated"
         else:
-            stored = entry.get("crc32")
-            if not isinstance(stored, int):
-                row["status"] = "no-crc"
-            else:
-                computed = zlib.crc32(raw[start : start + nbytes])
-                row.update(
-                    stored=stored,
-                    computed=computed,
-                    status="ok" if stored == computed else "mismatch",
-                )
+            computed = zlib.crc32(raw[start : start + nbytes])
+            row.update(
+                stored=stored,
+                computed=computed,
+                status="ok" if stored == computed else "mismatch",
+            )
         report["sections"].append(row)
-
-
-def _audit_npz(path: Path, report: dict) -> None:
-    import zipfile
-
-    try:
-        with np.load(path) as data:
-            version = int(data["format_version"])
-        report["format"] = f"v{version} npz ({'dynamic' if version == _DYNAMIC_FORMAT_VERSION else 'static'})"
-    except Exception:
-        report["format"] = "npz"
-    try:
-        with zipfile.ZipFile(path) as zf:
-            for info in zf.infolist():
-                row = {"name": info.filename, "bytes": info.file_size}
-                try:
-                    with zf.open(info) as member:  # read checks the zip CRC
-                        while member.read(1 << 20):
-                            pass
-                    row["status"] = "ok"
-                except Exception:
-                    row["status"] = "mismatch"
-                report["sections"].append(row)
-    except Exception as exc:
-        report["detail"] = f"unreadable zip archive: {exc}"
 
 
 def _audit_oplog(path: Path, report: dict) -> None:
@@ -1283,14 +930,14 @@ def _audit_oplog(path: Path, report: dict) -> None:
 def verify_file(path: str | os.PathLike) -> dict:
     """Audit the checksums of any on-disk artifact this module writes.
 
-    Accepts a v4/v5 mmap index, a v2/v3 npz dump, or a framed op log,
-    and returns a report dict: ``format``, a ``sections`` list (name,
-    size, stored/computed CRC32, per-section ``status``), and ``ok`` —
-    ``True`` iff nothing is corrupt.  Statuses: ``ok``, ``mismatch``,
-    ``truncated``, ``malformed``, ``no-crc`` (recorded before checksums
-    existed — not an error), and ``torn-tail`` (an op log's recoverable
-    crashed append — not an error).  This is the backend of
-    ``kreach-bench verify``.
+    Accepts a v6 index file, a framed op log, or a sharded-manifest
+    directory, and returns a report dict: ``format``, a ``sections``
+    list (name, size, stored/computed CRC32, per-section ``status``),
+    and ``ok`` — ``True`` iff nothing is corrupt.  Statuses: ``ok``,
+    ``mismatch``, ``truncated``, ``malformed``, and ``torn-tail`` (an op
+    log's recoverable crashed append — not an error).  An index file of
+    another format version is reported by version, not ``ok``.  This is
+    the backend of ``kreach-bench verify``.
     """
     path = Path(path)
     report: dict = {
@@ -1315,16 +962,19 @@ def verify_file(path: str | os.PathLike) -> dict:
         except OSError as exc:
             report["detail"] = f"unreadable: {exc}"
             return report
-        if magic in (_MMAP_MAGIC, _MMAP_MAGIC_V4):
+        magic_version = _magic_version(magic)
+        if magic_version == _MMAP_FORMAT_VERSION:
             _audit_mmap(path, report)
-        elif magic[:2] == b"PK":
-            _audit_npz(path, report)
+        elif magic_version is not None:
+            report["format"] = f"v{magic_version} index file"
+            report["detail"] = f"{path} is {_other_version(magic_version)}"
+            return report
         elif magic == _OPLOG_MAGIC:
             _audit_oplog(path, report)
         elif magic[:1] == b"{" and path.name == _SHARD_MANIFEST_NAME:
             _audit_sharded(path.parent, report)
         else:
-            report["detail"] = "not a k-reach index, dump, or op log"
+            report["detail"] = "not a k-reach index file or op log"
             return report
     bad_statuses = {"mismatch", "truncated", "malformed"}
     report["ok"] = not report["detail"] and bool(report["sections"]) and not any(
@@ -1334,10 +984,10 @@ def verify_file(path: str | os.PathLike) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Sharded manifest (directory of per-shard v5 files + boundary index)
+# Sharded manifest (directory of per-shard index files + boundary index)
 # ---------------------------------------------------------------------------
 
-#: Sharded-manifest directory format: ``manifest.json`` + N per-shard v5
+#: Sharded-manifest directory format: ``manifest.json`` + N per-shard
 #: index files + the routing/boundary arrays, each independently
 #: loadable and individually CRC32'd by the manifest.
 _SHARD_FORMAT = "kreach-shards"
@@ -1373,7 +1023,7 @@ def _manifest_digest(payload: dict) -> int:
 
 
 def shard_index_name(shard: int) -> str:
-    """File name of shard ``shard``'s v5 index inside a manifest dir."""
+    """File name of shard ``shard``'s index file inside a manifest dir."""
     return f"shard-{shard:03d}.kr5"
 
 
@@ -1409,11 +1059,11 @@ def save_sharded(sharded, directory: str | os.PathLike) -> Path:
 
     Layout: one ``manifest.json`` (atomic-written, carrying a CRC32 of
     its own canonical body plus per-file byte counts and CRC32s), N
-    ``shard-%03d.kr5`` v5 files — each independently
+    ``shard-%03d.kr5`` index files — each independently
     :func:`load_mmap`-able — and ``.npy`` routing/portal arrays.  Every
     file is written through the same temp+fsync+rename discipline as
-    v5, and the manifest is written **last**, so a crash mid-save never
-    leaves a manifest naming files that do not match it.
+    :func:`save_mmap`, and the manifest is written **last**, so a crash
+    mid-save never leaves a manifest naming files that do not match it.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

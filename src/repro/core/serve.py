@@ -1,4 +1,4 @@
-"""Shared-memory multi-process query serving over a v4 index file.
+"""Shared-memory multi-process query serving over a v6 index file.
 
 The batch engines in :mod:`repro.core.kreach` saturate exactly one CPU:
 numpy kernels release the GIL only inside individual ufunc calls, so one
@@ -359,7 +359,7 @@ class _Worker:
 
 
 class QueryServer:
-    """A persistent multi-process batch-query pool over one v4 file.
+    """A persistent multi-process batch-query pool over one index file.
 
     Parameters
     ----------
@@ -1104,7 +1104,7 @@ class QueryServer:
 
 
 class ThreadQueryServer:
-    """A thread-pool batch-query server sharing one mmap'd v4 index.
+    """A thread-pool batch-query server sharing one mmap'd index file.
 
     The zero-IPC sibling of :class:`QueryServer`, built for the native
     kernel tier: every worker thread calls ``query_batch`` on the *same*

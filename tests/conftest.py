@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+import zlib
+
 import numpy as np
 import pytest
 
+from repro.core.serialize import _MMAP_PROLOGUE
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
     cycle_graph,
@@ -76,3 +80,46 @@ def all_pairs(g: DiGraph):
     for s in range(g.n):
         for t in range(g.n):
             yield s, t
+
+
+def tampered_header(path, out_path, mutate):
+    """Rewrite an index file with its JSON header transformed by ``mutate``.
+
+    Section offsets are relative to the aligned payload base, so the
+    payload bytes are copied verbatim behind the (possibly resized)
+    header and remain addressable.  The prologue's header CRC is
+    recomputed — callers target the *structural* checks, not the
+    checksum, which gets its own tests.
+    """
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[_MMAP_PROLOGUE : _MMAP_PROLOGUE + hlen])
+    mutate(header)
+    blob = json.dumps(header, separators=(",", ":")).encode()
+    old_base = (_MMAP_PROLOGUE + hlen + 63) // 64 * 64
+    new_base = (_MMAP_PROLOGUE + len(blob) + 63) // 64 * 64
+    out_path.write_bytes(
+        raw[:8]
+        + len(blob).to_bytes(8, "little")
+        + zlib.crc32(blob).to_bytes(4, "little")
+        + blob
+        + b"\x00" * (new_base - _MMAP_PROLOGUE - len(blob))
+        + raw[old_base:]
+    )
+    return out_path
+
+
+def tampered_section(path, out_path, name, transform):
+    """Rewrite an index file with section ``name``'s payload replaced by
+    ``transform(array)`` (same length; header and checksums untouched)."""
+    raw = bytearray(path.read_bytes())
+    hlen = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[_MMAP_PROLOGUE : _MMAP_PROLOGUE + hlen])
+    sec = header["sections"][name]
+    dtype = np.dtype(sec["dtype"])
+    start = (_MMAP_PROLOGUE + hlen + 63) // 64 * 64 + sec["offset"]
+    stop = start + sec["count"] * dtype.itemsize
+    arr = np.frombuffer(bytes(raw[start:stop]), dtype=dtype).copy()
+    raw[start:stop] = np.ascontiguousarray(transform(arr), dtype=dtype).tobytes()
+    out_path.write_bytes(bytes(raw))
+    return out_path

@@ -4,9 +4,9 @@ Drives the ``serialize.*`` failpoints and hand-corrupted files through
 the durability layer and pins the acceptance contract: a crash mid-save
 never damages the previous snapshot, a crash mid-append is recovered by
 truncating the torn tail (acknowledged records replay exactly — garbage
-never does), every detected corruption surfaces as a typed
+never does), and every detected corruption surfaces as a typed
 :class:`~repro.core.serialize.IndexCorruptionError` with offset/section
-detail, and legacy un-checksummed v4 files still load.
+detail.
 """
 
 import json
@@ -24,16 +24,13 @@ from repro.cli import main as cli_main
 from repro.core.dynamic import DynamicKReachIndex
 from repro.core.kreach import KReachIndex
 from repro.core.serialize import (
-    _MMAP_MAGIC_V4,
     _MMAP_PROLOGUE,
-    _MMAP_PROLOGUE_V4,
     IndexCorruptionError,
     OpLog,
     load_mmap,
     read_oplog,
     recover_dynamic,
     recover_oplog,
-    save_kreach,
     save_mmap,
     verify_file,
 )
@@ -62,33 +59,6 @@ def pairs(graph):
     return random_pairs(graph.n, 2500, rng=np.random.default_rng(9))
 
 
-def as_legacy_v4(path: Path, out: Path) -> Path:
-    """Down-convert a v5 file to the pre-checksum v4 layout.
-
-    Real v4 files predate this test suite; reconstructing one (16-byte
-    prologue, no header CRC, no per-section ``crc32`` keys,
-    ``format_version: 4``) from the v5 writer keeps the backward-compat
-    load path pinned without a binary fixture in the tree.
-    """
-    raw = path.read_bytes()
-    hlen = int.from_bytes(raw[8:16], "little")
-    header = json.loads(raw[_MMAP_PROLOGUE : _MMAP_PROLOGUE + hlen])
-    header["format_version"] = 4
-    for section in header["sections"].values():
-        section.pop("crc32", None)
-    blob = json.dumps(header, separators=(",", ":")).encode()
-    old_base = (_MMAP_PROLOGUE + hlen + 63) // 64 * 64
-    new_base = (_MMAP_PROLOGUE_V4 + len(blob) + 63) // 64 * 64
-    out.write_bytes(
-        _MMAP_MAGIC_V4
-        + len(blob).to_bytes(8, "little")
-        + blob
-        + b"\x00" * (new_base - _MMAP_PROLOGUE_V4 - len(blob))
-        + raw[old_base:]
-    )
-    return out
-
-
 class TestAtomicSave:
     def test_failed_save_preserves_previous_snapshot(
         self, tmp_path, index, pairs
@@ -115,11 +85,11 @@ class TestAtomicSave:
         assert not list(tmp_path.glob(".*.tmp.*"))
 
     def test_npz_saves_are_atomic_too(self, tmp_path, index):
-        path = tmp_path / "index.npz"
-        save_kreach(index, path)
+        """Every saver writes through one helper; a writer dying midway
+        (any format, no failpoint needed) leaves the previous file."""
+        path = tmp_path / "index.kr6"
+        save_mmap(index, path)
         before = path.read_bytes()
-        # No failpoint inside np.savez_compressed — simulate by writing
-        # through the same helper with a writer that dies midway.
         from repro.core.serialize import _atomic_write
 
         with pytest.raises(RuntimeError, match="disk on fire"):
@@ -216,32 +186,6 @@ class TestChecksums:
         )
 
 
-class TestLegacyV4:
-    def test_legacy_file_still_loads(self, tmp_path, index, pairs):
-        v5 = tmp_path / "index.kr4"
-        save_mmap(index, v5)
-        legacy = as_legacy_v4(v5, tmp_path / "legacy.kr4")
-        loaded = load_mmap(legacy)
-        assert np.array_equal(
-            loaded.query_batch(pairs), index.query_batch(pairs)
-        )
-
-    def test_legacy_verify_requests_resave(self, tmp_path, index):
-        v5 = tmp_path / "index.kr4"
-        save_mmap(index, v5)
-        legacy = as_legacy_v4(v5, tmp_path / "legacy.kr4")
-        with pytest.raises(ValueError, match="no stored checksums"):
-            load_mmap(legacy, verify=True)
-
-    def test_legacy_audit_reports_no_crc(self, tmp_path, index):
-        v5 = tmp_path / "index.kr4"
-        save_mmap(index, v5)
-        legacy = as_legacy_v4(v5, tmp_path / "legacy.kr4")
-        report = verify_file(legacy)
-        assert report["ok"]  # un-checksummed is legal, not corrupt
-        assert all(row["status"] == "no-crc" for row in report["sections"])
-
-
 class TestOpLog:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "ops.krlog"
@@ -328,12 +272,12 @@ class TestRecoverDynamic:
             else:
                 dyn.delete_edge(u, v)
 
-    @pytest.mark.parametrize("base_format", ["npz", "mmap"])
+    @pytest.mark.parametrize("base_format", ["mmap"])
     def test_journal_replay_matches_live_index(
         self, tmp_path, graph, index, pairs, base_format
     ):
-        base_path = tmp_path / ("base.npz" if base_format == "npz" else "base.kr4")
-        (save_kreach if base_format == "npz" else save_mmap)(index, base_path)
+        base_path = tmp_path / "base.kr6"
+        save_mmap(index, base_path)
         log_path = tmp_path / "updates.krlog"
         dyn = DynamicKReachIndex.from_base(KReachIndex(graph, 3))
         dyn.attach_journal(OpLog(log_path, fsync=False))
@@ -345,8 +289,8 @@ class TestRecoverDynamic:
         )
 
     def test_recovery_after_torn_append(self, tmp_path, graph, index, pairs):
-        base_path = tmp_path / "base.npz"
-        save_kreach(index, base_path)
+        base_path = tmp_path / "base.kr6"
+        save_mmap(index, base_path)
         log_path = tmp_path / "updates.krlog"
         dyn = DynamicKReachIndex.from_base(KReachIndex(graph, 3))
         dyn.attach_journal(OpLog(log_path, fsync=False))
@@ -379,14 +323,12 @@ class TestRecoverDynamic:
 
 class TestVerifyAudit:
     def test_clean_artifacts_report_ok(self, tmp_path, graph, index):
-        mmap_path = tmp_path / "index.kr4"
-        npz_path = tmp_path / "index.npz"
+        mmap_path = tmp_path / "index.kr6"
         log_path = tmp_path / "ops.krlog"
         save_mmap(index, mmap_path)
-        save_kreach(index, npz_path)
         with OpLog(log_path, fsync=False) as log:
             log.append(0, 1, 2)
-        for path in (mmap_path, npz_path, log_path):
+        for path in (mmap_path, log_path):
             report = verify_file(path)
             assert report["ok"], report
             assert report["sections"]

@@ -226,14 +226,14 @@ class TestFreeze:
                 assert frozen.query(s, t) == dyn.query(s, t)
 
     def test_frozen_index_serializes(self, tmp_path):
-        from repro.core.serialize import load_kreach, save_kreach
+        from repro.core.serialize import load_mmap, save_mmap
 
         dyn = DynamicKReachIndex(gnp_digraph(12, 0.2, seed=7), 3)
         dyn.insert_edge(0, 11)
         frozen = dyn.freeze()
-        path = tmp_path / "frozen.npz"
-        save_kreach(frozen, path)
-        loaded = load_kreach(path)
+        path = tmp_path / "frozen.kr6"
+        save_mmap(frozen, path)
+        loaded = load_mmap(path, validate=True)
         assert loaded.weighted_edges() == frozen.weighted_edges()
 
 

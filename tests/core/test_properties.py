@@ -129,20 +129,22 @@ def test_kreach_cover_choice_is_irrelevant(g, k):
 @settings(max_examples=40, deadline=None)
 @given(digraphs(max_n=10), st.integers(min_value=0, max_value=5))
 def test_serialize_round_trip_property(g, k):
-    """Saved-and-loaded indexes answer identically on every pair."""
+    """Saved-and-loaded indexes pass the validator and answer
+    identically on every pair."""
     import tempfile
     from pathlib import Path
 
-    from repro.core.serialize import load_kreach, save_kreach
+    from repro.core.serialize import load_mmap, save_mmap
 
     idx = KReachIndex(g, k)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "x.npz"
-        save_kreach(idx, path)
-        loaded = load_kreach(path)
-    for s in range(g.n):
-        for t in range(g.n):
-            assert loaded.query(s, t) == idx.query(s, t)
+        path = Path(tmp) / "x.kr6"
+        save_mmap(idx, path)
+        loaded = load_mmap(path, validate=True)
+        assert loaded.index_graph == idx.index_graph
+        for s in range(g.n):
+            for t in range(g.n):
+                assert loaded.query(s, t) == idx.query(s, t)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,11 +1,32 @@
-"""Index serialization round-trip tests."""
+"""Index persistence round trips on the one file format.
+
+A static index round-trips through ``save_mmap`` → ``load_mmap``; a
+dynamic index persists as its base snapshot plus an ``OpLog`` journal
+and comes back through ``recover_dynamic``.  The format's own
+diagnostics (header, sections, checksums) are pinned in
+``test_serialize_mmap.py`` and ``test_crash_recovery.py``.
+"""
 
 import numpy as np
 import pytest
 
+from repro.core.dynamic import OP_INSERT, DynamicKReachIndex
 from repro.core.kreach import KReachIndex
-from repro.core.serialize import load_kreach, save_kreach
+from repro.core.serialize import (
+    OpLog,
+    load_mmap,
+    read_oplog,
+    recover_dynamic,
+    save_mmap,
+)
 from repro.graph.generators import gnp_digraph, paper_example_graph, path_graph
+from tests.conftest import tampered_header, tampered_section
+
+
+def round_trip(tmp_path, index, **load_options):
+    path = tmp_path / "index.kr6"
+    save_mmap(index, path)
+    return load_mmap(path, validate=True, **load_options)
 
 
 class TestRoundTrip:
@@ -13,9 +34,7 @@ class TestRoundTrip:
     def test_answers_identical(self, tmp_path, k):
         g = gnp_digraph(30, 0.12, seed=2)
         index = KReachIndex(g, k)
-        path = tmp_path / "index.npz"
-        save_kreach(index, path)
-        loaded = load_kreach(path)
+        loaded = round_trip(tmp_path, index)
         assert loaded.k == index.k
         assert loaded.cover == index.cover
         assert loaded.weighted_edges() == index.weighted_edges()
@@ -25,19 +44,14 @@ class TestRoundTrip:
 
     def test_graph_embedded(self, tmp_path):
         g = path_graph(8)
-        index = KReachIndex(g, 3)
-        path = tmp_path / "index.npz"
-        save_kreach(index, path)
-        loaded = load_kreach(path)
+        loaded = round_trip(tmp_path, KReachIndex(g, 3))
         assert loaded.graph == g
 
     def test_paper_example_round_trip(self, tmp_path):
         g = paper_example_graph()
         ids = {lab: g.vertex_id(lab) for lab in "abcdefghij"}
         index = KReachIndex(g, 3, cover=frozenset(ids[x] for x in "bdgi"))
-        path = tmp_path / "paper.npz"
-        save_kreach(index, path)
-        loaded = load_kreach(path)
+        loaded = round_trip(tmp_path, index)
         assert loaded.weighted_edges() == index.weighted_edges()
         assert loaded.query(ids["c"], ids["f"]) is True
         assert loaded.query(ids["c"], ids["h"]) is False
@@ -45,9 +59,7 @@ class TestRoundTrip:
     def test_load_with_compression(self, tmp_path):
         g = gnp_digraph(25, 0.25, seed=3)
         index = KReachIndex(g, 2)
-        path = tmp_path / "index.npz"
-        save_kreach(index, path)
-        loaded = load_kreach(path, compress_rows_at=2)
+        loaded = round_trip(tmp_path, index, compress_rows_at=2)
         for s in range(g.n):
             for t in range(g.n):
                 assert loaded.query(s, t) == index.query(s, t)
@@ -55,55 +67,39 @@ class TestRoundTrip:
     def test_compressed_index_saves(self, tmp_path):
         g = gnp_digraph(25, 0.25, seed=4)
         index = KReachIndex(g, 2, compress_rows_at=2)
-        path = tmp_path / "index.npz"
-        save_kreach(index, path)
-        loaded = load_kreach(path)
+        loaded = round_trip(tmp_path, index)
         assert loaded.weighted_edges() == index.weighted_edges()
 
     def test_version_check(self, tmp_path):
-        g = path_graph(4)
-        index = KReachIndex(g, 2)
-        path = tmp_path / "index.npz"
-        save_kreach(index, path)
-        # corrupt the version field
-        data = dict(np.load(path))
-        data["format_version"] = np.int64(99)
-        np.savez_compressed(path, **data)
+        path = tmp_path / "index.kr6"
+        save_mmap(KReachIndex(path_graph(4), 2), path)
+        tampered_header(path, path, lambda h: h.update(format_version=99))
         with pytest.raises(ValueError, match="version"):
-            load_kreach(path)
+            load_mmap(path)
 
 
 class TestLoadValidation:
     def test_corrupted_index_arrays_rejected(self, tmp_path):
-        g = gnp_digraph(20, 0.15, seed=6)
-        index = KReachIndex(g, 3)
-        path = tmp_path / "index.npz"
-        save_kreach(index, path)
-        data = dict(np.load(path))
-        data["index_targets"] = data["index_targets"][::-1].copy()  # unsorted rows
-        np.savez_compressed(path, **data)
+        path = tmp_path / "index.kr6"
+        save_mmap(KReachIndex(gnp_digraph(20, 0.15, seed=6), 3), path)
+        # Reversed targets: every row unsorted, every header check intact.
+        tampered_section(path, path, "index_targets", lambda a: a[::-1])
         with pytest.raises(ValueError, match="ascending|indptr|range"):
-            load_kreach(path)
+            load_mmap(path, validate=True)
 
     def test_truncated_indptr_rejected(self, tmp_path):
-        g = gnp_digraph(20, 0.15, seed=6)
-        index = KReachIndex(g, 3)
-        path = tmp_path / "index.npz"
-        save_kreach(index, path)
-        data = dict(np.load(path))
-        data["index_indptr"] = data["index_indptr"][:-2].copy()
-        np.savez_compressed(path, **data)
+        path = tmp_path / "index.kr6"
+        save_mmap(KReachIndex(gnp_digraph(20, 0.15, seed=6), 3), path)
+        tampered_header(
+            path, path, lambda h: h["sections"]["index_indptr"].update(count=0)
+        )
         with pytest.raises(ValueError):
-            load_kreach(path)
+            load_mmap(path)
 
 
 # ----------------------------------------------------------------------
-# v3 dynamic dumps: base snapshot + replayable delta log
+# Dynamic indexes: base snapshot + journaled delta log
 # ----------------------------------------------------------------------
-from repro.core.dynamic import DynamicKReachIndex  # noqa: E402
-from repro.core.serialize import load_dynamic, save_dynamic  # noqa: E402
-
-
 def churned_dynamic(k=3, *, n=20, seed=3, steps=25, auto_compact=False):
     """A dynamic index with a non-trivial overlay and pending log."""
     g = gnp_digraph(n, 0.12, seed=seed)
@@ -122,34 +118,38 @@ def churned_dynamic(k=3, *, n=20, seed=3, steps=25, auto_compact=False):
     return dyn
 
 
-def tampered_copy(path, out_path, **overrides):
-    """Rewrite a dump with some fields replaced."""
-    with np.load(path) as data:
-        payload = {key: data[key] for key in data.files}
-    payload.update(overrides)
-    np.savez_compressed(out_path, **payload)
-    return out_path
+def persist(tmp_path, dyn):
+    """Write ``dyn`` at rest: its base as an index file, its log as a journal."""
+    base, log = tmp_path / "base.kr6", tmp_path / "updates.krlog"
+    save_mmap(dyn.base, base)
+    with OpLog(log, fsync=False) as journal:
+        journal.extend(dyn.pending_log())
+    return base, log
+
+
+def all_pairs(n):
+    return np.array([(s, t) for s in range(n) for t in range(n)], dtype=np.int64)
 
 
 class TestDynamicRoundTrip:
     @pytest.mark.parametrize("k", [2, 3, None])
     def test_mid_churn_roundtrip(self, tmp_path, k):
         dyn = churned_dynamic(k)
-        assert dyn.pending_ops > 0  # the dump must carry a real log
-        path = tmp_path / "dyn.npz"
-        save_dynamic(dyn, path)
-        loaded = load_dynamic(path)
-        n = dyn.n
-        pairs = np.array(
-            [(s, t) for s in range(n) for t in range(n)], dtype=np.int64
+        assert dyn.pending_ops > 0  # the journal must carry a real log
+        loaded = recover_dynamic(
+            *persist(tmp_path, dyn),
+            compaction_ratio=dyn.compaction_ratio,
+            auto_compact=dyn.auto_compact,
         )
+        n = dyn.n
+        pairs = all_pairs(n)
         assert np.array_equal(loaded.query_batch(pairs), dyn.query_batch(pairs))
         assert loaded.pending_ops == dyn.pending_ops
         assert loaded.cover_size == dyn.cover_size
         assert loaded.edge_count == dyn.edge_count
         assert loaded.compaction_ratio == dyn.compaction_ratio
         assert loaded.auto_compact == dyn.auto_compact
-        # the loaded index keeps serving updates
+        # the recovered index keeps serving updates
         loaded.insert_edge(0, n - 1)
         dyn.insert_edge(0, n - 1)
         assert np.array_equal(loaded.query_batch(pairs), dyn.query_batch(pairs))
@@ -157,104 +157,76 @@ class TestDynamicRoundTrip:
     def test_settled_roundtrip_has_empty_log(self, tmp_path):
         dyn = churned_dynamic(3)
         dyn.compact()
-        path = tmp_path / "settled.npz"
-        save_dynamic(dyn, path)
-        with np.load(path) as data:
-            assert int(data["log_count"]) == 0
-        loaded = load_dynamic(path)
+        base, log = persist(tmp_path, dyn)
+        assert len(read_oplog(log)) == 0
+        loaded = recover_dynamic(base, log)
         assert loaded.pending_ops == 0
-        pairs = np.array(
-            [(s, t) for s in range(dyn.n) for t in range(dyn.n)], dtype=np.int64
-        )
+        pairs = all_pairs(dyn.n)
         assert np.array_equal(loaded.query_batch(pairs), dyn.query_batch(pairs))
 
     def test_version_cross_errors(self, tmp_path):
-        dyn = churned_dynamic(3)
-        dpath = tmp_path / "dyn.npz"
-        save_dynamic(dyn, dpath)
-        spath = tmp_path / "static.npz"
-        save_kreach(dyn.freeze(), spath)
-        with pytest.raises(ValueError, match="load_kreach"):
-            load_dynamic(spath)
-        with pytest.raises(ValueError, match="load_dynamic"):
-            load_kreach(dpath)
+        """Swapping the base and the journal is diagnosed, not replayed."""
+        base, log = persist(tmp_path, churned_dynamic(3))
+        with pytest.raises(ValueError, match="bad magic"):
+            recover_dynamic(log, base)
+        with pytest.raises(ValueError, match="not a k-reach op log"):
+            read_oplog(base)
 
 
 class TestDynamicCorruption:
     def test_truncated_file(self, tmp_path):
-        dyn = churned_dynamic(3)
-        path = tmp_path / "dyn.npz"
-        save_dynamic(dyn, path)
-        raw = path.read_bytes()
-        trunc = tmp_path / "trunc.npz"
-        trunc.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(ValueError, match="corrupt or truncated"):
-            load_dynamic(trunc)
-
-    def test_log_count_mismatch(self, tmp_path):
-        dyn = churned_dynamic(3)
-        path = tmp_path / "dyn.npz"
-        save_dynamic(dyn, path)
-        with np.load(path) as data:
-            log = data["log"]
-        bad = tampered_copy(path, tmp_path / "bad.npz", log=log[:-1])
-        with pytest.raises(ValueError, match="truncated delta log"):
-            load_dynamic(bad)
+        base, log = persist(tmp_path, churned_dynamic(3))
+        raw = base.read_bytes()
+        base.write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(ValueError, match="truncated"):
+            recover_dynamic(base, log)
 
     def test_unknown_op_code(self, tmp_path):
-        dyn = churned_dynamic(3)
-        path = tmp_path / "dyn.npz"
-        save_dynamic(dyn, path)
-        with np.load(path) as data:
-            log = data["log"].copy()
-        log[0, 0] = 7
-        bad = tampered_copy(path, tmp_path / "badop.npz", log=log)
+        base, log = persist(tmp_path, churned_dynamic(3))
+        with OpLog(log, fsync=False) as journal:  # valid CRC, bad content
+            journal.append(7, 0, 1)
         with pytest.raises(ValueError, match="unknown op code"):
-            load_dynamic(bad)
+            recover_dynamic(base, log)
 
     def test_log_vertex_out_of_range(self, tmp_path):
         dyn = churned_dynamic(3)
-        path = tmp_path / "dyn.npz"
-        save_dynamic(dyn, path)
-        with np.load(path) as data:
-            log = data["log"].copy()
-        log[0, 1] = dyn.n + 5
-        bad = tampered_copy(path, tmp_path / "badv.npz", log=log)
+        base, log = persist(tmp_path, dyn)
+        with OpLog(log, fsync=False) as journal:  # valid CRC, bad content
+            journal.append(OP_INSERT, 0, dyn.n + 5)
         with pytest.raises(ValueError, match="out of range"):
-            load_dynamic(bad)
+            recover_dynamic(base, log)
 
     def test_corrupt_base_csr_rejected(self, tmp_path):
-        dyn = churned_dynamic(3)
-        path = tmp_path / "dyn.npz"
-        save_dynamic(dyn, path)
-        with np.load(path) as data:
-            indptr = data["index_indptr"].copy()
-        if len(indptr) > 1:
+        base, log = persist(tmp_path, churned_dynamic(3))
+
+        def break_indptr(indptr):
             indptr[1] = -4  # breaks monotonicity / bounds
-        bad = tampered_copy(path, tmp_path / "badcsr.npz", index_indptr=indptr)
+            return indptr
+
+        tampered_section(base, base, "index_indptr", break_indptr)
         with pytest.raises(ValueError):
-            load_dynamic(bad)
+            recover_dynamic(base, log)
 
     def test_missing_field(self, tmp_path):
-        dyn = churned_dynamic(3)
-        path = tmp_path / "dyn.npz"
-        save_dynamic(dyn, path)
-        with np.load(path) as data:
-            payload = {key: data[key] for key in data.files}
-        payload.pop("log")
-        bad = tmp_path / "missing.npz"
-        np.savez_compressed(bad, **payload)
-        with pytest.raises(ValueError, match="missing field"):
-            load_dynamic(bad)
+        base, log = persist(tmp_path, churned_dynamic(3))
+        tampered_header(base, base, lambda h: h["sections"].pop("weight_words"))
+        with pytest.raises(ValueError, match="missing section 'weight_words'"):
+            recover_dynamic(base, log)
 
     def test_bitset_matrix_bytes_roundtrips(self, tmp_path):
+        """The memory gate is a deployment setting, not part of the file:
+        pass it to load_mmap before wrapping the base."""
         g = gnp_digraph(20, 0.15, seed=4)
         dyn = DynamicKReachIndex(g, 3, bitset_matrix_bytes=0)
         dyn.insert_edge(0, 19)
         assert dyn._case4_matrix() is None  # ceiling gates the matrix off
-        path = tmp_path / "gated.npz"
-        save_dynamic(dyn, path)
-        loaded = load_dynamic(path)
+        base, log = persist(tmp_path, dyn)
+        loaded = DynamicKReachIndex.from_base(
+            load_mmap(base, mode="c", validate=True, bitset_matrix_bytes=0)
+        )
+        loaded.replay(read_oplog(log))
         assert loaded.bitset_matrix_bytes == 0
         assert loaded.base.bitset_matrix_bytes == 0
         assert loaded._case4_matrix() is None  # still gated after reload
+        pairs = all_pairs(g.n)
+        assert np.array_equal(loaded.query_batch(pairs), dyn.query_batch(pairs))

@@ -1,11 +1,11 @@
-"""v4 memory-mapped format: roundtrip, diagnostics, read-only serving.
+"""The v6 index file: roundtrip, diagnostics, read-only serving.
 
 The contract under test (see ``repro/core/serialize.py``):
 
 * a ``save_mmap`` → ``load_mmap`` roundtrip answers bit-identically to
-  the in-memory index and to the v2 eager load, for every engine;
-* cross-version loads (v2/v3/v4 in any wrong pairing) raise
-  :class:`ValueError` naming the right loader;
+  the in-memory index, for every engine;
+* files of the retired layouts raise :class:`ValueError` — v4 / v5
+  index files naming their version, v2 / v3 npz dumps as bad magic;
 * truncated files, corrupt headers, and bad section offsets raise
   :class:`ValueError` naming what is broken;
 * the whole query path runs off ``mode='r'`` read-only pages without a
@@ -18,19 +18,15 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.core.dynamic import DynamicKReachIndex
 from repro.core.kreach import KReachIndex
 from repro.core.serialize import (
-    _MMAP_MAGIC,
     _MMAP_PROLOGUE,
-    load_dynamic,
-    load_kreach,
     load_mmap,
-    save_dynamic,
-    save_kreach,
     save_mmap,
+    verify_file,
 )
 from repro.graph.generators import gnp_digraph, paper_example_graph
+from tests.conftest import tampered_header, tampered_section
 
 
 def saved(tmp_path, index, name="index.kr4"):
@@ -61,19 +57,15 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("k", [2, None])
     def test_v4_equals_v2_load(self, tmp_path, k):
+        """The loaded index equals its source, embedded graph included."""
         g = gnp_digraph(35, 0.12, seed=5)
         index = KReachIndex(g, k)
-        v2 = tmp_path / "index.npz"
-        save_kreach(index, v2)
-        from_v2 = load_kreach(v2)
-        from_v4 = load_mmap(saved(tmp_path, index))
-        assert from_v2.cover == from_v4.cover
-        assert from_v2.weighted_edges() == from_v4.weighted_edges()
-        assert from_v2.graph == from_v4.graph
+        loaded = load_mmap(saved(tmp_path, index))
+        assert loaded.cover == index.cover
+        assert loaded.index_graph == index.index_graph
+        assert loaded.graph == g
         pairs = all_pairs(g.n)
-        assert np.array_equal(
-            from_v2.query_batch(pairs), from_v4.query_batch(pairs)
-        )
+        assert np.array_equal(loaded.query_batch(pairs), index.query_batch(pairs))
 
     def test_paper_example(self, tmp_path):
         g = paper_example_graph()
@@ -106,63 +98,70 @@ class TestRoundTrip:
         assert np.array_equal(loaded.query_batch(pairs), index.query_batch(pairs))
 
 
-class TestCrossVersion:
-    """Every wrong (file, loader) pairing names the right loader."""
+def as_old_layout(path, out_path, version):
+    """Rewrite a v6 file's prologue and header in the v4 or v5 layout.
 
-    def test_v4_rejected_by_load_kreach(self, tmp_path):
-        index = KReachIndex(gnp_digraph(20, 0.1, seed=3), 3)
-        path = saved(tmp_path, index)
-        with pytest.raises(ValueError, match="load_mmap"):
-            load_kreach(path)
-
-    def test_v4_rejected_by_load_dynamic(self, tmp_path):
-        index = KReachIndex(gnp_digraph(20, 0.1, seed=3), 3)
-        path = saved(tmp_path, index)
-        with pytest.raises(ValueError, match="load_mmap"):
-            load_dynamic(path)
-
-    def test_v2_rejected_by_load_mmap(self, tmp_path):
-        index = KReachIndex(gnp_digraph(20, 0.1, seed=3), 3)
-        path = tmp_path / "static.npz"
-        save_kreach(index, path)
-        with pytest.raises(ValueError, match="load_kreach"):
-            load_mmap(path)
-
-    def test_v3_rejected_by_load_mmap(self, tmp_path):
-        g = gnp_digraph(20, 0.1, seed=3)
-        dyn = DynamicKReachIndex(g, 3)
-        dyn.insert_edge(0, 19)
-        path = tmp_path / "dyn.npz"
-        save_dynamic(dyn, path)
-        with pytest.raises(ValueError, match="load_dynamic"):
-            load_mmap(path)
-
-
-def tampered_header(path, out_path, mutate):
-    """Rewrite a v5 file with its JSON header transformed by ``mutate``.
-
-    Section offsets are relative to the aligned payload base, so the
-    payload bytes are copied verbatim behind the (possibly resized)
-    header and remain addressable.  The prologue's header CRC is
-    recomputed — these tests target the *structural* checks, not the
-    checksum, which gets its own tests.
+    v5 had v6's 20-byte prologue (magic, header length, header CRC32);
+    v4 had a 16-byte one and no checksums anywhere.  Both also stored
+    sorted-key and int64-weight sections, but the reader refuses them
+    at the magic, before any section is read.
     """
     raw = path.read_bytes()
     hlen = int.from_bytes(raw[8:16], "little")
     header = json.loads(raw[_MMAP_PROLOGUE : _MMAP_PROLOGUE + hlen])
-    mutate(header)
+    header["format_version"] = version
+    if version == 4:
+        for section in header["sections"].values():
+            section.pop("crc32")
     blob = json.dumps(header, separators=(",", ":")).encode()
+    prologue = b"KREACH%d\x00" % version + len(blob).to_bytes(8, "little")
+    if version == 5:
+        prologue += zlib.crc32(blob).to_bytes(4, "little")
     old_base = (_MMAP_PROLOGUE + hlen + 63) // 64 * 64
-    new_base = (_MMAP_PROLOGUE + len(blob) + 63) // 64 * 64
+    new_base = (len(prologue) + len(blob) + 63) // 64 * 64
     out_path.write_bytes(
-        raw[:8]
-        + len(blob).to_bytes(8, "little")
-        + zlib.crc32(blob).to_bytes(4, "little")
+        prologue
         + blob
-        + b"\x00" * (new_base - _MMAP_PROLOGUE - len(blob))
+        + b"\x00" * (new_base - len(prologue) - len(blob))
         + raw[old_base:]
     )
     return out_path
+
+
+def npz_dump(path, version):
+    """A compressed npz shaped like a retired v2 (static) or v3 (dynamic)
+    dump: a zip archive, so no index-file magic."""
+    np.savez_compressed(
+        path, format_version=np.int64(version), log=np.zeros((0, 3), np.int64)
+    )
+    return path
+
+
+class TestCrossVersion:
+    """Files of every retired layout are refused with a ValueError."""
+
+    def test_v2_rejected_by_load_mmap(self, tmp_path):
+        path = npz_dump(tmp_path / "static.npz", 2)
+        with pytest.raises(ValueError, match="bad magic"):
+            load_mmap(path)
+
+    def test_v3_rejected_by_load_mmap(self, tmp_path):
+        path = npz_dump(tmp_path / "dyn.npz", 3)
+        with pytest.raises(ValueError, match="bad magic"):
+            load_mmap(path)
+        assert not verify_file(path)["ok"]
+
+    @pytest.mark.parametrize("version", [4, 5])
+    def test_old_layout_refused_by_version(self, tmp_path, version):
+        index = KReachIndex(gnp_digraph(20, 0.1, seed=3), 3)
+        old = as_old_layout(saved(tmp_path, index), tmp_path / "old.kr", version)
+        with pytest.raises(
+            ValueError, match=f"v{version} k-reach index file.*save_mmap"
+        ):
+            load_mmap(old)
+        report = verify_file(old)
+        assert not report["ok"]
+        assert report["format"] == f"v{version} index file"
 
 
 class TestCorruption:
@@ -214,9 +213,9 @@ class TestCorruption:
     def test_missing_section(self, tmp_path, path):
         bad = tampered_header(
             path, tmp_path / "missing.kr4",
-            lambda h: h["sections"].pop("row_keys"),
+            lambda h: h["sections"].pop("index_targets"),
         )
-        with pytest.raises(ValueError, match="missing section 'row_keys'"):
+        with pytest.raises(ValueError, match="missing section 'index_targets'"):
             load_mmap(bad)
 
     def test_bad_offset_runs_past_eof(self, tmp_path, path):
@@ -237,10 +236,10 @@ class TestCorruption:
 
     def test_wrong_dtype(self, tmp_path, path):
         def mutate(h):
-            h["sections"]["row_keys"]["dtype"] = "<i4"
+            h["sections"]["weight_words"]["dtype"] = "<i4"
 
         bad = tampered_header(path, tmp_path / "dtype.kr4", mutate)
-        with pytest.raises(ValueError, match="'row_keys' declares dtype"):
+        with pytest.raises(ValueError, match="'weight_words' declares dtype"):
             load_mmap(bad)
 
     def test_truncated_payload(self, tmp_path, path):
@@ -261,36 +260,23 @@ class TestCorruption:
     def test_corrupt_cover_id_rejected_at_open(self, tmp_path, path):
         """A flipped sign bit in cover_ids must fail loudly at open, not
         silently corrupt the cover-flag scatter."""
-        raw = bytearray(path.read_bytes())
-        hlen = int.from_bytes(raw[8:16], "little")
-        header = json.loads(raw[_MMAP_PROLOGUE : _MMAP_PROLOGUE + hlen])
-        sec = header["sections"]["cover_ids"]
-        base = (_MMAP_PROLOGUE + hlen + 63) // 64 * 64
-        start = base + sec["offset"]
-        arr = np.frombuffer(
-            bytes(raw[start : start + sec["count"] * 8]), dtype=np.int64
-        ).copy()
-        arr[0] = -arr[-1] - 1  # negative id; count/dtype/alignment still fine
-        raw[start : start + sec["count"] * 8] = arr.tobytes()
-        bad = tmp_path / "cover.kr4"
-        bad.write_bytes(bytes(raw))
+
+        def negate_first(arr):
+            arr[0] = -arr[-1] - 1  # negative id; count/dtype/alignment still fine
+            return arr
+
+        bad = tampered_section(
+            path, tmp_path / "cover.kr4", "cover_ids", negate_first
+        )
         with pytest.raises(ValueError, match="'cover_ids'"):
             load_mmap(bad)
 
     def test_validate_catches_tampered_rows(self, tmp_path, path):
-        # Reverse the target array's bytes: structurally plausible (every
-        # O(1) header check passes) but the rows are no longer sorted.
-        raw = bytearray(path.read_bytes())
-        hlen = int.from_bytes(raw[8:16], "little")
-        header = json.loads(raw[_MMAP_PROLOGUE : _MMAP_PROLOGUE + hlen])
-        sec = header["sections"]["index_targets"]
-        base = (_MMAP_PROLOGUE + hlen + 63) // 64 * 64
-        start = base + sec["offset"]
-        stop = start + sec["count"] * 8
-        arr = np.frombuffer(bytes(raw[start:stop]), dtype=np.int64)[::-1]
-        raw[start:stop] = arr.tobytes()
-        bad = tmp_path / "rows.kr4"
-        bad.write_bytes(bytes(raw))
+        # Reverse the target array: structurally plausible (every O(1)
+        # header check passes) but the rows are no longer sorted.
+        bad = tampered_section(
+            path, tmp_path / "rows.kr4", "index_targets", lambda a: a[::-1]
+        )
         with pytest.raises(ValueError):
             load_mmap(bad, validate=True)
 
@@ -311,7 +297,7 @@ class TestReadOnlyServing:
         # The mapped arrays really are read-only...
         ig = loaded.index_graph
         for arr in (ig.cover_ids, ig.indptr, ig.targets, ig.packed.words,
-                    ig.keys(), ig.weights64(), loaded.graph.out_indices):
+                    loaded.graph.out_indices):
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             ig.targets[0] = 0
@@ -359,11 +345,15 @@ class TestReadOnlyServing:
 
 class TestOpenCost:
     def test_open_does_not_materialize_adjacency(self, tmp_path):
-        """The O(header) open must not build the O(n) adjacency lists."""
+        """The O(header) open must not build the O(n) adjacency lists,
+        nor derive any O(|E_I|) view of the stored arrays."""
         g = gnp_digraph(60, 0.08, seed=12)
         loaded = load_mmap(saved(tmp_path, KReachIndex(g, 3)))
         assert loaded._out_lists is None and loaded._in_lists is None
         assert loaded._scalar is None and loaded._keyed_rows is None
+        ig = loaded.index_graph
+        assert ig._keys is None and ig._weights64 is None
+        assert not ig._matrices
         assert loaded.query(0, 1) in (True, False)  # lazily built on use
 
     def test_case1_query_skips_adjacency_build(self, tmp_path):
@@ -386,7 +376,13 @@ class TestOpenCost:
         ig = loaded.index_graph
         bases = {
             id(arr.base)
-            for arr in (ig.cover_ids, ig.targets, ig.keys(), ig.weights64())
+            for arr in (
+                ig.cover_ids,
+                ig.indptr,
+                ig.targets,
+                ig.packed.words,
+                loaded.graph.out_indices,
+            )
         }
         assert len(bases) == 1  # one buffer backs them all...
         raw = ig.cover_ids.base.base  # ...and that buffer is the mapping
