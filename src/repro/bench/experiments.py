@@ -15,6 +15,7 @@ how the (h,k) tradeoff moves sizes and latencies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -98,7 +99,6 @@ class SuiteConfig:
     bfs_queries: int = 1_000  # µ-BFS is orders slower; subsample and scale
     seed: int = 7
     workers: int = 1  # >1 routes k-reach construction through the pool
-    engine: str = "auto"  # query engine for the k-reach batch columns
     serve_workers: tuple[int, ...] = (1, 2, 4, 8)  # pool sizes for 'serve'
     repeat: int = 1  # timings report the median of this many runs
     condense: bool = False  # 'ingest': also SCC-condense + build an index
@@ -238,10 +238,7 @@ def run_table3_4_5(config: SuiteConfig) -> tuple[Table, Table, Table]:
             if label != "n-reach":
                 query_batch = outcome.index.reaches_batch
             else:
-                idx = outcome.index.prepare_batch()
-                query_batch = lambda p, _i=idx: _i.query_batch(
-                    p, engine=config.engine
-                )
+                query_batch = outcome.index.prepare_batch().query_batch
             timing = time_batch_queries(query_batch, pairs)
             row5[label] = fmt_us(timing.us_per_query)
         t3.add_row(row3)
@@ -273,10 +270,7 @@ def run_table6(config: SuiteConfig) -> Table:
             if label != "n-reach":
                 query_batch = outcome.index.reaches_batch
             else:
-                idx = outcome.index.prepare_batch()
-                query_batch = lambda p, _i=idx: _i.query_batch(
-                    p, engine=config.engine
-                )
+                query_batch = outcome.index.prepare_batch().query_batch
             metric_values["query_time"][label] = time_batch_queries(
                 query_batch, pairs
             ).us_per_query
@@ -329,10 +323,7 @@ def run_table7(config: SuiteConfig) -> Table:
                          (mu, "mu-reach"), (None, "n-reach")):
             idx = KReachIndex(g, k, cover=cover).prepare_batch()
             row[label] = fmt_us(
-                time_batch_queries(
-                    lambda p, _i=idx: _i.query_batch(p, engine=config.engine),
-                    pairs,
-                ).us_per_query
+                time_batch_queries(idx.query_batch, pairs).us_per_query
             )
         bfs = BfsIndex(g)
         row["mu-BFS"] = fmt_us(
@@ -489,19 +480,22 @@ def timed_build(g, k, cover, builder: str):
 
 
 def run_throughput(config: SuiteConfig) -> Table:
-    """Bulk-query throughput: scalar loop vs PR-2 batch path vs bitset join.
+    """Bulk-query throughput: scalar loop vs over-gate path vs gated engine.
 
     Not a paper table — this serves the ROADMAP's serving goal.  Every
-    row pushes one workload through three engines that must agree bit for
-    bit: the per-pair scalar loop, the previous batch path ("prev":
-    chunked cross products with the hub spill for k-reach, the memoized
-    Algorithm-3 walk for (h,k)-reach), and the bitset-join engine.  The
-    per-case columns time the bitset engine on each Algorithm-2/3 case
-    subset, exposing where the join pays off (Case 4, and Cases 2–4 for
-    (h,k)-reach).  The HubStress rows run the §1 celebrity×celebrity
-    workload on :func:`~repro.graph.generators.celebrity_crossfire_digraph`,
-    where every pair is an uncovered hub×hub Case 4 — the scenario that
-    used to route through the scalar spill.  The TOTAL row aggregates
+    row pushes one workload three ways that must agree bit for bit: the
+    per-pair scalar loop; ``engine='auto'`` on a twin index built from
+    the same cover with ``bitset_matrix_bytes=0`` ("prev": keyed probes
+    with chunked cross products and the hub spill for k-reach, the
+    memoized Algorithm-3 walk for (h,k)-reach); and ``engine='auto'``
+    under the default memory gate ("bitset": the level stack and the
+    bitset join).  The per-case columns time the gated engine on each
+    Algorithm-2/3 case subset, exposing where the join pays off (Case 4,
+    and Cases 2–4 for (h,k)-reach).  The HubStress rows run the §1
+    celebrity×celebrity workload on
+    :func:`~repro.graph.generators.celebrity_crossfire_digraph`, where
+    every pair is an uncovered hub×hub Case 4 — the scenario that used
+    to route through the scalar spill.  The TOTAL row aggregates
     wall-clock across rows; CI gates ``bitset >= scalar`` on it exactly
     like the build experiment gates blocked vs serial.
     """
@@ -509,49 +503,36 @@ def run_throughput(config: SuiteConfig) -> Table:
         f"Throughput — query engines (scale={config.scale}, "
         f"{config.queries} pairs per row, {config.bfs_queries} for HubStress)",
         ["dataset", "index", "k", "scalar µs/q", "prev µs/q", "bitset µs/q",
-         "native µs/q", "c1 µs", "c2 µs", "c3 µs", "c4 µs", "speedup",
-         "agree"],
+         "c1 µs", "c2 µs", "c3 µs", "c4 µs", "speedup", "agree"],
         caption=(
-            "scalar = per-pair Python loop; prev = the pre-bitset batch "
-            "engine (chunked cross products + hub spill for k-reach, "
-            "memoized scalar walk for (h,k)-reach); bitset = the "
-            "bitset-join engine (auto memory gate); native = the same "
-            "case split preferring the compiled kernel tier (engine="
-            "'native'; equals bitset when numba is absent); cN = bitset "
-            "µs/q on the Case-N subset ('-' when the workload has <10 "
-            "such pairs); speedup = scalar/bitset; agree = all engines "
+            "scalar = per-pair Python loop; prev = engine='auto' on a twin "
+            "index built from the same cover with bitset_matrix_bytes=0 "
+            "(chunked cross products + hub spill for k-reach, memoized "
+            "scalar walk for (h,k)-reach); bitset = engine='auto' under "
+            "the default memory gate (level stack + bitset join); cN = "
+            "bitset µs/q on the Case-N subset ('-' when the workload has "
+            "<10 such pairs); speedup = scalar/bitset; agree = all three "
             "report the same positive count.  The TOTAL row holds total "
-            "milliseconds per engine across all rows."
+            "milliseconds per column across all rows."
         ),
     )
-    totals = {"scalar": 0.0, "prev": 0.0, "bitset": 0.0, "native": 0.0}
+    totals = {"scalar": 0.0, "prev": 0.0, "bitset": 0.0}
     all_agree = True
     repeat = config.repeat
 
-    def add_row(dataset, index_label, k, idx, pairs, prev_engine) -> None:
+    def add_row(dataset, index_label, k, build, pairs) -> None:
+        """Time the index ``build()`` makes and its over-gate twin."""
         nonlocal all_agree
+        idx = build().prepare_batch()
+        twin = build(bitset_matrix_bytes=0).prepare_batch()
         scalar = time_queries(idx.query, pairs, repeat=repeat)
-        prev = time_batch_queries(
-            lambda p: idx.query_batch(p, engine=prev_engine), pairs,
-            repeat=repeat,
-        )
-        bitset = time_batch_queries(
-            lambda p: idx.query_batch(p, engine="auto"), pairs, repeat=repeat
-        )
-        idx.query_batch(pairs[:64], engine="native")  # untimed JIT warm-up
-        native_t = time_batch_queries(
-            lambda p: idx.query_batch(p, engine="native"), pairs,
-            repeat=repeat,
-        )
-        agree = (
-            scalar.positives == prev.positives == bitset.positives
-            == native_t.positives
-        )
+        prev = time_batch_queries(twin.query_batch, pairs, repeat=repeat)
+        bitset = time_batch_queries(idx.query_batch, pairs, repeat=repeat)
+        agree = scalar.positives == prev.positives == bitset.positives
         all_agree &= agree
         totals["scalar"] += scalar.seconds
         totals["prev"] += prev.seconds
         totals["bitset"] += bitset.seconds
-        totals["native"] += native_t.seconds
         row: dict[str, object] = {
             "dataset": dataset,
             "index": index_label,
@@ -559,7 +540,6 @@ def run_throughput(config: SuiteConfig) -> Table:
             "scalar µs/q": fmt_us(scalar.us_per_query),
             "prev µs/q": fmt_us(prev.us_per_query),
             "bitset µs/q": fmt_us(bitset.us_per_query),
-            "native µs/q": fmt_us(native_t.us_per_query),
             "speedup": (
                 f"{scalar.us_per_query / max(bitset.us_per_query, 1e-9):.1f}x"
             ),
@@ -569,11 +549,7 @@ def run_throughput(config: SuiteConfig) -> Table:
         for case in (1, 2, 3, 4):
             sub = pairs[cases == case]
             row[f"c{case} µs"] = (
-                fmt_us(
-                    time_batch_queries(
-                        lambda p: idx.query_batch(p, engine="auto"), sub
-                    ).us_per_query
-                )
+                fmt_us(time_batch_queries(idx.query_batch, sub).us_per_query)
                 if len(sub) >= 10
                 else None
             )
@@ -584,12 +560,18 @@ def run_throughput(config: SuiteConfig) -> Table:
         pairs = config.pairs(name)
         cover = vertex_cover_2approx(g)
         for k in (2, 6, None):
-            idx = KReachIndex(g, k, cover=cover).prepare_batch()
-            add_row(name, "k-reach", k, idx, pairs, "chunked")
+            add_row(
+                name, "k-reach", k, partial(KReachIndex, g, k, cover=cover), pairs
+            )
         cover2 = hhop_vertex_cover(g, 2, prune=False)
         for k in (6, None):
-            hidx = HKReachIndex(g, 2, k, cover=cover2).prepare_batch()
-            add_row(name, "(2,k)-reach", k, hidx, pairs, "scalar")
+            add_row(
+                name,
+                "(2,k)-reach",
+                k,
+                partial(HKReachIndex, g, 2, k, cover=cover2),
+                pairs,
+            )
 
     # The §1 hub×hub stress: brokers form the cover, celebrities stay
     # uncovered, every pair is a Case-4 celebrity×celebrity query.
@@ -605,8 +587,13 @@ def run_throughput(config: SuiteConfig) -> Table:
         brokers, hub.n, size=(config.bfs_queries, 2), dtype=np.int64
     )
     for k in (2, 6, None):
-        idx = KReachIndex(hub, k, cover=hub_cover).prepare_batch()
-        add_row("HubStress", "k-reach", k, idx, hub_pairs, "chunked")
+        add_row(
+            "HubStress",
+            "k-reach",
+            k,
+            partial(KReachIndex, hub, k, cover=hub_cover),
+            hub_pairs,
+        )
 
     table.add_row(
         {
@@ -614,7 +601,6 @@ def run_throughput(config: SuiteConfig) -> Table:
             "scalar µs/q": 1e3 * totals["scalar"],
             "prev µs/q": 1e3 * totals["prev"],
             "bitset µs/q": 1e3 * totals["bitset"],
-            "native µs/q": 1e3 * totals["native"],
             "speedup": (
                 f"{totals['scalar'] / max(totals['bitset'], 1e-9):.1f}x"
             ),
@@ -904,7 +890,7 @@ def run_serve(config: SuiteConfig) -> tuple[Table, Table]:
                             tickets = [_srv.submit(sh) for sh in _shards]
                             return [_srv.collect(t) for t in tickets]
 
-                        parts, pipe_s = timed(pipeline)
+                        parts, pipe_s = best_of(pipeline)
                         agree &= bool(
                             np.array_equal(np.concatenate(parts), reference)
                         )
@@ -1477,8 +1463,8 @@ def run_size(config: SuiteConfig) -> Table:
             g, None, cover=dense.cover, storage="wah"
         ).prepare_batch()
         pwah = PwahIndex(g)
-        ref = dense.query_batch(pairs, engine=config.engine)
-        wah_out = wah.query_batch(pairs, engine=config.engine)
+        ref = dense.query_batch(pairs)
+        wah_out = wah.query_batch(pairs)
         pwah_out = pwah.reaches_batch(pairs)
         agree = bool(
             np.array_equal(ref, wah_out) and np.array_equal(ref, pwah_out)
@@ -1494,16 +1480,10 @@ def run_size(config: SuiteConfig) -> Table:
                 "ratio": f"{dense_b / max(1, wah_b):.1f}x",
                 "pwah B/e": pwah.storage_bytes() / m,
                 "dense µs": fmt_us(
-                    time_batch_queries(
-                        lambda p: dense.query_batch(p, engine=config.engine),
-                        pairs,
-                    ).us_per_query
+                    time_batch_queries(dense.query_batch, pairs).us_per_query
                 ),
                 "wah µs": fmt_us(
-                    time_batch_queries(
-                        lambda p: wah.query_batch(p, engine=config.engine),
-                        pairs,
-                    ).us_per_query
+                    time_batch_queries(wah.query_batch, pairs).us_per_query
                 ),
                 "pwah µs": fmt_us(
                     time_batch_queries(pwah.reaches_batch, pairs).us_per_query

@@ -13,10 +13,10 @@ Usage::
     kreach-bench verify index.kr6 updates.krlog shards/  # checksum audit
 
 Query-timing experiments (Tables 5/7 and ``throughput``) run through the
-vectorized batch engine — ``--engine`` picks which one for the k-reach
-columns (``auto`` / ``bitset`` / ``chunked`` / ``scalar``).
-``throughput`` always compares all engines per row (with per-case
-timings and the scalar-vs-bitset speedup CI gates on), ``dynamic``
+vectorized batch engine (``engine='auto'``).  ``throughput`` races it
+per row against the scalar loop and an over-gate twin index
+(``bitset_matrix_bytes=0``), with per-case timings and the
+scalar-vs-bitset speedup CI gates on; ``dynamic``
 replays churn traces through the snapshot+overlay dynamic engine, the
 scalar dynamic path, and a rebuild-per-batch baseline (CI gates
 overlay >= scalar on the TOTAL row), and ``build`` compares the blocked
@@ -124,21 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "comma-separated QueryServer pool sizes the 'serve' experiment "
             "measures (default 1,2,4,8)"
-        ),
-    )
-    parser.add_argument(
-        "--engine",
-        choices=["auto", "native", "bitset", "chunked", "scalar"],
-        default="auto",
-        help=(
-            "query engine for the k-reach batch columns (Tables 5/6/7): "
-            "'auto' picks the bitset join when its cover-local link matrix "
-            "fits the memory gate and falls back to the chunked cross "
-            "products otherwise; 'native' is the same split preferring the "
-            "compiled kernel tier (numpy fallback when numba is absent); "
-            "'bitset'/'chunked' force one path; 'scalar' loops per pair "
-            "(the differential reference).  The 'throughput' experiment "
-            "always compares all engines"
         ),
     )
     parser.add_argument(
@@ -343,7 +328,6 @@ def main(argv: list[str] | None = None) -> int:
         bfs_queries=args.bfs_queries,
         seed=args.seed,
         workers=args.workers,
-        engine=args.engine,
         serve_workers=serve_workers,
         repeat=max(1, args.repeat),
         condense=args.condense,
@@ -380,7 +364,6 @@ def main(argv: list[str] | None = None) -> int:
                 "bfs_queries": args.bfs_queries,
                 "seed": args.seed,
                 "workers": args.workers,
-                "engine": args.engine,
                 "serve_workers": list(serve_workers),
                 "repeat": max(1, args.repeat),
                 "condense": args.condense,

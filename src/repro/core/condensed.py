@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.batch import as_pair_array
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import Condensation, condensation
 
@@ -96,23 +97,21 @@ class CondensedKReach:
 
     def query(self, s: int, t: int) -> bool:
         """Scalar query through the component mapping."""
+        n = self.graph.n
+        if not 0 <= s < n or not 0 <= t < n:
+            raise ValueError(f"query vertex out of range [0, {n})")
         cs = int(self.cond.component_of[s])
         ct = int(self.cond.component_of[t])
         if cs == ct:
             return True
         return self.index.query(cs, ct)
 
-    def query_batch(self, pairs: np.ndarray, *, engine: str = "auto") -> np.ndarray:
-        """Vectorized batch query; same engines as ``KReachIndex``."""
-        pairs = np.asarray(pairs, dtype=np.int64)
-        if pairs.size == 0:
-            return np.zeros(0, dtype=bool)
-        mapped = self.cond.map_pairs(pairs)
-        out = self.index.query_batch(mapped, engine=engine)
-        same = mapped[:, 0] == mapped[:, 1]
-        if same.any():
-            out = out | same
-        return out
+    def query_batch(self, pairs, *, engine: str = "auto") -> np.ndarray:
+        """Vectorized batch query; same engines and id validation as
+        ``KReachIndex``.  Pairs inside one SCC map to one DAG vertex,
+        which the index answers ``True``."""
+        mapped = self.cond.map_pairs(as_pair_array(pairs, self.graph.n))
+        return self.index.query_batch(mapped, engine=engine)
 
     def prepare_batch(self) -> "CondensedKReach":
         self.index.prepare_batch()

@@ -78,7 +78,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import native
 from repro.bitsets.ops import (
     DEFAULT_MATRIX_BYTES,
     matrix_bytes,
@@ -93,6 +92,7 @@ from repro.core.batch import (
 from repro.core.index_graph import IndexGraph
 from repro.core.kreach import (
     KReachIndex,
+    _check_engine,
     algorithm2_batch,
     level_specs,
     level_within,
@@ -106,8 +106,6 @@ __all__ = ["DynamicKReachIndex", "OP_INSERT", "OP_DELETE"]
 #: array of ``(op, u, v)`` rows (one framed record each in an OpLog).
 OP_INSERT = 0
 OP_DELETE = 1
-
-_ENGINES = ("auto", "native", "bitset", "scalar")
 
 #: Affected-row count at which a deletion repairs through one blocked
 #: bit-parallel MS-BFS over the current graph instead of per-row scalar
@@ -151,7 +149,7 @@ class DynamicKReachIndex:
         n-reach) of ~|S|²/8 bytes each must fit together.  Past it,
         batches probe the keyed three-tier lookup and Case 4 joins
         against the patched ≤k-2 view alone while that fits; past that
-        too, ``engine='auto'`` walks the chunked cross products.
+        too, it walks the chunked cross products.
 
     Examples
     --------
@@ -1059,16 +1057,16 @@ class DynamicKReachIndex:
         views = dict(zip(distinct, self._patched_views(distinct)))
         return [views[spec] for spec in specs]
 
-    def _case4_matrix(self, *, force: bool = False) -> np.ndarray | None:
+    def _case4_matrix(self) -> np.ndarray | None:
         """The patched ≤k-2 view: the level stack's first view when the
         stack fits, else the view alone while it fits
-        :attr:`bitset_matrix_bytes` (``force`` skips that gate), else
-        None.  Cached until the next write."""
+        :attr:`bitset_matrix_bytes`, else None.  Cached until the next
+        write."""
         stack = self._level_stack()
         if stack is not None:
             return stack[0]
         size = len(self._cover)
-        if not force and matrix_bytes(size, size) > self.bitset_matrix_bytes:
+        if matrix_bytes(size, size) > self.bitset_matrix_bytes:
             return None
         return self._patched_views(level_specs(self.k)[:1])[0]
 
@@ -1098,27 +1096,16 @@ class DynamicKReachIndex:
 
         Same batch API contract as the static engine: any ``(m, 2)``
         integer array-like in, an aligned ``(m,)`` bool array out,
-        bit-identical to the scalar :meth:`query` loop.  The vector
-        engines run the static engine's Algorithm-2 body
-        (:func:`~repro.core.kreach.algorithm2_batch`) over the patched
-        CSR, probing the patched level stack while it fits
+        bit-identical to the scalar :meth:`query` loop.
+        ``engine='auto'`` (default) runs the static engine's Algorithm-2
+        body (:func:`~repro.core.kreach.algorithm2_batch`) over the
+        patched CSR, probing the patched level stack while it fits
         :attr:`bitset_matrix_bytes` and the keyed three-tier lookup past
-        it.  ``engine``:
-
-        * ``'auto'`` (default) — Case 4 joins against the patched ≤k-2
-          view while that fits, else walks the chunked cross products.
-        * ``'native'`` — ``'auto'`` with the kernels preferring the
-          compiled tier for this batch (:func:`repro.native.use`);
-          identical answers, numpy fallback when numba is absent.
-        * ``'bitset'`` — force the ≤k-2 view join past the gate.
-        * ``'scalar'`` — a plain per-pair :meth:`query` loop (the
-          differential reference).
+        it; Case 4 joins against the patched ≤k-2 view while that fits,
+        else walks the chunked cross products.  ``engine='scalar'`` is a
+        plain per-pair :meth:`query` loop (the differential reference).
         """
-        if engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
-        if engine == "native":
-            with native.use("auto"):
-                return self.query_batch(pairs, engine="auto")
+        _check_engine(engine)
         self._flush_repairs()
         s, t = as_pair_arrays(pairs, self.n)
         if engine == "scalar":
@@ -1129,7 +1116,7 @@ class DynamicKReachIndex:
             return s == t
         row_pos = self._row_pos()
         within = level_within(self.k, self._level_stack(), row_pos, self._lookup)
-        matrix = self._case4_matrix(force=engine == "bitset")
+        matrix = self._case4_matrix()
         return algorithm2_batch(
             self._graph(), s, t, self._flags(), row_pos, within, matrix, self.query
         )

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import native
 from repro.bitsets.ops import (
     DEFAULT_MATRIX_BYTES,
     and_any,
@@ -70,6 +69,7 @@ from repro.core.index_graph import (
     IndexGraph,
     cover_triples_blocked,
 )
+from repro.core.kreach import _check_engine
 from repro.core.vertex_cover import hhop_vertex_cover, is_hhop_vertex_cover
 from repro.graph.digraph import DiGraph
 from repro.graph.traversal import (
@@ -89,12 +89,10 @@ __all__ = ["HKReachIndex"]
 # repeated endpoints instead of freezing the cache at its first fill.
 _LEVEL_MEMO_CAP = 65_536
 
-# The bitset engine processes Cases 2-4 in slices of this many pairs so
+# The bitset path processes Cases 2-4 in slices of this many pairs so
 # its per-distinct-endpoint bitset blocks stay bounded regardless of the
 # batch size.
 _BITSET_SLICE = 1 << 16
-
-_ENGINES = ("auto", "native", "bitset", "scalar")
 
 
 class HKReachIndex:
@@ -127,10 +125,9 @@ class HKReachIndex:
         cover-local link matrices (up to ``2h`` matrices of ``~|V_H|²/8``
         bytes each; default
         :data:`~repro.bitsets.ops.DEFAULT_MATRIX_BYTES`).  When the
-        stack would exceed it, ``engine='auto'`` batches fall back to
-        the memoized scalar Algorithm-3 walk; ``0`` keeps ``'auto'`` off
-        the bitset path entirely (an explicit ``engine='bitset'`` still
-        forces the matrix builds).
+        stack would exceed it, batches fall back to the memoized scalar
+        Algorithm-3 walk; ``0`` keeps the batch engine off the bitset
+        path entirely.
 
     Examples
     --------
@@ -430,7 +427,7 @@ class HKReachIndex:
         )
 
     def _bitset_budgets(self) -> list[int | None]:
-        """The distinct link budgets the bitset engine joins against.
+        """The distinct link budgets the bitset path joins against.
 
         One cover-local matrix is built per budget: ``k - j`` for the
         Case-2/3 levels and every non-negative ``k - i - j`` Case 4 can
@@ -480,45 +477,39 @@ class HKReachIndex:
         out-of-range ids.
 
         Algorithm 3's case split is vectorized over the cover flags and
-        Case 1 resolves through one bulk sorted-key gather.  Cases 2–4
-        depend on ``engine``:
+        Case 1 resolves through one bulk sorted-key gather.
+        ``engine='auto'`` (default) then takes one of two paths for
+        Cases 2–4, picked by :attr:`bitset_matrix_bytes`:
 
-        * ``'bitset'`` (the ``'auto'`` default when the per-budget link
-          matrices fit :attr:`bitset_matrix_bytes`) — 64-source
-          bit-parallel ball expansion over the batch's distinct
-          endpoints: one blocked sweep answers every direct-contact test
-          at its exact hop checkpoint and collects per-endpoint
-          cover-contact bitsets, which then resolve the index joins as
-          word-wise AND tests against the per-budget matrix rows.  No
-          per-pair Python walk remains.
-        * ``'scalar'`` — the per-pair Algorithm-3 walk with the shared
-          FIFO level-expansion memo (the differential reference, and the
-          ``'auto'`` fallback for covers too large for the matrices).
+        * the per-budget link matrices fit — 64-source bit-parallel ball
+          expansion over the batch's distinct endpoints: one blocked
+          sweep answers every direct-contact test at its exact hop
+          checkpoint and collects per-endpoint cover-contact bitsets,
+          which then resolve the index joins as word-wise AND tests
+          against the per-budget matrix rows.  No per-pair Python walk
+          remains.
+        * else — the per-pair Algorithm-3 walk with the shared FIFO
+          level-expansion memo.
 
-        The non-scalar engines deduplicate repeated (s, t) pairs and
-        group the distinct pairs by case code before the kernels run
+        ``'auto'`` deduplicates repeated (s, t) pairs and groups the
+        distinct pairs by case code before the kernels run
         (:func:`~repro.core.batch.coalesce_pairs`), scattering verdicts
-        back to input order; the scalar walk keeps the raw pair stream
-        (its level memo already amortizes repeats).
+        back to input order.  ``engine='scalar'`` is the memoized walk
+        over the raw pair stream (its level memo already amortizes
+        repeats) — the differential reference.
         """
-        if engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
-        if engine == "native":
-            # Prefer the compiled kernel tier for this batch; identical
-            # answers, numpy fallback when numba is absent.
-            with native.use("auto"):
-                return self.query_batch(pairs, engine="auto")
+        _check_engine(engine)
         s, t = as_pair_arrays(pairs, self.graph.n)
         m = len(s)
         if m == 0:
             return np.zeros(0, dtype=bool)
-        if engine != "scalar":
-            codes = case_codes(self._in_cover[s], self._in_cover[t])
-            # As in KReachIndex.query_batch: kernels always see the
-            # deduplicated, case-grouped pairs.
-            us, ut, inverse = coalesce_pairs(s, t, self.graph.n, codes=codes)
-            return self._query_batch_arrays(us, ut, engine)[inverse]
-        return self._query_batch_arrays(s, t, engine)
+        if engine == "scalar":
+            return self._query_batch_arrays(s, t, engine)
+        codes = case_codes(self._in_cover[s], self._in_cover[t])
+        # As in KReachIndex.query_batch: kernels always see the
+        # deduplicated, case-grouped pairs.
+        us, ut, inverse = coalesce_pairs(s, t, self.graph.n, codes=codes)
+        return self._query_batch_arrays(us, ut, engine)[inverse]
 
     def _query_batch_arrays(
         self, s: np.ndarray, t: np.ndarray, engine: str
@@ -543,9 +534,7 @@ class HKReachIndex:
         rest = np.flatnonzero(undecided & ~(s_in & t_in))
         if not len(rest):
             return out
-        if engine == "auto":
-            engine = "bitset" if self._bitset_ready() else "scalar"
-        if engine == "scalar":
+        if engine == "scalar" or not self._bitset_ready():
             # Per-pair Algorithm-3 walk with shared level memo.
             memo: dict = {}
             for j in rest.tolist():

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import faults, native
+from repro import faults
 from repro.bitsets.ops import DEFAULT_MATRIX_BYTES, probe_bits
 from repro.bitsets.packed import PackedIntArray
 from repro.core.batch import (
@@ -75,7 +75,16 @@ from repro.graph.scc import condensation
 __all__ = ["KReachIndex", "algorithm2_batch", "level_specs", "level_within"]
 
 _BUILDERS = ("blocked", "serial")
-_ENGINES = ("auto", "native", "bitset", "chunked", "scalar")
+#: The batch engine names every in-process answerer accepts: the one
+#: vector engine (its path picked by ``bitset_matrix_bytes``) and the
+#: per-pair reference loop.
+_ENGINES = ("auto", "scalar")
+
+
+def _check_engine(engine: str) -> None:
+    """Raise :class:`ValueError` unless ``engine`` is in :data:`_ENGINES`."""
+    if engine not in _ENGINES:
+        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
 
 
 class KReachIndex:
@@ -116,10 +125,8 @@ class KReachIndex:
         is a bit load and Case 4 is a bitset join.  Past that, batches
         probe the keyed row store, and Case 4 still takes the bitset
         join while its one link matrix fits; covers too large even for
-        that make ``engine='auto'`` fall back to the chunked
-        cross-product engine.  ``0`` keeps ``'auto'`` off every bit view
-        (an explicit ``engine='bitset'`` still forces the Case-4 matrix
-        build).
+        that fall back to the chunked cross products.  ``0`` keeps the
+        batch engine off every bit view.
     rng:
         Randomness for ``cover_strategy='random'``.
 
@@ -631,52 +638,40 @@ class KReachIndex:
 
         Input is any ``(m, 2)`` integer array-like; output an ``(m,)``
         bool array with ``out[i] == self.query(pairs[i][0], pairs[i][1])``
-        (see the class docstring for the full batch API contract).  All
-        engines return bit-identical answers.
+        (see the class docstring for the full batch API contract).
 
-        Algorithm 2's case split is evaluated over the cover-membership
-        flags of all pairs at once.  The cases probe three nested link
-        levels: Case 1 asks for any stored link ``(s, t)``, Cases 2/3
-        for a link within k-1 from ``s`` to an in-neighbor of ``t`` (or
-        from an out-neighbor of ``s`` to ``t``, gathered from the CSR),
-        and Case 4 bridges within k-2.  When the three cover-position
-        bit views fit :attr:`bitset_matrix_bytes` together (dense
-        storage only), each Case-1–3 probe is one word load from its
-        view and Case 4 runs the bitset join on the k-2 view.  Past that
-        ceiling, with ``storage='wah'``, and with ``engine='chunked'``
-        the probes are sorted-key lookups in the row store instead.
-        ``engine`` selects:
+        ``engine='auto'`` (default) is the vector engine.  Algorithm 2's
+        case split is evaluated over the cover-membership flags of all
+        pairs at once.  The cases probe three nested link levels: Case 1
+        asks for any stored link ``(s, t)``, Cases 2/3 for a link within
+        k-1 from ``s`` to an in-neighbor of ``t`` (or from an
+        out-neighbor of ``s`` to ``t``, gathered from the CSR), and
+        Case 4 bridges within k-2.  :attr:`bitset_matrix_bytes` picks
+        the path, with identical answers on each:
 
-        * ``'auto'`` (default) — the level stack when it fits; otherwise
-          keyed probes, with the Case-4 bitset join when its one link
-          matrix fits :attr:`bitset_matrix_bytes`, else the chunked
-          engine.
-        * ``'native'`` — same as ``'auto'``, but the kernels prefer the
-          compiled tier for this batch (:func:`repro.native.use`);
-          identical answers, and a plain ``'auto'`` run when numba is
-          absent.
-        * ``'bitset'`` — as ``'auto'``, but Case 4 always takes the
-          bitset join: per-pair verdicts become word-wise AND-any tests
-          against per-endpoint cover bitsets; no cross product is
-          materialized and no pair ever takes the hub-spill path.
-        * ``'chunked'`` — keyed probes, and the chunked
-          ``outNei(s) × inNei(t)`` cross products with the scalar
-          early-exit spill for hub×hub pairs (the pre-bitset engine,
-          kept for benchmarks/differential tests).
-        * ``'scalar'`` — a plain per-pair :meth:`query` loop (the
-          differential reference).
+        * the three cover-position bit views fit together (dense storage
+          only): each Case-1–3 probe is one word load from its view and
+          Case 4 is a bitset join on the ≤k-2 view — per-pair verdicts
+          are word-wise AND-any tests, with no cross product and no hub
+          spill;
+        * else (and always with ``storage='wah'``) the probes are
+          sorted-key lookups in the row store, and Case 4 keeps the
+          bitset join while its one link matrix fits;
+        * else Case 4 walks the chunked ``outNei(s) × inNei(t)`` cross
+          products, spilling hub×hub pairs to the early-exiting scalar
+          walk.
 
-        Before the kernels run, the vector engines deduplicate repeated
-        (s, t) pairs and group the distinct pairs by Algorithm-2 case
+        Before the kernels run, the vector engine deduplicates repeated
+        (s, t) pairs and groups the distinct pairs by Algorithm-2 case
         code (:func:`~repro.core.batch.coalesce_pairs`), scattering the
         verdicts back to input order — a repeated-pair-heavy workload
-        pays each kernel once per *distinct* pair.
+        pays each kernel once per *distinct* pair.  The kernel tier
+        (numpy or compiled) is :mod:`repro.native`'s choice.
+
+        ``engine='scalar'`` is a plain per-pair :meth:`query` loop, the
+        differential reference.
         """
-        if engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
-        if engine == "native":
-            with native.use("auto"):
-                return self.query_batch(pairs, engine="auto")
+        _check_engine(engine)
         g = self.graph
         s, t = as_pair_arrays(pairs, g.n)
         m = len(s)
@@ -694,20 +689,15 @@ class KReachIndex:
         # the sort is the dedup check anyway, so the grouping is free,
         # and the O(m) inverse scatter is noise next to the kernels.
         us, ut, inverse = coalesce_pairs(s, t, g.n, codes=codes)
-        return self._query_batch_arrays(us, ut, engine)[inverse]
+        return self._query_batch_arrays(us, ut)[inverse]
 
-    def _query_batch_arrays(
-        self, s: np.ndarray, t: np.ndarray, engine: str
-    ) -> np.ndarray:
-        """The vector engines over validated (s, t) columns (see
+    def _query_batch_arrays(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The vector engine over validated (s, t) columns (see
         :meth:`query_batch`)."""
         if self.k == 0:
             return s == t
         row_pos = self._ig.row_pos()
-        stack, matrix = None, None
-        if engine != "chunked":
-            stack = self._level_stack()
-            matrix = self._case4_matrix(force=engine == "bitset")
+        stack, matrix = self._level_stack(), self._case4_matrix()
         within = level_within(
             self.k, stack, row_pos, lambda u, v: self._keyed().lookup(u, v)
         )
@@ -715,7 +705,7 @@ class KReachIndex:
             self.graph, s, t, self._flags(), row_pos, within, matrix, self.query
         )
 
-    def _case4_matrix(self, *, force: bool = False) -> np.ndarray | None:
+    def _case4_matrix(self) -> np.ndarray | None:
         """The Case-4 link matrix, or None when it exceeds the memory gate.
 
         The ≤k-2 view of :func:`level_specs` (so the cached level-stack
@@ -726,7 +716,7 @@ class KReachIndex:
         Built lazily and cached on the :class:`IndexGraph`.
         """
         ig = self._ig
-        if not force and ig.link_matrix_bytes() > self.bitset_matrix_bytes:
+        if ig.link_matrix_bytes() > self.bitset_matrix_bytes:
             return None
         budget, diagonal = level_specs(self.k)[0]
         return ig.link_matrix(budget, diagonal=diagonal)

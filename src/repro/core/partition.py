@@ -54,7 +54,7 @@ import numpy as np
 from repro.bitsets import ops
 from repro.core.batch import as_pair_arrays
 from repro.core.index_graph import IndexGraph
-from repro.core.kreach import KReachIndex
+from repro.core.kreach import KReachIndex, _check_engine
 from repro.core.vertex_cover import vertex_cover_2approx
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import condensation
@@ -395,6 +395,7 @@ class ShardedKReach:
 
     def query_batch(self, pairs, *, engine: str = "auto") -> np.ndarray:
         """Batch verdicts in input order, bit-identical to the global index."""
+        _check_engine(engine)
         s, t = as_pair_arrays(pairs, self.n)
         out = np.zeros(len(s), dtype=bool)
         owner = self.route(s, t)

@@ -71,7 +71,7 @@ workers).
 
 Differential guarantee: ``server.query_batch(pairs)`` is bit-identical
 to the in-process ``load_mmap(path).query_batch(pairs)`` for every
-engine and worker count, for both servers (pinned by
+worker count, for both servers (pinned by
 ``tests/core/test_serve.py`` / ``tests/core/test_thread_serve.py``).
 """
 
@@ -91,7 +91,6 @@ import numpy as np
 
 from repro import faults, native
 from repro.core.batch import as_pair_arrays, case_codes
-from repro.core.kreach import _ENGINES
 
 __all__ = [
     "QueryServer",
@@ -191,7 +190,6 @@ def _worker_main(
     raw_out,
     task_r,
     result_w,
-    engine,
     prepare,
     kernel_threads,
 ):
@@ -238,7 +236,7 @@ def _worker_main(
             break  # parent vanished; exit quietly
         if msg is None:
             break
-        slot, count, eng = msg
+        slot, count = msg
         # Shard-progress heartbeat: the parent's watchdog distinguishes
         # "computing" from "hung" by the age of the latest beat.
         send("start", slot)
@@ -246,10 +244,7 @@ def _worker_main(
             if faults.ENABLED:
                 faults.fire("serve.worker_exit")  # os._exit, like an OOM kill
                 faults.fire("serve.worker_hang")  # park for the watchdog
-            verdicts = index.query_batch(
-                pairs_view[slot, :count], engine=eng or engine
-            )
-            out_view[slot, :count] = verdicts
+            out_view[slot, :count] = index.query_batch(pairs_view[slot, :count])
             send("done", slot)
         except BaseException:
             send(
@@ -343,15 +338,11 @@ class _Worker:
         self.process = None
         self.generation = -1
         self.free_slots: list[int] = list(range(slots))
-        # slot -> (ticket, positions, engine, attempts); shards
-        # re-dispatched (attempts + 1) on a restart, failed past the cap.
-        self.inflight: dict[
-            int, tuple[_Ticket, np.ndarray, str | None, int]
-        ] = {}
-        # (ticket, positions, engine, attempts) awaiting a free slot.
-        self.backlog: deque[tuple[_Ticket, np.ndarray, str | None, int]] = (
-            deque()
-        )
+        # slot -> (ticket, positions, attempts); shards re-dispatched
+        # (attempts + 1) on a restart, failed past the cap.
+        self.inflight: dict[int, tuple[_Ticket, np.ndarray, int]] = {}
+        # (ticket, positions, attempts) awaiting a free slot.
+        self.backlog: deque[tuple[_Ticket, np.ndarray, int]] = deque()
         self.reviving = False
         self.last_beat = 0.0  # monotonic time of the latest heartbeat
         self.strikes = 0  # consecutive revivals without a completed shard
@@ -370,10 +361,6 @@ class QueryServer:
     workers:
         Pool size.  Throughput scales with cores until the memory bus
         saturates; 1 is a valid (supervised, out-of-process) deployment.
-    engine:
-        Default engine workers pass to
-        :meth:`~repro.core.kreach.KReachIndex.query_batch`; individual
-        calls may override it.
     slot_pairs:
         Capacity of one shared-memory slot.  Batches larger than one
         slot are sharded transparently; bigger slots amortize dispatch,
@@ -428,7 +415,6 @@ class QueryServer:
         path,
         *,
         workers: int = 2,
-        engine: str = "auto",
         slot_pairs: int = DEFAULT_SLOT_PAIRS,
         slots_per_worker: int = DEFAULT_SLOTS_PER_WORKER,
         prepare: bool = True,
@@ -450,12 +436,9 @@ class QueryServer:
             raise ValueError(
                 f"slots_per_worker must be >= 1, got {slots_per_worker}"
             )
-        if engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
         from repro.core.serialize import load_mmap
 
         self._path = os.fspath(path)
-        self._engine = engine
         self._slot_pairs = int(slot_pairs)
         self._slots = int(slots_per_worker)
         self._prepare = bool(prepare)
@@ -529,7 +512,6 @@ class QueryServer:
                 w.raw_out,
                 task_r,
                 result_w,
-                self._engine,
                 self._prepare,
                 native.thread_budget(len(self._workers)),
             ),
@@ -641,13 +623,11 @@ class QueryServer:
             process.kill()
             process.join(timeout=1.0)
 
-    def _run_local(self, ticket: _Ticket, positions, eng) -> None:
+    def _run_local(self, ticket: _Ticket, positions) -> None:
         """Serve one shard on the parent's own index view (degraded mode)."""
         try:
             pairs = np.column_stack((ticket.s[positions], ticket.t[positions]))
-            ticket.out[positions] = self._index.query_batch(
-                pairs, engine=eng or self._engine
-            )
+            ticket.out[positions] = self._index.query_batch(pairs)
         except BaseException:
             ticket.error = (
                 ticket.error or traceback.format_exc()[-_MAX_ERROR_CHARS:]
@@ -669,12 +649,12 @@ class QueryServer:
         self._watchdog_stop.set()
         for w in self._workers:
             for slot in sorted(w.inflight):
-                ticket, positions, eng, _ = w.inflight.pop(slot)
-                w.backlog.appendleft((ticket, positions, eng, 0))
+                ticket, positions, _ = w.inflight.pop(slot)
+                w.backlog.appendleft((ticket, positions, 0))
             w.free_slots = list(range(self._slots))
             while w.backlog:
-                ticket, positions, eng, _ = w.backlog.popleft()
-                self._run_local(ticket, positions, eng)
+                ticket, positions, _ = w.backlog.popleft()
+                self._run_local(ticket, positions)
             self._reap(w, grace=0.1)
             for conn in (w.task_w, w.result_r):
                 if conn is not None:
@@ -720,7 +700,7 @@ class QueryServer:
             # its ticket instead — it is the likely worker-killer, and
             # requeueing it forever would revive workers in a loop.
             for slot in sorted(w.inflight):
-                ticket, positions, eng, attempts = w.inflight.pop(slot)
+                ticket, positions, attempts = w.inflight.pop(slot)
                 if attempts >= _MAX_SHARD_RETRIES:
                     ticket.error = ticket.error or (
                         f"shard of {len(positions)} pairs was re-dispatched "
@@ -728,9 +708,7 @@ class QueryServer:
                     )
                     ticket.remaining -= 1
                 else:
-                    w.backlog.appendleft(
-                        (ticket, positions, eng, attempts + 1)
-                    )
+                    w.backlog.appendleft((ticket, positions, attempts + 1))
             w.free_slots = list(range(self._slots))
             if (
                 self._max_restarts is not None
@@ -797,8 +775,8 @@ class QueryServer:
         """
         if self._degraded:
             while w.backlog:
-                ticket, positions, eng, _ = w.backlog.popleft()
-                self._run_local(ticket, positions, eng)
+                ticket, positions, _ = w.backlog.popleft()
+                self._run_local(ticket, positions)
             return
         if w.reviving:
             return  # _revive re-dispatches once the new generation is up
@@ -810,20 +788,20 @@ class QueryServer:
             self._revive(w)  # _revive re-enters _dispatch on the new process
             return
         while w.free_slots and w.backlog:
-            ticket, positions, eng, attempts = w.backlog.popleft()
+            ticket, positions, attempts = w.backlog.popleft()
             slot = w.free_slots.pop()
             count = len(positions)
             w.in_view[slot, :count, 0] = ticket.s[positions]
             w.in_view[slot, :count, 1] = ticket.t[positions]
-            w.inflight[slot] = (ticket, positions, eng, attempts)
+            w.inflight[slot] = (ticket, positions, attempts)
             try:
-                w.task_w.send((slot, count, eng))
+                w.task_w.send((slot, count))
             except (OSError, ValueError):
                 # Died between the liveness check and the send: roll the
                 # shard back and restart the worker.
                 del w.inflight[slot]
                 w.free_slots.append(slot)
-                w.backlog.appendleft((ticket, positions, eng, attempts))
+                w.backlog.appendleft((ticket, positions, attempts))
                 self._revive(w)
                 return
 
@@ -850,7 +828,7 @@ class QueryServer:
         if kind in ("done", "task_error"):
             w.strikes = 0  # completed a shard: the crash-loop backoff resets
             slot, error = (detail, None) if kind == "done" else detail
-            ticket, positions, _, _ = w.inflight.pop(slot)
+            ticket, positions, _ = w.inflight.pop(slot)
             count = len(positions)
             if error is None:
                 ticket.out[positions] = w.out_view[slot, :count] != 0
@@ -897,7 +875,6 @@ class QueryServer:
         self,
         pairs,
         *,
-        engine: str | None = None,
         timeout: float | None = None,
         deadline: float | None = None,
     ) -> int:
@@ -914,8 +891,6 @@ class QueryServer:
         own bound, whichever is tighter.
         """
         self._check_open()
-        if engine is not None and engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
         s, t = as_pair_arrays(pairs, self._n)
         ticket = _Ticket(
             self._next_ticket, s, t, _resolve_deadline(timeout, deadline)
@@ -925,21 +900,14 @@ class QueryServer:
         if len(s):
             if self._degraded:
                 ticket.remaining = 1
-                self._run_local(
-                    ticket, np.arange(len(s), dtype=np.int64), engine
-                )
+                self._run_local(ticket, np.arange(len(s), dtype=np.int64))
             else:
                 flags = self._index._flags()
                 shares = self._shard(case_codes(flags[s], flags[t]))
                 for w, share in zip(self._workers, shares):
                     for start in range(0, len(share), self._slot_pairs):
                         w.backlog.append(
-                            (
-                                ticket,
-                                share[start : start + self._slot_pairs],
-                                engine,
-                                0,
-                            )
+                            (ticket, share[start : start + self._slot_pairs], 0)
                         )
                         ticket.remaining += 1
                     self._dispatch(w)
@@ -998,7 +966,6 @@ class QueryServer:
         self,
         pairs,
         *,
-        engine: str | None = None,
         timeout: float | None = None,
         deadline: float | None = None,
     ) -> np.ndarray:
@@ -1006,11 +973,11 @@ class QueryServer:
 
         Bit-identical to the in-process
         :meth:`~repro.core.kreach.KReachIndex.query_batch` on the same
-        file, for every engine and worker count.  ``timeout`` /
-        ``deadline`` bound the round-trip (:class:`QueryTimeout`).
+        file, for every worker count.  ``timeout`` / ``deadline`` bound
+        the round-trip (:class:`QueryTimeout`).
         """
         return self.collect(
-            self.submit(pairs, engine=engine, timeout=timeout, deadline=deadline)
+            self.submit(pairs, timeout=timeout, deadline=deadline)
         )
 
     # ------------------------------------------------------------------
@@ -1125,7 +1092,7 @@ class ThreadQueryServer:
     Same ``submit`` / ``collect`` / ``query_batch`` / ``stats`` /
     context-manager API as :class:`QueryServer`, so benchmarks and
     examples can swap the two; verdicts are bit-identical to the
-    in-process index for every engine and worker count.
+    in-process index for every worker count.
 
     Parameters
     ----------
@@ -1133,9 +1100,6 @@ class ThreadQueryServer:
         A file written by :func:`~repro.core.serialize.save_mmap`.
     workers:
         Thread-pool size.
-    engine:
-        Default engine for :meth:`~repro.core.kreach.KReachIndex.query_batch`;
-        individual calls may override it.
     shard_pairs:
         Maximum pairs per queued sub-batch.  Batches larger than one
         shard per worker split further so :meth:`submit` pipelines.
@@ -1164,7 +1128,6 @@ class ThreadQueryServer:
         path,
         *,
         workers: int = 2,
-        engine: str = "auto",
         shard_pairs: int = DEFAULT_SLOT_PAIRS,
         prepare: bool = True,
     ) -> None:
@@ -1172,12 +1135,9 @@ class ThreadQueryServer:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if shard_pairs < 1:
             raise ValueError(f"shard_pairs must be >= 1, got {shard_pairs}")
-        if engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
         from repro.core.serialize import load_mmap
 
         self._path = os.fspath(path)
-        self._engine = engine
         self._shard_pairs = int(shard_pairs)
         # One address space: pin the shared kernel-thread budget before
         # any kernel (and hence numba's thread pool) starts.
@@ -1225,7 +1185,7 @@ class ThreadQueryServer:
             task = self._tasks.get()
             if task is None:
                 return
-            ticket, positions, eng = task
+            ticket, positions = task
             error = None
             try:
                 # Only the hang site fires here: thread workers share the
@@ -1237,12 +1197,9 @@ class ThreadQueryServer:
                 pairs = np.column_stack(
                     (ticket.s[positions], ticket.t[positions])
                 )
-                verdicts = self._index.query_batch(
-                    pairs, engine=eng or self._engine
-                )
                 # Disjoint positions per shard: no write overlaps a
                 # sibling thread's, so no lock is needed for the scatter.
-                ticket.out[positions] = verdicts
+                ticket.out[positions] = self._index.query_batch(pairs)
             except BaseException:
                 error = traceback.format_exc()[-_MAX_ERROR_CHARS:]
             with self._cond:
@@ -1262,7 +1219,6 @@ class ThreadQueryServer:
         self,
         pairs,
         *,
-        engine: str | None = None,
         timeout: float | None = None,
         deadline: float | None = None,
     ) -> int:
@@ -1275,8 +1231,6 @@ class ThreadQueryServer:
         ``collect`` honors (see :class:`QueryTimeout`).
         """
         self._check_open()
-        if engine is not None and engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
         s, t = as_pair_arrays(pairs, self._n)
         ticket = _Ticket(
             self._next_ticket, s, t, _resolve_deadline(timeout, deadline)
@@ -1298,7 +1252,7 @@ class ThreadQueryServer:
             # finishes instantly must not see remaining hit zero early.
             ticket.remaining = len(chunks)
             for chunk in chunks:
-                self._tasks.put((ticket, chunk, engine))
+                self._tasks.put((ticket, chunk))
         self.pairs_served += len(s)
         return ticket.id
 
@@ -1349,7 +1303,6 @@ class ThreadQueryServer:
         self,
         pairs,
         *,
-        engine: str | None = None,
         timeout: float | None = None,
         deadline: float | None = None,
     ) -> np.ndarray:
@@ -1357,11 +1310,11 @@ class ThreadQueryServer:
 
         Bit-identical to the in-process
         :meth:`~repro.core.kreach.KReachIndex.query_batch` on the same
-        file, for every engine and worker count.  ``timeout`` /
-        ``deadline`` bound the round-trip (:class:`QueryTimeout`).
+        file, for every worker count.  ``timeout`` / ``deadline`` bound
+        the round-trip (:class:`QueryTimeout`).
         """
         return self.collect(
-            self.submit(pairs, engine=engine, timeout=timeout, deadline=deadline)
+            self.submit(pairs, timeout=timeout, deadline=deadline)
         )
 
     # ------------------------------------------------------------------

@@ -73,8 +73,6 @@ class ShardedQueryServer:
         :class:`ThreadQueryServer` pools (zero IPC — the right choice on
         the compiled-kernel tier, or when shards are the only
         parallelism wanted).
-    engine:
-        Default engine for the pools; per-call ``engine=`` overrides.
     server_kwargs:
         Extra keyword arguments forwarded to every pool constructor
         (e.g. ``hang_timeout=``, ``max_restarts=`` for the process
@@ -87,7 +85,6 @@ class ShardedQueryServer:
         *,
         workers: int = 1,
         backend: str = "process",
-        engine: str = "auto",
         verify: bool = False,
         server_kwargs: dict | None = None,
     ) -> None:
@@ -105,7 +102,6 @@ class ShardedQueryServer:
         self.cross_pairs = 0
         kwargs = dict(server_kwargs or {})
         kwargs.setdefault("workers", workers)
-        kwargs.setdefault("engine", engine)
         cls = QueryServer if backend == "process" else ThreadQueryServer
         self.servers: list = []
         try:
@@ -144,7 +140,6 @@ class ShardedQueryServer:
         self,
         pairs,
         *,
-        engine: str | None = None,
         timeout: float | None = None,
         deadline: float | None = None,
     ) -> int:
@@ -174,7 +169,7 @@ class ShardedQueryServer:
                 ],
                 axis=1,
             )
-            sub = server.submit(local, engine=engine, deadline=bound)
+            sub = server.submit(local, deadline=bound)
             ticket.parts.append((i, sub, positions))
         cross = np.flatnonzero(owner < 0)
         if len(cross):
@@ -219,13 +214,11 @@ class ShardedQueryServer:
         self,
         pairs,
         *,
-        engine: str | None = None,
         timeout: float | None = None,
         deadline: float | None = None,
     ) -> np.ndarray:
         """Scatter + gather in one call."""
-        ticket = self.submit(pairs, engine=engine, timeout=timeout, deadline=deadline)
-        return self.collect(ticket)
+        return self.collect(self.submit(pairs, timeout=timeout, deadline=deadline))
 
     # ------------------------------------------------------- management
 

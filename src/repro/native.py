@@ -12,9 +12,9 @@ them:
   numpy otherwise), ``numba`` (require the compiled tier; raise if numba
   is missing), ``numpy`` (pin the baseline), or ``python`` (run the
   kernel bodies uncompiled — the tier the differential tests use to pin
-  the exact code numba would compile, without needing numba).  Per call,
-  ``query_batch(..., engine='native')`` prefers the compiled tier for
-  that batch regardless of the environment via :func:`use`.
+  the exact code numba would compile, without needing numba).  Per
+  thread, ``with native.use('auto'):`` prefers the compiled tier for
+  the calls inside the block regardless of the environment.
 * **Fail-safe compilation.**  Kernels compile lazily, once, on first use
   of the numba tier — and every compiled kernel is validated against its
   numpy twin on a smoke input before it is ever trusted.  A kernel whose
@@ -191,10 +191,12 @@ def active() -> str:
 def use(tier: str):
     """Force a tier for the current thread within a ``with`` block.
 
-    ``use('auto')`` is how ``engine='native'`` prefers the compiled tier
-    for one batch regardless of the environment; ``use('numpy')`` /
+    ``use('auto')`` prefers the compiled tier for the calls inside the
+    block regardless of the environment; ``use('numpy')`` /
     ``use('python')`` pin a baseline (the differential tests and the
-    benchmark's numpy column).  A forced ``'numba'`` without numba falls
+    benchmark's numpy column).  The override is thread-local; set
+    :data:`ENV_VAR` to pick the tier of the serving pools' worker
+    threads and processes.  A forced ``'numba'`` without numba falls
     back to numpy instead of raising — per-call preference is advisory,
     only the environment variable is a hard requirement.
 

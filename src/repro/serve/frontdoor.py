@@ -76,11 +76,11 @@ class FrontDoor:
     Parameters
     ----------
     server:
-        Any pool with ``query_batch(pairs, engine=...)`` and
-        ``stats()`` — sharded or single.  When it also exposes ``n``
-        (all three server classes do), each request's vertex ids are
-        range-checked against it before the request joins a batch, so
-        one bad request cannot fail the other riders of its batch.
+        Any pool with ``query_batch(pairs)`` and ``stats()`` — sharded
+        or single.  When it also exposes ``n`` (all three server classes
+        do), each request's vertex ids are range-checked against it
+        before the request joins a batch, so one bad request cannot fail
+        the other riders of its batch.
     max_batch:
         Stop adding queued requests to a batch once it holds this many
         pairs; the rest ride the next flush.
@@ -88,8 +88,6 @@ class FrontDoor:
         LRU answer-cache capacity in pairs (0 disables caching).
     max_backlog:
         Admission-control bound on enqueued-but-unflushed pairs.
-    engine:
-        Engine override forwarded to the pool.
     """
 
     def __init__(
@@ -99,7 +97,6 @@ class FrontDoor:
         max_batch: int = 8192,
         cache_pairs: int = 65536,
         max_backlog: int = 65536,
-        engine: str | None = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -110,7 +107,6 @@ class FrontDoor:
         self._max_batch = int(max_batch)
         self._cache_cap = int(cache_pairs)
         self._max_backlog = int(max_backlog)
-        self._engine = engine
         self._queue: asyncio.Queue = asyncio.Queue()
         self._batcher_task: asyncio.Task | None = None
         self._http_server: asyncio.AbstractServer | None = None
@@ -268,9 +264,7 @@ class FrontDoor:
         self.batches += 1
         self.batched_pairs += total
         try:
-            verdicts = await asyncio.to_thread(
-                self._server.query_batch, pairs, engine=self._engine
-            )
+            verdicts = await asyncio.to_thread(self._server.query_batch, pairs)
         except BaseException as exc:  # propagate to every rider
             for req in batch:
                 if not req.future.done():
@@ -408,7 +402,10 @@ class FrontDoor:
             return 200, self.metrics()
         if method == "POST" and path == "/query":
             try:
-                pairs = json.loads(body.decode("utf-8"))["pairs"]
+                request = json.loads(body.decode("utf-8"))
+                if not isinstance(request, dict):
+                    raise ValueError("body must be a JSON object")
+                pairs = request["pairs"]
                 if not isinstance(pairs, list):
                     raise ValueError("pairs must be a list")
             except (ValueError, KeyError, UnicodeDecodeError) as exc:

@@ -8,6 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.core.kreach import KReachIndex
 from repro.core.serialize import _MMAP_PROLOGUE
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
@@ -80,6 +81,28 @@ def all_pairs(g: DiGraph):
     for s in range(g.n):
         for t in range(g.n):
             yield s, t
+
+
+def vector_gate(index: KReachIndex, path: str) -> int:
+    """The ``bitset_matrix_bytes`` that steers ``engine='auto'`` over
+    ``index``'s cover off the level stack: ``'bitset'`` keeps the
+    one-view Case-4 bitset join under keyed probes (for n-reach the
+    stack *is* one view, so it stays), ``'chunked'`` takes the chunked
+    cross products and the hub spill.  The default gate keeps the
+    stack whenever it fits."""
+    return {"bitset": index.index_graph.link_matrix_bytes(), "chunked": 0}[path]
+
+
+def gated_twin(index: KReachIndex, path: str) -> KReachIndex:
+    """``index`` rebuilt over the same cover and storage, gated onto
+    ``path`` (see :func:`vector_gate`)."""
+    return KReachIndex(
+        index.graph,
+        index.k,
+        cover=index.cover,
+        storage=index.index_graph.storage,
+        bitset_matrix_bytes=vector_gate(index, path),
+    )
 
 
 def tampered_header(path, out_path, mutate):

@@ -29,6 +29,7 @@ from repro.graph.generators import (
     star_graph,
 )
 from repro.graph.traversal import bidirectional_reaches_within
+from tests.conftest import gated_twin
 
 K_VALUES = [1, 2, 3, 5, 6, None]
 
@@ -195,10 +196,11 @@ class TestDeduplicatedDispatch:
         for k in (2, 6, None):
             idx = KReachIndex(g, k)
             expected = idx.query_batch(dup, engine="scalar")
-            for engine in ("auto", "bitset", "chunked"):
+            assert np.array_equal(idx.query_batch(dup), expected), k
+            for path in ("bitset", "chunked"):
                 assert np.array_equal(
-                    idx.query_batch(dup, engine=engine), expected
-                ), (k, engine)
+                    gated_twin(idx, path).query_batch(dup), expected
+                ), (k, path)
 
     def test_duplicate_heavy_hkreach(self):
         g = gnp_digraph(40, 0.1, seed=42)
@@ -207,8 +209,8 @@ class TestDeduplicatedDispatch:
         dup = base[rng.integers(0, len(base), size=1500)]
         idx = HKReachIndex(g, 2, 6)
         expected = idx.query_batch(dup, engine="scalar")
-        assert np.array_equal(idx.query_batch(dup, engine="bitset"), expected)
-        assert np.array_equal(idx.query_batch(dup, engine="auto"), expected)
+        assert idx._bitset_ready()
+        assert np.array_equal(idx.query_batch(dup), expected)
 
     def test_dedup_runs_kernel_once_per_distinct_pair(self, monkeypatch):
         g = gnp_digraph(40, 0.1, seed=43)
@@ -217,9 +219,9 @@ class TestDeduplicatedDispatch:
         seen = {}
         original = KReachIndex._query_batch_arrays
 
-        def spy(self, s, t, engine):
+        def spy(self, s, t):
             seen["m"] = len(s)
-            return original(self, s, t, engine)
+            return original(self, s, t)
 
         monkeypatch.setattr(KReachIndex, "_query_batch_arrays", spy)
         out = idx.query_batch(dup)

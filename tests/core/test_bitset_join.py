@@ -1,10 +1,12 @@
-"""Differential suite for the bitset-join query engines.
+"""Differential suite for the bitset-join batch paths.
 
 Pins, across power-law "celebrity" graphs and the hub×hub crossfire
-scenario the paper's §1 opens with, that every query engine agrees bit
-for bit: the bitset join, the chunked cross-product path (including its
-forced hub spill), the per-pair scalar walks, and the BFS ground-truth
-oracle — for KReach and HKReach alike, over k ∈ {0, 1, 2, 6, None}.
+scenario the paper's §1 opens with, that every path the memory gate
+(``bitset_matrix_bytes``) can steer ``engine='auto'`` onto agrees bit
+for bit: the level stack, the one-view bitset join, the chunked
+cross-product path (including its forced hub spill), the per-pair
+scalar walks, and the BFS ground-truth oracle — for KReach and HKReach
+alike, over k ∈ {0, 1, 2, 6, None}.
 """
 
 import numpy as np
@@ -34,6 +36,7 @@ from repro.graph.traversal import (
     bulk_reaches_within,
     reaches_within_bfs,
 )
+from tests.conftest import gated_twin
 
 K_VALUES = (0, 1, 2, 6, None)
 
@@ -54,9 +57,11 @@ class TestKReachEngines:
         g = celebrity_graph(seed)
         idx = KReachIndex(g, k)
         pairs = workload(g, seed)
-        bitset = idx.query_batch(pairs, engine="bitset")
-        chunked = idx.query_batch(pairs, engine="chunked")
+        stack = idx.query_batch(pairs)
+        bitset = gated_twin(idx, "bitset").query_batch(pairs)
+        chunked = gated_twin(idx, "chunked").query_batch(pairs)
         scalar = idx.query_batch(pairs, engine="scalar")
+        assert np.array_equal(bitset, stack)
         assert np.array_equal(bitset, chunked)
         assert np.array_equal(bitset, scalar)
         for (s, t), got in list(zip(pairs, bitset))[:120]:
@@ -72,16 +77,17 @@ class TestKReachEngines:
         rng = np.random.default_rng(3)
         pairs = rng.integers(60, g.n, size=(300, 2), dtype=np.int64)
         assert np.all(idx.query_case_batch(pairs)[pairs[:, 0] != pairs[:, 1]] == 4)
-        bitset = idx.query_batch(pairs, engine="bitset")
-        chunked = idx.query_batch(pairs, engine="chunked")
-        assert np.array_equal(bitset, chunked)
+        bitset = gated_twin(idx, "bitset").query_batch(pairs)
+        chunked_idx = gated_twin(idx, "chunked")
+        assert np.array_equal(bitset, idx.query_batch(pairs))
+        assert np.array_equal(bitset, chunked_idx.query_batch(pairs))
         # Shrink the chunk so every non-trivial product takes the spill.
         monkeypatch.setattr(
             kreach_module,
             "plan_cross_products",
             lambda graph, s, t: plan_cross_products(graph, s, t, chunk=4),
         )
-        spilled = idx.query_batch(pairs, engine="chunked")
+        spilled = chunked_idx.query_batch(pairs)
         assert np.array_equal(bitset, spilled)
         for (s, t), got in list(zip(pairs, bitset))[:60]:
             assert got == reaches_within_bfs(g, int(s), int(t), k)
@@ -189,7 +195,8 @@ class TestHKReachEngines:
         g = celebrity_graph(seed)
         idx = HKReachIndex(g, h, k, strict=strict)
         pairs = workload(g, seed)
-        bitset = idx.query_batch(pairs, engine="bitset")
+        assert idx._bitset_ready()  # the default gate admits the matrices
+        bitset = idx.query_batch(pairs)
         scalar = idx.query_batch(pairs, engine="scalar")
         assert np.array_equal(bitset, scalar)
         for (s, t), got in list(zip(pairs, bitset))[:120]:
@@ -202,9 +209,9 @@ class TestHKReachEngines:
         idx = HKReachIndex(g, 2, k, cover=frozenset(range(60)))
         rng = np.random.default_rng(5)
         pairs = rng.integers(60, g.n, size=(300, 2), dtype=np.int64)
+        assert idx._bitset_ready()
         assert np.array_equal(
-            idx.query_batch(pairs, engine="bitset"),
-            idx.query_batch(pairs, engine="scalar"),
+            idx.query_batch(pairs), idx.query_batch(pairs, engine="scalar")
         )
 
     def test_auto_engine_memory_gate(self):

@@ -126,5 +126,18 @@ class TestWiring:
 
     def test_query_out_of_range(self):
         cond = CondensedKReach(gnp_digraph(5, 0.3, seed=13), 2)
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="out of range"):
             cond.query(0, 99)
+
+    @pytest.mark.parametrize(
+        "pair", [(-1, 0), (0, 5), (0, 1.7)], ids=["negative", "past-n", "float"]
+    )
+    def test_invalid_ids_raise_value_error(self, pair):
+        """Ids are checked on the original graph, before the component
+        map could wrap -1 to the last vertex or truncate a float."""
+        cond = CondensedKReach(cycle_graph(5), 2)
+        with pytest.raises(ValueError):
+            cond.query_batch([pair])
+        if pair != (0, 1.7):
+            with pytest.raises(ValueError, match="out of range"):
+                cond.query(*pair)

@@ -285,10 +285,9 @@ class TestBatchOverlay:
             expected = oracle_batch(dyn, pairs)
             got = dyn.query_batch(pairs)
             assert np.array_equal(got, expected), (k, seed, step)
-            for engine in ("scalar", "bitset"):
-                assert np.array_equal(
-                    dyn.query_batch(pairs, engine=engine), expected
-                ), (k, seed, step, engine)
+            assert np.array_equal(
+                dyn.query_batch(pairs, engine="scalar"), expected
+            ), (k, seed, step)
             if step == 17:
                 dyn.compact()  # forced compaction mid-trace
                 assert dyn.overlay_rows == 0 and dyn.pending_ops == 0
@@ -329,7 +328,7 @@ class TestBatchOverlay:
         with pytest.raises(ValueError):
             dyn.query_batch([(0, 1)], engine="chunked")
 
-    def test_memory_gate_falls_back_and_bitset_forces(self):
+    def test_memory_gate_falls_back(self):
         g = gnp_digraph(30, 0.1, seed=2)
         dyn = DynamicKReachIndex(g, 3, bitset_matrix_bytes=0)
         dyn.insert_edge(0, 29)
@@ -339,7 +338,6 @@ class TestBatchOverlay:
         assert dyn._case4_matrix() is None  # gated off
         expected = oracle_batch(dyn, pairs)
         assert np.array_equal(dyn.query_batch(pairs), expected)
-        assert np.array_equal(dyn.query_batch(pairs, engine="bitset"), expected)
 
     def test_query_case_batch_matches_scalar(self):
         g = gnp_digraph(25, 0.1, seed=4)
@@ -538,9 +536,8 @@ class TestChurnScale:
             live.burst(dyn)
             pairs = rng.integers(0, n, size=(2048, 2))
             want = reach_matrix(n, live.array(), k)[pairs[:, 0], pairs[:, 1]]
-            for engine in ("auto", "bitset"):
-                got = dyn.query_batch(pairs, engine=engine)
-                assert np.array_equal(got, want), (k, burst, engine)
+            got = dyn.query_batch(pairs)
+            assert np.array_equal(got, want), (k, burst, "auto")
             got = dyn.query_batch(pairs[:200], engine="scalar")
             assert np.array_equal(got, want[:200]), (k, burst, "scalar")
             after_compaction += dyn.compactions > compactions
@@ -576,8 +573,7 @@ class TestPatchedViews:
             raise AssertionError("keyed lookup on a read inside the gate")
 
         monkeypatch.setattr(KeyedRowStore, "lookup", boom)
-        for engine in ("auto", "bitset"):
-            assert np.array_equal(dyn.query_batch(pairs, engine=engine), want)
+        assert np.array_equal(dyn.query_batch(pairs), want)
         assert dyn._level_stack() is not None
 
     def test_over_gate_reads_match_oracle(self):
@@ -593,8 +589,7 @@ class TestPatchedViews:
             dyn.bitset_matrix_bytes = budget
             assert dyn._level_stack() is None
             assert (dyn._case4_matrix() is None) == (budget == 0)
-            for engine in ("auto", "bitset"):
-                assert np.array_equal(dyn.query_batch(pairs, engine=engine), want)
+            assert np.array_equal(dyn.query_batch(pairs), want)
 
     def test_repair_and_compact_never_rebuild_from_edges(self, monkeypatch):
         dyn, live = self.churned(6, bursts=0, auto_compact=False)

@@ -3,7 +3,7 @@
 The contract under test (see ``repro/core/serialize.py``):
 
 * a ``save_mmap`` → ``load_mmap`` roundtrip answers bit-identically to
-  the in-memory index, for every engine;
+  the in-memory index, for both engines and every memory-gate path;
 * files of the retired layouts raise :class:`ValueError` — v4 / v5
   index files naming their version, v2 / v3 npz dumps as bad magic;
 * truncated files, corrupt headers, and bad section offsets raise
@@ -26,7 +26,7 @@ from repro.core.serialize import (
     verify_file,
 )
 from repro.graph.generators import gnp_digraph, paper_example_graph
-from tests.conftest import tampered_header, tampered_section
+from tests.conftest import tampered_header, tampered_section, vector_gate
 
 
 def saved(tmp_path, index, name="index.kr4"):
@@ -289,11 +289,16 @@ class TestReadOnlyServing:
     """The full engine matrix runs off mode='r' pages with no write fault."""
 
     @pytest.mark.parametrize("k", [2, 6, None])
-    @pytest.mark.parametrize("engine", ["scalar", "bitset", "chunked"])
-    def test_engine_matrix(self, tmp_path, k, engine):
+    @pytest.mark.parametrize(
+        "engine,path",
+        [("scalar", None), ("auto", "bitset"), ("auto", "chunked")],
+        ids=["scalar", "bitset", "chunked"],
+    )
+    def test_engine_matrix(self, tmp_path, k, engine, path):
         g = gnp_digraph(45, 0.09, seed=9)
         index = KReachIndex(g, k)
-        loaded = load_mmap(saved(tmp_path, index), mode="r")
+        gate = {} if path is None else {"bitset_matrix_bytes": vector_gate(index, path)}
+        loaded = load_mmap(saved(tmp_path, index), mode="r", **gate)
         # The mapped arrays really are read-only...
         ig = loaded.index_graph
         for arr in (ig.cover_ids, ig.indptr, ig.targets, ig.packed.words,
@@ -334,7 +339,8 @@ class TestReadOnlyServing:
             g_arr.setflags(write=False)
         hk2 = HKReachIndex(g, 2, 6, cover=hk.cover)
         # run against the frozen arrays of the original structures
-        assert np.array_equal(hk.query_batch(pairs, engine="bitset"), reference_hk)
+        assert hk._bitset_ready()
+        assert np.array_equal(hk.query_batch(pairs), reference_hk)
         assert np.array_equal(hk.query_batch(pairs, engine="scalar"), reference_hk)
         assert np.array_equal(oracle.distance_batch(pairs), reference_d)
         assert np.array_equal(

@@ -10,6 +10,7 @@ worker killed (and revived) mid-stream.
 import numpy as np
 import pytest
 
+from repro import native
 from repro.baselines import BfsIndex
 from repro.core.kreach import KReachIndex
 from repro.core.serialize import save_mmap
@@ -101,7 +102,7 @@ class TestDifferential:
         index, path = serve_file(tmp_path, graph, 6)
         expected = index.query_batch(pairs)
 
-        def boom(self, p, *, engine="auto"):
+        def boom(self, p):
             raise RuntimeError("injected kernel failure")
 
         # Patch before the fork so the workers inherit the fault; undo
@@ -128,7 +129,7 @@ class TestDifferential:
         if "fork" not in mp.get_all_start_methods():
             pytest.skip("needs fork to inject a fault into workers")
 
-        def die(self, p, *, engine="auto"):
+        def die(self, p):
             os_mod._exit(1)  # simulate an OOM kill mid-shard
 
         # The patch stays active through the revive attempts, so every
@@ -143,14 +144,17 @@ class TestDifferential:
             assert server.restarts >= 2
         monkeypatch.undo()
 
-    def test_engine_override(self, tmp_path, graph, pairs):
+    def test_kernel_tier_from_environment(
+        self, tmp_path, graph, pairs, monkeypatch
+    ):
+        """Workers run the kernel tier ``KREACH_NATIVE`` names (the pool
+        has no per-call engine): its uncompiled bodies serve the scalar
+        loop's verdicts."""
         index, path = serve_file(tmp_path, graph, 6)
-        expected = index.query_batch(pairs)
+        expected = index.query_batch(pairs, engine="scalar")
+        monkeypatch.setenv(native.ENV_VAR, "python")
         with QueryServer(path, workers=2) as server:
-            for engine in ("scalar", "bitset", "chunked"):
-                assert np.array_equal(
-                    server.query_batch(pairs, engine=engine), expected
-                ), engine
+            assert np.array_equal(server.query_batch(pairs), expected)
 
 
 class TestApiContract:
@@ -169,13 +173,13 @@ class TestApiContract:
     def test_unknown_engine_raises(self, tmp_path, graph):
         _, path = serve_file(tmp_path, graph, 2)
         with QueryServer(path, workers=1) as server:
-            with pytest.raises(ValueError, match="engine"):
-                server.submit([(0, 1)], engine="warp")
+            with pytest.raises(TypeError, match="engine"):
+                server.submit([(0, 1)], engine="auto")
 
     def test_unknown_default_engine_rejected_at_construction(self, tmp_path, graph):
         _, path = serve_file(tmp_path, graph, 2)
-        with pytest.raises(ValueError, match="engine"):
-            QueryServer(path, workers=1, engine="bitse")
+        with pytest.raises(TypeError, match="engine"):
+            QueryServer(path, workers=1, engine="auto")
 
     def test_bad_worker_count(self, tmp_path, graph):
         _, path = serve_file(tmp_path, graph, 2)

@@ -51,11 +51,6 @@ class TestDifferential:
             manifests[num_shards], workers=1, backend=backend
         ) as server:
             assert np.array_equal(server.query_batch(pairs), reference)
-            # engine override flows through to the pools
-            assert np.array_equal(
-                server.query_batch(pairs[:500], engine="scalar"),
-                reference[:500],
-            )
 
     @pytest.mark.parametrize("k", [2, None])
     def test_other_budgets(self, tmp_path, graph, pairs, k):

@@ -3,9 +3,9 @@
 Pins the zero-IPC serving tier's contract: a thread pool sharing one
 mmap'd index answers bit-identically to the in-process engine, to the
 BFS oracle, and to the process-pool :class:`QueryServer` — across worker
-counts, hop budgets, engines, shard sizes, pipelined submit/collect,
-and a worker-side exception (which must settle the ticket and leave the
-pool serviceable).
+counts, hop budgets, kernel tiers and memory-gate paths, shard sizes,
+pipelined submit/collect, and a worker-side exception (which must
+settle the ticket and leave the pool serviceable).
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ from repro.core.serialize import save_mmap
 from repro.core.serve import QueryServer, ThreadQueryServer
 from repro.graph.generators import gnp_digraph
 from repro.workloads import random_pairs
+from tests.conftest import vector_gate
 
 
 @pytest.fixture(scope="module")
@@ -58,16 +59,22 @@ class TestDifferential:
         )
         assert np.array_equal(got[:200], oracle)
 
-    @pytest.mark.parametrize("engine", ["auto", "native", "bitset", "scalar"])
-    def test_engines_agree(self, tmp_path, graph, pairs, engine):
+    @pytest.mark.parametrize("route", ["auto", "native", "bitset", "chunked"])
+    def test_engines_agree(self, tmp_path, graph, pairs, route, monkeypatch):
+        """Scalar-identical verdicts on every path: the default gate, the
+        compiled kernel tier (picked for the worker threads through the
+        environment, since ``native.use`` is thread-local), and the two
+        over-gate paths (the shared index's gate, set before its lazy
+        build)."""
         index, path = serve_file(tmp_path, graph, 3)
         expected = index.query_batch(pairs, engine="scalar")
-        with ThreadQueryServer(path, workers=2, engine=engine) as server:
+        if route == "native":
+            tier = "numba" if native.available() else "python"
+            monkeypatch.setenv(native.ENV_VAR, tier)
+        with ThreadQueryServer(path, workers=2, prepare=False) as server:
+            if route in ("bitset", "chunked"):
+                server.index.bitset_matrix_bytes = vector_gate(server.index, route)
             assert np.array_equal(expected, server.query_batch(pairs))
-            # Per-call override beats the constructor default.
-            assert np.array_equal(
-                expected, server.query_batch(pairs, engine="scalar")
-            )
 
     def test_matches_process_pool_server(self, tmp_path, graph, pairs):
         _, path = serve_file(tmp_path, graph, 4)
@@ -134,14 +141,12 @@ class TestLifecycleAndErrors:
             ThreadQueryServer(path, workers=0)
         with pytest.raises(ValueError, match="shard_pairs"):
             ThreadQueryServer(path, shard_pairs=0)
-        with pytest.raises(ValueError, match="engine"):
-            ThreadQueryServer(path, engine="warp")
 
     def test_submit_rejects_bad_engine_and_pairs(self, tmp_path, graph):
         _, path = serve_file(tmp_path, graph, 2)
         with ThreadQueryServer(path, workers=1) as server:
-            with pytest.raises(ValueError, match="engine"):
-                server.submit([(0, 1)], engine="warp")
+            with pytest.raises(TypeError, match="engine"):
+                server.submit([(0, 1)], engine="auto")
             with pytest.raises(ValueError):
                 server.submit([(0, graph.n + 5)])
 
@@ -162,7 +167,7 @@ class TestLifecycleAndErrors:
         with ThreadQueryServer(path, workers=2) as server:
             real = server._index.query_batch
 
-            def boom(batch, *, engine=None):
+            def boom(batch):
                 raise RuntimeError("kernel exploded")
 
             server._index.query_batch = boom

@@ -63,7 +63,7 @@ class GatedServer:
         self.entered = threading.Event()
         self.release = threading.Event()
 
-    def query_batch(self, pairs, engine=None):
+    def query_batch(self, pairs):
         self.batches.append(len(pairs))
         self.entered.set()
         if not self.release.wait(TIMEOUT_S):
@@ -130,7 +130,7 @@ class TestBatching:
                 def __init__(self):
                     self.batches = []
 
-                def query_batch(self, pairs, engine=None):
+                def query_batch(self, pairs):
                     self.batches.append(len(pairs))
                     return reference.query_batch(pairs)
 
@@ -245,7 +245,7 @@ class TestCache:
             calls = []
 
             class SpyServer:
-                def query_batch(self, pairs, engine=None):
+                def query_batch(self, pairs):
                     calls.append(len(pairs))
                     return reference.query_batch(pairs)
 
@@ -274,7 +274,7 @@ class TestCache:
     def test_lru_eviction_bounds_entries(self, graph, reference):
         async def scenario():
             class Srv:
-                def query_batch(self, pairs, engine=None):
+                def query_batch(self, pairs):
                     return reference.query_batch(pairs)
 
                 def stats(self):
@@ -301,7 +301,7 @@ class TestMetrics:
 
         async def scenario():
             class Srv:
-                def query_batch(self, pairs, engine=None):
+                def query_batch(self, pairs):
                     return reference.query_batch(pairs)
 
                 def stats(self):
@@ -328,7 +328,7 @@ class TestAdmission:
             started = asyncio.Event()
 
             class SlowServer:
-                def query_batch(self, pairs, engine=None):
+                def query_batch(self, pairs):
                     import time as _time
 
                     _time.sleep(0.2)
@@ -390,7 +390,7 @@ class TestHttp:
     def test_query_validation_is_400(self, reference):
         async def scenario():
             class Srv:
-                def query_batch(self, pairs, engine=None):
+                def query_batch(self, pairs):
                     return reference.query_batch(pairs)
 
                 def stats(self):
@@ -437,6 +437,38 @@ class TestHttp:
         head, _, body = reply.partition(b"\r\n\r\n")
         assert head.split(b" ", 2)[1] == b"400"
         assert "error" in json.loads(body)
+        assert batches == []
+
+    @pytest.mark.parametrize(
+        "body", [b"[1,2]", b'"abc"', b"null"], ids=["array", "string", "null"]
+    )
+    def test_non_object_body_is_400_and_closed(self, reference, body):
+        """A JSON body that is not an object is the client's fault."""
+
+        async def scenario():
+            server = GatedServer(reference)
+            door = FrontDoor(server)
+            host, port = await door.start_http()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(
+                    b"POST /query HTTP/1.1\r\n"
+                    + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                    + body
+                )
+                await writer.drain()
+                # read() returns at EOF only: the server must close.
+                reply = await asyncio.wait_for(reader.read(), 2.0)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                await door.close()
+            return reply, server.batches
+
+        reply, batches = asyncio.run(scenario())
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.split(b" ", 2)[1] == b"400"
+        assert json.loads(payload)["error"].startswith("bad request")
         assert batches == []
 
 

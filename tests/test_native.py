@@ -28,6 +28,10 @@ from repro.workloads import random_pairs
 # numba-less hosts; when numba IS installed, test it for real.
 TIERS = ["numpy", "python"] + (["numba"] if native.available() else [])
 
+# The compiled tier where numba is installed, else the exact bodies it
+# would compile.
+COMPILED = "numba" if native.available() else "python"
+
 WIDTHS = [0, 1, 63, 64, 65, 130]
 
 
@@ -293,7 +297,10 @@ class TestKernelDifferentials:
 
 
 class TestEngineMatrix:
-    """engine='native' ≡ engine='auto' ≡ scalar, across hop budgets."""
+    """The compiled kernel tier ≡ engine='auto' ≡ scalar, across hop budgets.
+
+    The tier is chosen per thread with ``native.use`` — there is no
+    ``engine='native'``."""
 
     @pytest.fixture(scope="class")
     def graph(self):
@@ -308,7 +315,8 @@ class TestEngineMatrix:
         idx = KReachIndex(graph, k)
         reference = idx.query_batch(pairs, engine="scalar")
         assert np.array_equal(reference, idx.query_batch(pairs, engine="auto"))
-        assert np.array_equal(reference, idx.query_batch(pairs, engine="native"))
+        with native.use(COMPILED):
+            assert np.array_equal(reference, idx.query_batch(pairs))
 
     @pytest.mark.parametrize("tier", TIERS)
     def test_kreach_under_forced_tier(self, graph, pairs, tier):
@@ -322,18 +330,15 @@ class TestEngineMatrix:
         from repro.core.hkreach import HKReachIndex
 
         hk = HKReachIndex(graph, 2, 6)
-        assert np.array_equal(
-            hk.query_batch(pairs, engine="scalar"),
-            hk.query_batch(pairs, engine="native"),
-        )
+        hk_reference = hk.query_batch(pairs, engine="scalar")
         dyn = DynamicKReachIndex(graph, 4)
         dyn.insert_edge(5, 7)
         u0, v0 = next(iter(graph.edges()))
         dyn.delete_edge(int(u0), int(v0))
-        assert np.array_equal(
-            dyn.query_batch(pairs, engine="scalar"),
-            dyn.query_batch(pairs, engine="native"),
-        )
+        dyn_reference = dyn.query_batch(pairs, engine="scalar")
+        with native.use(COMPILED):
+            assert np.array_equal(hk_reference, hk.query_batch(pairs))
+            assert np.array_equal(dyn_reference, dyn.query_batch(pairs))
 
     def test_unknown_engine_still_rejected(self, graph, pairs):
         idx = KReachIndex(graph, 2)
