@@ -1587,18 +1587,19 @@ def run_shard(config: SuiteConfig) -> Table:
             shard_times: dict[int, float] = {}
             for count in shard_counts:
                 directory = Path(tmp) / f"{name}-{count}"
-                sharded, one_part_s = timed(
-                    lambda: save_sharded(
-                        partition_kreach(g, k, count), directory
-                    )
-                )
+
+                def partition_and_save():
+                    sharded = partition_kreach(g, k, count)
+                    save_sharded(sharded, directory)
+                    return sharded
+
+                sharded, one_part_s = timed(partition_and_save)
                 part_s += one_part_s
                 if count == max(shard_counts):
-                    sk = partition_kreach(g, k, count)
                     s64 = pairs[:, 0].astype(np.int64)
                     t64 = pairs[:, 1].astype(np.int64)
-                    row["|B|"] = len(sk.boundary)
-                    row["cross"] = int((sk.route(s64, t64) < 0).sum())
+                    row["|B|"] = len(sharded.boundary)
+                    row["cross"] = int((sharded.route(s64, t64) < 0).sum())
                     row["mani MB"] = fmt_mb(
                         sum(f.stat().st_size for f in directory.iterdir())
                     )

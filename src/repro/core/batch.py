@@ -50,6 +50,7 @@ __all__ = [
     "KeyedRowStore",
     "as_pair_array",
     "as_pair_arrays",
+    "as_vertex_pair",
     "coalesce_pairs",
     "gather_segments",
     "segment_any",
@@ -94,6 +95,24 @@ def as_pair_array(pairs: object, n: int) -> np.ndarray:
     if int(arr.view(np.uint64).max()) >= n:
         raise ValueError(f"query vertex out of range [0, {n})")
     return arr
+
+
+def as_vertex_pair(s: object, t: object, n: int) -> tuple[int, int]:
+    """Validate one scalar (s, t) query as two Python ints in ``[0, n)``.
+
+    Python and numpy integers (bools included) pass; any other type (a
+    float, a string) or an id outside ``[0, n)`` raises
+    :class:`ValueError` — :func:`as_pair_array`'s contract for one pair.
+    """
+    if not isinstance(s, (int, np.integer)) or not isinstance(t, (int, np.integer)):
+        raise ValueError(
+            f"query vertices must be integer ids, got {type(s).__name__} "
+            f"and {type(t).__name__}"
+        )
+    s, t = int(s), int(t)
+    if not 0 <= s < n or not 0 <= t < n:
+        raise ValueError(f"query vertex out of range [0, {n})")
+    return s, t
 
 
 def as_pair_arrays(pairs: object, n: int) -> tuple[np.ndarray, np.ndarray]:

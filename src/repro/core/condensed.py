@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.batch import as_pair_array
+from repro.core.batch import as_pair_array, as_vertex_pair
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import Condensation, condensation
 
@@ -97,9 +97,7 @@ class CondensedKReach:
 
     def query(self, s: int, t: int) -> bool:
         """Scalar query through the component mapping."""
-        n = self.graph.n
-        if not 0 <= s < n or not 0 <= t < n:
-            raise ValueError(f"query vertex out of range [0, {n})")
+        s, t = as_vertex_pair(s, t, self.graph.n)
         cs = int(self.cond.component_of[s])
         ct = int(self.cond.component_of[t])
         if cs == ct:

@@ -87,6 +87,7 @@ from repro.bitsets.ops import (
 from repro.core.batch import (
     KeyedRowStore,
     as_pair_arrays,
+    as_vertex_pair,
     case_codes,
 )
 from repro.core.index_graph import IndexGraph
@@ -611,7 +612,7 @@ class DynamicKReachIndex:
     # ------------------------------------------------------------------
     def insert_edge(self, u: int, v: int) -> None:
         """Insert the directed edge ``(u, v)`` and repair the overlay."""
-        self._check(u, v)
+        u, v = as_vertex_pair(u, v, self.n)
         if u == v or v in self._out[u]:
             return  # self-loops ignored (simple graphs), duplicates no-op
         self._out[u].add(v)
@@ -653,7 +654,7 @@ class DynamicKReachIndex:
         next read.  The cover itself is left unchanged — covers stay
         valid under deletions.
         """
-        self._check(u, v)
+        u, v = as_vertex_pair(u, v, self.n)
         if v not in self._out[u]:
             return
         # Pin the affected rows exactly: compare v's backward k-ball
@@ -685,10 +686,6 @@ class DynamicKReachIndex:
         changed = (back_pre >= 0) & (back_post != back_pre) & self._flags()
         self._pending_repair.update(np.flatnonzero(changed).tolist())
         self._after_write()
-
-    def _check(self, u: int, v: int) -> None:
-        if not 0 <= u < self.n or not 0 <= v < self.n:
-            raise ValueError(f"vertex out of range [0, {self.n})")
 
     def _mark_dirty_adjacency(self, u: int, v: int) -> None:
         """An edge (u, v) changed: u's out-list and v's in-list diverged."""
@@ -813,7 +810,7 @@ class DynamicKReachIndex:
 
     def query(self, s: int, t: int) -> bool:
         """Whether ``s →k t`` in the *current* graph."""
-        self._check(s, t)
+        s, t = as_vertex_pair(s, t, self.n)
         self._flush_repairs()
         if s == t:
             return True
@@ -842,7 +839,7 @@ class DynamicKReachIndex:
 
     def query_case(self, s: int, t: int) -> int:
         """Which Algorithm-2 case the pair falls into (cover may have grown)."""
-        self._check(s, t)
+        s, t = as_vertex_pair(s, t, self.n)
         s_in = s in self._cover
         t_in = t in self._cover
         if s_in and t_in:

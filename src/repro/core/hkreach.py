@@ -59,6 +59,7 @@ from repro.core.batch import (
     UNBOUNDED_BUDGET,
     KeyedRowStore,
     as_pair_arrays,
+    as_vertex_pair,
     case_codes,
     coalesce_pairs,
     gather_segments,
@@ -283,9 +284,7 @@ class HKReachIndex:
 
     def query(self, s: int, t: int) -> bool:
         """Whether ``s →k t`` (``s → t`` when ``k`` is None)."""
-        g = self.graph
-        if not 0 <= s < g.n or not 0 <= t < g.n:
-            raise ValueError(f"query vertex out of range [0, {g.n})")
+        s, t = as_vertex_pair(s, t, self.graph.n)
         return self._query_impl(s, t, None)
 
     def _query_impl(self, s: int, t: int, memo: dict | None) -> bool:
@@ -714,8 +713,7 @@ class HKReachIndex:
 
     def query_case(self, s: int, t: int) -> int:
         """Which of Algorithm 3's four cases the query (s, t) falls into."""
-        if not 0 <= s < self.graph.n or not 0 <= t < self.graph.n:
-            raise ValueError("query vertex out of range")
+        s, t = as_vertex_pair(s, t, self.graph.n)
         s_in = bool(self._in_cover[s])
         t_in = bool(self._in_cover[t])
         if s_in and t_in:

@@ -55,6 +55,7 @@ from repro.core.batch import (
     UNBOUNDED_BUDGET,
     KeyedRowStore,
     as_pair_arrays,
+    as_vertex_pair,
     case4_bitset_join,
     case_codes,
     coalesce_pairs,
@@ -458,9 +459,7 @@ class KReachIndex:
     def query(self, s: int, t: int) -> bool:
         """Whether ``s →k t`` (``s → t`` for the n-reach mode)."""
         flags = self._cover_flags
-        n = len(flags)
-        if not 0 <= s < n or not 0 <= t < n:
-            raise ValueError(f"query vertex out of range [0, {n})")
+        s, t = as_vertex_pair(s, t, len(flags))
         if s == t:
             return True
         k = self.k
@@ -565,8 +564,7 @@ class KReachIndex:
     def query_case(self, s: int, t: int) -> int:
         """Which of Algorithm 2's four cases the query (s, t) falls into."""
         flags = self._cover_flags
-        if not 0 <= s < len(flags) or not 0 <= t < len(flags):
-            raise ValueError("query vertex out of range")
+        s, t = as_vertex_pair(s, t, len(flags))
         if flags[s]:
             return 1 if flags[t] else 2
         return 3 if flags[t] else 4

@@ -32,22 +32,25 @@ hope:
   would have performed.
 
 * **Portal tables for cross-shard pairs.**  A pair with endpoints
-  interior to two different shards is answered by min-plus stitching:
-  ``dist(s,t) = min over (b, b') in B×B of exit_i(s,b) +
-  closure(b,b') + entry_j(b',t)`` — exact because any s→t walk can be
-  split at its first and last boundary visit, with the prefix inside
-  ``interior_i ∪ {b}`` and the suffix inside ``interior_j ∪ {b'}``.
-  Distances are clipped at ``k+1`` (sums then compare against ``k``
-  exactly), and the ``exit × closure`` half is precomposed per shard so
-  query-time stitching is one ``(m, |B|)`` add-min.  For ``k=None``
-  the clipped tables are 0/1 reachability rows packed into uint64
-  bitsets and the verdict is one :func:`repro.bitsets.ops.and_any`
-  join — the same kernel the batch engine uses.
+  interior to two different shards is answered by stitching two global
+  tables: ``exit[v, j]`` and ``entry[v, j]`` hold the distances from
+  ``v`` to boundary vertex ``B[j]`` and from ``B[j]`` to ``v`` over the
+  *whole* graph, each filled by one blocked MS-BFS from ``B`` (reverse
+  for ``exit``, forward for ``entry``).  Since ``B`` separates the
+  interiors, every s→t path passes through some ``b`` in ``B``, so
+  ``dist(s,t) = min over b of exit(s,b) + entry(b,t)`` exactly (the
+  triangle inequality bounds every other split from below).  Distances
+  are clipped at ``k+1`` (sums then compare against ``k`` exactly), so
+  a stitch is one ``(m, |B|)`` add-min over two row gathers.  For
+  ``k=None`` the clipped tables are 0/1 reachability rows packed into
+  uint64 bitsets and the verdict is one
+  :func:`repro.bitsets.ops.and_any` join — the same kernel the batch
+  engine uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,10 +92,6 @@ def _clip_cap(k: int | None) -> int:
     threshold becomes 0.
     """
     return 1 if k is None else k + 1
-
-
-def _threshold(k: int | None) -> int:
-    return 0 if k is None else k
 
 
 def _clip(dist: np.ndarray, k: int | None) -> np.ndarray:
@@ -179,64 +178,34 @@ def _boundary_mask(
     return boundary
 
 
-def _portal_matrix(
-    sub: DiGraph, boundary_local: np.ndarray, k: int | None, direction: str
+#: Boundary sources per :func:`bfs_distances_blocked` call when filling a
+#: portal table: one MS-BFS sweep, so the triples held at once stay
+#: ``64 * n`` however large ``B`` grows.
+_PORTAL_BLOCK = 64
+
+
+def _portal_table(
+    g: DiGraph, boundary: np.ndarray, k: int | None, direction: str
 ) -> np.ndarray:
-    """Clipped distance matrix ``(|B|, n_local)`` from/into the boundary.
+    """Clipped global distances ``(n, |B|)`` between each vertex and ``B``.
 
-    ``direction='out'`` gives entry budgets (boundary -> vertex);
-    ``direction='in'`` gives exit budgets transposed (vertex -> boundary
-    read as ``[b, v]``).
+    ``direction='in'`` gives ``exit[v, j] = clip(dist(v, boundary[j]))``
+    (a reverse BFS from the boundary); ``direction='out'`` gives
+    ``entry[v, j] = clip(dist(boundary[j], v))``.  ``boundary`` must be
+    ascending and duplicate-free.
     """
-    cap = _clip_cap(k)
-    mat = np.full((len(boundary_local), sub.n), cap, dtype=np.int32)
-    if len(boundary_local):
-        src, dst, dist = bfs_distances_blocked(
-            sub, boundary_local, k=k, direction=direction
-        )
-        mat[np.searchsorted(boundary_local, src), dst] = _clip(dist, k)
-        mat[np.arange(len(boundary_local)), boundary_local] = 0
-    return mat
+    table = np.full((g.n, len(boundary)), _clip_cap(k), dtype=np.int32)
+    for start in range(0, len(boundary), _PORTAL_BLOCK):
+        block = boundary[start : start + _PORTAL_BLOCK]
+        src, dst, dist = bfs_distances_blocked(g, block, k=k, direction=direction)
+        table[dst, start + np.searchsorted(block, src)] = _clip(dist, k)
+    table[boundary, np.arange(len(boundary))] = 0
+    return table
 
 
-def _closure_matrix(g: DiGraph, boundary: np.ndarray, k: int | None) -> np.ndarray:
-    """Clipped boundary-to-boundary distances over the *global* graph."""
-    cap = _clip_cap(k)
-    size = len(boundary)
-    mat = np.full((size, size), cap, dtype=np.int32)
-    if size:
-        emit = np.zeros(g.n, dtype=bool)
-        emit[boundary] = True
-        src, dst, dist = bfs_distances_blocked(g, boundary, k=k, emit=emit)
-        mat[np.searchsorted(boundary, src), np.searchsorted(boundary, dst)] = _clip(
-            dist, k
-        )
-        np.fill_diagonal(mat, 0)
-    return mat
-
-
-def _compose_exit(
-    exit_by_boundary: np.ndarray, closure: np.ndarray, cap: int
-) -> np.ndarray:
-    """Min-plus precompose ``exit × closure`` -> ``(n_local, |B|)``.
-
-    ``out[v, b'] = clip(min over b of exit(v, b) + closure(b, b'))`` —
-    valid to precompose (and re-clip) by min-plus associativity and the
-    monotonicity of clipping, so the query-time stitch is a single
-    ``(m, |B|)`` add-min against the target shard's entry table.
-    """
-    num_b, n_local = exit_by_boundary.shape
-    out = np.full((n_local, num_b), cap, dtype=np.int32)
-    if num_b == 0 or n_local == 0:
-        return out
-    exits = exit_by_boundary.T  # (n_local, |B|)
-    # (chunk, |B|, |B|) workspace, bounded ~16 MB.
-    chunk = max(1, (1 << 22) // max(1, num_b * num_b))
-    for start in range(0, n_local, chunk):
-        block = exits[start : start + chunk]
-        combined = block[:, :, None] + closure[None, :, :]
-        np.minimum(combined.min(axis=1), cap, out=out[start : start + chunk])
-    return out
+def _vertex_map(shard_of: np.ndarray, shard: int) -> np.ndarray:
+    """Ascending global ids of one shard: its interior plus all of ``B``."""
+    return np.flatnonzero((shard_of == shard) | (shard_of < 0))
 
 
 @dataclass
@@ -246,16 +215,11 @@ class Shard:
     ``vertex_map`` is the ascending global-id array of the shard's
     vertices (its interior plus the full boundary set); ``index`` is a
     complete :class:`KReachIndex` over the induced subgraph in local
-    ids.  ``entry[b, v]`` / ``exit_closure[v, b']`` are the clipped
-    portal budgets used by the cross-shard stitch.
+    ids.
     """
 
     index: KReachIndex
     vertex_map: np.ndarray
-    entry: np.ndarray  # (|B|, n_local) int32
-    exit_closure: np.ndarray  # (n_local, |B|) int32
-    _exit_bits: np.ndarray | None = field(default=None, repr=False)
-    _entry_bits: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -265,24 +229,6 @@ class Shard:
         """Map global vertex ids into this shard's local id space."""
         return np.searchsorted(self.vertex_map, vertices)
 
-    def exit_bits(self) -> np.ndarray:
-        """Packed ``exit_closure == 0`` rows (n-reach stitch, lazy)."""
-        if self._exit_bits is None:
-            rows, cols = np.nonzero(self.exit_closure == 0)
-            self._exit_bits = ops.bit_matrix(
-                rows, cols, self.exit_closure.shape[0], self.exit_closure.shape[1]
-            )
-        return self._exit_bits
-
-    def entry_bits(self) -> np.ndarray:
-        """Packed ``entry[:, v] == 0`` rows (n-reach stitch, lazy)."""
-        if self._entry_bits is None:
-            cols, rows = np.nonzero(self.entry == 0)
-            self._entry_bits = ops.bit_matrix(
-                rows, cols, self.entry.shape[1], self.entry.shape[0]
-            )
-        return self._entry_bits
-
 
 class ShardedKReach:
     """A partitioned k-reach index answering exactly like the global one.
@@ -291,6 +237,10 @@ class ShardedKReach:
     manifest via :meth:`from_manifest`).  :meth:`query_batch` serves
     in-process; :class:`~repro.core.sharded.ShardedQueryServer` runs the
     same routing over per-shard worker pools.
+
+    ``shard_of[v]`` is ``v``'s owning shard, ``-1`` for the boundary set
+    (``boundary`` is derived from it).  ``exit`` and ``entry`` are the
+    ``(n, |B|)`` int32 portal tables of the cross-shard stitch.
     """
 
     def __init__(
@@ -298,17 +248,19 @@ class ShardedKReach:
         *,
         n: int,
         k: int | None,
-        boundary: np.ndarray,
         shard_of: np.ndarray,
-        closure: np.ndarray,
+        entry: np.ndarray,
+        exit: np.ndarray,
         shards: list[Shard],
     ) -> None:
         self.n = int(n)
         self.k = k
-        self.boundary = np.asarray(boundary, dtype=np.int64)
         self.shard_of = np.asarray(shard_of, dtype=np.int64)
-        self.closure = closure
+        self.boundary = np.flatnonzero(self.shard_of < 0)
+        self.entry = np.asarray(entry, dtype=np.int32)
+        self.exit = np.asarray(exit, dtype=np.int32)
         self.shards = shards
+        self._bits: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def num_shards(self) -> int:
@@ -317,26 +269,17 @@ class ShardedKReach:
     @classmethod
     def from_manifest(cls, manifest) -> "ShardedKReach":
         """Assemble from a :func:`repro.core.serialize.load_sharded` result."""
+        shard_of = np.asarray(manifest.shard_of, dtype=np.int64)
         shards = [
-            Shard(
-                index=index,
-                vertex_map=np.asarray(vmap, dtype=np.int64),
-                entry=np.asarray(entry, dtype=np.int32),
-                exit_closure=np.asarray(exitc, dtype=np.int32),
-            )
-            for index, vmap, entry, exitc in zip(
-                manifest.indexes,
-                manifest.vertex_maps,
-                manifest.entries,
-                manifest.exit_closures,
-            )
+            Shard(index=index, vertex_map=_vertex_map(shard_of, i))
+            for i, index in enumerate(manifest.indexes)
         ]
         return cls(
             n=manifest.n,
             k=manifest.k,
-            boundary=np.asarray(manifest.boundary, dtype=np.int64),
-            shard_of=np.asarray(manifest.shard_of, dtype=np.int64),
-            closure=np.asarray(manifest.closure, dtype=np.int32),
+            shard_of=shard_of,
+            entry=manifest.entry,
+            exit=manifest.exit,
             shards=shards,
         )
 
@@ -368,30 +311,24 @@ class ShardedKReach:
         owner[neither & (s_home != t_home)] = -1
         return owner
 
+    def _portal_bits(self) -> tuple[np.ndarray, np.ndarray]:
+        """Packed ``== 0`` rows of ``exit`` and ``entry`` (n-reach, lazy)."""
+        if self._bits is None:
+            self._bits = tuple(
+                ops.bit_matrix(*np.nonzero(table == 0), self.n, len(self.boundary))
+                for table in (self.exit, self.entry)
+            )
+        return self._bits
+
     def stitch(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Exact verdicts for cross-shard pairs via the portal tables."""
-        out = np.zeros(len(s), dtype=bool)
         if not len(s) or not len(self.boundary):
-            return out  # no portals => shard interiors are disconnected
-        combo = self.shard_of[s] * self.num_shards + self.shard_of[t]
-        for key in np.unique(combo):
-            sel = np.flatnonzero(combo == key)
-            source_shard = self.shards[int(key) // self.num_shards]
-            target_shard = self.shards[int(key) % self.num_shards]
-            local_s = source_shard.to_local(s[sel])
-            local_t = target_shard.to_local(t[sel])
-            if self.k is None:
-                out[sel] = ops.and_any(
-                    source_shard.exit_bits()[local_s],
-                    target_shard.entry_bits()[local_t],
-                )
-            else:
-                budgets = (
-                    source_shard.exit_closure[local_s]
-                    + target_shard.entry[:, local_t].T
-                )
-                out[sel] = budgets.min(axis=1) <= self.k
-        return out
+            # No portals => shard interiors are disconnected.
+            return np.zeros(len(s), dtype=bool)
+        if self.k is None:
+            exit_bits, entry_bits = self._portal_bits()
+            return ops.and_any(exit_bits[s], entry_bits[t])
+        return (self.exit[s] + self.entry[t]).min(axis=1) <= self.k
 
     def query_batch(self, pairs, *, engine: str = "auto") -> np.ndarray:
         """Batch verdicts in input order, bit-identical to the global index."""
@@ -463,15 +400,13 @@ def partition_kreach(
         if num_shards > 1
         else np.zeros(graph.n, dtype=bool)
     )
-    boundary = np.flatnonzero(boundary_flags).astype(np.int64)
+    boundary = np.flatnonzero(boundary_flags)
     shard_of = shard_of.copy()
     shard_of[boundary_flags] = -1
 
     base_cover = vertex_cover_2approx(graph) if cover is None else cover
     full_cover = frozenset(base_cover) | set(boundary.tolist())
     global_index = KReachIndex(graph, k, cover=full_cover)
-    closure = _closure_matrix(graph, boundary, k)
-    cap = _clip_cap(k)
 
     heads, targets, weights = global_index.index_graph.triples()
     cover_flags = np.zeros(graph.n, dtype=bool)
@@ -479,9 +414,7 @@ def partition_kreach(
 
     shards: list[Shard] = []
     for i in range(num_shards):
-        vertex_map = np.flatnonzero((shard_of == i) | boundary_flags).astype(
-            np.int64
-        )
+        vertex_map = _vertex_map(shard_of, i)
         sub, _ = graph.subgraph(vertex_map)
         member = np.zeros(graph.n, dtype=bool)
         member[vertex_map] = True
@@ -503,22 +436,12 @@ def partition_kreach(
             cover=frozenset(int(v) for v in local_cover),
             index_graph=sliced,
         )
-        boundary_local = np.searchsorted(vertex_map, boundary)
-        entry = _portal_matrix(sub, boundary_local, k, "out")
-        exit_by_boundary = _portal_matrix(sub, boundary_local, k, "in")
-        shards.append(
-            Shard(
-                index=index,
-                vertex_map=vertex_map,
-                entry=entry,
-                exit_closure=_compose_exit(exit_by_boundary, closure, cap),
-            )
-        )
+        shards.append(Shard(index=index, vertex_map=vertex_map))
     return ShardedKReach(
         n=graph.n,
         k=k,
-        boundary=boundary,
         shard_of=shard_of,
-        closure=closure,
+        entry=_portal_table(graph, boundary, k, "out"),
+        exit=_portal_table(graph, boundary, k, "in"),
         shards=shards,
     )

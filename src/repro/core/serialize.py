@@ -25,12 +25,17 @@ holds the one index file format and the two artifacts built on it:
   snapshot in a v6 file plus that journal, and :func:`recover_dynamic`
   replays the journal over the validated base.
 * **The shard manifest** (:func:`save_sharded` / :func:`load_sharded`)
-  is a directory of per-shard v6 files plus the routing and portal
-  arrays of a :class:`~repro.core.partition.ShardedKReach`.
+  is a directory of per-shard v6 files plus the routing array and the
+  two global portal tables of a
+  :class:`~repro.core.partition.ShardedKReach`.  The boundary set and
+  every shard's vertex map are derived from the routing array.
 
-Retired layouts are not read: the v2/v3 compressed ``.npz`` dumps, and
-the v4/v5 index files, which also stored the derived key / weight
-arrays.  Rebuild such an index and save it with :func:`save_mmap`.
+Retired layouts are not read: the v2/v3 compressed ``.npz`` dumps, the
+v4/v5 index files, which also stored the derived key / weight arrays,
+and v1 shard manifests, which also stored the boundary, the vertex maps
+and per-shard portal tables.  Rebuild such an index and save it with
+:func:`save_mmap` (or :func:`save_sharded` after
+:func:`~repro.core.partition.partition_kreach`).
 
 No Python-level edge loop runs in any direction on the array payloads.
 
@@ -74,6 +79,7 @@ from repro.bitsets.packed import PackedIntArray
 from repro.core.dynamic import DynamicKReachIndex
 from repro.core.index_graph import IndexGraph
 from repro.core.kreach import KReachIndex
+from repro.core.partition import _vertex_map
 from repro.graph.digraph import DiGraph
 
 __all__ = [
@@ -935,9 +941,9 @@ def verify_file(path: str | os.PathLike) -> dict:
     list (name, size, stored/computed CRC32, per-section ``status``),
     and ``ok`` — ``True`` iff nothing is corrupt.  Statuses: ``ok``,
     ``mismatch``, ``truncated``, ``malformed``, and ``torn-tail`` (an op
-    log's recoverable crashed append — not an error).  An index file of
-    another format version is reported by version, not ``ok``.  This is
-    the backend of ``kreach-bench verify``.
+    log's recoverable crashed append — not an error).  An index file or
+    shard manifest of another format version is reported by version, not
+    ``ok``.  This is the backend of ``kreach-bench verify``.
     """
     path = Path(path)
     report: dict = {
@@ -984,15 +990,26 @@ def verify_file(path: str | os.PathLike) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Sharded manifest (directory of per-shard index files + boundary index)
+# Sharded manifest (directory of per-shard index files + portal tables)
 # ---------------------------------------------------------------------------
 
 #: Sharded-manifest directory format: ``manifest.json`` + N per-shard
-#: index files + the routing/boundary arrays, each independently
-#: loadable and individually CRC32'd by the manifest.
+#: index files + ``shard_of.npy`` and the two portal tables, each
+#: independently loadable and individually CRC32'd by the manifest.
+#: Version 2 dropped v1's derivable files (the boundary, the vertex
+#: maps, the boundary closure and the per-shard portal tables).
 _SHARD_FORMAT = "kreach-shards"
-_SHARD_FORMAT_VERSION = 1
+_SHARD_FORMAT_VERSION = 2
 _SHARD_MANIFEST_NAME = "manifest.json"
+
+
+def _other_shard_version(version: int) -> str:
+    """Why a shard manifest of another format version is not opened."""
+    return (
+        f"a v{version} shard manifest; this reader opens only "
+        f"v{_SHARD_FORMAT_VERSION} — rebuild it with partition_kreach + "
+        "save_sharded"
+    )
 
 
 def _npy_payload(arr: np.ndarray) -> bytes:
@@ -1032,10 +1049,11 @@ class ShardManifest:
     """A loaded sharded-manifest directory.
 
     ``indexes[i]`` is shard ``i``'s :class:`KReachIndex` (each opened
-    zero-copy via :func:`load_mmap` from ``shard_paths[i]``); the
-    routing arrays (``boundary``, ``shard_of``, ``closure``) and the
-    per-shard portal tables are ``.npy``-memory-mapped.  Feed the whole
-    object to
+    zero-copy via :func:`load_mmap` from ``shard_paths[i]``).
+    ``shard_of`` (owning shard per vertex, ``-1`` for the boundary set)
+    and the ``(n, |B|)`` int32 portal tables ``entry`` and ``exit`` are
+    ``.npy``-memory-mapped; the boundary and the per-shard vertex maps
+    are derived from ``shard_of``.  Feed the whole object to
     :meth:`repro.core.partition.ShardedKReach.from_manifest`.
     """
 
@@ -1043,14 +1061,11 @@ class ShardManifest:
     k: int | None
     n: int
     num_shards: int
-    boundary: np.ndarray
     shard_of: np.ndarray
-    closure: np.ndarray
+    entry: np.ndarray
+    exit: np.ndarray
     shard_paths: list[Path]
     indexes: list[KReachIndex]
-    vertex_maps: list[np.ndarray]
-    entries: list[np.ndarray]
-    exit_closures: list[np.ndarray]
     meta: dict = field(default_factory=dict)
 
 
@@ -1060,44 +1075,29 @@ def save_sharded(sharded, directory: str | os.PathLike) -> Path:
     Layout: one ``manifest.json`` (atomic-written, carrying a CRC32 of
     its own canonical body plus per-file byte counts and CRC32s), N
     ``shard-%03d.kr5`` index files — each independently
-    :func:`load_mmap`-able — and ``.npy`` routing/portal arrays.  Every
-    file is written through the same temp+fsync+rename discipline as
-    :func:`save_mmap`, and the manifest is written **last**, so a crash
-    mid-save never leaves a manifest naming files that do not match it.
+    :func:`load_mmap`-able — and three ``.npy`` arrays: ``shard_of``,
+    ``entry`` and ``exit``.  Every file is written through the same
+    temp+fsync+rename discipline as :func:`save_mmap`, and the manifest
+    is written **last**, so a crash mid-save never leaves a manifest
+    naming files that do not match it.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     files: dict[str, dict] = {}
 
-    def put_npy(name: str, arr: np.ndarray, role: str, shard: int | None) -> None:
+    def put_npy(name: str, arr: np.ndarray) -> None:
         payload = _npy_payload(arr)
         _atomic_write(directory / name, lambda fh: fh.write(payload))
-        files[name] = {
-            "bytes": len(payload),
-            "crc32": zlib.crc32(payload),
-            "role": role,
-            "shard": shard,
-        }
+        files[name] = {"bytes": len(payload), "crc32": zlib.crc32(payload)}
 
-    put_npy("boundary.npy", np.asarray(sharded.boundary, np.int64), "boundary", None)
-    put_npy("shard_of.npy", np.asarray(sharded.shard_of, np.int64), "shard_of", None)
-    put_npy("closure.npy", np.asarray(sharded.closure, np.int32), "closure", None)
+    put_npy("shard_of.npy", np.asarray(sharded.shard_of, np.int64))
+    put_npy("entry.npy", np.asarray(sharded.entry, np.int32))
+    put_npy("exit.npy", np.asarray(sharded.exit, np.int32))
     for i, shard in enumerate(sharded.shards):
         index_name = shard_index_name(i)
         save_mmap(shard.index, directory / index_name)
         crc, size = _file_crc32(directory / index_name)
-        files[index_name] = {
-            "bytes": size,
-            "crc32": crc,
-            "role": "index",
-            "shard": i,
-        }
-        put_npy(f"vmap-{i:03d}.npy", np.asarray(shard.vertex_map, np.int64),
-                "vertex_map", i)
-        put_npy(f"entry-{i:03d}.npy", np.asarray(shard.entry, np.int32),
-                "entry", i)
-        put_npy(f"exitc-{i:03d}.npy", np.asarray(shard.exit_closure, np.int32),
-                "exit_closure", i)
+        files[index_name] = {"bytes": size, "crc32": crc}
 
     manifest = {
         "format": _SHARD_FORMAT,
@@ -1105,7 +1105,6 @@ def save_sharded(sharded, directory: str | os.PathLike) -> Path:
         "k": _K_UNBOUNDED if sharded.k is None else int(sharded.k),
         "n": int(sharded.n),
         "num_shards": int(sharded.num_shards),
-        "boundary_size": int(len(sharded.boundary)),
         "files": files,
     }
     manifest["crc32"] = _manifest_digest(manifest)
@@ -1131,9 +1130,12 @@ def _read_manifest(directory: Path) -> dict:
         raise IndexCorruptionError(
             f"not a {_SHARD_FORMAT} manifest", path=manifest_path
         )
-    if manifest.get("format_version") != _SHARD_FORMAT_VERSION:
+    version = manifest.get("format_version")
+    if version != _SHARD_FORMAT_VERSION:
         raise IndexCorruptionError(
-            f"unsupported manifest version {manifest.get('format_version')!r}",
+            f"{directory} is {_other_shard_version(version)}"
+            if isinstance(version, int)
+            else f"unsupported manifest version {version!r}",
             path=manifest_path,
         )
     if _manifest_digest(manifest) != manifest.get("crc32"):
@@ -1141,6 +1143,27 @@ def _read_manifest(directory: Path) -> dict:
             "manifest CRC32 mismatch", path=manifest_path, section="manifest"
         )
     return manifest
+
+
+def _load_npy(
+    directory: Path, name: str, dtype: type, shape: tuple[int, ...]
+) -> np.ndarray:
+    """Memory-map one manifest array, refusing a wrong dtype or shape."""
+    path = directory / name
+    try:
+        arr = np.load(path, mmap_mode="r")
+    except (OSError, ValueError) as exc:
+        raise IndexCorruptionError(
+            f"unreadable array file: {exc}", path=path, section=name
+        ) from exc
+    if arr.dtype != dtype or arr.shape != shape:
+        raise IndexCorruptionError(
+            f"{name} holds {arr.dtype} {arr.shape}, expected "
+            f"{np.dtype(dtype)} {shape}",
+            path=path,
+            section=name,
+        )
+    return arr
 
 
 def load_sharded(
@@ -1155,7 +1178,11 @@ def load_sharded(
     the manifest (O(bytes) — opt in; the default only validates the
     manifest's own checksum and each file's presence and size).  A
     missing, resized, or corrupt file raises
-    :class:`IndexCorruptionError` naming it.
+    :class:`IndexCorruptionError` naming it, as does anything the
+    routing would trip over: a ``shard_of`` entry outside
+    ``[-1, num_shards)``, portal tables of the wrong dtype or shape, or
+    a shard file whose vertex count disagrees with its derived vertex
+    map.  A v1 manifest is refused by version.
     """
     directory = Path(directory)
     manifest = _read_manifest(directory)
@@ -1181,27 +1208,41 @@ def load_sharded(
                     "file CRC32 mismatch", path=path, section=name
                 )
 
-    def load_npy(name: str) -> np.ndarray:
-        return np.load(directory / name, mmap_mode="r")
-
+    n = int(manifest["n"])
     num_shards = int(manifest["num_shards"])
-    stored_k = int(manifest["k"])
+    shard_of = _load_npy(directory, "shard_of.npy", np.int64, (n,))
+    if n and (int(shard_of.min()) < -1 or int(shard_of.max()) >= num_shards):
+        raise IndexCorruptionError(
+            f"shard_of.npy holds shard ids outside [-1, {num_shards})",
+            path=directory / "shard_of.npy",
+            section="shard_of.npy",
+        )
+    boundary_size = int(np.count_nonzero(shard_of < 0))
+    table_shape = (n, boundary_size)
+    entry_table = _load_npy(directory, "entry.npy", np.int32, table_shape)
+    exit_table = _load_npy(directory, "exit.npy", np.int32, table_shape)
     shard_paths = [directory / shard_index_name(i) for i in range(num_shards)]
+    indexes = [load_mmap(path, mode=mode) for path in shard_paths]
+    for i, (path, index) in enumerate(zip(shard_paths, indexes)):
+        size = len(_vertex_map(shard_of, i))
+        if index.graph.n != size:
+            raise IndexCorruptionError(
+                f"{path.name} holds {index.graph.n} vertices, but shard_of.npy "
+                f"maps {size} to its shard",
+                path=path,
+                section=path.name,
+            )
+    stored_k = int(manifest["k"])
     return ShardManifest(
         directory=directory,
         k=None if stored_k == _K_UNBOUNDED else stored_k,
-        n=int(manifest["n"]),
+        n=n,
         num_shards=num_shards,
-        boundary=load_npy("boundary.npy"),
-        shard_of=load_npy("shard_of.npy"),
-        closure=load_npy("closure.npy"),
+        shard_of=shard_of,
+        entry=entry_table,
+        exit=exit_table,
         shard_paths=shard_paths,
-        indexes=[load_mmap(path, mode=mode) for path in shard_paths],
-        vertex_maps=[load_npy(f"vmap-{i:03d}.npy") for i in range(num_shards)],
-        entries=[load_npy(f"entry-{i:03d}.npy") for i in range(num_shards)],
-        exit_closures=[
-            load_npy(f"exitc-{i:03d}.npy") for i in range(num_shards)
-        ],
+        indexes=indexes,
         meta=manifest,
     )
 
@@ -1216,22 +1257,23 @@ def _audit_sharded(directory: Path, report: dict) -> None:
         manifest = json.loads(blob.decode("utf-8"))
         stored = int(manifest.get("crc32", -1))
         computed = _manifest_digest(manifest)
-        wrong_shape = (
-            manifest.get("format") != _SHARD_FORMAT
-            or manifest.get("format_version") != _SHARD_FORMAT_VERSION
+        version = manifest.get("format_version")
+        wrong_shape = manifest.get("format") != _SHARD_FORMAT or not isinstance(
+            version, int
         )
     except OSError as exc:
         report["detail"] = f"unreadable manifest: {exc}"
         return
     except (ValueError, UnicodeDecodeError, TypeError):
-        report["sections"].append(
-            {"name": "manifest.json", "bytes": len(blob), "status": "malformed"}
-        )
-        return
+        wrong_shape = True
     if wrong_shape:
         report["sections"].append(
             {"name": "manifest.json", "bytes": len(blob), "status": "malformed"}
         )
+        return
+    if version != _SHARD_FORMAT_VERSION:
+        report["format"] = f"{_SHARD_FORMAT}(v{version})"
+        report["detail"] = f"{directory} is {_other_shard_version(version)}"
         return
     report["sections"].append(
         {

@@ -138,6 +138,5 @@ class TestWiring:
         cond = CondensedKReach(cycle_graph(5), 2)
         with pytest.raises(ValueError):
             cond.query_batch([pair])
-        if pair != (0, 1.7):
-            with pytest.raises(ValueError, match="out of range"):
-                cond.query(*pair)
+        with pytest.raises(ValueError, match="out of range|integer ids"):
+            cond.query(*pair)

@@ -14,7 +14,7 @@ from repro.core.batch import KeyedRowStore
 from repro.core.dynamic import DynamicKReachIndex
 from repro.core.kreach import KReachIndex
 from repro.graph.digraph import DiGraph
-from repro.graph.generators import gnp_digraph, path_graph
+from repro.graph.generators import cycle_graph, gnp_digraph, path_graph
 
 from tests.conftest import brute_force_khop
 
@@ -31,6 +31,24 @@ class TestBasics:
     def test_negative_k(self):
         with pytest.raises(ValueError):
             DynamicKReachIndex(path_graph(3), -1)
+
+    @pytest.mark.parametrize(
+        "pair", [(-1, 0), (0, 5), (0, 1.7)], ids=["negative", "past-n", "float"]
+    )
+    def test_invalid_ids_raise_value_error(self, pair):
+        """Scalar reads and writes share the batch path's id contract."""
+        dyn = DynamicKReachIndex(cycle_graph(5), 2)
+        with pytest.raises(ValueError):
+            dyn.query_batch([pair])
+        for call in (dyn.query, dyn.query_case, dyn.insert_edge, dyn.delete_edge):
+            with pytest.raises(ValueError, match="out of range|integer ids"):
+                call(*pair)
+
+    def test_numpy_ids_accepted(self):
+        dyn = DynamicKReachIndex(cycle_graph(5), 2)
+        dyn.insert_edge(np.int64(0), np.int32(3))
+        assert dyn.query(np.int64(0), 3)
+        assert dyn.pending_log()[-1, 1:].tolist() == [0, 3]
 
     def test_initial_state_matches_static(self):
         g = gnp_digraph(20, 0.15, seed=1)

@@ -103,6 +103,25 @@ class TestQueryCases:
         with pytest.raises(ValueError):
             idx.query(-1, 0)
 
+    @pytest.mark.parametrize(
+        "pair", [(-1, 0), (0, 5), (0, 1.7)], ids=["negative", "past-n", "float"]
+    )
+    def test_invalid_ids_raise_value_error(self, pair):
+        """The scalar paths share the batch path's id contract."""
+        idx = KReachIndex(cycle_graph(5), 2)
+        with pytest.raises(ValueError):
+            idx.query_batch([pair])
+        with pytest.raises(ValueError, match="out of range|integer ids"):
+            idx.query(*pair)
+        with pytest.raises(ValueError, match="out of range|integer ids"):
+            idx.query_case(*pair)
+
+    def test_numpy_and_bool_ids_accepted(self):
+        idx = KReachIndex(cycle_graph(5), 2)
+        assert idx.query(np.int64(0), np.uint8(2)) == idx.query(0, 2)
+        assert idx.query(False, True) == idx.query(0, 1)
+        assert idx.query_case(np.int32(1), 3) == idx.query_case(1, 3)
+
     def test_case2_direct_edge_self_handshake(self):
         # s in cover, t not; path is the single edge s -> t.  The covering
         # in-neighbor of t is s itself — the paper's implicit self-loop.

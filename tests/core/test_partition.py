@@ -5,9 +5,13 @@ Pins the sharding tier's core claim: a :class:`ShardedKReach` built by
 global index (and to the BFS oracle) for every shard count, hop budget,
 and engine — including hub-stress graphs where the interesting pairs
 all cross shards — plus the structural invariants that make the claim
-hold (boundary separation, boundary ⊆ cover) and the manifest
-round-trip.
+hold (boundary separation, boundary ⊆ cover), the portal tables, and
+the manifest round-trip.
 """
+
+import json
+import zlib
+from collections import deque
 
 import numpy as np
 import pytest
@@ -21,12 +25,14 @@ from repro.core.partition import (
 )
 from repro.core.serialize import (
     IndexCorruptionError,
+    _manifest_digest,
     load_sharded,
     save_sharded,
     verify_file,
 )
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import gnp_digraph
+from repro.graph.scc import condensation
 from repro.workloads import random_pairs
 
 
@@ -63,8 +69,34 @@ def two_block_hub_graph(block=40, hubs=4, seed=9):
     return DiGraph(n, np.concatenate(edges))
 
 
+def bfs_levels(adjacency, source):
+    """Hop distance from ``source`` to every vertex (-1 if unreachable)."""
+    dist = np.full(len(adjacency), -1, dtype=np.int64)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adjacency[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def resign(directory, name, arr):
+    """Replace one manifest array and re-sign the manifest around it, so
+    only the load-time routing checks can tell the file is wrong."""
+    np.save(directory / name, arr)
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    blob = (directory / name).read_bytes()
+    manifest["files"][name] = {"bytes": len(blob), "crc32": zlib.crc32(blob)}
+    manifest["crc32"] = _manifest_digest(manifest)
+    path.write_text(json.dumps(manifest))
+
+
 class TestDifferential:
-    @pytest.mark.parametrize("k", [2, 6, None])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 6, None])
     @pytest.mark.parametrize("num_shards", [1, 2, 4])
     def test_sharded_vs_global_vs_bfs(self, graph, pairs, k, num_shards):
         reference = KReachIndex(graph, k).query_batch(pairs)
@@ -85,7 +117,7 @@ class TestDifferential:
                 sharded.query_batch(pairs, engine=engine), reference
             )
 
-    @pytest.mark.parametrize("k", [2, 6, None])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 6, None])
     @pytest.mark.parametrize("num_shards", [2, 4])
     def test_hub_stress_all_cross(self, k, num_shards):
         """Block-to-block pairs must traverse the boundary stitch."""
@@ -151,6 +183,29 @@ class TestInvariants:
         assert default_hub_count(100) >= 10
         assert default_hub_count(10_000) >= 100
 
+    @pytest.mark.parametrize("k", [1, 3, None])
+    @pytest.mark.parametrize(
+        "make", [two_block_hub_graph, lambda: gnp_digraph(120, 0.03, seed=4)],
+        ids=["hub-stress", "gnp"],
+    )
+    def test_portal_tables_are_clipped_bfs_distances(self, make, k):
+        """``exit[v, j]`` / ``entry[v, j]`` are the distances to / from
+        ``boundary[j]`` clipped at k+1 (0/1 reachability for k=None)."""
+        g = make()
+        assert condensation(g).num_components < g.n, "graph must be cyclic"
+        sharded = partition_kreach(g, k, 2, hub_count=4)
+        cap = 1 if k is None else k + 1
+        assert len(sharded.boundary)
+        assert sharded.exit.shape == sharded.entry.shape == (g.n, len(sharded.boundary))
+        out_adj, in_adj = g.out_lists(), g.in_lists()
+        for j, b in enumerate(sharded.boundary.tolist()):
+            for table, adjacency in ((sharded.entry, out_adj), (sharded.exit, in_adj)):
+                dist = bfs_levels(adjacency, b)
+                reached = dist >= 0
+                want = np.full(g.n, cap)
+                want[reached] = 0 if k is None else np.minimum(dist[reached], cap)
+                assert np.array_equal(table[:, j], want), (j, b)
+
     def test_summary_shape(self, graph):
         summary = partition_kreach(graph, 6, 2).summary()
         assert summary["num_shards"] == 2
@@ -172,6 +227,23 @@ class TestManifest:
         )
         assert loaded.k == sharded.k
         assert np.array_equal(loaded.boundary, sharded.boundary)
+        assert np.array_equal(loaded.exit, sharded.exit)
+        assert np.array_equal(loaded.entry, sharded.entry)
+        for got, want in zip(loaded.shards, sharded.shards):
+            assert np.array_equal(got.vertex_map, want.vertex_map)
+
+    def test_writes_only_underivable_files(self, tmp_path, graph):
+        directory = tmp_path / "m"
+        save_sharded(partition_kreach(graph, 6, 3), directory)
+        assert sorted(p.name for p in directory.iterdir()) == [
+            "entry.npy",
+            "exit.npy",
+            "manifest.json",
+            "shard-000.kr5",
+            "shard-001.kr5",
+            "shard-002.kr5",
+            "shard_of.npy",
+        ]
 
     def test_verify_file_clean_and_corrupt(self, tmp_path, graph):
         directory = tmp_path / "m"
@@ -196,7 +268,7 @@ class TestManifest:
     def test_load_rejects_missing_and_resized(self, tmp_path, graph):
         directory = tmp_path / "m"
         save_sharded(partition_kreach(graph, 6, 2), directory)
-        victim = directory / "entry-000.npy"
+        victim = directory / "entry.npy"
         original = victim.read_bytes()
         victim.unlink()
         with pytest.raises(IndexCorruptionError, match="missing"):
@@ -213,3 +285,58 @@ class TestManifest:
         manifest.write_text(text)
         with pytest.raises(IndexCorruptionError, match="CRC32"):
             load_sharded(directory)
+
+    def test_load_rejects_out_of_range_shard_id(self, tmp_path, graph):
+        """A same-size byte flip in shard_of.npy must not reach routing."""
+        directory = tmp_path / "m"
+        save_sharded(partition_kreach(graph, 6, 2), directory)
+        victim = directory / "shard_of.npy"
+        size = victim.stat().st_size
+        shard_of = np.load(victim)
+        shard_of[int(np.flatnonzero(shard_of >= 0)[0])] = 7
+        np.save(victim, shard_of)
+        assert victim.stat().st_size == size
+        with pytest.raises(IndexCorruptionError, match="shard_of.npy") as info:
+            load_sharded(directory)
+        assert info.value.path == str(victim)
+
+    def test_load_rejects_wrong_shape_table(self, tmp_path, graph):
+        directory = tmp_path / "m"
+        save_sharded(partition_kreach(graph, 6, 2), directory)
+        table = np.load(directory / "exit.npy")
+        resign(directory, "exit.npy", table[:, :-1])
+        with pytest.raises(IndexCorruptionError, match="exit.npy") as info:
+            load_sharded(directory, verify=True)
+        assert info.value.section == "exit.npy"
+        resign(directory, "exit.npy", table.astype(np.int64))
+        with pytest.raises(IndexCorruptionError, match="exit.npy"):
+            load_sharded(directory, verify=True)
+
+    def test_load_rejects_vertex_map_disagreeing_with_shard(self, tmp_path, graph):
+        directory = tmp_path / "m"
+        save_sharded(partition_kreach(graph, 6, 2), directory)
+        shard_of = np.load(directory / "shard_of.npy")
+        shard_of[int(np.flatnonzero(shard_of == 0)[0])] = 1
+        resign(directory, "shard_of.npy", shard_of)
+        with pytest.raises(IndexCorruptionError, match="shard-000.kr5"):
+            load_sharded(directory, verify=True)
+
+    def test_v1_manifest_refused_by_version(self, tmp_path, graph):
+        directory = tmp_path / "m"
+        save_sharded(partition_kreach(graph, 6, 2), directory)
+        path = directory / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["format_version"] = 1
+        manifest["crc32"] = _manifest_digest(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(
+            IndexCorruptionError,
+            match="v1 shard manifest; this reader opens only v2 — rebuild it "
+            "with partition_kreach \\+ save_sharded",
+        ):
+            load_sharded(directory)
+        report = verify_file(directory)
+        assert not report["ok"]
+        assert report["format"] == "kreach-shards(v1)"
+        assert "v1 shard manifest" in report["detail"]
+        assert not any(r["status"] == "malformed" for r in report["sections"])
