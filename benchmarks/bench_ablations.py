@@ -121,35 +121,6 @@ def test_general_k_queries(benchmark, name, design):
 
 
 # ----------------------------------------------------------------------
-# Compressed hub rows (§4.3)
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", ABLATION_DATASETS)
-@pytest.mark.parametrize("storage", ["plain", "compressed"])
-def test_row_storage_queries(benchmark, name, storage):
-    """6-reach query batches with dict rows vs WAH-compressed hub rows."""
-    from repro.core import KReachIndex
-
-    g = graph_for(name)
-    if storage == "plain":
-        index = kreach_for(name, 6)
-    else:
-        index = cached_index(
-            ("kreach-compressed", name),
-            lambda: KReachIndex(
-                g, 6, cover=kreach_for(name, 6).cover, compress_rows_at=32
-            ),
-        )
-    pairs = [(int(s), int(t)) for s, t in pairs_for(name)]
-
-    def run():
-        for s, t in pairs:
-            index.query(s, t)
-
-    benchmark(run)
-    benchmark.extra_info["storage_bytes"] = index.storage_bytes()
-
-
-# ----------------------------------------------------------------------
 # Incremental maintenance (our extension; cf. the paper's related work [3])
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", ("GO",))

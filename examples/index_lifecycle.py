@@ -1,11 +1,13 @@
 #!/usr/bin/env python
-"""Index lifecycle: parallel build, compressed hub rows, disk round-trip.
+"""Index lifecycle: parallel build, the §4.3 row layout, disk round-trip.
 
 Exercises the three operational features around the core index:
 
 * §4.1.3 — "it is straightforward to parallelize this process if more
   machines or CPU cores are available": `build_kreach_parallel`;
-* §4.3 — compact WAH storage for high-degree rows: `compress_rows_at`;
+* §4.3 — rows stored as a CSR with 2-bit weights, which the batch
+  engine reads as bit views ("locate the corresponding bits … instead
+  of searching the list of neighbors"): `storage_bytes`, `query_batch`;
 * §4.1.3 — "the constructed index is then stored on disk":
   `save_mmap` / `load_mmap`.
 
@@ -45,15 +47,15 @@ def main() -> None:
     print(f"  parallel build: {parallel_s*1e3:7.1f} ms (2 workers, identical rows ✓)")
 
     # ------------------------------------------------------------------
-    # 2. Compressed hub rows (§4.3).
+    # 2. The §4.3 row layout, read as bits by the batch engine.
     # ------------------------------------------------------------------
-    compressed = KReachIndex(g, k, cover=serial.cover, compress_rows_at=32)
-    print(f"  plain rows:      {serial.storage_bytes()/1e6:6.2f} MB")
-    print(f"  compressed rows: {compressed.storage_bytes()/1e6:6.2f} MB "
-          f"(threshold 32 edges/row)")
+    print(f"  §4.3 layout: {serial.storage_bytes()/1e6:6.2f} MB "
+          f"({serial.cover_size} cover rows, {serial.edge_count} edges, "
+          f"{serial.weight_bits()}-bit weights)")
     sample = [(s % g.n, (s * 13 + 5) % g.n) for s in range(500)]
-    assert all(serial.query(s, t) == compressed.query(s, t) for s, t in sample)
-    print("  answers identical on 500 sampled queries ✓")
+    batch = serial.query_batch(sample)
+    assert batch.tolist() == [serial.query(s, t) for s, t in sample]
+    print("  bit-probe batch answers == per-pair loop on 500 sampled queries ✓")
 
     # ------------------------------------------------------------------
     # 3. Disk round-trip (§4.1.3).

@@ -79,7 +79,6 @@ __all__ = [
     "run_ablation_general_k",
     "run_ablation_case_cost",
     "run_ablation_online_search",
-    "run_ablation_compression",
     "ALL_EXPERIMENTS",
 ]
 
@@ -1269,43 +1268,6 @@ def run_ablation_online_search(config: SuiteConfig) -> Table:
     return table
 
 
-def run_ablation_compression(config: SuiteConfig) -> Table:
-    """Row-compression ablation (§4.3's compact hub rows).
-
-    Compares plain dict rows against WAH-compressed high-degree rows on
-    index size and query cost for the 6-reach index.
-    """
-    table = Table(
-        f"Ablation — §4.3 compressed hub rows, 6-reach (scale={config.scale})",
-        ["dataset", "plain MB", "compressed MB", "size ratio",
-         "plain µs", "compressed µs"],
-        caption=(
-            "Rows with ≥ 32 index edges become per-weight-level WAH bitmaps; "
-            "queries probe bits instead of scanning neighbor lists."
-        ),
-    )
-    for name in config.datasets:
-        g = config.graph(name)
-        pairs = config.pairs(name)
-        plain = KReachIndex(g, 6)
-        packed = KReachIndex(g, 6, cover=plain.cover, compress_rows_at=32)
-        plain_b = plain.storage_bytes()
-        packed_b = packed.storage_bytes()
-        table.add_row(
-            {
-                "dataset": name,
-                "plain MB": fmt_mb(plain_b),
-                "compressed MB": fmt_mb(packed_b),
-                "size ratio": f"{plain_b / max(1, packed_b):.1f}x",
-                "plain µs": fmt_us(time_queries(plain.query, pairs).us_per_query),
-                "compressed µs": fmt_us(
-                    time_queries(packed.query, pairs).us_per_query
-                ),
-            }
-        )
-    return table
-
-
 def run_ingest(config: SuiteConfig) -> Table:
     """Streamed external-sort ingest vs the eager reader.
 
@@ -1425,84 +1387,79 @@ def run_ingest(config: SuiteConfig) -> Table:
 
 
 def run_size(config: SuiteConfig) -> Table:
-    """Table-4-style storage shootout: dense rows vs WAH rows vs PWAH.
+    """Table-4-style storage shootout: the k-reach CSR vs PWAH.
 
-    Builds each dataset's n-reach index twice over the same vertex
-    cover — once with the default dense key/weight row store, once with
-    ``storage='wah'`` (per-level compressed bitmaps, decompressed on
-    touch) — plus the PWAH-8 baseline, and reports bytes per graph edge
-    and µs/query over the shared random workload.  ``agree`` checks all
-    three verdict vectors bit-for-bit (n-reach == plain reachability,
-    so PWAH must agree too).  CI gates the TOTAL row: agree must hold
-    everywhere and the aggregate WAH bytes/edge must come in under
-    dense — per-dataset, near-empty indexes can invert the ratio (a WAH
-    level costs 16 fixed bytes, so a 1-edge row is cheaper dense), which
-    the per-row ratio column surfaces without failing the gate.
+    Builds each dataset's n-reach index and the PWAH-8 baseline and
+    reports bytes per graph edge and µs/query over the shared random
+    workload.  ``dense B/e`` is :meth:`KReachIndex.storage_bytes
+    <repro.core.kreach.KReachIndex.storage_bytes>`, the paper's §4.3
+    model; ``file B/e`` is what :func:`~repro.core.serialize.save_mmap`
+    actually writes (the graph's dual CSR included).  ``agree`` checks
+    the two verdict vectors bit-for-bit (n-reach == plain reachability,
+    so PWAH must agree); CI gates it on every row.
     """
+    import tempfile
+    from pathlib import Path
+
+    from repro.core.serialize import save_mmap
+
     table = Table(
-        f"Size — row-store bytes/edge and query cost, n-reach "
+        f"Size — index bytes/edge and query cost, n-reach "
         f"(scale={config.scale}, {config.queries} random queries)",
-        ["dataset", "m", "dense B/e", "wah B/e", "ratio", "pwah B/e",
-         "dense µs", "wah µs", "pwah µs", "agree"],
+        ["dataset", "m", "dense B/e", "file B/e", "pwah B/e",
+         "dense µs", "pwah µs", "agree"],
         caption=(
-            "B/e = index storage bytes per graph edge; dense/wah share "
-            "one vertex cover so the stores hold identical rows; ratio "
-            "= dense/wah.  wah decompresses rows on touch into a small "
-            "hot FIFO, so its µs column buys the size ratio.  CI gates "
-            "the TOTAL row: agree everywhere, aggregate wah < dense."
+            "B/e = bytes per graph edge: dense = the §4.3 storage model "
+            "(4-byte ids, 2-bit weights), file = the measured v6 file, "
+            "pwah = the PWAH-8 baseline's model.  CI gates agree on "
+            "every row."
         ),
     )
-    tot_m = tot_dense = tot_wah = tot_pwah = 0
+    tot_m = tot_dense = tot_file = tot_pwah = 0
     all_agree = True
-    for name in config.datasets:
-        g = config.graph(name)
-        pairs = config.pairs(name)
-        m = max(1, int(g.out_indices.size))
-        dense = KReachIndex(g, None).prepare_batch()
-        wah = KReachIndex(
-            g, None, cover=dense.cover, storage="wah"
-        ).prepare_batch()
-        pwah = PwahIndex(g)
-        ref = dense.query_batch(pairs)
-        wah_out = wah.query_batch(pairs)
-        pwah_out = pwah.reaches_batch(pairs)
-        agree = bool(
-            np.array_equal(ref, wah_out) and np.array_equal(ref, pwah_out)
-        )
-        dense_b = dense.storage_bytes()
-        wah_b = wah.storage_bytes()
-        table.add_row(
-            {
-                "dataset": name,
-                "m": m,
-                "dense B/e": dense_b / m,
-                "wah B/e": wah_b / m,
-                "ratio": f"{dense_b / max(1, wah_b):.1f}x",
-                "pwah B/e": pwah.storage_bytes() / m,
-                "dense µs": fmt_us(
-                    time_batch_queries(dense.query_batch, pairs).us_per_query
-                ),
-                "wah µs": fmt_us(
-                    time_batch_queries(wah.query_batch, pairs).us_per_query
-                ),
-                "pwah µs": fmt_us(
-                    time_batch_queries(pwah.reaches_batch, pairs).us_per_query
-                ),
-                "agree": "yes" if agree else "NO",
-            }
-        )
-        tot_m += m
-        tot_dense += dense_b
-        tot_wah += wah_b
-        tot_pwah += pwah.storage_bytes()
-        all_agree &= agree
+    with tempfile.TemporaryDirectory(prefix="kreach-size-") as tmp:
+        path = Path(tmp) / "index.kri"
+        for name in config.datasets:
+            g = config.graph(name)
+            pairs = config.pairs(name)
+            m = max(1, int(g.out_indices.size))
+            dense = KReachIndex(g, None).prepare_batch()
+            pwah = PwahIndex(g)
+            agree = bool(
+                np.array_equal(
+                    dense.query_batch(pairs), pwah.reaches_batch(pairs)
+                )
+            )
+            save_mmap(dense, path)
+            dense_b = dense.storage_bytes()
+            file_b = path.stat().st_size
+            table.add_row(
+                {
+                    "dataset": name,
+                    "m": m,
+                    "dense B/e": dense_b / m,
+                    "file B/e": file_b / m,
+                    "pwah B/e": pwah.storage_bytes() / m,
+                    "dense µs": fmt_us(
+                        time_batch_queries(dense.query_batch, pairs).us_per_query
+                    ),
+                    "pwah µs": fmt_us(
+                        time_batch_queries(pwah.reaches_batch, pairs).us_per_query
+                    ),
+                    "agree": "yes" if agree else "NO",
+                }
+            )
+            tot_m += m
+            tot_dense += dense_b
+            tot_file += file_b
+            tot_pwah += pwah.storage_bytes()
+            all_agree &= agree
     table.add_row(
         {
             "dataset": "TOTAL",
             "m": tot_m,
             "dense B/e": tot_dense / max(1, tot_m),
-            "wah B/e": tot_wah / max(1, tot_m),
-            "ratio": f"{tot_dense / max(1, tot_wah):.1f}x",
+            "file B/e": tot_file / max(1, tot_m),
             "pwah B/e": tot_pwah / max(1, tot_m),
             "agree": "yes" if all_agree else "NO",
         }
@@ -1654,5 +1611,4 @@ ALL_EXPERIMENTS = {
     "ablation-general-k": run_ablation_general_k,
     "ablation-case-cost": run_ablation_case_cost,
     "ablation-online-search": run_ablation_online_search,
-    "ablation-compression": run_ablation_compression,
 }

@@ -17,17 +17,9 @@ transitive-closure entry at query time.
 
 from __future__ import annotations
 
-import collections
-
 import numpy as np
 
-__all__ = [
-    "WahBitVector",
-    "WahBitMatrix",
-    "encode_bits",
-    "decode_bits",
-    "decode_indices",
-]
+__all__ = ["WahBitVector", "encode_bits", "decode_bits"]
 
 GROUP_BITS = 31
 _FILL_FLAG = 1 << 31
@@ -57,8 +49,8 @@ def encode_bits(bits: np.ndarray) -> np.ndarray:
     Word-for-word identical to :meth:`WahBitVector.compress` (which
     delegates here), but fully vectorized: run boundaries, fill-run
     splitting at :data:`_RUN_MASK`, and literal emission all happen as
-    array ops — this is what makes compressing millions of index rows
-    (:class:`repro.core.rowstore.WahRowStore`) tractable.
+    array ops, so compressing the PWAH baseline's closure rows costs no
+    Python-level loop over groups.
     """
     values = _group_values(np.asarray(bits, dtype=bool))
     ngroups = values.size
@@ -120,11 +112,6 @@ def decode_bits(words: np.ndarray, size: int) -> np.ndarray:
     values = _decode_values(words, ngroups)
     bits = ((values[:, None] >> _SHIFTS) & 1).astype(bool).reshape(-1)
     return bits[:size]
-
-
-def decode_indices(words: np.ndarray, size: int) -> np.ndarray:
-    """Positions of the set bits in a WAH word array (sorted int64)."""
-    return np.flatnonzero(decode_bits(words, size)).astype(np.int64)
 
 
 class WahBitVector:
@@ -227,24 +214,8 @@ class WahBitVector:
         return False
 
     def decompress(self) -> np.ndarray:
-        """The original boolean array."""
-        ngroups = (self.size + GROUP_BITS - 1) // GROUP_BITS
-        values = np.zeros(ngroups, dtype=np.int64)
-        group = 0
-        for word in self.words:
-            if word & _FILL_FLAG:
-                run = word & _RUN_MASK
-                if word & _FILL_VALUE:
-                    values[group : group + run] = _ALL_ONES_GROUP
-                group += run
-            else:
-                values[group] = word & _LITERAL_MASK
-                group += 1
-        if group != ngroups:
-            raise ValueError("corrupt WAH stream: group count mismatch")
-        shifts = np.arange(GROUP_BITS, dtype=np.int64)
-        bits = ((values[:, None] >> shifts) & 1).astype(bool).reshape(-1)
-        return bits[: self.size]
+        """The original boolean array (vectorized via :func:`decode_bits`)."""
+        return decode_bits(np.asarray(self.words, dtype=np.uint32), self.size)
 
     def count(self) -> int:
         """Number of set bits (without materializing the bitmap)."""
@@ -291,111 +262,3 @@ class WahBitVector:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"WahBitVector(size={self.size}, words={len(self.words)})"
-
-
-class WahBitMatrix:
-    """WAH-compressed rows of a packed-uint64 bit matrix.
-
-    The dense cover-local link matrices
-    (:meth:`repro.core.index_graph.IndexGraph.link_matrix`) cost
-    ``ceil(cols/64) * 8`` bytes per row regardless of density.  This
-    wrapper stores each row WAH-compressed and decompresses **on touch**:
-    :meth:`take` returns a dense uint64 block for the requested rows,
-    serving repeats from a small FIFO of hot uncompressed rows — the
-    batch Case-4 join then runs the exact same packed-word kernels on
-    the block.
-
-    ``shape`` mimics the dense matrix (``(rows, ceil(cols/64))`` uint64
-    words) so size accounting and kernel chunking stay unchanged.
-    """
-
-    __slots__ = ("ncols", "nwords", "_indptr", "_words", "_hot", "_hot_cap")
-
-    def __init__(
-        self,
-        indptr: np.ndarray,
-        words: np.ndarray,
-        ncols: int,
-        *,
-        hot_rows: int = 64,
-    ) -> None:
-        self._indptr = np.asarray(indptr, dtype=np.int64)
-        self._words = np.asarray(words, dtype=np.uint32)
-        self.ncols = int(ncols)
-        self.nwords = (self.ncols + 63) // 64
-        self._hot: "collections.OrderedDict[int, np.ndarray]" = (
-            collections.OrderedDict()
-        )
-        self._hot_cap = max(1, int(hot_rows))
-
-    @classmethod
-    def from_dense(
-        cls, dense: np.ndarray, ncols: int, *, hot_rows: int = 64
-    ) -> "WahBitMatrix":
-        """Compress a ``(rows, ceil(ncols/64))`` uint64 bit matrix."""
-        dense = np.ascontiguousarray(dense, dtype=np.uint64)
-        rows = dense.shape[0]
-        parts: list[np.ndarray] = []
-        indptr = np.zeros(rows + 1, dtype=np.int64)
-        for r in range(rows):
-            bits = np.unpackbits(
-                dense[r].view(np.uint8), count=ncols, bitorder="little"
-            ).astype(bool)
-            part = encode_bits(bits)
-            parts.append(part)
-            indptr[r + 1] = indptr[r] + part.size
-        words = (
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.uint32)
-        )
-        return cls(indptr, words, ncols, hot_rows=hot_rows)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self._indptr) - 1, self.nwords)
-
-    @property
-    def ndim(self) -> int:
-        return 2
-
-    def __len__(self) -> int:
-        return len(self._indptr) - 1
-
-    def _decode_row(self, r: int) -> np.ndarray:
-        cached = self._hot.get(r)
-        if cached is not None:
-            self._hot.move_to_end(r)
-            return cached
-        bits = decode_bits(
-            self._words[self._indptr[r] : self._indptr[r + 1]], self.ncols
-        )
-        packed = np.packbits(bits, bitorder="little")
-        row = np.zeros(self.nwords * 8, dtype=np.uint8)
-        row[: packed.size] = packed
-        row = row.view(np.uint64)
-        self._hot[r] = row
-        if len(self._hot) > self._hot_cap:
-            self._hot.popitem(last=False)
-        return row
-
-    def take(self, rows: np.ndarray) -> np.ndarray:
-        """Dense uint64 block for ``rows`` (decompress-on-touch)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        out = np.empty((rows.size, self.nwords), dtype=np.uint64)
-        for i, r in enumerate(rows):
-            out[i] = self._decode_row(int(r))
-        return out
-
-    def storage_bytes(self) -> int:
-        """Compressed payload + offsets (the hot cache is transient)."""
-        return int(self._words.nbytes + self._indptr.nbytes)
-
-    def dense_bytes(self) -> int:
-        """What the equivalent dense matrix would occupy."""
-        return (len(self._indptr) - 1) * self.nwords * 8
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        rows, nw = self.shape
-        return (
-            f"WahBitMatrix(rows={rows}, cols={self.ncols}, "
-            f"words={self._words.size}, dense_words={rows * nw})"
-        )

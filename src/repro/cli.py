@@ -41,9 +41,9 @@ plain, gzip, and a tight-budget multi-run merge — gating bit-identical
 CSR output, streamed peak < eager peak, and sort buffer within budget;
 ``--condense`` extends the pipeline through the SCC condensation into a
 :class:`~repro.core.CondensedKReach` build.  ``size`` compares the
-dense row store against ``storage='wah'`` compressed rows and the
-PWAH-8 baseline on bytes/edge and µs/query (CI gates wah < dense with
-bit-identical verdicts).
+n-reach index (its §4.3 storage model and its measured v6 file) with
+the PWAH-8 baseline on bytes/edge and µs/query (CI gates bit-identical
+verdicts).
 
 Every experiment accepts ``--scale`` (1.0 = paper-sized graphs),
 ``--queries``, ``--datasets`` (comma-separated subset), ``--seed``, and

@@ -23,7 +23,6 @@ from repro.core.partition import (
     default_hub_count,
     partition_kreach,
 )
-from repro.core.rowstore import CompressedRow, compress_rows
 from repro.core.serialize import (
     IndexCorruptionError,
     OpLog,
@@ -62,8 +61,6 @@ __all__ = [
     "IndexGraph",
     "cover_triples_blocked",
     "cover_triples_serial",
-    "CompressedRow",
-    "compress_rows",
     "build_kreach_parallel",
     "parallel_khop_triples",
     "save_mmap",

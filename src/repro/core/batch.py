@@ -36,6 +36,7 @@ All kernels operate on dense int64 vertex ids; booleans come back as
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -205,16 +206,35 @@ class KeyedRowStore:
         self._n = n
 
     @classmethod
-    def from_rows(cls, rows: Mapping[int, object], n: int) -> "KeyedRowStore":
-        """Conversion helper: flatten legacy nested-dict rows.
+    def from_rows(
+        cls, rows: Mapping[int, Mapping[int, int]], n: int
+    ) -> "KeyedRowStore":
+        """Conversion helper: flatten legacy ``{u: {v: weight}}`` rows.
 
-        Each row is a plain ``{v: weight}`` dict or a
-        :class:`~repro.core.rowstore.CompressedRow`; the per-edge
-        flattening lives in :func:`~repro.core.rowstore.rows_to_arrays`.
+        Rows flatten through chained ``fromiter`` columns, in ascending
+        ``u``; the constructor sorts the keys if a row lists its targets
+        out of order.
         """
-        from repro.core.rowstore import rows_to_arrays
-
-        return cls(*rows_to_arrays(rows, n), n)
+        ordered = sorted(rows.items(), key=lambda item: item[0])
+        counts = np.fromiter(
+            (len(row) for _, row in ordered), dtype=np.int64, count=len(ordered)
+        )
+        total = int(counts.sum())
+        targets = np.fromiter(
+            chain.from_iterable(row.keys() for _, row in ordered),
+            dtype=np.int64,
+            count=total,
+        )
+        weights = np.fromiter(
+            chain.from_iterable(row.values() for _, row in ordered),
+            dtype=np.int64,
+            count=total,
+        )
+        sources = np.repeat(
+            np.fromiter((u for u, _ in ordered), dtype=np.int64, count=len(ordered)),
+            counts,
+        )
+        return cls(sources * np.int64(n) + targets, weights, n)
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -333,11 +353,7 @@ def case4_bitset_join(
     :meth:`~repro.core.index_graph.IndexGraph.link_matrix`) already
     thresholded at the caller's budget, with the diagonal set iff the
     ``u == v`` handshake satisfies that budget; ``row_pos`` maps vertex
-    ids to cover positions (-1 outside the cover).  A WAH-compressed
-    matrix (:class:`repro.bitsets.wah.WahBitMatrix`, the ``storage='wah'``
-    backing) is accepted too: only the distinct link rows this batch
-    touches are decompressed, and the same packed-word kernels run over
-    the dense block.
+    ids to cover positions (-1 outside the cover).
 
     The identity this rides on: *some* out-neighbor ``u`` of ``s`` links
     to *some* in-neighbor ``v`` of ``t`` iff the union of the link rows
@@ -367,22 +383,9 @@ def case4_bitset_join(
     nbrs, owner, _ = gather_segments(graph.out_indptr, graph.out_indices, uniq_s)
     pos = row_pos[nbrs]
     keep = pos >= 0
-    if isinstance(matrix, np.ndarray):
-        ubits = or_rows_segmented(
-            matrix, pos[keep], owner[keep], len(uniq_s), max_words=max_words
-        )
-    else:
-        # Compressed link rows: decompress the distinct rows once
-        # (served from the matrix's hot-row FIFO on repeats) and OR-fold
-        # the dense block exactly as above.
-        uniq_rows, local = np.unique(pos[keep], return_inverse=True)
-        ubits = or_rows_segmented(
-            matrix.take(uniq_rows),
-            local,
-            owner[keep],
-            len(uniq_s),
-            max_words=max_words,
-        )
+    ubits = or_rows_segmented(
+        matrix, pos[keep], owner[keep], len(uniq_s), max_words=max_words
+    )
 
     fn, tier = native.resolve("gather_and_any")
     if tier != "numpy":

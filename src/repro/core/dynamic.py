@@ -208,17 +208,7 @@ class DynamicKReachIndex:
         reconstruction.  The snapshot's ``bitset_matrix_bytes`` carries
         over: to run a non-default memory gate, pass it to
         :func:`~repro.core.serialize.load_mmap` when opening the base.
-
-        The base must use the default dense row storage: the dynamic
-        tier merges delta rows against the base's flat key/weight
-        arrays, which a ``storage='wah'`` index deliberately does not
-        materialize.  Rebuild (or reload) the snapshot densely first.
         """
-        if base.index_graph.storage != "dense":
-            raise ValueError(
-                "DynamicKReachIndex requires a dense-storage base index; "
-                f"got storage={base.index_graph.storage!r}"
-            )
         self = object.__new__(cls)
         self._init_config(
             base.graph.n,

@@ -104,8 +104,6 @@ class IndexGraph:
         "_row_pos",
         "_flat",
         "_matrices",
-        "storage",
-        "_wah_store",
     )
 
     def __init__(
@@ -128,8 +126,6 @@ class IndexGraph:
         self._row_pos: np.ndarray | None = None
         self._flat: dict[int, int] | None = None
         self._matrices: dict[tuple[int | None, bool], np.ndarray] = {}
-        self.storage: str = "dense"
-        self._wah_store = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -266,11 +262,9 @@ class IndexGraph:
     ) -> "IndexGraph":
         """Conversion helper: build from legacy ``{u: {v: w}}`` mappings.
 
-        Accepts plain dict rows and
-        :class:`~repro.core.rowstore.CompressedRow` values (anything with
-        ``.items()``).  Only tests, tools, and the dynamic index's freeze
-        path should need this; construction proper goes through
-        :meth:`from_triples`.
+        Accepts any rows with ``.items()``.  Only tests, tools, and the
+        dynamic index's freeze path should need this; construction proper
+        goes through :meth:`from_triples`.
         """
         srcs: list[int] = []
         dsts: list[int] = []
@@ -289,37 +283,6 @@ class IndexGraph:
             floor=weight_base,
             weight_bits=weight_bits,
         )
-
-    # ------------------------------------------------------------------
-    # Row-store backing (dense keyed arrays vs WAH-compressed bitmaps)
-    # ------------------------------------------------------------------
-    def use_storage(self, storage: str, store=None) -> "IndexGraph":
-        """Select the row-store backing for the batch engine.
-
-        ``'dense'`` (the default) probes the flat sorted key/weight
-        arrays (:meth:`keys` / :meth:`weights64`); ``'wah'`` probes
-        per-row WAH bitmaps (:class:`~repro.core.rowstore.WahRowStore`)
-        that decompress on touch — a fraction of the dense bytes at a
-        per-query decompression cost.  ``store`` pre-installs a built
-        store (the zero-copy loader's path); otherwise it is built
-        lazily from the CSR arrays on first :meth:`wah_store` call.
-        Answers are bit-identical either way.  Returns ``self``.
-        """
-        if storage not in ("dense", "wah"):
-            raise ValueError(f"storage must be 'dense' or 'wah', got {storage!r}")
-        if store is not None and storage != "wah":
-            raise ValueError("a pre-built store requires storage='wah'")
-        self.storage = storage
-        self._wah_store = store
-        return self
-
-    def wah_store(self):
-        """The WAH row store (built from the CSR on first use)."""
-        if self._wah_store is None:
-            from repro.core.rowstore import WahRowStore
-
-            self._wah_store = WahRowStore.from_index_graph(self)
-        return self._wah_store
 
     # ------------------------------------------------------------------
     # Derived views (each built once, on first use)
@@ -468,13 +431,6 @@ class IndexGraph:
         for (_, diagonal), view in zip(specs, views):
             if diagonal and size:
                 set_bits(view, diag, diag)
-        if self.storage == "wah":
-            # Compressed cold rows: the Case-4 join decompresses just
-            # the rows a batch touches (WahBitMatrix.take), keeping the
-            # resident footprint at the compressed size.
-            from repro.bitsets.wah import WahBitMatrix
-
-            return [WahBitMatrix.from_dense(view, size) for view in views]
         return views
 
     def link_matrix_bytes(self) -> int:

@@ -68,7 +68,6 @@ from repro.core.index_graph import (
     cover_triples_blocked,
     cover_triples_serial,
 )
-from repro.core.rowstore import CompressedRow
 from repro.core.vertex_cover import cover_from_strategy, is_vertex_cover
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import condensation
@@ -107,11 +106,6 @@ class KReachIndex:
         ``'random'``, ``'input'``, ``'greedy'``.
     include_degree_at_least:
         Seed all vertices of at least this degree into the cover (§4.3).
-    compress_rows_at:
-        If set, index rows with at least this many edges additionally get
-        per-weight-level WAH bitmaps — the §4.3 compact representation for
-        high-degree vertices.  Scalar queries then probe compressed bits
-        for those rows instead of hashing neighbor keys.
     builder:
         ``'blocked'`` (default) constructs via the bit-parallel
         multi-source BFS; ``'serial'`` runs one BFS per cover vertex (the
@@ -161,10 +155,8 @@ class KReachIndex:
         cover: frozenset[int] | None = None,
         cover_strategy: str = "degree",
         include_degree_at_least: int | None = None,
-        compress_rows_at: int | None = None,
         builder: str = "blocked",
         bitset_matrix_bytes: int = DEFAULT_MATRIX_BYTES,
-        storage: str = "dense",
         rng: np.random.Generator | None = None,
     ) -> None:
         if k is not None and k < 0:
@@ -188,11 +180,7 @@ class KReachIndex:
             make = cover_triples_serial if builder == "serial" else cover_triples_blocked
             triples = make(graph, cover, k)
         ig = IndexGraph.for_kreach(graph.n, cover, *triples, k)
-        if storage != "dense":
-            ig.use_storage(storage)
-        self._finish_init(
-            graph, k, cover, ig, compress_rows_at, bitset_matrix_bytes
-        )
+        self._finish_init(graph, k, cover, ig, bitset_matrix_bytes)
 
     def _finish_init(
         self,
@@ -200,7 +188,6 @@ class KReachIndex:
         k: int | None,
         cover: frozenset[int],
         index_graph: IndexGraph,
-        compress_rows_at: int | None,
         bitset_matrix_bytes: int = DEFAULT_MATRIX_BYTES,
     ) -> None:
         self.graph = graph
@@ -219,12 +206,7 @@ class KReachIndex:
         self._b1_ok = k is None or k >= 1  # may a u == v handshake use k-1?
         self._b2_ok = k is None or k >= 2  # ... use k-2?
         self._ig = index_graph
-        #: Row-store backing ('dense' keyed arrays or 'wah' compressed
-        #: bitmaps) — owned by the IndexGraph, mirrored for introspection.
-        self.storage = index_graph.storage
-        self.compress_rows_at = compress_rows_at
         self.bitset_matrix_bytes = int(bitset_matrix_bytes)
-        self._wah = self._build_wah(compress_rows_at)
         # Plain-list adjacency for the hot scalar query loops — built on
         # the first scalar query, not here: an O(n + m) list
         # materialization at construction time would put the whole graph
@@ -237,23 +219,6 @@ class KReachIndex:
         self._keyed_rows: KeyedRowStore | None = None
         self._flags_np: np.ndarray | None = None
 
-    def _build_wah(self, threshold: int | None) -> dict[int, CompressedRow] | None:
-        """§4.3 WAH bitmap views of rows with at least ``threshold`` edges."""
-        if threshold is None:
-            return None
-        if threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {threshold}")
-        ig = self._ig
-        counts = np.diff(ig.indptr)
-        weights = ig.weights64()
-        wah: dict[int, CompressedRow] = {}
-        for i in np.flatnonzero(counts >= threshold).tolist():
-            lo, hi = int(ig.indptr[i]), int(ig.indptr[i + 1])
-            wah[int(ig.cover_ids[i])] = CompressedRow.from_arrays(
-                ig.targets[lo:hi], weights[lo:hi], ig.n
-            )
-        return wah or None
-
     @classmethod
     def from_index_graph(
         cls,
@@ -262,9 +227,7 @@ class KReachIndex:
         *,
         cover: frozenset[int],
         index_graph: IndexGraph,
-        compress_rows_at: int | None = None,
         bitset_matrix_bytes: int = DEFAULT_MATRIX_BYTES,
-        storage: str | None = None,
     ) -> "KReachIndex":
         """Assemble an index around a pre-built :class:`IndexGraph`.
 
@@ -273,23 +236,11 @@ class KReachIndex:
         :meth:`~repro.core.dynamic.DynamicKReachIndex.freeze`.  The caller
         is responsible for the contents being exactly what Algorithm 1
         would have produced for this ``(graph, k, cover)``.
-        ``storage=None`` inherits the IndexGraph's backing (the loaders
-        pre-install a compressed store there); pass ``'dense'``/``'wah'``
-        to override.
         """
         self = object.__new__(cls)
         if not isinstance(cover, frozenset):
             cover = frozenset(int(v) for v in cover)
-        if storage is not None and storage != index_graph.storage:
-            index_graph.use_storage(storage)
-        self._finish_init(
-            graph,
-            k,
-            cover,
-            index_graph,
-            compress_rows_at,
-            bitset_matrix_bytes,
-        )
+        self._finish_init(graph, k, cover, index_graph, bitset_matrix_bytes)
         return self
 
     @classmethod
@@ -300,7 +251,6 @@ class KReachIndex:
         *,
         cover: frozenset[int],
         rows: dict[int, dict[int, int]],
-        compress_rows_at: int | None = None,
     ) -> "KReachIndex":
         """Conversion helper: assemble from legacy nested-dict rows.
 
@@ -316,9 +266,7 @@ class KReachIndex:
             ig = IndexGraph.from_rows(
                 graph.n, cover, rows, weight_base=k - 2, weight_bits=2
             )
-        return cls.from_index_graph(
-            graph, k, cover=cover, index_graph=ig, compress_rows_at=compress_rows_at
-        )
+        return cls.from_index_graph(graph, k, cover=cover, index_graph=ig)
 
     # ------------------------------------------------------------------
     # Construction (Algorithm 1)
@@ -385,50 +333,16 @@ class KReachIndex:
         """``(probe, targets, weights, row_pos, indptr)`` for scalar loops.
 
         ``probe(u, v)`` returns the stored weight or None via one flat
-        hash lookup (WAH bitmap bit-probes for compressed hub rows); the
-        plain-list CSR columns back the Case-4 small-row scans.  All of it
-        is a view of the canonical :class:`IndexGraph` arrays.
+        hash lookup; the plain-list CSR columns back the Case-4 small-row
+        scans.  All of it is a view of the canonical :class:`IndexGraph`
+        arrays.
         """
         if self._scalar is None:
             ig = self._ig
-            n = self.graph.n
-            wah = self._wah
-            if wah is None and ig.storage == "wah":
-                # Compressed storage: scalar probes go through the row
-                # store's decompress-on-touch cache instead of
-                # materializing the flat dict (which would cost the
-                # dense bytes the backing exists to avoid).
-                store = ig.wah_store()
+            flat = ig.flat()
 
-                def probe(u: int, v: int, _store=store):
-                    return _store.weight_of(u, v)
-
-            elif wah is None:
-                flat = ig.flat()
-
-                def probe(u: int, v: int, _flat=flat, _n=n):
-                    return _flat.get(u * _n + v)
-
-            else:
-                # Hub rows answer through their bitmaps; exclude them from
-                # the flat dict so it stays proportional to the plain rows.
-                heads = np.repeat(ig.cover_ids, np.diff(ig.indptr))
-                keep = ~np.isin(
-                    heads,
-                    np.fromiter(wah.keys(), dtype=np.int64, count=len(wah)),
-                )
-                flat = dict(
-                    zip(
-                        ig.keys()[keep].tolist(),
-                        ig.weights64()[keep].tolist(),
-                    )
-                )
-
-                def probe(u: int, v: int, _flat=flat, _wah=wah, _n=n):
-                    row = _wah.get(u)
-                    if row is not None:
-                        return row.get(v)
-                    return _flat.get(u * _n + v)
+            def probe(u: int, v: int, _flat=flat, _n=self.graph.n):
+                return _flat.get(u * _n + v)
 
             self._scalar = (
                 probe,
@@ -517,21 +431,12 @@ class KReachIndex:
         b2_ok = self._b2_ok
         budget = 0 if k is None else k - 2
         unbounded = k is None
-        wah = self._wah
         for u in self._out_adj()[s]:
             if b2_ok and u in pred_set:
                 return True  # s -> u -> t
             p = row_pos[u]
             if p < 0:
                 continue
-            if wah is not None:
-                row = wah.get(u)
-                if row is not None:  # hub row: compressed bit probes
-                    for v in pred_set:
-                        w = row.get(v)
-                        if w is not None and (unbounded or w <= budget):
-                            return True
-                    continue
             a, b = indptr[p], indptr[p + 1]
             if a == b:
                 continue
@@ -573,20 +478,11 @@ class KReachIndex:
     # Batch query processing (vectorized Algorithm 2)
     # ------------------------------------------------------------------
     def _keyed(self) -> KeyedRowStore:
-        """The keyed path's probe view — zero-copy from the IndexGraph.
-
-        With ``storage='wah'`` this is the compressed
-        :class:`~repro.core.rowstore.WahRowStore` instead (same
-        ``lookup`` contract, decompress-on-touch rows); every batch
-        engine runs unchanged against either backing.
-        """
+        """The keyed path's probe view — zero-copy from the IndexGraph."""
         if self._keyed_rows is None:
-            if self._ig.storage == "wah":
-                self._keyed_rows = self._ig.wah_store()
-            else:
-                self._keyed_rows = KeyedRowStore(
-                    self._ig.keys(), self._ig.weights64(), self.graph.n
-                )
+            self._keyed_rows = KeyedRowStore(
+                self._ig.keys(), self._ig.weights64(), self.graph.n
+            )
         return self._keyed_rows
 
     def _flags(self) -> np.ndarray:
@@ -601,17 +497,13 @@ class KReachIndex:
         """The three views of :func:`level_specs` as cover-position bit
         matrices, or None when the keyed path must answer instead.
 
-        Only the dense backing builds them (``storage='wah'`` exists to
-        keep the resident footprint compressed), and only when every
-        distinct view fits :attr:`bitset_matrix_bytes` together.  Built
-        in one pass on first use and cached on the :class:`IndexGraph`.
+        Built only when every distinct view fits
+        :attr:`bitset_matrix_bytes` together, in one pass on first use,
+        and cached on the :class:`IndexGraph`.
         """
         ig = self._ig
         specs = level_specs(self.k)
-        if (
-            ig.storage != "dense"
-            or len(set(specs)) * ig.link_matrix_bytes() > self.bitset_matrix_bytes
-        ):
+        if len(set(specs)) * ig.link_matrix_bytes() > self.bitset_matrix_bytes:
             return None
         return ig.link_matrices(specs)
 
@@ -647,14 +539,13 @@ class KReachIndex:
         Case 4 bridges within k-2.  :attr:`bitset_matrix_bytes` picks
         the path, with identical answers on each:
 
-        * the three cover-position bit views fit together (dense storage
-          only): each Case-1–3 probe is one word load from its view and
-          Case 4 is a bitset join on the ≤k-2 view — per-pair verdicts
-          are word-wise AND-any tests, with no cross product and no hub
+        * the three cover-position bit views fit together: each
+          Case-1–3 probe is one word load from its view and Case 4 is a
+          bitset join on the ≤k-2 view — per-pair verdicts are
+          word-wise AND-any tests, with no cross product and no hub
           spill;
-        * else (and always with ``storage='wah'``) the probes are
-          sorted-key lookups in the row store, and Case 4 keeps the
-          bitset join while its one link matrix fits;
+        * else the probes are sorted-key lookups in the row store, and
+          Case 4 keeps the bitset join while its one link matrix fits;
         * else Case 4 walks the chunked ``outNei(s) × inNei(t)`` cross
           products, spilling hub×hub pairs to the early-exiting scalar
           walk.
@@ -764,39 +655,23 @@ class KReachIndex:
         return 2 if self.k is not None else 0
 
     def storage_bytes(self) -> int:
-        """Modeled on-disk size of the index (§4.3 storage scheme).
+        """Modeled size of the index in the paper's §4.3 layout.
 
-        Plain rows: CSR over the cover — 4-byte ids for the cover members
-        and edge targets, 4-byte offsets, a packed 2-bit weight array.
-        Compressed rows: their WAH words.  Plus an n-bit cover-membership
-        bitmap for the O(1) case dispatch.  With ``storage='wah'`` the
-        row payload is the compressed store itself (bitmap words plus
-        level/row offsets) instead of the dense CSR columns.
+        A CSR over the cover with 4-byte ids for the cover members and
+        edge targets, 4-byte offsets and a packed 2-bit weight array, plus
+        an n-bit cover-membership bitmap for the O(1) case dispatch.
+        This is the paper's storage model, not the v6 file
+        :func:`~repro.core.serialize.save_mmap` writes (that one also
+        stores the graph and uses 8-byte offsets and targets).
         """
-        bitmap_bytes = (self.graph.n + 7) // 8
-        if self._ig.storage == "wah":
-            return self._ig.wah_store().storage_bytes() + bitmap_bytes
         n_i = self.cover_size
-        if self._wah is not None:
-            compressed_bytes = sum(r.storage_bytes() for r in self._wah.values())
-            plain_edges = self._ig.edge_count - sum(
-                len(r) for r in self._wah.values()
-            )
-        else:
-            compressed_bytes = 0
-            plain_edges = self._ig.edge_count
-        id_bytes = 4 * n_i  # cover-vertex id table
-        indptr_bytes = 4 * (n_i + 1)
-        indices_bytes = 4 * plain_edges
-        weight_bytes = (plain_edges * self.weight_bits() + 7) // 8
-        bitmap_bytes = (self.graph.n + 7) // 8
+        edges = self._ig.edge_count
         return (
-            id_bytes
-            + indptr_bytes
-            + indices_bytes
-            + weight_bytes
-            + compressed_bytes
-            + bitmap_bytes
+            4 * n_i  # cover-vertex id table
+            + 4 * (n_i + 1)  # offsets
+            + 4 * edges  # targets
+            + (edges * self.weight_bits() + 7) // 8
+            + (self.graph.n + 7) // 8  # cover-membership bitmap
         )
 
     def packed_weights(self) -> PackedIntArray:

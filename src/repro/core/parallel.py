@@ -119,7 +119,6 @@ def build_kreach_parallel(
     workers: int = 2,
     cover: frozenset[int] | None = None,
     cover_strategy: str = "degree",
-    compress_rows_at: int | None = None,
 ) -> KReachIndex:
     """Build a :class:`KReachIndex` with parallel blocked-BFS sweeps.
 
@@ -134,6 +133,4 @@ def build_kreach_parallel(
     cover = frozenset(int(v) for v in cover)
     src, dst, dist = parallel_khop_triples(graph, cover, k, workers=workers)
     ig = IndexGraph.for_kreach(graph.n, cover, src, dst, dist, k)
-    return KReachIndex.from_index_graph(
-        graph, k, cover=cover, index_graph=ig, compress_rows_at=compress_rows_at
-    )
+    return KReachIndex.from_index_graph(graph, k, cover=cover, index_graph=ig)

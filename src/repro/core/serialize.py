@@ -32,8 +32,10 @@ holds the one index file format and the two artifacts built on it:
 
 Retired layouts are not read: the v2/v3 compressed ``.npz`` dumps, the
 v4/v5 index files, which also stored the derived key / weight arrays,
-and v1 shard manifests, which also stored the boundary, the vertex maps
-and per-shard portal tables.  Rebuild such an index and save it with
+v6 files whose header carries a ``storage`` field (the retired
+``'wah'`` row storage, which added WAH copies of the rows), and v1
+shard manifests, which also stored the boundary, the vertex maps and
+per-shard portal tables.  Rebuild such an index and save it with
 :func:`save_mmap` (or :func:`save_sharded` after
 :func:`~repro.core.partition.partition_kreach`).
 
@@ -127,15 +129,6 @@ _SECTIONS = {
     "weight_words": np.dtype("<u8"),
 }
 
-#: Sections a ``storage='wah'`` index adds: the flat arrays of
-#: :class:`~repro.core.rowstore.WahRowStore`, mapped zero-copy.
-_WAH_SECTIONS = {
-    "wah_row_indptr": np.dtype("<i8"),
-    "wah_level_weights": np.dtype("<i8"),
-    "wah_level_indptr": np.dtype("<i8"),
-    "wah_words": np.dtype("<u4"),
-}
-
 
 def _magic_version(magic: bytes) -> int | None:
     """The version a ``KREACH<digit>\\0`` index-file magic names, or None."""
@@ -153,11 +146,13 @@ def _other_version(version: int) -> str:
     )
 
 
-def _mmap_sections(storage: str) -> dict[str, np.dtype]:
-    """The section table for an index file with the given row storage."""
-    if storage == "dense":
-        return _SECTIONS
-    return {**_SECTIONS, **_WAH_SECTIONS}
+def _retired_storage(storage) -> str:
+    """Why a v6 file with a ``storage`` header field is not opened."""
+    return (
+        f"a v{_MMAP_FORMAT_VERSION} k-reach index file with {storage!r} "
+        "row storage, which this reader no longer opens — rebuild the "
+        "index and save it with save_mmap"
+    )
 
 
 class IndexCorruptionError(ValueError):
@@ -233,9 +228,7 @@ def _payload_arrays(index: KReachIndex) -> dict[str, np.ndarray]:
     """The payload in section order, coerced to the on-disk dtypes.
 
     For an index whose arrays already live in the canonical dtypes (every
-    index this package builds) the coercions are no-ops.  A
-    ``storage='wah'`` index adds the four flat :class:`WahRowStore`
-    arrays.
+    index this package builds) the coercions are no-ops.
     """
     g = index.graph
     ig = index.index_graph
@@ -249,15 +242,8 @@ def _payload_arrays(index: KReachIndex) -> dict[str, np.ndarray]:
         "index_targets": ig.targets,
         "weight_words": ig.packed.words,
     }
-    if ig.storage == "wah":
-        store = ig.wah_store()
-        arrays["wah_row_indptr"] = store.row_indptr
-        arrays["wah_level_weights"] = store.level_weights
-        arrays["wah_level_indptr"] = store.level_indptr
-        arrays["wah_words"] = store.words
-    table = _mmap_sections(ig.storage)
     return {
-        name: np.ascontiguousarray(arr, dtype=table[name])
+        name: np.ascontiguousarray(arr, dtype=_SECTIONS[name])
         for name, arr in arrays.items()
     }
 
@@ -272,9 +258,7 @@ def save_mmap(index: KReachIndex, path: str | os.PathLike) -> None:
     array), then every array's raw bytes at a 64-byte-aligned offset.
     The payload is **uncompressed**, so :func:`load_mmap` can map it
     zero-copy and the OS page cache can share the bytes across every
-    serving process.  An index built with ``storage='wah'`` records
-    ``"storage": "wah"`` in the header (absent means dense) and adds the
-    four :class:`WahRowStore` sections.
+    serving process.
 
     The write is atomic: a crash mid-save (chaos-tested through the
     ``serialize.v4_write_mid`` failpoint) leaves any previous snapshot
@@ -303,8 +287,6 @@ def save_mmap(index: KReachIndex, path: str | os.PathLike) -> None:
         "payload_bytes": payload_bytes,
         "sections": sections,
     }
-    if index.index_graph.storage != "dense":
-        header["storage"] = index.index_graph.storage
     blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
     base = _align(_MMAP_PROLOGUE + len(blob))
 
@@ -334,7 +316,6 @@ def load_mmap(
     mode: str = "r",
     validate: bool = False,
     verify: bool = False,
-    compress_rows_at: int | None = None,
     bitset_matrix_bytes: int = DEFAULT_MATRIX_BYTES,
 ) -> KReachIndex:
     """Open an index written by :func:`save_mmap`, zero-copy.
@@ -345,9 +326,9 @@ def load_mmap(
     bounds checks per section, independent of index size.  The JSON
     header's CRC32 is always verified (still O(header)), so a bit flip in
     the section table can never install a wrong view.  Structural
-    problems the header can reveal — bad magic, a retired format version,
-    corrupt JSON, a missing / misaligned / out-of-bounds section,
-    disagreeing array lengths — raise :class:`ValueError`
+    problems the header can reveal — bad magic, a retired format version
+    or row storage, corrupt JSON, a missing / misaligned / out-of-bounds
+    section, disagreeing array lengths — raise :class:`ValueError`
     (:class:`IndexCorruptionError` where a section is identifiable)
     naming the offending section.
 
@@ -355,8 +336,8 @@ def load_mmap(
     against its payload bytes (O(index) — opt in, the default preserves
     the O(header) open); a mismatch raises :class:`IndexCorruptionError`
     with the section and byte offset.  ``validate=True`` runs the full
-    structural scan (the graph's and the index's CSR invariants, and
-    WAH rows against the CSR) for arrays of uncertain provenance.
+    structural scan (the graph's and the index's CSR invariants) for
+    arrays of uncertain provenance.
 
     The returned :class:`KReachIndex` serves queries directly off the
     read-only pages; every cache it builds lazily (link matrices, keyed
@@ -416,6 +397,10 @@ def load_mmap(
     kind = header.get("kind")
     if kind != "kreach":
         raise ValueError(f"{path} holds a {kind!r} dump, not a k-reach index")
+    if "storage" in header:
+        raise IndexCorruptionError(
+            f"{path} is {_retired_storage(header['storage'])}", path=path
+        )
     try:
         n = int(header["n"])
         k_raw = header["k"]
@@ -433,12 +418,6 @@ def load_mmap(
     k = None if k_raw is None else int(k_raw)
     if not isinstance(sections, dict):
         raise ValueError(f"corrupt header in {path}: no section table")
-    storage = header.get("storage", "dense")
-    if storage not in ("dense", "wah"):
-        raise ValueError(
-            f"corrupt header in {path}: unknown row storage {storage!r}"
-        )
-    section_table = _mmap_sections(storage)
 
     base = _align(_MMAP_PROLOGUE + hlen)
     # One shared mapping for the whole payload; every section is a view
@@ -459,7 +438,7 @@ def load_mmap(
     views: dict[str, np.ndarray] = {}
     section_starts: dict[str, int] = {}
     payload_end = 0
-    for name, dtype in section_table.items():
+    for name, dtype in _SECTIONS.items():
         entry = sections.get(name)
         if entry is None:
             raise IndexCorruptionError(
@@ -514,7 +493,7 @@ def load_mmap(
             f"{payload_end}"
         )
     if verify:
-        for name in section_table:
+        for name in _SECTIONS:
             stored = sections[name].get("crc32")
             if not isinstance(stored, int):
                 raise IndexCorruptionError(
@@ -563,19 +542,6 @@ def load_mmap(
             raise bad("cover_ids", "must be strictly ascending")
     if int(views["index_indptr"][-1]) != edges:
         raise bad("index_indptr", f"must end at the {edges}-edge target count")
-    if storage == "wah":
-        if len(views["wah_row_indptr"]) != len(cover_ids) + 1:
-            raise bad("wah_row_indptr", "must hold cover size + 1 offsets")
-        levels = len(views["wah_level_weights"])
-        if len(views["wah_level_indptr"]) != levels + 1:
-            raise bad("wah_level_indptr", f"must hold {levels} + 1 offsets")
-        if int(views["wah_row_indptr"][-1]) != levels:
-            raise bad("wah_row_indptr", f"must end at the {levels}-level count")
-        if int(views["wah_level_indptr"][-1]) != len(views["wah_words"]):
-            raise bad(
-                "wah_level_indptr",
-                f"must end at the {len(views['wah_words'])}-word payload",
-            )
     expected_words = (edges * weight_bits + 63) // 64 + 1
     if len(views["weight_words"]) != expected_words:
         raise bad(
@@ -604,45 +570,13 @@ def load_mmap(
         packed,
         weight_base,
     )
-    if storage == "wah":
-        from repro.core.rowstore import WahRowStore
-
-        ig.use_storage(
-            "wah",
-            WahRowStore(
-                cover_ids,
-                n,
-                views["wah_row_indptr"],
-                views["wah_level_weights"],
-                views["wah_level_indptr"],
-                views["wah_words"],
-                size=edges,
-            ),
-        )
     if validate:
         ig.validate()
-        if storage == "wah":
-            # Decode every WAH row and check it round-trips the CSR: the
-            # compressed store must probe exactly the targets/weights the
-            # index declares (rows are target-sorted, like the CSR).
-            indptr = views["index_indptr"]
-            weights64 = packed.as_numpy() + weight_base
-            for r in range(len(cover_ids)):
-                t, w = ig.wah_store()._row_arrays(r)
-                lo, hi = int(indptr[r]), int(indptr[r + 1])
-                if not np.array_equal(t, views["index_targets"][lo:hi]):
-                    raise bad("wah_words", "disagrees with the index CSR")
-                if not np.array_equal(w, weights64[lo:hi]):
-                    raise bad(
-                        "wah_level_weights",
-                        "disagrees with the packed weight words",
-                    )
     return KReachIndex.from_index_graph(
         g,
         k,
         cover=frozenset(cover_ids.tolist()),
         index_graph=ig,
-        compress_rows_at=compress_rows_at,
         bitset_matrix_bytes=bitset_matrix_bytes,
     )
 
@@ -889,6 +823,9 @@ def _audit_mmap(path: Path, report: dict) -> None:
     except (ValueError, KeyError, TypeError):
         report["detail"] = "header is not parseable JSON with a section table"
         return
+    if "storage" in header:
+        report["detail"] = f"{path} is {_retired_storage(header['storage'])}"
+        return
     base = _align(_MMAP_PROLOGUE + hlen)
     for name, entry in sections.items():
         try:
@@ -1113,6 +1050,59 @@ def save_sharded(sharded, directory: str | os.PathLike) -> Path:
     return directory
 
 
+def _check_manifest(manifest: dict, manifest_path: Path) -> None:
+    """Refuse a manifest whose fields the loader cannot trust.
+
+    The CRC32 only shows that a writer signed these bytes, not that what
+    they say is usable.  ``n``, ``num_shards`` and ``k`` must be integers
+    in range (``k == -1`` is n-reach), and ``files`` must name exactly
+    ``shard_of.npy``, ``entry.npy``, ``exit.npy`` and the ``num_shards``
+    shard files, each as ``{"bytes": int, "crc32": int}``, so no file
+    escapes the size and checksum checks.  Raises
+    :class:`IndexCorruptionError` naming the field.
+    """
+
+    def bad(field: str, why: str) -> IndexCorruptionError:
+        return IndexCorruptionError(
+            f"malformed sharded manifest: {field} {why}",
+            path=manifest_path,
+            section=field,
+        )
+
+    def is_int(value) -> bool:
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    for name, low in (("n", 0), ("num_shards", 1), ("k", _K_UNBOUNDED)):
+        value = manifest.get(name)
+        if not is_int(value) or value < low:
+            raise bad(name, f"must be an integer >= {low}, got {value!r}")
+    files = manifest.get("files")
+    if not isinstance(files, dict):
+        raise bad("files", f"must be a table of files, got {files!r}")
+    num_shards = manifest["num_shards"]
+    expected = {"shard_of.npy", "entry.npy", "exit.npy"}
+    if len(files) == len(expected) + num_shards:
+        expected.update(shard_index_name(i) for i in range(num_shards))
+    if set(files) != expected:
+        raise bad(
+            "files",
+            f"must name shard_of.npy, entry.npy, exit.npy and {num_shards} "
+            f"shard files, got {sorted(files)}",
+        )
+    for name, entry in files.items():
+        if not (
+            isinstance(entry, dict)
+            and is_int(entry.get("bytes"))
+            and is_int(entry.get("crc32"))
+            and entry["bytes"] >= 0
+            and 0 <= entry["crc32"] < 1 << 32
+        ):
+            raise bad(
+                f"files[{name!r}]",
+                f'must be {{"bytes": int, "crc32": int}}, got {entry!r}',
+            )
+
+
 def _read_manifest(directory: Path) -> dict:
     manifest_path = directory / _SHARD_MANIFEST_NAME
     try:
@@ -1126,7 +1116,7 @@ def _read_manifest(directory: Path) -> dict:
         raise IndexCorruptionError(
             f"malformed sharded manifest: {exc}", path=manifest_path
         ) from exc
-    if manifest.get("format") != _SHARD_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != _SHARD_FORMAT:
         raise IndexCorruptionError(
             f"not a {_SHARD_FORMAT} manifest", path=manifest_path
         )
@@ -1142,6 +1132,7 @@ def _read_manifest(directory: Path) -> dict:
         raise IndexCorruptionError(
             "manifest CRC32 mismatch", path=manifest_path, section="manifest"
         )
+    _check_manifest(manifest, manifest_path)
     return manifest
 
 
@@ -1208,8 +1199,8 @@ def load_sharded(
                     "file CRC32 mismatch", path=path, section=name
                 )
 
-    n = int(manifest["n"])
-    num_shards = int(manifest["num_shards"])
+    n = manifest["n"]
+    num_shards = manifest["num_shards"]
     shard_of = _load_npy(directory, "shard_of.npy", np.int64, (n,))
     if n and (int(shard_of.min()) < -1 or int(shard_of.max()) >= num_shards):
         raise IndexCorruptionError(
@@ -1232,7 +1223,7 @@ def load_sharded(
                 path=path,
                 section=path.name,
             )
-    stored_k = int(manifest["k"])
+    stored_k = manifest["k"]
     return ShardManifest(
         directory=directory,
         k=None if stored_k == _K_UNBOUNDED else stored_k,
@@ -1264,7 +1255,7 @@ def _audit_sharded(directory: Path, report: dict) -> None:
     except OSError as exc:
         report["detail"] = f"unreadable manifest: {exc}"
         return
-    except (ValueError, UnicodeDecodeError, TypeError):
+    except (ValueError, UnicodeDecodeError, TypeError, AttributeError):
         wrong_shape = True
     if wrong_shape:
         report["sections"].append(
@@ -1284,9 +1275,14 @@ def _audit_sharded(directory: Path, report: dict) -> None:
             "status": "ok" if stored == computed else "mismatch",
         }
     )
-    for name, entry in manifest.get("files", {}).items():
+    try:
+        _check_manifest(manifest, manifest_path)
+    except IndexCorruptionError as exc:
+        report["detail"] = str(exc)
+        return
+    for name, entry in manifest["files"].items():
         path = directory / name
-        row = {"name": name, "bytes": int(entry["bytes"])}
+        row = {"name": name, "bytes": entry["bytes"]}
         try:
             size = path.stat().st_size
         except OSError:
@@ -1299,7 +1295,7 @@ def _audit_sharded(directory: Path, report: dict) -> None:
             report["sections"].append(row)
             continue
         crc, _ = _file_crc32(path)
-        row["stored"] = int(entry["crc32"])
+        row["stored"] = entry["crc32"]
         row["computed"] = crc
-        row["status"] = "ok" if crc == int(entry["crc32"]) else "mismatch"
+        row["status"] = "ok" if crc == entry["crc32"] else "mismatch"
         report["sections"].append(row)

@@ -102,14 +102,17 @@ class TestAblations:
         assert len(table.rows) == 2
 
 
-class TestCompressionAblation:
-    def test_compression_table(self, config):
-        from repro.bench.experiments import run_ablation_compression
+class TestSizeExperiment:
+    def test_size_agrees_and_measures_the_file(self, config):
+        from repro.bench.experiments import run_size
 
-        table = run_ablation_compression(config)
-        assert len(table.rows) == 2
+        table = run_size(config)
+        assert [row["dataset"] for row in table.rows] == ["GO", "aMaze", "TOTAL"]
+        assert all(row["agree"] == "yes" for row in table.rows)
         for row in table.rows:
-            assert row["plain MB"] is not None
+            # The v6 file also stores the graph's dual CSR, so it is
+            # never smaller than the §4.3 model of the index alone.
+            assert row["file B/e"] > row["dense B/e"] > 0
 
 
 class TestBuildExperiment:

@@ -1,11 +1,16 @@
-"""WAH codec tests: round trips, probes, compression behavior."""
+"""WAH codec tests: round trips, probes, compression behavior.
+
+The PWAH baseline compresses its closure rows with the vectorized
+:func:`encode_bits`, which must match the word-at-a-time reference
+encoder word for word; :func:`decode_bits` is its inverse.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitsets.wah import GROUP_BITS, WahBitVector
+from repro.bitsets.wah import GROUP_BITS, WahBitVector, decode_bits, encode_bits
 
 
 class TestRoundTrip:
@@ -123,6 +128,39 @@ class TestCompression:
     def test_storage_bytes(self):
         w = WahBitVector.compress(np.zeros(31 * 10, dtype=bool))
         assert w.storage_bytes() == 4 * len(w.words)
+
+
+def random_bits(size, density, seed):
+    rng = np.random.default_rng(seed)
+    return rng.random(size) < density
+
+
+class TestCodec:
+    @pytest.mark.parametrize("density", [0.0, 0.001, 0.03, 0.5, 0.97, 1.0])
+    @pytest.mark.parametrize("size", [0, 1, 30, 31, 32, 62, 63, 500, 4096])
+    def test_encode_matches_reference(self, size, density):
+        bits = random_bits(size, density, seed=size + int(density * 1000))
+        fast = encode_bits(bits)
+        ref = WahBitVector.compress_reference(bits)
+        assert fast.tolist() == ref.words, (size, density)
+
+    def test_decode_round_trip(self):
+        for seed in range(5):
+            bits = random_bits(2000, 0.05, seed)
+            words = encode_bits(bits)
+            assert np.array_equal(decode_bits(words, bits.size), bits)
+
+    def test_clustered_runs_compress(self):
+        bits = np.zeros(100_000, dtype=bool)
+        bits[500:600] = True
+        words = encode_bits(bits)
+        assert words.nbytes < 200  # two fills + a few literals
+        assert np.array_equal(decode_bits(words, bits.size), bits)
+
+    def test_corrupt_stream_rejected(self):
+        words = encode_bits(random_bits(310, 0.5, seed=0))
+        with pytest.raises(ValueError, match="corrupt WAH"):
+            decode_bits(words[:-1], 310)
 
 
 @settings(max_examples=200, deadline=None)

@@ -94,13 +94,12 @@ def vector_gate(index: KReachIndex, path: str) -> int:
 
 
 def gated_twin(index: KReachIndex, path: str) -> KReachIndex:
-    """``index`` rebuilt over the same cover and storage, gated onto
-    ``path`` (see :func:`vector_gate`)."""
+    """``index`` rebuilt over the same cover, gated onto ``path`` (see
+    :func:`vector_gate`)."""
     return KReachIndex(
         index.graph,
         index.k,
         cover=index.cover,
-        storage=index.index_graph.storage,
         bitset_matrix_bytes=vector_gate(index, path),
     )
 

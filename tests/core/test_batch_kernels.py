@@ -18,7 +18,6 @@ from repro.core.batch import (
     plan_cross_products,
     segment_any,
 )
-from repro.core.rowstore import CompressedRow
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import gnp_digraph
 
@@ -56,20 +55,6 @@ class TestKeyedRowStore:
     def test_empty_probe(self):
         store = KeyedRowStore.from_rows({0: {1: 2}}, n=4)
         assert store.lookup(np.empty(0, np.int64), np.empty(0, np.int64)).shape == (0,)
-
-    def test_mixed_plain_and_compressed(self):
-        rows = {
-            0: {2: 1, 3: 2},
-            5: CompressedRow({1: 3, 4: 1, 7: 3}, universe=8),
-            2: {0: 1},
-        }
-        store = KeyedRowStore.from_rows(rows, n=8)
-        assert len(store) == 6
-        u = np.array([0, 0, 5, 5, 2, 3])
-        v = np.array([3, 1, 7, 5, 0, 0])
-        got = store.lookup(u, v)
-        assert got.tolist()[:5] == [2, MISSING_WEIGHT, 3, MISSING_WEIGHT, 1]
-        assert got[5] == MISSING_WEIGHT
 
     def test_unsorted_insertion_order(self):
         """Rows inserted with descending targets still look up correctly

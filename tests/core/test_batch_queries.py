@@ -2,8 +2,9 @@
 
 The contract under test: for every core index,
 ``query_batch(pairs)[i] == query(s_i, t_i) == BiBFS oracle(s_i, t_i)``
-on every pair, across randomized graphs × hop budgets × row storage
-(plain hash rows and WAH-compressed rows), and
+on every pair, across randomized graphs × hop budgets × the two readings
+of the one row store (the default memory gate's level stack, and keyed
+rows with chunked Case-4 cross products under a zero gate), and
 ``query_case_batch(pairs)[i] == query_case(s_i, t_i)``.  A divergence in
 any leg pins the blame: batch≠scalar is a batch-engine bug, scalar≠oracle
 is an index bug.
@@ -55,9 +56,10 @@ def _all_pairs(g: DiGraph) -> np.ndarray:
 
 @pytest.mark.parametrize("name,g", _graphs())
 @pytest.mark.parametrize("k", K_VALUES)
-@pytest.mark.parametrize("compress_at", [None, 2])
-def test_kreach_batch_equals_scalar_equals_oracle(name, g, k, compress_at):
-    idx = KReachIndex(g, k, compress_rows_at=compress_at)
+@pytest.mark.parametrize("gate", [None, 0])
+def test_kreach_batch_equals_scalar_equals_oracle(name, g, k, gate):
+    options = {} if gate is None else {"bitset_matrix_bytes": gate}
+    idx = KReachIndex(g, k, **options)
     pairs = _all_pairs(g)
     batch = idx.query_batch(pairs)
     assert batch.dtype == bool and batch.shape == (len(pairs),)
@@ -65,7 +67,7 @@ def test_kreach_batch_equals_scalar_equals_oracle(name, g, k, compress_at):
         s, t = int(s), int(t)
         scalar = idx.query(s, t)
         oracle = bidirectional_reaches_within(g, s, t, k)
-        assert batch[i] == scalar == oracle, (name, k, compress_at, s, t)
+        assert batch[i] == scalar == oracle, (name, k, gate, s, t)
 
 
 @pytest.mark.parametrize("name,g", _graphs())

@@ -113,8 +113,8 @@ class TestWiring:
 
     def test_kwargs_forwarded_to_index(self):
         g = gnp_digraph(25, 0.1, seed=11)
-        cond = CondensedKReach(g, None, storage="wah")
-        assert cond.index.index_graph.storage == "wah"
+        cond = CondensedKReach(g, None, bitset_matrix_bytes=0)
+        assert cond.index.bitset_matrix_bytes == 0
         direct = KReachIndex(g, None)
         pairs = np.random.default_rng(1).integers(0, g.n, size=(300, 2))
         assert np.array_equal(cond.query_batch(pairs), direct.query_batch(pairs))

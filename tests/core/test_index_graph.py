@@ -173,15 +173,6 @@ class TestSharedStorageConsumers:
         store = idx._keyed()
         assert store._keys is idx.index_graph.keys()
 
-    def test_wah_view_matches_csr(self):
-        g = gnp_digraph(40, 0.2, seed=12)
-        plain = KReachIndex(g, 4)
-        packed = KReachIndex(g, 4, cover=plain.cover, compress_rows_at=2)
-        assert plain.weighted_edges() == packed.weighted_edges()
-        for s in range(g.n):
-            for t in range(0, g.n, 3):
-                assert plain.query(s, t) == packed.query(s, t)
-
 
 class TestDuplicateTriples:
     def test_duplicate_src_dst_rejected(self):

@@ -214,3 +214,22 @@ class TestStorage:
         idx = KReachIndex(g, 3, cover=frozenset(ids[x] for x in "bdgi"))
         assert idx.cover_size == 4
         assert idx.edge_count == 5  # Figure 2: bd, bg, dg, di, gi
+
+    def test_row_storage_knobs_removed(self, tmp_path):
+        """The CSR (level stack in the memory gate, keyed rows past it) is
+        the one row store: the WAH row knobs are gone from every entry
+        point that took them."""
+        from repro.core.condensed import CondensedKReach
+        from repro.core.serialize import load_mmap, save_mmap
+
+        g = gnp_digraph(20, 0.15, seed=3)
+        path = tmp_path / "index.kr6"
+        save_mmap(KReachIndex(g, 3), path)
+        for build in (
+            lambda: KReachIndex(g, 3, storage="wah"),
+            lambda: KReachIndex(g, 3, compress_rows_at=32),
+            lambda: load_mmap(path, compress_rows_at=2),
+            lambda: CondensedKReach(g, None, storage="wah"),
+        ):
+            with pytest.raises(TypeError):
+                build()

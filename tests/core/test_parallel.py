@@ -50,16 +50,6 @@ class TestBuildParallel:
             s, t = int(rng.integers(0, g.n)), int(rng.integers(0, g.n))
             assert serial.query(s, t) == parallel.query(s, t), (k, s, t)
 
-    def test_with_compression(self):
-        g = gnp_digraph(40, 0.15, seed=9)
-        serial = KReachIndex(g, 4)
-        parallel = build_kreach_parallel(
-            g, 4, workers=2, cover=serial.cover, compress_rows_at=2
-        )
-        for s in range(g.n):
-            for t in range(0, g.n, 3):
-                assert serial.query(s, t) == parallel.query(s, t)
-
     def test_cover_computed_when_omitted(self):
         g = gnp_digraph(30, 0.1, seed=10)
         parallel = build_kreach_parallel(g, 3, workers=1)

@@ -10,6 +10,7 @@ the manifest round-trip.
 """
 
 import json
+import shutil
 import zlib
 from collections import deque
 
@@ -93,6 +94,56 @@ def resign(directory, name, arr):
     manifest["files"][name] = {"bytes": len(blob), "crc32": zlib.crc32(blob)}
     manifest["crc32"] = _manifest_digest(manifest)
     path.write_text(json.dumps(manifest))
+
+
+def forge_manifest(directory, forge):
+    """Apply ``forge`` to the manifest and re-sign it, so only the schema
+    check can tell the manifest is wrong."""
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    forge(manifest)
+    manifest["crc32"] = _manifest_digest(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+#: Forged manifest fields -> (forgery, the field the refusal names).
+FORGED_MANIFESTS = {
+    "n-dropped": (lambda m: m.pop("n"), "n"),
+    "n-string": (lambda m: m.update(n="x"), "n"),
+    "n-negative": (lambda m: m.update(n=-1), "n"),
+    "n-bool": (lambda m: m.update(n=True), "n"),
+    "k-string": (lambda m: m.update(k="x"), "k"),
+    "k-below-unbounded": (lambda m: m.update(k=-2), "k"),
+    "num_shards-zero": (lambda m: m.update(num_shards=0), "num_shards"),
+    "num_shards-huge": (lambda m: m.update(num_shards=10**12), "files"),
+    "files-list": (lambda m: m.update(files=[]), "files"),
+    "exit-unlisted": (lambda m: m["files"].pop("exit.npy"), "files"),
+    "shard-unlisted": (lambda m: m["files"].pop("shard-001.kr5"), "files"),
+    "extra-file": (
+        lambda m: m["files"].update({"extra.npy": {"bytes": 0, "crc32": 0}}),
+        "files",
+    ),
+    "bytes-string": (
+        lambda m: m["files"]["entry.npy"].update(bytes="x"),
+        "files['entry.npy']",
+    ),
+    "crc32-dropped": (
+        lambda m: m["files"]["shard_of.npy"].pop("crc32"),
+        "files['shard_of.npy']",
+    ),
+    "entry-not-a-table": (
+        lambda m: m["files"].update({"shard-000.kr5": 7}),
+        "files['shard-000.kr5']",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def signed_shards(graph, tmp_path_factory):
+    """A clean 2-shard manifest directory, copied before each forgery."""
+    directory = tmp_path_factory.mktemp("signed") / "m"
+    save_sharded(partition_kreach(graph, 6, 2), directory)
+    return directory
 
 
 class TestDifferential:
@@ -340,3 +391,18 @@ class TestManifest:
         assert report["format"] == "kreach-shards(v1)"
         assert "v1 shard manifest" in report["detail"]
         assert not any(r["status"] == "malformed" for r in report["sections"])
+
+    @pytest.mark.parametrize("forgery", sorted(FORGED_MANIFESTS))
+    def test_forged_manifest_refused(self, tmp_path, signed_shards, forgery):
+        """A re-signed manifest passes its CRC32, so the schema check is
+        what must refuse it, naming the field, in the loader and the
+        audit alike."""
+        forge, field = FORGED_MANIFESTS[forgery]
+        directory = shutil.copytree(signed_shards, tmp_path / "m")
+        forge_manifest(directory, forge)
+        with pytest.raises(IndexCorruptionError, match="malformed") as info:
+            load_sharded(directory)
+        assert info.value.section == field
+        report = verify_file(directory)
+        assert not report["ok"]
+        assert field in report["detail"]

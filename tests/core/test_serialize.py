@@ -23,10 +23,10 @@ from repro.graph.generators import gnp_digraph, paper_example_graph, path_graph
 from tests.conftest import tampered_header, tampered_section
 
 
-def round_trip(tmp_path, index, **load_options):
+def round_trip(tmp_path, index):
     path = tmp_path / "index.kr6"
     save_mmap(index, path)
-    return load_mmap(path, validate=True, **load_options)
+    return load_mmap(path, validate=True)
 
 
 class TestRoundTrip:
@@ -55,20 +55,6 @@ class TestRoundTrip:
         assert loaded.weighted_edges() == index.weighted_edges()
         assert loaded.query(ids["c"], ids["f"]) is True
         assert loaded.query(ids["c"], ids["h"]) is False
-
-    def test_load_with_compression(self, tmp_path):
-        g = gnp_digraph(25, 0.25, seed=3)
-        index = KReachIndex(g, 2)
-        loaded = round_trip(tmp_path, index, compress_rows_at=2)
-        for s in range(g.n):
-            for t in range(g.n):
-                assert loaded.query(s, t) == index.query(s, t)
-
-    def test_compressed_index_saves(self, tmp_path):
-        g = gnp_digraph(25, 0.25, seed=4)
-        index = KReachIndex(g, 2, compress_rows_at=2)
-        loaded = round_trip(tmp_path, index)
-        assert loaded.weighted_edges() == index.weighted_edges()
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "index.kr6"

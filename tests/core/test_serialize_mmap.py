@@ -5,7 +5,9 @@ The contract under test (see ``repro/core/serialize.py``):
 * a ``save_mmap`` → ``load_mmap`` roundtrip answers bit-identically to
   the in-memory index, for both engines and every memory-gate path;
 * files of the retired layouts raise :class:`ValueError` — v4 / v5
-  index files naming their version, v2 / v3 npz dumps as bad magic;
+  index files naming their version, v6 files with a ``storage`` header
+  field (the retired WAH rows) naming it, v2 / v3 npz dumps as bad
+  magic;
 * truncated files, corrupt headers, and bad section offsets raise
   :class:`ValueError` naming what is broken;
 * the whole query path runs off ``mode='r'`` read-only pages without a
@@ -21,6 +23,7 @@ import pytest
 from repro.core.kreach import KReachIndex
 from repro.core.serialize import (
     _MMAP_PROLOGUE,
+    IndexCorruptionError,
     load_mmap,
     save_mmap,
     verify_file,
@@ -80,14 +83,6 @@ class TestRoundTrip:
         index = KReachIndex(g, 4)
         loaded = load_mmap(saved(tmp_path, index), validate=True)
         assert loaded.weighted_edges() == index.weighted_edges()
-
-    def test_compress_rows_at_applies(self, tmp_path):
-        g = gnp_digraph(30, 0.25, seed=4)
-        index = KReachIndex(g, 2)
-        loaded = load_mmap(saved(tmp_path, index), compress_rows_at=2)
-        assert loaded._wah  # WAH views rebuilt on load
-        pairs = all_pairs(g.n)
-        assert np.array_equal(loaded.query_batch(pairs), index.query_batch(pairs))
 
     def test_empty_cover_roundtrip(self, tmp_path):
         g = gnp_digraph(6, 0.0, seed=1)  # edgeless graph, empty cover
@@ -162,6 +157,30 @@ class TestCrossVersion:
         report = verify_file(old)
         assert not report["ok"]
         assert report["format"] == f"v{version} index file"
+
+    def test_wah_storage_header_refused(self, tmp_path):
+        """Only ``storage='wah'`` ever wrote a ``storage`` header field;
+        such a file is refused with the fix, and audited as not ok."""
+        index = KReachIndex(gnp_digraph(20, 0.1, seed=3), 3)
+        old = tampered_header(
+            saved(tmp_path, index),
+            tmp_path / "wah.kr",
+            lambda h: h.update(storage="wah"),
+        )
+        with pytest.raises(
+            IndexCorruptionError, match="'wah' row storage.*rebuild.*save_mmap"
+        ):
+            load_mmap(old)
+        report = verify_file(old)
+        assert not report["ok"]
+        assert "save_mmap" in report["detail"]
+
+    def test_dense_file_has_no_storage_field(self, tmp_path):
+        path = saved(tmp_path, KReachIndex(gnp_digraph(30, 0.1, seed=17), 2))
+        raw = path.read_bytes()
+        hlen = int.from_bytes(raw[8:16], "little")
+        header = json.loads(raw[_MMAP_PROLOGUE : _MMAP_PROLOGUE + hlen])
+        assert "storage" not in header
 
 
 class TestCorruption:
@@ -313,13 +332,6 @@ class TestReadOnlyServing:
         assert np.array_equal(loaded.query_batch(pairs, engine=engine), expected)
         for s, t in pairs[: 3 * g.n].tolist():
             assert loaded.query(s, t) == index.query(s, t)
-
-    def test_read_only_wah_rows(self, tmp_path):
-        g = gnp_digraph(30, 0.25, seed=8)
-        index = KReachIndex(g, 2)
-        loaded = load_mmap(saved(tmp_path, index), mode="r", compress_rows_at=2)
-        pairs = all_pairs(g.n)
-        assert np.array_equal(loaded.query_batch(pairs), index.query_batch(pairs))
 
     def test_read_only_in_memory_structures(self):
         """HKReach and the distance oracle also tolerate frozen arrays."""

@@ -19,7 +19,6 @@ import repro.bitsets.wah
 import repro.core.hkreach
 import repro.core.index_graph
 import repro.core.kreach
-import repro.core.rowstore
 import repro.core.serve
 import repro.graph.builder
 import repro.graph.digraph
@@ -35,7 +34,6 @@ MODULES = [
     repro.core.kreach,
     repro.core.batch,
     repro.core.hkreach,
-    repro.core.rowstore,
     repro.core.serve,
     repro.native,
     repro.baselines.transitive_closure,
