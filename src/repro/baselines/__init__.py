@@ -3,8 +3,9 @@
 Every comparator in the paper is closed-source C++; each is re-implemented
 here from its published algorithm (GRAIL, PWAH, BFS, transitive closure)
 or by a documented same-family stand-in (PTree → tree cover, 3-hop → chain
-cover, µ-dist → pruned landmark labeling).  See DESIGN.md §2 for the
-substitution rationale.
+cover, µ-dist → pruned landmark labeling).  Each stand-in module's
+docstring opens with its substitution note: what the paper compared
+against and which part of it the stand-in implements.
 """
 
 from repro.baselines.base import (

@@ -1,6 +1,6 @@
 """Chain-cover compressed transitive closure — the 3-hop family's substrate.
 
-**Substitution note** (see DESIGN.md): the paper compares against 3-hop
+**Substitution note**: the paper compares against 3-hop
 (Jin et al., SIGMOD 2009 — [23]), whose code is unavailable.  3-hop builds
 a 2-hop-style labeling *between chains* of a chain decomposition; the chain
 machinery itself is Jagadish's chain-cover transitive-closure compression

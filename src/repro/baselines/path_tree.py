@@ -1,6 +1,6 @@
 """Tree-cover interval labeling — the PTree family's interval core.
 
-**Substitution note** (see DESIGN.md): the paper compares against Path-Tree
+**Substitution note**: the paper compares against Path-Tree
 (Jin et al., SIGMOD 2008 — [24]), whose C++ implementation is not
 available.  Path-Tree layers a tree-of-paths over the interval-labeling
 idea of Agrawal, Borgida & Jagadish (SIGMOD 1989 — reference [2] of the

@@ -1,6 +1,6 @@
 """Pruned landmark labeling — the shortest-path-distance comparator.
 
-**Substitution note** (see DESIGN.md): the paper's µ-dist column (Table 7)
+**Substitution note**: the paper's µ-dist column (Table 7)
 uses the 2-hop-cover distance index of Cheng & Yu (EDBT 2009 — [13]),
 which is closed C++.  We substitute Pruned Landmark Labeling (Akiba,
 Iwata & Yoshida, SIGMOD 2013) — the canonical modern 2-hop *distance*

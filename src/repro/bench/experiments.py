@@ -43,7 +43,6 @@ from repro.core import (
     GeometricKReachFamily,
     HKReachIndex,
     KReachIndex,
-    build_kreach_parallel,
     greedy_vertex_cover,
     hhop_vertex_cover,
     vertex_cover_2approx,
@@ -97,7 +96,6 @@ class SuiteConfig:
     queries: int = 20_000
     bfs_queries: int = 1_000  # µ-BFS is orders slower; subsample and scale
     seed: int = 7
-    workers: int = 1  # >1 routes k-reach construction through the pool
     serve_workers: tuple[int, ...] = (1, 2, 4, 8)  # pool sizes for 'serve'
     repeat: int = 1  # timings report the median of this many runs
     condense: bool = False  # 'ingest': also SCC-condense + build an index
@@ -139,11 +137,7 @@ class SuiteConfig:
             g = self.graph(name)
             chain_budget = _CHAIN_COVER_BUDGET_PER_VERTEX * g.n
             factories = {
-                "n-reach": (
-                    (lambda: build_kreach_parallel(g, None, workers=self.workers))
-                    if self.workers > 1
-                    else (lambda: KReachIndex(g, None))
-                ),
+                "n-reach": lambda: KReachIndex(g, None),
                 "PTree": lambda: PathTreeIndex(g),
                 "3-hop": lambda: ChainCoverIndex(g, max_label_entries=chain_budget),
                 "GRAIL": lambda: GrailIndex(g, num_labels=3, seed=self.seed),
@@ -406,29 +400,26 @@ def run_build(config: SuiteConfig) -> Table:
     """Construction throughput: blocked MS-BFS vs the per-source build.
 
     Not a paper table — this serves the ROADMAP's build-time goal.  Every
-    cell constructs the same ``(graph, k, cover)`` index three ways: the
-    pre-refactor per-source serial sweep (``builder='serial'``), the
+    cell constructs the same ``(graph, k, cover)`` index two ways: the
+    pre-refactor per-source serial sweep (``builder='serial'``) and the
     bit-parallel blocked multi-source BFS (``builder='blocked'``, the
-    default), and the process-parallel blocked build.  "agree" asserts
-    the three :class:`~repro.core.index_graph.IndexGraph` contents are
+    default).  "agree" asserts the two
+    :class:`~repro.core.index_graph.IndexGraph` contents are
     bit-identical, so the benchmark doubles as a live differential check;
     "speedup" is serial/blocked, the number the CI smoke job gates on.
     """
-    workers = config.workers if config.workers > 1 else 2
     table = Table(
-        f"Build — construction throughput (scale={config.scale}, "
-        f"parallel workers={workers})",
+        f"Build — construction throughput (scale={config.scale})",
         ["dataset", "k", "|S|", "|E_I|", "serial ms", "blocked ms",
-         "parallel ms", "speedup", "agree"],
+         "speedup", "agree"],
         caption=(
             "serial = per-source BFS (pre-refactor Algorithm 1); blocked = "
             "64-source bit-parallel MS-BFS; speedup = serial/blocked. "
-            "agree = all three builders produce identical IndexGraphs."
+            "agree = both builders produce identical IndexGraphs."
         ),
     )
     total_serial = 0.0
     total_blocked = 0.0
-    total_parallel = 0.0
     all_agree = True
     for name in config.datasets:
         g = config.graph(name)
@@ -436,17 +427,10 @@ def run_build(config: SuiteConfig) -> Table:
         for k in (2, 6, None):
             serial, serial_s = timed_build(g, k, cover, "serial")
             blocked, blocked_s = timed_build(g, k, cover, "blocked")
-            parallel, parallel_s = timed(
-                lambda: build_kreach_parallel(g, k, cover=cover, workers=workers)
-            )
-            agree = (
-                serial.index_graph == blocked.index_graph
-                and blocked.index_graph == parallel.index_graph
-            )
+            agree = serial.index_graph == blocked.index_graph
             all_agree &= agree
             total_serial += serial_s
             total_blocked += blocked_s
-            total_parallel += parallel_s
             table.add_row(
                 {
                     "dataset": name,
@@ -455,7 +439,6 @@ def run_build(config: SuiteConfig) -> Table:
                     "|E_I|": blocked.edge_count,
                     "serial ms": 1e3 * serial_s,
                     "blocked ms": 1e3 * blocked_s,
-                    "parallel ms": 1e3 * parallel_s,
                     "speedup": f"{serial_s / max(blocked_s, 1e-9):.1f}x",
                     "agree": "yes" if agree else "NO",
                 }
@@ -465,7 +448,6 @@ def run_build(config: SuiteConfig) -> Table:
             "dataset": "TOTAL",
             "serial ms": 1e3 * total_serial,
             "blocked ms": 1e3 * total_blocked,
-            "parallel ms": 1e3 * total_parallel,
             "speedup": f"{total_serial / max(total_blocked, 1e-9):.1f}x",
             "agree": "yes" if all_agree else "NO",
         }

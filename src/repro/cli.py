@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.cli table2 --scale 0.2
-    python -m repro.cli table3-4-5 --scale 1.0 --queries 100000 --workers 4
+    python -m repro.cli table3-4-5 --scale 1.0 --queries 100000
     python -m repro.cli throughput --scale 0.2 --queries 100000
     python -m repro.cli dynamic --scale 0.2 --json BENCH_dynamic.json
     python -m repro.cli serve --scale 0.2 --json BENCH_serve.json
@@ -46,8 +46,8 @@ the PWAH-8 baseline on bytes/edge and µs/query (CI gates bit-identical
 verdicts).
 
 Every experiment accepts ``--scale`` (1.0 = paper-sized graphs),
-``--queries``, ``--datasets`` (comma-separated subset), ``--seed``, and
-``--workers`` (process pool for construction).  ``--json PATH``
+``--queries``, ``--datasets`` (comma-separated subset; an unknown name
+exits with status 2 and the valid names), and ``--seed``.  ``--json PATH``
 additionally writes the results as machine-readable JSON so perf
 trajectories (the CI-uploaded ``BENCH_throughput.json`` /
 ``BENCH_build.json`` / ``BENCH_serve.json`` artifacts) can be tracked
@@ -106,16 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated subset of {', '.join(DATASET_NAMES)}",
     )
     parser.add_argument("--seed", type=int, default=7, help="workload seed")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help=(
-            "process-pool size for index construction; >1 routes k-reach "
-            "builds (Table 3 and the 'build' experiment's parallel column) "
-            "through build_kreach_parallel (default 1 = in-process)"
-        ),
-    )
     parser.add_argument(
         "--serve-workers",
         type=str,
@@ -308,10 +298,21 @@ def main(argv: list[str] | None = None) -> int:
     # before the experiment parser (whose positional has a choices= set).
     if argv and argv[0] == "verify":
         return _verify_main(list(argv[1:]))
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     datasets = DATASET_NAMES
     if args.datasets:
         datasets = tuple(name.strip() for name in args.datasets.split(",") if name.strip())
+        # The registry matches names case-insensitively; check them here
+        # so a typo, or a table row name such as HubStress, ends in a
+        # usage error rather than a traceback from deep in an experiment.
+        known = {name.lower() for name in DATASET_NAMES}
+        unknown = [name for name in datasets if name.lower() not in known]
+        if unknown:
+            parser.error(
+                f"unknown --datasets name(s) {', '.join(unknown)}; "
+                f"choose from {', '.join(DATASET_NAMES)}"
+            )
     try:
         serve_workers = tuple(
             int(part) for part in args.serve_workers.split(",") if part.strip()
@@ -327,7 +328,6 @@ def main(argv: list[str] | None = None) -> int:
         queries=args.queries,
         bfs_queries=args.bfs_queries,
         seed=args.seed,
-        workers=args.workers,
         serve_workers=serve_workers,
         repeat=max(1, args.repeat),
         condense=args.condense,
@@ -363,7 +363,6 @@ def main(argv: list[str] | None = None) -> int:
                 "queries": args.queries,
                 "bfs_queries": args.bfs_queries,
                 "seed": args.seed,
-                "workers": args.workers,
                 "serve_workers": list(serve_workers),
                 "repeat": max(1, args.repeat),
                 "condense": args.condense,

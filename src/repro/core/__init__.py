@@ -16,7 +16,6 @@ from repro.core.index_graph import (
     cover_triples_serial,
 )
 from repro.core.kreach import KReachIndex
-from repro.core.parallel import build_kreach_parallel, parallel_khop_triples
 from repro.core.partition import (
     Shard,
     ShardedKReach,
@@ -61,8 +60,6 @@ __all__ = [
     "IndexGraph",
     "cover_triples_blocked",
     "cover_triples_serial",
-    "build_kreach_parallel",
-    "parallel_khop_triples",
     "save_mmap",
     "load_mmap",
     "save_sharded",

@@ -15,7 +15,7 @@ Queries (Algorithm 3) mirror k-reach's four cases but expand up to
 * **Case 4** (neither covered): some ``u ∈ outNei_i(s)``,
   ``v ∈ inNei_j(t)`` with ``ω_H((u, v)) ≤ k - i - j``.
 
-**Completeness fixes** (see DESIGN.md; the paper's Theorem 2 glosses both):
+**Completeness fixes** (the paper's Theorem 2 glosses both):
 
 1. *Self-handshake*: a shortest path may carry exactly one cover vertex,
    serving as both the "u" and the "v" of Case 4 — a link of weight 0.

@@ -17,8 +17,7 @@ cover-position bit views built in one scatter over the CSR
 (:meth:`IndexGraph.link_matrices`), their keyed fallback
 :class:`~repro.core.batch.KeyedRowStore` takes the sorted
 ``u * n + v`` key array zero-copy, serialization writes the arrays
-verbatim (and none of these views), and the parallel builder merges
-per-worker triple arrays with one concatenate.  The ``{u: {v: w}}``
+verbatim (and none of these views).  The ``{u: {v: w}}``
 dict-of-dicts that three layers used to re-flatten independently no
 longer exists on the core path.
 
@@ -239,7 +238,7 @@ class IndexGraph:
         Finite ``k``: weights quantized to ``max(dist, k-2)`` and packed
         at the §4.3 2-bit width.  ``k=None`` (n-reach): no distance
         information, 1-bit zeros.  Every k-reach builder — serial,
-        blocked, process-parallel, dynamic freeze — must dispatch through
+        blocked, dynamic freeze — must dispatch through
         here so their encodings can never drift apart.
         """
         if k is None:

@@ -16,8 +16,9 @@ directly as the canonical in-memory representation.  Construction feeds
 it from ``(src, dst, dist)`` triple arrays produced by the blocked
 bit-parallel multi-source BFS (``builder='blocked'``, the default) or the
 per-source serial sweep (``builder='serial'``, the differential/benchmark
-baseline); both are bit-identical, as is the process-parallel build in
-:mod:`repro.core.parallel`.
+baseline); both are bit-identical.  The blocked sweep is this module's
+answer to §4.1.3's "straightforward to parallelize": 64 independent
+cover-vertex BFSs share one bit-parallel pass.
 
 Queries (Algorithm 2) split on cover membership of the endpoints:
 
@@ -231,8 +232,7 @@ class KReachIndex:
     ) -> "KReachIndex":
         """Assemble an index around a pre-built :class:`IndexGraph`.
 
-        Used by the parallel builder (:mod:`repro.core.parallel`), the
-        on-disk loaders (:mod:`repro.core.serialize`), and
+        Used by the on-disk loaders (:mod:`repro.core.serialize`) and
         :meth:`~repro.core.dynamic.DynamicKReachIndex.freeze`.  The caller
         is responsible for the contents being exactly what Algorithm 1
         would have produced for this ``(graph, k, cover)``.

@@ -388,6 +388,11 @@ def load_mmap(
         raise ValueError(
             f"corrupt header in {path}: not valid JSON ({exc})"
         ) from exc
+    if not isinstance(header, dict):
+        raise ValueError(
+            f"corrupt header in {path}: not a JSON object "
+            f"(a {type(header).__name__})"
+        )
     version = header.get("format_version")
     if version != _MMAP_FORMAT_VERSION:
         raise ValueError(
@@ -819,10 +824,12 @@ def _audit_mmap(path: Path, report: dict) -> None:
     )
     try:
         header = json.loads(blob)
-        sections = header["sections"]
-    except (ValueError, KeyError, TypeError):
-        report["detail"] = "header is not parseable JSON with a section table"
+    except ValueError:
+        header = None
+    if not isinstance(header, dict) or not isinstance(header.get("sections"), dict):
+        report["detail"] = "header is not a JSON object with a section table"
         return
+    sections = header["sections"]
     if "storage" in header:
         report["detail"] = f"{path} is {_retired_storage(header['storage'])}"
         return

@@ -11,10 +11,8 @@ that scales batch-query throughput with cores:
   :func:`~repro.core.serialize.save_mmap` file via
   :func:`~repro.core.serialize.load_mmap`; the OS page cache backs all of
   them with one copy of the clean index pages.  Nothing graph-sized is
-  ever pickled to a worker — the re-pickle-per-pool-start pattern of
-  :mod:`repro.core.parallel` (fine for one-shot construction, wrong for a
-  serving loop) does not appear here.  Only the lazily built caches
-  (link matrices, probe dicts) are per-worker, copy-on-build.
+  ever pickled to a worker.  Only the lazily built caches (link
+  matrices, probe dicts) are per-worker, copy-on-build.
 * **Shared-memory dispatch.**  Query pairs travel to workers — and
   verdicts travel back — through preallocated shared-memory ndarray
   slots; the per-worker control pipes carry only tiny ``(slot, count)``
@@ -69,10 +67,23 @@ in the child before the index loads; the thread server pins once in its
 constructor (one address space — the budget is shared by all its
 workers).
 
+**One ticket core.**  Both pools, and
+:class:`~repro.core.sharded.ShardedQueryServer` above them, share one
+private ticket core: ticket ids, ``timeout=`` / ``deadline=``
+resolution, ``submit``'s validation, the case-balanced ``slot_pairs``
+chunking, the ``collect`` loop (:class:`UnknownTicketError`,
+:class:`QueryTimeout`, a worker's error re-raised), ``query_batch``,
+and one ``stats()`` schema — ``workers``, ``pairs_served``,
+``outstanding_tickets``, ``restarts``, ``worker_restarts``,
+``timeouts``, ``hangs``, ``degraded`` and ``health`` on every server.
+A backend supplies only its transport: how a ticket's chunks are
+enqueued and how to wait for progress.
+
 Differential guarantee: ``server.query_batch(pairs)`` is bit-identical
 to the in-process ``load_mmap(path).query_batch(pairs)`` for every
 worker count, for both servers (pinned by
-``tests/core/test_serve.py`` / ``tests/core/test_thread_serve.py``).
+``tests/core/test_serve.py`` / ``tests/core/test_thread_serve.py``; the
+shared contract by ``tests/core/test_server_contract.py``).
 """
 
 from __future__ import annotations
@@ -102,8 +113,17 @@ __all__ = [
 #: Default pairs per shared-memory slot (the dispatch granularity).
 DEFAULT_SLOT_PAIRS = 1 << 15
 
-#: Default slots per worker — 2 double-buffers transfer against compute.
-DEFAULT_SLOTS_PER_WORKER = 2
+#: Shared-memory slots per worker — 2 double-buffers transfer against
+#: compute (the parent fills one slot while the worker computes the other).
+_SLOTS_PER_WORKER = 2
+
+#: Base of the capped exponential backoff between consecutive failed
+#: revivals of the same worker (seconds; the first revival is immediate).
+_RESTART_BACKOFF_S = 0.05
+
+#: Worker start method.  Under fork, workers inherit nothing index-sized:
+#: the index comes from the file either way.
+_START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 #: Seconds the result-drain loop waits before re-checking worker health.
 _HEALTH_POLL_S = 1.0
@@ -160,24 +180,16 @@ class UnknownTicketError(KeyError):
 
 
 def _resolve_deadline(
-    timeout: float | None, deadline: float | None
+    timeout: float | None, deadline: float | None, bound: float | None = None
 ) -> float | None:
-    """Combine ``timeout`` (relative) and ``deadline`` (monotonic) bounds."""
-    dl = None
+    """The tightest of ``timeout`` (seconds from now), ``deadline`` (an
+    absolute ``time.monotonic()`` instant) and an existing ``bound``."""
     if timeout is not None:
-        dl = time.monotonic() + float(timeout)
+        timeout = time.monotonic() + float(timeout)
     if deadline is not None:
         deadline = float(deadline)
-        dl = deadline if dl is None else min(dl, deadline)
-    return dl
-
-
-def _merge_deadlines(a: float | None, b: float | None) -> float | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+    given = [b for b in (timeout, deadline, bound) if b is not None]
+    return min(given) if given else None
 
 
 def _worker_main(
@@ -278,10 +290,20 @@ def _case_shards(codes: np.ndarray, count: int) -> list[np.ndarray]:
     ]
 
 
-class _Ticket:
-    """One submitted batch: its output buffer and outstanding shard count."""
+def _check_slot_pairs(slot_pairs: int) -> int:
+    if slot_pairs < 1:
+        raise ValueError(f"slot_pairs must be >= 1, got {slot_pairs}")
+    return int(slot_pairs)
 
-    __slots__ = ("id", "s", "t", "out", "remaining", "error", "deadline")
+
+class _Ticket:
+    """One submitted batch: its output buffer and outstanding part count.
+
+    ``parts`` is the sharded server's list of ``(shard, sub-ticket,
+    positions)`` still to gather; the pools leave it empty.
+    """
+
+    __slots__ = ("id", "s", "t", "out", "remaining", "error", "deadline", "parts")
 
     def __init__(
         self,
@@ -297,6 +319,228 @@ class _Ticket:
         self.remaining = 0
         self.error: str | None = None
         self.deadline = deadline  # absolute time.monotonic() bound, if any
+        self.parts: list = []
+
+
+class _TicketServer:
+    """The ticket protocol shared by every query server.
+
+    Owns the ticket table, ``timeout=`` / ``deadline=`` resolution,
+    ``submit``'s validation, the ``collect`` loop, ``query_batch``, the
+    closed-server check, the context manager and the ``stats()`` schema.
+    A backend supplies its transport through three hooks:
+
+    * ``_enqueue(ticket)`` starts serving a validated, non-empty ticket
+      and sets ``ticket.remaining`` to its number of unfinished parts;
+    * ``_wait(ticket, wait)`` blocks for progress on ``ticket`` for at
+      most ``wait`` seconds (``None``: until some arrives);
+    * ``_shutdown()`` stops the workers, once, from :meth:`close`.
+
+    Backends with supervision override ``restarts``, ``hangs``,
+    ``degraded`` and ``worker_restarts``; the defaults describe workers
+    that are never respawned.
+    """
+
+    restarts = 0
+    hangs = 0
+    degraded = False
+
+    def __init__(self, workers: int) -> None:
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        self._workers_total = workers
+        self._index = None  # the backend opens it: see ``index``
+        self._n = 0
+        self._tickets: dict[int, _Ticket] = {}
+        self._next_ticket = 0
+        self._closed = False
+        self.pairs_served = 0
+        self.timeouts = 0
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise RuntimeError(f"{type(self).__name__} is closed")
+
+    def _chunks(self, ticket: _Ticket, slot_pairs: int) -> list[list[np.ndarray]]:
+        """Per-worker lists of position chunks, case-balanced (see
+        :func:`_case_shards`), at most ``slot_pairs`` positions each."""
+        flags = self._index._flags()
+        shares = _case_shards(
+            case_codes(flags[ticket.s], flags[ticket.t]), self._workers_total
+        )
+        return [
+            [share[i : i + slot_pairs] for i in range(0, len(share), slot_pairs)]
+            for share in shares
+        ]
+
+    # ------------------------------------------------------------------
+    # Query API
+    # ------------------------------------------------------------------
+    def submit(
+        self,
+        pairs,
+        *,
+        timeout: float | None = None,
+        deadline: float | None = None,
+    ) -> int:
+        """Enqueue a batch; returns a ticket for :meth:`collect`.
+
+        The batch is validated here, in the caller (an out-of-range or
+        non-integer id raises ``ValueError``), then handed to the
+        workers, which start on it at once — call :meth:`submit` again
+        before :meth:`collect` to pipeline batches.
+
+        ``timeout`` (seconds from now) / ``deadline`` (absolute
+        ``time.monotonic()``) attach a bound to the *ticket*: every
+        later ``collect`` honors it, combined with the collect call's
+        own bound, whichever is tighter.
+        """
+        self._check_open()
+        s, t = as_pair_arrays(pairs, self._n)
+        ticket = _Ticket(
+            self._next_ticket, s, t, _resolve_deadline(timeout, deadline)
+        )
+        self._next_ticket += 1
+        self._tickets[ticket.id] = ticket
+        if len(s):
+            self._enqueue(ticket)
+        self.pairs_served += len(s)
+        return ticket.id
+
+    def collect(
+        self,
+        ticket_id: int,
+        *,
+        timeout: float | None = None,
+        deadline: float | None = None,
+    ) -> np.ndarray:
+        """Block until a ticket settles; its verdicts in input order.
+
+        If any part raised inside a worker, the ticket settles (the pool
+        stays serviceable) and the worker's traceback is re-raised here
+        as :class:`RuntimeError`.  An unknown or already-collected id
+        raises :class:`UnknownTicketError`.
+
+        With a ``timeout`` / ``deadline`` (combined with any bound the
+        ticket carries from :meth:`submit`), a ticket that has not
+        settled by the bound raises :class:`QueryTimeout` — the ticket
+        stays collectable, its parts keep being served and supervised.
+        """
+        self._check_open()
+        ticket = self._tickets.get(ticket_id)
+        if ticket is None:
+            raise UnknownTicketError(ticket_id)
+        bound = _resolve_deadline(timeout, deadline, ticket.deadline)
+        started = time.monotonic()
+        while ticket.remaining:
+            wait = None
+            if bound is not None:
+                now = time.monotonic()
+                if now >= bound:
+                    self.timeouts += 1
+                    raise QueryTimeout(ticket_id, now - started)
+                wait = bound - now
+            self._wait(ticket, wait)
+        del self._tickets[ticket_id]
+        if ticket.error is not None:
+            raise RuntimeError(
+                f"query-server batch {ticket_id} failed in a worker:\n"
+                f"{ticket.error}"
+            )
+        return ticket.out
+
+    def query_batch(
+        self,
+        pairs,
+        *,
+        timeout: float | None = None,
+        deadline: float | None = None,
+    ) -> np.ndarray:
+        """Synchronous round-trip: ``collect(submit(pairs))``.
+
+        Bit-identical to the in-process
+        :meth:`~repro.core.kreach.KReachIndex.query_batch` on the same
+        index, for every worker count.  ``timeout`` / ``deadline`` bound
+        the round-trip (:class:`QueryTimeout`).
+        """
+        return self.collect(
+            self.submit(pairs, timeout=timeout, deadline=deadline)
+        )
+
+    # ------------------------------------------------------------------
+    # Introspection & shutdown
+    # ------------------------------------------------------------------
+    @property
+    def workers(self) -> int:
+        """Worker count (across every shard, for the sharded server)."""
+        return self._workers_total
+
+    @property
+    def n(self) -> int:
+        """Vertex count of the served index (valid ids are ``[0, n)``)."""
+        return self._n
+
+    @property
+    def index(self):
+        """The parent's in-process view of the served index (read-only use)."""
+        return self._index
+
+    @property
+    def worker_restarts(self) -> list[int]:
+        """Lifetime revivals per worker slot."""
+        return [0] * self._workers_total
+
+    def _backend_stats(self) -> dict:
+        """Keys a backend adds to the shared :meth:`stats` schema."""
+        return {}
+
+    def stats(self) -> dict:
+        """Counters plus pool health, in the schema every server shares."""
+        degraded = bool(self.degraded)
+        return {
+            "workers": self.workers,
+            "pairs_served": self.pairs_served,
+            "outstanding_tickets": len(self._tickets),
+            "restarts": self.restarts,
+            "worker_restarts": self.worker_restarts,
+            "timeouts": self.timeouts,
+            "hangs": self.hangs,
+            "degraded": degraded,
+            "health": "degraded" if degraded else "ok",
+            **self._backend_stats(),
+        }
+
+    def close(self) -> None:
+        """Stop every worker and drop the index.  Idempotent.
+
+        Outstanding tickets can no longer be collected.  The parent's
+        mapping of the served file is dropped so the mmap can be
+        collected — on platforms where a mapped file cannot be deleted
+        (Windows), a temporary directory holding it must be able to
+        clean up once the server is closed.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self._shutdown()
+        self._tickets.clear()
+        self._index = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __del__(self) -> None:  # pragma: no cover - best-effort cleanup
+        try:
+            self.close()
+        except Exception:
+            pass
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        state = "closed" if self._closed else "open"
+        return f"{type(self).__name__}(workers={self.workers}, {state})"
 
 
 class _Worker:
@@ -349,7 +593,7 @@ class _Worker:
         self.restarts = 0  # lifetime revivals of this worker slot
 
 
-class QueryServer:
+class QueryServer(_TicketServer):
     """A persistent multi-process batch-query pool over one index file.
 
     Parameters
@@ -364,18 +608,12 @@ class QueryServer:
     slot_pairs:
         Capacity of one shared-memory slot.  Batches larger than one
         slot are sharded transparently; bigger slots amortize dispatch,
-        smaller ones pipeline sooner.
-    slots_per_worker:
-        Shared-memory slots per worker (2 = double buffering: the parent
-        fills one slot while the worker computes the other).
+        smaller ones pipeline sooner.  Each worker has two slots
+        (double buffering).
     prepare:
         Run :meth:`~repro.core.kreach.KReachIndex.prepare_batch` in each
         worker at start-up so steady-state queries never pay the lazy
         link-matrix build.
-    start_method:
-        Multiprocessing start method; default ``'fork'`` where available
-        (workers then inherit nothing index-sized — the index comes from
-        the file either way).
     hang_timeout:
         Seconds of heartbeat silence from a worker *holding in-flight
         shards* before the watchdog declares it hung and kills it (the
@@ -387,10 +625,8 @@ class QueryServer:
         Total worker restarts (crash, hang, or explicit) this pool will
         attempt before degrading to in-process serving; ``None`` means
         unlimited.  Degraded mode answers every query with the parent's
-        own index view — slower, never wrong.
-    restart_backoff:
-        Base of the capped exponential backoff between *consecutive*
-        failed revivals of the same worker (first revival is immediate).
+        own index view — slower, never wrong.  Consecutive failed
+        revivals of the same worker back off exponentially (capped).
     shutdown_grace:
         Seconds a worker gets to exit cleanly before ``close`` (or a
         revival) escalates to ``terminate`` and then ``kill``.
@@ -416,55 +652,34 @@ class QueryServer:
         *,
         workers: int = 2,
         slot_pairs: int = DEFAULT_SLOT_PAIRS,
-        slots_per_worker: int = DEFAULT_SLOTS_PER_WORKER,
         prepare: bool = True,
-        start_method: str | None = None,
         hang_timeout: float | None = 30.0,
         max_restarts: int | None = 16,
-        restart_backoff: float = 0.05,
         shutdown_grace: float = 5.0,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         if hang_timeout is not None and hang_timeout <= 0:
             raise ValueError(
                 f"hang_timeout must be positive or None, got {hang_timeout}"
             )
-        if slot_pairs < 1:
-            raise ValueError(f"slot_pairs must be >= 1, got {slot_pairs}")
-        if slots_per_worker < 1:
-            raise ValueError(
-                f"slots_per_worker must be >= 1, got {slots_per_worker}"
-            )
+        super().__init__(workers)
+        self._slot_pairs = _check_slot_pairs(slot_pairs)
         from repro.core.serialize import load_mmap
 
         self._path = os.fspath(path)
-        self._slot_pairs = int(slot_pairs)
-        self._slots = int(slots_per_worker)
-        self._prepare = bool(prepare)
         # The parent's own O(header) view: cover flags for the case
         # pre-split and input validation.  It never runs a kernel.
         self._index = load_mmap(self._path)
         self._n = self._index.graph.n
-        if start_method is None:
-            start_method = (
-                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            )
-        self._ctx = mp.get_context(start_method)
+        self._prepare = bool(prepare)
+        self._ctx = mp.get_context(_START_METHOD)
         self._workers = [
-            _Worker(i, self._slots, self._slot_pairs) for i in range(workers)
+            _Worker(i, _SLOTS_PER_WORKER, self._slot_pairs) for i in range(workers)
         ]
-        self._tickets: dict[int, _Ticket] = {}
-        self._next_ticket = 0
-        self._closed = False
         self._hang_timeout = hang_timeout
         self._max_restarts = max_restarts
-        self._restart_backoff = float(restart_backoff)
         self._shutdown_grace = float(shutdown_grace)
-        self._degraded = False
+        self.degraded = False
         self.restarts = 0
-        self.pairs_served = 0
-        self.timeouts = 0
         self.hangs = 0
         self._watchdog_stop = threading.Event()
         self._watchdog: threading.Thread | None = None
@@ -506,7 +721,7 @@ class QueryServer:
                 self._path,
                 w.id,
                 w.generation,
-                self._slots,
+                _SLOTS_PER_WORKER,
                 self._slot_pairs,
                 w.raw_in,
                 w.raw_out,
@@ -643,15 +858,15 @@ class QueryServer:
         bypass the pool entirely.  Slower, never wrong; ``stats()``
         reports ``health='degraded'``.
         """
-        if self._degraded:
+        if self.degraded:
             return
-        self._degraded = True
+        self.degraded = True
         self._watchdog_stop.set()
         for w in self._workers:
             for slot in sorted(w.inflight):
                 ticket, positions, _ = w.inflight.pop(slot)
                 w.backlog.appendleft((ticket, positions, 0))
-            w.free_slots = list(range(self._slots))
+            w.free_slots = list(range(_SLOTS_PER_WORKER))
             while w.backlog:
                 ticket, positions, _ = w.backlog.popleft()
                 self._run_local(ticket, positions)
@@ -667,7 +882,7 @@ class QueryServer:
 
     def _revive(self, w: _Worker) -> None:
         """Respawn a dead worker and requeue everything it was holding."""
-        if self._degraded:
+        if self.degraded:
             return
         self._reap(w)
         self.restarts += 1
@@ -709,7 +924,7 @@ class QueryServer:
                     ticket.remaining -= 1
                 else:
                     w.backlog.appendleft((ticket, positions, attempts + 1))
-            w.free_slots = list(range(self._slots))
+            w.free_slots = list(range(_SLOTS_PER_WORKER))
             if (
                 self._max_restarts is not None
                 and self.restarts > self._max_restarts
@@ -722,7 +937,7 @@ class QueryServer:
                 time.sleep(
                     min(
                         _BACKOFF_CAP,
-                        self._restart_backoff * (2 ** (w.strikes - 2)),
+                        _RESTART_BACKOFF_S * (2 ** (w.strikes - 2)),
                     )
                 )
             try:
@@ -761,10 +976,6 @@ class QueryServer:
     # ------------------------------------------------------------------
     # Dispatch plumbing
     # ------------------------------------------------------------------
-    def _shard(self, codes: np.ndarray) -> list[np.ndarray]:
-        """Per-worker position arrays, case-balanced (see :func:`_case_shards`)."""
-        return _case_shards(codes, len(self._workers))
-
     def _dispatch(self, w: _Worker) -> None:
         """Move backlog shards into free slots and notify the worker.
 
@@ -773,7 +984,7 @@ class QueryServer:
         noticed by the blocking drain's health poll, a guaranteed
         latency spike on the first post-death batch.
         """
-        if self._degraded:
+        if self.degraded:
             while w.backlog:
                 ticket, positions, _ = w.backlog.popleft()
                 self._run_local(ticket, positions)
@@ -864,164 +1075,42 @@ class QueryServer:
                     self._revive(w)
         return handled
 
-    def _check_open(self) -> None:
-        if self._closed:
-            raise RuntimeError("QueryServer is closed")
-
     # ------------------------------------------------------------------
-    # Query API
+    # Ticket-core transport
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        pairs,
-        *,
-        timeout: float | None = None,
-        deadline: float | None = None,
-    ) -> int:
-        """Enqueue a batch; returns a ticket for :meth:`collect`.
-
-        The batch is validated, pre-split by case code, sharded across
-        the pool in slot-sized chunks, and the first chunks start
-        transferring immediately — call :meth:`submit` again before
-        :meth:`collect` to pipeline batches through the pool.
-
-        ``timeout`` (seconds from now) / ``deadline`` (absolute
-        ``time.monotonic()``) attach a bound to the *ticket*: every
-        later ``collect`` honors it, combined with the collect call's
-        own bound, whichever is tighter.
-        """
-        self._check_open()
-        s, t = as_pair_arrays(pairs, self._n)
-        ticket = _Ticket(
-            self._next_ticket, s, t, _resolve_deadline(timeout, deadline)
-        )
-        self._next_ticket += 1
-        self._tickets[ticket.id] = ticket
-        if len(s):
-            if self._degraded:
-                ticket.remaining = 1
-                self._run_local(ticket, np.arange(len(s), dtype=np.int64))
-            else:
-                flags = self._index._flags()
-                shares = self._shard(case_codes(flags[s], flags[t]))
-                for w, share in zip(self._workers, shares):
-                    for start in range(0, len(share), self._slot_pairs):
-                        w.backlog.append(
-                            (ticket, share[start : start + self._slot_pairs], 0)
-                        )
-                        ticket.remaining += 1
-                    self._dispatch(w)
-        self.pairs_served += len(s)
-        if not self._degraded:
+    def _enqueue(self, ticket: _Ticket) -> None:
+        """Queue the ticket's chunks on the workers' backlogs and start
+        the first transfers; degraded, answer it in-process."""
+        if self.degraded:
+            ticket.remaining = 1
+            self._run_local(ticket, np.arange(len(ticket.s), dtype=np.int64))
+            return
+        chunks = self._chunks(ticket, self._slot_pairs)
+        # Count every chunk before the first dispatch: a chunk answered
+        # at once must not see remaining hit zero early.
+        ticket.remaining = sum(map(len, chunks))
+        for w, mine in zip(self._workers, chunks):
+            w.backlog.extend((ticket, chunk, 0) for chunk in mine)
+            self._dispatch(w)
+        if not self.degraded:
             while self._drain(block=False):  # opportunistic, non-blocking
                 pass
-        return ticket.id
 
-    def collect(
-        self,
-        ticket_id: int,
-        *,
-        timeout: float | None = None,
-        deadline: float | None = None,
-    ) -> np.ndarray:
-        """Block until a ticket's shards are done; verdicts in input order.
-
-        If any shard raised inside a worker, the ticket settles (its
-        slots are recovered, the pool stays serviceable) and the worker's
-        traceback is re-raised here as :class:`RuntimeError`.  An
-        unknown or already-collected id raises
-        :class:`UnknownTicketError`.
-
-        With a ``timeout`` / ``deadline`` (combined with any bound the
-        ticket carries from :meth:`submit`), a ticket that has not
-        settled by the bound raises :class:`QueryTimeout` — the ticket
-        stays collectable, its shards keep being served and supervised.
-        """
-        self._check_open()
-        ticket = self._tickets.get(ticket_id)
-        if ticket is None:
-            raise UnknownTicketError(ticket_id)
-        bound = _merge_deadlines(
-            ticket.deadline, _resolve_deadline(timeout, deadline)
-        )
-        started = time.monotonic()
-        while ticket.remaining:
-            if bound is None:
-                self._drain(block=True)
-                continue
-            now = time.monotonic()
-            if now >= bound:
-                self.timeouts += 1
-                raise QueryTimeout(ticket_id, now - started)
-            self._drain(block=True, wait=bound - now)
-        del self._tickets[ticket_id]
-        if ticket.error is not None:
-            raise RuntimeError(
-                f"query-server batch {ticket_id} failed in a worker:\n"
-                f"{ticket.error}"
-            )
-        return ticket.out
-
-    def query_batch(
-        self,
-        pairs,
-        *,
-        timeout: float | None = None,
-        deadline: float | None = None,
-    ) -> np.ndarray:
-        """Synchronous round-trip: ``collect(submit(pairs))``.
-
-        Bit-identical to the in-process
-        :meth:`~repro.core.kreach.KReachIndex.query_batch` on the same
-        file, for every worker count.  ``timeout`` / ``deadline`` bound
-        the round-trip (:class:`QueryTimeout`).
-        """
-        return self.collect(
-            self.submit(pairs, timeout=timeout, deadline=deadline)
-        )
-
-    # ------------------------------------------------------------------
-    # Introspection & shutdown
-    # ------------------------------------------------------------------
-    @property
-    def workers(self) -> int:
-        """Pool size."""
-        return len(self._workers)
+    def _wait(self, ticket: _Ticket, wait: float | None) -> None:
+        self._drain(block=True, wait=wait)
 
     @property
-    def n(self) -> int:
-        """Vertex count of the served index (valid ids are ``[0, n)``)."""
-        return self._n
+    def worker_restarts(self) -> list[int]:
+        """Lifetime revivals per worker slot."""
+        return [w.restarts for w in self._workers]
 
-    @property
-    def index(self):
-        """The parent's zero-copy view of the served index (read-only use)."""
-        return self._index
-
-    def stats(self) -> dict:
-        """Counters plus pool health (``health`` / ``degraded``)."""
-        return {
-            "workers": len(self._workers),
-            "pairs_served": self.pairs_served,
-            "outstanding_tickets": len(self._tickets),
-            "restarts": self.restarts,
-            "worker_restarts": [w.restarts for w in self._workers],
-            "timeouts": self.timeouts,
-            "hangs": self.hangs,
-            "degraded": self._degraded,
-            "health": "degraded" if self._degraded else "ok",
-        }
-
-    def close(self) -> None:
-        """Stop every worker and release the control pipes.  Idempotent.
+    def _shutdown(self) -> None:
+        """Stop every worker and release the control pipes.
 
         Escalates per worker: a stop sentinel and a bounded join first,
         then ``terminate`` (SIGTERM), then ``kill`` (SIGKILL) — a hung
         worker cannot leak past close.
         """
-        if self._closed:
-            return
-        self._closed = True
         self._watchdog_stop.set()
         if self._watchdog is not None:
             self._watchdog.join(timeout=2.0)
@@ -1043,34 +1132,9 @@ class QueryServer:
                         pass
             w.task_w = None
             w.result_r = None
-        self._tickets.clear()
-        # Drop the parent's mapping of the served file so the mmap can be
-        # collected — on platforms where a mapped file cannot be deleted
-        # (Windows), a TemporaryDirectory holding the .kr4 must be able
-        # to clean up once the server is closed.
-        self._index = None
-
-    def __enter__(self) -> "QueryServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - best-effort cleanup
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "closed" if self._closed else "open"
-        return (
-            f"QueryServer(path={self._path!r}, workers={len(self._workers)}, "
-            f"{state})"
-        )
 
 
-class ThreadQueryServer:
+class ThreadQueryServer(_TicketServer):
     """A thread-pool batch-query server sharing one mmap'd index file.
 
     The zero-IPC sibling of :class:`QueryServer`, built for the native
@@ -1089,10 +1153,11 @@ class ThreadQueryServer:
     to ``max(1, cpu_count // workers)`` — see the module docstring's
     thread-budget policy.
 
-    Same ``submit`` / ``collect`` / ``query_batch`` / ``stats`` /
-    context-manager API as :class:`QueryServer`, so benchmarks and
-    examples can swap the two; verdicts are bit-identical to the
-    in-process index for every worker count.
+    Same ticket core — ``submit`` / ``collect`` / ``query_batch`` /
+    ``stats`` / context manager — as :class:`QueryServer`, so benchmarks
+    and examples can swap the two; ``stats()`` adds ``kernel_threads``.
+    Verdicts are bit-identical to the in-process index for every worker
+    count.
 
     Parameters
     ----------
@@ -1100,9 +1165,9 @@ class ThreadQueryServer:
         A file written by :func:`~repro.core.serialize.save_mmap`.
     workers:
         Thread-pool size.
-    shard_pairs:
+    slot_pairs:
         Maximum pairs per queued sub-batch.  Batches larger than one
-        shard per worker split further so :meth:`submit` pipelines.
+        sub-batch per worker split further so :meth:`submit` pipelines.
     prepare:
         Build the lazy batch caches up front (in the constructor) so
         worker threads never race a lazy build; ``False`` defers the
@@ -1128,23 +1193,19 @@ class ThreadQueryServer:
         path,
         *,
         workers: int = 2,
-        shard_pairs: int = DEFAULT_SLOT_PAIRS,
+        slot_pairs: int = DEFAULT_SLOT_PAIRS,
         prepare: bool = True,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if shard_pairs < 1:
-            raise ValueError(f"shard_pairs must be >= 1, got {shard_pairs}")
+        super().__init__(workers)
+        self._slot_pairs = _check_slot_pairs(slot_pairs)
         from repro.core.serialize import load_mmap
 
-        self._path = os.fspath(path)
-        self._shard_pairs = int(shard_pairs)
         # One address space: pin the shared kernel-thread budget before
         # any kernel (and hence numba's thread pool) starts.
         self.kernel_threads = native.pin_kernel_threads(
             native.thread_budget(workers)
         )
-        self._index = load_mmap(self._path)
+        self._index = load_mmap(path)
         self._n = self._index.graph.n
         self._prep_lock = threading.Lock()
         self._prepared = False
@@ -1153,11 +1214,6 @@ class ThreadQueryServer:
             self._prepared = True
         self._tasks: queue.SimpleQueue = queue.SimpleQueue()
         self._cond = threading.Condition()
-        self._tickets: dict[int, _Ticket] = {}
-        self._next_ticket = 0
-        self._closed = False
-        self.pairs_served = 0
-        self.timeouts = 0
         self._threads = [
             threading.Thread(
                 target=self._worker_loop,
@@ -1208,178 +1264,30 @@ class ThreadQueryServer:
                 ticket.remaining -= 1
                 self._cond.notify_all()
 
-    def _check_open(self) -> None:
-        if self._closed:
-            raise RuntimeError("ThreadQueryServer is closed")
-
     # ------------------------------------------------------------------
-    # Query API
+    # Ticket-core transport
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        pairs,
-        *,
-        timeout: float | None = None,
-        deadline: float | None = None,
-    ) -> int:
-        """Enqueue a batch; returns a ticket for :meth:`collect`.
+    def _enqueue(self, ticket: _Ticket) -> None:
+        self._ensure_prepared()
+        chunks = [c for mine in self._chunks(ticket, self._slot_pairs) for c in mine]
+        # Count every chunk before the first enqueue: a worker that
+        # finishes instantly must not see remaining hit zero early.
+        ticket.remaining = len(chunks)
+        for chunk in chunks:
+            self._tasks.put((ticket, chunk))
 
-        The batch is validated, pre-split by case code, and queued in
-        shard-sized position chunks; worker threads start on it
-        immediately, so further :meth:`submit` calls pipeline.
-        ``timeout`` / ``deadline`` attach a bound every later
-        ``collect`` honors (see :class:`QueryTimeout`).
-        """
-        self._check_open()
-        s, t = as_pair_arrays(pairs, self._n)
-        ticket = _Ticket(
-            self._next_ticket, s, t, _resolve_deadline(timeout, deadline)
-        )
-        self._next_ticket += 1
-        self._tickets[ticket.id] = ticket
-        if len(s):
-            self._ensure_prepared()
-            flags = self._index._flags()
-            shares = _case_shards(
-                case_codes(flags[s], flags[t]), len(self._threads)
-            )
-            chunks = [
-                share[start : start + self._shard_pairs]
-                for share in shares
-                for start in range(0, len(share), self._shard_pairs)
-            ]
-            # Count every shard before the first enqueue: a worker that
-            # finishes instantly must not see remaining hit zero early.
-            ticket.remaining = len(chunks)
-            for chunk in chunks:
-                self._tasks.put((ticket, chunk))
-        self.pairs_served += len(s)
-        return ticket.id
-
-    def collect(
-        self,
-        ticket_id: int,
-        *,
-        timeout: float | None = None,
-        deadline: float | None = None,
-    ) -> np.ndarray:
-        """Block until a ticket's shards are done; verdicts in input order.
-
-        If any shard raised in a worker thread, the ticket settles (the
-        pool stays serviceable) and the traceback is re-raised here as
-        :class:`RuntimeError`.  An unknown or already-collected id
-        raises :class:`UnknownTicketError`; a missed ``timeout`` /
-        ``deadline`` bound (combined with any bound from
-        :meth:`submit`) raises :class:`QueryTimeout` and leaves the
-        ticket collectable.
-        """
-        self._check_open()
-        ticket = self._tickets.get(ticket_id)
-        if ticket is None:
-            raise UnknownTicketError(ticket_id)
-        bound = _merge_deadlines(
-            ticket.deadline, _resolve_deadline(timeout, deadline)
-        )
-        started = time.monotonic()
+    def _wait(self, ticket: _Ticket, wait: float | None) -> None:
         with self._cond:
-            while ticket.remaining:
-                if bound is None:
-                    self._cond.wait()
-                    continue
-                now = time.monotonic()
-                if now >= bound:
-                    self.timeouts += 1
-                    raise QueryTimeout(ticket_id, now - started)
-                self._cond.wait(timeout=bound - now)
-        del self._tickets[ticket_id]
-        if ticket.error is not None:
-            raise RuntimeError(
-                f"query-server batch {ticket_id} failed in a worker:\n"
-                f"{ticket.error}"
-            )
-        return ticket.out
+            if ticket.remaining:
+                self._cond.wait(timeout=wait)
 
-    def query_batch(
-        self,
-        pairs,
-        *,
-        timeout: float | None = None,
-        deadline: float | None = None,
-    ) -> np.ndarray:
-        """Synchronous round-trip: ``collect(submit(pairs))``.
+    def _backend_stats(self) -> dict:
+        return {"kernel_threads": self.kernel_threads}
 
-        Bit-identical to the in-process
-        :meth:`~repro.core.kreach.KReachIndex.query_batch` on the same
-        file, for every worker count.  ``timeout`` / ``deadline`` bound
-        the round-trip (:class:`QueryTimeout`).
-        """
-        return self.collect(
-            self.submit(pairs, timeout=timeout, deadline=deadline)
-        )
-
-    # ------------------------------------------------------------------
-    # Introspection & shutdown
-    # ------------------------------------------------------------------
-    @property
-    def workers(self) -> int:
-        """Pool size."""
-        return len(self._threads)
-
-    @property
-    def n(self) -> int:
-        """Vertex count of the served index (valid ids are ``[0, n)``)."""
-        return self._n
-
-    @property
-    def index(self):
-        """The shared mmap'd index every worker thread queries."""
-        return self._index
-
-    def stats(self) -> dict:
-        """Counters: pairs served, outstanding tickets, kernel budget."""
-        return {
-            "workers": len(self._threads),
-            "pairs_served": self.pairs_served,
-            "outstanding_tickets": len(self._tickets),
-            "kernel_threads": self.kernel_threads,
-            "restarts": 0,  # threads are never respawned
-            "worker_restarts": [0] * len(self._threads),
-            "timeouts": self.timeouts,
-            "degraded": False,  # threads share our fate: no degraded mode
-            "health": "ok",
-        }
-
-    def close(self) -> None:
-        """Stop every worker thread and drop the index.  Idempotent.
-
-        Queued shards are served before the stop sentinels; outstanding
-        tickets therefore settle, but they can no longer be collected.
-        """
-        if self._closed:
-            return
-        self._closed = True
+    def _shutdown(self) -> None:
+        """Queued chunks are served before the stop sentinels, so
+        outstanding tickets settle (but can no longer be collected)."""
         for _ in self._threads:
             self._tasks.put(None)
         for th in self._threads:
             th.join(timeout=10)
-        self._tickets.clear()
-        self._index = None
-
-    def __enter__(self) -> "ThreadQueryServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - best-effort cleanup
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "closed" if self._closed else "open"
-        return (
-            f"ThreadQueryServer(path={self._path!r}, "
-            f"workers={len(self._threads)}, {state})"
-        )

@@ -4,14 +4,15 @@
 :class:`~repro.core.serve.QueryServer`: it opens a
 :func:`~repro.core.serialize.save_sharded` directory, runs one worker
 pool per shard (process pools by default, thread pools on the native
-tier), and keeps the single-server contract intact —
-``submit``/``collect`` tickets, ``timeout=``/``deadline=`` bounds,
-verdicts reassembled in input order, and answers **bit-identical** to
-the unsharded index.
+tier), and keeps the single-server contract intact — it runs on the
+same ticket core as the pools (``submit``/``collect`` tickets,
+``timeout=``/``deadline=`` bounds, verdicts reassembled in input order,
+one ``stats()`` schema), and its answers are **bit-identical** to the
+unsharded index.
 
 Scatter: :meth:`submit` routes every ``(s, t)`` pair to its owning
 shard (see :meth:`~repro.core.partition.ShardedKReach.route`) and
-enqueues one local-id sub-batch per touched shard — all pools compute
+enqueues one local-id sub-ticket per touched shard — all pools compute
 concurrently.  Cross-shard pairs never reach a pool: the parent answers
 them directly from the memory-mapped portal tables
 (:meth:`~repro.core.partition.ShardedKReach.stitch`), which is a few
@@ -29,36 +30,28 @@ import os
 
 import numpy as np
 
-from repro.core.batch import as_pair_arrays
 from repro.core.partition import ShardedKReach
 from repro.core.serialize import load_sharded
 from repro.core.serve import (
     QueryServer,
     QueryTimeout,
     ThreadQueryServer,
-    UnknownTicketError,
-    _merge_deadlines,
-    _resolve_deadline,
+    _Ticket,
+    _TicketServer,
 )
 
 __all__ = ["ShardedQueryServer"]
 
 
-class _ShardTicket:
-    """One client batch fanned out across shard pools."""
-
-    __slots__ = ("id", "out", "parts", "deadline")
-
-    def __init__(self, ticket_id: int, size: int, deadline: float | None) -> None:
-        self.id = ticket_id
-        self.out = np.zeros(size, dtype=bool)
-        # (shard_id, sub_ticket, input positions) still awaiting collect.
-        self.parts: list[tuple[int, int, np.ndarray]] = []
-        self.deadline = deadline
-
-
-class ShardedQueryServer:
+class ShardedQueryServer(_TicketServer):
     """Route, scatter, and gather batches over per-shard worker pools.
+
+    ``stats()`` carries the shared schema, summed over the shard pools
+    (``workers``, ``restarts``, ``hangs``; ``worker_restarts`` lists
+    every pool's workers shard by shard; ``degraded`` if any pool is),
+    plus ``num_shards``, ``cross_pairs``, ``boundary_size`` and the
+    per-shard ``shards`` breakdown.  ``timeouts`` counts this server's
+    own timed-out collects.
 
     Parameters
     ----------
@@ -73,10 +66,12 @@ class ShardedQueryServer:
         :class:`ThreadQueryServer` pools (zero IPC — the right choice on
         the compiled-kernel tier, or when shards are the only
         parallelism wanted).
+    verify:
+        Check every manifest file's CRC32 before serving.
     server_kwargs:
         Extra keyword arguments forwarded to every pool constructor
-        (e.g. ``hang_timeout=``, ``max_restarts=`` for the process
-        backend).
+        (e.g. ``slot_pairs=`` for either backend, ``hang_timeout=`` or
+        ``max_restarts=`` for the process backend).
     """
 
     def __init__(
@@ -93,15 +88,15 @@ class ShardedQueryServer:
                 f"backend must be 'process' or 'thread', got {backend!r}"
             )
         manifest = load_sharded(manifest_dir, verify=verify)
-        self._sharded = ShardedKReach.from_manifest(manifest)
-        self._n = self._sharded.n
-        self._closed = False
-        self._next_ticket = 0
-        self._tickets: dict[int, _ShardTicket] = {}
-        self.pairs_served = 0
-        self.cross_pairs = 0
         kwargs = dict(server_kwargs or {})
         kwargs.setdefault("workers", workers)
+        sharded = ShardedKReach.from_manifest(manifest)
+        super().__init__(kwargs["workers"] * sharded.num_shards)
+        self._index = sharded
+        self._n = sharded.n
+        self._k = sharded.k
+        self._boundary_size = int(len(sharded.boundary))
+        self.cross_pairs = 0
         cls = QueryServer if backend == "process" else ThreadQueryServer
         self.servers: list = []
         try:
@@ -114,111 +109,50 @@ class ShardedQueryServer:
     # ------------------------------------------------------------ facts
 
     @property
-    def n(self) -> int:
-        return self._n
-
-    @property
     def k(self) -> int | None:
-        return self._sharded.k
+        return self._k
 
     @property
     def num_shards(self) -> int:
-        return self._sharded.num_shards
+        return len(self.servers)
 
-    @property
-    def sharded(self) -> ShardedKReach:
-        """The routing/stitch view (also answers in-process)."""
-        return self._sharded
+    # ------------------------------------------------- ticket transport
 
-    # ---------------------------------------------------------- serving
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise RuntimeError("server is closed")
-
-    def submit(
-        self,
-        pairs,
-        *,
-        timeout: float | None = None,
-        deadline: float | None = None,
-    ) -> int:
-        """Scatter a batch across the shard pools; returns a ticket.
-
-        Cross-shard pairs are answered immediately from the portal
-        tables; everything else is enqueued on its owning shard's pool
-        with the ticket's deadline attached, so all pools pipeline the
-        batch concurrently.
-        """
-        self._check_open()
-        s, t = as_pair_arrays(pairs, self._n)
-        bound = _resolve_deadline(timeout, deadline)
-        ticket = _ShardTicket(self._next_ticket, len(s), bound)
-        self._next_ticket += 1
-        owner = self._sharded.route(s, t) if len(s) else np.empty(0, np.int64)
-        for i, (server, shard) in enumerate(
-            zip(self.servers, self._sharded.shards)
-        ):
+    def _enqueue(self, ticket: _Ticket) -> None:
+        """Answer cross-shard pairs from the portal tables now; submit
+        the rest to their owning shards' pools with the ticket's bound."""
+        s, t = ticket.s, ticket.t
+        owner = self._index.route(s, t)
+        for i, (server, shard) in enumerate(zip(self.servers, self._index.shards)):
             positions = np.flatnonzero(owner == i)
             if not len(positions):
                 continue
             local = np.stack(
-                [
-                    shard.to_local(s[positions]),
-                    shard.to_local(t[positions]),
-                ],
+                [shard.to_local(s[positions]), shard.to_local(t[positions])],
                 axis=1,
             )
-            sub = server.submit(local, deadline=bound)
+            sub = server.submit(local, deadline=ticket.deadline)
             ticket.parts.append((i, sub, positions))
+        ticket.remaining = len(ticket.parts)
         cross = np.flatnonzero(owner < 0)
         if len(cross):
-            ticket.out[cross] = self._sharded.stitch(s[cross], t[cross])
+            ticket.out[cross] = self._index.stitch(s[cross], t[cross])
             self.cross_pairs += len(cross)
-        self.pairs_served += len(s)
-        self._tickets[ticket.id] = ticket
-        return ticket.id
 
-    def collect(
-        self,
-        ticket_id: int,
-        *,
-        timeout: float | None = None,
-        deadline: float | None = None,
-    ) -> np.ndarray:
-        """Gather a ticket's verdicts in input order.
-
-        Sub-tickets already gathered stay gathered across a
-        :class:`QueryTimeout` — the ticket remains collectable and a
-        later call only waits on the shards still outstanding.
-        """
-        self._check_open()
-        ticket = self._tickets.get(ticket_id)
-        if ticket is None:
-            raise UnknownTicketError(ticket_id)
-        bound = _merge_deadlines(
-            ticket.deadline, _resolve_deadline(timeout, deadline)
-        )
-        while ticket.parts:
-            shard_id, sub, positions = ticket.parts[-1]
-            try:
-                verdicts = self.servers[shard_id].collect(sub, deadline=bound)
-            except QueryTimeout as exc:
-                raise QueryTimeout(ticket_id, exc.waited) from None
-            ticket.out[positions] = verdicts
-            ticket.parts.pop()
-        del self._tickets[ticket_id]
-        return ticket.out
-
-    def query_batch(
-        self,
-        pairs,
-        *,
-        timeout: float | None = None,
-        deadline: float | None = None,
-    ) -> np.ndarray:
-        """Scatter + gather in one call."""
-        return self.collect(self.submit(pairs, timeout=timeout, deadline=deadline))
+    def _wait(self, ticket: _Ticket, wait: float | None) -> None:
+        """Gather one sub-ticket.  A sub-collect that times out keeps
+        every part gathered so far; the ticket core then raises."""
+        shard_id, sub, positions = ticket.parts[-1]
+        try:
+            ticket.out[positions] = self.servers[shard_id].collect(
+                sub, timeout=wait
+            )
+        except QueryTimeout:
+            return
+        except RuntimeError as exc:  # the sub-ticket settled with an error
+            ticket.error = ticket.error or str(exc)
+        ticket.parts.pop()
+        ticket.remaining -= 1
 
     # ------------------------------------------------------- management
 
@@ -226,45 +160,34 @@ class ShardedQueryServer:
         """Kill-and-revive one worker of one shard pool (process backend)."""
         self.servers[shard_id].restart_worker(worker_id)
 
-    def stats(self) -> dict:
-        """Aggregate counters plus the per-shard pool breakdown."""
-        per_shard = [server.stats() for server in self.servers]
+    @property
+    def restarts(self) -> int:
+        return sum(server.restarts for server in self.servers)
+
+    @property
+    def hangs(self) -> int:
+        return sum(server.hangs for server in self.servers)
+
+    @property
+    def degraded(self) -> bool:
+        return any(server.degraded for server in self.servers)
+
+    @property
+    def worker_restarts(self) -> list[int]:
+        return [n for server in self.servers for n in server.worker_restarts]
+
+    def _backend_stats(self) -> dict:
         return {
             "num_shards": self.num_shards,
-            "pairs_served": self.pairs_served,
             "cross_pairs": self.cross_pairs,
-            "outstanding_tickets": len(self._tickets),
-            "boundary_size": int(len(self._sharded.boundary)),
-            "restarts": sum(s.get("restarts", 0) for s in per_shard),
-            "timeouts": sum(s.get("timeouts", 0) for s in per_shard),
-            "health": (
-                "degraded"
-                if any(s["health"] != "ok" for s in per_shard)
-                else "ok"
-            ),
-            "shards": per_shard,
+            "boundary_size": self._boundary_size,
+            "shards": [server.stats() for server in self.servers],
         }
 
-    def close(self) -> None:
-        """Close every shard pool.  Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
+    def _shutdown(self) -> None:
+        """Close every shard pool."""
         for server in getattr(self, "servers", []):
             try:
                 server.close()
             except Exception:
                 pass
-        self._tickets.clear()
-
-    def __enter__(self) -> "ShardedQueryServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass

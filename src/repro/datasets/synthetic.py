@@ -6,7 +6,8 @@ environment, so each is replaced by a generator from the matching graph
 family, parameterized to hit the published ``(|V|, |E|, Degmax, d, µ,
 |V_DAG|/|V|)`` profile.  What k-reach interacts with — vertex-cover size
 relative to n, degree skew, SCC structure, diameter, and the typical
-distance µ — is what the generators reproduce; see DESIGN.md §4.
+distance µ — is what the generators reproduce; ``kreach-bench table2``
+prints each stand-in's measured profile beside the published one.
 
 Five families:
 

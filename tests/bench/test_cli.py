@@ -84,18 +84,21 @@ class TestJsonOutput:
         assert all(r["agree"] == "yes" for r in rows)
 
 
-class TestWorkersFlag:
-    def test_default_and_parse(self):
-        assert build_parser().parse_args(["table2"]).workers == 1
-        assert build_parser().parse_args(["table2", "--workers", "4"]).workers == 4
-
-    def test_workers_routed_to_config(self, capsys):
-        # Table 3 construction goes through build_kreach_parallel when
-        # --workers > 1; answers must be unchanged.
-        rc = main(["table3-4-5", "--scale", "0.03", "--queries", "100",
-                   "--datasets", "GO", "--workers", "2"])
-        capsys.readouterr()
-        assert rc == 0
+class TestDatasetNames:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # HubStress is a throughput row name, not a dataset.
+            ["throughput", "--scale", "0.05", "--datasets", "HubStress"],
+            ["table8", "--datasets", "NoSuch"],
+        ],
+    )
+    def test_unknown_name_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert argv[-1] in err and "GO" in err and "Traceback" not in err
 
 
 class TestJsonMetadata:

@@ -105,7 +105,9 @@ def gated_twin(index: KReachIndex, path: str) -> KReachIndex:
 
 
 def tampered_header(path, out_path, mutate):
-    """Rewrite an index file with its JSON header transformed by ``mutate``.
+    """Rewrite an index file with its JSON header replaced by
+    ``mutate(header)``, which may edit the header in place and return
+    it, or return any other JSON value (a list, ``None``, ...).
 
     Section offsets are relative to the aligned payload base, so the
     payload bytes are copied verbatim behind the (possibly resized)
@@ -116,8 +118,7 @@ def tampered_header(path, out_path, mutate):
     raw = path.read_bytes()
     hlen = int.from_bytes(raw[8:16], "little")
     header = json.loads(raw[_MMAP_PROLOGUE : _MMAP_PROLOGUE + hlen])
-    mutate(header)
-    blob = json.dumps(header, separators=(",", ":")).encode()
+    blob = json.dumps(mutate(header), separators=(",", ":")).encode()
     old_base = (_MMAP_PROLOGUE + hlen + 63) // 64 * 64
     new_base = (_MMAP_PROLOGUE + len(blob) + 63) // 64 * 64
     out_path.write_bytes(

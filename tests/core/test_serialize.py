@@ -59,7 +59,7 @@ class TestRoundTrip:
     def test_version_check(self, tmp_path):
         path = tmp_path / "index.kr6"
         save_mmap(KReachIndex(path_graph(4), 2), path)
-        tampered_header(path, path, lambda h: h.update(format_version=99))
+        tampered_header(path, path, lambda h: {**h, "format_version": 99})
         with pytest.raises(ValueError, match="version"):
             load_mmap(path)
 
@@ -76,9 +76,11 @@ class TestLoadValidation:
     def test_truncated_indptr_rejected(self, tmp_path):
         path = tmp_path / "index.kr6"
         save_mmap(KReachIndex(gnp_digraph(20, 0.15, seed=6), 3), path)
-        tampered_header(
-            path, path, lambda h: h["sections"]["index_indptr"].update(count=0)
-        )
+        def mutate(h):
+            h["sections"]["index_indptr"]["count"] = 0
+            return h
+
+        tampered_header(path, path, mutate)
         with pytest.raises(ValueError):
             load_mmap(path)
 
@@ -195,7 +197,11 @@ class TestDynamicCorruption:
 
     def test_missing_field(self, tmp_path):
         base, log = persist(tmp_path, churned_dynamic(3))
-        tampered_header(base, base, lambda h: h["sections"].pop("weight_words"))
+        def mutate(h):
+            del h["sections"]["weight_words"]
+            return h
+
+        tampered_header(base, base, mutate)
         with pytest.raises(ValueError, match="missing section 'weight_words'"):
             recover_dynamic(base, log)
 

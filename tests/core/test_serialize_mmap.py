@@ -165,7 +165,7 @@ class TestCrossVersion:
         old = tampered_header(
             saved(tmp_path, index),
             tmp_path / "wah.kr",
-            lambda h: h.update(storage="wah"),
+            lambda h: {**h, "storage": "wah"},
         )
         with pytest.raises(
             IndexCorruptionError, match="'wah' row storage.*rebuild.*save_mmap"
@@ -224,22 +224,35 @@ class TestCorruption:
     def test_unsupported_version(self, tmp_path, path):
         bad = tampered_header(
             path, tmp_path / "v9.kr4",
-            lambda h: h.update(format_version=9),
+            lambda h: {**h, "format_version": 9},
         )
         with pytest.raises(ValueError, match="version 9"):
             load_mmap(bad)
 
+    @pytest.mark.parametrize("header", [[1], "x", None, 3])
+    def test_header_not_an_object(self, tmp_path, path, header):
+        """A CRC-valid header whose JSON is not an object is refused
+        with the typed error, and audited as not ok."""
+        bad = tampered_header(path, tmp_path / "shape.kr4", lambda h: header)
+        with pytest.raises(ValueError, match="corrupt header.*not a JSON object"):
+            load_mmap(bad)
+        report = verify_file(bad)
+        assert not report["ok"]
+        assert "not a JSON object" in report["detail"]
+
     def test_missing_section(self, tmp_path, path):
-        bad = tampered_header(
-            path, tmp_path / "missing.kr4",
-            lambda h: h["sections"].pop("index_targets"),
-        )
+        def mutate(h):
+            del h["sections"]["index_targets"]
+            return h
+
+        bad = tampered_header(path, tmp_path / "missing.kr4", mutate)
         with pytest.raises(ValueError, match="missing section 'index_targets'"):
             load_mmap(bad)
 
     def test_bad_offset_runs_past_eof(self, tmp_path, path):
         def mutate(h):
             h["sections"]["index_targets"]["offset"] += 1 << 24
+            return h
 
         bad = tampered_header(path, tmp_path / "offset.kr4", mutate)
         with pytest.raises(ValueError, match="truncated.*'index_targets'"):
@@ -248,6 +261,7 @@ class TestCorruption:
     def test_misaligned_offset(self, tmp_path, path):
         def mutate(h):
             h["sections"]["cover_ids"]["offset"] += 8
+            return h
 
         bad = tampered_header(path, tmp_path / "align.kr4", mutate)
         with pytest.raises(ValueError, match="misaligned.*'cover_ids'"):
@@ -256,6 +270,7 @@ class TestCorruption:
     def test_wrong_dtype(self, tmp_path, path):
         def mutate(h):
             h["sections"]["weight_words"]["dtype"] = "<i4"
+            return h
 
         bad = tampered_header(path, tmp_path / "dtype.kr4", mutate)
         with pytest.raises(ValueError, match="'weight_words' declares dtype"):
@@ -271,6 +286,7 @@ class TestCorruption:
     def test_inconsistent_indptr(self, tmp_path, path):
         def mutate(h):
             h["sections"]["index_indptr"]["count"] -= 1
+            return h
 
         bad = tampered_header(path, tmp_path / "indptr.kr4", mutate)
         with pytest.raises(ValueError, match="'index_indptr'"):

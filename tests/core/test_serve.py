@@ -12,9 +12,10 @@ import pytest
 
 from repro import native
 from repro.baselines import BfsIndex
+from repro.core.batch import case_codes
 from repro.core.kreach import KReachIndex
 from repro.core.serialize import save_mmap
-from repro.core.serve import QueryServer
+from repro.core.serve import QueryServer, _case_shards
 from repro.graph.generators import gnp_digraph
 from repro.workloads import random_pairs
 
@@ -158,18 +159,6 @@ class TestDifferential:
 
 
 class TestApiContract:
-    def test_empty_batch(self, tmp_path, graph):
-        _, path = serve_file(tmp_path, graph, 2)
-        with QueryServer(path, workers=1) as server:
-            out = server.query_batch(np.empty((0, 2), dtype=np.int64))
-            assert out.shape == (0,) and out.dtype == bool
-
-    def test_out_of_range_raises_in_parent(self, tmp_path, graph):
-        _, path = serve_file(tmp_path, graph, 2)
-        with QueryServer(path, workers=1) as server:
-            with pytest.raises(ValueError, match="out of range"):
-                server.query_batch([(0, graph.n)])
-
     def test_unknown_engine_raises(self, tmp_path, graph):
         _, path = serve_file(tmp_path, graph, 2)
         with QueryServer(path, workers=1) as server:
@@ -186,38 +175,13 @@ class TestApiContract:
         with pytest.raises(ValueError, match="workers"):
             QueryServer(path, workers=0)
 
-    def test_closed_server_rejects_queries(self, tmp_path, graph):
-        _, path = serve_file(tmp_path, graph, 2)
-        server = QueryServer(path, workers=1)
-        server.close()
-        server.close()  # idempotent
-        with pytest.raises(RuntimeError, match="closed"):
-            server.query_batch([(0, 1)])
-
-    def test_unknown_ticket(self, tmp_path, graph):
-        _, path = serve_file(tmp_path, graph, 2)
-        with QueryServer(path, workers=1) as server:
-            with pytest.raises(KeyError):
-                server.collect(999)
-
-    def test_stats_counters(self, tmp_path, graph, pairs):
-        index, path = serve_file(tmp_path, graph, 2)
-        with QueryServer(path, workers=2) as server:
-            server.query_batch(pairs)
-            stats = server.stats()
-            assert stats["pairs_served"] == len(pairs)
-            assert stats["outstanding_tickets"] == 0
-            assert stats["workers"] == 2
-
     def test_case_shard_covers_every_position(self, tmp_path, graph, pairs):
         """The case-code pre-split partitions input positions exactly."""
         _, path = serve_file(tmp_path, graph, 2)
         with QueryServer(path, workers=3) as server:
             flags = server.index._flags()
-            from repro.core.batch import case_codes
-
             s, t = pairs[:, 0], pairs[:, 1]
-            shares = server._shard(case_codes(flags[s], flags[t]))
+            shares = _case_shards(case_codes(flags[s], flags[t]), server.workers)
             assert len(shares) == 3
             merged = np.concatenate(shares)
             assert len(merged) == len(pairs)

@@ -14,7 +14,7 @@ from repro import faults
 from repro.core.kreach import KReachIndex
 from repro.core.partition import partition_kreach
 from repro.core.serialize import save_sharded
-from repro.core.serve import QueryTimeout, UnknownTicketError
+from repro.core.serve import QueryTimeout
 from repro.core.sharded import ShardedQueryServer
 from repro.graph.generators import gnp_digraph
 from repro.workloads import random_pairs
@@ -75,22 +75,6 @@ class TestDifferential:
 
 
 class TestLifecycle:
-    def test_unknown_and_double_collect(self, manifests, pairs):
-        with ShardedQueryServer(manifests[2], backend="thread") as server:
-            ticket = server.submit(pairs[:100])
-            server.collect(ticket)
-            with pytest.raises(UnknownTicketError):
-                server.collect(ticket)
-            with pytest.raises(UnknownTicketError):
-                server.collect(12345)
-
-    def test_closed_server_refuses(self, manifests, pairs):
-        server = ShardedQueryServer(manifests[2], backend="thread")
-        server.close()
-        server.close()  # idempotent
-        with pytest.raises(RuntimeError, match="closed"):
-            server.submit(pairs[:10])
-
     def test_deadline_bounds_hung_shard(self, tmp_path, graph, pairs, manifests):
         """A hung shard worker trips the collect bound; the ticket stays
         collectable and settles exactly once the watchdog recovers."""
@@ -108,6 +92,8 @@ class TestLifecycle:
                 with pytest.raises(QueryTimeout):
                     server.collect(ticket, timeout=0.3)
                 got = server.collect(ticket)
+                # One timed-out collect counts once, not once per shard.
+                assert server.stats()["timeouts"] == 1
         assert np.array_equal(got, reference)
 
     def test_stats_shape(self, manifests, pairs):

@@ -85,12 +85,12 @@ class TestDifferential:
                 tserver.query_batch(pairs), pserver.query_batch(pairs)
             )
 
-    @pytest.mark.parametrize("shard_pairs", [1, 7, 100, 100_000])
-    def test_shard_sizes(self, tmp_path, graph, shard_pairs):
+    @pytest.mark.parametrize("slot_pairs", [1, 7, 100, 100_000])
+    def test_shard_sizes(self, tmp_path, graph, slot_pairs):
         index, path = serve_file(tmp_path, graph, 3)
         small = random_pairs(graph.n, 500, rng=np.random.default_rng(9))
         with ThreadQueryServer(
-            path, workers=2, shard_pairs=shard_pairs
+            path, workers=2, slot_pairs=slot_pairs
         ) as server:
             assert np.array_equal(
                 index.query_batch(small), server.query_batch(small)
@@ -109,7 +109,7 @@ class TestDifferential:
     def test_pipelined_submit_collect(self, tmp_path, graph, pairs):
         index, path = serve_file(tmp_path, graph, 6)
         chunks = np.array_split(pairs, 5)
-        with ThreadQueryServer(path, workers=2, shard_pairs=257) as server:
+        with ThreadQueryServer(path, workers=2, slot_pairs=257) as server:
             tickets = [server.submit(chunk) for chunk in chunks]
             # Collect out of order: tickets are independent.
             results = {t: server.collect(t) for t in reversed(tickets)}
@@ -139,8 +139,8 @@ class TestLifecycleAndErrors:
         _, path = serve_file(tmp_path, graph, 2)
         with pytest.raises(ValueError, match="workers"):
             ThreadQueryServer(path, workers=0)
-        with pytest.raises(ValueError, match="shard_pairs"):
-            ThreadQueryServer(path, shard_pairs=0)
+        with pytest.raises(ValueError, match="slot_pairs"):
+            ThreadQueryServer(path, slot_pairs=0)
 
     def test_submit_rejects_bad_engine_and_pairs(self, tmp_path, graph):
         _, path = serve_file(tmp_path, graph, 2)
@@ -149,16 +149,6 @@ class TestLifecycleAndErrors:
                 server.submit([(0, 1)], engine="auto")
             with pytest.raises(ValueError):
                 server.submit([(0, graph.n + 5)])
-
-    def test_collect_unknown_ticket(self, tmp_path, graph):
-        _, path = serve_file(tmp_path, graph, 2)
-        with ThreadQueryServer(path, workers=1) as server:
-            ticket = server.submit([(0, 1)])
-            server.collect(ticket)
-            with pytest.raises(KeyError):
-                server.collect(ticket)
-            with pytest.raises(KeyError):
-                server.collect(999)
 
     def test_worker_error_propagates_and_pool_survives(
         self, tmp_path, graph, pairs
@@ -180,17 +170,6 @@ class TestLifecycleAndErrors:
             assert np.array_equal(
                 index.query_batch(pairs), server.query_batch(pairs)
             )
-
-    def test_close_is_idempotent_and_blocks_use(self, tmp_path, graph):
-        _, path = serve_file(tmp_path, graph, 2)
-        server = ThreadQueryServer(path, workers=2)
-        assert server.query_batch([(0, 1)]).shape == (1,)
-        server.close()
-        server.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            server.submit([(0, 1)])
-        with pytest.raises(RuntimeError, match="closed"):
-            server.collect(0)
 
     def test_stats_and_properties(self, tmp_path, graph, pairs):
         _, path = serve_file(tmp_path, graph, 2)

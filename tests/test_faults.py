@@ -269,7 +269,7 @@ class TestThreadServerChaos:
         with faults.inject(
             "serve.worker_hang", "hang", seconds=1.0, max_fires=1
         ):
-            with ThreadQueryServer(served, workers=2, shard_pairs=256) as srv:
+            with ThreadQueryServer(served, workers=2, slot_pairs=256) as srv:
                 ticket = srv.submit(pairs)
                 start = time.monotonic()
                 with pytest.raises(QueryTimeout):
