@@ -47,6 +47,7 @@ from repro.core import (
     hhop_vertex_cover,
     vertex_cover_2approx,
 )
+from repro.core.kreach import level_specs
 from repro.datasets import DATASET_NAMES, paper_tables, spec
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import celebrity_crossfire_digraph
@@ -403,10 +404,12 @@ def run_build(config: SuiteConfig) -> Table:
     cell constructs the same ``(graph, k, cover)`` index two ways: the
     pre-refactor per-source serial sweep (``builder='serial'``) and the
     bit-parallel blocked multi-source BFS (``builder='blocked'``, the
-    default).  "agree" asserts the two
-    :class:`~repro.core.index_graph.IndexGraph` contents are
-    bit-identical, so the benchmark doubles as a live differential check;
-    "speedup" is serial/blocked, the number the CI smoke job gates on.
+    default, which inside the memory gate builds the level planes and
+    no CSR).  "agree" asserts that the blocked index's CSR (derived from
+    its planes) equals the serial index's and that its level planes
+    equal the views of the serial CSR word for word, so the benchmark
+    doubles as a live differential check; "speedup" is serial/blocked,
+    the number the CI smoke job gates on.
     """
     table = Table(
         f"Build — construction throughput (scale={config.scale})",
@@ -415,7 +418,8 @@ def run_build(config: SuiteConfig) -> Table:
         caption=(
             "serial = per-source BFS (pre-refactor Algorithm 1); blocked = "
             "64-source bit-parallel MS-BFS; speedup = serial/blocked. "
-            "agree = both builders produce identical IndexGraphs."
+            "agree = both builders produce identical IndexGraphs: the "
+            "same CSR and the same level planes."
         ),
     )
     total_serial = 0.0
@@ -427,7 +431,14 @@ def run_build(config: SuiteConfig) -> Table:
         for k in (2, 6, None):
             serial, serial_s = timed_build(g, k, cover, "serial")
             blocked, blocked_s = timed_build(g, k, cover, "blocked")
-            agree = serial.index_graph == blocked.index_graph
+            specs = level_specs(k)
+            agree = serial.index_graph == blocked.index_graph and all(
+                np.array_equal(a, b)
+                for a, b in zip(
+                    serial.index_graph.link_matrices(specs),
+                    blocked.index_graph.link_matrices(specs),
+                )
+            )
             all_agree &= agree
             total_serial += serial_s
             total_blocked += blocked_s
@@ -1369,16 +1380,18 @@ def run_ingest(config: SuiteConfig) -> Table:
 
 
 def run_size(config: SuiteConfig) -> Table:
-    """Table-4-style storage shootout: the k-reach CSR vs PWAH.
+    """Table-4-style storage shootout: the k-reach index vs PWAH.
 
     Builds each dataset's n-reach index and the PWAH-8 baseline and
     reports bytes per graph edge and µs/query over the shared random
     workload.  ``dense B/e`` is :meth:`KReachIndex.storage_bytes
-    <repro.core.kreach.KReachIndex.storage_bytes>`, the paper's §4.3
+    <repro.core.kreach.KReachIndex.storage_bytes>`, the paper's §4.3 CSR
     model; ``file B/e`` is what :func:`~repro.core.serialize.save_mmap`
-    actually writes (the graph's dual CSR included).  ``agree`` checks
-    the two verdict vectors bit-for-bit (n-reach == plain reachability,
-    so PWAH must agree); CI gates it on every row.
+    actually writes: its header, the graph's dual CSR, the cover ids
+    and, inside the memory gate, the n-reach presence plane (``|S|²/8``
+    bytes) instead of a CSR.  ``agree`` checks the two verdict vectors
+    bit-for-bit (n-reach == plain reachability, so PWAH must agree); CI
+    gates it on every row.
     """
     import tempfile
     from pathlib import Path
@@ -1392,9 +1405,9 @@ def run_size(config: SuiteConfig) -> Table:
          "dense µs", "pwah µs", "agree"],
         caption=(
             "B/e = bytes per graph edge: dense = the §4.3 storage model "
-            "(4-byte ids, 2-bit weights), file = the measured v6 file, "
-            "pwah = the PWAH-8 baseline's model.  CI gates agree on "
-            "every row."
+            "(4-byte ids, 2-bit weights), file = the measured v6 file "
+            "(graph CSR, cover ids, presence plane), pwah = the PWAH-8 "
+            "baseline's model.  CI gates agree on every row."
         ),
     )
     tot_m = tot_dense = tot_file = tot_pwah = 0

@@ -43,6 +43,7 @@ __all__ = [
     "or_rows_segmented",
     "and_any",
     "probe_bits",
+    "bit_submatrix",
 ]
 
 #: Default ceiling on the bytes the cover-local link matrices of one index
@@ -218,6 +219,28 @@ def probe_bits(matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.nda
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     return native.kernel("probe_bits")(matrix, rows, cols)
+
+
+def bit_submatrix(
+    matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Rows ``rows`` and bit columns ``cols`` of a bit matrix, repacked:
+    bit ``j`` of row ``i`` is bit ``cols[j]`` of ``matrix[rows[i]]``.
+
+    Unpacks the selected rows in blocks of about 4M bits, so the
+    transient bytes stay bounded for any matrix.
+    """
+    out = np.zeros((len(rows), words_for(len(cols))), dtype=np.uint64)
+    if not len(rows) or not len(cols):
+        return out
+    step = max(1, (1 << 22) // (matrix.shape[1] * _WORD_BITS))
+    flat = out.view(np.uint8)
+    for start in range(0, len(rows), step):
+        block = np.ascontiguousarray(matrix[rows[start : start + step]])
+        bits = np.unpackbits(block.view(np.uint8), axis=1, bitorder="little")
+        packed = np.packbits(bits[:, cols], axis=1, bitorder="little")
+        flat[start : start + len(block), : packed.shape[1]] = packed
+    return out
 
 
 # ----------------------------------------------------------------------

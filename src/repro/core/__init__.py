@@ -12,6 +12,7 @@ from repro.core.general_k import (
 from repro.core.hkreach import HKReachIndex
 from repro.core.index_graph import (
     IndexGraph,
+    cover_planes_blocked,
     cover_triples_blocked,
     cover_triples_serial,
 )
@@ -58,6 +59,7 @@ __all__ = [
     "HKReachIndex",
     "DynamicKReachIndex",
     "IndexGraph",
+    "cover_planes_blocked",
     "cover_triples_blocked",
     "cover_triples_serial",
     "save_mmap",

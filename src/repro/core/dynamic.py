@@ -7,10 +7,13 @@ obvious follow-up — keeping the index consistent as the graph changes.
 architecture:
 
 * **Base snapshot** — an immutable :class:`~repro.core.kreach.KReachIndex`
-  over the graph as of the last compaction: the §4.3 CSR
-  :class:`~repro.core.index_graph.IndexGraph` substrate, its zero-copy
-  :class:`~repro.core.batch.KeyedRowStore`, and its cached bitset link
-  matrices.  Nothing in this tier ever mutates.
+  over the graph as of the last compaction: its
+  :class:`~repro.core.index_graph.IndexGraph` (level planes for a fresh
+  build inside the memory gate, the §4.3 CSR after a compaction merge),
+  the :class:`~repro.core.batch.KeyedRowStore` over its CSR, and its
+  bitset link views.  A plane-form base serves clean batches from its
+  planes and derives its CSR once, at the first flush that reads rows.
+  Nothing in this tier ever mutates.
 * **Delta overlay** — the small mutable tail: the cover rows *replaced*
   since the snapshot (copy-on-write, full-row semantics), sparse
   *min-patches* on otherwise-clean rows, the vertices whose adjacency

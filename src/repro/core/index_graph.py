@@ -1,33 +1,42 @@
-"""CSR-native physical storage for cover-pair indexes (§4.3).
+"""Physical storage for cover-pair indexes (§4.3).
 
 Every index the paper describes — k-reach, (h,k)-reach, the general-k
 oracle — stores the same thing: a weighted digraph over a vertex cover.
 §4.3 spells out the physical layout: a cover-id table, a CSR of offsets
 and targets, and a packed small-integer weight array.  :class:`IndexGraph`
-makes that layout the *single canonical in-memory representation*:
+holds it in one of two forms:
 
-* ``cover_ids`` — the sorted cover-vertex table (``V_I``);
-* ``indptr`` / ``targets`` — the index CSR, targets ascending per row;
-* weights — a :class:`~repro.bitsets.packed.PackedIntArray` of
-  ``w - weight_base`` values at the §4.3 bit width (2 bits for fixed-k).
+* **CSR** — ``cover_ids``, the ``indptr`` / ``targets`` CSR (targets
+  ascending per row) and a :class:`~repro.bitsets.packed.PackedIntArray`
+  of ``w - weight_base`` codes at the §4.3 bit width (2 bits for
+  fixed-k).  Every index family builds it from ``(src, dst, dist)``
+  triple arrays (:meth:`IndexGraph.from_triples`).
+* **Level planes** (k-reach only) — ``cover_ids`` plus the distinct
+  cover-position bit matrices of :func:`level_specs` (≤k-2, ≤k-1 and ≤k;
+  one presence plane for n-reach).  Algorithm 2 only ever asks "within
+  k-2, k-1 or k?", and the 2-bit weight is exactly which of the nested
+  planes a pair first appears in, so the planes *are* the index.
+  :func:`cover_planes_blocked` builds them from one reverse MS-BFS; the
+  on-disk loader installs them memory-mapped (:meth:`IndexGraph.from_levels`).
 
-Everything downstream is a *view* of these arrays: the scalar query path
-reads weights through one flat probe dict, the batch engines probe
-cover-position bit views built in one scatter over the CSR
-(:meth:`IndexGraph.link_matrices`), their keyed fallback
-:class:`~repro.core.batch.KeyedRowStore` takes the sorted
-``u * n + v`` key array zero-copy, serialization writes the arrays
-verbatim (and none of these views).  The ``{u: {v: w}}``
-dict-of-dicts that three layers used to re-flatten independently no
-longer exists on the core path.
+Everything else is a *view*: the batch engines probe cover-position bit
+views (:meth:`IndexGraph.link_matrices`, the planes themselves in the
+plane form, one scatter over the CSR otherwise), the keyed fallback
+:class:`~repro.core.batch.KeyedRowStore` takes the sorted ``u * n + v``
+key array, and the scalar query path reads one flat probe dict (CSR) or
+one bit per probe (planes).  In the plane form the CSR — ``indptr``,
+``targets``, the weights and every view of them — is derived at most
+once, on first use, bit-identical to :meth:`IndexGraph.for_kreach` over
+the same index; only row consumers (dynamic maintenance,
+:meth:`~IndexGraph.weighted_edges`, the keyed fallback) pay for it.
 
-Construction feeds the structure from ``(src, dst, dist)`` triple arrays
-— produced either by the per-source BFS loop (:func:`cover_triples_serial`,
-the pre-refactor Algorithm-1 inner loop, kept as the differential and
-benchmark baseline) or by the bit-parallel blocked multi-source BFS
-(:func:`cover_triples_blocked`, the default).  The blocked stream arrives
-in ``(src, dst)`` order, so :meth:`IndexGraph.from_triples` builds the
-CSR from it without sorting; other input is sorted there first.
+The triples come from the per-source BFS loop
+(:func:`cover_triples_serial`, the pre-refactor Algorithm-1 inner loop,
+kept as the differential and benchmark baseline) or the bit-parallel
+blocked multi-source BFS (:func:`cover_triples_blocked`, the builder
+past the memory gate).  The blocked stream arrives in ``(src, dst)``
+order, so :meth:`IndexGraph.from_triples` builds the CSR from it without
+sorting; other input is sorted there first.
 """
 
 from __future__ import annotations
@@ -44,13 +53,16 @@ from repro.graph.traversal import (
     bfs_distances,
     bfs_distances_blocked,
     bfs_distances_scalar,
+    blocked_reach_planes,
 )
 
 __all__ = [
     "IndexGraph",
     "LINK_MATRIX_CACHE_CAP",
+    "cover_planes_blocked",
     "cover_triples_serial",
     "cover_triples_blocked",
+    "level_specs",
 ]
 
 #: Entries the per-IndexGraph :meth:`IndexGraph.link_matrix` FIFO cache
@@ -65,20 +77,39 @@ LINK_MATRIX_CACHE_CAP = 16
 #: the views about 1.4x faster than 1M-edge blocks.
 _SCATTER_EDGES = 1 << 16
 
+#: Plane bits the CSR derivation unpacks per row block (one byte each).
+_UNPACK_BITS = 1 << 22
+
 # Below this k a scalar sparse BFS beats the vectorized full-array BFS
 # for the per-source serial builder (tiny k-hop balls).
 _SCALAR_BFS_MAX_K = 3
 
 
-class IndexGraph:
-    """Immutable CSR index graph — the §4.3 physical layout in memory.
+def level_specs(k: int | None) -> list[tuple[int | None, bool]]:
+    """``(budget, diagonal)`` of the ≤k-2, ≤k-1 and ≤k link views.
 
-    Use the classmethods (:meth:`from_triples`, :meth:`from_rows`) rather
-    than the low-level constructor; they sort, quantize, and validate.
-    The constructor installs its arrays verbatim — the zero-copy loader
+    These are the three levels the §4.3 2-bit weights encode: Case 4
+    bridges within k-2, Cases 2/3 link within k-1, and Case 1 needs any
+    stored link (Definition 1 stores only pairs within k).  A view holds
+    the ``u == v`` handshake on its diagonal iff a zero distance fits its
+    budget.  For n-reach all three collapse to the one presence view.
+    """
+    if k is None:
+        return [(None, True)] * 3
+    return [(k - 2, k >= 2), (k - 1, k >= 1), (None, True)]
+
+
+class IndexGraph:
+    """Immutable index graph — the §4.3 physical layout in memory.
+
+    Use the classmethods (:meth:`from_triples`, :meth:`from_rows`,
+    :meth:`from_levels`) rather than the low-level constructor; they
+    sort, quantize, and validate.  The constructor installs its arrays
+    verbatim — the zero-copy loader
     (:func:`~repro.core.serialize.load_mmap`) passes it memory-mapped,
     read-only views and owns their integrity.  Every derived view built
-    later (keys, int64 weights, link matrices) is copy-on-build.
+    later (keys, int64 weights, link matrices, the CSR of a plane-form
+    graph) is copy-on-build.
 
     Examples
     --------
@@ -94,10 +125,12 @@ class IndexGraph:
     __slots__ = (
         "n",
         "cover_ids",
-        "indptr",
-        "targets",
-        "packed",
         "weight_base",
+        "_indptr",
+        "_targets",
+        "_packed",
+        "_levels",
+        "_edges",
         "_weights64",
         "_keys",
         "_row_pos",
@@ -109,17 +142,20 @@ class IndexGraph:
         self,
         n: int,
         cover_ids: np.ndarray,
-        indptr: np.ndarray,
-        targets: np.ndarray,
-        packed: PackedIntArray,
+        indptr: np.ndarray | None,
+        targets: np.ndarray | None,
+        packed: PackedIntArray | None,
         weight_base: int,
     ) -> None:
         self.n = int(n)
         self.cover_ids = cover_ids
-        self.indptr = indptr
-        self.targets = targets
-        self.packed = packed
+        self._indptr = indptr
+        self._targets = targets
+        self._packed = packed
         self.weight_base = int(weight_base)
+        # The plane form: level spec -> cover-position bit plane.
+        self._levels: dict[tuple[int | None, bool], np.ndarray] | None = None
+        self._edges: int | None = None
         self._weights64: np.ndarray | None = None
         self._keys: np.ndarray | None = None
         self._row_pos: np.ndarray | None = None
@@ -129,6 +165,38 @@ class IndexGraph:
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
+    @classmethod
+    def from_levels(
+        cls,
+        n: int,
+        cover_ids: np.ndarray,
+        k: int | None,
+        planes: list[np.ndarray],
+    ) -> "IndexGraph":
+        """The plane form of a k-reach index graph.
+
+        ``cover_ids`` is the strictly ascending cover table and
+        ``planes`` the distinct views of :func:`level_specs` in order
+        (≤k-2, ≤k-1, ≤k; the one presence view for n-reach), each a
+        ``(|S|, ceil(|S| / 64))`` uint64 matrix in cover positions.  The
+        arrays are installed verbatim (read-only mapped views included);
+        only their shapes are checked here — :meth:`validate` checks
+        their contents.  The CSR is derived on first use, with the
+        k-reach encoding of :meth:`for_kreach`.
+        """
+        specs = list(dict.fromkeys(level_specs(k)))
+        shape = (len(cover_ids), words_for(len(cover_ids)))
+        if len(planes) != len(specs) or any(
+            plane.shape != shape or plane.dtype != np.uint64 for plane in planes
+        ):
+            raise ValueError(
+                f"k={k} needs {len(specs)} uint64 level planes of shape "
+                f"{shape}, got {[(p.dtype.str, p.shape) for p in planes]}"
+            )
+        ig = cls(n, cover_ids, None, None, None, 0 if k is None else k - 2)
+        ig._levels = dict(zip(specs, planes))
+        return ig
+
     @classmethod
     def from_triples(
         cls,
@@ -284,6 +352,90 @@ class IndexGraph:
         )
 
     # ------------------------------------------------------------------
+    # The CSR (stored, or derived once from the level planes)
+    # ------------------------------------------------------------------
+    @property
+    def indptr(self) -> np.ndarray:
+        """Row offsets into :attr:`targets` (int64, ``|V_I| + 1``)."""
+        if self._indptr is None:
+            self._derive_csr()
+        return self._indptr
+
+    @property
+    def targets(self) -> np.ndarray:
+        """Edge targets, ascending within each row (int64)."""
+        if self._targets is None:
+            self._derive_csr()
+        return self._targets
+
+    @property
+    def packed(self) -> PackedIntArray:
+        """Weight codes ``w - weight_base`` aligned with :attr:`targets`."""
+        if self._packed is None:
+            self._derive_csr()
+        return self._packed
+
+    @property
+    def levels(self) -> list[np.ndarray] | None:
+        """The level planes of the plane form (see :meth:`from_levels`),
+        or None for a CSR-form graph."""
+        return None if self._levels is None else list(self._levels.values())
+
+    @property
+    def weight_bits(self) -> int:
+        """Bits per packed weight code (read without deriving a CSR)."""
+        if self._levels is not None:
+            return 1 if len(self._levels) == 1 else 2
+        return self._packed.bits
+
+    def _derive_csr(self) -> None:
+        """Build the CSR of a plane-form graph, in row blocks.
+
+        Row ``i``'s targets are the off-diagonal bits of the ≤k plane;
+        an edge's code is 0 in the ≤k-2 plane, 1 in the ≤k-1 plane but
+        not below, 2 otherwise (all zero for n-reach) — the
+        ``max(dist, k-2) - (k-2)`` codes :meth:`for_kreach` packs.
+        """
+        planes = list(self._levels.values())
+        size = self.cover_size
+        width = planes[0].shape[1] * 64
+        step = max(1, _UNPACK_BITS // max(width, 1))
+        counts = np.zeros(size + 1, dtype=np.int64)
+        cols: list[np.ndarray] = []
+        codes: list[np.ndarray] = []
+        for r0 in range(0, size, step):
+            r1 = min(size, r0 + step)
+            bits = [
+                np.unpackbits(
+                    np.ascontiguousarray(plane[r0:r1]).view(np.uint8),
+                    axis=1,
+                    bitorder="little",
+                )
+                for plane in planes
+            ]
+            rows = np.arange(r1 - r0)
+            bits[-1][rows, rows + r0] = 0  # the handshake, not an edge
+            hit = np.flatnonzero(bits[-1])
+            counts[r0 + 1 : r1 + 1] = np.count_nonzero(bits[-1], axis=1)
+            cols.append(hit % width)
+            if len(planes) > 1:
+                code = 2 - bits[0] - bits[1]
+                codes.append(code.reshape(-1)[hit])
+        indptr = np.cumsum(counts)
+        if cols:
+            targets = self.cover_ids[np.concatenate(cols)].astype(np.int64)
+        else:
+            targets = np.empty(0, dtype=np.int64)
+        if codes:
+            w = np.concatenate(codes).astype(np.int64)
+        else:
+            w = np.zeros(len(targets), dtype=np.int64)
+        packed = PackedIntArray.from_numpy(w, bits=self.weight_bits)
+        w += self.weight_base
+        self._indptr, self._targets, self._packed = indptr, targets, packed
+        self._weights64 = w
+
+    # ------------------------------------------------------------------
     # Derived views (each built once, on first use)
     # ------------------------------------------------------------------
     def weights64(self) -> np.ndarray:
@@ -354,6 +506,8 @@ class IndexGraph:
 
         ``specs`` lists ``(budget, diagonal)`` pairs; the views come back
         in the same order, each cached as :meth:`link_matrix` caches it.
+        In the plane form the :func:`level_specs` views are the stored
+        planes themselves, never copied or evicted.
         Views not cached yet share one scatter over the CSR: every edge
         sets its bit in the lowest requested view whose budget admits
         it, and then each view ORs in the one below it, since a link
@@ -366,7 +520,8 @@ class IndexGraph:
             (None if budget is None else int(budget), bool(diagonal))
             for budget, diagonal in specs
         ]
-        views = {key: self._matrices.get(key) for key in keys}
+        stored = self._levels or {}
+        views = {key: stored.get(key, self._matrices.get(key)) for key in keys}
         todo = sorted(
             (key for key, mat in views.items() if mat is None),
             key=lambda key: (key[0] is None, key[0] or 0),
@@ -479,10 +634,23 @@ class IndexGraph:
     def weight_of(self, u: int, v: int) -> int | None:
         """The stored weight of edge ``(u, v)``, or None if absent.
 
-        One ``row_pos`` load plus one binary search over the row slice.
+        One ``row_pos`` load plus one binary search over the row slice;
+        in the plane form, up to three bit tests.
         """
         if not 0 <= u < self.n:
             return None
+        if self._levels is not None:
+            if not 0 <= v < self.n or u == v:
+                return None
+            pos = self.row_pos()
+            pu, pv = int(pos[u]), int(pos[v])
+            word, bit = pv >> 6, np.uint64(pv & 63)
+            planes = list(self._levels.values())
+            if pu < 0 or pv < 0 or not (planes[-1][pu, word] >> bit) & 1:
+                return None
+            return self.weight_base + sum(
+                1 - int((plane[pu, word] >> bit) & 1) for plane in planes[:-1]
+            )
         lo, hi = self.row_bounds(u)
         if lo == hi:
             return None
@@ -502,8 +670,15 @@ class IndexGraph:
 
     @property
     def edge_count(self) -> int:
-        """``|E_I|``."""
-        return len(self.targets)
+        """``|E_I|`` — in the plane form, a popcount of the ≤k plane
+        less its diagonal (the handshake is not a stored edge)."""
+        if self._edges is None:
+            if self._levels is None:
+                self._edges = len(self._targets)
+            else:
+                top = list(self._levels.values())[-1]
+                self._edges = int(np.bitwise_count(top).sum()) - self.cover_size
+        return self._edges
 
     def weighted_edges(self) -> list[tuple[int, int, int]]:
         """All edges as ``(u, v, w)`` triples in sorted order."""
@@ -533,8 +708,10 @@ class IndexGraph:
         loader) must call this instead of trusting them.  The CSR checks
         are shared with :meth:`DiGraph.from_csr
         <repro.graph.digraph.DiGraph.from_csr>` via
-        :func:`~repro.graph.digraph.validate_csr`.  Returns ``self`` for
-        chaining.
+        :func:`~repro.graph.digraph.validate_csr`; the plane form checks
+        that its planes nest, carry the diagonal exactly where
+        :func:`level_specs` puts the handshake and leave the padding
+        bits clear.  Returns ``self`` for chaining.
         """
         cover = self.cover_ids
         if len(cover):
@@ -542,12 +719,40 @@ class IndexGraph:
                 raise ValueError(f"cover id out of range [0, {self.n})")
             if not bool(np.all(cover[1:] > cover[:-1])):
                 raise ValueError("cover ids must be strictly ascending")
+        if self._levels is not None:
+            self._validate_levels()
+            return self
         if len(self.indptr) != len(cover) + 1:
             raise ValueError("indptr length must be cover size + 1")
         validate_csr("index", self.n, self.indptr, self.targets)
         if len(self.packed) != len(self.targets):
             raise ValueError("weight array length must match the target count")
         return self
+
+    def _validate_levels(self) -> None:
+        """The plane form's invariants: nested planes, the diagonal
+        exactly where :func:`level_specs` puts the handshake, nothing in
+        a plane of negative budget, and zero padding past ``|V_I|``."""
+        size = self.cover_size
+        diag = np.arange(size)
+        pad = np.uint64(0)
+        if size % 64:
+            pad = ~((np.uint64(1) << np.uint64(size % 64)) - np.uint64(1))
+        below = None
+        for (budget, diagonal), plane in self._levels.items():
+            name = f"level plane {budget, diagonal}"
+            if size and bool(np.any(plane[:, -1] & pad)):
+                raise ValueError(f"{name} sets padding bits past |V_I|")
+            on_diag = (plane[diag, diag >> 6] >> (diag & 63).astype(np.uint64)) & 1
+            if diagonal and not bool(np.all(on_diag)):
+                raise ValueError(f"{name} must hold the whole diagonal")
+            if not diagonal and bool(np.any(on_diag)):
+                raise ValueError(f"{name} must not hold the diagonal")
+            if budget is not None and budget < 0 and bool(np.any(plane)):
+                raise ValueError(f"{name} must be empty")
+            if below is not None and bool(np.any(below & ~plane)):
+                raise ValueError(f"{name} must contain the plane below it")
+            below = plane
 
     def csr_storage_bytes(self, *, edges: int | None = None) -> int:
         """§4.3 on-disk model for ``edges`` CSR-stored edges (default all):
@@ -559,7 +764,7 @@ class IndexGraph:
             4 * n_i
             + 4 * (n_i + 1)
             + 4 * edges
-            + (edges * self.packed.bits + 7) // 8
+            + (edges * self.weight_bits + 7) // 8
         )
 
     def __eq__(self, other: object) -> bool:
@@ -579,7 +784,7 @@ class IndexGraph:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"IndexGraph(n={self.n}, |V_I|={self.cover_size}, "
-            f"|E_I|={self.edge_count}, bits={self.packed.bits})"
+            f"|E_I|={self.edge_count}, bits={self.weight_bits})"
         )
 
 
@@ -641,3 +846,25 @@ def cover_triples_blocked(
     if len(cover_arr):
         in_cover[cover_arr] = True
     return bfs_distances_blocked(graph, cover_arr, k=k, emit=in_cover)
+
+
+def cover_planes_blocked(
+    graph: DiGraph, cover: Iterable[int], k: int | None
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``(cover_ids, planes)`` of the plane form (the in-gate builder).
+
+    The distinct :func:`level_specs` views straight from one blocked
+    MS-BFS over in-edges
+    (:func:`~repro.graph.traversal.blocked_reach_planes`), snapshotted
+    after levels k-2, k-1 and k (after exhaustion for n-reach): a plane
+    of negative budget is empty and every other one holds the diagonal,
+    exactly the views :meth:`IndexGraph.link_matrices` builds from the
+    :meth:`IndexGraph.for_kreach` CSR of the same cover.
+    """
+    cover_ids = np.unique(np.fromiter((int(v) for v in cover), dtype=np.int64))
+    depths = [
+        budget for budget, _ in dict.fromkeys(level_specs(k))
+    ]
+    if k is not None:
+        depths[-1] = k
+    return cover_ids, blocked_reach_planes(graph, cover_ids, depths)

@@ -10,15 +10,22 @@ weighted digraph ``I = (V_I, E_I, ω_I)``:
   quantized to the three values ``{k-2, k-1, k}``, which is all query
   processing ever needs (2 bits per edge, §4.3).
 
-The index is held as an :class:`~repro.core.index_graph.IndexGraph` — the
-paper's §4.3 physical layout (cover-id table + CSR + packed weights) used
-directly as the canonical in-memory representation.  Construction feeds
-it from ``(src, dst, dist)`` triple arrays produced by the blocked
-bit-parallel multi-source BFS (``builder='blocked'``, the default) or the
-per-source serial sweep (``builder='serial'``, the differential/benchmark
-baseline); both are bit-identical.  The blocked sweep is this module's
-answer to §4.1.3's "straightforward to parallelize": 64 independent
-cover-vertex BFSs share one bit-parallel pass.
+The index is held as an :class:`~repro.core.index_graph.IndexGraph`.
+Since the 2-bit weight only ever answers "within k-2, k-1 or k?", the
+default build stores exactly that: the three nested cover-position bit
+planes of :func:`level_specs` (one presence plane for n-reach), taken
+from one blocked bit-parallel MS-BFS over in-edges
+(:func:`~repro.core.index_graph.cover_planes_blocked`).  This applies
+while the planes fit ``bitset_matrix_bytes``; there the planes *are*
+the index and its CSR is derived only for the consumers that read rows.
+Past that gate, and for ``builder='serial'``, construction feeds the
+§4.3 CSR (cover-id table + offsets + targets + packed weights) from
+``(src, dst, dist)`` triple arrays — the blocked multi-source BFS, or
+the per-source serial sweep kept as the differential/benchmark
+baseline.  Every route gives the same index, bit for bit.  The blocked
+sweeps are this module's answer to §4.1.3's "straightforward to
+parallelize": 64 independent cover-vertex BFSs share one bit-parallel
+pass.
 
 Queries (Algorithm 2) split on cover membership of the endpoints:
 
@@ -50,7 +57,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import faults
-from repro.bitsets.ops import DEFAULT_MATRIX_BYTES, probe_bits
+from repro.bitsets.ops import DEFAULT_MATRIX_BYTES, matrix_bytes, probe_bits
 from repro.bitsets.packed import PackedIntArray
 from repro.core.batch import (
     UNBOUNDED_BUDGET,
@@ -66,8 +73,10 @@ from repro.core.batch import (
 )
 from repro.core.index_graph import (
     IndexGraph,
+    cover_planes_blocked,
     cover_triples_blocked,
     cover_triples_serial,
+    level_specs,
 )
 from repro.core.vertex_cover import cover_from_strategy, is_vertex_cover
 from repro.graph.digraph import DiGraph
@@ -109,20 +118,25 @@ class KReachIndex:
         Seed all vertices of at least this degree into the cover (§4.3).
     builder:
         ``'blocked'`` (default) constructs via the bit-parallel
-        multi-source BFS; ``'serial'`` runs one BFS per cover vertex (the
+        multi-source BFS — the level planes straight from one reverse
+        sweep inside the memory gate, the CSR triples past it;
+        ``'serial'`` runs one BFS per cover vertex into the CSR (the
         pre-refactor path, kept for differential tests and benchmarks).
-        Both produce bit-identical :class:`IndexGraph` contents.
+        Both produce the same index, bit for bit.
     bitset_matrix_bytes:
-        Memory ceiling for the batch engine's cover-position bit views
-        (``~|S|²/8`` bytes each; default
+        Memory ceiling for the cover-position bit views this index
+        builds (``~|S|²/8`` bytes each; default
         :data:`~repro.bitsets.ops.DEFAULT_MATRIX_BYTES`).  When the
         three nested views of :meth:`query_batch` (≤k-2, ≤k-1, ≤k; one
-        presence view for n-reach) fit together, every Case 1–3 probe
-        is a bit load and Case 4 is a bitset join.  Past that, batches
-        probe the keyed row store, and Case 4 still takes the bitset
-        join while its one link matrix fits; covers too large even for
-        that fall back to the chunked cross products.  ``0`` keeps the
-        batch engine off every bit view.
+        presence view for n-reach) fit together, they are the index
+        (see ``builder``): every Case 1–3 probe is a bit load and Case 4
+        is a bitset join.  Past that, batches probe the keyed row store
+        over the CSR, and Case 4 still takes the bitset join while its
+        one link matrix fits; covers too large even for that fall back
+        to the chunked cross products.  ``0`` keeps a built index off
+        every bit view.  Planes an index already holds (built or
+        memory-mapped) are always used: the gate caps only views built
+        privately.
     rng:
         Randomness for ``cover_strategy='random'``.
 
@@ -175,12 +189,15 @@ class KReachIndex:
             cover = frozenset(int(v) for v in cover)
             if not is_vertex_cover(graph, cover):
                 raise ValueError("provided vertex set is not a vertex cover")
-        if k is None and builder == "serial":
+        if builder == "blocked" and _stack_bytes(k, len(cover)) <= bitset_matrix_bytes:
+            cover_ids, planes = cover_planes_blocked(graph, cover, k)
+            ig = IndexGraph.from_levels(graph.n, cover_ids, k, planes)
+        elif k is None and builder == "serial":
             triples = self._unbounded_triples_serial(graph, cover)
+            ig = IndexGraph.for_kreach(graph.n, cover, *triples, k)
         else:
             make = cover_triples_serial if builder == "serial" else cover_triples_blocked
-            triples = make(graph, cover, k)
-        ig = IndexGraph.for_kreach(graph.n, cover, *triples, k)
+            ig = IndexGraph.for_kreach(graph.n, cover, *make(graph, cover, k), k)
         self._finish_init(graph, k, cover, ig, bitset_matrix_bytes)
 
     def _finish_init(
@@ -203,9 +220,6 @@ class KReachIndex:
             self._cover_flags = bytearray(flags.tobytes())
         else:
             self._cover_flags = bytearray(graph.n)
-        # Pre-resolved query-time budgets (None = unbounded).
-        self._b1_ok = k is None or k >= 1  # may a u == v handshake use k-1?
-        self._b2_ok = k is None or k >= 2  # ... use k-2?
         self._ig = index_graph
         self.bitset_matrix_bytes = int(bitset_matrix_bytes)
         # Plain-list adjacency for the hot scalar query loops — built on
@@ -330,27 +344,26 @@ class KReachIndex:
     # Scalar probe view (derived from the IndexGraph, built on first use)
     # ------------------------------------------------------------------
     def _scalar_view(self) -> tuple:
-        """``(probe, targets, weights, row_pos, indptr)`` for scalar loops.
+        """``(within, bridge)`` for the scalar query loop.
 
-        ``probe(u, v)`` returns the stored weight or None via one flat
-        hash lookup; the plain-list CSR columns back the Case-4 small-row
-        scans.  All of it is a view of the canonical :class:`IndexGraph`
-        arrays.
+        ``within(level, u, v)`` says whether the index links ``u != v``
+        within level 0, 1 or 2 of :func:`level_specs` (≤k-2, ≤k-1, ≤k);
+        ``bridge(outs, preds)`` is Case 4: whether some ``u`` in
+        ``outs`` links some ``v`` in ``preds`` within k-2, the ``u ==
+        v`` handshake included.  A plane-form index answers both from
+        its level planes — one bit per probe, one row AND per bridge
+        step — and never derives its CSR; a CSR index probes one flat
+        ``{u * n + v: w}`` dict and scans the smaller of a row and the
+        predecessor set.
         """
         if self._scalar is None:
             ig = self._ig
-            flat = ig.flat()
-
-            def probe(u: int, v: int, _flat=flat, _n=self.graph.n):
-                return _flat.get(u * _n + v)
-
-            self._scalar = (
-                probe,
-                ig.targets.tolist(),
-                ig.weights64().tolist(),
-                ig.row_pos().tolist(),
-                ig.indptr.tolist(),
-            )
+            if ig.levels is not None:
+                self._scalar = _plane_scalar_view(
+                    ig.link_matrices(level_specs(self.k)), ig.row_pos().tolist()
+                )
+            else:
+                self._scalar = _csr_scalar_view(ig, self.k)
         return self._scalar
 
     # ------------------------------------------------------------------
@@ -376,91 +389,29 @@ class KReachIndex:
         s, t = as_vertex_pair(s, t, len(flags))
         if s == t:
             return True
-        k = self.k
-        if k == 0:
+        if self.k == 0:
             return False
-        probe, tlist, wlist, row_pos, indptr = self._scalar_view()
-
+        # From here on k >= 1 (or n-reach), so the u == v handshake fits
+        # the k-1 budget of Cases 2 and 3.
+        within, bridge = self._scalar_view()
         if flags[s]:
             if flags[t]:
                 # Case 1: all stored weights are <= k by construction.
-                return probe(s, t) is not None
+                return within(2, s, t)
             # Case 2: all in-neighbors of t are covered.
-            in_lists = self._in_adj()
-            if k is None:
-                for v in in_lists[t]:
-                    if v == s or probe(s, v) is not None:
-                        return True
-                return False
-            budget = k - 1
-            b1_ok = self._b1_ok
-            for v in in_lists[t]:
-                if v == s:
-                    if b1_ok:
-                        return True
-                else:
-                    w = probe(s, v)
-                    if w is not None and w <= budget:
-                        return True
+            for v in self._in_adj()[t]:
+                if v == s or within(1, s, v):
+                    return True
             return False
-
         if flags[t]:
             # Case 3: all out-neighbors of s are covered.
-            out_lists = self._out_adj()
-            if k is None:
-                for u in out_lists[s]:
-                    if u == t or probe(u, t) is not None:
-                        return True
-                return False
-            budget = k - 1
-            for u in out_lists[s]:
-                if u == t:
-                    if self._b1_ok:
-                        return True
-                else:
-                    w = probe(u, t)
-                    if w is not None and w <= budget:
-                        return True
+            for u in self._out_adj()[s]:
+                if u == t or within(1, u, t):
+                    return True
             return False
-
         # Case 4: bridge an out-neighbor of s to an in-neighbor of t.
         preds = self._in_adj()[t]
-        if not preds:
-            return False
-        pred_set = set(preds)
-        b2_ok = self._b2_ok
-        budget = 0 if k is None else k - 2
-        unbounded = k is None
-        for u in self._out_adj()[s]:
-            if b2_ok and u in pred_set:
-                return True  # s -> u -> t
-            p = row_pos[u]
-            if p < 0:
-                continue
-            a, b = indptr[p], indptr[p + 1]
-            if a == b:
-                continue
-            if b - a < len(pred_set):
-                # Scan the smaller row against the predecessor set.
-                if unbounded:
-                    for i in range(a, b):
-                        if tlist[i] in pred_set:
-                            return True
-                else:
-                    for i in range(a, b):
-                        if wlist[i] <= budget and tlist[i] in pred_set:
-                            return True
-            else:
-                if unbounded:
-                    for v in pred_set:
-                        if probe(u, v) is not None:
-                            return True
-                else:
-                    for v in pred_set:
-                        w = probe(u, v)
-                        if w is not None and w <= budget:
-                            return True
-        return False
+        return bool(preds) and bridge(self._out_adj()[s], preds)
 
     def reaches(self, s: int, t: int) -> bool:
         """Classic-reachability alias (meaningful for the n-reach mode)."""
@@ -497,15 +448,17 @@ class KReachIndex:
         """The three views of :func:`level_specs` as cover-position bit
         matrices, or None when the keyed path must answer instead.
 
-        Built only when every distinct view fits
+        A plane-form index answers with its stored planes.  A CSR index
+        builds them only when every distinct view fits
         :attr:`bitset_matrix_bytes` together, in one pass on first use,
-        and cached on the :class:`IndexGraph`.
+        and caches them on the :class:`IndexGraph`.
         """
         ig = self._ig
-        specs = level_specs(self.k)
-        if len(set(specs)) * ig.link_matrix_bytes() > self.bitset_matrix_bytes:
+        if ig.levels is None and (
+            _stack_bytes(self.k, ig.cover_size) > self.bitset_matrix_bytes
+        ):
             return None
-        return ig.link_matrices(specs)
+        return ig.link_matrices(level_specs(self.k))
 
     def prepare_batch(self) -> "KReachIndex":
         """Build the batch engine's lookup structures now.
@@ -602,10 +555,11 @@ class KReachIndex:
         vertices reachable from ``cover_ids[i]`` within budget ``k-2``
         (any stored link for n-reach), with the diagonal standing in for
         the ``u == v`` handshake whenever a 2-hop bridge is legal.
-        Built lazily and cached on the :class:`IndexGraph`.
+        Built lazily and cached on the :class:`IndexGraph`; a plane-form
+        index holds it already.
         """
         ig = self._ig
-        if ig.link_matrix_bytes() > self.bitset_matrix_bytes:
+        if ig.levels is None and ig.link_matrix_bytes() > self.bitset_matrix_bytes:
             return None
         budget, diagonal = level_specs(self.k)[0]
         return ig.link_matrix(budget, diagonal=diagonal)
@@ -625,7 +579,8 @@ class KReachIndex:
     # ------------------------------------------------------------------
     @property
     def index_graph(self) -> IndexGraph:
-        """The canonical CSR storage (§4.3 physical layout)."""
+        """The index storage: the level planes inside the memory gate,
+        the §4.3 CSR past it (see :class:`IndexGraph`)."""
         return self._ig
 
     @property
@@ -662,7 +617,9 @@ class KReachIndex:
         an n-bit cover-membership bitmap for the O(1) case dispatch.
         This is the paper's storage model, not the v6 file
         :func:`~repro.core.serialize.save_mmap` writes (that one also
-        stores the graph and uses 8-byte offsets and targets).
+        stores the graph, and inside the memory gate the level planes
+        instead of a CSR).  A plane-form index counts its edges with a
+        popcount, so this derives no CSR.
         """
         n_i = self.cover_size
         edges = self._ig.edge_count
@@ -677,9 +634,9 @@ class KReachIndex:
     def packed_weights(self) -> PackedIntArray:
         """The edge weights packed at 2 bits each (0 ↦ k-2, 1 ↦ k-1, 2 ↦ k).
 
-        This is the §4.3 physical encoding — and with the CSR-native
-        storage it is simply the canonical weight array of the
-        :class:`IndexGraph`.  Only defined for finite ``k``.
+        This is the §4.3 physical encoding: the weight array of the
+        :class:`IndexGraph` CSR (derived from the planes of a plane-form
+        index).  Only defined for finite ``k``.
         """
         if self.k is None:
             raise ValueError("n-reach stores no weights")
@@ -692,18 +649,88 @@ class KReachIndex:
         )
 
 
-def level_specs(k: int | None) -> list[tuple[int | None, bool]]:
-    """``(budget, diagonal)`` of the ≤k-2, ≤k-1 and ≤k link views.
+def _stack_bytes(k: int | None, size: int) -> int:
+    """Bytes the distinct :func:`level_specs` views over ``size`` cover
+    vertices take together — what the memory gate charges the stack."""
+    return len(set(level_specs(k))) * matrix_bytes(size, size)
 
-    These are the three levels the §4.3 2-bit weights encode: Case 4
-    bridges within k-2, Cases 2/3 link within k-1, and Case 1 needs any
-    stored link (Definition 1 stores only pairs within k).  A view holds
-    the ``u == v`` handshake on its diagonal iff a zero distance fits its
-    budget.  For n-reach all three collapse to the one presence view.
+
+def _plane_scalar_view(stack: list[np.ndarray], pos: list[int]) -> tuple:
+    """:meth:`KReachIndex._scalar_view` over the three level planes.
+
+    Each plane is read as its little-endian bytes, so a probe is one
+    byte load: bit ``j`` of row ``i`` is bit ``j & 7`` of byte
+    ``i * row_bytes + (j >> 3)``.
     """
-    if k is None:
-        return [(None, True)] * 3
-    return [(k - 2, k >= 2), (k - 1, k >= 1), (None, True)]
+    row_bytes = stack[0].shape[1] * 8
+    views = [memoryview(plane.view(np.uint8).reshape(-1)) for plane in stack]
+
+    def within(level: int, u: int, v: int) -> bool:
+        pu = pos[u]
+        pv = pos[v]
+        if pu < 0 or pv < 0:
+            return False
+        return bool(views[level][pu * row_bytes + (pv >> 3)] >> (pv & 7) & 1)
+
+    def bridge(outs, preds) -> bool:
+        # The ≤k-2 plane's diagonal is the handshake, so a predecessor
+        # that is itself an out-neighbor needs no separate test.
+        mask = 0
+        for v in preds:
+            pv = pos[v]
+            if pv >= 0:
+                mask |= 1 << pv
+        if not mask:
+            return False
+        low = views[0]
+        for u in outs:
+            pu = pos[u]
+            if pu >= 0:
+                row = low[pu * row_bytes : (pu + 1) * row_bytes]
+                if int.from_bytes(row, "little") & mask:
+                    return True
+        return False
+
+    return within, bridge
+
+
+def _csr_scalar_view(ig: IndexGraph, k: int | None) -> tuple:
+    """:meth:`KReachIndex._scalar_view` over the CSR and its flat dict."""
+    handshake = k is None or k >= 2  # may u == v bridge within k-2?
+    flat = ig.flat()
+    n = ig.n
+    limits = [int(UNBOUNDED_BUDGET) if b is None else b for b, _ in level_specs(k)]
+    budget = limits[0]
+    targets = ig.targets.tolist()
+    weights = ig.weights64().tolist()
+    row_pos = ig.row_pos().tolist()
+    indptr = ig.indptr.tolist()
+
+    def within(level: int, u: int, v: int) -> bool:
+        w = flat.get(u * n + v)
+        return w is not None and w <= limits[level]
+
+    def bridge(outs, preds) -> bool:
+        pred_set = set(preds)
+        for u in outs:
+            if handshake and u in pred_set:
+                return True  # s -> u -> t
+            p = row_pos[u]
+            if p < 0:
+                continue
+            a, b = indptr[p], indptr[p + 1]
+            if b - a < len(pred_set):
+                # Scan the smaller row against the predecessor set.
+                for i in range(a, b):
+                    if weights[i] <= budget and targets[i] in pred_set:
+                        return True
+            else:
+                for v in pred_set:
+                    if within(0, u, v):
+                        return True
+        return False
+
+    return within, bridge
 
 
 def level_within(k: int | None, stack, row_pos: np.ndarray, lookup):

@@ -23,7 +23,10 @@ hope:
 
 * **The global index, sliced.**  One global :class:`KReachIndex` is
   built with ``B`` forced into its vertex cover, then its weighted
-  index graph is restricted to each shard's vertex set.  Algorithm 2
+  index graph is restricted to each shard's vertex set: its level
+  planes cut to the rows and bit columns of the shard's cover members
+  (inside the memory gate), or its CSR triples filtered to the shard
+  (past it).  Algorithm 2
   only ever enumerates the adjacency of *non-cover* endpoints — all of
   which are interior, hence complete in-shard — and only ever looks up
   index-edge weights between cover vertices, which the slice carries
@@ -408,9 +411,10 @@ def partition_kreach(
     full_cover = frozenset(base_cover) | set(boundary.tolist())
     global_index = KReachIndex(graph, k, cover=full_cover)
 
-    heads, targets, weights = global_index.index_graph.triples()
-    cover_flags = np.zeros(graph.n, dtype=bool)
-    cover_flags[list(full_cover)] = True
+    ig = global_index.index_graph
+    planes = ig.levels
+    if planes is None:
+        heads, targets, weights = ig.triples()
 
     shards: list[Shard] = []
     for i in range(num_shards):
@@ -418,18 +422,25 @@ def partition_kreach(
         sub, _ = graph.subgraph(vertex_map)
         member = np.zeros(graph.n, dtype=bool)
         member[vertex_map] = True
-        keep = member[heads] & member[targets]
-        local_cover = np.searchsorted(
-            vertex_map, np.flatnonzero(cover_flags & member)
-        )
-        sliced = IndexGraph.for_kreach(
-            len(vertex_map),
-            local_cover,
-            np.searchsorted(vertex_map, heads[keep]),
-            np.searchsorted(vertex_map, targets[keep]),
-            weights[keep],
-            k,
-        )
+        rows = np.flatnonzero(member[ig.cover_ids])
+        local_cover = np.searchsorted(vertex_map, ig.cover_ids[rows])
+        if planes is not None:
+            sliced = IndexGraph.from_levels(
+                len(vertex_map),
+                local_cover,
+                k,
+                [ops.bit_submatrix(plane, rows, rows) for plane in planes],
+            )
+        else:
+            keep = member[heads] & member[targets]
+            sliced = IndexGraph.for_kreach(
+                len(vertex_map),
+                local_cover,
+                np.searchsorted(vertex_map, heads[keep]),
+                np.searchsorted(vertex_map, targets[keep]),
+                weights[keep],
+                k,
+            )
         index = KReachIndex.from_index_graph(
             sub,
             k,

@@ -4,22 +4,29 @@
 holds the one index file format and the two artifacts built on it:
 
 * **The v6 index file** (:func:`save_mmap` / :func:`load_mmap`) stores
-  the §4.3 physical layout of a :class:`~repro.core.kreach.KReachIndex`
-  — the cover-id table, the index CSR (offsets + targets) and the packed
-  weight words — plus the graph's own dual CSR, so a load is
-  self-contained.  It is one flat, uncompressed file: a fixed prologue,
-  a JSON header with a section table, and every array at a
-  64-byte-aligned offset in its exact in-memory dtype.  :func:`load_mmap`
-  maps the file once and installs each array as a zero-copy view: open
-  time is O(header), not O(index), the first query faults in only the
-  pages it touches, and the OS page cache shares the clean bytes across
-  every process serving the same file (the substrate
-  :mod:`repro.core.serve` builds its worker pool on).  Nothing derived
-  is stored: the level-stack bit views and the sorted key / weight
-  arrays of the keyed fallback are built from the CSR and the weight
-  words on first use, as for a freshly built index.  Arrays arrive
-  read-only (``mode='r'``); the whole query path is copy-on-build on
-  top of them.
+  a :class:`~repro.core.kreach.KReachIndex` — the graph's own dual CSR,
+  so a load is self-contained, the cover-id table, and the index in one
+  of two layouts.  Inside the memory gate (the distinct views of
+  :func:`~repro.core.kreach.level_specs` fit the index's
+  ``bitset_matrix_bytes``) the file holds the **level planes** — the
+  nested ≤k-2 / ≤k-1 / ≤k cover-position bit matrices (one presence
+  plane for n-reach) that Algorithm 2 probes — whatever built the
+  index.  Past the gate it holds the §4.3 **CSR**: offsets, targets and
+  the packed weight words.  It is one flat, uncompressed file: a fixed
+  prologue, a JSON header with a section table, and every array at a
+  64-byte-aligned offset in its exact in-memory dtype.
+  :func:`load_mmap` maps the file once and installs each array as a
+  zero-copy view: open time is O(header), not O(index), the first
+  query faults in only the pages it touches, and the OS page cache
+  shares the clean bytes across every process serving the same file
+  (the substrate :mod:`repro.core.serve` builds its worker pool on).
+  Mapped planes *are* the level stack, so N workers share one copy of
+  it and ``prepare_batch()`` builds no view.  Nothing else derived is
+  stored: a plane file's CSR, and a CSR file's level views and keyed
+  arrays, are built on first use, as for a freshly built index.  Arrays
+  arrive read-only (``mode='r'``); the whole query path is
+  copy-on-build on top of them.  A file without a ``layout`` header
+  field is a CSR file (every file written before the plane layout).
 * **The op log** (:class:`OpLog`) journals a dynamic index's updates.  A
   :class:`~repro.core.dynamic.DynamicKReachIndex` persists as its base
   snapshot in a v6 file plus that journal, and :func:`recover_dynamic`
@@ -80,7 +87,7 @@ from repro.bitsets.ops import DEFAULT_MATRIX_BYTES
 from repro.bitsets.packed import PackedIntArray
 from repro.core.dynamic import DynamicKReachIndex
 from repro.core.index_graph import IndexGraph
-from repro.core.kreach import KReachIndex
+from repro.core.kreach import KReachIndex, level_specs
 from repro.core.partition import _vertex_map
 from repro.graph.digraph import DiGraph
 
@@ -115,18 +122,26 @@ _MMAP_PROLOGUE = 20
 #: any multiple of the widest itemsize would do for the views).
 _MMAP_ALIGN = 64
 
-#: The section table: name -> dtype each array is stored (and mapped)
-#: in.  Dtypes match the in-memory representation exactly so every view
-#: is zero-copy (`graph_*_indices` are the DiGraph's int32 id dtype).
-_SECTIONS = {
+#: The section tables: name -> dtype each array is stored (and mapped)
+#: in, per index layout.  Dtypes match the in-memory representation
+#: exactly so every view is zero-copy (`graph_*_indices` are the
+#: DiGraph's int32 id dtype).  ``level_planes`` holds the distinct
+#: level planes back to back, each ``|S| x ceil(|S| / 64)`` words.
+_GRAPH_SECTIONS = {
     "graph_out_indptr": np.dtype("<i8"),
     "graph_out_indices": np.dtype("<i4"),
     "graph_in_indptr": np.dtype("<i8"),
     "graph_in_indices": np.dtype("<i4"),
     "cover_ids": np.dtype("<i8"),
-    "index_indptr": np.dtype("<i8"),
-    "index_targets": np.dtype("<i8"),
-    "weight_words": np.dtype("<u8"),
+}
+_LAYOUTS = {
+    "csr": {
+        **_GRAPH_SECTIONS,
+        "index_indptr": np.dtype("<i8"),
+        "index_targets": np.dtype("<i8"),
+        "weight_words": np.dtype("<u8"),
+    },
+    "planes": {**_GRAPH_SECTIONS, "level_planes": np.dtype("<u8")},
 }
 
 
@@ -224,27 +239,43 @@ def _align(offset: int) -> int:
     return (offset + _MMAP_ALIGN - 1) // _MMAP_ALIGN * _MMAP_ALIGN
 
 
-def _payload_arrays(index: KReachIndex) -> dict[str, np.ndarray]:
-    """The payload in section order, coerced to the on-disk dtypes.
+def _payload_arrays(
+    index: KReachIndex,
+) -> tuple[str, dict[str, list[np.ndarray]]]:
+    """The layout and its payload in section order, each section as the
+    arrays written back to back, coerced to the on-disk dtypes.
 
-    For an index whose arrays already live in the canonical dtypes (every
-    index this package builds) the coercions are no-ops.
+    The level planes whenever the index answers from them (see
+    :meth:`KReachIndex._level_stack
+    <repro.core.kreach.KReachIndex._level_stack>`), the CSR otherwise.
+    For an index whose arrays already live in the canonical dtypes
+    (every index this package builds) the coercions are no-ops.
     """
     g = index.graph
     ig = index.index_graph
     arrays = {
-        "graph_out_indptr": g.out_indptr,
-        "graph_out_indices": g.out_indices,
-        "graph_in_indptr": g.in_indptr,
-        "graph_in_indices": g.in_indices,
-        "cover_ids": ig.cover_ids,
-        "index_indptr": ig.indptr,
-        "index_targets": ig.targets,
-        "weight_words": ig.packed.words,
+        "graph_out_indptr": [g.out_indptr],
+        "graph_out_indices": [g.out_indices],
+        "graph_in_indptr": [g.in_indptr],
+        "graph_in_indices": [g.in_indices],
+        "cover_ids": [ig.cover_ids],
     }
-    return {
-        name: np.ascontiguousarray(arr, dtype=_SECTIONS[name])
-        for name, arr in arrays.items()
+    if index._level_stack() is None:
+        layout = "csr"
+        arrays.update(
+            index_indptr=[ig.indptr],
+            index_targets=[ig.targets],
+            weight_words=[ig.packed.words],
+        )
+    else:
+        layout = "planes"
+        arrays["level_planes"] = ig.link_matrices(
+            list(dict.fromkeys(level_specs(index.k)))
+        )
+    dtypes = _LAYOUTS[layout]
+    return layout, {
+        name: [np.ascontiguousarray(part, dtype=dtypes[name]) for part in parts]
+        for name, parts in arrays.items()
     }
 
 
@@ -253,9 +284,11 @@ def save_mmap(index: KReachIndex, path: str | os.PathLike) -> None:
 
     Layout: an 8-byte magic, a little-endian uint64 header length, a
     little-endian uint32 CRC32 of the JSON header, the JSON header
-    carrying the scalars (``k``, ``n``, weight encoding) and the section
-    table (relative offset, element count, dtype, and payload CRC32 per
-    array), then every array's raw bytes at a 64-byte-aligned offset.
+    carrying the scalars (``k``, ``n``, weight encoding, the index
+    ``layout``: ``'planes'`` inside the memory gate, ``'csr'`` past it)
+    and the section table (relative offset, element count, dtype, and
+    payload CRC32 per array), then every array's raw bytes at a
+    64-byte-aligned offset.
     The payload is **uncompressed**, so :func:`load_mmap` can map it
     zero-copy and the OS page cache can share the bytes across every
     serving process.
@@ -264,26 +297,30 @@ def save_mmap(index: KReachIndex, path: str | os.PathLike) -> None:
     ``serialize.v4_write_mid`` failpoint) leaves any previous snapshot
     at ``path`` byte-identical.
     """
-    arrays = _payload_arrays(index)
+    layout, arrays = _payload_arrays(index)
     sections: dict[str, dict[str, object]] = {}
     offset = 0  # relative to the aligned payload base
     payload_bytes = 0  # true (unpadded) end of the last section
-    for name, arr in arrays.items():
+    for name, parts in arrays.items():
+        crc = 0
+        for part in parts:
+            crc = zlib.crc32(part.data, crc)
         sections[name] = {
             "offset": offset,
-            "count": int(arr.size),
-            "dtype": arr.dtype.str,
-            "crc32": zlib.crc32(arr.data),
+            "count": sum(int(part.size) for part in parts),
+            "dtype": parts[0].dtype.str,
+            "crc32": crc,
         }
-        payload_bytes = offset + arr.nbytes
+        payload_bytes = offset + sum(part.nbytes for part in parts)
         offset = _align(payload_bytes)
     header = {
         "format_version": _MMAP_FORMAT_VERSION,
         "kind": "kreach",
         "k": None if index.k is None else int(index.k),
         "n": int(index.graph.n),
-        "weight_bits": int(index.index_graph.packed.bits),
+        "weight_bits": int(index.index_graph.weight_bits),
         "weight_base": int(index.index_graph.weight_base),
+        "layout": layout,
         "payload_bytes": payload_bytes,
         "sections": sections,
     }
@@ -296,7 +333,7 @@ def save_mmap(index: KReachIndex, path: str | os.PathLike) -> None:
         fh.write(zlib.crc32(blob).to_bytes(4, "little"))
         fh.write(blob)
         mid = len(arrays) // 2
-        for i, (name, arr) in enumerate(arrays.items()):
+        for i, (name, parts) in enumerate(arrays.items()):
             if i == mid and faults.ENABLED:
                 # Torn-write chaos hook: everything written so far is on
                 # its way to the temp file when the fault kills (or
@@ -305,7 +342,8 @@ def save_mmap(index: KReachIndex, path: str | os.PathLike) -> None:
                 faults.fire("serialize.v4_write_mid")
             start = base + int(sections[name]["offset"])  # type: ignore[arg-type]
             fh.write(b"\x00" * (start - fh.tell()))
-            fh.write(arr.data)
+            for part in parts:
+                fh.write(part.data)
 
     _atomic_write(Path(path), write)
 
@@ -336,14 +374,19 @@ def load_mmap(
     against its payload bytes (O(index) — opt in, the default preserves
     the O(header) open); a mismatch raises :class:`IndexCorruptionError`
     with the section and byte offset.  ``validate=True`` runs the full
-    structural scan (the graph's and the index's CSR invariants) for
+    structural scan (the graph's CSR invariants, and the index's: its
+    CSR's, or for planes their nesting, diagonal and padding bits) for
     arrays of uncertain provenance.
 
     The returned :class:`KReachIndex` serves queries directly off the
-    read-only pages; every cache it builds lazily (link matrices, keyed
-    probe arrays, scalar probe dicts, adjacency lists) is a private
-    copy-on-build structure, so many processes can open the same file
-    and share its clean pages.
+    read-only pages; every cache it builds lazily (a plane file's CSR,
+    a CSR file's link matrices, keyed probe arrays, scalar probe dicts,
+    adjacency lists) is a private copy-on-build structure, so many
+    processes can open the same file and share its clean pages.
+    ``bitset_matrix_bytes`` is the index's memory gate, and it caps only
+    views the process would build privately: the mapped planes of a
+    plane file are the level stack at any setting, while a CSR file
+    builds its level views only if they fit the gate.
     """
     path = Path(path)
     if mode not in ("r", "c"):
@@ -423,6 +466,10 @@ def load_mmap(
     k = None if k_raw is None else int(k_raw)
     if not isinstance(sections, dict):
         raise ValueError(f"corrupt header in {path}: no section table")
+    layout = header.get("layout", "csr")
+    if layout not in _LAYOUTS:
+        raise ValueError(f"corrupt header in {path}: unknown layout {layout!r}")
+    table = _LAYOUTS[layout]
 
     base = _align(_MMAP_PROLOGUE + hlen)
     # One shared mapping for the whole payload; every section is a view
@@ -443,7 +490,7 @@ def load_mmap(
     views: dict[str, np.ndarray] = {}
     section_starts: dict[str, int] = {}
     payload_end = 0
-    for name, dtype in _SECTIONS.items():
+    for name, dtype in table.items():
         entry = sections.get(name)
         if entry is None:
             raise IndexCorruptionError(
@@ -498,7 +545,7 @@ def load_mmap(
             f"{payload_end}"
         )
     if verify:
-        for name in _SECTIONS:
+        for name in table:
             stored = sections[name].get("crc32")
             if not isinstance(stored, int):
                 raise IndexCorruptionError(
@@ -527,15 +574,12 @@ def load_mmap(
 
     # O(1) cross-section consistency — enough to make every later array
     # access in-bounds without scanning any payload.
-    edges = len(views["index_targets"])
     if len(views["graph_out_indptr"]) != n + 1:
         raise bad("graph_out_indptr", f"must hold {n + 1} offsets")
     if len(views["graph_in_indptr"]) != n + 1:
         raise bad("graph_in_indptr", f"must hold {n + 1} offsets")
     if len(views["graph_out_indices"]) != len(views["graph_in_indices"]):
         raise bad("graph_in_indices", "disagrees with the out-direction on |E|")
-    if len(views["index_indptr"]) != len(views["cover_ids"]) + 1:
-        raise bad("index_indptr", "must hold cover size + 1 offsets")
     cover_ids = views["cover_ids"]
     if len(cover_ids):
         # O(|S|) — the open path already scatters over the cover, and a
@@ -545,14 +589,43 @@ def load_mmap(
             raise bad("cover_ids", f"holds vertex ids outside [0, {n})")
         if len(cover_ids) > 1 and not bool(np.all(cover_ids[1:] > cover_ids[:-1])):
             raise bad("cover_ids", "must be strictly ascending")
-    if int(views["index_indptr"][-1]) != edges:
-        raise bad("index_indptr", f"must end at the {edges}-edge target count")
-    expected_words = (edges * weight_bits + 63) // 64 + 1
-    if len(views["weight_words"]) != expected_words:
-        raise bad(
-            "weight_words",
-            f"must hold {expected_words} words for {edges} "
-            f"{weight_bits}-bit weights",
+    # The stored arrays go in verbatim: the checks here keep every
+    # access in bounds, and validate=True adds the O(index) scan.
+    if layout == "planes":
+        size = len(cover_ids)
+        shape = (len(set(level_specs(k))), size, (size + 63) >> 6)
+        if len(views["level_planes"]) != shape[0] * shape[1] * shape[2]:
+            raise bad(
+                "level_planes",
+                f"must hold {shape[0]} level planes of {shape[1]} x "
+                f"{shape[2]} words for k={k} and |S|={size}",
+            )
+        ig = IndexGraph.from_levels(
+            n, cover_ids, k, list(views["level_planes"].reshape(shape))
+        )
+    else:
+        edges = len(views["index_targets"])
+        if len(views["index_indptr"]) != len(cover_ids) + 1:
+            raise bad("index_indptr", "must hold cover size + 1 offsets")
+        if int(views["index_indptr"][-1]) != edges:
+            raise bad("index_indptr", f"must end at the {edges}-edge target count")
+        expected_words = (edges * weight_bits + 63) // 64 + 1
+        if len(views["weight_words"]) != expected_words:
+            raise bad(
+                "weight_words",
+                f"must hold {expected_words} words for {edges} "
+                f"{weight_bits}-bit weights",
+            )
+        packed = PackedIntArray.from_words(
+            views["weight_words"], edges, bits=weight_bits, copy=False
+        )
+        ig = IndexGraph(
+            n,
+            cover_ids,
+            views["index_indptr"],
+            views["index_targets"],
+            packed,
+            weight_base,
         )
 
     g = DiGraph.from_csr(
@@ -561,19 +634,6 @@ def load_mmap(
         in_indptr=views["graph_in_indptr"],
         in_indices=views["graph_in_indices"],
         validate=validate,
-    )
-    packed = PackedIntArray.from_words(
-        views["weight_words"], edges, bits=weight_bits, copy=False
-    )
-    # The stored arrays go in verbatim: the header checks above keep
-    # every access in bounds, and validate=True adds the O(index) scan.
-    ig = IndexGraph(
-        n,
-        cover_ids,
-        views["index_indptr"],
-        views["index_targets"],
-        packed,
-        weight_base,
     )
     if validate:
         ig.validate()
@@ -853,6 +913,12 @@ def _audit_mmap(path: Path, report: dict) -> None:
                 status="ok" if stored == computed else "mismatch",
             )
         report["sections"].append(row)
+    # Checksums show the bytes are the ones written, not that they make
+    # an index: open it with the full structural scan as well.
+    try:
+        load_mmap(path, validate=True)
+    except ValueError as exc:
+        report["detail"] = str(exc)
 
 
 def _audit_oplog(path: Path, report: dict) -> None:
@@ -883,7 +949,9 @@ def verify_file(path: str | os.PathLike) -> dict:
     Accepts a v6 index file, a framed op log, or a sharded-manifest
     directory, and returns a report dict: ``format``, a ``sections``
     list (name, size, stored/computed CRC32, per-section ``status``),
-    and ``ok`` — ``True`` iff nothing is corrupt.  Statuses: ``ok``,
+    and ``ok`` — ``True`` iff nothing is corrupt.  An index file must
+    also open under ``load_mmap(validate=True)``; if it does not, the
+    reason is the report's ``detail``.  Statuses: ``ok``,
     ``mismatch``, ``truncated``, ``malformed``, and ``torn-tail`` (an op
     log's recoverable crashed append — not an error).  An index file or
     shard manifest of another format version is reported by version, not

@@ -32,6 +32,7 @@ __all__ = [
     "bfs_distances",
     "bfs_distances_blocked",
     "bfs_distances_scalar",
+    "blocked_reach_planes",
     "blocked_ball_probe",
     "bulk_reaches_within",
     "reachable_set",
@@ -290,6 +291,73 @@ def bfs_distances_blocked(
         np.concatenate(out_dst),
         np.concatenate(out_dist),
     )
+
+
+def blocked_reach_planes(
+    g: DiGraph, sources: np.ndarray, depths: list[int | None]
+) -> list[np.ndarray]:
+    """Source-to-source reachability bit matrices at several hop depths.
+
+    ``sources`` must be strictly ascending.  Plane ``p`` is a
+    ``(len(sources), ceil(len(sources) / 64))`` uint64 matrix whose row
+    ``i`` has bit ``j`` set iff ``sources[j]`` is within ``depths[p]``
+    hops of ``sources[i]`` (``None``: reachable at all).  Distance 0
+    counts, so every plane of depth ``>= 0`` holds the diagonal; a
+    negative depth gives an empty plane.
+
+    One blocked MS-BFS over **in-edges**, 64 sources per sweep: after
+    level ``L``, bit ``b`` of ``visited[v]`` says ``v`` reaches source
+    ``64 * block + b`` within ``L`` hops, so the gather
+    ``visited[sources]`` is word ``block`` of every row of the ``≤ L``
+    plane.  Each plane is that gather taken after its level (after
+    exhaustion for ``None``); no ``(src, dst)`` pair is materialized.
+    """
+    sources = np.asarray(sources, dtype=np.int64)
+    if len(sources) > 1 and not bool(np.all(sources[:-1] < sources[1:])):
+        raise ValueError("sources must be strictly increasing and unique")
+    if len(sources) and (int(sources[0]) < 0 or int(sources[-1]) >= g.n):
+        raise ValueError(f"source out of range [0, {g.n})")
+    size = len(sources)
+    planes = [
+        np.zeros((size, (size + 63) >> 6), dtype=np.uint64) for _ in depths
+    ]
+    finite = [d for d in depths if d is not None]
+    max_depth = None if len(finite) < len(depths) else max(finite, default=-1)
+    if max_depth is not None and max_depth < 0:
+        return planes
+    indptr, indices = _csr(g, "in")
+    expand, scratch = _resolve_expand(g.n)
+    visited = np.zeros(g.n, dtype=np.uint64)
+
+    def snapshot(word: int, taken) -> None:
+        due = [plane for plane, depth in zip(planes, depths) if taken(depth)]
+        if due:
+            column = visited[sources]
+            for plane in due:
+                plane[:, word] = column
+
+    for word, start in enumerate(range(0, size, 64)):
+        block = sources[start : start + 64]
+        front_m = np.uint64(1) << np.arange(len(block), dtype=np.uint64)
+        if start:
+            visited[:] = 0
+        visited[block] = front_m
+        front_v = block
+        level = 0
+        snapshot(word, lambda depth: depth == 0)
+        while max_depth is None or level < max_depth:
+            front_v, front_m = expand(
+                indptr, indices, front_v, front_m, visited, scratch
+            )
+            if not len(front_v):
+                break
+            visited[front_v] |= front_m
+            level += 1
+            snapshot(word, lambda depth: depth == level)
+        # The ball stopped growing at ``level``: every deeper plane
+        # holds its final state.
+        snapshot(word, lambda depth: depth is None or depth > level)
+    return planes
 
 
 def blocked_ball_probe(

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from repro.baselines import BfsIndex
-from repro.core.kreach import KReachIndex
+from repro.core.index_graph import IndexGraph
+from repro.core.kreach import KReachIndex, level_specs
 from repro.core.partition import (
     ShardedKReach,
     default_hub_count,
@@ -228,6 +229,38 @@ class TestInvariants:
     def test_num_shards_validation(self, graph):
         with pytest.raises(ValueError, match="num_shards"):
             partition_kreach(graph, 6, 0)
+
+    @pytest.mark.parametrize("k", [2, 6, None])
+    def test_plane_slices_equal_triple_slices(self, graph, k):
+        """Each shard's planes, cut from the global planes, are the planes
+        of the global CSR triples filtered to the shard."""
+        sharded = partition_kreach(graph, k, 3)
+        cover = set()
+        for shard in sharded.shards:
+            cover.update(shard.vertex_map[list(shard.index.cover)].tolist())
+        reference = KReachIndex(graph, k, cover=cover, bitset_matrix_bytes=0)
+        triples = reference.index_graph.triples()  # the triple-built CSR
+        specs = level_specs(k)
+        for shard in sharded.shards:
+            ig = shard.index.index_graph
+            assert ig.levels is not None
+            member = np.zeros(graph.n, dtype=bool)
+            member[shard.vertex_map] = True
+            heads, targets, weights = triples
+            keep = member[heads] & member[targets]
+            expected = IndexGraph.for_kreach(
+                shard.n,
+                ig.cover_ids,
+                np.searchsorted(shard.vertex_map, heads[keep]),
+                np.searchsorted(shard.vertex_map, targets[keep]),
+                weights[keep],
+                k,
+            )
+            for got, want in zip(
+                ig.link_matrices(specs), expected.link_matrices(specs)
+            ):
+                assert np.array_equal(got, want)
+            assert ig == expected
 
     def test_default_hub_count_scales(self):
         assert default_hub_count(0) >= 1

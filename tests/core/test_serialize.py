@@ -4,7 +4,10 @@ A static index round-trips through ``save_mmap`` → ``load_mmap``; a
 dynamic index persists as its base snapshot plus an ``OpLog`` journal
 and comes back through ``recover_dynamic``.  The format's own
 diagnostics (header, sections, checksums) are pinned in
-``test_serialize_mmap.py`` and ``test_crash_recovery.py``.
+``test_serialize_mmap.py`` and ``test_crash_recovery.py``.  Tests that
+tamper with a CSR section build their index past the memory gate
+(``bitset_matrix_bytes=0``), which saves the CSR layout rather than the
+level planes.
 """
 
 import numpy as np
@@ -67,7 +70,8 @@ class TestRoundTrip:
 class TestLoadValidation:
     def test_corrupted_index_arrays_rejected(self, tmp_path):
         path = tmp_path / "index.kr6"
-        save_mmap(KReachIndex(gnp_digraph(20, 0.15, seed=6), 3), path)
+        g = gnp_digraph(20, 0.15, seed=6)
+        save_mmap(KReachIndex(g, 3, bitset_matrix_bytes=0), path)
         # Reversed targets: every row unsorted, every header check intact.
         tampered_section(path, path, "index_targets", lambda a: a[::-1])
         with pytest.raises(ValueError, match="ascending|indptr|range"):
@@ -75,7 +79,8 @@ class TestLoadValidation:
 
     def test_truncated_indptr_rejected(self, tmp_path):
         path = tmp_path / "index.kr6"
-        save_mmap(KReachIndex(gnp_digraph(20, 0.15, seed=6), 3), path)
+        g = gnp_digraph(20, 0.15, seed=6)
+        save_mmap(KReachIndex(g, 3, bitset_matrix_bytes=0), path)
         def mutate(h):
             h["sections"]["index_indptr"]["count"] = 0
             return h
@@ -88,10 +93,10 @@ class TestLoadValidation:
 # ----------------------------------------------------------------------
 # Dynamic indexes: base snapshot + journaled delta log
 # ----------------------------------------------------------------------
-def churned_dynamic(k=3, *, n=20, seed=3, steps=25, auto_compact=False):
+def churned_dynamic(k=3, *, n=20, seed=3, steps=25, auto_compact=False, **options):
     """A dynamic index with a non-trivial overlay and pending log."""
     g = gnp_digraph(n, 0.12, seed=seed)
-    dyn = DynamicKReachIndex(g, k, auto_compact=auto_compact)
+    dyn = DynamicKReachIndex(g, k, auto_compact=auto_compact, **options)
     rng = np.random.default_rng(seed)
     edges = list(g.edges())
     for _ in range(steps):
@@ -142,6 +147,31 @@ class TestDynamicRoundTrip:
         dyn.insert_edge(0, n - 1)
         assert np.array_equal(loaded.query_batch(pairs), dyn.query_batch(pairs))
 
+    @pytest.mark.parametrize("k", [2, 3, None])
+    def test_plane_base_recovers_like_csr_base(self, tmp_path, k):
+        """The same journal replayed over a plane-layout base and over a
+        CSR-layout base of the same snapshot gives the same index."""
+        dyn = churned_dynamic(k)
+        assert dyn.base.index_graph.levels is not None
+        base, log = persist(tmp_path, dyn)
+        csr = tmp_path / "csr.kr6"
+        snapshot = dyn.base
+        rebuilt = KReachIndex(
+            snapshot.graph, k, cover=snapshot.cover, bitset_matrix_bytes=0
+        )
+        assert rebuilt.index_graph == snapshot.index_graph
+        save_mmap(rebuilt, csr)
+        planes = recover_dynamic(base, log)
+        rows = recover_dynamic(csr, log)
+        assert planes.base.index_graph.levels is not None
+        assert rows.base.index_graph.levels is None
+        pairs = all_pairs(dyn.n)
+        want = dyn.query_batch(pairs)
+        assert np.array_equal(planes.query_batch(pairs), want)
+        assert np.array_equal(rows.query_batch(pairs), want)
+        assert planes.edge_count == rows.edge_count == dyn.edge_count
+        assert planes.freeze().index_graph == rows.freeze().index_graph
+
     def test_settled_roundtrip_has_empty_log(self, tmp_path):
         dyn = churned_dynamic(3)
         dyn.compact()
@@ -185,7 +215,7 @@ class TestDynamicCorruption:
             recover_dynamic(base, log)
 
     def test_corrupt_base_csr_rejected(self, tmp_path):
-        base, log = persist(tmp_path, churned_dynamic(3))
+        base, log = persist(tmp_path, churned_dynamic(3, bitset_matrix_bytes=0))
 
         def break_indptr(indptr):
             indptr[1] = -4  # breaks monotonicity / bounds
@@ -196,7 +226,7 @@ class TestDynamicCorruption:
             recover_dynamic(base, log)
 
     def test_missing_field(self, tmp_path):
-        base, log = persist(tmp_path, churned_dynamic(3))
+        base, log = persist(tmp_path, churned_dynamic(3, bitset_matrix_bytes=0))
         def mutate(h):
             del h["sections"]["weight_words"]
             return h

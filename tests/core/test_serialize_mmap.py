@@ -12,6 +12,11 @@ The contract under test (see ``repro/core/serialize.py``):
   :class:`ValueError` naming what is broken;
 * the whole query path runs off ``mode='r'`` read-only pages without a
   single write fault — every lazily built structure is copy-on-build.
+
+An index inside the memory gate saves its level planes, one past it the
+CSR (the layout every file had before the planes).  Tests that name a
+CSR section pin that layout with :func:`csr_index`; the plane layout
+has its own tests in :class:`TestPlaneFile`.
 """
 
 import json
@@ -36,6 +41,17 @@ def saved(tmp_path, index, name="index.kr4"):
     path = tmp_path / name
     save_mmap(index, path)
     return path
+
+
+def csr_index(g, k, **options):
+    """An index past the memory gate: it is stored, and saved, as CSR."""
+    return KReachIndex(g, k, bitset_matrix_bytes=0, **options)
+
+
+def header_of(path):
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:16], "little")
+    return json.loads(raw[_MMAP_PROLOGUE : _MMAP_PROLOGUE + hlen])
 
 
 def all_pairs(n):
@@ -188,6 +204,10 @@ class TestCorruption:
     def path(self, tmp_path):
         return saved(tmp_path, KReachIndex(gnp_digraph(25, 0.12, seed=6), 3))
 
+    @pytest.fixture()
+    def csr_path(self, tmp_path):
+        return saved(tmp_path, csr_index(gnp_digraph(25, 0.12, seed=6), 3))
+
     def test_truncated_prologue(self, tmp_path, path):
         stub = tmp_path / "stub.kr4"
         stub.write_bytes(path.read_bytes()[:10])
@@ -240,21 +260,24 @@ class TestCorruption:
         assert not report["ok"]
         assert "not a JSON object" in report["detail"]
 
-    def test_missing_section(self, tmp_path, path):
+    def test_missing_section(self, tmp_path, csr_path):
         def mutate(h):
             del h["sections"]["index_targets"]
             return h
 
-        bad = tampered_header(path, tmp_path / "missing.kr4", mutate)
+        bad = tampered_header(csr_path, tmp_path / "missing.kr4", mutate)
         with pytest.raises(ValueError, match="missing section 'index_targets'"):
             load_mmap(bad)
+        # Every listed section still checks out; the audit must open it.
+        report = verify_file(bad)
+        assert not report["ok"] and "missing section" in report["detail"]
 
-    def test_bad_offset_runs_past_eof(self, tmp_path, path):
+    def test_bad_offset_runs_past_eof(self, tmp_path, csr_path):
         def mutate(h):
             h["sections"]["index_targets"]["offset"] += 1 << 24
             return h
 
-        bad = tampered_header(path, tmp_path / "offset.kr4", mutate)
+        bad = tampered_header(csr_path, tmp_path / "offset.kr4", mutate)
         with pytest.raises(ValueError, match="truncated.*'index_targets'"):
             load_mmap(bad)
 
@@ -267,12 +290,12 @@ class TestCorruption:
         with pytest.raises(ValueError, match="misaligned.*'cover_ids'"):
             load_mmap(bad)
 
-    def test_wrong_dtype(self, tmp_path, path):
+    def test_wrong_dtype(self, tmp_path, csr_path):
         def mutate(h):
             h["sections"]["weight_words"]["dtype"] = "<i4"
             return h
 
-        bad = tampered_header(path, tmp_path / "dtype.kr4", mutate)
+        bad = tampered_header(csr_path, tmp_path / "dtype.kr4", mutate)
         with pytest.raises(ValueError, match="'weight_words' declares dtype"):
             load_mmap(bad)
 
@@ -283,12 +306,12 @@ class TestCorruption:
         with pytest.raises(ValueError, match="truncated"):
             load_mmap(bad)
 
-    def test_inconsistent_indptr(self, tmp_path, path):
+    def test_inconsistent_indptr(self, tmp_path, csr_path):
         def mutate(h):
             h["sections"]["index_indptr"]["count"] -= 1
             return h
 
-        bad = tampered_header(path, tmp_path / "indptr.kr4", mutate)
+        bad = tampered_header(csr_path, tmp_path / "indptr.kr4", mutate)
         with pytest.raises(ValueError, match="'index_indptr'"):
             load_mmap(bad)
 
@@ -306,11 +329,11 @@ class TestCorruption:
         with pytest.raises(ValueError, match="'cover_ids'"):
             load_mmap(bad)
 
-    def test_validate_catches_tampered_rows(self, tmp_path, path):
+    def test_validate_catches_tampered_rows(self, tmp_path, csr_path):
         # Reverse the target array: structurally plausible (every O(1)
         # header check passes) but the rows are no longer sorted.
         bad = tampered_section(
-            path, tmp_path / "rows.kr4", "index_targets", lambda a: a[::-1]
+            csr_path, tmp_path / "rows.kr4", "index_targets", lambda a: a[::-1]
         )
         with pytest.raises(ValueError):
             load_mmap(bad, validate=True)
@@ -333,7 +356,8 @@ class TestReadOnlyServing:
         g = gnp_digraph(45, 0.09, seed=9)
         index = KReachIndex(g, k)
         gate = {} if path is None else {"bitset_matrix_bytes": vector_gate(index, path)}
-        loaded = load_mmap(saved(tmp_path, index), mode="r", **gate)
+        stored = csr_index(g, k, cover=index.cover)
+        loaded = load_mmap(saved(tmp_path, stored), mode="r", **gate)
         # The mapped arrays really are read-only...
         ig = loaded.index_graph
         for arr in (ig.cover_ids, ig.indptr, ig.targets, ig.packed.words,
@@ -406,7 +430,7 @@ class TestOpenCost:
         import mmap
 
         g = gnp_digraph(30, 0.1, seed=13)
-        loaded = load_mmap(saved(tmp_path, KReachIndex(g, 3)))
+        loaded = load_mmap(saved(tmp_path, csr_index(g, 3)))
         ig = loaded.index_graph
         bases = {
             id(arr.base)
@@ -421,3 +445,178 @@ class TestOpenCost:
         assert len(bases) == 1  # one buffer backs them all...
         raw = ig.cover_ids.base.base  # ...and that buffer is the mapping
         assert isinstance(raw, memoryview) and isinstance(raw.obj, mmap.mmap)
+
+
+class TestPlaneFile:
+    """The plane layout: what an index inside the memory gate saves."""
+
+    @pytest.fixture()
+    def graph(self):
+        return gnp_digraph(90, 0.05, seed=21)  # |S| = 78: two-word rows
+
+    @pytest.fixture()
+    def path(self, tmp_path, graph):
+        return saved(tmp_path, KReachIndex(graph, 3), "planes.kr")
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 6, None])
+    def test_layout_and_size(self, tmp_path, graph, k):
+        index = KReachIndex(graph, k)
+        header = header_of(saved(tmp_path, index))
+        assert header["layout"] == "planes"
+        assert set(header["sections"]) == {
+            "graph_out_indptr", "graph_out_indices", "graph_in_indptr",
+            "graph_in_indices", "cover_ids", "level_planes",
+        }
+        words = (index.cover_size + 63) // 64
+        levels = 1 if k is None else 3
+        assert header["sections"]["level_planes"]["count"] == (
+            levels * index.cover_size * words
+        )
+        csr = header_of(saved(tmp_path, csr_index(graph, k), "csr.kr"))
+        assert csr["layout"] == "csr" and "level_planes" not in csr["sections"]
+
+    @pytest.mark.parametrize("k", [2, 6, None])
+    def test_round_trip_shares_the_mapping(self, tmp_path, graph, k):
+        """The loaded level stack is the mapping itself: no view is
+        built, and the answers are bit-identical."""
+        import mmap
+
+        index = KReachIndex(graph, k)
+        loaded = load_mmap(saved(tmp_path, index), mode="r").prepare_batch()
+        ig = loaded.index_graph
+        assert ig._targets is None and not ig._matrices
+        raw = np.frombuffer(ig.cover_ids.base.base.obj, dtype=np.uint8)
+        assert isinstance(ig.cover_ids.base.base.obj, mmap.mmap)
+        for plane in loaded._level_stack():
+            assert not plane.flags.writeable
+            assert np.shares_memory(plane, raw)
+        with pytest.raises(ValueError):
+            ig.levels[0][0, 0] = 0
+        pairs = all_pairs(graph.n)
+        assert np.array_equal(loaded.query_batch(pairs), index.query_batch(pairs))
+        for s, t in pairs[:: 7].tolist():
+            assert loaded.query(s, t) == index.query(s, t)
+            assert loaded.weight(s, t) == index.weight(s, t)
+        assert loaded.edge_count == index.edge_count
+        assert ig._targets is None  # no scalar probe derived the CSR
+        assert loaded.index_graph == index.index_graph
+
+    @pytest.mark.parametrize("k", [2, 6, None])
+    def test_csr_file_still_opens(self, tmp_path, graph, k):
+        """A CSR-layout file (the only layout before the planes, with no
+        ``layout`` header field) opens and answers the same."""
+        index = KReachIndex(graph, k)
+        path = saved(tmp_path, csr_index(graph, k, cover=index.cover), "csr.kr")
+        old = tampered_header(
+            path, tmp_path / "old.kr",
+            lambda h: {key: v for key, v in h.items() if key != "layout"},
+        )
+        for source in (path, old):
+            loaded = load_mmap(source, validate=True)
+            assert loaded.index_graph.levels is None
+            assert loaded.index_graph == index.index_graph
+            pairs = all_pairs(graph.n)
+            assert np.array_equal(loaded.query_batch(pairs), index.query_batch(pairs))
+            assert verify_file(source)["ok"]
+
+    def test_gate_caps_only_private_views(self, tmp_path, graph):
+        """``bitset_matrix_bytes`` caps the views a process would build:
+        mapped planes stay the level stack at any setting, while a CSR
+        file past the gate builds none."""
+        index = KReachIndex(graph, 6)
+        pairs = all_pairs(graph.n)
+        loaded = load_mmap(saved(tmp_path, index), bitset_matrix_bytes=0)
+        assert loaded._level_stack() is not None
+        assert not loaded.index_graph._matrices
+        assert np.array_equal(loaded.query_batch(pairs), index.query_batch(pairs))
+        csr = load_mmap(
+            saved(tmp_path, csr_index(graph, 6), "csr.kr"), bitset_matrix_bytes=0
+        )
+        assert csr._level_stack() is None and csr._case4_matrix() is None
+        assert np.array_equal(csr.query_batch(pairs), index.query_batch(pairs))
+
+    def test_missing_plane_section(self, tmp_path, path):
+        def mutate(h):
+            del h["sections"]["level_planes"]
+            return h
+
+        bad = tampered_header(path, tmp_path / "missing.kr", mutate)
+        with pytest.raises(IndexCorruptionError, match="missing section 'level_planes'"):
+            load_mmap(bad)
+        assert not verify_file(bad)["ok"]
+
+    def test_truncated_plane_section(self, tmp_path, path):
+        raw = path.read_bytes()
+        bad = tmp_path / "trunc.kr"
+        bad.write_bytes(raw[:-8])
+        with pytest.raises(IndexCorruptionError, match="truncated.*'level_planes'"):
+            load_mmap(bad)
+        assert not verify_file(bad)["ok"]
+
+    @pytest.mark.parametrize("field", ["k", "count"])
+    def test_plane_shape_disagrees(self, tmp_path, path, field):
+        def mutate(h):
+            if field == "k":
+                h["k"] = None  # 3 planes stored, n-reach has 1
+            else:
+                h["sections"]["level_planes"]["count"] -= 1
+                h["payload_bytes"] -= 8
+            return h
+
+        bad = tampered_header(path, tmp_path / "shape.kr", mutate)
+        with pytest.raises(IndexCorruptionError, match="'level_planes'"):
+            load_mmap(bad)
+        assert not verify_file(bad)["ok"]
+
+    def test_unknown_layout(self, tmp_path, path):
+        bad = tampered_header(path, tmp_path / "layout.kr", lambda h: {**h, "layout": "x"})
+        with pytest.raises(ValueError, match="unknown layout"):
+            load_mmap(bad)
+        assert not verify_file(bad)["ok"]
+
+    @pytest.mark.parametrize(
+        "damage,match",
+        [
+            ("nesting", "contain the plane below"),
+            ("diagonal", "diagonal"),
+            ("padding", "padding"),
+        ],
+    )
+    def test_validate_rejects_bad_planes(self, tmp_path, path, damage, match):
+        """Planes re-signed with valid checksums but broken invariants
+        open without ``validate`` (O(header)) and fail with it."""
+        header = header_of(path)
+        size = len(load_mmap(path).cover)
+        words = (size + 63) // 64
+
+        def transform(arr):
+            planes = arr.reshape(3, size, words)
+            if damage == "nesting":
+                planes[0, 0, 0] |= ~planes[1, 0, 0]
+            elif damage == "diagonal":
+                planes[2, 1, 0] &= ~np.uint64(2)
+            else:
+                planes[1, 0, -1] |= np.uint64(1) << np.uint64(63)
+            return planes.reshape(-1)
+
+        bad = tampered_section(path, tmp_path / "bad.kr", "level_planes", transform)
+        resigned = tampered_header(bad, bad, lambda h: _resign(h, bad))
+        assert header["sections"]["level_planes"]["count"] == 3 * size * words
+        assert size % 64  # the padding damage lands past |S|
+        load_mmap(resigned)  # the O(header) open does not scan payloads
+        with pytest.raises(ValueError, match=match):
+            load_mmap(resigned, validate=True)
+        report = verify_file(resigned)
+        assert not report["ok"]
+        assert match.split()[0] in report["detail"]
+
+
+def _resign(header, path):
+    """``header`` with the ``level_planes`` CRC32 recomputed from ``path``."""
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:16], "little")
+    sec = header["sections"]["level_planes"]
+    start = (_MMAP_PROLOGUE + hlen + 63) // 64 * 64 + sec["offset"]
+    sec["crc32"] = zlib.crc32(raw[start : start + 8 * sec["count"]])
+    return header
+
