@@ -6,14 +6,14 @@ Covers the whole public API surface in under a minute:
 * build a graph (from edges, a generator, or a dataset stand-in);
 * build :class:`repro.KReachIndex` for a fixed k and for k = ∞;
 * query, inspect the index, check the storage model;
-* general-k queries with :class:`repro.ExactKFamily`.
+* any-k queries with :class:`repro.CoverDistanceOracle`.
 
 Run:  python examples/quickstart.py [--fast]
 """
 
 import argparse
 
-from repro import DiGraph, ExactKFamily, KReachIndex
+from repro import CoverDistanceOracle, DiGraph, KReachIndex
 from repro.datasets import load
 from repro.graph.stats import summarize
 
@@ -59,12 +59,14 @@ def main() -> None:
     print(f"{sample} sample µ-hop queries -> {hits} reachable")
 
     # ------------------------------------------------------------------
-    # 3. Arbitrary k via the exact per-k family (§4.4).
+    # 3. Arbitrary k from one exact cover-distance oracle (§4.4).
     # ------------------------------------------------------------------
-    family = ExactKFamily(graph, diameter=stats.diameter)
+    oracle = CoverDistanceOracle(graph)
     s, t = 0, graph.n - 1
+    print(f"distance oracle: {oracle.storage_bytes()/1024:.1f} KiB, "
+          f"d({s}, {t}) = {oracle.distance(s, t)}")
     for k in (1, 2, stats.mu, stats.diameter):
-        print(f"  {s} ->{k} {t}? {family.reaches_within(s, t, k)}")
+        print(f"  {s} ->{k} {t}? {oracle.reaches_within(s, t, k)}")
 
 
 if __name__ == "__main__":

@@ -6,9 +6,9 @@ network a message survives each hop with probability p, so the chance a
 broadcast from s ever reaches t decays like p^hops — classic reachability
 is meaningless, k-hop reachability is the question that matters.
 
-This example builds a layered relay network, uses the §4.4 *geometric
-family* of k-reach indexes to answer "which sensors hear a broadcast
-within k hops" for every k, and derives delivery probabilities.
+This example builds a layered relay network, uses the §4.4 exact
+cover-distance oracle to answer "which sensors hear a broadcast within k
+hops" for every k from one index, and derives delivery probabilities.
 
 Run:  python examples/sensor_network.py [--fast]
 """
@@ -17,7 +17,7 @@ import argparse
 
 import numpy as np
 
-from repro.core import CoverDistanceOracle, GeometricKReachFamily
+from repro.core import CoverDistanceOracle
 from repro.graph.generators import layered_dag
 from repro.graph.stats import shortest_path_stats
 
@@ -36,24 +36,22 @@ def main() -> None:
     print(f"relay network: n={g.n}, m={g.m}, diameter≈{d}, µ={mu}")
 
     # ------------------------------------------------------------------
-    # 1. Geometric k-reach family: lg d indexes, banded answers (§4.4).
+    # 1. One exact distance oracle answers every hop budget (§4.4).
     # ------------------------------------------------------------------
-    family = GeometricKReachFamily(g, max_k=d, max_k_covers_diameter=True)
-    print(f"geometric family: levels {family.levels}, "
-          f"{family.storage_bytes()/1e6:.2f} MB total")
+    oracle = CoverDistanceOracle(g)
+    print(f"distance oracle: |S|={oracle.cover_size}, "
+          f"{oracle.storage_bytes()/1e6:.2f} MB")
 
     base = 0
     sink = g.n - 1
     print(f"\nbroadcast from sensor {base} to sensor {sink}:")
     for k in (2, 4, 8, d):
-        ans = family.query(base, sink, k, refine=True)
-        band = "exact" if ans.exact else f"within ≤{ans.upper_bound} hops"
-        print(f"  hearable within {k:3d} hops? {str(ans.reachable):5s}  ({band})")
+        heard = oracle.reaches_within(base, sink, k)
+        print(f"  hearable within {k:3d} hops? {heard}")
 
     # ------------------------------------------------------------------
-    # 2. Delivery probability via the distance oracle.
+    # 2. Delivery probability from the same oracle's distances.
     # ------------------------------------------------------------------
-    oracle = CoverDistanceOracle(g)
     p = args.hop_survival
     rng = np.random.default_rng(0)
     targets = rng.choice(g.n, size=8, replace=False)
@@ -72,8 +70,9 @@ def main() -> None:
     print("\ncoverage within k hops (P >= 0.1 needs k <= "
           f"{int(np.log(0.1) / np.log(p))}):")
     sample = rng.choice(g.n, size=min(g.n, 400), replace=False)
+    pairs = np.stack([np.full(len(sample), base), sample], axis=1)
     for k in (1, 2, 4, 8):
-        heard = sum(family.reaches_within(base, int(t), k) for t in sample)
+        heard = int(oracle.reaches_within_batch(pairs, k).sum())
         print(f"  k={k:2d}: {100 * heard / len(sample):5.1f}% of sampled sensors")
 
 

@@ -5,8 +5,8 @@ Public API highlights:
 * :class:`repro.DiGraph` — the CSR graph substrate.
 * :class:`repro.KReachIndex` — the paper's k-hop reachability index.
 * :class:`repro.HKReachIndex` — the h-hop-cover space-saving variant.
-* :class:`repro.GeometricKReachFamily` / :class:`repro.ExactKFamily` /
-  :class:`repro.CoverDistanceOracle` — general-k support (§4.4).
+* :class:`repro.CoverDistanceOracle` — exact answers for any hop budget
+  k from one cover-distance index, and shortest-path distances (§4.4).
 * :mod:`repro.baselines` — re-implementations of the comparator indexes
   (GRAIL, PWAH, tree cover, chain cover, PLL, BFS).
 * :mod:`repro.datasets` — calibrated synthetic stand-ins for the paper's
@@ -17,10 +17,7 @@ Public API highlights:
 from repro.core import (
     CoverDistanceOracle,
     DynamicKReachIndex,
-    ExactKFamily,
-    GeometricKReachFamily,
     HKReachIndex,
-    KHopAnswer,
     KReachIndex,
 )
 from repro.graph import DiGraph, GraphBuilder
@@ -34,8 +31,5 @@ __all__ = [
     "HKReachIndex",
     "DynamicKReachIndex",
     "CoverDistanceOracle",
-    "GeometricKReachFamily",
-    "ExactKFamily",
-    "KHopAnswer",
     "__version__",
 ]

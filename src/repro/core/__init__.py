@@ -2,13 +2,7 @@
 
 from repro.core.condensed import CondensedKReach
 from repro.core.dynamic import DynamicKReachIndex
-from repro.core.general_k import (
-    INFINITE_DISTANCE,
-    CoverDistanceOracle,
-    ExactKFamily,
-    GeometricKReachFamily,
-    KHopAnswer,
-)
+from repro.core.general_k import INFINITE_DISTANCE, CoverDistanceOracle
 from repro.core.hkreach import HKReachIndex
 from repro.core.index_graph import (
     IndexGraph,
@@ -83,9 +77,6 @@ __all__ = [
     "partition_kreach",
     "default_hub_count",
     "CoverDistanceOracle",
-    "GeometricKReachFamily",
-    "ExactKFamily",
-    "KHopAnswer",
     "INFINITE_DISTANCE",
     "COVER_STRATEGIES",
     "cover_from_strategy",

@@ -4,7 +4,7 @@ The paper times every index on 1M random vertex pairs (§6.2.2); answering
 them one at a time through Python loops leaves an order of magnitude on
 the table.  This module holds the numpy building blocks the batch paths of
 :class:`~repro.core.kreach.KReachIndex`,
-:class:`~repro.core.hkreach.HKReachIndex` and the general-k structures
+:class:`~repro.core.hkreach.HKReachIndex` and the general-k oracle
 share:
 
 * :class:`KeyedRowStore` — the index's sorted ``u * n + v`` key array, so

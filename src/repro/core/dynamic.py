@@ -1105,7 +1105,9 @@ class DynamicKReachIndex:
         if self.k == 0 or len(s) == 0:
             return s == t
         row_pos = self._row_pos()
-        within = level_within(self.k, self._level_stack(), row_pos, self._lookup)
+        within = level_within(
+            level_specs(self.k), self._level_stack(), row_pos, self._lookup
+        )
         matrix = self._case4_matrix()
         return algorithm2_batch(
             self._graph(), s, t, self._flags(), row_pos, within, matrix, self.query

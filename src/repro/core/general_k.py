@@ -1,53 +1,35 @@
-"""Support for k-hop queries with arbitrary k (§4.4 of the paper).
+"""General k (§4.4 of the paper): one exact cover-distance oracle.
 
-A single k-reach index answers queries only for the ``k`` it was built for.
-The paper sketches three ways to serve a *general* k, all implemented here:
-
-* :class:`CoverDistanceOracle` — keep the **exact** distance between every
-  pair of cover vertices (full BFS instead of k-hop BFS in Algorithm 1,
-  ``⌈log2 d⌉`` bits per entry).  Answers ``s →k t`` exactly for every k and
-  doubles as a shortest-path-distance oracle.  The paper notes the index
-  graph becomes dense; this is the price of generality.
-* :class:`GeometricKReachFamily` — ``log2 d`` k-reach indexes for
-  ``k = 2, 4, 8, …, 2^⌈lg d⌉``.  A query with hop budget k probes the
-  ``2^⌈lg k⌉`` index: *yes within* ``2^⌈lg k⌉`` and *no* are exact, and in
-  between the family answers "reachable within some ``k' ≤ 2^⌈lg k⌉``" —
-  the paper's approximation band, surfaced here as a structured
-  :class:`KHopAnswer` instead of a bare bool.
-* :class:`ExactKFamily` — one k-reach index per ``k = 2 … d`` (plus the
-  n-reach index for ``k > d``), exact for every k at ``(d-1)×`` the space.
+A k-reach index answers only the ``k`` it was built for.  §4.4 serves
+every hop budget by keeping the **exact** distance between every pair of
+cover vertices (a full BFS instead of Algorithm 1's k-hop BFS,
+``⌈log2 d⌉`` bits per entry).  :class:`CoverDistanceOracle` stores those
+distances in the §4.3 CSR layout and answers ``s →k t`` exactly for
+every k, and doubles as a shortest-path-distance oracle.  The paper
+notes the index graph becomes dense; that is the price of generality,
+but it is one structure whatever the diameter ``d``, where a family of
+per-k indexes grows with ``d``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.bitsets.ops import DEFAULT_MATRIX_BYTES
 from repro.core.batch import (
     MISSING_WEIGHT,
-    UNBOUNDED_BUDGET,
     KeyedRowStore,
     as_pair_arrays,
-    case4_bitset_join,
-    edge_keys,
+    as_vertex_pair,
     gather_segments,
-    has_edge_batch,
     plan_cross_products,
 )
-from repro.core.index_graph import IndexGraph, cover_triples_blocked
-from repro.core.kreach import KReachIndex
+from repro.core.index_graph import IndexGraph, cover_triples_blocked, level_specs
+from repro.core.kreach import algorithm2_batch, batch_views, level_within
 from repro.core.vertex_cover import cover_from_strategy, is_vertex_cover
 from repro.graph.digraph import DiGraph
 
-__all__ = [
-    "INFINITE_DISTANCE",
-    "CoverDistanceOracle",
-    "KHopAnswer",
-    "GeometricKReachFamily",
-    "ExactKFamily",
-]
+__all__ = ["INFINITE_DISTANCE", "CoverDistanceOracle"]
 
 #: Sentinel distance for unreachable pairs.
 INFINITE_DISTANCE = float("inf")
@@ -57,19 +39,46 @@ class CoverDistanceOracle:
     """Exact cover-pair distances → exact k-hop answers for every k.
 
     Construction is Algorithm 1 with the k-hop BFS replaced by a full BFS
-    (§4.4, first approach).  Queries follow the same four cases, but
-    instead of comparing a quantized weight against a budget they combine
-    exact distances:
+    (§4.4, first approach).  A hop budget ``k`` reads the distances at
+    the three budgets Algorithm 2 needs: Case 1 within k, Cases 2/3
+    within k-1 and Case 4 within k-2, the ``u == v`` handshake included
+    wherever a zero distance fits.  :meth:`reaches_within_batch` is
+    therefore :func:`~repro.core.kreach.algorithm2_batch`, the body
+    :class:`~repro.core.kreach.KReachIndex` runs, over this oracle's
+    views at those budgets, and ``bitset_matrix_bytes`` picks its path
+    by the same rule (:func:`~repro.core.kreach.batch_views`):
+
+    * the three views as cover-position bit matrices when they fit
+      together (one scatter over the CSR per new budget, cached on the
+      :class:`~repro.core.index_graph.IndexGraph`);
+    * else sorted-key probes of the distances, with the Case-4 bitset
+      join while its one view fits;
+    * else chunked cross products for Case 4, hub×hub pairs going to the
+      scalar :meth:`reaches_within`.
+
+    The scalar :meth:`reaches_within` runs the same cases over one flat
+    probe dict and stops at the first witness.  :meth:`distance` and
+    :meth:`distance_batch` minimize over the same cases instead:
 
     * Case 1: ``d(s, t)``;
     * Case 2: ``min_v d(s, v) + 1`` over in-neighbors ``v`` of ``t``;
     * Case 3: ``min_u d(u, t) + 1`` over out-neighbors ``u`` of ``s``;
     * Case 4: ``min_{u,v} d(u, v) + 2``.
 
-    The same minimization yields :meth:`distance`, making this a full
-    shortest-path-distance oracle — the paper's observation that a
-    general-k index "is essentially an index for shortest-path distance
-    queries".
+    That makes this a full shortest-path-distance oracle — the paper's
+    observation that a general-k index "is essentially an index for
+    shortest-path distance queries".  Vertex ids follow the index
+    contract: integers in ``[0, n)`` (bools included), anything else
+    raises :class:`ValueError`.
+
+    Examples
+    --------
+    >>> from repro.graph.generators import path_graph
+    >>> oracle = CoverDistanceOracle(path_graph(6))
+    >>> oracle.distance(0, 4), oracle.reaches_within(0, 4, 3)
+    (4, False)
+    >>> oracle.reaches_within_batch([(0, 4), (4, 0)], 4).tolist()
+    [True, False]
     """
 
     def __init__(
@@ -93,13 +102,16 @@ class CoverDistanceOracle:
         self._in_cover = np.zeros(graph.n, dtype=bool)
         if cover:
             self._in_cover[list(cover)] = True
+        # bytearray flags and plain-list adjacency for the scalar loops.
+        self._cover_flags = bytearray(self._in_cover.tobytes())
+        self._out_lists: list[list[int]] | None = None
+        self._in_lists: list[list[int]] | None = None
         # Exact cover-pair distances in the canonical CSR storage, fed by
         # the blocked multi-source BFS (full sweeps: k=None, no floor).
         triples = cover_triples_blocked(graph, cover, None)
         self._ig = IndexGraph.from_triples(graph.n, cover, *triples)
         weights = self._ig.weights64()
         self._max_distance = int(weights.max()) if len(weights) else 0
-        self._flat: dict[int, int] | None = None
         self._keyed_rows: KeyedRowStore | None = None
 
     @property
@@ -116,30 +128,32 @@ class CoverDistanceOracle:
         return self._keyed_rows
 
     def prepare_batch(self) -> "CoverDistanceOracle":
-        """Build the batch engine's lookup structures now (see
-        :meth:`KReachIndex.prepare_batch
-        <repro.core.kreach.KReachIndex.prepare_batch>`)."""
+        """Build the keyed distance store now (what :meth:`distance_batch`
+        and the probes past the memory gate read).  The views of a hop
+        budget are built by its first batch.  Returns ``self``."""
         self._keyed()
         return self
+
+    def _adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Plain-list ``(out, in)`` adjacency, built on first scalar use."""
+        if self._out_lists is None:
+            self._out_lists = self.graph.out_lists()
+            self._in_lists = self.graph.in_lists()
+        return self._out_lists, self._in_lists
 
     def _pair_distance(self, u: int, v: int) -> float:
         if u == v:
             return 0
-        flat = self._flat
-        if flat is None:
-            flat = self._flat = self._ig.flat()
-        w = flat.get(u * self.graph.n + v)
+        w = self._ig.flat().get(u * self.graph.n + v)
         return INFINITE_DISTANCE if w is None else w
 
     def distance(self, s: int, t: int) -> float:
         """Exact shortest-path distance (``INFINITE_DISTANCE`` if unreachable)."""
-        g = self.graph
-        if not 0 <= s < g.n or not 0 <= t < g.n:
-            raise ValueError(f"query vertex out of range [0, {g.n})")
+        s, t = as_vertex_pair(s, t, self.graph.n)
         if s == t:
             return 0
-        s_in = bool(self._in_cover[s])
-        t_in = bool(self._in_cover[t])
+        s_in = self._cover_flags[s]
+        t_in = self._cover_flags[t]
         if s_in and t_in:
             return self._pair_distance(s, t)
         if s_in:
@@ -228,105 +242,101 @@ class CoverDistanceOracle:
         out[dist >= MISSING_WEIGHT] = INFINITE_DISTANCE
         return out
 
-    def reaches_within(self, s: int, t: int, k: int) -> bool:
-        """Exact ``s →k t`` for any non-negative k."""
-        if k < 0:
-            raise ValueError(f"k must be non-negative, got {k}")
-        return self.distance(s, t) <= k
+    def reaches_within(self, s: int, t: int, k: int | None) -> bool:
+        """Exact ``s →k t`` for any non-negative k (``None``: reachability).
 
-    def reaches_within_batch(self, pairs, k: int) -> np.ndarray:
+        Algorithm 2's cases over the flat distance dict, returning at the
+        first witness: Case 1 one probe, Cases 2/3 one probe per neighbor
+        of the uncovered endpoint, Case 4 one per neighbor pair.
+        """
+        if k is None:
+            k = INFINITE_DISTANCE
+        elif k < 0:
+            raise ValueError(f"k must be non-negative, got {k}")
+        flags = self._cover_flags
+        n = len(flags)
+        s, t = as_vertex_pair(s, t, n)
+        if s == t:
+            return True
+        if k < 1:
+            return False
+        flat = self._ig.flat()
+        if flags[s] and flags[t]:
+            w = flat.get(s * n + t)
+            return w is not None and w <= k
+        outs, ins = self._adjacency()
+        if flags[s]:
+            row = s * n
+            for v in ins[t]:  # every in-neighbor of t is covered
+                if v == s:
+                    return True
+                w = flat.get(row + v)
+                if w is not None and w < k:
+                    return True
+            return False
+        if flags[t]:
+            for u in outs[s]:
+                if u == t:
+                    return True
+                w = flat.get(u * n + t)
+                if w is not None and w < k:
+                    return True
+            return False
+        if k < 2:
+            return False  # no 2-hop bridge fits
+        preds = ins[t]
+        bound = k - 2
+        for u in outs[s]:
+            row = u * n
+            for v in preds:
+                if u == v:
+                    return True  # s -> u -> t
+                w = flat.get(row + v)
+                if w is not None and w <= bound:
+                    return True
+        return False
+
+    def reaches_within_batch(self, pairs, k: int | None) -> np.ndarray:
         """Vectorized :meth:`reaches_within`: an ``(m,)`` bool array.
 
-        Boolean verdicts do not need the per-pair minimum distance
-        :meth:`distance_batch` computes, so this runs the cheaper
-        threshold path: per-case bulk gathers against ``d <= budget``,
-        with Case 4 resolved by the bitset join against the exact-weight
-        :meth:`~repro.core.index_graph.IndexGraph.link_matrix` at budget
-        ``k - 2`` (chunked cross products when a matrix would exceed
-        :attr:`bitset_matrix_bytes`).  Answers equal
-        ``distance_batch(pairs) <= k`` exactly.
+        :func:`~repro.core.kreach.algorithm2_batch` over the views at
+        budgets k-2, k-1 and k (the presence view for ``k=None``), on the
+        path the memory gate picks (see the class docstring).  Answers
+        equal ``distance_batch(pairs) <= k`` exactly.
         """
-        if k < 0:
+        if k is None:
+            specs = level_specs(None)
+        elif k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
-        return self._bool_batch(pairs, k)
+        else:
+            specs = [(k - 2, k >= 2), (k - 1, k >= 1), (k, True)]
+        s, t = as_pair_arrays(pairs, self.graph.n)
+        if k == 0 or not len(s):
+            return s == t
+        ig = self._ig
+        row_pos = ig.row_pos()
+        stack, matrix = batch_views(ig, specs, self.bitset_matrix_bytes)
+        within = level_within(
+            specs, stack, row_pos, lambda u, v: self._keyed().lookup(u, v)
+        )
+        return algorithm2_batch(
+            self.graph,
+            s,
+            t,
+            self._in_cover,
+            row_pos,
+            within,
+            matrix,
+            lambda a, b: self.reaches_within(a, b, k),
+        )
 
     def reaches(self, s: int, t: int) -> bool:
         """Classic reachability."""
-        return self.distance(s, t) < INFINITE_DISTANCE
+        return self.reaches_within(s, t, None)
 
     def reaches_batch(self, pairs) -> np.ndarray:
-        """Vectorized :meth:`reaches`: an ``(m,)`` bool array (the
-        unbounded-budget threshold path; see :meth:`reaches_within_batch`)."""
-        return self._bool_batch(pairs, None)
-
-    def _bool_batch(self, pairs, k: int | None) -> np.ndarray:
-        """``d(s, t) <= k`` over a batch (``k=None`` = finite distance)."""
-        g = self.graph
-        s, t = as_pair_arrays(pairs, g.n)
-        m = len(s)
-        out = np.zeros(m, dtype=bool)
-        if m == 0:
-            return out
-        np.equal(s, t, out=out)
-        if k == 0:
-            return out
-        store = self._keyed()
-        s_in = self._in_cover[s]
-        t_in = self._in_cover[t]
-        undecided = ~out
-        b0 = UNBOUNDED_BUDGET if k is None else np.int64(k)
-        b1 = UNBOUNDED_BUDGET if k is None else np.int64(k - 1)
-        b2 = UNBOUNDED_BUDGET if k is None else np.int64(k - 2)
-
-        # Case 1: direct cover-pair distance against the full budget.
-        sel = np.flatnonzero(undecided & s_in & t_in)
-        if len(sel):
-            out[sel] = store.lookup(s[sel], t[sel]) <= b0
-
-        # Case 2: some in-neighbor v of t with v == s or d(s, v) <= k-1.
-        sel = np.flatnonzero(undecided & s_in & ~t_in)
-        if len(sel):
-            nbrs, owner, _ = gather_segments(g.in_indptr, g.in_indices, t[sel])
-            src = s[sel][owner]
-            hit = store.lookup(src, nbrs) <= b1
-            if k is None or k >= 1:
-                hit |= nbrs == src
-            out[sel] = np.bincount(owner[hit], minlength=len(sel)) > 0
-
-        # Case 3: mirror over out-neighbors of s.
-        sel = np.flatnonzero(undecided & ~s_in & t_in)
-        if len(sel):
-            nbrs, owner, _ = gather_segments(g.out_indptr, g.out_indices, s[sel])
-            dst = t[sel][owner]
-            hit = store.lookup(nbrs, dst) <= b1
-            if k is None or k >= 1:
-                hit |= nbrs == dst
-            out[sel] = np.bincount(owner[hit], minlength=len(sel)) > 0
-
-        # Case 4: bitset join at budget k-2 (diagonal = the u == v
-        # handshake, a 2-hop bridge), chunked products as the fallback.
-        sel = np.flatnonzero(undecided & ~s_in & ~t_in)
-        if len(sel):
-            s4, t4 = s[sel], t[sel]
-            ig = self._ig
-            if k is not None and k < 2:
-                pass  # no 2-hop bridge fits the budget
-            elif ig.link_matrix_bytes() <= self.bitset_matrix_bytes:
-                matrix = ig.link_matrix(
-                    None if k is None else k - 2, diagonal=True
-                )
-                out[sel] = case4_bitset_join(g, s4, t4, matrix, ig.row_pos())
-            else:
-                res = np.zeros(len(sel), dtype=bool)
-                big, chunks = plan_cross_products(g, s4, t4)
-                for sub, u, v, owner in chunks:
-                    hit = (store.lookup(u, v) <= b2) | (u == v)
-                    res[sub] |= np.bincount(owner[hit], minlength=len(sub)) > 0
-                for j in big.tolist():
-                    d = self.distance(int(s4[j]), int(t4[j]))
-                    res[j] = d < INFINITE_DISTANCE if k is None else d <= k
-                out[sel] = res
-        return out
+        """Vectorized :meth:`reaches`: an ``(m,)`` bool array."""
+        return self.reaches_within_batch(pairs, None)
 
     @property
     def cover_size(self) -> int:
@@ -343,244 +353,5 @@ class CoverDistanceOracle:
         return max(1, int(self._max_distance).bit_length())
 
     def storage_bytes(self) -> int:
-        """Same CSR storage model as k-reach, with ``⌈lg d⌉``-bit weights."""
-        n_i, m_i = self.cover_size, self.edge_count
-        return (
-            4 * n_i
-            + 4 * (n_i + 1)
-            + 4 * m_i
-            + (m_i * self.weight_bits() + 7) // 8
-            + (self.graph.n + 7) // 8
-        )
-
-
-@dataclass(frozen=True)
-class KHopAnswer:
-    """A possibly-approximate answer from :class:`GeometricKReachFamily`.
-
-    Attributes
-    ----------
-    reachable:
-        The index's verdict (for approximate answers: reachable within
-        ``upper_bound`` hops, but possibly not within the asked ``k``).
-    exact:
-        Whether the verdict is exact for the asked ``k``.
-    upper_bound:
-        When ``reachable`` and not ``exact``: the certified hop bound
-        ``k'`` with ``k < k' ≤ 2^⌈lg k⌉``.
-    """
-
-    reachable: bool
-    exact: bool
-    upper_bound: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.reachable
-
-
-class GeometricKReachFamily:
-    """The paper's ``lg d`` family of ``2^i``-reach indexes (§4.4).
-
-    Parameters
-    ----------
-    graph:
-        Input digraph.
-    max_k:
-        Largest hop budget to cover.  The paper sets this to the graph
-        diameter ``d`` (known for its datasets); the safe default here is
-        ``n - 1``, which no simple path can exceed.  Indexes are built for
-        ``k = 2, 4, …, 2^⌈lg max_k⌉``.
-    max_k_covers_diameter:
-        Whether ``max_k`` is ≥ the true diameter, making "not reachable
-        within the top level" equivalent to "not reachable at all" (and
-        hence queries with ``k`` beyond the top level exact).  Defaults to
-        an automatic check (``True`` when the rounded ``max_k ≥ n - 1``);
-        pass ``True`` explicitly when supplying a measured diameter.
-    share_cover:
-        Build every member on the same vertex cover (default) so the family
-        differs only in BFS depth — this is what makes the total size
-        "approximately lg d times the space of a single k-reach".
-    """
-
-    def __init__(
-        self,
-        graph: DiGraph,
-        *,
-        max_k: int | None = None,
-        max_k_covers_diameter: bool | None = None,
-        cover_strategy: str = "degree",
-        share_cover: bool = True,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        self.graph = graph
-        if max_k is None:
-            max_k = max(2, graph.n - 1)
-        if max_k < 2:
-            max_k = 2
-        self.max_k = 1 << (max_k - 1).bit_length()  # 2^ceil(lg max_k)
-        if max_k_covers_diameter is None:
-            max_k_covers_diameter = self.max_k >= graph.n - 1
-        self._covers_diameter = bool(max_k_covers_diameter)
-        cover = (
-            cover_from_strategy(graph, cover_strategy, rng=rng)
-            if share_cover
-            else None
-        )
-        self.indexes: dict[int, KReachIndex] = {}
-        k = 2
-        while k <= self.max_k:
-            self.indexes[k] = KReachIndex(
-                graph, k, cover=cover, cover_strategy=cover_strategy, rng=rng
-            )
-            k *= 2
-        self.levels = sorted(self.indexes)
-        self._edge_keys: np.ndarray | None = None
-
-    def _edges(self) -> np.ndarray:
-        """Sorted edge keys for the batch k=1 path, built once."""
-        if self._edge_keys is None:
-            self._edge_keys = edge_keys(self.graph)
-        return self._edge_keys
-
-    def query(self, s: int, t: int, k: int, *, refine: bool = False) -> KHopAnswer:
-        """Answer ``s →k t`` with the paper's approximation semantics.
-
-        With ``refine=False`` (the paper's behavior) only the ``2^⌈lg k⌉``
-        index is probed.  ``refine=True`` additionally walks down the
-        family to tighten the certified bound — answers become exact
-        whenever some smaller index already certifies the pair.
-        """
-        if k < 0:
-            raise ValueError(f"k must be non-negative, got {k}")
-        if s == t:
-            return KHopAnswer(True, True)
-        if k == 0:
-            return KHopAnswer(False, True)
-        if k == 1:
-            return KHopAnswer(self.graph.has_edge(s, t), True)
-        level = min(1 << (k - 1).bit_length(), self.max_k)
-        idx = self.indexes[level]
-        hit = idx.query(s, t)
-        if not hit:
-            # Not within `level >= min(k, max_k)` hops.  Exact "no" when
-            # level >= k, or when the top level provably bounds the diameter
-            # (then "not within max_k" means "not reachable at all").
-            return KHopAnswer(False, k <= level or self._covers_diameter)
-        if level <= k:
-            return KHopAnswer(True, True)
-        if refine:
-            # Find the smallest family member that certifies the pair.
-            tightest = level
-            for smaller in self.levels:
-                if smaller >= level:
-                    break
-                if self.indexes[smaller].query(s, t):
-                    tightest = smaller
-                    break
-            if tightest <= k:
-                return KHopAnswer(True, True)
-            return KHopAnswer(True, False, upper_bound=tightest)
-        return KHopAnswer(True, False, upper_bound=level)
-
-    def reaches_within(self, s: int, t: int, k: int) -> bool:
-        """Boolean view of :meth:`query` (approximate answers count as True)."""
-        return self.query(s, t, k).reachable
-
-    def reaches_within_batch(self, pairs, k: int) -> np.ndarray:
-        """Vectorized :meth:`reaches_within`: an ``(m,)`` bool array.
-
-        Same verdicts as the scalar path (``refine=False`` semantics):
-        ``k >= 2`` delegates to the ``2^⌈lg k⌉`` member's
-        :meth:`~repro.core.kreach.KReachIndex.query_batch`; ``k <= 1``
-        resolves with a vectorized identity/edge test.
-        """
-        if k < 0:
-            raise ValueError(f"k must be non-negative, got {k}")
-        s, t = as_pair_arrays(pairs, self.graph.n)
-        if len(s) == 0:
-            return np.zeros(0, dtype=bool)
-        if k == 0:
-            return s == t
-        if k == 1:
-            return (s == t) | has_edge_batch(self.graph, s, t, keys=self._edges())
-        level = min(1 << (k - 1).bit_length(), self.max_k)
-        return self.indexes[level].query_batch(np.stack([s, t], axis=1))
-
-    def storage_bytes(self) -> int:
-        """Total modeled size across the family."""
-        return sum(ix.storage_bytes() for ix in self.indexes.values())
-
-    @property
-    def num_levels(self) -> int:
-        """How many indexes the family holds (≈ lg d)."""
-        return len(self.indexes)
-
-
-class ExactKFamily:
-    """One k-reach index per ``k = 2 … d`` → exact answers for every k (§4.4).
-
-    ``d`` defaults to the exact diameter (max finite shortest-path length).
-    Queries with ``k ≥ d`` are served by the n-reach member, since within-d
-    reachability coincides with reachability.
-    """
-
-    def __init__(
-        self,
-        graph: DiGraph,
-        *,
-        diameter: int | None = None,
-        cover_strategy: str = "degree",
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        self.graph = graph
-        if diameter is None:
-            from repro.graph.stats import shortest_path_stats
-
-            diameter, _ = shortest_path_stats(graph)
-        self.diameter = max(2, diameter)
-        cover = cover_from_strategy(graph, cover_strategy, rng=rng)
-        self.indexes: dict[int, KReachIndex] = {
-            k: KReachIndex(graph, k, cover=cover) for k in range(2, self.diameter + 1)
-        }
-        self.reachability = KReachIndex(graph, None, cover=cover)
-        self._edge_keys: np.ndarray | None = None
-
-    def _edges(self) -> np.ndarray:
-        """Sorted edge keys for the batch k=1 path, built once."""
-        if self._edge_keys is None:
-            self._edge_keys = edge_keys(self.graph)
-        return self._edge_keys
-
-    def reaches_within(self, s: int, t: int, k: int) -> bool:
-        """Exact ``s →k t`` for any non-negative k."""
-        if k < 0:
-            raise ValueError(f"k must be non-negative, got {k}")
-        if s == t:
-            return True
-        if k == 0:
-            return False
-        if k == 1:
-            return self.graph.has_edge(s, t)
-        if k >= self.diameter:
-            return self.reachability.query(s, t)
-        return self.indexes[k].query(s, t)
-
-    def reaches_within_batch(self, pairs, k: int) -> np.ndarray:
-        """Vectorized :meth:`reaches_within`: an ``(m,)`` bool array."""
-        if k < 0:
-            raise ValueError(f"k must be non-negative, got {k}")
-        s, t = as_pair_arrays(pairs, self.graph.n)
-        if len(s) == 0:
-            return np.zeros(0, dtype=bool)
-        if k == 0:
-            return s == t
-        if k == 1:
-            return (s == t) | has_edge_batch(self.graph, s, t, keys=self._edges())
-        member = self.reachability if k >= self.diameter else self.indexes[k]
-        return member.query_batch(np.stack([s, t], axis=1))
-
-    def storage_bytes(self) -> int:
-        """Total modeled size across all members."""
-        return self.reachability.storage_bytes() + sum(
-            ix.storage_bytes() for ix in self.indexes.values()
-        )
+        """Same §4.3 storage model as k-reach, with ``⌈lg d⌉``-bit weights."""
+        return self._ig.csr_storage_bytes(self.weight_bits())

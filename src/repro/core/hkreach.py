@@ -764,13 +764,7 @@ class HKReachIndex:
 
     def storage_bytes(self) -> int:
         """Modeled on-disk size, same scheme as k-reach but wider weights."""
-        n_h, m_h = self.cover_size, self.edge_count
-        id_bytes = 4 * n_h
-        indptr_bytes = 4 * (n_h + 1)
-        indices_bytes = 4 * m_h
-        weight_bytes = (m_h * self.weight_bits() + 7) // 8
-        bitmap_bytes = (self.graph.n + 7) // 8
-        return id_bytes + indptr_bytes + indices_bytes + weight_bytes + bitmap_bytes
+        return self._ig.csr_storage_bytes(self.weight_bits())
 
     def packed_weights(self) -> PackedIntArray:
         """Edge weights packed at ``weight_bits()`` bits (offset by k-2h).

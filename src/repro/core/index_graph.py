@@ -754,17 +754,19 @@ class IndexGraph:
                 raise ValueError(f"{name} must contain the plane below it")
             below = plane
 
-    def csr_storage_bytes(self, *, edges: int | None = None) -> int:
-        """§4.3 on-disk model for ``edges`` CSR-stored edges (default all):
-        4-byte cover ids and offsets, 4-byte targets, packed weights."""
-        if edges is None:
-            edges = self.edge_count
-        n_i = self.cover_size
+    def csr_storage_bytes(self, weight_bits: int) -> int:
+        """The paper's §4.3 storage model with ``weight_bits``-bit
+        weights: 4-byte cover ids and offsets, 4-byte targets, the packed
+        weights and an n-bit cover-membership bitmap for the O(1) case
+        dispatch.  Reads :attr:`edge_count`, so a plane-form graph
+        derives no CSR for it."""
+        n_i, edges = self.cover_size, self.edge_count
         return (
-            4 * n_i
-            + 4 * (n_i + 1)
-            + 4 * edges
-            + (edges * self.weight_bits + 7) // 8
+            4 * n_i  # cover-vertex id table
+            + 4 * (n_i + 1)  # offsets
+            + 4 * edges  # targets
+            + (edges * weight_bits + 7) // 8
+            + (self.n + 7) // 8  # cover-membership bitmap
         )
 
     def __eq__(self, other: object) -> bool:

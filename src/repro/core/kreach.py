@@ -82,7 +82,13 @@ from repro.core.vertex_cover import cover_from_strategy, is_vertex_cover
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import condensation
 
-__all__ = ["KReachIndex", "algorithm2_batch", "level_specs", "level_within"]
+__all__ = [
+    "KReachIndex",
+    "algorithm2_batch",
+    "batch_views",
+    "level_specs",
+    "level_within",
+]
 
 _BUILDERS = ("blocked", "serial")
 #: The batch engine names every in-process answerer accepts: the one
@@ -444,21 +450,12 @@ class KReachIndex:
             ).astype(bool)
         return self._flags_np
 
-    def _level_stack(self) -> list[np.ndarray] | None:
-        """The three views of :func:`level_specs` as cover-position bit
-        matrices, or None when the keyed path must answer instead.
-
-        A plane-form index answers with its stored planes.  A CSR index
-        builds them only when every distinct view fits
-        :attr:`bitset_matrix_bytes` together, in one pass on first use,
-        and caches them on the :class:`IndexGraph`.
-        """
-        ig = self._ig
-        if ig.levels is None and (
-            _stack_bytes(self.k, ig.cover_size) > self.bitset_matrix_bytes
-        ):
-            return None
-        return ig.link_matrices(level_specs(self.k))
+    def _batch_views(self) -> tuple[list[np.ndarray] | None, np.ndarray | None]:
+        """``(stack, matrix)`` of :func:`batch_views` over the
+        :func:`level_specs` views: a plane-form index answers with its
+        stored planes, a CSR index builds the views it may afford in one
+        pass on first use and caches them on the :class:`IndexGraph`."""
+        return batch_views(self._ig, level_specs(self.k), self.bitset_matrix_bytes)
 
     def prepare_batch(self) -> "KReachIndex":
         """Build the batch engine's lookup structures now.
@@ -471,9 +468,8 @@ class KReachIndex:
         query path.  Returns ``self`` for chaining.
         """
         self._flags()
-        if self._level_stack() is None:
+        if self._batch_views()[0] is None:
             self._keyed()
-            self._case4_matrix()
         return self
 
     def query_batch(self, pairs, *, engine: str = "auto") -> np.ndarray:
@@ -539,30 +535,16 @@ class KReachIndex:
         if self.k == 0:
             return s == t
         row_pos = self._ig.row_pos()
-        stack, matrix = self._level_stack(), self._case4_matrix()
+        stack, matrix = self._batch_views()
         within = level_within(
-            self.k, stack, row_pos, lambda u, v: self._keyed().lookup(u, v)
+            level_specs(self.k),
+            stack,
+            row_pos,
+            lambda u, v: self._keyed().lookup(u, v),
         )
         return algorithm2_batch(
             self.graph, s, t, self._flags(), row_pos, within, matrix, self.query
         )
-
-    def _case4_matrix(self) -> np.ndarray | None:
-        """The Case-4 link matrix, or None when it exceeds the memory gate.
-
-        The ≤k-2 view of :func:`level_specs` (so the cached level-stack
-        view whenever the stack fits): row ``i`` holds the cover
-        vertices reachable from ``cover_ids[i]`` within budget ``k-2``
-        (any stored link for n-reach), with the diagonal standing in for
-        the ``u == v`` handshake whenever a 2-hop bridge is legal.
-        Built lazily and cached on the :class:`IndexGraph`; a plane-form
-        index holds it already.
-        """
-        ig = self._ig
-        if ig.levels is None and ig.link_matrix_bytes() > self.bitset_matrix_bytes:
-            return None
-        budget, diagonal = level_specs(self.k)[0]
-        return ig.link_matrix(budget, diagonal=diagonal)
 
     def query_case_batch(self, pairs) -> np.ndarray:
         """Vectorized :meth:`query_case`: an ``(m,)`` uint8 array of 1–4."""
@@ -621,15 +603,7 @@ class KReachIndex:
         instead of a CSR).  A plane-form index counts its edges with a
         popcount, so this derives no CSR.
         """
-        n_i = self.cover_size
-        edges = self._ig.edge_count
-        return (
-            4 * n_i  # cover-vertex id table
-            + 4 * (n_i + 1)  # offsets
-            + 4 * edges  # targets
-            + (edges * self.weight_bits() + 7) // 8
-            + (self.graph.n + 7) // 8  # cover-membership bitmap
-        )
+        return self._ig.csr_storage_bytes(self.weight_bits())
 
     def packed_weights(self) -> PackedIntArray:
         """The edge weights packed at 2 bits each (0 ↦ k-2, 1 ↦ k-1, 2 ↦ k).
@@ -733,11 +707,38 @@ def _csr_scalar_view(ig: IndexGraph, k: int | None) -> tuple:
     return within, bridge
 
 
-def level_within(k: int | None, stack, row_pos: np.ndarray, lookup):
+def batch_views(
+    ig: IndexGraph, specs: list[tuple[int | None, bool]], gate: int
+) -> tuple[list[np.ndarray] | None, np.ndarray | None]:
+    """The memory gate: ``(stack, matrix)`` for :func:`algorithm2_batch`
+    over ``ig``'s views at the three level ``specs``.
+
+    ``stack`` is the three views as cover-position bit matrices when
+    ``ig`` stores them (the plane form) or when its distinct views fit
+    ``gate`` bytes together, else None (the keyed probes answer Cases
+    1–3).  ``matrix`` is the ≤k-2 view for the Case-4 bitset join: the
+    stack's first view, or that view alone while it fits ``gate``, else
+    None (the chunked cross products answer Case 4).  Views are built on
+    first use and cached on ``ig``.
+    """
+    one = ig.link_matrix_bytes()
+    if ig.levels is not None or len(set(specs)) * one <= gate:
+        stack = ig.link_matrices(specs)
+        return stack, stack[0]
+    if one > gate:
+        return None, None
+    budget, diagonal = specs[0]
+    return None, ig.link_matrix(budget, diagonal=diagonal)
+
+
+def level_within(
+    specs: list[tuple[int | None, bool]], stack, row_pos: np.ndarray, lookup
+):
     """``within(level, u, v)``: for aligned vertex arrays, whether the
-    index links each ``u[i]`` to ``v[i]`` within that level's budget
-    (level 0, 1, 2 = ≤k-2, ≤k-1, ≤k of :func:`level_specs`), the
-    handshake included.
+    index links each ``u[i]`` to ``v[i]`` within that level's budget,
+    the handshake included.  ``specs`` holds the three levels' ``(budget,
+    diagonal)`` (≤k-2, ≤k-1 and ≤k: :func:`level_specs` for a k-reach
+    index, whose every stored link is within k).
 
     With a level ``stack`` (the three views as cover-position bit
     matrices) each test is one bit probe; otherwise it is a stored-weight
@@ -759,7 +760,7 @@ def level_within(k: int | None, stack, row_pos: np.ndarray, lookup):
         return within
     levels = [
         (UNBOUNDED_BUDGET if budget is None else np.int64(budget), diagonal)
-        for budget, diagonal in level_specs(k)
+        for budget, diagonal in specs
     ]
 
     def within(level: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -784,11 +785,13 @@ def algorithm2_batch(
 ) -> np.ndarray:
     """Algorithm 2 over aligned, validated (s, t) columns with k >= 1.
 
-    The batch body shared by :class:`KReachIndex` and
-    :class:`~repro.core.dynamic.DynamicKReachIndex`.  ``graph`` supplies
-    the adjacency CSRs, ``flags`` the cover membership and ``row_pos``
-    the cover positions of the index being queried; ``within`` is its
-    :func:`level_within` probe.  Case 4 runs the bitset join on
+    The batch body shared by :class:`KReachIndex`,
+    :class:`~repro.core.dynamic.DynamicKReachIndex` and, at any hop
+    budget, :class:`~repro.core.general_k.CoverDistanceOracle`.
+    ``graph`` supplies the adjacency CSRs, ``flags`` the cover
+    membership and ``row_pos`` the cover positions of the index being
+    queried; ``within`` is its :func:`level_within` probe.  Case 4 runs
+    the bitset join on
     ``matrix`` (the ≤k-2 link view); with ``matrix=None`` it walks the
     chunked ``outNei(s) × inNei(t)`` cross products through
     ``within(0, ...)`` instead and sends hub×hub pairs to the scalar
@@ -799,7 +802,7 @@ def algorithm2_batch(
     t_in = flags[t]
     undecided = ~out
 
-    # Case 1: any stored link (s, t).
+    # Case 1: a link (s, t) within k.
     sel = np.flatnonzero(undecided & s_in & t_in)
     if len(sel):
         out[sel] = within(2, s[sel], t[sel])

@@ -246,8 +246,7 @@ def _payload_arrays(
     arrays written back to back, coerced to the on-disk dtypes.
 
     The level planes whenever the index answers from them (see
-    :meth:`KReachIndex._level_stack
-    <repro.core.kreach.KReachIndex._level_stack>`), the CSR otherwise.
+    :func:`~repro.core.kreach.batch_views`), the CSR otherwise.
     For an index whose arrays already live in the canonical dtypes
     (every index this package builds) the coercions are no-ops.
     """
@@ -260,7 +259,7 @@ def _payload_arrays(
         "graph_in_indices": [g.in_indices],
         "cover_ids": [ig.cover_ids],
     }
-    if index._level_stack() is None:
+    if index._batch_views()[0] is None:
         layout = "csr"
         arrays.update(
             index_indptr=[ig.indptr],

@@ -13,12 +13,7 @@ is an index bug.
 import numpy as np
 import pytest
 
-from repro.core.general_k import (
-    INFINITE_DISTANCE,
-    CoverDistanceOracle,
-    ExactKFamily,
-    GeometricKReachFamily,
-)
+from repro.core.general_k import INFINITE_DISTANCE, CoverDistanceOracle
 from repro.core.hkreach import HKReachIndex
 from repro.core.kreach import KReachIndex
 from repro.graph.digraph import DiGraph
@@ -114,23 +109,6 @@ def test_oracle_distance_batch_equals_scalar(name, g):
     classic = oracle.reaches_batch(pairs)
     for i, (s, t) in enumerate(pairs):
         assert classic[i] == (oracle.distance(int(s), int(t)) < INFINITE_DISTANCE)
-
-
-@pytest.mark.parametrize(
-    "name,g",
-    [("gnp-sparse", gnp_digraph(25, 0.06, seed=21)), ("paper", paper_example_graph())],
-)
-@pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 9, 30])
-def test_families_batch_equals_scalar(name, g, k):
-    geo = GeometricKReachFamily(g, max_k=8, max_k_covers_diameter=True)
-    fam = ExactKFamily(g)
-    pairs = _all_pairs(g)
-    geo_batch = geo.reaches_within_batch(pairs, k)
-    fam_batch = fam.reaches_within_batch(pairs, k)
-    for i, (s, t) in enumerate(pairs):
-        s, t = int(s), int(t)
-        assert geo_batch[i] == geo.reaches_within(s, t, k), (name, k, s, t)
-        assert fam_batch[i] == fam.reaches_within(s, t, k), (name, k, s, t)
 
 
 class TestBatchContract:

@@ -97,8 +97,8 @@ class TestKReachEngines:
         pairs = workload(g, 2, 600)
         fits = KReachIndex(g, 6)
         gated = KReachIndex(g, 6, cover=fits.cover, bitset_matrix_bytes=0)
-        assert fits._case4_matrix() is not None
-        assert gated._case4_matrix() is None  # auto falls back to chunked
+        assert fits._batch_views()[1] is not None
+        assert gated._batch_views()[1] is None  # auto falls back to chunked
         assert np.array_equal(
             fits.query_batch(pairs), gated.query_batch(pairs)
         )
@@ -125,11 +125,11 @@ class TestKReachEngines:
 
         monkeypatch.setattr(KeyedRowStore, "lookup", spy)
         expected = one_view.query_batch(pairs, engine="scalar")
-        assert one_view._level_stack() is None
-        assert one_view._case4_matrix() is not None
+        assert one_view._batch_views()[0] is None
+        assert one_view._batch_views()[1] is not None
         assert np.array_equal(one_view.query_batch(pairs), expected)
         assert lookups  # the keyed probes answered Cases 1-3
-        assert fits._level_stack() is not None
+        assert fits._batch_views()[0] is not None
         assert np.array_equal(fits.query_batch(pairs), expected)
 
     def test_nreach_stack_is_one_view(self):
@@ -141,13 +141,13 @@ class TestKReachEngines:
             cover=fits.cover,
             bitset_matrix_bytes=fits.index_graph.link_matrix_bytes(),
         )
-        le2, le1, le_k = idx._level_stack()
+        le2, le1, le_k = idx._batch_views()[0]
         assert le2 is le1 is le_k
 
     def test_prepare_batch_skips_keyed_store_when_stack_fits(self):
         g = celebrity_graph(1)
         idx = KReachIndex(g, 6).prepare_batch()
-        assert idx._level_stack() is not None
+        assert idx._batch_views()[0] is not None
         assert idx._keyed_rows is None
         gated = KReachIndex(g, 6, cover=idx.cover, bitset_matrix_bytes=0)
         assert gated.prepare_batch()._keyed_rows is not None

@@ -1,20 +1,136 @@
-"""General-k support tests (§4.4): oracle, geometric family, exact family."""
+"""General-k tests (§4.4): the cover-distance oracle, the one answerer
+for hop budgets an index was not built for.
+
+The conformance grid checks, for every k ∈ {0, 1, …, d+1, None} on every
+pair of the shared corpus plus a power-law celebrity graph, that batch ≡
+scalar ≡ BFS on each path the memory gate picks: the level stack, keyed
+probes with the one-view Case-4 join, and chunked cross products (with
+and without the hub×hub spill to the scalar answer).
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.general_k import (
-    INFINITE_DISTANCE,
-    CoverDistanceOracle,
-    ExactKFamily,
-    GeometricKReachFamily,
-    KHopAnswer,
-)
+import repro.core.kreach as kreach_module
+from repro.core.batch import plan_cross_products
+from repro.core.general_k import INFINITE_DISTANCE, CoverDistanceOracle
+from repro.core.kreach import KReachIndex, batch_views
 from repro.graph.digraph import DiGraph
-from repro.graph.generators import cycle_graph, gnp_digraph, path_graph
+from repro.graph.generators import cycle_graph, path_graph
 from repro.graph.traversal import UNREACHED, bfs_distances
 
-from tests.conftest import all_pairs, brute_force_khop, graph_corpus
+from tests.conftest import graph_corpus
+from tests.core.test_bitset_join import celebrity_graph
+
+CONFORMANCE_GRAPHS = [*graph_corpus(), celebrity_graph(1)]
+
+
+def gated_oracle(g: DiGraph, path: str) -> CoverDistanceOracle:
+    """An oracle on ``g`` whose memory gate admits the level stack
+    (``'stack'``), one view but not three (``'one view'``), or no view
+    (``'chunked'``)."""
+    oracle = CoverDistanceOracle(g)
+    gate = {
+        "stack": oracle.bitset_matrix_bytes,
+        "one view": oracle.index_graph.link_matrix_bytes(),
+        "chunked": 0,
+    }[path]
+    return CoverDistanceOracle(g, cover=oracle.cover, bitset_matrix_bytes=gate)
+
+
+def bfs_truth(g: DiGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``(s, t)`` pair of ``g`` and its BFS distance (UNREACHED if none)."""
+    pairs = np.array(
+        [(s, t) for s in range(g.n) for t in range(g.n)], dtype=np.int64
+    ).reshape(-1, 2)
+    dist = np.array([bfs_distances(g, s) for s in range(g.n)], dtype=np.int64)
+    return pairs, dist.reshape(-1)
+
+
+def budgets(dist: np.ndarray) -> list[int | None]:
+    """k ∈ {0, 1, …, d+1, None} for the diameter d of ``dist``."""
+    return [*range(int(dist.max(initial=0)) + 2), None]
+
+
+def within(dist: np.ndarray, k: int | None) -> np.ndarray:
+    reached = dist != UNREACHED
+    return reached if k is None else reached & (dist <= k)
+
+
+@pytest.mark.parametrize("path", ["stack", "one view", "chunked"])
+@pytest.mark.parametrize("g", CONFORMANCE_GRAPHS, ids=repr)
+def test_batch_equals_scalar_equals_bfs(g, path):
+    oracle = gated_oracle(g, path)
+    ig = oracle.index_graph
+    if ig.cover_size:
+        stack, matrix = batch_views(
+            ig, [(0, True), (1, True), (2, True)], oracle.bitset_matrix_bytes
+        )
+        assert (stack is not None, matrix is not None) == {
+            "stack": (True, True),
+            "one view": (False, True),
+            "chunked": (False, False),
+        }[path]
+    pairs, dist = bfs_truth(g)
+    for k in budgets(dist):
+        truth = within(dist, k)
+        batch = oracle.reaches_within_batch(pairs, k)
+        assert batch.dtype == bool and np.array_equal(batch, truth), (path, k)
+        scalar = [oracle.reaches_within(s, t, k) for s, t in pairs.tolist()]
+        assert np.array_equal(np.array(scalar, dtype=bool), truth), (path, k)
+    reached = within(dist, None)
+    assert np.array_equal(oracle.reaches_batch(pairs), reached)
+    assert [oracle.reaches(s, t) for s, t in pairs.tolist()] == reached.tolist()
+
+
+def test_hub_spill_answers_exactly(monkeypatch):
+    """Past every view, hub×hub Case-4 pairs go to the scalar answer: a
+    one-element chunk budget sends every larger cross product there."""
+    g = celebrity_graph(1)
+    oracle = gated_oracle(g, "chunked")
+    spilled = []
+
+    def tiny_chunks(graph, s, t):
+        big, chunks = plan_cross_products(graph, s, t, chunk=1)
+        spilled.append(len(big))
+        return big, chunks
+
+    monkeypatch.setattr(kreach_module, "plan_cross_products", tiny_chunks)
+    pairs, dist = bfs_truth(g)
+    for k in budgets(dist):
+        assert np.array_equal(
+            oracle.reaches_within_batch(pairs, k), within(dist, k)
+        ), k
+    assert sum(spilled) > 0
+
+
+class TestScalarIds:
+    """Scalar ids go through the one index-wide check: floats are a
+    typed error, and a bool is the vertex it equals (as in KReachIndex)."""
+
+    CALLS = {
+        "distance": lambda o, s, t: o.distance(s, t),
+        "reaches_within": lambda o, s, t: o.reaches_within(s, t, 2),
+        "reaches": lambda o, s, t: o.reaches(s, t),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_float_id_is_a_value_error(self, name):
+        oracle = CoverDistanceOracle(cycle_graph(5))
+        with pytest.raises(ValueError, match="integer ids"):
+            self.CALLS[name](oracle, 0, 1.7)
+        with pytest.raises(ValueError, match="integer ids"):
+            KReachIndex(cycle_graph(5), 2).query(0, 1.7)
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_bool_id_is_that_vertex(self, name):
+        g = cycle_graph(5)
+        oracle = CoverDistanceOracle(g)
+        call = self.CALLS[name]
+        for t in range(g.n):
+            assert call(oracle, True, t) == call(oracle, 1, t), t
+            assert call(oracle, t, False) == call(oracle, t, 0), t
+        assert KReachIndex(g, 2).query(True, 3) == oracle.reaches_within(True, 3, 2)
 
 
 class TestCoverDistanceOracle:
@@ -36,6 +152,8 @@ class TestCoverDistanceOracle:
         assert not oracle.reaches_within(0, 4, 3)
         with pytest.raises(ValueError):
             oracle.reaches_within(0, 4, -1)
+        with pytest.raises(ValueError):
+            oracle.reaches_within_batch([(0, 4)], -1)
 
     def test_reaches(self):
         g = DiGraph(4, [(0, 1), (2, 3)])
@@ -61,112 +179,3 @@ class TestCoverDistanceOracle:
         assert oracle.storage_bytes() > 0
         assert oracle.cover_size > 0
         assert oracle.edge_count >= 0
-
-
-class TestGeometricFamily:
-    def test_levels_are_powers_of_two(self):
-        fam = GeometricKReachFamily(path_graph(20), max_k=16)
-        assert fam.levels == [2, 4, 8, 16]
-        assert fam.num_levels == 4
-
-    def test_max_k_rounds_up(self):
-        fam = GeometricKReachFamily(path_graph(20), max_k=9)
-        assert fam.max_k == 16
-
-    def test_tiny_max_k_clamped(self):
-        fam = GeometricKReachFamily(path_graph(4), max_k=1)
-        assert fam.max_k == 2
-
-    def test_exact_answers_are_correct_on_corpus(self):
-        for g in graph_corpus():
-            fam = GeometricKReachFamily(g)  # default max_k = n-1: covers d
-            for s, t in all_pairs(g):
-                for k in (0, 1, 2, 3, 5, 9):
-                    ans = fam.query(s, t, k)
-                    truth = brute_force_khop(g, s, t, k)
-                    if ans.exact:
-                        assert ans.reachable == truth, (g, s, t, k)
-                    else:
-                        assert ans.reachable and not truth or ans.reachable
-                        assert ans.upper_bound is not None
-                        assert brute_force_khop(g, s, t, ans.upper_bound)
-
-    def test_refine_tightens_bounds(self):
-        g = path_graph(20)
-        fam = GeometricKReachFamily(g, max_k=16, max_k_covers_diameter=True)
-        # dist(0, 3) = 3; k=3 probes the 4-index: hit with level 4 > 3, but
-        # refine finds the 2-index misses and certifies nothing tighter...
-        ans = fam.query(0, 3, 3, refine=True)
-        assert ans.reachable
-        # dist(0, 2) = 2: refine should find the 2-level and make it exact
-        ans2 = fam.query(0, 2, 3, refine=True)
-        assert ans2.exact and ans2.reachable
-
-    def test_band_semantics(self):
-        # dist(0, 4) = 4: query with k=3 probes the 4-index -> approximate
-        g = path_graph(10)
-        fam = GeometricKReachFamily(g, max_k=8, max_k_covers_diameter=True)
-        ans = fam.query(0, 4, 3)
-        assert ans.reachable and not ans.exact and ans.upper_bound == 4
-        assert bool(ans) is True
-
-    def test_no_beyond_top_level_is_exact_when_covering(self):
-        g = path_graph(6)
-        fam = GeometricKReachFamily(g, max_k=8, max_k_covers_diameter=True)
-        ans = fam.query(5, 0, 100)
-        assert not ans.reachable and ans.exact
-
-    def test_k_validation(self):
-        fam = GeometricKReachFamily(path_graph(4))
-        with pytest.raises(ValueError):
-            fam.query(0, 1, -1)
-
-    def test_k0_k1_shortcuts(self):
-        g = path_graph(4)
-        fam = GeometricKReachFamily(g)
-        assert fam.query(1, 1, 0) == KHopAnswer(True, True)
-        assert fam.query(0, 1, 0) == KHopAnswer(False, True)
-        assert fam.query(0, 1, 1).reachable
-        assert not fam.query(0, 2, 1).reachable
-
-    def test_reaches_within_bool_view(self):
-        fam = GeometricKReachFamily(path_graph(6))
-        assert fam.reaches_within(0, 3, 4)
-
-    def test_storage_is_sum_of_levels(self):
-        fam = GeometricKReachFamily(path_graph(10), max_k=8)
-        assert fam.storage_bytes() == sum(
-            ix.storage_bytes() for ix in fam.indexes.values()
-        )
-
-
-class TestExactKFamily:
-    def test_matches_bfs_all_k_on_corpus(self):
-        for g in graph_corpus():
-            fam = ExactKFamily(g)
-            for s, t in all_pairs(g):
-                for k in (0, 1, 2, 3, 4, 6, 50):
-                    assert fam.reaches_within(s, t, k) == brute_force_khop(
-                        g, s, t, k
-                    ), (g, s, t, k)
-
-    def test_beyond_diameter_uses_reachability(self):
-        g = cycle_graph(5)
-        fam = ExactKFamily(g)
-        assert fam.reaches_within(0, 4, 100)
-
-    def test_k_validation(self):
-        fam = ExactKFamily(path_graph(4))
-        with pytest.raises(ValueError):
-            fam.reaches_within(0, 1, -1)
-
-    def test_explicit_diameter(self):
-        fam = ExactKFamily(path_graph(8), diameter=7)
-        assert fam.diameter == 7
-        assert fam.reaches_within(0, 7, 7)
-        assert not fam.reaches_within(0, 7, 6)
-
-    def test_storage_counts_all_members(self):
-        fam = ExactKFamily(path_graph(8))
-        assert fam.storage_bytes() > 0
-        assert len(fam.indexes) == fam.diameter - 1

@@ -11,6 +11,8 @@ structure's views and conversion helpers.
 import numpy as np
 import pytest
 
+from repro.core.general_k import CoverDistanceOracle
+from repro.core.hkreach import HKReachIndex
 from repro.core.index_graph import (
     IndexGraph,
     cover_triples_blocked,
@@ -169,6 +171,23 @@ class TestSharedStorageConsumers:
         idx = KReachIndex(g, 3).prepare_batch()
         store = idx._keyed()
         assert store._keys is idx.index_graph.keys()
+
+    def test_one_storage_model(self):
+        """Every index's ``storage_bytes()`` is the one §4.3 model,
+        :meth:`IndexGraph.csr_storage_bytes`, at its own weight width;
+        the pinned values were read before the model was shared."""
+        g = gnp_digraph(60, 0.06, seed=5)
+        planes = KReachIndex(g, 6)
+        assert planes.storage_bytes() == 12140
+        assert planes.index_graph._targets is None  # no CSR derived
+        assert KReachIndex(g, 6, bitset_matrix_bytes=0).storage_bytes() == 12140
+        assert KReachIndex(g, None).storage_bytes() == 11472
+        assert HKReachIndex(g, 2, 6).storage_bytes() == 4608
+        oracle = CoverDistanceOracle(g)
+        assert oracle.storage_bytes() == 12506
+        assert oracle.storage_bytes() == oracle.index_graph.csr_storage_bytes(
+            oracle.weight_bits()
+        )
 
 
 class TestDuplicateTriples:

@@ -487,7 +487,7 @@ class TestPlaneFile:
         assert ig._targets is None and not ig._matrices
         raw = np.frombuffer(ig.cover_ids.base.base.obj, dtype=np.uint8)
         assert isinstance(ig.cover_ids.base.base.obj, mmap.mmap)
-        for plane in loaded._level_stack():
+        for plane in loaded._batch_views()[0]:
             assert not plane.flags.writeable
             assert np.shares_memory(plane, raw)
         with pytest.raises(ValueError):
@@ -526,13 +526,13 @@ class TestPlaneFile:
         index = KReachIndex(graph, 6)
         pairs = all_pairs(graph.n)
         loaded = load_mmap(saved(tmp_path, index), bitset_matrix_bytes=0)
-        assert loaded._level_stack() is not None
+        assert loaded._batch_views()[0] is not None
         assert not loaded.index_graph._matrices
         assert np.array_equal(loaded.query_batch(pairs), index.query_batch(pairs))
         csr = load_mmap(
             saved(tmp_path, csr_index(graph, 6), "csr.kr"), bitset_matrix_bytes=0
         )
-        assert csr._level_stack() is None and csr._case4_matrix() is None
+        assert csr._batch_views()[0] is None and csr._batch_views()[1] is None
         assert np.array_equal(csr.query_batch(pairs), index.query_batch(pairs))
 
     def test_missing_plane_section(self, tmp_path, path):

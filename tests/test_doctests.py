@@ -13,6 +13,7 @@ import repro.baselines.pwah
 import repro.baselines.transitive_closure
 import repro.bench.report
 import repro.core.batch
+import repro.core.general_k
 import repro.bitsets.bitset
 import repro.bitsets.packed
 import repro.bitsets.wah
@@ -33,6 +34,7 @@ MODULES = [
     repro.core.index_graph,
     repro.core.kreach,
     repro.core.batch,
+    repro.core.general_k,
     repro.core.hkreach,
     repro.core.serve,
     repro.native,

@@ -17,7 +17,7 @@ from repro.baselines import (
     PwahIndex,
     TransitiveClosureIndex,
 )
-from repro.core import ExactKFamily, HKReachIndex, KReachIndex
+from repro.core import CoverDistanceOracle, HKReachIndex, KReachIndex
 from repro.datasets import load
 from repro.workloads import random_pairs
 
@@ -49,16 +49,18 @@ def test_all_indexes_agree_on_dataset_standins(name):
 def test_khop_indexes_agree_on_dataset_standins(name):
     g = load(name, scale=0.02)
     bfs = BfsIndex(g)
-    fam = ExactKFamily(g)
+    oracle = CoverDistanceOracle(g)
     pll = PrunedLandmarkIndex(g)
     pairs = random_pairs(g.n, 80, rng=np.random.default_rng(1))
     for k in (1, 2, 3, 6):
         idx = KReachIndex(g, k)
-        for s, t in pairs:
+        batch = oracle.reaches_within_batch(pairs, k)
+        for (s, t), in_batch in zip(pairs, batch):
             s, t = int(s), int(t)
             expected = bfs.reaches_within(s, t, k)
             assert idx.query(s, t) == expected, (name, k, s, t)
-            assert fam.reaches_within(s, t, k) == expected, (name, k, s, t)
+            assert oracle.reaches_within(s, t, k) == expected, (name, k, s, t)
+            assert in_batch == expected, (name, k, s, t)
             assert pll.reaches_within(s, t, k) == expected, (name, k, s, t)
 
 
