@@ -5,9 +5,8 @@ Exercises the three operational features around the core index:
 
 * §4.1.3 — the BFS sweeps from the cover vertices are independent, so
   "it is straightforward to parallelize this process": the default
-  builder runs 64 of them as one bit-parallel sweep
-  (`builder='blocked'`), bit-identical to one BFS per cover vertex
-  (`builder='serial'`);
+  build runs 64 of them as one bit-parallel sweep, bit-identical to one
+  BFS per cover vertex (`cover_triples_serial`);
 * §4.3 — rows stored as a CSR with 2-bit weights, which the batch
   engine reads as bit views ("locate the corresponding bits … instead
   of searching the list of neighbors"): `storage_bytes`, `query_batch`;
@@ -22,7 +21,13 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.core import KReachIndex, load_mmap, save_mmap
+from repro.core import (
+    IndexGraph,
+    KReachIndex,
+    cover_triples_serial,
+    load_mmap,
+    save_mmap,
+)
 from repro.datasets import load
 
 
@@ -40,12 +45,13 @@ def main() -> None:
     # 1. Per-source vs bit-parallel construction (§4.1.3).
     # ------------------------------------------------------------------
     t0 = time.perf_counter()
-    serial = KReachIndex(g, k, builder="serial")
-    serial_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    blocked = KReachIndex(g, k, cover=serial.cover)
+    index = KReachIndex(g, k)
     blocked_s = time.perf_counter() - t0
-    assert serial.weighted_edges() == blocked.weighted_edges()
+    cover = index.cover
+    t0 = time.perf_counter()
+    serial = IndexGraph.for_kreach(g.n, cover, *cover_triples_serial(g, cover, k), k)
+    serial_s = time.perf_counter() - t0
+    assert serial == index.index_graph
     print(f"  per-source build: {serial_s*1e3:7.1f} ms")
     print(f"  blocked build:    {blocked_s*1e3:7.1f} ms "
           "(64 sources per sweep, identical rows ✓)")
@@ -53,12 +59,12 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 2. The §4.3 row layout, read as bits by the batch engine.
     # ------------------------------------------------------------------
-    print(f"  §4.3 layout: {serial.storage_bytes()/1e6:6.2f} MB "
-          f"({serial.cover_size} cover rows, {serial.edge_count} edges, "
-          f"{serial.weight_bits()}-bit weights)")
+    print(f"  §4.3 layout: {index.storage_bytes()/1e6:6.2f} MB "
+          f"({index.cover_size} cover rows, {index.edge_count} edges, "
+          f"{index.weight_bits()}-bit weights)")
     sample = [(s % g.n, (s * 13 + 5) % g.n) for s in range(500)]
-    batch = serial.query_batch(sample)
-    assert batch.tolist() == [serial.query(s, t) for s, t in sample]
+    batch = index.query_batch(sample)
+    assert batch.tolist() == [index.query(s, t) for s, t in sample]
     print("  bit-probe batch answers == per-pair loop on 500 sampled queries ✓")
 
     # ------------------------------------------------------------------
@@ -66,12 +72,12 @@ def main() -> None:
     # ------------------------------------------------------------------
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "citeseer-6reach.kr6"
-        save_mmap(serial, path)
+        save_mmap(index, path)
         on_disk = path.stat().st_size
         t0 = time.perf_counter()
         loaded = load_mmap(path)
         load_s = time.perf_counter() - t0
-        assert all(serial.query(s, t) == loaded.query(s, t) for s, t in sample)
+        assert all(index.query(s, t) == loaded.query(s, t) for s, t in sample)
         print(f"  on disk: {on_disk/1e6:.2f} MB (v6 index file), opened in "
               f"{load_s*1e3:.2f} ms, answers identical ✓")
 

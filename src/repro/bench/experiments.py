@@ -10,12 +10,20 @@ pure Python; what the harness is built to check is the paper's *shape*
 claims: who builds faster, who answers faster and by roughly what factor,
 where the "-" failures occur, how flat k-reach's query time is in k, and
 how the (h,k) tradeoff moves sizes and latencies.
+
+The experiments share three pieces: :func:`_per_dataset` makes the
+one-row-per-dataset tables, :class:`_Totals` writes every TOTAL row and
+ratio, and :func:`_served` is the one served-throughput loop under
+``serve``, ``shard`` and ``native``.
 """
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass, field
 from functools import partial
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -28,9 +36,10 @@ from repro.baselines import (
     PrunedLandmarkIndex,
     PwahIndex,
 )
-from repro.bench.report import Table, fmt_mb, fmt_pct, fmt_us
+from repro.bench.report import Table, fmt_mb, fmt_pct, fmt_ratio, fmt_us
 from repro.bench.runner import (
     BuildOutcome,
+    best_of,
     build_index,
     time_batch_queries,
     time_queries,
@@ -40,9 +49,18 @@ from repro.core import (
     CoverDistanceOracle,
     DynamicKReachIndex,
     HKReachIndex,
+    IndexGraph,
     KReachIndex,
+    QueryServer,
+    ShardedQueryServer,
+    ThreadQueryServer,
+    cover_triples_serial,
     greedy_vertex_cover,
     hhop_vertex_cover,
+    load_mmap,
+    partition_kreach,
+    save_mmap,
+    save_sharded,
     vertex_cover_2approx,
 )
 from repro.core.kreach import level_specs
@@ -98,42 +116,42 @@ class SuiteConfig:
     seed: int = 7
     serve_workers: tuple[int, ...] = (1, 2, 4, 8)  # pool sizes for 'serve'
     repeat: int = 1  # timings report the median of this many runs
-    condense: bool = False  # 'ingest': also SCC-condense + build an index
     ingest_mb: int = 32  # 'ingest': streamed sort budget (KREACH_INGEST_MB)
     ingest_edges: int = 200_000  # 'ingest': synthetic edge-file size
     _cache: dict = field(default_factory=dict, repr=False)
 
+    def _cached(self, key: tuple, make: Callable[[], object]):
+        if key not in self._cache:
+            self._cache[key] = make()
+        return self._cache[key]
+
     def graph(self, name: str):
         """Build (and cache) a dataset stand-in."""
-        key = ("graph", name)
-        if key not in self._cache:
-            self._cache[key] = spec(name).build(scale=self.scale)
-        return self._cache[key]
+        return self._cached(("graph", name), lambda: spec(name).build(scale=self.scale))
 
     def pairs(self, name: str) -> np.ndarray:
         """The random query workload for a dataset (cached)."""
-        key = ("pairs", name)
-        if key not in self._cache:
-            g = self.graph(name)
-            rng = np.random.default_rng(self.seed)
-            self._cache[key] = random_pairs(g.n, self.queries, rng=rng)
-        return self._cache[key]
+        rng = np.random.default_rng(self.seed)
+        return self._cached(
+            ("pairs", name),
+            lambda: random_pairs(self.graph(name).n, self.queries, rng=rng),
+        )
 
     def mu(self, name: str) -> int:
         """Measured median shortest-path length of the stand-in (cached)."""
-        key = ("mu", name)
-        if key not in self._cache:
+
+        def measure() -> int:
             g = self.graph(name)
-            sample = min(g.n, 400)
             rng = np.random.default_rng(self.seed)
-            _, mu = shortest_path_stats(g, sample_size=sample, rng=rng)
-            self._cache[key] = max(2, mu)
-        return self._cache[key]
+            _, mu = shortest_path_stats(g, sample_size=min(g.n, 400), rng=rng)
+            return max(2, mu)
+
+        return self._cached(("mu", name), measure)
 
     def reachability_builds(self, name: str) -> dict[str, BuildOutcome]:
         """Build the Table 3/4/5 index field for a dataset (cached)."""
-        key = ("builds", name)
-        if key not in self._cache:
+
+        def build() -> dict[str, BuildOutcome]:
             g = self.graph(name)
             chain_budget = _CHAIN_COVER_BUDGET_PER_VERTEX * g.n
             factories = {
@@ -143,138 +161,205 @@ class SuiteConfig:
                 "GRAIL": lambda: GrailIndex(g, num_labels=3, seed=self.seed),
                 "PWAH": lambda: PwahIndex(g),
             }
-            self._cache[key] = {
+            return {
                 label: build_index(label, factory)
                 for label, factory in factories.items()
             }
-        return self._cache[key]
+
+        return self._cached(("builds", name), build)
+
+    def reachability_query_us(self, name: str) -> dict[str, float]:
+        """Table 5's µs/query per built index over :meth:`pairs` (cached,
+        so Table 6 ranks the same timings)."""
+
+        def measure() -> dict[str, float]:
+            timings = {}
+            for label, outcome in self.reachability_builds(name).items():
+                if not outcome.ok:
+                    continue
+                if label != "n-reach":
+                    query_batch = outcome.index.reaches_batch
+                else:
+                    query_batch = outcome.index.prepare_batch().query_batch
+                timings[label] = time_batch_queries(
+                    query_batch, self.pairs(name)
+                ).us_per_query
+            return timings
+
+        return self._cached(("query_us", name), measure)
 
 
 _REACH_INDEXES = ("n-reach", "PTree", "3-hop", "GRAIL", "PWAH")
 
 
+def _per_dataset(
+    config: SuiteConfig,
+    title: str,
+    columns: list[str],
+    row: Callable[[str], dict | None],
+    caption: str | None = None,
+) -> Table:
+    """A table with one row per dataset: ``{"dataset": name, **row(name)}``.
+
+    ``row`` returning ``None`` leaves the dataset out of the table.
+    """
+    table = Table(title, ["dataset", *columns], caption=caption)
+    for name in config.datasets:
+        cells = row(name)
+        if cells is not None:
+            table.add_row({"dataset": name, **cells})
+    return table
+
+
+class _Totals:
+    """A table's TOTAL row, summed as its rows are added.
+
+    Each row brings its raw quantity per summed column: seconds, shown
+    in milliseconds, unless ``units`` names a formatter or ``per`` names
+    the column to divide by (bytes per edge); a cell the row sets itself
+    is kept.  ``speedup=(a, b)`` writes ``fmt_ratio(a / b)`` to every row
+    and the TOTAL, whose ``agree`` is yes only if every row agreed.
+    """
+
+    def __init__(self, *, speedup=None, units=None, per=None) -> None:
+        self.speedup = speedup
+        self.units = units or {}
+        self.per = per
+        self.sums: dict[str, float] = {}
+        self.agree = True
+
+    def _fill(self, row: dict, sums: dict) -> dict:
+        for col, value in sums.items():
+            if col == self.per:
+                cell = value
+            elif self.per:
+                cell = value / max(1, sums[self.per])
+            else:
+                cell = self.units.get(col, lambda s: 1e3 * s)(value)
+            row.setdefault(col, cell)
+        if self.speedup:
+            a, b = self.speedup
+            row["speedup"] = fmt_ratio(sums[a] / max(sums[b], 1e-9))
+        return row
+
+    def add(self, row: dict, sums: dict, agree: bool | None = None) -> dict:
+        """Count ``row`` into the totals; returns it with its cells filled."""
+        for col, value in sums.items():
+            self.sums[col] = self.sums.get(col, 0) + value
+        if agree is not None:
+            self.agree &= agree
+            row["agree"] = "yes" if agree else "NO"
+        return self._fill(row, sums)
+
+    def close(self, table: Table) -> Table:
+        """Append the TOTAL row to ``table`` and return the table."""
+        row: dict[str, object] = {table.columns[0]: "TOTAL"}
+        if "agree" in table.columns:
+            row["agree"] = "yes" if self.agree else "NO"
+        table.add_row(self._fill(row, self.sums))
+        return table
+
+
+#: Table 2's columns: (column, the GraphSummary / DatasetSpec field, whether
+#: the published value scales with the stand-in).
+_TABLE2_COLUMNS = (
+    ("|V|", "n", True), ("|E|", "m", True), ("|V_DAG|", "n_dag", True),
+    ("|E_DAG|", "m_dag", True), ("Degmax", "deg_max", True),
+    ("d", "diameter", False), ("mu", "mu", False),
+)
+
+
 def run_table2(config: SuiteConfig) -> Table:
     """Table 2: dataset statistics, generated vs published."""
-    table = Table(
+
+    def row(name: str) -> dict:
+        g = config.graph(name)
+        s = spec(name)
+        rng = np.random.default_rng(config.seed)
+        summ = summarize(g, sample_size=min(g.n, 600), rng=rng)
+        return {
+            col: f"{getattr(summ, field)} / "
+            f"{getattr(s, field) * (config.scale if scaled else 1):.0f}"
+            for col, field, scaled in _TABLE2_COLUMNS
+        }
+
+    return _per_dataset(
+        config,
         f"Table 2 — dataset statistics (scale={config.scale}; "
         "'/' separates measured vs paper-at-scale)",
-        ["dataset", "|V|", "|E|", "|V_DAG|", "|E_DAG|", "Degmax", "d", "mu"],
+        [col for col, _, _ in _TABLE2_COLUMNS],
+        row,
         caption=(
             "Published values are scaled by the same factor as the stand-in "
             "for |V|/|E|/Degmax (d and µ are scale-invariant targets)."
         ),
     )
-    for name in config.datasets:
-        g = config.graph(name)
-        s = spec(name)
-        sample = min(g.n, 600)
-        summ = summarize(g, sample_size=sample, rng=np.random.default_rng(config.seed))
-        f = config.scale
-
-        def pair(measured: int | float, published: float) -> str:
-            return f"{measured} / {published:.0f}"
-
-        table.add_row(
-            {
-                "dataset": name,
-                "|V|": pair(summ.n, s.n * f),
-                "|E|": pair(summ.m, s.m * f),
-                "|V_DAG|": pair(summ.n_dag, s.n_dag * f),
-                "|E_DAG|": pair(summ.m_dag, s.m_dag * f),
-                "Degmax": pair(summ.deg_max, s.deg_max * f),
-                "d": pair(summ.diameter, s.diameter),
-                "mu": pair(summ.mu, s.mu),
-            }
-        )
-    return table
 
 
 def run_table3_4_5(config: SuiteConfig) -> tuple[Table, Table, Table]:
     """Tables 3 (construction ms), 4 (size MB), 5 (query µs/query)."""
-    t3 = Table(
-        f"Table 3 — index construction time, ms (scale={config.scale})",
-        ["dataset", *_REACH_INDEXES],
-        caption="'-' = construction exceeded its budget (paper: time/memory).",
-    )
-    t4 = Table(
-        f"Table 4 — index size, MB (scale={config.scale})",
-        ["dataset", *_REACH_INDEXES],
-    )
-    t5 = Table(
-        f"Table 5 — reachability query cost, µs/query over "
-        f"{config.queries} random queries (scale={config.scale}; "
-        "batch query engine)",
-        ["dataset", *_REACH_INDEXES],
-        caption=(
+
+    def built(name: str, cell: Callable[[BuildOutcome], object]) -> dict:
+        builds = config.reachability_builds(name).items()
+        return {label: cell(out) if out.ok else None for label, out in builds}
+
+    def query_us(name: str) -> dict:
+        timings = config.reachability_query_us(name)
+        return {label: fmt_us(us) for label, us in timings.items()}
+
+    specs = (
+        (
+            f"Table 3 — index construction time, ms (scale={config.scale})",
+            lambda name: built(name, lambda out: 1e3 * (out.seconds or 0.0)),
+            "'-' = construction exceeded its budget (paper: time/memory).",
+        ),
+        (
+            f"Table 4 — index size, MB (scale={config.scale})",
+            lambda name: built(name, lambda out: fmt_mb(out.storage_bytes)),
+            None,
+        ),
+        (
+            f"Table 5 — reachability query cost, µs/query over "
+            f"{config.queries} random queries (scale={config.scale}; "
+            "batch query engine)",
+            query_us,
             "All columns run the bulk batch API: n-reach through its "
             "vectorized engine, comparators through the generic "
             "scalar-loop fallback — so cells measure each index's cost "
             "to serve the whole workload, not loop-for-loop parity with "
-            "the paper's per-query methodology."
+            "the paper's per-query methodology.",
         ),
     )
-    for name in config.datasets:
-        builds = config.reachability_builds(name)
-        pairs = config.pairs(name)
-        row3: dict[str, object] = {"dataset": name}
-        row4: dict[str, object] = {"dataset": name}
-        row5: dict[str, object] = {"dataset": name}
-        for label in _REACH_INDEXES:
-            outcome = builds[label]
-            if not outcome.ok:
-                row3[label] = None
-                row4[label] = None
-                row5[label] = None
-                continue
-            row3[label] = 1e3 * (outcome.seconds or 0.0)
-            row4[label] = fmt_mb(outcome.storage_bytes)
-            if label != "n-reach":
-                query_batch = outcome.index.reaches_batch
-            else:
-                query_batch = outcome.index.prepare_batch().query_batch
-            timing = time_batch_queries(query_batch, pairs)
-            row5[label] = fmt_us(timing.us_per_query)
-        t3.add_row(row3)
-        t4.add_row(row4)
-        t5.add_row(row5)
+    t3, t4, t5 = (
+        _per_dataset(config, title, list(_REACH_INDEXES), row, caption)
+        for title, row, caption in specs
+    )
     return t3, t4, t5
 
 
 def run_table6(config: SuiteConfig) -> Table:
-    """Table 6: average performance rank per index (1 = best)."""
+    """Table 6: mean performance rank per index (1 = best) over the
+    builds and timings of Tables 3–5; failed builds rank last."""
     ranks: dict[str, dict[str, list[int]]] = {
         metric: {label: [] for label in _REACH_INDEXES}
         for metric in ("indexing_time", "index_size", "query_time")
     }
     for name in config.datasets:
         builds = config.reachability_builds(name)
-        pairs = config.pairs(name)
+        ok = [label for label in _REACH_INDEXES if builds[label].ok]
         metric_values: dict[str, dict[str, float]] = {
-            "indexing_time": {},
-            "index_size": {},
-            "query_time": {},
+            "indexing_time": {label: builds[label].seconds or 0.0 for label in ok},
+            "index_size": {
+                label: float(builds[label].storage_bytes or 0) for label in ok
+            },
+            "query_time": config.reachability_query_us(name),
         }
-        for label in _REACH_INDEXES:
-            outcome = builds[label]
-            if not outcome.ok:
-                continue
-            metric_values["indexing_time"][label] = outcome.seconds or 0.0
-            metric_values["index_size"][label] = float(outcome.storage_bytes or 0)
-            if label != "n-reach":
-                query_batch = outcome.index.reaches_batch
-            else:
-                query_batch = outcome.index.prepare_batch().query_batch
-            metric_values["query_time"][label] = time_batch_queries(
-                query_batch, pairs
-            ).us_per_query
         for metric, values in metric_values.items():
             ordered = sorted(values, key=values.get)  # type: ignore[arg-type]
-            for position, label in enumerate(ordered, start=1):
-                ranks[metric][label].append(position)
-            # Failed builds rank last.
             for label in _REACH_INDEXES:
-                if label not in values:
-                    ranks[metric][label].append(len(_REACH_INDEXES))
+                ranks[metric][label].append(
+                    ordered.index(label) + 1 if label in values else len(_REACH_INDEXES)
+                )
 
     table = Table(
         f"Table 6 — mean performance rank, 1 = best (scale={config.scale}; "
@@ -282,77 +367,68 @@ def run_table6(config: SuiteConfig) -> Table:
         ["metric", *_REACH_INDEXES],
         caption="Paper ranks from Table 6 of the paper.",
     )
-    for metric, paper_key in (
-        ("indexing_time", "indexing_time"),
-        ("index_size", "index_size"),
-        ("query_time", "query_time"),
-    ):
+    for metric, by_label in ranks.items():
         row: dict[str, object] = {"metric": metric}
-        for label in _REACH_INDEXES:
-            ours = np.mean(ranks[metric][label]) if ranks[metric][label] else None
-            paper = paper_tables.RANKINGS[paper_key][label]
-            row[label] = f"{ours:.1f} / {paper}" if ours is not None else f"- / {paper}"
+        for label, positions in by_label.items():
+            paper = paper_tables.RANKINGS[metric][label]
+            ours = f"{np.mean(positions):.1f}" if positions else "-"
+            row[label] = f"{ours} / {paper}"
         table.add_row(row)
     return table
 
 
 def run_table7(config: SuiteConfig) -> Table:
     """Table 7: k-reach for k = 2, 4, 6, µ, n vs µ-BFS and µ-dist."""
-    table = Table(
-        f"Table 7 — k-hop query cost, µs/query (scale={config.scale}, "
-        f"{config.queries} queries; µ-BFS/µ-dist over {config.bfs_queries})",
-        ["dataset", "2-reach", "4-reach", "6-reach", "mu-reach", "n-reach",
-         "mu-BFS", "mu-dist"],
-        caption="µ = measured median shortest-path length of the stand-in.",
-    )
-    for name in config.datasets:
+
+    def row(name: str) -> dict:
         g = config.graph(name)
         pairs = config.pairs(name)
         sub_pairs = pairs[: config.bfs_queries]
         mu = config.mu(name)
-        row: dict[str, object] = {"dataset": name}
+        cells: dict[str, object] = {}
         cover = vertex_cover_2approx(g)
         for k, label in ((2, "2-reach"), (4, "4-reach"), (6, "6-reach"),
                          (mu, "mu-reach"), (None, "n-reach")):
             idx = KReachIndex(g, k, cover=cover).prepare_batch()
-            row[label] = fmt_us(
+            cells[label] = fmt_us(
                 time_batch_queries(idx.query_batch, pairs).us_per_query
             )
-        bfs = BfsIndex(g)
-        row["mu-BFS"] = fmt_us(
-            time_batch_queries(
-                lambda p: bfs.reaches_within_batch(p, mu), sub_pairs
-            ).us_per_query
-        )
-        dist = PrunedLandmarkIndex(g)
-        row["mu-dist"] = fmt_us(
-            time_batch_queries(
-                lambda p: dist.reaches_within_batch(p, mu), sub_pairs
-            ).us_per_query
-        )
-        table.add_row(row)
-    return table
+        baselines = {"mu-BFS": BfsIndex(g), "mu-dist": PrunedLandmarkIndex(g)}
+        for label, index in baselines.items():
+            batch = partial(index.reaches_within_batch, k=mu)
+            cells[label] = fmt_us(time_batch_queries(batch, sub_pairs).us_per_query)
+        return cells
+
+    return _per_dataset(
+        config,
+        f"Table 7 — k-hop query cost, µs/query (scale={config.scale}, "
+        f"{config.queries} queries; µ-BFS/µ-dist over {config.bfs_queries})",
+        ["2-reach", "4-reach", "6-reach", "mu-reach", "n-reach", "mu-BFS",
+         "mu-dist"],
+        row,
+        caption="µ = measured median shortest-path length of the stand-in.",
+    )
 
 
 def run_table8(config: SuiteConfig) -> Table:
     """Table 8: % of random queries falling into each Algorithm-2 case."""
-    table = Table(
-        f"Table 8 — query case mix, % (scale={config.scale}; 'ours/paper')",
-        ["dataset", "Case 1", "Case 2", "Case 3", "Case 4"],
-    )
-    for name in config.datasets:
-        g = config.graph(name)
-        pairs = config.pairs(name)
-        idx = KReachIndex(g, 2)  # the case split depends only on the cover
-        dist = case_distribution(idx, pairs)
+
+    def row(name: str) -> dict:
+        idx = KReachIndex(config.graph(name), 2)  # the split depends only on the cover
+        dist = case_distribution(idx, config.pairs(name))
         paper = paper_tables.CASE_PERCENTAGES.get(name)
-        row: dict[str, object] = {"dataset": name}
+        cells = {}
         for case in (1, 2, 3, 4):
-            ours = fmt_pct(dist[case])
             published = f"{paper[case - 1]:.2f}" if paper else "-"
-            row[f"Case {case}"] = f"{ours} / {published}"
-        table.add_row(row)
-    return table
+            cells[f"Case {case}"] = f"{fmt_pct(dist[case])} / {published}"
+        return cells
+
+    return _per_dataset(
+        config,
+        f"Table 8 — query case mix, % (scale={config.scale}; 'ours/paper')",
+        ["Case 1", "Case 2", "Case 3", "Case 4"],
+        row,
+    )
 
 
 #: Datasets the paper reports in Table 9 (those with >20% 2-hop-VC savings).
@@ -362,15 +438,10 @@ _TABLE9_DATASETS = ("AgroCyc", "aMaze", "Anthra", "Ecoo", "Kegg", "Mtbrv",
 
 def run_table9(config: SuiteConfig) -> Table:
     """Table 9: vertex cover vs 2-hop cover sizes; µ-reach vs (2,µ)-reach."""
-    table = Table(
-        f"Table 9 — cover sizes and query cost (scale={config.scale})",
-        ["dataset", "|VC|", "|2hop-VC|", "shrink %",
-         "mu-reach µs", "(2,mu)-reach µs", "paper |VC|", "paper |2hop-VC|"],
-        caption="shrink % = 1 - |2hop-VC| / |VC| (paper keeps rows above 20%).",
-    )
-    for name in config.datasets:
+
+    def row(name: str) -> dict | None:
         if name not in _TABLE9_DATASETS:
-            continue
+            return None
         g = config.graph(name)
         pairs = config.pairs(name)
         mu = config.mu(name)
@@ -379,36 +450,37 @@ def run_table9(config: SuiteConfig) -> Table:
         kreach = KReachIndex(g, mu, cover=vc)
         hkreach = HKReachIndex(g, 2, mu, cover=vc2, strict=False)
         paper = paper_tables.COVER_SIZES.get(name)
-        table.add_row(
-            {
-                "dataset": name,
-                "|VC|": len(vc),
-                "|2hop-VC|": len(vc2),
-                "shrink %": fmt_pct(1 - len(vc2) / max(1, len(vc))),
-                "mu-reach µs": fmt_us(time_queries(kreach.query, pairs).us_per_query),
-                "(2,mu)-reach µs": fmt_us(
-                    time_queries(hkreach.query, pairs).us_per_query
-                ),
-                "paper |VC|": paper[0] if paper else None,
-                "paper |2hop-VC|": paper[1] if paper else None,
-            }
-        )
-    return table
+        return {
+            "|VC|": len(vc),
+            "|2hop-VC|": len(vc2),
+            "shrink %": fmt_pct(1 - len(vc2) / max(1, len(vc))),
+            "mu-reach µs": fmt_us(time_queries(kreach.query, pairs).us_per_query),
+            "(2,mu)-reach µs": fmt_us(time_queries(hkreach.query, pairs).us_per_query),
+            "paper |VC|": paper[0] if paper else None,
+            "paper |2hop-VC|": paper[1] if paper else None,
+        }
+
+    return _per_dataset(
+        config,
+        f"Table 9 — cover sizes and query cost (scale={config.scale})",
+        ["|VC|", "|2hop-VC|", "shrink %", "mu-reach µs", "(2,mu)-reach µs",
+         "paper |VC|", "paper |2hop-VC|"],
+        row,
+        caption="shrink % = 1 - |2hop-VC| / |VC| (paper keeps rows above 20%).",
+    )
 
 
 def run_build(config: SuiteConfig) -> Table:
     """Construction throughput: blocked MS-BFS vs the per-source build.
 
     Not a paper table — this serves the ROADMAP's build-time goal.  Every
-    cell constructs the same ``(graph, k, cover)`` index two ways: the
-    pre-refactor per-source serial sweep (``builder='serial'``) and the
-    bit-parallel blocked multi-source BFS (``builder='blocked'``, the
-    default, which inside the memory gate builds the level planes and
-    no CSR).  "agree" asserts that the blocked index's CSR (derived from
-    its planes) equals the serial index's and that its level planes
-    equal the views of the serial CSR word for word, so the benchmark
-    doubles as a live differential check; "speedup" is serial/blocked,
-    the number the CI smoke job gates on.
+    cell builds the same ``(graph, k, cover)`` index two ways: one BFS per
+    cover vertex (:func:`~repro.core.index_graph.cover_triples_serial`
+    into an ``IndexGraph``) and ``KReachIndex``'s blocked multi-source
+    BFS, which inside the memory gate builds the level planes and no
+    CSR.  "agree" asserts that the blocked index's derived CSR and its
+    level planes equal the serial CSR and its views word for word;
+    "speedup" is serial/blocked, the number the CI smoke job gates on.
     """
     table = Table(
         f"Build — construction throughput (scale={config.scale})",
@@ -421,53 +493,34 @@ def run_build(config: SuiteConfig) -> Table:
             "same CSR and the same level planes."
         ),
     )
-    total_serial = 0.0
-    total_blocked = 0.0
-    all_agree = True
+    totals = _Totals(speedup=("serial ms", "blocked ms"))
     for name in config.datasets:
         g = config.graph(name)
         cover = vertex_cover_2approx(g)
         for k in (2, 6, None):
-            serial, serial_s = timed_build(g, k, cover, "serial")
-            blocked, blocked_s = timed_build(g, k, cover, "blocked")
+            serial, serial_s = timed(
+                lambda: IndexGraph.for_kreach(
+                    g.n, cover, *cover_triples_serial(g, cover, k), k
+                )
+            )
+            blocked, blocked_s = timed(lambda: KReachIndex(g, k, cover=cover))
             specs = level_specs(k)
-            agree = serial.index_graph == blocked.index_graph and all(
+            agree = serial == blocked.index_graph and all(
                 np.array_equal(a, b)
                 for a, b in zip(
-                    serial.index_graph.link_matrices(specs),
+                    serial.link_matrices(specs),
                     blocked.index_graph.link_matrices(specs),
                 )
             )
-            all_agree &= agree
-            total_serial += serial_s
-            total_blocked += blocked_s
-            table.add_row(
-                {
-                    "dataset": name,
-                    "k": "n" if k is None else k,
-                    "|S|": len(cover),
-                    "|E_I|": blocked.edge_count,
-                    "serial ms": 1e3 * serial_s,
-                    "blocked ms": 1e3 * blocked_s,
-                    "speedup": f"{serial_s / max(blocked_s, 1e-9):.1f}x",
-                    "agree": "yes" if agree else "NO",
-                }
-            )
-    table.add_row(
-        {
-            "dataset": "TOTAL",
-            "serial ms": 1e3 * total_serial,
-            "blocked ms": 1e3 * total_blocked,
-            "speedup": f"{total_serial / max(total_blocked, 1e-9):.1f}x",
-            "agree": "yes" if all_agree else "NO",
-        }
-    )
-    return table
-
-
-def timed_build(g, k, cover, builder: str):
-    """Build one index with the named builder, returning (index, seconds)."""
-    return timed(lambda: KReachIndex(g, k, cover=cover, builder=builder))
+            row = {
+                "dataset": name,
+                "k": "n" if k is None else k,
+                "|S|": len(cover),
+                "|E_I|": blocked.edge_count,
+            }
+            sums = {"serial ms": serial_s, "blocked ms": blocked_s}
+            table.add_row(totals.add(row, sums, agree))
+    return totals.close(table)
 
 
 def run_throughput(config: SuiteConfig) -> Table:
@@ -507,35 +560,24 @@ def run_throughput(config: SuiteConfig) -> Table:
             "milliseconds per column across all rows."
         ),
     )
-    totals = {"scalar": 0.0, "prev": 0.0, "bitset": 0.0}
-    all_agree = True
+    totals = _Totals(speedup=("scalar µs/q", "bitset µs/q"))
     repeat = config.repeat
 
-    def add_row(dataset, index_label, k, build, pairs) -> None:
+    def add_row(dataset, index_label, build, pairs) -> None:
         """Time the index ``build()`` makes and its over-gate twin."""
-        nonlocal all_agree
         idx = build().prepare_batch()
         twin = build(bitset_matrix_bytes=0).prepare_batch()
-        scalar = time_queries(idx.query, pairs, repeat=repeat)
-        prev = time_batch_queries(twin.query_batch, pairs, repeat=repeat)
-        bitset = time_batch_queries(idx.query_batch, pairs, repeat=repeat)
-        agree = scalar.positives == prev.positives == bitset.positives
-        all_agree &= agree
-        totals["scalar"] += scalar.seconds
-        totals["prev"] += prev.seconds
-        totals["bitset"] += bitset.seconds
+        timings = {
+            "scalar µs/q": time_queries(idx.query, pairs, repeat=repeat),
+            "prev µs/q": time_batch_queries(twin.query_batch, pairs, repeat=repeat),
+            "bitset µs/q": time_batch_queries(idx.query_batch, pairs, repeat=repeat),
+        }
         row: dict[str, object] = {
             "dataset": dataset,
             "index": index_label,
-            "k": "n" if k is None else k,
-            "scalar µs/q": fmt_us(scalar.us_per_query),
-            "prev µs/q": fmt_us(prev.us_per_query),
-            "bitset µs/q": fmt_us(bitset.us_per_query),
-            "speedup": (
-                f"{scalar.us_per_query / max(bitset.us_per_query, 1e-9):.1f}x"
-            ),
-            "agree": "yes" if agree else "NO",
+            "k": "n" if idx.k is None else idx.k,
         }
+        row.update({col: fmt_us(t.us_per_query) for col, t in timings.items()})
         cases = idx.query_case_batch(pairs)
         for case in (1, 2, 3, 4):
             sub = pairs[cases == case]
@@ -544,25 +586,20 @@ def run_throughput(config: SuiteConfig) -> Table:
                 if len(sub) >= 10
                 else None
             )
-        table.add_row(row)
+        agree = len({t.positives for t in timings.values()}) == 1
+        sums = {col: t.seconds for col, t in timings.items()}
+        table.add_row(totals.add(row, sums, agree))
 
     for name in config.datasets:
         g = config.graph(name)
         pairs = config.pairs(name)
         cover = vertex_cover_2approx(g)
         for k in (2, 6, None):
-            add_row(
-                name, "k-reach", k, partial(KReachIndex, g, k, cover=cover), pairs
-            )
+            add_row(name, "k-reach", partial(KReachIndex, g, k, cover=cover), pairs)
         cover2 = hhop_vertex_cover(g, 2, prune=False)
         for k in (6, None):
-            add_row(
-                name,
-                "(2,k)-reach",
-                k,
-                partial(HKReachIndex, g, 2, k, cover=cover2),
-                pairs,
-            )
+            hk_index = partial(HKReachIndex, g, 2, k, cover=cover2)
+            add_row(name, "(2,k)-reach", hk_index, pairs)
 
     # The §1 hub×hub stress: brokers form the cover, celebrities stay
     # uncovered, every pair is a Case-4 celebrity×celebrity query.
@@ -578,27 +615,9 @@ def run_throughput(config: SuiteConfig) -> Table:
         brokers, hub.n, size=(config.bfs_queries, 2), dtype=np.int64
     )
     for k in (2, 6, None):
-        add_row(
-            "HubStress",
-            "k-reach",
-            k,
-            partial(KReachIndex, hub, k, cover=hub_cover),
-            hub_pairs,
-        )
-
-    table.add_row(
-        {
-            "dataset": "TOTAL",
-            "scalar µs/q": 1e3 * totals["scalar"],
-            "prev µs/q": 1e3 * totals["prev"],
-            "bitset µs/q": 1e3 * totals["bitset"],
-            "speedup": (
-                f"{totals['scalar'] / max(totals['bitset'], 1e-9):.1f}x"
-            ),
-            "agree": "yes" if all_agree else "NO",
-        }
-    )
-    return table
+        hub_index = partial(KReachIndex, hub, k, cover=hub_cover)
+        add_row("HubStress", "k-reach", hub_index, hub_pairs)
+    return totals.close(table)
 
 
 def run_dynamic(config: SuiteConfig) -> Table:
@@ -643,8 +662,8 @@ def run_dynamic(config: SuiteConfig) -> Table:
             "total milliseconds per column."
         ),
     )
-    totals = {"update": 0.0, "overlay": 0.0, "scalar": 0.0, "rebuild": 0.0}
-    all_agree = True
+    totals = _Totals(speedup=("rebuild ms", "overlay ms"))
+    engines = {"auto": "overlay µs/q", "scalar": "scalar µs/q"}
     for name in config.datasets:
         g = config.graph(name)
         for k in (2, 6):
@@ -662,45 +681,35 @@ def run_dynamic(config: SuiteConfig) -> Table:
                 rng=rng,
             )
             dyn = DynamicKReachIndex(g, k).prepare_batch()
-            update_s = overlay_s = scalar_s = 0.0
+            sums = dict.fromkeys(
+                ("update ms", "overlay µs/q", "scalar µs/q", "rebuild ms"), 0.0
+            )
+            positives = dict.fromkeys(("auto", "scalar", "rebuild"), 0)
             writes = queries = 0
-            overlay_pos = scalar_pos = 0
             settled = True
             for op in trace:
-                if op[0] == "query":
-                    if not settled:
-                        # Settling a write burst — deferred deletion
-                        # repairs, possible compaction, view warmup — is
-                        # maintenance; charge it to the update phase so
-                        # the query columns compare steady-state reads.
-                        _, seconds = timed(dyn.prepare_batch)
-                        update_s += seconds
-                        settled = True
-                    pairs = op[1]
-                    t_overlay = time_batch_queries(
-                        lambda p: dyn.query_batch(p, engine="auto"), pairs
-                    )
-                    t_scalar = time_batch_queries(
-                        lambda p: dyn.query_batch(p, engine="scalar"), pairs
-                    )
-                    overlay_s += t_overlay.seconds
-                    scalar_s += t_scalar.seconds
-                    overlay_pos += t_overlay.positives
-                    scalar_pos += t_scalar.positives
-                    queries += len(pairs)
-                else:
-                    apply = (
-                        dyn.insert_edge if op[0] == "insert" else dyn.delete_edge
-                    )
-                    _, seconds = timed(lambda a=apply, u=op[1], v=op[2]: a(u, v))
-                    update_s += seconds
+                if op[0] != "query":
+                    apply = dyn.insert_edge if op[0] == "insert" else dyn.delete_edge
+                    sums["update ms"] += timed(lambda: apply(op[1], op[2]))[1]
                     writes += 1
                     settled = False
+                    continue
+                if not settled:
+                    # Settling a write burst — deferred deletion repairs,
+                    # possible compaction, view warmup — is maintenance;
+                    # charge it to the update phase so the query columns
+                    # compare steady-state reads.
+                    sums["update ms"] += timed(dyn.prepare_batch)[1]
+                    settled = True
+                queries += len(op[1])
+                for engine, col in engines.items():
+                    query = partial(dyn.query_batch, engine=engine)
+                    t = time_batch_queries(query, op[1])
+                    sums[col] += t.seconds
+                    positives[engine] += t.positives
             # Rebuild-per-batch baseline: adjacency upkeep is free, the
             # index is reconstructed from scratch at every read point.
             edges = {(int(u), int(v)) for u, v in g.edges()}
-            rebuild_s = 0.0
-            rebuild_pos = 0
             for op in trace:
                 if op[0] == "insert":
                     edges.add((op[1], op[2]))
@@ -709,48 +718,83 @@ def run_dynamic(config: SuiteConfig) -> Table:
                 else:
                     snapshot = DiGraph(g.n, edges)
                     idx, build_s = timed(
-                        lambda s=snapshot: KReachIndex(s, k).prepare_batch()
+                        lambda: KReachIndex(snapshot, k).prepare_batch()
                     )
                     t = time_batch_queries(idx.query_batch, op[1])
-                    rebuild_s += build_s + t.seconds
-                    rebuild_pos += t.positives
-            agree = overlay_pos == scalar_pos == rebuild_pos
-            all_agree &= agree
-            overlay_total = update_s + overlay_s
-            totals["update"] += update_s
-            totals["overlay"] += overlay_s
-            totals["scalar"] += scalar_s
-            totals["rebuild"] += rebuild_s
-            table.add_row(
-                {
-                    "dataset": name,
-                    "k": k,
-                    "writes": writes,
-                    "queries": queries,
-                    "update ms": 1e3 * update_s,
-                    "overlay µs/q": fmt_us(1e6 * overlay_s / max(1, queries)),
-                    "scalar µs/q": fmt_us(1e6 * scalar_s / max(1, queries)),
-                    "overlay ms": 1e3 * overlay_total,
-                    "rebuild ms": 1e3 * rebuild_s,
-                    "compactions": dyn.compactions,
-                    "speedup": f"{rebuild_s / max(overlay_total, 1e-9):.1f}x",
-                    "agree": "yes" if agree else "NO",
-                }
-            )
-    overlay_total = totals["update"] + totals["overlay"]
-    table.add_row(
-        {
-            "dataset": "TOTAL",
-            "update ms": 1e3 * totals["update"],
-            "overlay µs/q": 1e3 * totals["overlay"],
-            "scalar µs/q": 1e3 * totals["scalar"],
-            "overlay ms": 1e3 * overlay_total,
-            "rebuild ms": 1e3 * totals["rebuild"],
-            "speedup": f"{totals['rebuild'] / max(overlay_total, 1e-9):.1f}x",
-            "agree": "yes" if all_agree else "NO",
-        }
-    )
-    return table
+                    sums["rebuild ms"] += build_s + t.seconds
+                    positives["rebuild"] += t.positives
+            sums["overlay ms"] = sums["update ms"] + sums["overlay µs/q"]
+            row = {
+                "dataset": name,
+                "k": k,
+                "writes": writes,
+                "queries": queries,
+                "overlay µs/q": fmt_us(1e6 * sums["overlay µs/q"] / max(1, queries)),
+                "scalar µs/q": fmt_us(1e6 * sums["scalar µs/q"] / max(1, queries)),
+                "compactions": dyn.compactions,
+            }
+            agree = len(set(positives.values())) == 1
+            table.add_row(totals.add(row, sums, agree))
+    return totals.close(table)
+
+
+def _served(
+    config: SuiteConfig,
+    table: Table,
+    backends: list[tuple[Callable[[Path], object], dict[str, Callable]]],
+    *,
+    n_pairs: int,
+    speedup: tuple[str, str],
+    prepare: Callable[[DiGraph, Path, np.ndarray, dict], None] | None = None,
+) -> Table:
+    """The one served-throughput loop under ``serve``, ``shard`` and ``native``.
+
+    Per dataset: write the 6-reach index's v6 file, draw ``n_pairs``
+    random pairs, call ``prepare(graph, path, pairs, row)``, then time
+    the in-process ``query_batch`` ("inproc ms") and each backend
+    ``(open, runs)``: ``open(path)`` starts a server, warmed on 1 024
+    pairs, and ``runs`` maps a column to the ``run(server, pairs)``
+    timed on it.  Timings are :func:`best_of` ``max(2, --repeat)``;
+    every served verdict must equal the in-process one ("agree").
+    """
+    reps = max(2, config.repeat)
+    totals = _Totals(speedup=speedup)
+    rng = np.random.default_rng(config.seed)
+    with tempfile.TemporaryDirectory(prefix="kreach-served-") as tmp:
+        for name in config.datasets:
+            g = config.graph(name)
+            idx = KReachIndex(g, 6).prepare_batch()
+            path = Path(tmp) / f"{name}.kr6"
+            save_mmap(idx, path)
+            pairs = random_pairs(g.n, n_pairs, rng=rng)
+            row: dict[str, object] = {"dataset": name, "pairs": len(pairs)}
+            if prepare is not None:
+                prepare(g, path, pairs, row)
+            reference, inproc_s = best_of(reps, lambda: idx.query_batch(pairs))
+            sums = {"inproc ms": inproc_s}
+            agree = True
+            for open_server, runs in backends:
+                with open_server(path) as server:
+                    server.query_batch(pairs[:1024])  # warm the pool
+                    for column, run in runs.items():
+                        served, sums[column] = best_of(
+                            reps, partial(run, server, pairs)
+                        )
+                        agree &= bool(np.array_equal(served, reference))
+            table.add_row(totals.add(row, sums, agree))
+    return totals.close(table)
+
+
+def _batch(server, pairs: np.ndarray) -> np.ndarray:
+    """One ``query_batch`` call on a server."""
+    return server.query_batch(pairs)
+
+
+def _pipelined(server, pairs: np.ndarray) -> np.ndarray:
+    """Pipelined ``submit``/``collect`` of 2W shards, reassembled in order."""
+    shards = [sh for sh in np.array_split(pairs, 2 * server.workers) if len(sh)]
+    tickets = [server.submit(sh) for sh in shards]
+    return np.concatenate([server.collect(ticket) for ticket in tickets])
 
 
 def run_serve(config: SuiteConfig) -> tuple[Table, Table]:
@@ -769,23 +813,15 @@ def run_serve(config: SuiteConfig) -> tuple[Table, Table]:
       the in-process engine and through :class:`~repro.core.serve.QueryServer`
       pools of ``config.serve_workers`` sizes sharing the same file,
       plus a pipelined ``submit``/``collect`` run at the target pool
-      size.  Every served result is checked bit-for-bit against the
-      in-process engine ("agree"), so the benchmark doubles as a live
-      differential test.  CI gates 2-worker ≥ 1-worker throughput on
-      the TOTAL row; scaling beyond that is hardware-bound (a 1-core
-      runner cannot show a 4-worker speedup, a 4-core one can).
+      size, through the served loop :func:`_served`.  CI gates 2-worker
+      ≥ 1-worker throughput on the TOTAL row; scaling beyond that is
+      hardware-bound (a 1-core runner cannot show a 4-worker speedup, a
+      4-core one can).
     """
-    import tempfile
-    from pathlib import Path
-
-    from repro.core.serialize import load_mmap, save_mmap
-    from repro.core.serve import QueryServer, ThreadQueryServer
-
     counts = tuple(config.serve_workers)
     k = 6
     target = 4 if 4 in counts else counts[-1]
     n_pairs = 8 * config.queries
-    reps = max(2, config.repeat)
     open_table = Table(
         f"Serve — v6 index file size and open time "
         f"(scale={config.scale}, k={k})",
@@ -796,12 +832,19 @@ def run_serve(config: SuiteConfig) -> tuple[Table, Table]:
             "milliseconds."
         ),
     )
-    serve_cols = [f"serve@{w} ms" for w in counts]
+    opens = _Totals(units={"MB": fmt_mb})
+
+    def time_open(g: DiGraph, path: Path, pairs: np.ndarray, row: dict) -> None:
+        index, open_s = timed(lambda: load_mmap(path))
+        sums = {"MB": path.stat().st_size, "open ms": open_s}
+        cells = {"dataset": row["dataset"], "|E_I|": index.edge_count}
+        open_table.add_row(opens.add(cells, sums))
+
     tput = Table(
         f"Serve — served batch-query throughput (scale={config.scale}, "
         f"k={k}, {n_pairs} pairs per row, workers={counts})",
-        ["dataset", "pairs", "inproc ms", *serve_cols, f"thread@{target} ms",
-         f"pipe@{target} ms", "speedup", "agree"],
+        ["dataset", "pairs", "inproc ms", *(f"serve@{w} ms" for w in counts),
+         f"thread@{target} ms", f"pipe@{target} ms", "speedup", "agree"],
         caption=(
             "inproc = one in-process query_batch call; serve@W = the same "
             "batch through a W-worker QueryServer sharing the index file "
@@ -813,112 +856,14 @@ def run_serve(config: SuiteConfig) -> tuple[Table, Table]:
             "to in-process.  TOTAL sums milliseconds per column."
         ),
     )
-    open_totals = {"bytes": 0, "open": 0.0}
-    totals: dict[object, float] = {"inproc": 0.0, "thread": 0.0, "pipe": 0.0}
-    totals.update({w: 0.0 for w in counts})
-    all_agree = True
-    rng = np.random.default_rng(config.seed)
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in config.datasets:
-            g = config.graph(name)
-            idx = KReachIndex(g, k).prepare_batch()
-            path = Path(tmp) / f"{name}.kr6"
-            save_mmap(idx, path)
-            _, open_s = timed(lambda: load_mmap(path))
-            size = path.stat().st_size
-            open_totals["bytes"] += size
-            open_totals["open"] += open_s
-            open_table.add_row(
-                {
-                    "dataset": name,
-                    "|E_I|": idx.edge_count,
-                    "MB": fmt_mb(size),
-                    "open ms": 1e3 * open_s,
-                }
-            )
-
-            pairs = random_pairs(g.n, n_pairs, rng=rng)
-
-            # Best of `reps` runs everywhere below (>= 2; --repeat raises
-            # it): these are near-equal wall-clock quantities on
-            # possibly-noisy hosts, and the CI gate compares them
-            # directly.
-            def best_of(fn):
-                result, first_s = timed(fn)
-                best = min(
-                    [first_s] + [timed(fn)[1] for _ in range(reps - 1)]
-                )
-                return result, best
-
-            reference, inproc_s = best_of(lambda: idx.query_batch(pairs))
-            totals["inproc"] += inproc_s
-            row: dict[str, object] = {
-                "dataset": name,
-                "pairs": len(pairs),
-                "inproc ms": 1e3 * inproc_s,
-            }
-            agree = True
-            for w in counts:
-                with QueryServer(path, workers=w) as server:
-                    server.query_batch(pairs[:1024])  # warm the pool
-                    served, served_s = best_of(
-                        lambda: server.query_batch(pairs)
-                    )
-                    agree &= bool(np.array_equal(served, reference))
-                    totals[w] += served_s
-                    row[f"serve@{w} ms"] = 1e3 * served_s
-                    if w == target:
-                        row["speedup"] = (
-                            f"{inproc_s / max(served_s, 1e-9):.1f}x"
-                        )
-                        shards = [
-                            sh
-                            for sh in np.array_split(pairs, max(2 * w, 2))
-                            if len(sh)
-                        ]
-
-                        def pipeline(_srv=server, _shards=shards):
-                            tickets = [_srv.submit(sh) for sh in _shards]
-                            return [_srv.collect(t) for t in tickets]
-
-                        parts, pipe_s = best_of(pipeline)
-                        agree &= bool(
-                            np.array_equal(np.concatenate(parts), reference)
-                        )
-                        totals["pipe"] += pipe_s
-                        row[f"pipe@{target} ms"] = 1e3 * pipe_s
-            with ThreadQueryServer(path, workers=target) as tserver:
-                tserver.query_batch(pairs[:1024])  # warm the pool
-                served, thread_s = best_of(
-                    lambda: tserver.query_batch(pairs)
-                )
-                agree &= bool(np.array_equal(served, reference))
-                totals["thread"] += thread_s
-                row[f"thread@{target} ms"] = 1e3 * thread_s
-            all_agree &= agree
-            row["agree"] = "yes" if agree else "NO"
-            tput.add_row(row)
-    open_table.add_row(
-        {
-            "dataset": "TOTAL",
-            "MB": fmt_mb(open_totals["bytes"]),
-            "open ms": 1e3 * open_totals["open"],
-        }
-    )
-    total_row: dict[str, object] = {
-        "dataset": "TOTAL",
-        "inproc ms": 1e3 * totals["inproc"],
-        f"thread@{target} ms": 1e3 * totals["thread"],
-        f"pipe@{target} ms": 1e3 * totals["pipe"],
-        "speedup": (
-            f"{totals['inproc'] / max(totals[target], 1e-9):.1f}x"
-        ),
-        "agree": "yes" if all_agree else "NO",
-    }
-    for w in counts:
-        total_row[f"serve@{w} ms"] = 1e3 * totals[w]
-    tput.add_row(total_row)
-    return open_table, tput
+    pools = {w: {f"serve@{w} ms": _batch} for w in counts}
+    pools[target][f"pipe@{target} ms"] = _pipelined
+    backends = [(partial(QueryServer, workers=w), runs) for w, runs in pools.items()]
+    threads = partial(ThreadQueryServer, workers=target)
+    backends.append((threads, {f"thread@{target} ms": _batch}))
+    speedup = ("inproc ms", f"serve@{target} ms")
+    _served(config, tput, backends, n_pairs=n_pairs, speedup=speedup, prepare=time_open)
+    return opens.close(open_table), tput
 
 
 def run_native(config: SuiteConfig) -> tuple[Table, Table]:
@@ -941,13 +886,9 @@ def run_native(config: SuiteConfig) -> tuple[Table, Table]:
       thread@2 against in-process with the same tolerance the serve
       smoke uses.
     """
-    import tempfile
-    from pathlib import Path
-
     from repro import native
     from repro.bitsets import ops
-    from repro.core.serialize import save_mmap
-    from repro.core.serve import ThreadQueryServer
+    from repro.core.batch import KeyedRowStore
     from repro.graph.traversal import bfs_distances_blocked
 
     reps = max(2, config.repeat)
@@ -990,76 +931,38 @@ def run_native(config: SuiteConfig) -> tuple[Table, Table]:
     g = config.graph(config.datasets[0])
     bfs_sources = np.arange(min(g.n, 192), dtype=np.int64)
 
-    from repro.core.batch import MISSING_WEIGHT, KeyedRowStore
-
     store = KeyedRowStore(keys, weights, 1 << 20)
-    workloads = [
-        ("and_any", lambda: ops.and_any(a, b)),
-        (
-            "gather_and_any",
-            lambda: native.kernel("gather_and_any")(
-                matrix, matrix, s_idx, t_idx
-            ),
+    workloads = {
+        "and_any": lambda: ops.and_any(a, b),
+        "gather_and_any": lambda: native.kernel("gather_and_any")(
+            matrix, matrix, s_idx, t_idx
         ),
-        (
-            "or_rows_segmented",
-            lambda: ops.or_rows_segmented(matrix, rows_m, owner, 512),
+        "or_rows_segmented": lambda: ops.or_rows_segmented(matrix, rows_m, owner, 512),
+        "bit_matrix/set_bits": lambda: ops.bit_matrix(rows_m, cols_m, 2048, nbits),
+        "probe_bits": lambda: ops.probe_bits(matrix, rows_m, cols_m),
+        "keyed_lookup": lambda: store.lookup(probe_u, probe_v),
+        f"ms-bfs ({config.datasets[0]}, k=6)": lambda: bfs_distances_blocked(
+            g, bfs_sources, k=6
         ),
-        (
-            "bit_matrix/set_bits",
-            lambda: ops.bit_matrix(rows_m, cols_m, 2048, nbits),
-        ),
-        ("probe_bits", lambda: ops.probe_bits(matrix, rows_m, cols_m)),
-        ("keyed_lookup", lambda: store.lookup(probe_u, probe_v)),
-        (
-            f"ms-bfs ({config.datasets[0]}, k=6)",
-            lambda: bfs_distances_blocked(g, bfs_sources, k=6),
-        ),
-    ]
+    }
 
     def matches(x, y) -> bool:
         if isinstance(x, tuple):
             return all(matches(xi, yi) for xi, yi in zip(x, y))
         return bool(np.array_equal(x, y))
 
-    totals = {"numpy": 0.0, "native": 0.0}
-    all_agree = True
-    for label, fn in workloads:
-        with native.use("numpy"):
-            base = fn()
-            base_s = min(timed(fn)[1] for _ in range(reps))
-        with native.use("auto"):
-            got = fn()  # untimed: triggers the one-time JIT compile
-            nat_s = min(timed(fn)[1] for _ in range(reps))
-        agree = matches(base, got)
-        all_agree &= agree
-        totals["numpy"] += base_s
-        totals["native"] += nat_s
-        kernels.add_row(
-            {
-                "kernel": label,
-                "numpy ms": 1e3 * base_s,
-                "native ms": 1e3 * nat_s,
-                "speedup": f"{base_s / max(nat_s, 1e-9):.1f}x",
-                "agree": "yes" if agree else "NO",
-            }
-        )
-    kernels.add_row(
-        {
-            "kernel": "TOTAL",
-            "numpy ms": 1e3 * totals["numpy"],
-            "native ms": 1e3 * totals["native"],
-            "speedup": (
-                f"{totals['numpy'] / max(totals['native'], 1e-9):.1f}x"
-            ),
-            "agree": "yes" if all_agree else "NO",
-        }
-    )
+    totals = _Totals(speedup=("numpy ms", "native ms"))
+    for label, fn in workloads.items():
+        results, sums = [], {}
+        for tier, column in (("numpy", "numpy ms"), ("auto", "native ms")):
+            with native.use(tier):
+                results.append(fn())  # untimed: triggers the one-time JIT compile
+                sums[column] = best_of(reps, fn)[1]
+        kernels.add_row(totals.add({"kernel": label}, sums, matches(*results)))
 
-    k = 6
     n_pairs = 4 * config.queries
     serve = Table(
-        f"Native — thread-pool serving (scale={config.scale}, k={k}, "
+        f"Native — thread-pool serving (scale={config.scale}, k=6, "
         f"{n_pairs} pairs per row, best of {reps})",
         ["dataset", "pairs", "inproc ms", "thread@1 ms", "thread@2 ms",
          "speedup", "agree"],
@@ -1070,59 +973,13 @@ def run_native(config: SuiteConfig) -> tuple[Table, Table]:
             "bit-identical to in-process.  TOTAL sums milliseconds."
         ),
     )
-    stotals = {"inproc": 0.0, 1: 0.0, 2: 0.0}
-    serve_agree = True
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in config.datasets:
-            gg = config.graph(name)
-            idx = KReachIndex(gg, k).prepare_batch()
-            path = Path(tmp) / f"{name}.kr4"
-            save_mmap(idx, path)
-            pairs = random_pairs(gg.n, n_pairs, rng=rng)
-
-            def best_of(fn):
-                result, first_s = timed(fn)
-                best = min(
-                    [first_s] + [timed(fn)[1] for _ in range(reps - 1)]
-                )
-                return result, best
-
-            reference, inproc_s = best_of(lambda: idx.query_batch(pairs))
-            stotals["inproc"] += inproc_s
-            row: dict[str, object] = {
-                "dataset": name,
-                "pairs": len(pairs),
-                "inproc ms": 1e3 * inproc_s,
-            }
-            agree = True
-            for w in (1, 2):
-                with ThreadQueryServer(path, workers=w) as server:
-                    server.query_batch(pairs[:1024])  # warm the pool
-                    served, served_s = best_of(
-                        lambda: server.query_batch(pairs)
-                    )
-                    agree &= bool(np.array_equal(served, reference))
-                    stotals[w] += served_s
-                    row[f"thread@{w} ms"] = 1e3 * served_s
-            row["speedup"] = (
-                f"{inproc_s / max(row['thread@2 ms'] / 1e3, 1e-9):.1f}x"
-            )
-            serve_agree &= agree
-            row["agree"] = "yes" if agree else "NO"
-            serve.add_row(row)
-    serve.add_row(
-        {
-            "dataset": "TOTAL",
-            "inproc ms": 1e3 * stotals["inproc"],
-            "thread@1 ms": 1e3 * stotals[1],
-            "thread@2 ms": 1e3 * stotals[2],
-            "speedup": (
-                f"{stotals['inproc'] / max(stotals[2], 1e-9):.1f}x"
-            ),
-            "agree": "yes" if serve_agree else "NO",
-        }
-    )
-    return kernels, serve
+    backends = [
+        (partial(ThreadQueryServer, workers=w), {f"thread@{w} ms": _batch})
+        for w in (1, 2)
+    ]
+    speedup = ("inproc ms", "thread@2 ms")
+    _served(config, serve, backends, n_pairs=n_pairs, speedup=speedup)
+    return totals.close(kernels), serve
 
 
 # ----------------------------------------------------------------------
@@ -1131,17 +988,9 @@ def run_native(config: SuiteConfig) -> tuple[Table, Table]:
 
 def run_ablation_covers(config: SuiteConfig) -> Table:
     """Cover-strategy ablation: §4.3's degree-first pick vs alternatives."""
-    table = Table(
-        f"Ablation — vertex-cover strategy (scale={config.scale})",
-        ["dataset", "degree |S|", "random |S|", "greedy |S|",
-         "degree µs", "random µs", "greedy µs"],
-        caption=(
-            "Cover size and n-reach query cost per strategy; §4.3 argues the "
-            "degree-first pick shrinks the cover and speeds up hub queries."
-        ),
-    )
     rng = np.random.default_rng(config.seed)
-    for name in config.datasets:
+
+    def row(name: str) -> dict:
         g = config.graph(name)
         pairs = config.pairs(name)
         covers = {
@@ -1149,33 +998,32 @@ def run_ablation_covers(config: SuiteConfig) -> Table:
             "random": vertex_cover_2approx(g, order="random", rng=rng),
             "greedy": greedy_vertex_cover(g),
         }
-        row: dict[str, object] = {"dataset": name}
+        cells: dict[str, object] = {}
         for label, cover in covers.items():
             idx = KReachIndex(g, None, cover=cover)
-            row[f"{label} |S|"] = len(cover)
-            row[f"{label} µs"] = fmt_us(time_queries(idx.query, pairs).us_per_query)
-        table.add_row(row)
-    return table
+            cells[f"{label} |S|"] = len(cover)
+            cells[f"{label} µs"] = fmt_us(time_queries(idx.query, pairs).us_per_query)
+        return cells
+
+    return _per_dataset(
+        config,
+        f"Ablation — vertex-cover strategy (scale={config.scale})",
+        ["degree |S|", "random |S|", "greedy |S|", "degree µs", "random µs",
+         "greedy µs"],
+        row,
+        caption=(
+            "Cover size and n-reach query cost per strategy; §4.3 argues the "
+            "degree-first pick shrinks the cover and speeds up hub queries."
+        ),
+    )
 
 
 def run_ablation_general_k(config: SuiteConfig) -> Table:
     """General-k ablation: §4.4's cover-distance oracle on size, batch
     speed and exactness."""
-    table = Table(
-        f"Ablation — general-k oracle (scale={config.scale})",
-        ["dataset", "d", "|S|", "oracle MB", "views MB", "µs/q", "agree"],
-        caption=(
-            "One exact cover-distance oracle answers every k (§4.4). d = the "
-            "longest distance seen from 400 sampled BFS sources or between "
-            "two cover vertices; oracle MB = its §4.3 storage model; views "
-            "MB = the three bit views one hop budget adds; µs/q = "
-            "reaches_within_batch at k=6 over the query workload; agree = "
-            "batch verdicts equal BFS on 300 pairs, each at a random "
-            "k <= d+1, and on the same pairs at k=None."
-        ),
-    )
     rng = np.random.default_rng(config.seed)
-    for name in config.datasets:
+
+    def row(name: str) -> dict:
         g = config.graph(name)
         oracle = CoverDistanceOracle(g)
         sampled, _ = shortest_path_stats(g, sample_size=min(g.n, 400), rng=rng)
@@ -1191,79 +1039,93 @@ def run_ablation_general_k(config: SuiteConfig) -> Table:
             sel = sample if k is None else sample[ks == k]
             truth = bulk_reaches_within(g, sel[:, 0], sel[:, 1], k)
             agree &= np.array_equal(oracle.reaches_within_batch(sel, k), truth)
-        table.add_row(
-            {
-                "dataset": name,
-                "d": diameter,
-                "|S|": oracle.cover_size,
-                "oracle MB": fmt_mb(oracle.storage_bytes()),
-                "views MB": fmt_mb(3 * oracle.index_graph.link_matrix_bytes()),
-                "µs/q": fmt_us(timing.us_per_query),
-                "agree": "yes" if agree else "NO",
-            }
-        )
-    return table
+        return {
+            "d": diameter,
+            "|S|": oracle.cover_size,
+            "oracle MB": fmt_mb(oracle.storage_bytes()),
+            "views MB": fmt_mb(3 * oracle.index_graph.link_matrix_bytes()),
+            "µs/q": fmt_us(timing.us_per_query),
+            "agree": "yes" if agree else "NO",
+        }
+
+    return _per_dataset(
+        config,
+        f"Ablation — general-k oracle (scale={config.scale})",
+        ["d", "|S|", "oracle MB", "views MB", "µs/q", "agree"],
+        row,
+        caption=(
+            "One exact cover-distance oracle answers every k (§4.4). d = the "
+            "longest distance seen from 400 sampled BFS sources or between "
+            "two cover vertices; oracle MB = its §4.3 storage model; views "
+            "MB = the three bit views one hop budget adds; µs/q = "
+            "reaches_within_batch at k=6 over the query workload; agree = "
+            "batch verdicts equal BFS on 300 pairs, each at a random "
+            "k <= d+1, and on the same pairs at k=None."
+        ),
+    )
 
 
 def run_ablation_case_cost(config: SuiteConfig) -> Table:
     """Per-case query cost (§6.3.2: Case 4 ≈ 12× Case 1)."""
-    table = Table(
-        f"Ablation — per-case n-reach query cost, µs (scale={config.scale})",
-        ["dataset", "Case 1", "Case 2", "Case 3", "Case 4", "Case4/Case1"],
-    )
-    for name in config.datasets:
-        g = config.graph(name)
-        idx = KReachIndex(g, None)
-        pairs = config.pairs(name)
+
+    def row(name: str) -> dict:
+        idx = KReachIndex(config.graph(name), None)
         buckets: dict[int, list[tuple[int, int]]] = {1: [], 2: [], 3: [], 4: []}
-        for s, t in pairs:
+        for s, t in config.pairs(name):
             buckets[idx.query_case(int(s), int(t))].append((int(s), int(t)))
-        row: dict[str, object] = {"dataset": name}
-        per_case: dict[int, float] = {}
-        for case, bucket in buckets.items():
-            if len(bucket) < 10:
-                row[f"Case {case}"] = None
-                continue
-            timing = time_queries(idx.query, np.asarray(bucket))
-            per_case[case] = timing.us_per_query
-            row[f"Case {case}"] = fmt_us(timing.us_per_query)
-        if 1 in per_case and 4 in per_case and per_case[1] > 0:
-            row["Case4/Case1"] = f"{per_case[4] / per_case[1]:.1f}x"
-        table.add_row(row)
-    return table
+        per_case = {
+            case: time_queries(idx.query, np.asarray(bucket)).us_per_query
+            for case, bucket in buckets.items()
+            if len(bucket) >= 10
+        }
+        cells: dict[str, object] = {
+            f"Case {case}": fmt_us(us) for case, us in per_case.items()
+        }
+        if per_case.get(1) and 4 in per_case:
+            cells["Case4/Case1"] = fmt_ratio(per_case[4] / per_case[1])
+        return cells
+
+    return _per_dataset(
+        config,
+        f"Ablation — per-case n-reach query cost, µs (scale={config.scale})",
+        ["Case 1", "Case 2", "Case 3", "Case 4", "Case4/Case1"],
+        row,
+    )
 
 
 def run_ablation_online_search(config: SuiteConfig) -> Table:
     """Index-free search ablation: BFS vs bidirectional BFS vs k-reach,
     on uniform and celebrity-biased workloads (the §1 'Lady Gaga' story)."""
-    table = Table(
-        f"Ablation — online search vs index, µs/query (scale={config.scale}, "
-        f"k=6, {config.bfs_queries} queries per cell)",
-        ["dataset", "BFS uniform", "BiBFS uniform", "k-reach uniform",
-         "BFS celebrity", "BiBFS celebrity", "k-reach celebrity"],
-    )
     rng = np.random.default_rng(config.seed)
     k = 6
-    for name in config.datasets:
+
+    def row(name: str) -> dict:
         g = config.graph(name)
         uniform = config.pairs(name)[: config.bfs_queries]
         celebrity = celebrity_pairs(g, config.bfs_queries, rng=rng)
         bfs = BfsIndex(g)
         bibfs = BidirectionalBfsIndex(g)
         idx = KReachIndex(g, k)
-        row: dict[str, object] = {"dataset": name}
+        cells: dict[str, object] = {}
         for wl_name, wl in (("uniform", uniform), ("celebrity", celebrity)):
-            row[f"BFS {wl_name}"] = fmt_us(
-                time_queries(lambda s, t: bfs.reaches_within(s, t, k), wl).us_per_query
-            )
-            row[f"BiBFS {wl_name}"] = fmt_us(
-                time_queries(lambda s, t: bibfs.reaches_within(s, t, k), wl).us_per_query
-            )
-            row[f"k-reach {wl_name}"] = fmt_us(
-                time_queries(idx.query, wl).us_per_query
-            )
-        table.add_row(row)
-    return table
+            for label, query in (
+                ("BFS", lambda s, t: bfs.reaches_within(s, t, k)),
+                ("BiBFS", lambda s, t: bibfs.reaches_within(s, t, k)),
+                ("k-reach", idx.query),
+            ):
+                cells[f"{label} {wl_name}"] = fmt_us(
+                    time_queries(query, wl).us_per_query
+                )
+        return cells
+
+    return _per_dataset(
+        config,
+        f"Ablation — online search vs index, µs/query (scale={config.scale}, "
+        f"k=6, {config.bfs_queries} queries per cell)",
+        ["BFS uniform", "BiBFS uniform", "k-reach uniform", "BFS celebrity",
+         "BiBFS celebrity", "k-reach celebrity"],
+        row,
+    )
 
 
 def run_ingest(config: SuiteConfig) -> Table:
@@ -1281,23 +1143,16 @@ def run_ingest(config: SuiteConfig) -> Table:
 
     CI gates every row: identical must hold, the stream peak must stay
     below the eager peak, and the sort buffer must stay within budget.
-    With ``--condense`` the ingested graph also flows through the SCC
-    condensation into a :class:`~repro.core.CondensedKReach` build.
     """
     import gzip
-    import tempfile
-    import time
     import tracemalloc
-    from pathlib import Path
 
     from repro.graph.ingest import IngestStats, ingest_edge_list
     from repro.graph.io import read_edge_list
 
     def measure(fn):
         tracemalloc.start()
-        t0 = time.perf_counter()
-        out = fn()
-        seconds = time.perf_counter() - t0
+        out, seconds = timed(fn)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         return out, seconds, peak
@@ -1309,16 +1164,11 @@ def run_ingest(config: SuiteConfig) -> Table:
     # Budget that forces a real external merge: >= ~4 sorted runs even
     # after self-loop/duplicate drop (8 bytes per fused edge key).
     tight_mb = max(1, (8 * n_edges) // (2 * (1 << 20)))
-    columns = [
-        "input", "edges", "budget MB", "eager s", "eager peak MB",
-        "stream s", "stream peak MB", "buf peak MB", "runs", "identical",
-    ]
-    if config.condense:
-        columns += ["SCCs", "condense+build s"]
     table = Table(
         f"Ingest — streamed external-sort CSR build vs eager reader "
         f"({n_edges} generated edges, seed={config.seed})",
-        columns,
+        ["input", "edges", "budget MB", "eager s", "eager peak MB",
+         "stream s", "stream peak MB", "buf peak MB", "runs", "identical"],
         caption=(
             "eager = read_edge_list (whole file in memory); stream = "
             "ingest_edge_list under the given sort budget; buf peak = "
@@ -1357,30 +1207,20 @@ def run_ingest(config: SuiteConfig) -> Table:
                 and np.array_equal(eager.in_indptr, streamed.in_indptr)
                 and np.array_equal(eager.in_indices, streamed.in_indices)
             )
-            row: dict[str, object] = {
-                "input": label,
-                "edges": int(streamed.out_indices.size),
-                "budget MB": budget,
-                "eager s": eager_s,
-                "eager peak MB": eager_peak / mb,
-                "stream s": stream_s,
-                "stream peak MB": stream_peak / mb,
-                "buf peak MB": stats.max_buffered_bytes / mb,
-                "runs": stats.spill_runs,
-                "identical": "yes" if identical else "NO",
-            }
-            if config.condense:
-                from repro.core import CondensedKReach
-
-                (cond, _), cond_s, _ = measure(
-                    lambda: (
-                        (c := CondensedKReach(streamed, None)),
-                        c.prepare_batch(),
-                    )
-                )
-                row["SCCs"] = cond.num_components
-                row["condense+build s"] = cond_s
-            table.add_row(row)
+            table.add_row(
+                {
+                    "input": label,
+                    "edges": int(streamed.out_indices.size),
+                    "budget MB": budget,
+                    "eager s": eager_s,
+                    "eager peak MB": eager_peak / mb,
+                    "stream s": stream_s,
+                    "stream peak MB": stream_peak / mb,
+                    "buf peak MB": stats.max_buffered_bytes / mb,
+                    "runs": stats.spill_runs,
+                    "identical": "yes" if identical else "NO",
+                }
+            )
     return table
 
 
@@ -1396,78 +1236,55 @@ def run_size(config: SuiteConfig) -> Table:
     and, inside the memory gate, the n-reach presence plane (``|S|²/8``
     bytes) instead of a CSR.  ``agree`` checks the two verdict vectors
     bit-for-bit (n-reach == plain reachability, so PWAH must agree); CI
-    gates it on every row.
+    gates it on every row.  The TOTAL row holds the summed edges and
+    the summed bytes per summed edge.
     """
-    import tempfile
-    from pathlib import Path
-
-    from repro.core.serialize import save_mmap
-
-    table = Table(
-        f"Size — index bytes/edge and query cost, n-reach "
-        f"(scale={config.scale}, {config.queries} random queries)",
-        ["dataset", "m", "dense B/e", "file B/e", "pwah B/e",
-         "dense µs", "pwah µs", "agree"],
-        caption=(
-            "B/e = bytes per graph edge: dense = the §4.3 storage model "
-            "(4-byte ids, 2-bit weights), file = the measured v6 file "
-            "(graph CSR, cover ids, presence plane), pwah = the PWAH-8 "
-            "baseline's model.  CI gates agree on every row."
-        ),
-    )
-    tot_m = tot_dense = tot_file = tot_pwah = 0
-    all_agree = True
+    totals = _Totals(per="m")
     with tempfile.TemporaryDirectory(prefix="kreach-size-") as tmp:
         path = Path(tmp) / "index.kri"
-        for name in config.datasets:
+
+        def row(name: str) -> dict:
             g = config.graph(name)
             pairs = config.pairs(name)
-            m = max(1, int(g.out_indices.size))
             dense = KReachIndex(g, None).prepare_batch()
             pwah = PwahIndex(g)
             agree = bool(
-                np.array_equal(
-                    dense.query_batch(pairs), pwah.reaches_batch(pairs)
-                )
+                np.array_equal(dense.query_batch(pairs), pwah.reaches_batch(pairs))
             )
             save_mmap(dense, path)
-            dense_b = dense.storage_bytes()
-            file_b = path.stat().st_size
-            table.add_row(
-                {
-                    "dataset": name,
-                    "m": m,
-                    "dense B/e": dense_b / m,
-                    "file B/e": file_b / m,
-                    "pwah B/e": pwah.storage_bytes() / m,
-                    "dense µs": fmt_us(
-                        time_batch_queries(dense.query_batch, pairs).us_per_query
-                    ),
-                    "pwah µs": fmt_us(
-                        time_batch_queries(pwah.reaches_batch, pairs).us_per_query
-                    ),
-                    "agree": "yes" if agree else "NO",
-                }
-            )
-            tot_m += m
-            tot_dense += dense_b
-            tot_file += file_b
-            tot_pwah += pwah.storage_bytes()
-            all_agree &= agree
-    table.add_row(
-        {
-            "dataset": "TOTAL",
-            "m": tot_m,
-            "dense B/e": tot_dense / max(1, tot_m),
-            "file B/e": tot_file / max(1, tot_m),
-            "pwah B/e": tot_pwah / max(1, tot_m),
-            "agree": "yes" if all_agree else "NO",
-        }
-    )
-    return table
+            cells = {
+                "dense µs": fmt_us(
+                    time_batch_queries(dense.query_batch, pairs).us_per_query
+                ),
+                "pwah µs": fmt_us(
+                    time_batch_queries(pwah.reaches_batch, pairs).us_per_query
+                ),
+            }
+            sums = {
+                "m": max(1, int(g.out_indices.size)),
+                "dense B/e": dense.storage_bytes(),
+                "file B/e": path.stat().st_size,
+                "pwah B/e": pwah.storage_bytes(),
+            }
+            return totals.add(cells, sums, agree)
+
+        table = _per_dataset(
+            config,
+            f"Size — index bytes/edge and query cost, n-reach "
+            f"(scale={config.scale}, {config.queries} random queries)",
+            ["m", "dense B/e", "file B/e", "pwah B/e", "dense µs", "pwah µs",
+             "agree"],
+            row,
+            caption=(
+                "B/e = bytes per graph edge: dense = the §4.3 storage model "
+                "(4-byte ids, 2-bit weights), file = the measured v6 file "
+                "(graph CSR, cover ids, presence plane), pwah = the PWAH-8 "
+                "baseline's model.  CI gates agree on every row."
+            ),
+        )
+    return totals.close(table)
 
 
-#: CLI name -> callable; each returns a Table or tuple of Tables.
 def run_shard(config: SuiteConfig) -> Table:
     """The sharded serving tier: scatter-gather throughput vs one pool.
 
@@ -1478,31 +1295,22 @@ def run_shard(config: SuiteConfig) -> Table:
     in-process engine and through
     :class:`~repro.core.sharded.ShardedQueryServer` at both shard
     counts (process pools, one worker per shard — total parallelism =
-    the shard count).  Every served verdict is checked bit-for-bit
-    against the in-process reference ("agree"), so the benchmark
-    doubles as a live differential test.  CI gates the TOTAL row:
+    the shard count), through the served loop :func:`_served`.  CI
+    gates the TOTAL row:
     agree must hold and 2-shard throughput must be no worse than
     1-shard beyond scheduler-noise tolerance (a 1-core runner cannot
     show a 2-shard speedup; a multi-core one can — the acceptance
     target there is ≥ 1.5x).
     """
-    import tempfile
-    from pathlib import Path
-
-    from repro.core.partition import partition_kreach
-    from repro.core.serialize import save_sharded
-    from repro.core.sharded import ShardedQueryServer
-
     k = 6
     shard_counts = (1, 2)
     n_pairs = 4 * config.queries
-    reps = max(2, config.repeat)
-    shard_cols = [f"shard@{c} ms" for c in shard_counts]
     table = Table(
         f"Shard — scatter-gather serving throughput (scale={config.scale}, "
         f"k={k}, {n_pairs} pairs per row, 1 worker per shard)",
         ["dataset", "pairs", "|B|", "cross", "part ms", "mani MB",
-         "inproc ms", *shard_cols, "speedup", "agree"],
+         "inproc ms", *(f"shard@{c} ms" for c in shard_counts), "speedup",
+         "agree"],
         caption=(
             "|B| = replicated boundary (hub) vertices; cross = pairs "
             "stitched through the boundary portal tables instead of a "
@@ -1515,83 +1323,40 @@ def run_shard(config: SuiteConfig) -> Table:
             "on it."
         ),
     )
-    totals: dict[object, float] = {"inproc": 0.0}
-    totals.update({c: 0.0 for c in shard_counts})
-    all_agree = True
-    rng = np.random.default_rng(config.seed)
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in config.datasets:
-            g = config.graph(name)
-            idx = KReachIndex(g, k).prepare_batch()
-            pairs = random_pairs(g.n, n_pairs, rng=rng)
 
-            def best_of(fn):
-                result, first_s = timed(fn)
-                best = min(
-                    [first_s] + [timed(fn)[1] for _ in range(reps - 1)]
-                )
-                return result, best
+    def manifest(path: Path, count: int) -> Path:
+        return path.with_name(f"{path.stem}-{count}")
 
-            reference, inproc_s = best_of(lambda: idx.query_batch(pairs))
-            totals["inproc"] += inproc_s
-            row: dict[str, object] = {
-                "dataset": name,
-                "pairs": len(pairs),
-                "inproc ms": 1e3 * inproc_s,
-            }
-            agree = True
-            part_s = 0.0
-            shard_times: dict[int, float] = {}
-            for count in shard_counts:
-                directory = Path(tmp) / f"{name}-{count}"
+    def partition(g: DiGraph, path: Path, pairs: np.ndarray, row: dict) -> None:
+        """Write every shard count's manifest; the |B|, cross and
+        mani MB cells describe the widest one."""
+        part_s = 0.0
+        for count in shard_counts:
+            directory = manifest(path, count)
+            sharded, seconds = timed(lambda: partition_kreach(g, k, count))
+            part_s += seconds + timed(lambda: save_sharded(sharded, directory))[1]
+        s64, t64 = (pairs[:, i].astype(np.int64) for i in (0, 1))
+        row["|B|"] = len(sharded.boundary)
+        row["cross"] = int((sharded.route(s64, t64) < 0).sum())
+        row["mani MB"] = fmt_mb(sum(f.stat().st_size for f in directory.iterdir()))
+        row["part ms"] = 1e3 * part_s
 
-                def partition_and_save():
-                    sharded = partition_kreach(g, k, count)
-                    save_sharded(sharded, directory)
-                    return sharded
-
-                sharded, one_part_s = timed(partition_and_save)
-                part_s += one_part_s
-                if count == max(shard_counts):
-                    s64 = pairs[:, 0].astype(np.int64)
-                    t64 = pairs[:, 1].astype(np.int64)
-                    row["|B|"] = len(sharded.boundary)
-                    row["cross"] = int((sharded.route(s64, t64) < 0).sum())
-                    row["mani MB"] = fmt_mb(
-                        sum(f.stat().st_size for f in directory.iterdir())
-                    )
-                with ShardedQueryServer(
-                    directory, workers=1, backend="process"
-                ) as server:
-                    server.query_batch(pairs[:1024])  # warm the pools
-                    served, served_s = best_of(
-                        lambda: server.query_batch(pairs)
-                    )
-                    agree &= bool(np.array_equal(served, reference))
-                    shard_times[count] = served_s
-                    totals[count] += served_s
-                    row[f"shard@{count} ms"] = 1e3 * served_s
-            row["part ms"] = 1e3 * part_s
-            row["speedup"] = (
-                f"{shard_times[shard_counts[0]] / max(shard_times[shard_counts[-1]], 1e-9):.2f}x"
-            )
-            all_agree &= agree
-            row["agree"] = "yes" if agree else "NO"
-            table.add_row(row)
-    total_row: dict[str, object] = {
-        "dataset": "TOTAL",
-        "inproc ms": 1e3 * totals["inproc"],
-        "speedup": (
-            f"{totals[shard_counts[0]] / max(totals[shard_counts[-1]], 1e-9):.2f}x"
-        ),
-        "agree": "yes" if all_agree else "NO",
-    }
-    for count in shard_counts:
-        total_row[f"shard@{count} ms"] = 1e3 * totals[count]
-    table.add_row(total_row)
-    return table
+    backends = [
+        (
+            lambda path, c=count: ShardedQueryServer(
+                manifest(path, c), workers=1, backend="process"
+            ),
+            {f"shard@{count} ms": _batch},
+        )
+        for count in shard_counts
+    ]
+    speedup = (f"shard@{shard_counts[0]} ms", f"shard@{shard_counts[-1]} ms")
+    return _served(
+        config, table, backends, n_pairs=n_pairs, speedup=speedup, prepare=partition
+    )
 
 
+#: CLI name -> callable; each returns a Table or tuple of Tables.
 ALL_EXPERIMENTS = {
     "build": run_build,
     "table2": run_table2,

@@ -4,56 +4,16 @@ Usage::
 
     python -m repro.cli table2 --scale 0.2
     python -m repro.cli table3-4-5 --scale 1.0 --queries 100000
-    python -m repro.cli throughput --scale 0.2 --queries 100000
-    python -m repro.cli dynamic --scale 0.2 --json BENCH_dynamic.json
     python -m repro.cli serve --scale 0.2 --json BENCH_serve.json
-    python -m repro.cli build --scale 0.2 --json build.json
     python -m repro.cli all --scale 0.2 --output results.txt
     kreach-bench table8            # installed console script
     kreach-bench verify index.kr6 updates.krlog shards/  # checksum audit
 
-Query-timing experiments (Tables 5/7 and ``throughput``) run through the
-vectorized batch engine (``engine='auto'``).  ``throughput`` races it
-per row against the scalar loop and an over-gate twin index
-(``bitset_matrix_bytes=0``), with per-case timings and the
-scalar-vs-bitset speedup CI gates on; ``dynamic``
-replays churn traces through the snapshot+overlay dynamic engine, the
-scalar dynamic path, and a rebuild-per-batch baseline (CI gates
-overlay >= scalar on the TOTAL row), and ``build`` compares the blocked
-MS-BFS construction path against the per-source serial build.
-
-``serve`` measures the memory-mapped serving tier: the v6 index file's
-size and :func:`~repro.core.serialize.load_mmap` open time, and batch
-throughput through 1/2/4/8-worker :class:`~repro.core.serve.QueryServer`
-pools sharing one index file (CI gates 2-worker ≥ 1-worker throughput).
-``native`` benchmarks the compiled kernel tier (:mod:`repro.native`)
-against the numpy baseline per dispatched kernel and times
-:class:`~repro.core.serve.ThreadQueryServer` against the in-process
-engine; every invocation prints the active tier line and ``--json``
-provenance records ``native.describe()`` so BENCH artifacts say which
-tier produced them.  ``--repeat N`` reports median-of-N timings.
-
-``ingest`` races the streamed external-sort ingester
-(:func:`~repro.graph.ingest.ingest_edge_list`, budget ``--ingest-mb``,
-file size ``--ingest-edges``) against the eager
-:func:`~repro.graph.io.read_edge_list` on a generated edge file —
-plain, gzip, and a tight-budget multi-run merge — gating bit-identical
-CSR output, streamed peak < eager peak, and sort buffer within budget;
-``--condense`` extends the pipeline through the SCC condensation into a
-:class:`~repro.core.CondensedKReach` build.  ``size`` compares the
-n-reach index (its §4.3 storage model and its measured v6 file) with
-the PWAH-8 baseline on bytes/edge and µs/query (CI gates bit-identical
-verdicts).
-
-Every experiment accepts ``--scale`` (1.0 = paper-sized graphs),
-``--queries``, ``--datasets`` (comma-separated subset; an unknown name
-exits with status 2 and the valid names), and ``--seed``.  ``--json PATH``
-additionally writes the results as machine-readable JSON so perf
-trajectories (the CI-uploaded ``BENCH_throughput.json`` /
-``BENCH_build.json`` / ``BENCH_serve.json`` artifacts) can be tracked
-across PRs; the payload embeds run provenance — git sha, numpy version,
-platform, timestamp, CPU count, and the full experiment parameters — so
-artifacts from different PRs are comparable.
+Each experiment is described by the docstring of its ``run_*`` function
+in :mod:`repro.bench.experiments` (``ALL_EXPERIMENTS`` maps the names).
+``--json PATH`` also writes the tables with run provenance (git sha,
+numpy version, native tier, platform, timestamp, CPU count and the
+experiment parameters) so results from different commits compare.
 """
 
 from __future__ import annotations
@@ -70,6 +30,27 @@ from repro.datasets import DATASET_NAMES
 __all__ = ["main", "build_parser"]
 
 
+def _positive_scale(text: str) -> float:
+    """``--scale``: a number above zero (argparse turns the error into usage)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be a number above zero, got {text!r}")
+    return value
+
+
+def _worker_counts(text: str) -> tuple[int, ...]:
+    """``--serve-workers``: comma-separated positive pool sizes."""
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    if not parts or not all(part.isdigit() and int(part) > 0 for part in parts):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive ints, got {text!r}"
+        )
+    return tuple(int(part) for part in parts)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -83,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--scale",
-        type=float,
+        type=_positive_scale,
         default=0.2,
         help="dataset scale factor; 1.0 = paper-sized graphs (default 0.2)",
     )
@@ -108,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=7, help="workload seed")
     parser.add_argument(
         "--serve-workers",
-        type=str,
-        default="1,2,4,8",
+        type=_worker_counts,
+        default=(1, 2, 4, 8),
         metavar="N,N,...",
         help=(
             "comma-separated QueryServer pool sizes the 'serve' experiment "
@@ -125,15 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
             "repeat each timing N times and report the median run "
             "(default 1); smooths scheduler noise in BENCH_*.json "
             "trajectories"
-        ),
-    )
-    parser.add_argument(
-        "--condense",
-        action="store_true",
-        help=(
-            "'ingest': also run the streamed graph through the SCC "
-            "condensation into a CondensedKReach build (index on the "
-            "condensation DAG, queries mapped through component ids)"
         ),
     )
     parser.add_argument(
@@ -313,24 +285,14 @@ def main(argv: list[str] | None = None) -> int:
                 f"unknown --datasets name(s) {', '.join(unknown)}; "
                 f"choose from {', '.join(DATASET_NAMES)}"
             )
-    try:
-        serve_workers = tuple(
-            int(part) for part in args.serve_workers.split(",") if part.strip()
-        ) or (1, 2, 4, 8)
-    except ValueError:
-        raise SystemExit(
-            f"--serve-workers must be comma-separated ints, got "
-            f"{args.serve_workers!r}"
-        )
     config = SuiteConfig(
         datasets=datasets,
         scale=args.scale,
         queries=args.queries,
         bfs_queries=args.bfs_queries,
         seed=args.seed,
-        serve_workers=serve_workers,
+        serve_workers=args.serve_workers,
         repeat=max(1, args.repeat),
-        condense=args.condense,
         ingest_mb=max(1, args.ingest_mb),
         ingest_edges=max(1000, args.ingest_edges),
     )
@@ -363,9 +325,8 @@ def main(argv: list[str] | None = None) -> int:
                 "queries": args.queries,
                 "bfs_queries": args.bfs_queries,
                 "seed": args.seed,
-                "serve_workers": list(serve_workers),
+                "serve_workers": list(args.serve_workers),
                 "repeat": max(1, args.repeat),
-                "condense": args.condense,
                 "ingest_mb": max(1, args.ingest_mb),
                 "ingest_edges": max(1000, args.ingest_edges),
             },

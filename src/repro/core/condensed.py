@@ -57,7 +57,7 @@ class CondensedKReach:
         condensed); computed here when omitted.
     kwargs:
         Forwarded to :class:`~repro.core.kreach.KReachIndex` (cover
-        strategy, builder, memory gate, ...).
+        strategy, memory gate, ...).
 
     Examples
     --------

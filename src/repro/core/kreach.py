@@ -18,14 +18,14 @@ from one blocked bit-parallel MS-BFS over in-edges
 (:func:`~repro.core.index_graph.cover_planes_blocked`).  This applies
 while the planes fit ``bitset_matrix_bytes``; there the planes *are*
 the index and its CSR is derived only for the consumers that read rows.
-Past that gate, and for ``builder='serial'``, construction feeds the
-§4.3 CSR (cover-id table + offsets + targets + packed weights) from
-``(src, dst, dist)`` triple arrays — the blocked multi-source BFS, or
-the per-source serial sweep kept as the differential/benchmark
-baseline.  Every route gives the same index, bit for bit.  The blocked
-sweeps are this module's answer to §4.1.3's "straightforward to
-parallelize": 64 independent cover-vertex BFSs share one bit-parallel
-pass.
+Past that gate, construction feeds the §4.3 CSR (cover-id table +
+offsets + targets + packed weights) from the ``(src, dst, dist)``
+triple arrays of the blocked multi-source BFS; both routes give the
+same index, bit for bit, as one BFS per cover vertex
+(:func:`~repro.core.index_graph.cover_triples_serial`, the tests'
+oracle).  The blocked sweeps are this module's answer to §4.1.3's
+"straightforward to parallelize": 64 independent cover-vertex BFSs
+share one bit-parallel pass.
 
 Queries (Algorithm 2) split on cover membership of the endpoints:
 
@@ -47,9 +47,7 @@ materializing self-loops; `tests/core/test_kreach.py` exercises both
 situations.
 
 With ``k=None`` the index degenerates to the paper's **n-reach**: a classic
-reachability index.  In that mode the serial builder runs over the SCC
-condensation's transitive closure instead of per-cover-vertex BFS — the
-same index, built with bitset sweeps instead of |S| graph traversals.
+reachability index.
 """
 
 from __future__ import annotations
@@ -75,12 +73,10 @@ from repro.core.index_graph import (
     IndexGraph,
     cover_planes_blocked,
     cover_triples_blocked,
-    cover_triples_serial,
     level_specs,
 )
 from repro.core.vertex_cover import cover_from_strategy, is_vertex_cover
 from repro.graph.digraph import DiGraph
-from repro.graph.scc import condensation
 
 __all__ = [
     "KReachIndex",
@@ -90,7 +86,6 @@ __all__ = [
     "level_within",
 ]
 
-_BUILDERS = ("blocked", "serial")
 #: The batch engine names every in-process answerer accepts: the one
 #: vector engine (its path picked by ``bitset_matrix_bytes``) and the
 #: per-pair reference loop.
@@ -122,20 +117,14 @@ class KReachIndex:
         ``'random'``, ``'input'``, ``'greedy'``.
     include_degree_at_least:
         Seed all vertices of at least this degree into the cover (§4.3).
-    builder:
-        ``'blocked'`` (default) constructs via the bit-parallel
-        multi-source BFS — the level planes straight from one reverse
-        sweep inside the memory gate, the CSR triples past it;
-        ``'serial'`` runs one BFS per cover vertex into the CSR (the
-        pre-refactor path, kept for differential tests and benchmarks).
-        Both produce the same index, bit for bit.
     bitset_matrix_bytes:
         Memory ceiling for the cover-position bit views this index
         builds (``~|S|²/8`` bytes each; default
         :data:`~repro.bitsets.ops.DEFAULT_MATRIX_BYTES`).  When the
         three nested views of :meth:`query_batch` (≤k-2, ≤k-1, ≤k; one
-        presence view for n-reach) fit together, they are the index
-        (see ``builder``): every Case 1–3 probe is a bit load and Case 4
+        presence view for n-reach) fit together, they are the index,
+        built as level planes straight from one reverse bit-parallel
+        multi-source BFS: every Case 1–3 probe is a bit load and Case 4
         is a bitset join.  Past that, batches probe the keyed row store
         over the CSR, and Case 4 still takes the bitset join while its
         one link matrix fits; covers too large even for that fall back
@@ -176,14 +165,11 @@ class KReachIndex:
         cover: frozenset[int] | None = None,
         cover_strategy: str = "degree",
         include_degree_at_least: int | None = None,
-        builder: str = "blocked",
         bitset_matrix_bytes: int = DEFAULT_MATRIX_BYTES,
         rng: np.random.Generator | None = None,
     ) -> None:
         if k is not None and k < 0:
             raise ValueError(f"k must be non-negative or None, got {k}")
-        if builder not in _BUILDERS:
-            raise ValueError(f"builder must be one of {_BUILDERS}, got {builder!r}")
         if cover is None:
             cover = cover_from_strategy(
                 graph,
@@ -195,15 +181,12 @@ class KReachIndex:
             cover = frozenset(int(v) for v in cover)
             if not is_vertex_cover(graph, cover):
                 raise ValueError("provided vertex set is not a vertex cover")
-        if builder == "blocked" and _stack_bytes(k, len(cover)) <= bitset_matrix_bytes:
+        if _stack_bytes(k, len(cover)) <= bitset_matrix_bytes:
             cover_ids, planes = cover_planes_blocked(graph, cover, k)
             ig = IndexGraph.from_levels(graph.n, cover_ids, k, planes)
-        elif k is None and builder == "serial":
-            triples = self._unbounded_triples_serial(graph, cover)
-            ig = IndexGraph.for_kreach(graph.n, cover, *triples, k)
         else:
-            make = cover_triples_serial if builder == "serial" else cover_triples_blocked
-            ig = IndexGraph.for_kreach(graph.n, cover, *make(graph, cover, k), k)
+            triples = cover_triples_blocked(graph, cover, k)
+            ig = IndexGraph.for_kreach(graph.n, cover, *triples, k)
         self._finish_init(graph, k, cover, ig, bitset_matrix_bytes)
 
     def _finish_init(
@@ -287,64 +270,6 @@ class KReachIndex:
                 graph.n, cover, rows, weight_base=k - 2, weight_bits=2
             )
         return cls.from_index_graph(graph, k, cover=cover, index_graph=ig)
-
-    # ------------------------------------------------------------------
-    # Construction (Algorithm 1)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _unbounded_triples_serial(
-        graph: DiGraph, cover: frozenset[int]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """n-reach triples over the condensation's transitive closure.
-
-        For ``k = ∞`` only reachability between cover vertices matters, so
-        instead of |S| full BFS sweeps the serial builder computes the DAG
-        transitive closure once (big-int bitmask OR-accumulation in
-        reverse topological order) and expands it to cover pairs.
-        """
-        cond = condensation(graph)
-        comp = cond.component_of
-        dag = cond.dag
-        n_dag = dag.n
-
-        members: dict[int, list[int]] = {}
-        for u in cover:
-            members.setdefault(int(comp[u]), []).append(u)
-        cover_comp_mask = 0
-        for c in members:
-            cover_comp_mask |= 1 << c
-
-        closure: list[int] = [0] * n_dag
-        for c in range(n_dag):  # increasing id = reverse topological order
-            acc = 0
-            for child in dag.out_neighbors(c):
-                child = int(child)
-                acc |= closure[child] | (1 << child)
-            closure[c] = acc
-
-        srcs: list[np.ndarray] = []
-        dsts: list[np.ndarray] = []
-        for c, us in members.items():
-            # Cover vertices in strictly-reachable components.
-            reach: list[int] = []
-            mask = closure[c] & cover_comp_mask
-            while mask:
-                low = mask & -mask
-                reach.extend(members[low.bit_length() - 1])
-                mask ^= low
-            same = us if len(us) > 1 and not cond.is_trivial(c) else None
-            for u in us:
-                row = list(reach)
-                if same is not None:
-                    row.extend(v for v in same if v != u)
-                if row:
-                    dsts.append(np.asarray(row, dtype=np.int64))
-                    srcs.append(np.full(len(row), u, dtype=np.int64))
-        if not srcs:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
-        src = np.concatenate(srcs)
-        return src, np.concatenate(dsts), np.zeros(len(src), dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Scalar probe view (derived from the IndexGraph, built on first use)

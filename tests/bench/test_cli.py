@@ -121,3 +121,24 @@ class TestJsonMetadata:
         # os.cpu_count() may legitimately return None on some platforms.
         assert meta["cpu_count"] is None or meta["cpu_count"] >= 1
         assert "T" in meta["timestamp_utc"]  # ISO-8601
+
+
+class TestNumericArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table8", "--scale", "0"],
+            ["table8", "--scale", "-0.5"],
+            ["serve", "--scale", "0.03", "--datasets", "GO", "--serve-workers", "0,2"],
+            ["serve", "--scale", "0.03", "--datasets", "GO", "--serve-workers", "x"],
+            ["serve", "--scale", "0.03", "--datasets", "GO", "--serve-workers", "1,-2"],
+        ],
+        ids=["scale-zero", "scale-negative", "workers-zero", "workers-text",
+             "workers-negative"],
+    )
+    def test_bad_value_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert argv[-2] in err and "Traceback" not in err

@@ -46,6 +46,20 @@ class TestSuiteConfig:
         assert set(builds) == {"n-reach", "PTree", "3-hop", "GRAIL", "PWAH"}
         assert config.reachability_builds("GO") is builds
 
+    def test_table6_ranks_table5_timings(self, config, monkeypatch):
+        """One ``all`` run times Table 5's indexes once: Table 6 ranks the
+        timings Tables 3-5 left on the config."""
+        import repro.bench.experiments as experiments
+
+        t5 = run_table3_4_5(config)[2]
+
+        def timed_again(*args, **kwargs):
+            raise AssertionError("Table 6 re-timed a Table 5 index")
+
+        monkeypatch.setattr(experiments, "time_batch_queries", timed_again)
+        assert len(run_table6(config).rows) == 3
+        assert config.reachability_query_us("GO").keys() <= set(t5.columns)
+
 
 class TestTables:
     def test_table2(self, config):
@@ -178,3 +192,56 @@ def test_run_serve_smoke():
     assert total["inproc ms"] > 0
     assert total["serve@1 ms"] > 0 and total["serve@2 ms"] > 0
     assert all(r["agree"] == "yes" for r in tput.rows)
+
+
+def _total(table, key="dataset"):
+    return next(row for row in table.rows if row[key] == "TOTAL")
+
+
+def test_run_native_smoke():
+    """The two tables and TOTAL keys the CI native-smoke gate reads."""
+    from repro.bench.experiments import run_native
+
+    config = SuiteConfig(
+        datasets=("GO", "aMaze"), scale=0.03, queries=100, seed=2, repeat=2
+    )
+    kernels, serve = run_native(config)
+    assert kernels.rows[-1]["kernel"] == "TOTAL"
+    total = _total(kernels, "kernel")
+    assert total["numpy ms"] > 0 and total["native ms"] > 0
+    assert all(row["agree"] == "yes" for row in kernels.rows)
+    assert [row["dataset"] for row in serve.rows] == ["GO", "aMaze", "TOTAL"]
+    total = _total(serve)
+    assert total["inproc ms"] > 0 and total["thread@2 ms"] > 0
+    assert all(row["agree"] == "yes" for row in serve.rows)
+
+
+def test_run_shard_smoke():
+    """The TOTAL keys the CI shard-smoke gate reads."""
+    from repro.bench.experiments import run_shard
+
+    config = SuiteConfig(datasets=("GO", "aMaze"), scale=0.03, queries=100, seed=2)
+    table = run_shard(config)
+    assert [row["dataset"] for row in table.rows] == ["GO", "aMaze", "TOTAL"]
+    total = _total(table)
+    assert total["shard@1 ms"] > 0 and total["shard@2 ms"] > 0
+    assert all(row["agree"] == "yes" for row in table.rows)
+    for row in table.rows[:-1]:
+        assert row["|B|"] >= 0 and 0 <= row["cross"] <= row["pairs"]
+        assert float(row["mani MB"]) > 0 and row["part ms"] > 0
+
+
+def test_run_ingest_smoke():
+    """Every row carries the cells the CI ingest-smoke gate reads."""
+    from repro.bench.experiments import run_ingest
+
+    # A 1 MiB budget holds 64 Ki edge keys per run: 100 000 edges spill
+    # at least two sorted runs, so every row takes the external merge.
+    config = SuiteConfig(seed=2, ingest_mb=1, ingest_edges=100_000)
+    table = run_ingest(config)
+    assert [row["input"] for row in table.rows] == ["plain", "gzip", "plain/tight"]
+    for row in table.rows:
+        assert row["identical"] == "yes", row
+        assert 0 < row["stream peak MB"] < row["eager peak MB"], row
+        assert 0 < row["buf peak MB"] <= row["budget MB"], row
+        assert row["runs"] >= 2, row

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.base import IndexBudgetExceeded
-from repro.bench.runner import build_index, time_queries, timed
+from repro.bench.runner import best_of, build_index, time_queries, timed
 
 
 class FakeIndex:
@@ -17,6 +17,19 @@ class TestTimed:
         result, seconds = timed(lambda: 42)
         assert result == 42
         assert seconds >= 0
+
+
+class TestBestOf:
+    def test_first_result_and_fastest_time(self):
+        calls = []
+        result, seconds = best_of(3, lambda: calls.append(len(calls)) or len(calls))
+        assert result == 1 and len(calls) == 3
+        assert seconds >= 0
+
+    def test_runs_at_least_once(self):
+        calls = []
+        assert best_of(0, lambda: calls.append(1) or "x")[0] == "x"
+        assert calls == [1]
 
 
 class TestBuildIndex:

@@ -8,7 +8,9 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.core.index_graph import IndexGraph, cover_triples_serial
 from repro.core.kreach import KReachIndex
+from repro.core.vertex_cover import cover_from_strategy
 from repro.core.serialize import _MMAP_PROLOGUE
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
@@ -81,6 +83,18 @@ def all_pairs(g: DiGraph):
     for s in range(g.n):
         for t in range(g.n):
             yield s, t
+
+
+def serial_index(g: DiGraph, k: int | None, cover=None) -> KReachIndex:
+    """The per-source twin of ``KReachIndex(g, k, cover=cover)``: one
+    BFS per cover vertex (``cover_triples_serial``) into the CSR, the
+    oracle the blocked builds must match bit for bit.  ``cover``
+    defaults to the index's own degree-first pick."""
+    cover = frozenset(
+        cover_from_strategy(g, "degree") if cover is None else map(int, cover)
+    )
+    ig = IndexGraph.for_kreach(g.n, cover, *cover_triples_serial(g, cover, k), k)
+    return KReachIndex.from_index_graph(g, k, cover=cover, index_graph=ig)
 
 
 def vector_gate(index: KReachIndex, path: str) -> int:

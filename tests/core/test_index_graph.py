@@ -1,8 +1,8 @@
 """IndexGraph substrate tests.
 
 The central invariant of the CSR-native refactor: the **serial**
-per-source builder and the **blocked** bit-parallel MS-BFS builder
-produce bit-identical
+per-source sweep (``tests.conftest.serial_index``, the oracle) and the
+**blocked** bit-parallel MS-BFS builder produce bit-identical
 :class:`~repro.core.index_graph.IndexGraph` contents for every ``k``
 (k=None included), on randomized graphs.  Plus unit coverage for the
 structure's views and conversion helpers.
@@ -21,6 +21,7 @@ from repro.core.index_graph import (
 from repro.core.kreach import KReachIndex
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import gnp_digraph, paper_example_graph, path_graph
+from tests.conftest import serial_index
 
 
 class TestIndexGraphUnit:
@@ -129,8 +130,8 @@ class TestBuilderDifferential:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(30, 90))
         g = gnp_digraph(n, float(rng.uniform(0.02, 0.12)), seed=100 + seed)
-        serial = KReachIndex(g, k, builder="serial")
-        blocked = KReachIndex(g, k, cover=serial.cover, builder="blocked")
+        serial = serial_index(g, k)
+        blocked = KReachIndex(g, k, cover=serial.cover)
         assert serial.index_graph == blocked.index_graph, (k, seed)
         # And the assembled indexes answer identically.
         pairs = rng.integers(0, g.n, size=(200, 2))
@@ -143,24 +144,26 @@ class TestBuilderDifferential:
         ids = {lab: g.vertex_id(lab) for lab in "abcdefghij"}
         cover = frozenset(ids[x] for x in "bdgi")
         for k in (3, None):
-            serial = KReachIndex(g, k, cover=cover, builder="serial")
-            blocked = KReachIndex(g, k, cover=cover, builder="blocked")
+            serial = serial_index(g, k, cover)
+            blocked = KReachIndex(g, k, cover=cover)
             assert serial.index_graph == blocked.index_graph
 
     def test_path_graph_edges(self):
         g = path_graph(6)
-        serial = KReachIndex(g, 2, builder="serial")
-        blocked = KReachIndex(g, 2, cover=serial.cover, builder="blocked")
+        serial = serial_index(g, 2)
+        blocked = KReachIndex(g, 2, cover=serial.cover)
         assert serial.weighted_edges() == blocked.weighted_edges()
 
     def test_unknown_builder_rejected(self):
-        with pytest.raises(ValueError, match="builder"):
-            KReachIndex(path_graph(3), 2, builder="magic")
+        # The per-source sweep lives in the tests only (serial_index);
+        # the index has one construction path and no builder knob.
+        for builder in ("serial", "blocked"):
+            with pytest.raises(TypeError, match="builder"):
+                KReachIndex(path_graph(3), 2, builder=builder)
 
     def test_disconnected_and_empty(self):
         g = DiGraph(5)  # no edges: empty cover, empty index
-        for builder in ("serial", "blocked"):
-            idx = KReachIndex(g, 3, builder=builder)
+        for idx in (serial_index(g, 3), KReachIndex(g, 3)):
             assert idx.edge_count == 0
             assert idx.query(0, 0) and not idx.query(0, 1)
 

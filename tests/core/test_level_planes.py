@@ -12,7 +12,8 @@ Watts–Strogatz graph at k in {0, 1, 2, 3, 6, None}:
 * ``query_batch`` and scalar ``query`` match the BFS oracle on every
   pair, and the scalar surface (``query``, ``weight``, ``edge_count``,
   ``storage_bytes``) reads the planes without deriving the CSR;
-* ``bitset_matrix_bytes=0`` and ``builder='serial'`` still build the CSR.
+* ``bitset_matrix_bytes=0`` and the per-source serial twin
+  (``tests.conftest.serial_index``) still build the CSR.
 """
 
 import numpy as np
@@ -28,7 +29,7 @@ from repro.core.kreach import KReachIndex
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import celebrity_crossfire_digraph
 from repro.graph.traversal import blocked_reach_planes, reaches_within_bfs
-from tests.conftest import graph_corpus
+from tests.conftest import graph_corpus, serial_index
 
 KS = [0, 1, 2, 3, 6, None]
 
@@ -125,12 +126,13 @@ def test_scalar_surface_reads_the_planes(gi, k):
 
 @pytest.mark.parametrize("k", KS)
 @pytest.mark.parametrize(
-    "options", [{"bitset_matrix_bytes": 0}, {"builder": "serial"}],
+    "build",
+    [lambda g, k: KReachIndex(g, k, bitset_matrix_bytes=0), serial_index],
     ids=["over-gate", "serial"],
 )
-def test_csr_builds_stay(k, options):
+def test_csr_builds_stay(k, build):
     g = GRAPHS[-1]
-    index = KReachIndex(g, k, **options)
+    index = build(g, k)
     assert index.index_graph.levels is None
     assert index.index_graph == triple_graph(g, index.cover, k)
     planes = KReachIndex(g, k, cover=index.cover)
