@@ -100,8 +100,8 @@ def main() -> None:
 
         if in_burst:  # first read after a write burst: report + verify
             in_burst = False
-            scalar = dyn.query_batch(pairs, engine="scalar")
-            assert np.array_equal(answers, scalar), "engines disagree"
+            scalar = [dyn.query(s, t) for s, t in pairs.tolist()]
+            assert answers.tolist() == scalar, "batch and scalar disagree"
             print(
                 f"  after {writes:3d} writes: {int(answers.sum()):5d}/{len(pairs)} "
                 f"positive, overlay {dyn.overlay_rows:4d} rows / "

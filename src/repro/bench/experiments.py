@@ -528,10 +528,10 @@ def run_throughput(config: SuiteConfig) -> Table:
 
     Not a paper table — this serves the ROADMAP's serving goal.  Every
     row pushes one workload three ways that must agree bit for bit: the
-    per-pair scalar loop; ``engine='auto'`` on a twin index built from
-    the same cover with ``bitset_matrix_bytes=0`` ("prev": keyed probes
-    with chunked cross products and the hub spill for k-reach, the
-    memoized Algorithm-3 walk for (h,k)-reach); and ``engine='auto'``
+    per-pair scalar ``query`` loop; ``query_batch`` on a twin index built
+    from the same cover with ``bitset_matrix_bytes=0`` ("prev": keyed
+    probes with chunked cross products and the hub spill for k-reach,
+    the memoized Algorithm-3 walk for (h,k)-reach); and ``query_batch``
     under the default memory gate ("bitset": the level stack and the
     bitset join).  The per-case columns time the gated engine on each
     Algorithm-2/3 case subset, exposing where the join pays off (Case 4,
@@ -549,10 +549,10 @@ def run_throughput(config: SuiteConfig) -> Table:
         ["dataset", "index", "k", "scalar µs/q", "prev µs/q", "bitset µs/q",
          "c1 µs", "c2 µs", "c3 µs", "c4 µs", "speedup", "agree"],
         caption=(
-            "scalar = per-pair Python loop; prev = engine='auto' on a twin "
+            "scalar = per-pair Python loop; prev = query_batch on a twin "
             "index built from the same cover with bitset_matrix_bytes=0 "
             "(chunked cross products + hub spill for k-reach, memoized "
-            "scalar walk for (h,k)-reach); bitset = engine='auto' under "
+            "scalar walk for (h,k)-reach); bitset = query_batch under "
             "the default memory gate (level stack + bitset join); cN = "
             "bitset µs/q on the Case-N subset ('-' when the workload has "
             "<10 such pairs); speedup = scalar/bitset; agree = all three "
@@ -629,11 +629,10 @@ def run_dynamic(config: SuiteConfig) -> Table:
 
     * **overlay** — one :class:`DynamicKReachIndex`; updates maintain the
       delta overlay, query batches run the four-case bulk engine against
-      the patched base snapshot (``engine='auto'``).
+      the patched base snapshot (``query_batch``).
     * **scalar** — the same index at the same trace points answering
-      through the per-pair scalar loop (``engine='scalar'``, the
-      pre-overlay dynamic behavior).  CI gates overlay ≥ scalar on the
-      TOTAL row.
+      through the per-pair scalar ``query`` loop (the pre-overlay
+      dynamic behavior).  CI gates overlay ≥ scalar on the TOTAL row.
     * **rebuild** — the no-index-maintenance baseline: an edge set is
       kept current and a fresh static :class:`KReachIndex` is built from
       scratch at every query batch (graph snapshot construction is left
@@ -654,7 +653,7 @@ def run_dynamic(config: SuiteConfig) -> Table:
          "scalar µs/q", "overlay ms", "rebuild ms", "compactions",
          "speedup", "agree"],
         caption=(
-            "overlay = DynamicKReachIndex batch engine (auto); scalar = "
+            "overlay = DynamicKReachIndex batch engine; scalar = "
             "same index, per-pair loop; rebuild = fresh static build per "
             "query batch; overlay ms = updates + overlay queries; "
             "speedup = rebuild/overlay total wall-clock; agree = all "
@@ -663,7 +662,6 @@ def run_dynamic(config: SuiteConfig) -> Table:
         ),
     )
     totals = _Totals(speedup=("rebuild ms", "overlay ms"))
-    engines = {"auto": "overlay µs/q", "scalar": "scalar µs/q"}
     for name in config.datasets:
         g = config.graph(name)
         for k in (2, 6):
@@ -684,7 +682,7 @@ def run_dynamic(config: SuiteConfig) -> Table:
             sums = dict.fromkeys(
                 ("update ms", "overlay µs/q", "scalar µs/q", "rebuild ms"), 0.0
             )
-            positives = dict.fromkeys(("auto", "scalar", "rebuild"), 0)
+            positives = dict.fromkeys(("overlay µs/q", "scalar µs/q", "rebuild"), 0)
             writes = queries = 0
             settled = True
             for op in trace:
@@ -702,11 +700,13 @@ def run_dynamic(config: SuiteConfig) -> Table:
                     sums["update ms"] += timed(dyn.prepare_batch)[1]
                     settled = True
                 queries += len(op[1])
-                for engine, col in engines.items():
-                    query = partial(dyn.query_batch, engine=engine)
-                    t = time_batch_queries(query, op[1])
+                timings = {
+                    "overlay µs/q": time_batch_queries(dyn.query_batch, op[1]),
+                    "scalar µs/q": time_queries(dyn.query, op[1]),
+                }
+                for col, t in timings.items():
                     sums[col] += t.seconds
-                    positives[engine] += t.positives
+                    positives[col] += t.positives
             # Rebuild-per-batch baseline: adjacency upkeep is free, the
             # index is reconstructed from scratch at every read point.
             edges = {(int(u), int(v)) for u, v in g.edges()}

@@ -1,7 +1,6 @@
-"""Bitset substrate: plain bitsets, WAH compression, packed small integers,
-and the packed-uint64 join kernels the batch query engines run on."""
+"""Bitset substrate: WAH compression, packed small integers, and the
+packed-uint64 join kernels the batch query engines run on."""
 
-from repro.bitsets.bitset import Bitset
 from repro.bitsets.ops import (
     DEFAULT_MATRIX_BYTES,
     and_any,
@@ -15,7 +14,6 @@ from repro.bitsets.packed import PackedIntArray, bits_needed
 from repro.bitsets.wah import WahBitVector
 
 __all__ = [
-    "Bitset",
     "PackedIntArray",
     "bits_needed",
     "WahBitVector",

@@ -12,8 +12,7 @@ uint64 word, so a membership join is a handful of vectorized ``AND`` /
 Layout convention: a "bit row" over a universe of ``nbits`` positions is
 a ``words_for(nbits)``-long uint64 array, little-endian within the word
 (position ``p`` lives in word ``p >> 6`` at bit ``p & 63``) — the same
-layout as :class:`~repro.bitsets.bitset.Bitset` and the MS-BFS frontier
-masks in :mod:`repro.graph.traversal`.
+layout as the MS-BFS frontier masks in :mod:`repro.graph.traversal`.
 
 All kernels are allocation-bounded: the fan-out helpers chunk their
 temporaries to at most ``max_words`` uint64 words, so a celebrity vertex

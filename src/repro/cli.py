@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -39,6 +40,21 @@ def _positive_scale(text: str) -> float:
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be a number above zero, got {text!r}")
     return value
+
+
+def _int_at_least(low: int):
+    """An argparse type: a whole number of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an int >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _worker_counts(text: str) -> tuple[int, ...]:
@@ -70,13 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--queries",
-        type=int,
+        type=_int_at_least(1),
         default=20_000,
         help="random queries per dataset (paper used 1M; default 20000)",
     )
     parser.add_argument(
         "--bfs-queries",
-        type=int,
+        type=_int_at_least(1),
         default=1_000,
         help="query count for the slow online baselines (default 1000)",
     )
@@ -99,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--repeat",
-        type=int,
+        type=_int_at_least(1),
         default=1,
         metavar="N",
         help=(
@@ -110,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--ingest-mb",
-        type=int,
+        type=_int_at_least(1),
         default=32,
         metavar="MB",
         help=(
@@ -121,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--ingest-edges",
-        type=int,
+        type=_int_at_least(1000),
         default=200_000,
         metavar="N",
         help=(
@@ -264,8 +280,18 @@ def _verify_main(argv: list[str]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
+    try:
+        code = _main(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()  # a closed reader surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe (``kreach-bench ... | head``): stop
+        # quietly, with stdout on devnull so the exit flush cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _main(argv: list[str]) -> int:
     # `verify` is a utility subcommand, not an experiment: intercept it
     # before the experiment parser (whose positional has a choices= set).
     if argv and argv[0] == "verify":
@@ -292,9 +318,9 @@ def main(argv: list[str] | None = None) -> int:
         bfs_queries=args.bfs_queries,
         seed=args.seed,
         serve_workers=args.serve_workers,
-        repeat=max(1, args.repeat),
-        ingest_mb=max(1, args.ingest_mb),
-        ingest_edges=max(1000, args.ingest_edges),
+        repeat=args.repeat,
+        ingest_mb=args.ingest_mb,
+        ingest_edges=args.ingest_edges,
     )
     from repro import native
 
@@ -326,9 +352,9 @@ def main(argv: list[str] | None = None) -> int:
                 "bfs_queries": args.bfs_queries,
                 "seed": args.seed,
                 "serve_workers": list(args.serve_workers),
-                "repeat": max(1, args.repeat),
-                "ingest_mb": max(1, args.ingest_mb),
-                "ingest_edges": max(1000, args.ingest_edges),
+                "repeat": args.repeat,
+                "ingest_mb": args.ingest_mb,
+                "ingest_edges": args.ingest_edges,
             },
             "experiments": records,
         }

@@ -1,33 +1,25 @@
-"""SCC condensation as a first-class k-reach preprocessing pass.
+"""SCC condensation as a first-class n-reach preprocessing pass.
 
 The paper's own evaluation setting is DAGs: every comparator it measures
 against (PTree, 3-hop, GRAIL, PWAH — §3.1) condenses strongly connected
 components into super-vertices before indexing, and Table 2 reports the
 condensed ``|V_DAG|`` / ``|E_DAG|`` sizes.  :class:`CondensedKReach`
-brings the same pass to this reproduction's index: build the
+brings the same pass to this reproduction's index: build the n-reach
 :class:`~repro.core.kreach.KReachIndex` on the condensation DAG (often
 dramatically smaller on graphs with large SCCs) and translate queries
 through component ids with one vectorized gather.
 
-k-semantics
------------
-Let ``c(v)`` be the SCC of ``v``.  ``CondensedKReach`` answers a query
-``(s, t)`` as ``KReach_dag(c(s), c(t))`` (with ``c(s) == c(t)`` true
-immediately — vertices in one SCC reach each other).
+Let ``c(v)`` be the SCC of ``v``.  A query ``(s, t)`` is answered as
+``NReach_dag(c(s), c(t))``, with ``c(s) == c(t)`` true immediately
+(vertices in one SCC reach each other).  This is **exact** for plain
+reachability: ``s`` reaches ``t`` iff ``c(s)`` reaches ``c(t)`` in the
+condensation — the classical reduction every DAG-based scheme uses.
 
-* ``k is None`` (n-reach / plain reachability): **exact**.  ``s`` reaches
-  ``t`` iff ``c(s)`` reaches ``c(t)`` in the condensation — this is the
-  classical reduction every DAG-based scheme uses.
-* finite ``k``: the answer is **SCC-hop reachability** — true iff there
-  is a path from ``s`` to ``t`` using at most ``k`` edges that *cross an
-  SCC boundary*, with edges inside an SCC free.  On a DAG every SCC is a
-  single vertex, so this coincides with true k-reach (pinned by the
-  differential tests); on a cyclic graph it is a superset of true
-  k-reach (never a false negative: collapsing SCCs only shortens paths).
-  That is the semantics one usually wants after declaring "everyone in a
-  tight community is mutually close", and it is what the paper's DAG
-  preprocessing implies; when exact hop counts through cycles matter,
-  build :class:`~repro.core.kreach.KReachIndex` directly.
+Only ``k=None`` is accepted; a finite ``k`` raises :class:`ValueError`.
+Collapsing an SCC shortens every path through it, so a hop budget spent
+on the condensation would answer a superset of k-reach on a cyclic
+graph.  For finite k, build :class:`~repro.core.kreach.KReachIndex` on
+the graph itself.
 """
 
 from __future__ import annotations
@@ -42,15 +34,16 @@ __all__ = ["CondensedKReach"]
 
 
 class CondensedKReach:
-    """A :class:`~repro.core.kreach.KReachIndex` over the SCC condensation.
+    """An n-reach :class:`~repro.core.kreach.KReachIndex` over the SCC
+    condensation.
 
     Parameters
     ----------
     graph:
         The original (possibly cyclic) graph.
     k:
-        Hop budget; ``None`` means plain reachability (n-reach).  See
-        the module docstring for what finite ``k`` means across SCCs.
+        Must be ``None`` (plain reachability); a finite hop budget
+        raises :class:`ValueError` (see the module docstring).
     cond:
         A precomputed :class:`~repro.graph.scc.Condensation` of
         ``graph`` (e.g. from a streamed-ingest pipeline that already
@@ -62,7 +55,7 @@ class CondensedKReach:
     Examples
     --------
     >>> from repro.graph.generators import cycle_graph
-    >>> idx = CondensedKReach(cycle_graph(5), 2)
+    >>> idx = CondensedKReach(cycle_graph(5), None)
     >>> idx.query(0, 3)   # same SCC: mutually reachable
     True
     """
@@ -79,6 +72,11 @@ class CondensedKReach:
     ) -> None:
         from repro.core.kreach import KReachIndex
 
+        if k is not None:
+            raise ValueError(
+                f"CondensedKReach answers k=None only (condensing SCCs "
+                f"shortens paths); build KReachIndex for k={k}"
+            )
         if cond is None:
             cond = condensation(graph)
         elif len(cond.component_of) != graph.n:
@@ -104,12 +102,12 @@ class CondensedKReach:
             return True
         return self.index.query(cs, ct)
 
-    def query_batch(self, pairs, *, engine: str = "auto") -> np.ndarray:
-        """Vectorized batch query; same engines and id validation as
-        ``KReachIndex``.  Pairs inside one SCC map to one DAG vertex,
-        which the index answers ``True``."""
+    def query_batch(self, pairs) -> np.ndarray:
+        """Vectorized batch query; same id validation as ``KReachIndex``.
+        Pairs inside one SCC map to one DAG vertex, which the index
+        answers ``True``."""
         mapped = self.cond.map_pairs(as_pair_array(pairs, self.graph.n))
-        return self.index.query_batch(mapped, engine=engine)
+        return self.index.query_batch(mapped)
 
     def prepare_batch(self) -> "CondensedKReach":
         self.index.prepare_batch()

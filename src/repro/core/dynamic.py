@@ -81,12 +81,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bitsets.ops import (
-    DEFAULT_MATRIX_BYTES,
-    matrix_bytes,
-    set_bits,
-    words_for,
-)
+from repro.bitsets.ops import DEFAULT_MATRIX_BYTES, set_bits, words_for
 from repro.core.batch import (
     KeyedRowStore,
     as_pair_arrays,
@@ -96,8 +91,8 @@ from repro.core.batch import (
 from repro.core.index_graph import IndexGraph
 from repro.core.kreach import (
     KReachIndex,
-    _check_engine,
     algorithm2_batch,
+    batch_views,
     level_specs,
     level_within,
 )
@@ -314,12 +309,6 @@ class DynamicKReachIndex:
     # ------------------------------------------------------------------
     # Internal helpers (maintenance algebra)
     # ------------------------------------------------------------------
-    def _quantize(self, dist: int) -> int:
-        if self.k is None:
-            return 0
-        floor = self.k - 2
-        return dist if dist > floor else floor
-
     def _ball_dists(
         self, source: int, limit: int | None, direction: str
     ) -> np.ndarray:
@@ -491,7 +480,7 @@ class DynamicKReachIndex:
         # the overlay as dict rows whose flattened-array views are
         # seeded below for free.
         if self.auto_compact and len(sources) >= self.compaction_threshold:
-            self._compact_with_repair(g, sources, src, dst, dist)
+            self._merge(g, (sources, src, dst, dist))
             return
         if self.k is None:
             w = np.zeros(len(dist), dtype=np.int64)
@@ -531,38 +520,38 @@ class DynamicKReachIndex:
         self._patch_cache = None
         self._delta_cache = None
 
-    def _compact_with_repair(
-        self,
-        g: DiGraph,
-        repaired: np.ndarray,
-        r_src: np.ndarray,
-        r_dst: np.ndarray,
-        r_dist: np.ndarray,
-    ) -> None:
-        """Mass-repair compaction: clean base rows + surviving overlay
-        rows + freshly repaired triples merge into a new base snapshot.
+    def _merge(self, g: DiGraph, repaired: tuple | None = None) -> KReachIndex:
+        """The compaction merge: clean base rows, surviving overlay rows
+        and, after a mass repair, the freshly repaired rows merge into a
+        new base snapshot over ``g``, which is promoted and returned.
 
-        ``r_dist`` carries raw BFS distances; :meth:`IndexGraph.for_kreach`
-        applies the same quantization to them and (idempotently) to the
-        already-quantized stored weights, so both streams concatenate.
+        Patches are materialized first; dirty sources are masked out of
+        the base's :meth:`IndexGraph.triples
+        <repro.core.index_graph.IndexGraph.triples>` stream, and the
+        parts concatenate into the :meth:`IndexGraph.for_kreach
+        <repro.core.index_graph.IndexGraph.for_kreach>` array path every
+        other builder uses.  ``repaired`` is a blocked repair's
+        ``(sources, src, dst, dist)``: its rows replace those sources'
+        base and overlay rows.  Its raw BFS distances need no
+        quantization here — ``for_kreach`` applies it to them and
+        (idempotently) to the stored weights alike.
         """
         self._materialize_patches()
         cover = frozenset(self._cover)
-        base_src, base_dst, base_w = self._base.index_graph.triples()
-        repaired_flag = np.zeros(self.n, dtype=bool)
-        repaired_flag[repaired] = True
-        parts = [(r_src, r_dst, r_dist)]
-        exclude = repaired_flag
+        exclude = np.zeros(self.n, dtype=bool)
+        parts = []
+        if repaired is not None:
+            exclude[repaired[0]] = True
+            parts.append(repaired[1:])
         if self._delta:
             _, dirty, d_src, d_dst, d_w = self._delta_store()
-            survive = ~repaired_flag[d_src]
+            survive = ~exclude[d_src]
             parts.append((d_src[survive], d_dst[survive], d_w[survive]))
-            exclude = repaired_flag | dirty
+            exclude |= dirty
+        base_src, base_dst, base_w = self._base.index_graph.triples()
         keep = ~exclude[base_src]
         parts.append((base_src[keep], base_dst[keep], base_w[keep]))
-        src = np.concatenate([p[0] for p in parts])
-        dst = np.concatenate([p[1] for p in parts])
-        w = np.concatenate([p[2] for p in parts])
+        src, dst, w = (np.concatenate(column) for column in zip(*parts))
         ig = IndexGraph.for_kreach(self.n, cover, src, dst, w, self.k)
         base = KReachIndex.from_index_graph(
             g,
@@ -573,6 +562,7 @@ class DynamicKReachIndex:
         )
         self.compactions += 1
         self._install_base(base)
+        return base
 
     def _cover_ball_arrays(
         self, dist: np.ndarray, exclude: int
@@ -736,45 +726,23 @@ class DynamicKReachIndex:
         """Merge the overlay into a fresh base snapshot and promote it.
 
         The default path never re-traverses the graph: clean base rows
-        are taken as array slices (dirty sources masked out of the
-        :meth:`IndexGraph.triples <repro.core.index_graph.IndexGraph.triples>`
-        stream), overlay rows are appended, and the concatenation feeds
-        the same :meth:`IndexGraph.for_kreach
-        <repro.core.index_graph.IndexGraph.for_kreach>` array path every
-        other builder uses.  ``rebuild=True`` instead re-derives all rows
-        from the current graph through the blocked bit-parallel MS-BFS
-        builder (and a fresh degree-ordered cover) — full Algorithm-1
-        cost, worth paying after heavy churn since the maintained cover
-        only ever grows.  Either way the overlay (dirty rows, dirty
-        adjacency, pending log) resets to empty and the current graph
-        becomes the new snapshot graph.  Returns the new base.
+        are taken as array slices and the overlay rows appended, the one
+        merge a mass repair also runs.  ``rebuild=True`` instead
+        re-derives all rows from the current graph through the blocked
+        bit-parallel MS-BFS builder (and a fresh degree-ordered cover) —
+        full Algorithm-1 cost, worth paying after heavy churn since the
+        maintained cover only ever grows.  Either way the overlay (dirty
+        rows, dirty adjacency, pending log) resets to empty and the
+        current graph becomes the new snapshot graph.  Returns the new
+        base.
         """
         self._flush_repairs()  # may itself promote a merged snapshot
         if not self._log and not self._delta:
             return self._base  # nothing pending; keep the snapshot
         g = self._graph()
-        if rebuild:
-            base = KReachIndex(
-                g, self.k, bitset_matrix_bytes=self.bitset_matrix_bytes
-            )
-        else:
-            self._materialize_patches()
-            cover = frozenset(self._cover)
-            src, dst, w = self._base.index_graph.triples()
-            if self._delta:
-                _, dirty, d_src, d_dst, d_w = self._delta_store()
-                keep = ~dirty[src]
-                src = np.concatenate([src[keep], d_src])
-                dst = np.concatenate([dst[keep], d_dst])
-                w = np.concatenate([w[keep], d_w])
-            ig = IndexGraph.for_kreach(self.n, cover, src, dst, w, self.k)
-            base = KReachIndex.from_index_graph(
-                g,
-                self.k,
-                cover=cover,
-                index_graph=ig,
-                bitset_matrix_bytes=self.bitset_matrix_bytes,
-            )
+        if not rebuild:
+            return self._merge(g)
+        base = KReachIndex(g, self.k, bitset_matrix_bytes=self.bitset_matrix_bytes)
         self.compactions += 1
         self._install_base(base)
         return base
@@ -952,7 +920,7 @@ class DynamicKReachIndex:
     def _lookup(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Bulk weight lookup over the tiers: base, overridden by
         replaced (dirty) rows, min'd with the pending insert patches."""
-        weights = self._base._keyed().lookup(u, v)
+        weights = self._base.index_graph.keyed().lookup(u, v)
         if self._delta:
             store, dirty = self._delta_store()[:2]
             d = dirty[u]
@@ -988,8 +956,9 @@ class DynamicKReachIndex:
         return self._graph_cache
 
     def _patched_views(self, specs: list[tuple[int | None, bool]]) -> list[np.ndarray]:
-        """The link views of distinct ``(budget, diagonal)`` ``specs``
-        over the current index, all built in one pass per write burst.
+        """The link views of ``(budget, diagonal)`` ``specs`` over the
+        current index, the distinct ones built in one pass per write
+        burst (a repeated spec, as n-reach's, shares its view).
 
         Each is the base snapshot's cached view copied into the top-left
         block (base positions are stable across overlay growth), with the
@@ -1007,8 +976,9 @@ class DynamicKReachIndex:
             return ig.link_matrices(specs)
         if self._views is not None and self._views[0] == specs:
             return self._views[1]
+        distinct = list(dict.fromkeys(specs))
         words = words_for(len(self._cover))
-        shape = (len(specs), words * 64, words)
+        shape = (len(distinct), words * 64, words)
         if self._view_buf is None or self._view_buf.shape != shape:
             self._view_buf = np.empty(shape, dtype=np.uint64)
         rows_b, words_b = ig.cover_size, words_for(ig.cover_size)
@@ -1021,7 +991,7 @@ class DynamicKReachIndex:
             links.append((row_pos[src][keep], pv[keep], w[keep]))
         views = list(self._view_buf)
         for view, base, (budget, diagonal) in zip(
-            views, ig.link_matrices(specs), specs
+            views, ig.link_matrices(distinct), distinct
         ):
             view[:rows_b, :words_b] = base
             view[:rows_b, words_b:] = 0
@@ -1032,33 +1002,20 @@ class DynamicKReachIndex:
                 set_bits(view, pu[fit], pv[fit])
             if diagonal:
                 set_bits(view, dirty_pos, dirty_pos)
-        self._views = (specs, views)
-        return views
+        built = dict(zip(distinct, views))
+        self._views = (specs, [built[spec] for spec in specs])
+        return self._views[1]
 
-    def _level_stack(self) -> list[np.ndarray] | None:
-        """The patched ≤k-2 / ≤k-1 / ≤k views, or None past the gate:
-        as for the static stack, the distinct views must fit
-        :attr:`bitset_matrix_bytes` together."""
-        specs = level_specs(self.k)
-        distinct = list(dict.fromkeys(specs))
-        size = len(self._cover)
-        if len(distinct) * matrix_bytes(size, size) > self.bitset_matrix_bytes:
-            return None
-        views = dict(zip(distinct, self._patched_views(distinct)))
-        return [views[spec] for spec in specs]
-
-    def _case4_matrix(self) -> np.ndarray | None:
-        """The patched ≤k-2 view: the level stack's first view when the
-        stack fits, else the view alone while it fits
-        :attr:`bitset_matrix_bytes`, else None.  Cached until the next
-        write."""
-        stack = self._level_stack()
-        if stack is not None:
-            return stack[0]
-        size = len(self._cover)
-        if matrix_bytes(size, size) > self.bitset_matrix_bytes:
-            return None
-        return self._patched_views(level_specs(self.k)[:1])[0]
+    def _batch_views(self) -> tuple[list[np.ndarray] | None, np.ndarray | None]:
+        """``(stack, matrix)`` of :func:`~repro.core.kreach.batch_views`
+        over the patched views of the current cover (cached until the
+        next write)."""
+        return batch_views(
+            self._patched_views,
+            level_specs(self.k),
+            len(self._cover),
+            self.bitset_matrix_bytes,
+        )
 
     def prepare_batch(self) -> "DynamicKReachIndex":
         """Build the batch engine's lookup structures now.
@@ -1068,47 +1025,40 @@ class DynamicKReachIndex:
         deferred write work and builds the patched CSR plus the patched
         level stack when it fits :attr:`bitset_matrix_bytes` (the base's
         own cached views while the overlay is clean), else the keyed
-        three-tier lookup and the patched ≤k-2 view.  Returns ``self``
-        for chaining.
+        three-tier lookup and the patched ≤k-2 view while that fits.
+        Returns ``self`` for chaining.
         """
         self._flush_repairs()
         self._flags()
         self._graph()
-        if self._level_stack() is None:
-            self._base._keyed()
+        if self._batch_views()[0] is None:
+            self._base.index_graph.keyed()
             self._delta_store()
             self._patch_store()
-            self._case4_matrix()
         return self
 
-    def query_batch(self, pairs, *, engine: str = "auto") -> np.ndarray:
+    def query_batch(self, pairs) -> np.ndarray:
         """Vectorized :meth:`query` over a batch of (s, t) pairs.
 
         Same batch API contract as the static engine: any ``(m, 2)``
         integer array-like in, an aligned ``(m,)`` bool array out,
-        bit-identical to the scalar :meth:`query` loop.
-        ``engine='auto'`` (default) runs the static engine's Algorithm-2
-        body (:func:`~repro.core.kreach.algorithm2_batch`) over the
-        patched CSR, probing the patched level stack while it fits
-        :attr:`bitset_matrix_bytes` and the keyed three-tier lookup past
-        it; Case 4 joins against the patched ≤k-2 view while that fits,
-        else walks the chunked cross products.  ``engine='scalar'`` is a
-        plain per-pair :meth:`query` loop (the differential reference).
+        bit-identical to the scalar :meth:`query` loop.  Runs the static
+        engine's Algorithm-2 body
+        (:func:`~repro.core.kreach.algorithm2_batch`) over the patched
+        CSR on the path the one memory gate picks
+        (:func:`~repro.core.kreach.batch_views`): the patched level
+        stack while it fits :attr:`bitset_matrix_bytes`, else the keyed
+        three-tier lookup, with Case 4 joining against the patched ≤k-2
+        view while that fits and walking the chunked cross products
+        past it.
         """
-        _check_engine(engine)
         self._flush_repairs()
         s, t = as_pair_arrays(pairs, self.n)
-        if engine == "scalar":
-            return np.fromiter(
-                map(self.query, s.tolist(), t.tolist()), dtype=bool, count=len(s)
-            )
         if self.k == 0 or len(s) == 0:
             return s == t
         row_pos = self._row_pos()
-        within = level_within(
-            level_specs(self.k), self._level_stack(), row_pos, self._lookup
-        )
-        matrix = self._case4_matrix()
+        stack, matrix = self._batch_views()
+        within = level_within(level_specs(self.k), stack, row_pos, self._lookup)
         return algorithm2_batch(
             self._graph(), s, t, self._flags(), row_pos, within, matrix, self.query
         )

@@ -18,7 +18,6 @@ import numpy as np
 from repro.bitsets.ops import DEFAULT_MATRIX_BYTES
 from repro.core.batch import (
     MISSING_WEIGHT,
-    KeyedRowStore,
     as_pair_arrays,
     as_vertex_pair,
     gather_segments,
@@ -112,26 +111,17 @@ class CoverDistanceOracle:
         self._ig = IndexGraph.from_triples(graph.n, cover, *triples)
         weights = self._ig.weights64()
         self._max_distance = int(weights.max()) if len(weights) else 0
-        self._keyed_rows: KeyedRowStore | None = None
 
     @property
     def index_graph(self) -> IndexGraph:
         """The canonical CSR storage (§4.3 physical layout)."""
         return self._ig
 
-    def _keyed(self) -> KeyedRowStore:
-        """Sorted-key view of the distances (zero-copy from the CSR)."""
-        if self._keyed_rows is None:
-            self._keyed_rows = KeyedRowStore(
-                self._ig.keys(), self._ig.weights64(), self.graph.n
-            )
-        return self._keyed_rows
-
     def prepare_batch(self) -> "CoverDistanceOracle":
         """Build the keyed distance store now (what :meth:`distance_batch`
         and the probes past the memory gate read).  The views of a hop
         budget are built by its first batch.  Returns ``self``."""
-        self._keyed()
+        self._ig.keyed()
         return self
 
     def _adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
@@ -191,7 +181,7 @@ class CoverDistanceOracle:
             return np.empty(0, dtype=np.float64)
         dist = np.full(m, MISSING_WEIGHT, dtype=np.int64)
         dist[s == t] = 0
-        store = self._keyed()
+        store = self._ig.keyed()
         s_in = self._in_cover[s]
         t_in = self._in_cover[t]
         undecided = s != t
@@ -315,9 +305,11 @@ class CoverDistanceOracle:
             return s == t
         ig = self._ig
         row_pos = ig.row_pos()
-        stack, matrix = batch_views(ig, specs, self.bitset_matrix_bytes)
+        stack, matrix = batch_views(
+            ig.link_matrices, specs, ig.cover_size, self.bitset_matrix_bytes
+        )
         within = level_within(
-            specs, stack, row_pos, lambda u, v: self._keyed().lookup(u, v)
+            specs, stack, row_pos, lambda u, v: ig.keyed().lookup(u, v)
         )
         return algorithm2_batch(
             self.graph,

@@ -57,7 +57,6 @@ from repro.bitsets.ops import (
 from repro.bitsets.packed import PackedIntArray, bits_needed
 from repro.core.batch import (
     UNBOUNDED_BUDGET,
-    KeyedRowStore,
     as_pair_arrays,
     as_vertex_pair,
     case_codes,
@@ -70,7 +69,7 @@ from repro.core.index_graph import (
     IndexGraph,
     cover_triples_blocked,
 )
-from repro.core.kreach import _check_engine
+from repro.core.kreach import views_fit
 from repro.core.vertex_cover import hhop_vertex_cover, is_hhop_vertex_cover
 from repro.graph.digraph import DiGraph
 from repro.graph.traversal import (
@@ -183,7 +182,6 @@ class HKReachIndex:
         self.bitset_matrix_bytes = int(bitset_matrix_bytes)
         self._ig = self._build()
         self._flat: dict[int, int] | None = None
-        self._keyed_rows: KeyedRowStore | None = None
 
     # ------------------------------------------------------------------
     # Construction (Algorithm 1 with Definition-2 weights)
@@ -255,7 +253,7 @@ class HKReachIndex:
     ) -> list[list[int]]:
         """BFS levels 1..limit around ``v`` (level 0 = {v} omitted).
 
-        ``memo`` (used by the scalar batch engine) caches expansions
+        ``memo`` (used by the over-gate batch walk) caches expansions
         across a batch: random workloads repeat endpoints, and celebrity
         workloads repeat them heavily, so the per-vertex balls amortize.
         The memo is capped at :data:`_LEVEL_MEMO_CAP` entries with FIFO
@@ -385,25 +383,15 @@ class HKReachIndex:
     # ------------------------------------------------------------------
     # Batch query processing
     # ------------------------------------------------------------------
-    def _keyed(self) -> KeyedRowStore:
-        """Sorted-key view for bulk Case-1 gathers (zero-copy from CSR)."""
-        if self._keyed_rows is None:
-            self._keyed_rows = KeyedRowStore(
-                self._ig.keys(), self._ig.weights64(), self.graph.n
-            )
-        return self._keyed_rows
-
     def prepare_batch(self) -> "HKReachIndex":
         """Build the batch engine's lookup structures now (see
         :meth:`KReachIndex.prepare_batch
         <repro.core.kreach.KReachIndex.prepare_batch>`), including the
         per-budget link matrices when they fit
         :attr:`bitset_matrix_bytes`."""
-        self._keyed()
+        self._ig.keyed()
         if self._bitset_ready():
-            self._ig.link_matrices(
-                [(budget, True) for budget in self._bitset_budgets()]
-            )
+            self._ig.link_matrices(self._bitset_specs())
         return self
 
     def _join_params(self) -> tuple[int, int, int, int]:
@@ -425,36 +413,35 @@ class HKReachIndex:
             max(0, min(h, k - 1 - minw)),
         )
 
-    def _bitset_budgets(self) -> list[int | None]:
-        """The distinct link budgets the bitset path joins against.
+    def _bitset_specs(self) -> list[tuple[int | None, bool]]:
+        """The ``(budget, diagonal)`` views the bitset path joins against.
 
-        One cover-local matrix is built per budget: ``k - j`` for the
-        Case-2/3 levels and every non-negative ``k - i - j`` Case 4 can
-        combine — at most ``2h`` values.  ``k=None`` needs only the
-        presence matrix.
+        One cover-local matrix, diagonal set, is built per distinct
+        budget: ``k - j`` for the Case-2/3 levels and every non-negative
+        ``k - i - j`` Case 4 can combine — at most ``2h`` values.
+        ``k=None`` needs only the presence matrix.
         """
         if self.k is None:
-            return [None]
+            return [(None, True)]
         _, _, link_limit, side_limit = self._join_params()
         budgets: set[int] = {self.k - j for j in range(1, link_limit + 1)}
         for i in range(1, side_limit + 1):
             for j in range(1, side_limit + 1):
                 if self.k - i - j >= 0:
                     budgets.add(self.k - i - j)
-        return sorted(budgets)
+        return [(budget, True) for budget in sorted(budgets)]
 
     def _bitset_ready(self) -> bool:
-        """Whether the per-budget matrix stack fits the memory ceiling.
+        """Whether the per-budget matrix stack passes the memory gate
+        (:func:`~repro.core.kreach.views_fit`).
 
         The stack must also fit the :class:`IndexGraph` matrix cache in
         full — otherwise a long batch would silently rebuild evicted
         budgets every slice instead of amortizing them.
         """
-        budgets = self._bitset_budgets()
-        return (
-            len(budgets) <= LINK_MATRIX_CACHE_CAP
-            and len(budgets) * self._ig.link_matrix_bytes()
-            <= self.bitset_matrix_bytes
+        specs = self._bitset_specs()
+        return len(specs) <= LINK_MATRIX_CACHE_CAP and views_fit(
+            specs, self._ig.cover_size, self.bitset_matrix_bytes
         )
 
     def _matrix(self, budget: int | None) -> np.ndarray:
@@ -466,7 +453,7 @@ class HKReachIndex:
         """
         return self._ig.link_matrix(budget, diagonal=True)
 
-    def query_batch(self, pairs, *, engine: str = "auto") -> np.ndarray:
+    def query_batch(self, pairs) -> np.ndarray:
         """Vectorized :meth:`query` over a batch of (s, t) pairs.
 
         Same contract as :meth:`KReachIndex.query_batch
@@ -476,9 +463,9 @@ class HKReachIndex:
         out-of-range ids.
 
         Algorithm 3's case split is vectorized over the cover flags and
-        Case 1 resolves through one bulk sorted-key gather.
-        ``engine='auto'`` (default) then takes one of two paths for
-        Cases 2–4, picked by :attr:`bitset_matrix_bytes`:
+        Case 1 resolves through one bulk sorted-key gather.  Cases 2–4
+        then take one of two paths, picked by :attr:`bitset_matrix_bytes`
+        (:meth:`_bitset_ready`):
 
         * the per-budget link matrices fit — 64-source bit-parallel ball
           expansion over the batch's distinct endpoints: one blocked
@@ -490,29 +477,21 @@ class HKReachIndex:
         * else — the per-pair Algorithm-3 walk with the shared FIFO
           level-expansion memo.
 
-        ``'auto'`` deduplicates repeated (s, t) pairs and groups the
-        distinct pairs by case code before the kernels run
+        Repeated (s, t) pairs are deduplicated and the distinct pairs
+        grouped by case code before the kernels run
         (:func:`~repro.core.batch.coalesce_pairs`), scattering verdicts
-        back to input order.  ``engine='scalar'`` is the memoized walk
-        over the raw pair stream (its level memo already amortizes
-        repeats) — the differential reference.
+        back to input order.  The per-pair reference is :meth:`query`.
         """
-        _check_engine(engine)
         s, t = as_pair_arrays(pairs, self.graph.n)
-        m = len(s)
-        if m == 0:
+        if len(s) == 0:
             return np.zeros(0, dtype=bool)
-        if engine == "scalar":
-            return self._query_batch_arrays(s, t, engine)
         codes = case_codes(self._in_cover[s], self._in_cover[t])
         # As in KReachIndex.query_batch: kernels always see the
         # deduplicated, case-grouped pairs.
         us, ut, inverse = coalesce_pairs(s, t, self.graph.n, codes=codes)
-        return self._query_batch_arrays(us, ut, engine)[inverse]
+        return self._query_batch_arrays(us, ut)[inverse]
 
-    def _query_batch_arrays(
-        self, s: np.ndarray, t: np.ndarray, engine: str
-    ) -> np.ndarray:
+    def _query_batch_arrays(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Algorithm 3 over validated (s, t) columns (see :meth:`query_batch`)."""
         g, k = self.graph, self.k
         m = len(s)
@@ -528,12 +507,12 @@ class HKReachIndex:
         sel = np.flatnonzero(undecided & s_in & t_in)
         if len(sel):
             bk = UNBOUNDED_BUDGET if k is None else np.int64(k)
-            out[sel] = self._keyed().lookup(s[sel], t[sel]) <= bk
+            out[sel] = self._ig.keyed().lookup(s[sel], t[sel]) <= bk
 
         rest = np.flatnonzero(undecided & ~(s_in & t_in))
         if not len(rest):
             return out
-        if engine == "scalar" or not self._bitset_ready():
+        if not self._bitset_ready():
             # Per-pair Algorithm-3 walk with shared level memo.
             memo: dict = {}
             for j in rest.tolist():

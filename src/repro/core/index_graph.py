@@ -22,9 +22,10 @@ holds it in one of two forms:
 Everything else is a *view*: the batch engines probe cover-position bit
 views (:meth:`IndexGraph.link_matrices`, the planes themselves in the
 plane form, one scatter over the CSR otherwise), the keyed fallback
-:class:`~repro.core.batch.KeyedRowStore` takes the sorted ``u * n + v``
-key array, and the scalar query path reads one flat probe dict (CSR) or
-one bit per probe (planes).  In the plane form the CSR — ``indptr``,
+probes one :class:`~repro.core.batch.KeyedRowStore` over the sorted
+``u * n + v`` key array (:meth:`IndexGraph.keyed`), and the scalar
+query path reads one flat probe dict (CSR) or one bit per probe
+(planes).  In the plane form the CSR — ``indptr``,
 ``targets``, the weights and every view of them — is derived at most
 once, on first use, bit-identical to :meth:`IndexGraph.for_kreach` over
 the same index; only row consumers (dynamic maintenance,
@@ -47,6 +48,7 @@ import numpy as np
 
 from repro.bitsets.ops import matrix_bytes, set_bits, words_for
 from repro.bitsets.packed import PackedIntArray, bits_needed
+from repro.core.batch import KeyedRowStore
 from repro.graph.digraph import DiGraph, validate_csr
 from repro.graph.traversal import (
     UNREACHED,
@@ -133,6 +135,7 @@ class IndexGraph:
         "_edges",
         "_weights64",
         "_keys",
+        "_store",
         "_row_pos",
         "_flat",
         "_matrices",
@@ -158,6 +161,7 @@ class IndexGraph:
         self._edges: int | None = None
         self._weights64: np.ndarray | None = None
         self._keys: np.ndarray | None = None
+        self._store: KeyedRowStore | None = None
         self._row_pos: np.ndarray | None = None
         self._flat: dict[int, int] | None = None
         self._matrices: dict[tuple[int | None, bool], np.ndarray] = {}
@@ -455,6 +459,14 @@ class IndexGraph:
             heads = np.repeat(self.cover_ids, np.diff(self.indptr))
             self._keys = heads * np.int64(self.n) + self.targets
         return self._keys
+
+    def keyed(self) -> KeyedRowStore:
+        """The keyed probe view over :meth:`keys` and :meth:`weights64`
+        (zero-copy), built on first use and shared by every answerer
+        over this graph."""
+        if self._store is None:
+            self._store = KeyedRowStore(self.keys(), self.weights64(), self.n)
+        return self._store
 
     def row_pos(self) -> np.ndarray:
         """Dense vertex-id → row-index map (-1 for non-cover vertices)."""

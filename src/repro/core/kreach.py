@@ -59,7 +59,6 @@ from repro.bitsets.ops import DEFAULT_MATRIX_BYTES, matrix_bytes, probe_bits
 from repro.bitsets.packed import PackedIntArray
 from repro.core.batch import (
     UNBOUNDED_BUDGET,
-    KeyedRowStore,
     as_pair_arrays,
     as_vertex_pair,
     case4_bitset_join,
@@ -84,18 +83,8 @@ __all__ = [
     "batch_views",
     "level_specs",
     "level_within",
+    "views_fit",
 ]
-
-#: The batch engine names every in-process answerer accepts: the one
-#: vector engine (its path picked by ``bitset_matrix_bytes``) and the
-#: per-pair reference loop.
-_ENGINES = ("auto", "scalar")
-
-
-def _check_engine(engine: str) -> None:
-    """Raise :class:`ValueError` unless ``engine`` is in :data:`_ENGINES`."""
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
 
 
 class KReachIndex:
@@ -181,7 +170,7 @@ class KReachIndex:
             cover = frozenset(int(v) for v in cover)
             if not is_vertex_cover(graph, cover):
                 raise ValueError("provided vertex set is not a vertex cover")
-        if _stack_bytes(k, len(cover)) <= bitset_matrix_bytes:
+        if views_fit(level_specs(k), len(cover), bitset_matrix_bytes):
             cover_ids, planes = cover_planes_blocked(graph, cover, k)
             ig = IndexGraph.from_levels(graph.n, cover_ids, k, planes)
         else:
@@ -220,7 +209,6 @@ class KReachIndex:
         self._in_lists: list[list[int]] | None = None
         # Lazily-built scalar probe view and vectorized lookup structures.
         self._scalar: tuple | None = None
-        self._keyed_rows: KeyedRowStore | None = None
         self._flags_np: np.ndarray | None = None
 
     @classmethod
@@ -359,14 +347,6 @@ class KReachIndex:
     # ------------------------------------------------------------------
     # Batch query processing (vectorized Algorithm 2)
     # ------------------------------------------------------------------
-    def _keyed(self) -> KeyedRowStore:
-        """The keyed path's probe view — zero-copy from the IndexGraph."""
-        if self._keyed_rows is None:
-            self._keyed_rows = KeyedRowStore(
-                self._ig.keys(), self._ig.weights64(), self.graph.n
-            )
-        return self._keyed_rows
-
     def _flags(self) -> np.ndarray:
         """Cover-membership flags as a bool array (for vectorized dispatch)."""
         if self._flags_np is None:
@@ -380,7 +360,14 @@ class KReachIndex:
         :func:`level_specs` views: a plane-form index answers with its
         stored planes, a CSR index builds the views it may afford in one
         pass on first use and caches them on the :class:`IndexGraph`."""
-        return batch_views(self._ig, level_specs(self.k), self.bitset_matrix_bytes)
+        ig = self._ig
+        return batch_views(
+            ig.link_matrices,
+            level_specs(self.k),
+            ig.cover_size,
+            self.bitset_matrix_bytes,
+            stored=ig.levels is not None,
+        )
 
     def prepare_batch(self) -> "KReachIndex":
         """Build the batch engine's lookup structures now.
@@ -394,26 +381,27 @@ class KReachIndex:
         """
         self._flags()
         if self._batch_views()[0] is None:
-            self._keyed()
+            self._ig.keyed()
         return self
 
-    def query_batch(self, pairs, *, engine: str = "auto") -> np.ndarray:
+    def query_batch(self, pairs) -> np.ndarray:
         """Vectorized :meth:`query` over a batch of (s, t) pairs.
 
         Input is any ``(m, 2)`` integer array-like; output an ``(m,)``
         bool array with ``out[i] == self.query(pairs[i][0], pairs[i][1])``
         (see the class docstring for the full batch API contract).
 
-        ``engine='auto'`` (default) is the vector engine.  Algorithm 2's
-        case split is evaluated over the cover-membership flags of all
-        pairs at once.  The cases probe three nested link levels: Case 1
-        asks for any stored link ``(s, t)``, Cases 2/3 for a link within
-        k-1 from ``s`` to an in-neighbor of ``t`` (or from an
-        out-neighbor of ``s`` to ``t``, gathered from the CSR), and
-        Case 4 bridges within k-2.  :attr:`bitset_matrix_bytes` picks
-        the path, with identical answers on each:
+        Algorithm 2's case split is evaluated over the cover-membership
+        flags of all pairs at once.  The cases probe three nested link
+        levels: Case 1 asks for any stored link ``(s, t)``, Cases 2/3 for
+        a link within k-1 from ``s`` to an in-neighbor of ``t`` (or from
+        an out-neighbor of ``s`` to ``t``, gathered from the CSR), and
+        Case 4 bridges within k-2.  The memory gate
+        (:func:`batch_views` over :attr:`bitset_matrix_bytes`) picks the
+        path, with identical answers on each:
 
-        * the three cover-position bit views fit together: each
+        * the index holds its level planes, or the three
+          cover-position bit views fit together: each
           Case-1–3 probe is one word load from its view and Case 4 is a
           bitset join on the ≤k-2 view — per-pair verdicts are
           word-wise AND-any tests, with no cross product and no hub
@@ -429,23 +417,13 @@ class KReachIndex:
         code (:func:`~repro.core.batch.coalesce_pairs`), scattering the
         verdicts back to input order — a repeated-pair-heavy workload
         pays each kernel once per *distinct* pair.  The kernel tier
-        (numpy or compiled) is :mod:`repro.native`'s choice.
-
-        ``engine='scalar'`` is a plain per-pair :meth:`query` loop, the
-        differential reference.
+        (numpy or compiled) is :mod:`repro.native`'s choice.  The
+        per-pair reference is :meth:`query`.
         """
-        _check_engine(engine)
         g = self.graph
         s, t = as_pair_arrays(pairs, g.n)
-        m = len(s)
-        if m == 0:
+        if len(s) == 0:
             return np.zeros(0, dtype=bool)
-        if engine == "scalar":
-            out = np.zeros(m, dtype=bool)
-            query = self.query
-            for i, (si, ti) in enumerate(zip(s.tolist(), t.tolist())):
-                out[i] = query(si, ti)
-            return out
         flags = self._flags()
         codes = case_codes(flags[s], flags[t])
         # Kernels always run over the deduplicated, case-grouped pairs:
@@ -465,7 +443,7 @@ class KReachIndex:
             level_specs(self.k),
             stack,
             row_pos,
-            lambda u, v: self._keyed().lookup(u, v),
+            lambda u, v: self._ig.keyed().lookup(u, v),
         )
         return algorithm2_batch(
             self.graph, s, t, self._flags(), row_pos, within, matrix, self.query
@@ -548,12 +526,6 @@ class KReachIndex:
         )
 
 
-def _stack_bytes(k: int | None, size: int) -> int:
-    """Bytes the distinct :func:`level_specs` views over ``size`` cover
-    vertices take together — what the memory gate charges the stack."""
-    return len(set(level_specs(k))) * matrix_bytes(size, size)
-
-
 def _plane_scalar_view(stack: list[np.ndarray], pos: list[int]) -> tuple:
     """:meth:`KReachIndex._scalar_view` over the three level planes.
 
@@ -632,28 +604,41 @@ def _csr_scalar_view(ig: IndexGraph, k: int | None) -> tuple:
     return within, bridge
 
 
+def views_fit(specs: list[tuple[int | None, bool]], size: int, gate: int) -> bool:
+    """The memory gate's byte rule: whether the distinct ``(budget,
+    diagonal)`` views of ``specs`` over ``size`` cover vertices, ``~size²/8``
+    bytes each, fit ``gate`` bytes together."""
+    return len(set(specs)) * matrix_bytes(size, size) <= gate
+
+
 def batch_views(
-    ig: IndexGraph, specs: list[tuple[int | None, bool]], gate: int
+    views,
+    specs: list[tuple[int | None, bool]],
+    size: int,
+    gate: int,
+    *,
+    stored: bool = False,
 ) -> tuple[list[np.ndarray] | None, np.ndarray | None]:
     """The memory gate: ``(stack, matrix)`` for :func:`algorithm2_batch`
-    over ``ig``'s views at the three level ``specs``.
+    at the three level ``specs``, the one batch-path choice of every
+    Algorithm-2 answerer.
 
-    ``stack`` is the three views as cover-position bit matrices when
-    ``ig`` stores them (the plane form) or when its distinct views fit
-    ``gate`` bytes together, else None (the keyed probes answer Cases
-    1–3).  ``matrix`` is the ≤k-2 view for the Case-4 bitset join: the
-    stack's first view, or that view alone while it fits ``gate``, else
-    None (the chunked cross products answer Case 4).  Views are built on
-    first use and cached on ``ig``.
+    ``views(specs)`` is the answerer's view builder (its cover-position
+    bit matrices for ``specs``, in order, built on first use and
+    cached), and ``size`` its cover size.  ``stack`` is the three views
+    when the answerer stores them (``stored``, the plane form) or when
+    they fit ``gate`` bytes together (:func:`views_fit`), else None (the
+    keyed probes answer Cases 1–3).  ``matrix`` is the ≤k-2 view for
+    the Case-4 bitset join: the stack's first view, or that view alone
+    while it fits ``gate``, else None (the chunked cross products answer
+    Case 4).
     """
-    one = ig.link_matrix_bytes()
-    if ig.levels is not None or len(set(specs)) * one <= gate:
-        stack = ig.link_matrices(specs)
+    if stored or views_fit(specs, size, gate):
+        stack = views(specs)
         return stack, stack[0]
-    if one > gate:
+    if not views_fit(specs[:1], size, gate):
         return None, None
-    budget, diagonal = specs[0]
-    return None, ig.link_matrix(budget, diagonal=diagonal)
+    return None, views(specs[:1])[0]
 
 
 def level_within(

@@ -60,7 +60,7 @@ import numpy as np
 from repro.bitsets import ops
 from repro.core.batch import as_pair_arrays
 from repro.core.index_graph import IndexGraph
-from repro.core.kreach import KReachIndex, _check_engine
+from repro.core.kreach import KReachIndex
 from repro.core.vertex_cover import vertex_cover_2approx
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import condensation
@@ -333,9 +333,8 @@ class ShardedKReach:
             return ops.and_any(exit_bits[s], entry_bits[t])
         return (self.exit[s] + self.entry[t]).min(axis=1) <= self.k
 
-    def query_batch(self, pairs, *, engine: str = "auto") -> np.ndarray:
+    def query_batch(self, pairs) -> np.ndarray:
         """Batch verdicts in input order, bit-identical to the global index."""
-        _check_engine(engine)
         s, t = as_pair_arrays(pairs, self.n)
         out = np.zeros(len(s), dtype=bool)
         owner = self.route(s, t)
@@ -345,7 +344,7 @@ class ShardedKReach:
                 local = np.stack(
                     [shard.to_local(s[sel]), shard.to_local(t[sel])], axis=1
                 )
-                out[sel] = shard.index.query_batch(local, engine=engine)
+                out[sel] = shard.index.query_batch(local)
         cross = np.flatnonzero(owner < 0)
         if len(cross):
             out[cross] = self.stitch(s[cross], t[cross])

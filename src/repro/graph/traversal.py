@@ -1,4 +1,4 @@
-"""Breadth-first and depth-first traversal kernels.
+"""Breadth-first traversal kernels.
 
 Every index in this package is built from (possibly bounded) BFS sweeps, and
 the online baselines in :mod:`repro.baselines.bfs` answer queries with
@@ -19,7 +19,6 @@ All functions take ``direction='out'`` (follow edges forward) or
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator
 
 import numpy as np
 
@@ -40,9 +39,6 @@ __all__ = [
     "reaches_within_small",
     "bidirectional_reaches_within",
     "bounded_neighborhood",
-    "khop_neighbors",
-    "dfs_postorder",
-    "eccentricity",
 ]
 
 UNREACHED = -1
@@ -723,65 +719,6 @@ def bounded_neighborhood(
     ``h`` used at query time.
     """
     return bfs_distances_scalar(g, v, k=h, direction=direction)
-
-
-def khop_neighbors(
-    g: DiGraph, v: int, h: int, *, direction: str = "out"
-) -> Iterator[tuple[int, int]]:
-    """Iterate ``(vertex, distance)`` pairs with ``1 <= distance <= h``."""
-    for u, d in bounded_neighborhood(g, v, h, direction=direction).items():
-        if d >= 1:
-            yield u, d
-
-
-def dfs_postorder(g: DiGraph, order: np.ndarray | None = None) -> np.ndarray:
-    """Post-order of an iterative DFS over the whole graph.
-
-    ``order`` optionally fixes the root/child visiting priority (a
-    permutation of vertex ids); GRAIL uses random permutations.  Returns the
-    vertex ids in post-order (every vertex appears exactly once).
-    """
-    if order is None:
-        order = np.arange(g.n, dtype=np.int64)
-    visited = np.zeros(g.n, dtype=bool)
-    post: list[int] = []
-    for root in order:
-        root = int(root)
-        if visited[root]:
-            continue
-        visited[root] = True
-        # Stack holds (vertex, iterator over prioritized children).
-        stack: list[tuple[int, Iterator[int]]] = [(root, _child_iter(g, root, order))]
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for v in it:
-                if not visited[v]:
-                    visited[v] = True
-                    stack.append((v, _child_iter(g, v, order)))
-                    advanced = True
-                    break
-            if not advanced:
-                post.append(u)
-                stack.pop()
-    return np.asarray(post, dtype=np.int64)
-
-
-def _child_iter(g: DiGraph, u: int, priority: np.ndarray) -> Iterator[int]:
-    """Out-neighbors of ``u`` ordered by the given priority permutation."""
-    nbrs = g.out_neighbors(u)
-    if len(nbrs) == 0:
-        return iter(())
-    ranks = priority[nbrs] if len(priority) == g.n else nbrs
-    order = np.argsort(ranks, kind="stable")
-    return iter(int(v) for v in nbrs[order])
-
-
-def eccentricity(g: DiGraph, v: int, *, direction: str = "out") -> int:
-    """Largest finite BFS distance from ``v`` (0 if nothing is reachable)."""
-    dist = bfs_distances(g, v, direction=direction)
-    reached = dist[dist != UNREACHED]
-    return int(reached.max()) if len(reached) else 0
 
 
 def _expand_frontier_sample():

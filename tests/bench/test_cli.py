@@ -1,7 +1,13 @@
 """CLI tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -123,6 +129,11 @@ class TestJsonMetadata:
         assert "T" in meta["timestamp_utc"]  # ISO-8601
 
 
+#: A quick table8 run, for the flags whose bad values used to be
+#: clamped silently or fail deep inside an experiment.
+TINY = ["table8", "--scale", "0.03", "--datasets", "GO"]
+
+
 class TestNumericArguments:
     @pytest.mark.parametrize(
         "argv",
@@ -132,9 +143,17 @@ class TestNumericArguments:
             ["serve", "--scale", "0.03", "--datasets", "GO", "--serve-workers", "0,2"],
             ["serve", "--scale", "0.03", "--datasets", "GO", "--serve-workers", "x"],
             ["serve", "--scale", "0.03", "--datasets", "GO", "--serve-workers", "1,-2"],
+            [*TINY, "--queries", "-3"],
+            [*TINY, "--queries", "0"],
+            [*TINY, "--bfs-queries", "0"],
+            [*TINY, "--repeat", "0"],
+            [*TINY, "--ingest-mb", "0"],
+            [*TINY, "--ingest-edges", "999"],
         ],
         ids=["scale-zero", "scale-negative", "workers-zero", "workers-text",
-             "workers-negative"],
+             "workers-negative", "queries-negative", "queries-zero",
+             "bfs-queries-zero", "repeat-zero", "ingest-mb-zero",
+             "ingest-edges-below-1000"],
     )
     def test_bad_value_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -142,3 +161,25 @@ class TestNumericArguments:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert argv[-2] in err and "Traceback" not in err
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_reader_ends_quietly(self, unbuffered):
+        """``kreach-bench table2 ... | head``: a reader that goes away
+        before the output is written ends the run without a traceback,
+        whether the output sits in the buffer until exit or not."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "table2", "--scale", "0.05",
+             "--datasets", "GO,aMaze"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()  # the reader is gone before the first line
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err

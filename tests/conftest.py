@@ -97,8 +97,17 @@ def serial_index(g: DiGraph, k: int | None, cover=None) -> KReachIndex:
     return KReachIndex.from_index_graph(g, k, cover=cover, index_graph=ig)
 
 
+def scalar_batch(index, pairs) -> np.ndarray:
+    """The per-pair reference for any answerer's ``query_batch``: its
+    scalar ``query`` over each pair, as an aligned bool array."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return np.fromiter(
+        (index.query(s, t) for s, t in pairs.tolist()), dtype=bool, count=len(pairs)
+    )
+
+
 def vector_gate(index: KReachIndex, path: str) -> int:
-    """The ``bitset_matrix_bytes`` that steers ``engine='auto'`` over
+    """The ``bitset_matrix_bytes`` that steers ``query_batch`` over
     ``index``'s cover off the level stack: ``'bitset'`` keeps the
     one-view Case-4 bitset join under keyed probes (for n-reach the
     stack *is* one view, so it stays), ``'chunked'`` takes the chunked

@@ -25,7 +25,7 @@ from repro.graph.generators import (
     star_graph,
 )
 from repro.graph.traversal import bidirectional_reaches_within
-from tests.conftest import gated_twin
+from tests.conftest import gated_twin, scalar_batch
 
 K_VALUES = [1, 2, 3, 5, 6, None]
 
@@ -153,9 +153,9 @@ class TestBatchContract:
         g = gnp_digraph(15, 0.1, seed=33)
         idx = KReachIndex(g, 2)
         assert idx.prepare_batch() is idx
-        store = idx._keyed()
+        store = idx.index_graph.keyed()
         idx.prepare_batch()
-        assert idx._keyed() is store
+        assert idx.index_graph.keyed() is store
 
     def test_batch_order_follows_input(self, idx):
         pairs = _all_pairs(idx.graph)
@@ -175,7 +175,7 @@ class TestDeduplicatedDispatch:
         dup = base[rng.integers(0, len(base), size=2500)]
         for k in (2, 6, None):
             idx = KReachIndex(g, k)
-            expected = idx.query_batch(dup, engine="scalar")
+            expected = scalar_batch(idx, dup)
             assert np.array_equal(idx.query_batch(dup), expected), k
             for path in ("bitset", "chunked"):
                 assert np.array_equal(
@@ -188,7 +188,7 @@ class TestDeduplicatedDispatch:
         base = rng.integers(0, g.n, size=(30, 2), dtype=np.int64)
         dup = base[rng.integers(0, len(base), size=1500)]
         idx = HKReachIndex(g, 2, 6)
-        expected = idx.query_batch(dup, engine="scalar")
+        expected = scalar_batch(idx, dup)
         assert idx._bitset_ready()
         assert np.array_equal(idx.query_batch(dup), expected)
 

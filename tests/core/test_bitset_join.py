@@ -2,11 +2,12 @@
 
 Pins, across power-law "celebrity" graphs and the hub×hub crossfire
 scenario the paper's §1 opens with, that every path the memory gate
-(``bitset_matrix_bytes``) can steer ``engine='auto'`` onto agrees bit
+(``bitset_matrix_bytes``) can steer ``query_batch`` onto agrees bit
 for bit: the level stack, the one-view bitset join, the chunked
-cross-product path (including its forced hub spill), the per-pair
-scalar walks, and the BFS ground-truth oracle — for KReach and HKReach
-alike, over k ∈ {0, 1, 2, 6, None}.
+cross-product path (including its forced hub spill), the memoized
+(h,k)-reach walk, the per-pair scalar ``query``, and the BFS
+ground-truth oracle — for KReach and HKReach alike, over
+k ∈ {0, 1, 2, 6, None}.
 """
 
 import numpy as np
@@ -36,7 +37,7 @@ from repro.graph.traversal import (
     bulk_reaches_within,
     reaches_within_bfs,
 )
-from tests.conftest import gated_twin
+from tests.conftest import gated_twin, scalar_batch
 
 K_VALUES = (0, 1, 2, 6, None)
 
@@ -60,7 +61,7 @@ class TestKReachEngines:
         stack = idx.query_batch(pairs)
         bitset = gated_twin(idx, "bitset").query_batch(pairs)
         chunked = gated_twin(idx, "chunked").query_batch(pairs)
-        scalar = idx.query_batch(pairs, engine="scalar")
+        scalar = scalar_batch(idx, pairs)
         assert np.array_equal(bitset, stack)
         assert np.array_equal(bitset, chunked)
         assert np.array_equal(bitset, scalar)
@@ -124,7 +125,7 @@ class TestKReachEngines:
             return original(store, u, v)
 
         monkeypatch.setattr(KeyedRowStore, "lookup", spy)
-        expected = one_view.query_batch(pairs, engine="scalar")
+        expected = scalar_batch(one_view, pairs)
         assert one_view._batch_views()[0] is None
         assert one_view._batch_views()[1] is not None
         assert np.array_equal(one_view.query_batch(pairs), expected)
@@ -148,9 +149,10 @@ class TestKReachEngines:
         g = celebrity_graph(1)
         idx = KReachIndex(g, 6).prepare_batch()
         assert idx._batch_views()[0] is not None
-        assert idx._keyed_rows is None
+        assert idx.index_graph._store is None
+        assert idx.index_graph._targets is None  # no CSR derived either
         gated = KReachIndex(g, 6, cover=idx.cover, bitset_matrix_bytes=0)
-        assert gated.prepare_batch()._keyed_rows is not None
+        assert gated.prepare_batch().index_graph._store is not None
 
     def test_auto_engine_never_plans_cross_products(self, monkeypatch):
         """Acceptance: when the level stack fits, no pair touches the
@@ -166,7 +168,7 @@ class TestKReachEngines:
             axis=1,
         )
         assert set(idx.query_case_batch(pairs).tolist()) == {1, 2, 3, 4}
-        expected = idx.query_batch(pairs, engine="scalar")
+        expected = scalar_batch(idx, pairs)
 
         def boom(*args, **kwargs):  # pragma: no cover - guard
             raise AssertionError("keyed path reached on auto path")
@@ -177,7 +179,7 @@ class TestKReachEngines:
 
     def test_engine_validation(self):
         idx = KReachIndex(paper_example_graph(), 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="engine"):
             idx.query_batch([(0, 1)], engine="warp")
 
 
@@ -194,11 +196,15 @@ class TestHKReachEngines:
     def test_bitset_equals_scalar_and_oracle(self, seed, h, k, strict):
         g = celebrity_graph(seed)
         idx = HKReachIndex(g, h, k, strict=strict)
+        walk = HKReachIndex(
+            g, h, k, cover=idx.cover, strict=strict, bitset_matrix_bytes=0
+        )
         pairs = workload(g, seed)
         assert idx._bitset_ready()  # the default gate admits the matrices
+        if walk._bitset_specs():  # gate 0: the memoized walk
+            assert not walk._bitset_ready()
         bitset = idx.query_batch(pairs)
-        scalar = idx.query_batch(pairs, engine="scalar")
-        assert np.array_equal(bitset, scalar)
+        assert np.array_equal(bitset, walk.query_batch(pairs))
         for (s, t), got in list(zip(pairs, bitset))[:120]:
             assert got == idx.query(int(s), int(t))
             assert got == reaches_within_bfs(g, int(s), int(t), k), (s, t, h, k)
@@ -210,9 +216,7 @@ class TestHKReachEngines:
         rng = np.random.default_rng(5)
         pairs = rng.integers(60, g.n, size=(300, 2), dtype=np.int64)
         assert idx._bitset_ready()
-        assert np.array_equal(
-            idx.query_batch(pairs), idx.query_batch(pairs, engine="scalar")
-        )
+        assert np.array_equal(idx.query_batch(pairs), scalar_batch(idx, pairs))
 
     def test_auto_engine_memory_gate(self):
         g = celebrity_graph(3)
@@ -225,7 +229,7 @@ class TestHKReachEngines:
 
     def test_engine_validation(self):
         idx = HKReachIndex(paper_example_graph(), 2, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="engine"):
             idx.query_batch([(0, 1)], engine="warp")
 
 

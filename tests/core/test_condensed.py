@@ -5,11 +5,8 @@ Semantics under test (documented on :class:`CondensedKReach`):
 * ``k=None`` — exact: condensing cannot change plain reachability, so
   the wrapper must agree with a direct build and with the BFS oracle on
   every pair of every graph, cyclic or not.
-* finite ``k`` — "SCC-hop" reachability: intra-SCC moves are free, only
-  boundary-crossing edges spend budget.  On a DAG every component is a
-  singleton, so this coincides with the direct index; on a cyclic graph
-  it is a superset (never a false negative vs the direct index) and must
-  equal a k-bounded BFS run on the condensation DAG.
+* finite ``k`` — refused with ValueError: condensing shortens paths
+  through an SCC, so hop budgets are not preserved.
 """
 
 import numpy as np
@@ -18,11 +15,7 @@ import pytest
 from repro.core import CondensedKReach, KReachIndex
 from repro.core.condensed import CondensedKReach as CondensedKReachDirect
 from repro.graph.digraph import DiGraph
-from repro.graph.generators import (
-    cycle_graph,
-    gnp_digraph,
-    random_dag,
-)
+from repro.graph.generators import cycle_graph, gnp_digraph, random_dag
 from repro.graph.scc import condensation
 from tests.conftest import all_pairs, brute_force_khop, graph_corpus
 
@@ -55,44 +48,25 @@ class TestExactUnboundedSemantics:
         for (s, t), got in zip(pairs.tolist(), out.tolist()):
             assert got == cond.query(s, t)
 
-
-class TestFiniteKSemantics:
-    @pytest.mark.parametrize("k", [2, 6])
-    def test_equals_direct_on_dags(self, k):
-        for g in [random_dag(15, 40, seed=7), random_dag(25, 90, seed=8)]:
-            cond = CondensedKReach(g, k)
-            direct = KReachIndex(g, k)
-            for s, t in all_pairs(g):
-                assert cond.query(s, t) == direct.query(s, t), (s, t)
-
-    @pytest.mark.parametrize("k", [2, 6])
-    def test_superset_of_direct_on_cyclic(self, k):
-        for g in cyclic_corpus():
-            cond = CondensedKReach(g, k)
-            direct = KReachIndex(g, k)
-            for s, t in all_pairs(g):
-                if direct.query(s, t):
-                    assert cond.query(s, t), (s, t)
-
-    @pytest.mark.parametrize("k", [2, 6])
-    def test_scc_hop_oracle_on_cyclic(self, k):
-        # The wrapper's finite-k verdict is exactly k-reach over the
-        # condensation DAG on component ids.
-        for g in cyclic_corpus():
-            cond = CondensedKReach(g, k)
-            comp = cond.cond.component_of
-            for s, t in all_pairs(g):
-                expect = brute_force_khop(
-                    cond.cond.dag, int(comp[s]), int(comp[t]), k
-                )
-                assert cond.query(s, t) == expect, (s, t)
-
     def test_same_component_is_always_reachable(self):
         g = cycle_graph(7)
-        cond = CondensedKReach(g, 0)
+        cond = CondensedKReach(g, None)
         assert cond.num_components == 1
         for s, t in all_pairs(g):
             assert cond.query(s, t)
+
+
+class TestFiniteKSemantics:
+    @pytest.mark.parametrize("k", [0, 2, 6])
+    def test_finite_k_raises(self, k):
+        """A finite k is refused on cyclic graphs and DAGs alike, before
+        any condensation or index build."""
+        for g in (cycle_graph(5), random_dag(15, 40, seed=7)):
+            with pytest.raises(ValueError, match="k=None only"):
+                CondensedKReach(g, k)
+        # KReachIndex is the finite-k answerer: on a 5-cycle, 0 -> 3
+        # takes 3 hops, which the condensation would have collapsed.
+        assert not KReachIndex(cycle_graph(5), 2).query(0, 3)
 
 
 class TestWiring:
@@ -121,11 +95,11 @@ class TestWiring:
 
     def test_storage_bytes_counts_component_map(self):
         g = gnp_digraph(30, 0.1, seed=12)
-        cond = CondensedKReach(g, 2)
+        cond = CondensedKReach(g, None)
         assert cond.storage_bytes() >= cond.index.storage_bytes()
 
     def test_query_out_of_range(self):
-        cond = CondensedKReach(gnp_digraph(5, 0.3, seed=13), 2)
+        cond = CondensedKReach(gnp_digraph(5, 0.3, seed=13), None)
         with pytest.raises(ValueError, match="out of range"):
             cond.query(0, 99)
 
@@ -135,7 +109,7 @@ class TestWiring:
     def test_invalid_ids_raise_value_error(self, pair):
         """Ids are checked on the original graph, before the component
         map could wrap -1 to the last vertex or truncate a float."""
-        cond = CondensedKReach(cycle_graph(5), 2)
+        cond = CondensedKReach(cycle_graph(5), None)
         with pytest.raises(ValueError):
             cond.query_batch([pair])
         with pytest.raises(ValueError, match="out of range|integer ids"):

@@ -16,7 +16,7 @@ from repro.core.kreach import KReachIndex
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import cycle_graph, gnp_digraph, path_graph
 
-from tests.conftest import brute_force_khop
+from tests.conftest import brute_force_khop, scalar_batch
 
 
 def assert_matches_fresh(dyn: DynamicKReachIndex, k):
@@ -303,9 +303,7 @@ class TestBatchOverlay:
             expected = oracle_batch(dyn, pairs)
             got = dyn.query_batch(pairs)
             assert np.array_equal(got, expected), (k, seed, step)
-            assert np.array_equal(
-                dyn.query_batch(pairs, engine="scalar"), expected
-            ), (k, seed, step)
+            assert np.array_equal(scalar_batch(dyn, pairs), expected), (k, seed, step)
             if step == 17:
                 dyn.compact()  # forced compaction mid-trace
                 assert dyn.overlay_rows == 0 and dyn.pending_ops == 0
@@ -343,7 +341,7 @@ class TestBatchOverlay:
         assert out.shape == (0,) and out.dtype == bool
         with pytest.raises(ValueError):
             dyn.query_batch([(0, 9)])
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="engine"):
             dyn.query_batch([(0, 1)], engine="chunked")
 
     def test_memory_gate_falls_back(self):
@@ -353,7 +351,7 @@ class TestBatchOverlay:
         pairs = np.array(
             [(s, t) for s in range(30) for t in range(30)], dtype=np.int64
         )
-        assert dyn._case4_matrix() is None  # gated off
+        assert dyn._batch_views() == (None, None)  # gated off
         expected = oracle_batch(dyn, pairs)
         assert np.array_equal(dyn.query_batch(pairs), expected)
 
@@ -535,12 +533,14 @@ class TestChurnScale:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 6, None])
     def test_bursts_match_bfs_oracle(self, k, monkeypatch):
-        calls = count_calls(
-            monkeypatch,
-            DynamicKReachIndex,
-            "_rebuild_rows_blocked",
-            "_compact_with_repair",
-        )
+        calls = count_calls(monkeypatch, DynamicKReachIndex, "_rebuild_rows_blocked")
+        merge = DynamicKReachIndex._merge
+
+        def count_repair_merges(self, g, repaired=None):
+            calls["repair merges"] += repaired is not None
+            return merge(self, g, repaired)
+
+        monkeypatch.setattr(DynamicKReachIndex, "_merge", count_repair_merges)
         rng = np.random.default_rng(7)
         n = 300
         edges = hub_dag(n, 900, rng)
@@ -556,13 +556,13 @@ class TestChurnScale:
             want = reach_matrix(n, live.array(), k)[pairs[:, 0], pairs[:, 1]]
             got = dyn.query_batch(pairs)
             assert np.array_equal(got, want), (k, burst, "auto")
-            got = dyn.query_batch(pairs[:200], engine="scalar")
+            got = scalar_batch(dyn, pairs[:200])
             assert np.array_equal(got, want[:200]), (k, burst, "scalar")
             after_compaction += dyn.compactions > compactions
         assert after_compaction >= 1
         if k not in (1, 2):  # small balls rarely pin 16 rows in one burst
             assert calls["_rebuild_rows_blocked"] >= 3, calls
-            assert calls["_compact_with_repair"] >= 2, calls
+            assert calls["repair merges"] >= 2, calls
 
 
 class TestPatchedViews:
@@ -592,7 +592,7 @@ class TestPatchedViews:
 
         monkeypatch.setattr(KeyedRowStore, "lookup", boom)
         assert np.array_equal(dyn.query_batch(pairs), want)
-        assert dyn._level_stack() is not None
+        assert dyn._batch_views()[0] is not None
 
     def test_over_gate_reads_match_oracle(self):
         """Past the stack's gate the keyed probes answer (one view fits,
@@ -605,8 +605,9 @@ class TestPatchedViews:
         one_view = (size * ((size + 63) // 64)) * 8
         for budget in (one_view, 0):
             dyn.bitset_matrix_bytes = budget
-            assert dyn._level_stack() is None
-            assert (dyn._case4_matrix() is None) == (budget == 0)
+            stack, matrix = dyn._batch_views()
+            assert stack is None
+            assert (matrix is None) == (budget == 0)
             assert np.array_equal(dyn.query_batch(pairs), want)
 
     def test_repair_and_compact_never_rebuild_from_edges(self, monkeypatch):

@@ -64,7 +64,10 @@ def test_batch_equals_scalar_equals_bfs(g, path):
     ig = oracle.index_graph
     if ig.cover_size:
         stack, matrix = batch_views(
-            ig, [(0, True), (1, True), (2, True)], oracle.bitset_matrix_bytes
+            ig.link_matrices,
+            [(0, True), (1, True), (2, True)],
+            ig.cover_size,
+            oracle.bitset_matrix_bytes,
         )
         assert (stack is not None, matrix is not None) == {
             "stack": (True, True),

@@ -172,7 +172,7 @@ class TestSharedStorageConsumers:
     def test_keyed_store_zero_copy_view(self):
         g = gnp_digraph(50, 0.08, seed=11)
         idx = KReachIndex(g, 3).prepare_batch()
-        store = idx._keyed()
+        store = idx.index_graph.keyed()
         assert store._keys is idx.index_graph.keys()
 
     def test_one_storage_model(self):

@@ -164,10 +164,7 @@ class TestDifferential:
         )
         assert np.array_equal(reference[:300], oracle)
         sharded = partition_kreach(graph, k, num_shards)
-        for engine in ("auto", "scalar"):
-            assert np.array_equal(
-                sharded.query_batch(pairs, engine=engine), reference
-            )
+        assert np.array_equal(sharded.query_batch(pairs), reference)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 6, None])
     @pytest.mark.parametrize("num_shards", [2, 4])

@@ -241,7 +241,7 @@ class TestDynamicCorruption:
         g = gnp_digraph(20, 0.15, seed=4)
         dyn = DynamicKReachIndex(g, 3, bitset_matrix_bytes=0)
         dyn.insert_edge(0, 19)
-        assert dyn._case4_matrix() is None  # ceiling gates the matrix off
+        assert dyn._batch_views() == (None, None)  # ceiling gates the views off
         base, log = persist(tmp_path, dyn)
         loaded = DynamicKReachIndex.from_base(
             load_mmap(base, mode="c", validate=True, bitset_matrix_bytes=0)
@@ -249,6 +249,6 @@ class TestDynamicCorruption:
         loaded.replay(read_oplog(log))
         assert loaded.bitset_matrix_bytes == 0
         assert loaded.base.bitset_matrix_bytes == 0
-        assert loaded._case4_matrix() is None  # still gated after reload
+        assert loaded._batch_views() == (None, None)  # still gated after reload
         pairs = all_pairs(g.n)
         assert np.array_equal(loaded.query_batch(pairs), dyn.query_batch(pairs))

@@ -34,7 +34,12 @@ from repro.core.serialize import (
     verify_file,
 )
 from repro.graph.generators import gnp_digraph, paper_example_graph
-from tests.conftest import tampered_header, tampered_section, vector_gate
+from tests.conftest import (
+    scalar_batch,
+    tampered_header,
+    tampered_section,
+    vector_gate,
+)
 
 
 def saved(tmp_path, index, name="index.kr4"):
@@ -344,15 +349,13 @@ class TestCorruption:
 
 
 class TestReadOnlyServing:
-    """The full engine matrix runs off mode='r' pages with no write fault."""
+    """Every query path runs off mode='r' pages with no write fault."""
 
     @pytest.mark.parametrize("k", [2, 6, None])
     @pytest.mark.parametrize(
-        "engine,path",
-        [("scalar", None), ("auto", "bitset"), ("auto", "chunked")],
-        ids=["scalar", "bitset", "chunked"],
+        "path", [None, "bitset", "chunked"], ids=["scalar", "bitset", "chunked"]
     )
-    def test_engine_matrix(self, tmp_path, k, engine, path):
+    def test_engine_matrix(self, tmp_path, k, path):
         g = gnp_digraph(45, 0.09, seed=9)
         index = KReachIndex(g, k)
         gate = {} if path is None else {"bitset_matrix_bytes": vector_gate(index, path)}
@@ -365,11 +368,13 @@ class TestReadOnlyServing:
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             ig.targets[0] = 0
-        # ...and the whole engine matrix runs without a write fault.
+        # ...and every path runs without a write fault: the per-pair
+        # query loop, or query_batch past the gate.
         loaded.prepare_batch()
         pairs = all_pairs(g.n)
         expected = index.query_batch(pairs)
-        assert np.array_equal(loaded.query_batch(pairs, engine=engine), expected)
+        got = scalar_batch(loaded, pairs) if path is None else loaded.query_batch(pairs)
+        assert np.array_equal(got, expected)
         for s, t in pairs[: 3 * g.n].tolist():
             assert loaded.query(s, t) == index.query(s, t)
 
@@ -393,7 +398,7 @@ class TestReadOnlyServing:
         # run against the frozen arrays of the original structures
         assert hk._bitset_ready()
         assert np.array_equal(hk.query_batch(pairs), reference_hk)
-        assert np.array_equal(hk.query_batch(pairs, engine="scalar"), reference_hk)
+        assert np.array_equal(scalar_batch(hk, pairs), reference_hk)
         assert np.array_equal(oracle.distance_batch(pairs), reference_d)
         assert np.array_equal(
             oracle.reaches_within_batch(pairs, 4), reference_d <= 4
@@ -408,9 +413,9 @@ class TestOpenCost:
         g = gnp_digraph(60, 0.08, seed=12)
         loaded = load_mmap(saved(tmp_path, KReachIndex(g, 3)))
         assert loaded._out_lists is None and loaded._in_lists is None
-        assert loaded._scalar is None and loaded._keyed_rows is None
+        assert loaded._scalar is None
         ig = loaded.index_graph
-        assert ig._keys is None and ig._weights64 is None
+        assert ig._keys is None and ig._store is None and ig._weights64 is None
         assert not ig._matrices
         assert loaded.query(0, 1) in (True, False)  # lazily built on use
 

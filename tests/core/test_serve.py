@@ -18,6 +18,7 @@ from repro.core.serialize import save_mmap
 from repro.core.serve import QueryServer, _case_shards
 from repro.graph.generators import gnp_digraph
 from repro.workloads import random_pairs
+from tests.conftest import scalar_batch
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +153,7 @@ class TestDifferential:
         has no per-call engine): its uncompiled bodies serve the scalar
         loop's verdicts."""
         index, path = serve_file(tmp_path, graph, 6)
-        expected = index.query_batch(pairs, engine="scalar")
+        expected = scalar_batch(index, pairs)
         monkeypatch.setenv(native.ENV_VAR, "python")
         with QueryServer(path, workers=2) as server:
             assert np.array_equal(server.query_batch(pairs), expected)

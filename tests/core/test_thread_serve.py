@@ -18,7 +18,7 @@ from repro.core.serialize import save_mmap
 from repro.core.serve import QueryServer, ThreadQueryServer
 from repro.graph.generators import gnp_digraph
 from repro.workloads import random_pairs
-from tests.conftest import vector_gate
+from tests.conftest import scalar_batch, vector_gate
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +67,7 @@ class TestDifferential:
         over-gate paths (the shared index's gate, set before its lazy
         build)."""
         index, path = serve_file(tmp_path, graph, 3)
-        expected = index.query_batch(pairs, engine="scalar")
+        expected = scalar_batch(index, pairs)
         if route == "native":
             tier = "numba" if native.available() else "python"
             monkeypatch.setenv(native.ENV_VAR, tier)

@@ -12,10 +12,7 @@ from repro.graph.traversal import (
     bfs_distances_scalar,
     bidirectional_reaches_within,
     bounded_neighborhood,
-    dfs_postorder,
-    eccentricity,
     gather_neighbors,
-    khop_neighbors,
     reachable_set,
     reaches_within_bfs,
 )
@@ -154,12 +151,6 @@ class TestNeighborhoods:
         g = path_graph(5)
         assert bounded_neighborhood(g, 4, 2, direction="in") == {4: 0, 3: 1, 2: 2}
 
-    def test_khop_excludes_self(self):
-        g = path_graph(4)
-        pairs = dict(khop_neighbors(g, 0, 2))
-        assert 0 not in pairs
-        assert pairs == {1: 1, 2: 2}
-
 
 class TestReachableSet:
     def test_forward(self):
@@ -169,33 +160,6 @@ class TestReachableSet:
     def test_backward(self):
         g = DiGraph(4, [(0, 1), (1, 2)])
         assert reachable_set(g, 2, direction="in") == {0, 1, 2}
-
-
-class TestDfsPostorder:
-    def test_covers_all_vertices_once(self):
-        g = gnp_digraph(20, 0.1, seed=4)
-        post = dfs_postorder(g)
-        assert sorted(post.tolist()) == list(range(20))
-
-    def test_children_before_parents_on_tree(self):
-        g = DiGraph(3, [(0, 1), (0, 2)])
-        post = list(dfs_postorder(g))
-        assert post.index(1) < post.index(0)
-        assert post.index(2) < post.index(0)
-
-    def test_respects_priority_order(self):
-        g = DiGraph(3, [(0, 1), (0, 2)])
-        # priority reversing ids makes 2 explored before 1
-        post = list(dfs_postorder(g, order=np.array([2, 1, 0])))
-        assert post.index(2) < post.index(1)
-
-
-class TestEccentricity:
-    def test_path(self):
-        g = path_graph(6)
-        assert eccentricity(g, 0) == 5
-        assert eccentricity(g, 5) == 0
-        assert eccentricity(g, 5, direction="in") == 5
 
 
 class TestReachesWithinSmall:

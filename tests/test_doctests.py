@@ -14,7 +14,6 @@ import repro.baselines.transitive_closure
 import repro.bench.report
 import repro.core.batch
 import repro.core.general_k
-import repro.bitsets.bitset
 import repro.bitsets.packed
 import repro.bitsets.wah
 import repro.core.hkreach
@@ -28,7 +27,6 @@ import repro.native
 MODULES = [
     repro.graph.digraph,
     repro.graph.builder,
-    repro.bitsets.bitset,
     repro.bitsets.wah,
     repro.bitsets.packed,
     repro.core.index_graph,

@@ -22,6 +22,7 @@ from repro.core.kreach import KReachIndex
 from repro.graph.generators import gnp_digraph
 from repro.graph.traversal import bfs_distances, bfs_distances_blocked
 from repro.workloads import random_pairs
+from tests.conftest import scalar_batch
 
 # Tiers whose kernels can execute in this environment.  'python' runs
 # the numba bodies uncompiled — the stand-in for the compiled tier on
@@ -297,10 +298,11 @@ class TestKernelDifferentials:
 
 
 class TestEngineMatrix:
-    """The compiled kernel tier ≡ engine='auto' ≡ scalar, across hop budgets.
+    """The compiled kernel tier ≡ the numpy tier ≡ the per-pair ``query``,
+    across hop budgets.
 
-    The tier is chosen per thread with ``native.use`` — there is no
-    ``engine='native'``."""
+    The tier is chosen per thread with ``native.use`` — ``query_batch``
+    takes no engine argument."""
 
     @pytest.fixture(scope="class")
     def graph(self):
@@ -313,15 +315,15 @@ class TestEngineMatrix:
     @pytest.mark.parametrize("k", [0, 2, 6, None])
     def test_kreach_native_engine(self, graph, pairs, k):
         idx = KReachIndex(graph, k)
-        reference = idx.query_batch(pairs, engine="scalar")
-        assert np.array_equal(reference, idx.query_batch(pairs, engine="auto"))
+        reference = scalar_batch(idx, pairs)
+        assert np.array_equal(reference, idx.query_batch(pairs))
         with native.use(COMPILED):
             assert np.array_equal(reference, idx.query_batch(pairs))
 
     @pytest.mark.parametrize("tier", TIERS)
     def test_kreach_under_forced_tier(self, graph, pairs, tier):
         idx = KReachIndex(graph, 3)
-        reference = idx.query_batch(pairs, engine="scalar")
+        reference = scalar_batch(idx, pairs)
         with native.use(tier):
             assert np.array_equal(reference, idx.query_batch(pairs))
 
@@ -330,17 +332,17 @@ class TestEngineMatrix:
         from repro.core.hkreach import HKReachIndex
 
         hk = HKReachIndex(graph, 2, 6)
-        hk_reference = hk.query_batch(pairs, engine="scalar")
+        hk_reference = scalar_batch(hk, pairs)
         dyn = DynamicKReachIndex(graph, 4)
         dyn.insert_edge(5, 7)
         u0, v0 = next(iter(graph.edges()))
         dyn.delete_edge(int(u0), int(v0))
-        dyn_reference = dyn.query_batch(pairs, engine="scalar")
+        dyn_reference = scalar_batch(dyn, pairs)
         with native.use(COMPILED):
             assert np.array_equal(hk_reference, hk.query_batch(pairs))
             assert np.array_equal(dyn_reference, dyn.query_batch(pairs))
 
     def test_unknown_engine_still_rejected(self, graph, pairs):
         idx = KReachIndex(graph, 2)
-        with pytest.raises(ValueError, match="engine"):
+        with pytest.raises(TypeError, match="engine"):
             idx.query_batch(pairs, engine="warp")

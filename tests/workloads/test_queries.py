@@ -13,6 +13,7 @@ from repro.workloads import (
     positive_pairs,
     random_pairs,
 )
+from tests.conftest import scalar_batch
 
 
 class TestRandomPairs:
@@ -204,9 +205,7 @@ class TestChurnTrace:
         for op in trace:
             if op[0] == "query":
                 answers = dyn.query_batch(op[1])
-                assert np.array_equal(
-                    answers, dyn.query_batch(op[1], engine="scalar")
-                )
+                assert np.array_equal(answers, scalar_batch(dyn, op[1]))
             elif op[0] == "insert":
                 dyn.insert_edge(op[1], op[2])
             else:
