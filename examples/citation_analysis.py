@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from repro.baselines import ChainCoverIndex, GrailIndex, PathTreeIndex, PwahIndex
-from repro.core import CoverDistanceOracle, KReachIndex
+from repro.core import CoverDistanceOracle, KReachIndex, vertex_cover_2approx
 from repro.datasets import load
 from repro.workloads import random_pairs
 
@@ -50,7 +50,8 @@ def main() -> None:
     queries = 2_000 if args.fast else 10_000
     pairs = random_pairs(g.n, queries, rng=np.random.default_rng(5))
     contenders = {
-        "n-reach": lambda: KReachIndex(g, None),
+        # The paper's §4.3 cover: the default would cover all of V here.
+        "n-reach": lambda: KReachIndex(g, None, cover=vertex_cover_2approx(g)),
         "GRAIL": lambda: GrailIndex(g, num_labels=3, seed=5),
         "PWAH": lambda: PwahIndex(g),
         "PTree (tree cover)": lambda: PathTreeIndex(g),

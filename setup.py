@@ -8,7 +8,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24"],
+    install_requires=["numpy>=1.25"],
     extras_require={
         # Optional compiled kernel tier (repro/native.py).  Everything
         # works without it on the numpy fallback; with it the hot

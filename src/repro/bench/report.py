@@ -2,7 +2,8 @@
 
 Every experiment in :mod:`repro.bench.experiments` returns a
 :class:`Table`; the CLI renders it as aligned ASCII (and optionally
-markdown for EXPERIMENTS.md).  Values may be numbers, strings, or ``None``
+markdown with ``--markdown``; README.md, "Benchmarks", lists the
+experiments).  Values may be numbers, strings, or ``None``
 (rendered as the paper's "-").
 """
 

@@ -27,6 +27,7 @@ import time
 from repro.bench.experiments import ALL_EXPERIMENTS, SuiteConfig
 from repro.bench.report import Table
 from repro.datasets import DATASET_NAMES
+from repro.graph.ingest import DEFAULT_BUDGET_MB
 
 __all__ = ["main", "build_parser"]
 
@@ -102,7 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"comma-separated subset of {', '.join(DATASET_NAMES)}",
     )
-    parser.add_argument("--seed", type=int, default=7, help="workload seed")
+    parser.add_argument(
+        "--seed", type=_int_at_least(0), default=7, help="workload seed"
+    )
     parser.add_argument(
         "--serve-workers",
         type=_worker_counts,
@@ -127,12 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--ingest-mb",
         type=_int_at_least(1),
-        default=32,
+        default=None,
         metavar="MB",
         help=(
             "'ingest': memory budget for the streamed external-sort "
-            "ingester (also honored via the KREACH_INGEST_MB env var "
-            "when unset; default 32)"
+            "ingester (default: the KREACH_INGEST_MB env var, else "
+            f"{DEFAULT_BUDGET_MB})"
         ),
     )
     parser.add_argument(

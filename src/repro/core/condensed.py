@@ -49,8 +49,8 @@ class CondensedKReach:
         ``graph`` (e.g. from a streamed-ingest pipeline that already
         condensed); computed here when omitted.
     kwargs:
-        Forwarded to :class:`~repro.core.kreach.KReachIndex` (cover
-        strategy, memory gate, ...).
+        Forwarded to :class:`~repro.core.kreach.KReachIndex` (``cover=``,
+        ``bitset_matrix_bytes=``).
 
     Examples
     --------

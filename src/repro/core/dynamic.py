@@ -96,6 +96,7 @@ from repro.core.kreach import (
     level_specs,
     level_within,
 )
+from repro.core.vertex_cover import vertex_cover_2approx
 from repro.graph.digraph import DiGraph
 from repro.graph.traversal import bfs_distances_blocked
 
@@ -119,6 +120,21 @@ _BLOCKED_REBUILD_MIN = 16
 #: candidates are min-merged early instead of waiting for the next read.
 _RELAX_CHUNK = 1 << 22
 _RELAX_QUEUE_MAX = 1 << 24
+
+
+def _cover_base(graph: DiGraph, k: int | None, gate: int) -> KReachIndex:
+    """A fresh base snapshot on the §4.3 2-approximate cover.
+
+    Not the static default, which may be V
+    (:func:`~repro.core.kreach.default_cover`): each insert relaxes over
+    the cover members of two balls, so with S = V writes cost far more —
+    at ``kreach-bench dynamic --scale 0.05 --queries 20000`` (2-vCPU
+    host) total update time rose about 6x and rebuilding a static index
+    per read batch overtook the overlay.
+    """
+    return KReachIndex(
+        graph, k, cover=vertex_cover_2approx(graph), bitset_matrix_bytes=gate
+    )
 
 
 class DynamicKReachIndex:
@@ -184,9 +200,7 @@ class DynamicKReachIndex:
             auto_compact,
             bitset_matrix_bytes,
         )
-        self._install_base(
-            KReachIndex(graph, k, bitset_matrix_bytes=bitset_matrix_bytes)
-        )
+        self._install_base(_cover_base(graph, k, bitset_matrix_bytes))
 
     @classmethod
     def from_base(
@@ -742,7 +756,7 @@ class DynamicKReachIndex:
         g = self._graph()
         if not rebuild:
             return self._merge(g)
-        base = KReachIndex(g, self.k, bitset_matrix_bytes=self.bitset_matrix_bytes)
+        base = _cover_base(g, self.k, self.bitset_matrix_bytes)
         self.compactions += 1
         self._install_base(base)
         return base

@@ -27,6 +27,10 @@ oracle).  The blocked sweeps are this module's answer to §4.1.3's
 "straightforward to parallelize": 64 independent cover-vertex BFSs
 share one bit-parallel pass.
 
+Unless a cover is given, :func:`default_cover` picks it: all of V
+(every query is then Case 1) while V's planes fit the same gate and
+are at most twice the §4.3 2-approximate cover's, that cover otherwise.
+
 Queries (Algorithm 2) split on cover membership of the endpoints:
 
 * **Case 1** (both in ``S``): one edge lookup in ``I``.
@@ -74,13 +78,14 @@ from repro.core.index_graph import (
     cover_triples_blocked,
     level_specs,
 )
-from repro.core.vertex_cover import cover_from_strategy, is_vertex_cover
+from repro.core.vertex_cover import is_vertex_cover, vertex_cover_2approx
 from repro.graph.digraph import DiGraph
 
 __all__ = [
     "KReachIndex",
     "algorithm2_batch",
     "batch_views",
+    "default_cover",
     "level_specs",
     "level_within",
     "views_fit",
@@ -99,13 +104,11 @@ class KReachIndex:
         Hop budget.  ``None`` builds the n-reach variant answering classic
         reachability.
     cover:
-        Optional pre-computed vertex cover (it is validated); by default a
-        cover is computed with ``cover_strategy``.
-    cover_strategy:
-        One of ``'degree'`` (default, the §4.3 high-degree-first pick),
-        ``'random'``, ``'input'``, ``'greedy'``.
-    include_degree_at_least:
-        Seed all vertices of at least this degree into the cover (§4.3).
+        Optional pre-computed vertex cover (it is validated and used as
+        given); by default :func:`default_cover` picks it — all of V
+        when its level planes fit ``bitset_matrix_bytes`` and are at most
+        twice the §4.3 2-approximate cover's, else that cover.  Pass
+        ``cover=cover_from_strategy(graph, ...)`` for another strategy.
     bitset_matrix_bytes:
         Memory ceiling for the cover-position bit views this index
         builds (``~|S|²/8`` bytes each; default
@@ -121,8 +124,6 @@ class KReachIndex:
         every bit view.  Planes an index already holds (built or
         memory-mapped) are always used: the gate caps only views built
         privately.
-    rng:
-        Randomness for ``cover_strategy='random'``.
 
     **Batch API contract.**  :meth:`query_batch` and
     :meth:`query_case_batch` accept any ``(m, 2)`` integer array-like of
@@ -152,20 +153,12 @@ class KReachIndex:
         k: int | None,
         *,
         cover: frozenset[int] | None = None,
-        cover_strategy: str = "degree",
-        include_degree_at_least: int | None = None,
         bitset_matrix_bytes: int = DEFAULT_MATRIX_BYTES,
-        rng: np.random.Generator | None = None,
     ) -> None:
         if k is not None and k < 0:
             raise ValueError(f"k must be non-negative or None, got {k}")
         if cover is None:
-            cover = cover_from_strategy(
-                graph,
-                cover_strategy,
-                rng=rng,
-                include_degree_at_least=include_degree_at_least,
-            )
+            cover = default_cover(graph, k, bitset_matrix_bytes)
         else:
             cover = frozenset(int(v) for v in cover)
             if not is_vertex_cover(graph, cover):
@@ -233,31 +226,6 @@ class KReachIndex:
             cover = frozenset(int(v) for v in cover)
         self._finish_init(graph, k, cover, index_graph, bitset_matrix_bytes)
         return self
-
-    @classmethod
-    def from_parts(
-        cls,
-        graph: DiGraph,
-        k: int | None,
-        *,
-        cover: frozenset[int],
-        rows: dict[int, dict[int, int]],
-    ) -> "KReachIndex":
-        """Conversion helper: assemble from legacy nested-dict rows.
-
-        Prefer :meth:`from_index_graph`; this remains for tests and tools
-        that still hold ``{u: {v: w}}`` mappings.
-        """
-        cover = frozenset(int(v) for v in cover)
-        if k is None:
-            ig = IndexGraph.from_rows(
-                graph.n, cover, rows, weight_base=0, weight_bits=1
-            )
-        else:
-            ig = IndexGraph.from_rows(
-                graph.n, cover, rows, weight_base=k - 2, weight_bits=2
-            )
-        return cls.from_index_graph(graph, k, cover=cover, index_graph=ig)
 
     # ------------------------------------------------------------------
     # Scalar probe view (derived from the IndexGraph, built on first use)
@@ -602,6 +570,38 @@ def _csr_scalar_view(ig: IndexGraph, k: int | None) -> tuple:
         return False
 
     return within, bridge
+
+
+#: The cover rule takes V only while V's level planes are at most this
+#: many times the §4.3 cover's: planes grow as the square of the cover,
+#: so V must keep at least 1/sqrt(2) of the vertices in the §4.3 cover.
+_V_PLANE_GROWTH = 2
+
+
+def default_cover(
+    graph: DiGraph, k: int | None, gate: int = DEFAULT_MATRIX_BYTES
+) -> frozenset[int]:
+    """The vertex cover a static index takes when none is given.
+
+    Any superset of a vertex cover is a cover, and with ``S = V`` every
+    pair is Algorithm 2's Case 1: one bit probe, no adjacency gather.
+    So the cover is V — the index is then the k-hop closure held as bit
+    planes — while the level planes of all ``n`` vertices fit ``gate``
+    (:func:`views_fit` over :func:`level_specs`) and take at most
+    ``_V_PLANE_GROWTH`` times the ``~size²/8`` bytes of the §4.3
+    2-approximate matching cover's planes
+    (:func:`~repro.core.vertex_cover.vertex_cover_2approx`, degree
+    first).  Otherwise it is that §4.3 cover: where it holds a small
+    share of V (sparse graphs), V would multiply the planes, the build
+    and the file for queries that the small cover answers cheaply.
+    """
+    cover = vertex_cover_2approx(graph)
+    n = graph.n
+    if n * n <= _V_PLANE_GROWTH * len(cover) ** 2 and views_fit(
+        level_specs(k), n, gate
+    ):
+        return frozenset(range(n))
+    return cover
 
 
 def views_fit(specs: list[tuple[int | None, bool]], size: int, gate: int) -> bool:

@@ -60,8 +60,7 @@ import numpy as np
 from repro.bitsets import ops
 from repro.core.batch import as_pair_arrays
 from repro.core.index_graph import IndexGraph
-from repro.core.kreach import KReachIndex
-from repro.core.vertex_cover import vertex_cover_2approx
+from repro.core.kreach import KReachIndex, default_cover
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import condensation
 from repro.graph.traversal import bfs_distances_blocked
@@ -382,7 +381,10 @@ def partition_kreach(
         (default ``O(sqrt(n))``).  More hubs shrink the cross-shard
         stitch fraction at the cost of per-shard size.
     cover:
-        Optional base vertex cover; the boundary set is always unioned
+        Optional base vertex cover, by default the static index's
+        :func:`~repro.core.kreach.default_cover` (all of V when its
+        planes fit the memory gate and are at most twice the §4.3
+        cover's); the boundary set is always unioned
         in (a superset of a cover is still a cover), which is what keeps
         Algorithm 2 from ever enumerating a boundary vertex's shard-local
         — possibly incomplete — adjacency.
@@ -406,7 +408,7 @@ def partition_kreach(
     shard_of = shard_of.copy()
     shard_of[boundary_flags] = -1
 
-    base_cover = vertex_cover_2approx(graph) if cover is None else cover
+    base_cover = default_cover(graph, k) if cover is None else cover
     full_cover = frozenset(base_cover) | set(boundary.tolist())
     global_index = KReachIndex(graph, k, cover=full_cover)
 

@@ -99,11 +99,14 @@ def vertex_cover_2approx(
     else:
         edge_order = np.arange(len(edges))
 
-    for idx in edge_order:
-        u, v = int(edges[idx, 0]), int(edges[idx, 1])
-        if covered[u] or covered[v]:
+    # The greedy pass is inherently sequential; it walks Python ints and a
+    # bytearray, since per-item numpy indexing costs several times more.
+    flags = bytearray(covered.tobytes())
+    ordered = edges[edge_order]
+    for u, v in zip(ordered[:, 0].tolist(), ordered[:, 1].tolist()):
+        if flags[u] or flags[v]:
             continue
-        covered[u] = covered[v] = True
+        flags[u] = flags[v] = 1
         cover.append(u)
         cover.append(v)
     return frozenset(cover)

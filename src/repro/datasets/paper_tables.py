@@ -1,7 +1,7 @@
 """The paper's published evaluation numbers (Tables 3–5, 7–9).
 
 Stored verbatim so the benchmark harness can print paper-vs-measured
-columns and EXPERIMENTS.md can record the comparison.  ``None`` encodes
+columns (README.md, "Benchmarks", lists the experiments).  ``None`` encodes
 the paper's "-" entries (3-hop failing to build within time/memory).
 
 All times are in **milliseconds** as published (the paper's hardware: one

@@ -165,8 +165,8 @@ def expand_frontier(indptr, indices, front_v, front_m, visited, next_mask):
 
     Returns ``(nv, nm)`` — the newly reached vertices in ascending order
     with their (not-yet-visited) source-bit masks, exactly the numpy
-    twin's gather → sort-merge OR → novelty-filter output, computed as a
-    direct scatter instead: each traversed edge ORs its mask into a
+    twin's gather → OR-merge → novelty-filter output, computed as a
+    direct scatter: each traversed edge ORs its mask into a
     vertex-indexed accumulator, so the per-level cost is O(edges
     traversed) with no gathered neighbor/mask temporaries and no sort of
     the whole adjacency stream (only the touched vertices are sorted).

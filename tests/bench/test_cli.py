@@ -149,11 +149,12 @@ class TestNumericArguments:
             [*TINY, "--repeat", "0"],
             [*TINY, "--ingest-mb", "0"],
             [*TINY, "--ingest-edges", "999"],
+            [*TINY, "--queries", "100", "--seed", "-1"],
         ],
         ids=["scale-zero", "scale-negative", "workers-zero", "workers-text",
              "workers-negative", "queries-negative", "queries-zero",
              "bfs-queries-zero", "repeat-zero", "ingest-mb-zero",
-             "ingest-edges-below-1000"],
+             "ingest-edges-below-1000", "seed-negative"],
     )
     def test_bad_value_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -161,6 +162,28 @@ class TestNumericArguments:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert argv[-2] in err and "Traceback" not in err
+
+
+class TestIngestBudget:
+    """``--ingest-mb`` wins when given; unset, ``KREACH_INGEST_MB`` does,
+    and the ``budget MB`` column reports the budget the ingester used."""
+
+    @pytest.mark.parametrize(
+        "flag,env,want",
+        [([], "7", 7.0), (["--ingest-mb", "3"], "7", 3.0)],
+        ids=["env-when-unset", "flag-wins"],
+    )
+    def test_budget_column(self, tmp_path, monkeypatch, capsys, flag, env, want):
+        import json
+
+        monkeypatch.setenv("KREACH_INGEST_MB", env)
+        target = tmp_path / "ingest.json"
+        argv = ["ingest", "--ingest-edges", "5000", *flag, "--json", str(target)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        rows = json.loads(target.read_text())["experiments"][0]["tables"][0]["rows"]
+        assert [r["budget MB"] for r in rows[:2]] == [want, want]
+        assert all(r["identical"] == "yes" for r in rows)
 
 
 class TestClosedPipe:

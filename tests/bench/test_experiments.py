@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.bench.experiments as experiments
 from repro.bench.experiments import (
     SuiteConfig,
     run_ablation_case_cost,
@@ -17,6 +18,7 @@ from repro.bench.experiments import (
 )
 from repro.bench.report import Table
 from repro.core.kreach import KReachIndex
+from repro.core.vertex_cover import vertex_cover_2approx
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +97,18 @@ class TestTables:
         row = table.rows[0]
         assert int(row["|2hop-VC|"]) <= int(row["|VC|"])
 
+    def test_table9_pruned_cover_column(self):
+        """The like-for-like column: the 1-hop cover after the same
+        redundancy pass is never larger than the unpruned one."""
+        config = SuiteConfig(
+            datasets=experiments._TABLE9_DATASETS, scale=0.03, queries=50, seed=1
+        )
+        table = run_table9(config)
+        assert len(table.rows) == len(experiments._TABLE9_DATASETS)
+        for row in table.rows:
+            assert int(row["|VC| pruned"]) <= int(row["|VC|"]), row
+            assert float(row["shrink vs pruned %"]) <= float(row["shrink %"]), row
+
 
 class TestAblations:
     def test_covers(self, config):
@@ -131,7 +145,7 @@ class TestSizeExperiment:
             # The v6 file holds its header, the graph's dual CSR, the
             # cover ids and the n-reach presence plane — nothing else.
             g = config.graph(row["dataset"])
-            index = KReachIndex(g, None)
+            index = KReachIndex(g, None, cover=vertex_cover_2approx(g))
             (plane,) = index.index_graph.levels
             payload = sum(
                 arr.nbytes

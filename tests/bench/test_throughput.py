@@ -11,15 +11,16 @@ import numpy as np
 
 from repro.bench.experiments import SuiteConfig, run_throughput
 from repro.bench.runner import time_batch_queries, time_queries
-from repro.core.kreach import KReachIndex
 from repro.graph.generators import gnp_digraph
 from repro.workloads import random_pairs
+from tests.conftest import assert_every_case, split_index
 
 
 def test_batch_beats_scalar_loop_with_identical_answers():
     g = gnp_digraph(1500, 0.003, seed=9)  # mid-size: ~6.7k edges
-    idx = KReachIndex(g, 3).prepare_batch()
+    idx = split_index(g, 3).prepare_batch()  # the §4.3 cover: Cases 1-4
     pairs = random_pairs(g.n, 10_000, rng=np.random.default_rng(9))
+    assert_every_case(idx, pairs)
 
     scalar_answers = np.fromiter(
         (idx.query(int(s), int(t)) for s, t in pairs), dtype=bool, count=len(pairs)

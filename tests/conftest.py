@@ -10,7 +10,8 @@ import pytest
 
 from repro.core.index_graph import IndexGraph, cover_triples_serial
 from repro.core.kreach import KReachIndex
-from repro.core.vertex_cover import cover_from_strategy
+from repro.core.partition import ShardedKReach, partition_kreach
+from repro.core.vertex_cover import cover_from_strategy, vertex_cover_2approx
 from repro.core.serialize import _MMAP_PROLOGUE
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
@@ -89,12 +90,46 @@ def serial_index(g: DiGraph, k: int | None, cover=None) -> KReachIndex:
     """The per-source twin of ``KReachIndex(g, k, cover=cover)``: one
     BFS per cover vertex (``cover_triples_serial``) into the CSR, the
     oracle the blocked builds must match bit for bit.  ``cover``
-    defaults to the index's own degree-first pick."""
+    defaults to the §4.3 degree-first pick (the index's own default
+    past the memory gate; inside it the index covers V)."""
     cover = frozenset(
         cover_from_strategy(g, "degree") if cover is None else map(int, cover)
     )
     ig = IndexGraph.for_kreach(g.n, cover, *cover_triples_serial(g, cover, k), k)
     return KReachIndex.from_index_graph(g, k, cover=cover, index_graph=ig)
+
+
+def split_index(g: DiGraph, k: int | None, **options) -> KReachIndex:
+    """``KReachIndex(g, k, **options)`` on the §4.3 2-approximate cover.
+
+    A test graph's level planes fit the memory gate, so its default
+    cover is all of V and every pair is Algorithm 2's Case 1.  A test
+    of a query path (serving, mmap pages, sharding, a dynamic base)
+    builds here instead, so pairs reach Cases 2-4 too; it checks that
+    with :func:`assert_every_case`."""
+    return KReachIndex(g, k, cover=vertex_cover_2approx(g), **options)
+
+
+def assert_every_case(index, pairs) -> None:
+    """``pairs`` fall into each of Algorithm 2's four cases on
+    ``index``'s cover (``query_case_batch`` returns 1, 2, 3 and 4)."""
+    cases = np.unique(index.query_case_batch(pairs)).tolist()
+    assert cases == [1, 2, 3, 4], f"the pairs reach only cases {cases}"
+
+
+def split_shards(g: DiGraph, k: int | None, num_shards: int) -> ShardedKReach:
+    """``partition_kreach(g, k, num_shards)`` on the §4.3 cover (see
+    :func:`split_index`), checked so that the shards' own pairs reach
+    all four cases between them (a small shard may be all cover: the
+    replicated boundary is in every shard's cover)."""
+    sharded = partition_kreach(g, k, num_shards, cover=vertex_cover_2approx(g))
+    cases = set()
+    for shard in sharded.shards:
+        size = len(shard.vertex_map)
+        local = np.stack(np.divmod(np.arange(size * size), size), axis=1)
+        cases.update(np.unique(shard.index.query_case_batch(local)).tolist())
+    assert cases == {1, 2, 3, 4}, f"the shards reach only cases {cases}"
+    return sharded
 
 
 def scalar_batch(index, pairs) -> np.ndarray:

@@ -16,6 +16,7 @@ import pytest
 from repro.core.general_k import INFINITE_DISTANCE, CoverDistanceOracle
 from repro.core.hkreach import HKReachIndex
 from repro.core.kreach import KReachIndex
+from repro.core.vertex_cover import vertex_cover_2approx
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
     gnp_digraph,
@@ -53,27 +54,30 @@ def _all_pairs(g: DiGraph) -> np.ndarray:
 @pytest.mark.parametrize("k", K_VALUES)
 @pytest.mark.parametrize("gate", [None, 0])
 def test_kreach_batch_equals_scalar_equals_oracle(name, g, k, gate):
+    """On the default cover (all of V inside the gate: Case 1 only) and
+    on the §4.3 cover, which leaves pairs to Cases 2-4."""
     options = {} if gate is None else {"bitset_matrix_bytes": gate}
-    idx = KReachIndex(g, k, **options)
     pairs = _all_pairs(g)
-    batch = idx.query_batch(pairs)
-    assert batch.dtype == bool and batch.shape == (len(pairs),)
-    for i, (s, t) in enumerate(pairs):
-        s, t = int(s), int(t)
-        scalar = idx.query(s, t)
-        oracle = bidirectional_reaches_within(g, s, t, k)
-        assert batch[i] == scalar == oracle, (name, k, gate, s, t)
+    oracle = [bidirectional_reaches_within(g, s, t, k) for s, t in pairs.tolist()]
+    for idx in (
+        KReachIndex(g, k, **options),
+        KReachIndex(g, k, cover=vertex_cover_2approx(g), **options),
+    ):
+        batch = idx.query_batch(pairs)
+        assert batch.dtype == bool and batch.shape == (len(pairs),)
+        for i, (s, t) in enumerate(pairs.tolist()):
+            assert batch[i] == idx.query(s, t) == oracle[i], (name, k, gate, s, t)
 
 
 @pytest.mark.parametrize("name,g", _graphs())
 @pytest.mark.parametrize("k", K_VALUES)
 def test_kreach_case_batch_equals_scalar(name, g, k):
-    idx = KReachIndex(g, k)
     pairs = _all_pairs(g)
-    cases = idx.query_case_batch(pairs)
-    assert cases.dtype == np.uint8 and cases.shape == (len(pairs),)
-    for i, (s, t) in enumerate(pairs):
-        assert cases[i] == idx.query_case(int(s), int(t)), (name, k, s, t)
+    for idx in (KReachIndex(g, k), KReachIndex(g, k, cover=vertex_cover_2approx(g))):
+        cases = idx.query_case_batch(pairs)
+        assert cases.dtype == np.uint8 and cases.shape == (len(pairs),)
+        for i, (s, t) in enumerate(pairs):
+            assert cases[i] == idx.query_case(int(s), int(t)), (name, k, s, t)
 
 
 @pytest.mark.parametrize("name,g", _graphs())

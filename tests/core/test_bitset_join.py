@@ -22,7 +22,12 @@ from repro.bitsets.ops import (
     probe_bits,
     words_for,
 )
-from repro.core import CoverDistanceOracle, HKReachIndex, KReachIndex
+from repro.core import (
+    CoverDistanceOracle,
+    HKReachIndex,
+    KReachIndex,
+    vertex_cover_2approx,
+)
 from repro.core.batch import KeyedRowStore, plan_cross_products
 from repro.core.index_graph import IndexGraph
 from repro.graph.digraph import DiGraph
@@ -56,7 +61,8 @@ class TestKReachEngines:
     @pytest.mark.parametrize("k", K_VALUES)
     def test_bitset_equals_chunked_scalar_and_oracle(self, seed, k):
         g = celebrity_graph(seed)
-        idx = KReachIndex(g, k)
+        # The §4.3 cover leaves hub pairs to Cases 2-4 (V is all Case 1).
+        idx = KReachIndex(g, k, cover=vertex_cover_2approx(g))
         pairs = workload(g, seed)
         stack = idx.query_batch(pairs)
         bitset = gated_twin(idx, "bitset").query_batch(pairs)
@@ -110,7 +116,7 @@ class TestKReachEngines:
         ``auto`` on the keyed path, with the Case-4 join still on."""
         g = celebrity_graph(2)
         pairs = workload(g, 2, 600)
-        fits = KReachIndex(g, k)
+        fits = KReachIndex(g, k, cover=vertex_cover_2approx(g))
         one_view = KReachIndex(
             g,
             k,
@@ -268,7 +274,7 @@ class TestLinkMatrix:
         across row blocks, mixed diagonals, and non-cover targets."""
         monkeypatch.setattr(index_graph_module, "_SCATTER_EDGES", 64)
         g = celebrity_graph(0)
-        ig = KReachIndex(g, 6).index_graph
+        ig = KReachIndex(g, 6, cover=vertex_cover_2approx(g)).index_graph
         rows = ig.rows_dict()
         rows[int(ig.cover_ids[0])][int(np.flatnonzero(ig.row_pos() < 0)[0])] = 5
 

@@ -22,7 +22,6 @@ import pytest
 from repro import faults
 from repro.cli import main as cli_main
 from repro.core.dynamic import DynamicKReachIndex
-from repro.core.kreach import KReachIndex
 from repro.core.serialize import (
     _MMAP_PROLOGUE,
     IndexCorruptionError,
@@ -36,6 +35,7 @@ from repro.core.serialize import (
 )
 from repro.graph.generators import gnp_digraph
 from repro.workloads import random_pairs
+from tests.conftest import assert_every_case, split_index
 
 
 @pytest.fixture(autouse=True)
@@ -50,8 +50,12 @@ def graph():
 
 
 @pytest.fixture(scope="module")
-def index(graph):
-    return KReachIndex(graph, 3)
+def index(graph, pairs):
+    """The saved base, on the §4.3 cover so pairs reach Cases 1-4 (and
+    a dynamic tier over it can grow its cover)."""
+    index = split_index(graph, 3)
+    assert_every_case(index, pairs)
+    return index
 
 
 @pytest.fixture(scope="module")
@@ -279,7 +283,7 @@ class TestRecoverDynamic:
         base_path = tmp_path / "base.kr6"
         save_mmap(index, base_path)
         log_path = tmp_path / "updates.krlog"
-        dyn = DynamicKReachIndex.from_base(KReachIndex(graph, 3))
+        dyn = DynamicKReachIndex.from_base(split_index(graph, 3))
         dyn.attach_journal(OpLog(log_path, fsync=False))
         self._churn(dyn, graph.n)
         dyn._journal.close()
@@ -292,7 +296,7 @@ class TestRecoverDynamic:
         base_path = tmp_path / "base.kr6"
         save_mmap(index, base_path)
         log_path = tmp_path / "updates.krlog"
-        dyn = DynamicKReachIndex.from_base(KReachIndex(graph, 3))
+        dyn = DynamicKReachIndex.from_base(split_index(graph, 3))
         dyn.attach_journal(OpLog(log_path, fsync=False))
         self._churn(dyn, graph.n)
         # The next update tears mid-append (writer "crashes"): the live
@@ -311,7 +315,7 @@ class TestRecoverDynamic:
 
     def test_no_op_writes_not_journaled(self, tmp_path, graph):
         log_path = tmp_path / "updates.krlog"
-        dyn = DynamicKReachIndex.from_base(KReachIndex(graph, 3))
+        dyn = DynamicKReachIndex.from_base(split_index(graph, 3))
         dyn.attach_journal(OpLog(log_path, fsync=False))
         dyn.insert_edge(0, 1)
         dyn.insert_edge(0, 1)  # duplicate: no-op, not journaled

@@ -13,6 +13,7 @@ import pytest
 from repro.core.batch import KeyedRowStore
 from repro.core.dynamic import DynamicKReachIndex
 from repro.core.kreach import KReachIndex
+from repro.core.vertex_cover import vertex_cover_2approx
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import cycle_graph, gnp_digraph, path_graph
 
@@ -49,6 +50,19 @@ class TestBasics:
         dyn.insert_edge(np.int64(0), np.int32(3))
         assert dyn.query(np.int64(0), 3)
         assert dyn.pending_log()[-1, 1:].tolist() == [0, 3]
+
+    @pytest.mark.parametrize("k", [2, None])
+    def test_keeps_the_2approx_cover_where_v_fits(self, k):
+        """Each insert relaxes over the cover members of two balls, so
+        the dynamic tier keeps the §4.3 cover even where the static
+        default would cover V — at build and at a rebuilding compact."""
+        g = gnp_digraph(40, 0.08, seed=4)
+        assert KReachIndex(g, k).cover == frozenset(range(g.n))
+        dyn = DynamicKReachIndex(g, k)
+        assert dyn.base.cover == frozenset(dyn._cover) == vertex_cover_2approx(g)
+        dyn.delete_edge(*map(int, next(iter(g.edges()))))
+        rebuilt = dyn.compact(rebuild=True)
+        assert rebuilt.cover == vertex_cover_2approx(dyn.to_digraph())
 
     def test_initial_state_matches_static(self):
         g = gnp_digraph(20, 0.15, seed=1)

@@ -27,6 +27,7 @@ from repro.core import (
     partition_kreach,
     save_mmap,
     save_sharded,
+    vertex_cover_2approx,
 )
 from repro.core.batch import KeyedRowStore
 from repro.graph.generators import gnp_digraph
@@ -112,14 +113,14 @@ def test_static_oracle_and_dynamic_share_the_one_gate(graph, path, monkeypatch):
 
     for module in (kreach_module, general_k_module, dynamic_module):
         monkeypatch.setattr(module, "batch_views", spy)
-    static = KReachIndex(graph, 3)
-    size = static.cover_size
+    cover = vertex_cover_2approx(graph)
+    size = len(cover)
     gate = {
         "stack": DEFAULT_MATRIX_BYTES,
         "one-view": matrix_bytes(size, size),
         "chunked": 0,
     }[path]
-    static = KReachIndex(graph, 3, bitset_matrix_bytes=gate)
+    static = KReachIndex(graph, 3, cover=cover, bitset_matrix_bytes=gate)
     oracle = CoverDistanceOracle(graph, bitset_matrix_bytes=gate)
     dynamic = DynamicKReachIndex(graph, 3, bitset_matrix_bytes=gate)
     # A write between cover vertices patches the views, cover unchanged.

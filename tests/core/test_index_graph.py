@@ -19,6 +19,7 @@ from repro.core.index_graph import (
     cover_triples_serial,
 )
 from repro.core.kreach import KReachIndex
+from repro.core.vertex_cover import vertex_cover_2approx
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import gnp_digraph, paper_example_graph, path_graph
 from tests.conftest import serial_index
@@ -180,11 +181,13 @@ class TestSharedStorageConsumers:
         :meth:`IndexGraph.csr_storage_bytes`, at its own weight width;
         the pinned values were read before the model was shared."""
         g = gnp_digraph(60, 0.06, seed=5)
-        planes = KReachIndex(g, 6)
+        cover = vertex_cover_2approx(g)
+        planes = KReachIndex(g, 6, cover=cover)
         assert planes.storage_bytes() == 12140
         assert planes.index_graph._targets is None  # no CSR derived
-        assert KReachIndex(g, 6, bitset_matrix_bytes=0).storage_bytes() == 12140
-        assert KReachIndex(g, None).storage_bytes() == 11472
+        gated = KReachIndex(g, 6, cover=cover, bitset_matrix_bytes=0)
+        assert gated.storage_bytes() == 12140
+        assert KReachIndex(g, None, cover=cover).storage_bytes() == 11472
         assert HKReachIndex(g, 2, 6).storage_bytes() == 4608
         oracle = CoverDistanceOracle(g)
         assert oracle.storage_bytes() == 12506
@@ -214,7 +217,7 @@ class TestSortedInput:
     @pytest.fixture(scope="class")
     def triples(self):
         g = gnp_digraph(120, 0.05, seed=31)
-        cover = KReachIndex(g, 3).cover
+        cover = vertex_cover_2approx(g)
         return g.n, cover, cover_triples_blocked(g, cover, 4)
 
     @pytest.mark.parametrize("floor", [None, 2])

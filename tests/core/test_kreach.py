@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.kreach import KReachIndex
+from repro.bitsets.ops import DEFAULT_MATRIX_BYTES, matrix_bytes
+from repro.core.kreach import KReachIndex, default_cover, level_specs
+from repro.core.vertex_cover import (
+    COVER_STRATEGIES,
+    cover_from_strategy,
+    vertex_cover_2approx,
+)
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
     cycle_graph,
@@ -13,7 +19,7 @@ from repro.graph.generators import (
     star_graph,
 )
 
-from tests.conftest import all_pairs, brute_force_khop, graph_corpus
+from tests.conftest import all_pairs, brute_force_khop, graph_corpus, scalar_batch
 
 
 class TestConstruction:
@@ -67,14 +73,22 @@ class TestConstruction:
 
     def test_cover_strategies_accepted(self):
         g = gnp_digraph(12, 0.2, seed=0)
-        for strategy in ("degree", "random", "input", "greedy"):
-            idx = KReachIndex(g, 3, cover_strategy=strategy)
-            assert idx.cover_size >= 0
+        for strategy in COVER_STRATEGIES:
+            cover = cover_from_strategy(g, strategy)
+            assert KReachIndex(g, 3, cover=cover).cover == cover
 
     def test_include_degree_at_least(self):
         g = star_graph(20)
-        idx = KReachIndex(g, 2, include_degree_at_least=5)
-        assert idx.contains(0)
+        cover = cover_from_strategy(g, "degree", include_degree_at_least=5)
+        assert KReachIndex(g, 2, cover=cover).contains(0)
+
+    @pytest.mark.parametrize(
+        "knob", ["cover_strategy", "include_degree_at_least", "rng"]
+    )
+    def test_removed_cover_knobs_raise(self, knob):
+        """A cover is chosen by ``cover=`` or the memory gate alone."""
+        with pytest.raises(TypeError, match=knob):
+            KReachIndex(path_graph(4), 2, **{knob: None})
 
 
 class TestQueryCases:
@@ -233,3 +247,48 @@ class TestStorage:
         ):
             with pytest.raises(TypeError):
                 build()
+
+
+class TestDefaultCover:
+    """Without ``cover=``, the cover is all of V while V's level planes
+    fit the memory gate and are at most twice the §4.3 2-approximate
+    cover's, that cover otherwise."""
+
+    @pytest.mark.parametrize("k", [1, 2, 6, None])
+    def test_cover_is_v_inside_the_gate_and_2approx_past_it(self, k):
+        g = gnp_digraph(70, 0.05, seed=8)
+        pairs = np.array(list(all_pairs(g)), dtype=np.int64)
+        truth = np.array([brute_force_khop(g, s, t, k) for s, t in all_pairs(g)])
+        v_fits = len(set(level_specs(k))) * matrix_bytes(g.n, g.n)
+        whole = KReachIndex(g, k)
+        assert whole.cover == default_cover(g, k) == frozenset(range(g.n))
+        assert set(whole.query_case_batch(pairs).tolist()) == {1}
+        small = KReachIndex(g, k, bitset_matrix_bytes=v_fits - 1)
+        assert small.cover == default_cover(g, k, v_fits - 1)
+        assert small.cover == vertex_cover_2approx(g)
+        assert small.index_graph.levels is not None  # the smaller cover fits
+        assert set(small.query_case_batch(pairs).tolist()) == {1, 2, 3, 4}
+        for index in (whole, small):
+            assert np.array_equal(index.query_batch(pairs), truth)
+            assert np.array_equal(scalar_batch(index, pairs), truth)
+
+    @pytest.mark.parametrize("k", [1, 2, 6, None])
+    def test_small_cover_share_keeps_the_2approx_cover(self, k):
+        """V fits the gate here, but the §4.3 cover holds under 1/sqrt(2)
+        of the vertices, so V's planes would be more than twice its."""
+        g = DiGraph(40, [(0, v) for v in range(1, 40)] + [(v, 1) for v in range(2, 20)])
+        cover = vertex_cover_2approx(g)
+        assert 2 * len(cover) ** 2 < g.n**2
+        assert len(set(level_specs(k))) * matrix_bytes(g.n, g.n) <= DEFAULT_MATRIX_BYTES
+        index = KReachIndex(g, k)
+        assert index.cover == default_cover(g, k) == cover
+        pairs = np.array(list(all_pairs(g)), dtype=np.int64)
+        truth = np.array([brute_force_khop(g, s, t, k) for s, t in all_pairs(g)])
+        assert set(index.query_case_batch(pairs).tolist()) == {1, 2, 3, 4}
+        assert np.array_equal(index.query_batch(pairs), truth)
+        assert np.array_equal(scalar_batch(index, pairs), truth)
+
+    def test_explicit_cover_is_used_as_given(self):
+        g = gnp_digraph(30, 0.1, seed=9)
+        cover = vertex_cover_2approx(g)
+        assert KReachIndex(g, 3, cover=cover).cover == cover

@@ -26,6 +26,7 @@ from repro.core.index_graph import (
     level_specs,
 )
 from repro.core.kreach import KReachIndex
+from repro.core.vertex_cover import vertex_cover_2approx
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import celebrity_crossfire_digraph
 from repro.graph.traversal import blocked_reach_planes, reaches_within_bfs
@@ -94,15 +95,17 @@ def test_derived_csr_equals_triple_build(gi, k):
 
 @pytest.mark.parametrize("gi,k", CASES)
 def test_answers_match_bfs_oracle(gi, k):
+    """On the default cover (V) and on the §4.3 cover (Cases 1-4)."""
     g = GRAPHS[gi]
-    index = KReachIndex(g, k)
     pairs = all_pairs(g.n)
     truth = np.array(
         [reaches_within_bfs(g, s, t, k) for s, t in pairs.tolist()], dtype=bool
     )
-    assert np.array_equal(index.query_batch(pairs), truth)
-    scalar = np.array([index.query(s, t) for s, t in pairs.tolist()], dtype=bool)
-    assert np.array_equal(scalar, truth)
+    for index in (KReachIndex(g, k), KReachIndex(g, k, cover=vertex_cover_2approx(g))):
+        assert index.index_graph.levels is not None
+        assert np.array_equal(index.query_batch(pairs), truth)
+        scalar = [index.query(s, t) for s, t in pairs.tolist()]
+        assert np.array_equal(np.array(scalar, dtype=bool), truth)
 
 
 @pytest.mark.parametrize("gi,k", CASES)

@@ -32,6 +32,7 @@ from repro.core.serialize import (
     save_sharded,
     verify_file,
 )
+from repro.core.vertex_cover import vertex_cover_2approx
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import gnp_digraph
 from repro.graph.scc import condensation
@@ -163,8 +164,9 @@ class TestDifferential:
             ]
         )
         assert np.array_equal(reference[:300], oracle)
-        sharded = partition_kreach(graph, k, num_shards)
-        assert np.array_equal(sharded.query_batch(pairs), reference)
+        for cover in (None, vertex_cover_2approx(graph)):
+            sharded = partition_kreach(graph, k, num_shards, cover=cover)
+            assert np.array_equal(sharded.query_batch(pairs), reference)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 6, None])
     @pytest.mark.parametrize("num_shards", [2, 4])
@@ -183,6 +185,24 @@ class TestDifferential:
             pairs[:, 0].astype(np.int64), pairs[:, 1].astype(np.int64)
         )
         assert (owner < 0).sum() > 0, "stress graph must produce cross pairs"
+        assert np.array_equal(sharded.query_batch(pairs), reference)
+
+    @pytest.mark.parametrize("k", [1, 2, 6, None])
+    def test_default_shards_cover_their_vertex_map(self, graph, pairs, k):
+        """Inside the gate the global cover is V, so every shard covers
+        all of its vertices and answers every pair as Case 1."""
+        sharded = partition_kreach(graph, k, 3)
+        for shard in sharded.shards:
+            assert shard.index.cover == frozenset(range(len(shard.vertex_map)))
+        bfs = BfsIndex(graph)
+        oracle = np.array(
+            [
+                bfs.reaches(s, t) if k is None else bfs.reaches_within(s, t, k)
+                for s, t in pairs[:400].tolist()
+            ]
+        )
+        reference = KReachIndex(graph, k).query_batch(pairs)
+        assert np.array_equal(reference[:400], oracle)
         assert np.array_equal(sharded.query_batch(pairs), reference)
 
     def test_self_pairs_and_duplicates(self, graph):
@@ -230,8 +250,14 @@ class TestInvariants:
     @pytest.mark.parametrize("k", [2, 6, None])
     def test_plane_slices_equal_triple_slices(self, graph, k):
         """Each shard's planes, cut from the global planes, are the planes
-        of the global CSR triples filtered to the shard."""
-        sharded = partition_kreach(graph, k, 3)
+        of the global CSR triples filtered to the shard, on the default
+        cover (V) and on the §4.3 cover."""
+        for base in (None, vertex_cover_2approx(graph)):
+            sharded = partition_kreach(graph, k, 3, cover=base)
+            self._check_plane_slices(graph, k, sharded)
+
+    @staticmethod
+    def _check_plane_slices(graph, k, sharded):
         cover = set()
         for shard in sharded.shards:
             cover.update(shard.vertex_map[list(shard.index.cover)].tolist())

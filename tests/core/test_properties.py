@@ -12,6 +12,7 @@ from repro.core.general_k import CoverDistanceOracle
 from repro.core.hkreach import HKReachIndex
 from repro.core.kreach import KReachIndex
 from repro.core.vertex_cover import (
+    cover_from_strategy,
     hhop_vertex_cover,
     is_hhop_vertex_cover,
     is_vertex_cover,
@@ -118,12 +119,13 @@ def test_oracle_distance_matches_bfs(g):
 @settings(max_examples=60, deadline=None)
 @given(digraphs(max_n=10), st.integers(min_value=0, max_value=6))
 def test_kreach_cover_choice_is_irrelevant(g, k):
-    """Any valid vertex cover yields identical answers."""
-    a = KReachIndex(g, k, cover_strategy="degree")
-    b = KReachIndex(g, k, cover_strategy="greedy")
+    """Any valid vertex cover yields identical answers, V included."""
+    a = KReachIndex(g, k, cover=cover_from_strategy(g, "degree"))
+    b = KReachIndex(g, k, cover=cover_from_strategy(g, "greedy"))
+    c = KReachIndex(g, k, cover=frozenset(range(g.n)))
     for s in range(g.n):
         for t in range(g.n):
-            assert a.query(s, t) == b.query(s, t)
+            assert a.query(s, t) == b.query(s, t) == c.query(s, t)
 
 
 @settings(max_examples=40, deadline=None)

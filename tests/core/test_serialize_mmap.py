@@ -16,7 +16,9 @@ The contract under test (see ``repro/core/serialize.py``):
 An index inside the memory gate saves its level planes, one past it the
 CSR (the layout every file had before the planes).  Tests that name a
 CSR section pin that layout with :func:`csr_index`; the plane layout
-has its own tests in :class:`TestPlaneFile`.
+has its own tests in :class:`TestPlaneFile`.  Tests of a query path
+build on the §4.3 cover (:func:`~tests.conftest.split_index`): on these
+small graphs the default cover is all of V, where every pair is Case 1.
 """
 
 import json
@@ -26,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro.core.kreach import KReachIndex
+from repro.core.vertex_cover import vertex_cover_2approx
 from repro.core.serialize import (
     _MMAP_PROLOGUE,
     IndexCorruptionError,
@@ -35,7 +38,9 @@ from repro.core.serialize import (
 )
 from repro.graph.generators import gnp_digraph, paper_example_graph
 from tests.conftest import (
+    assert_every_case,
     scalar_batch,
+    split_index,
     tampered_header,
     tampered_section,
     vector_gate,
@@ -69,12 +74,13 @@ class TestRoundTrip:
     @pytest.mark.parametrize("k", [0, 2, 6, None])
     def test_answers_identical(self, tmp_path, k):
         g = gnp_digraph(40, 0.1, seed=2)
-        index = KReachIndex(g, k)
+        index = split_index(g, k)
         loaded = load_mmap(saved(tmp_path, index))
         assert loaded.k == index.k
         assert loaded.cover == index.cover
         assert loaded.weighted_edges() == index.weighted_edges()
         pairs = all_pairs(g.n)
+        assert_every_case(loaded, pairs)
         assert np.array_equal(loaded.query_batch(pairs), index.query_batch(pairs))
         for s, t in pairs[:200].tolist():
             assert loaded.query(s, t) == index.query(s, t)
@@ -83,7 +89,7 @@ class TestRoundTrip:
     def test_v4_equals_v2_load(self, tmp_path, k):
         """The loaded index equals its source, embedded graph included."""
         g = gnp_digraph(35, 0.12, seed=5)
-        index = KReachIndex(g, k)
+        index = split_index(g, k)
         loaded = load_mmap(saved(tmp_path, index))
         assert loaded.cover == index.cover
         assert loaded.index_graph == index.index_graph
@@ -357,7 +363,7 @@ class TestReadOnlyServing:
     )
     def test_engine_matrix(self, tmp_path, k, path):
         g = gnp_digraph(45, 0.09, seed=9)
-        index = KReachIndex(g, k)
+        index = split_index(g, k)
         gate = {} if path is None else {"bitset_matrix_bytes": vector_gate(index, path)}
         stored = csr_index(g, k, cover=index.cover)
         loaded = load_mmap(saved(tmp_path, stored), mode="r", **gate)
@@ -372,6 +378,7 @@ class TestReadOnlyServing:
         # query loop, or query_batch past the gate.
         loaded.prepare_batch()
         pairs = all_pairs(g.n)
+        assert_every_case(loaded, pairs)
         expected = index.query_batch(pairs)
         got = scalar_batch(loaded, pairs) if path is None else loaded.query_batch(pairs)
         assert np.array_equal(got, expected)
@@ -411,7 +418,8 @@ class TestOpenCost:
         """The O(header) open must not build the O(n) adjacency lists,
         nor derive any O(|E_I|) view of the stored arrays."""
         g = gnp_digraph(60, 0.08, seed=12)
-        loaded = load_mmap(saved(tmp_path, KReachIndex(g, 3)))
+        index = KReachIndex(g, 3, cover=vertex_cover_2approx(g))
+        loaded = load_mmap(saved(tmp_path, index))
         assert loaded._out_lists is None and loaded._in_lists is None
         assert loaded._scalar is None
         ig = loaded.index_graph
@@ -422,7 +430,8 @@ class TestOpenCost:
     def test_case1_query_skips_adjacency_build(self, tmp_path):
         """A covered-pair scalar query needs no O(n + m) adjacency lists."""
         g = gnp_digraph(60, 0.08, seed=12)
-        loaded = load_mmap(saved(tmp_path, KReachIndex(g, 3)))
+        index = KReachIndex(g, 3, cover=vertex_cover_2approx(g))
+        loaded = load_mmap(saved(tmp_path, index))
         u, v = sorted(loaded.cover)[:2]
         assert loaded.query(u, v) in (True, False)  # Case 1
         assert loaded._out_lists is None and loaded._in_lists is None
@@ -457,15 +466,15 @@ class TestPlaneFile:
 
     @pytest.fixture()
     def graph(self):
-        return gnp_digraph(90, 0.05, seed=21)  # |S| = 78: two-word rows
+        return gnp_digraph(90, 0.05, seed=21)  # §4.3 cover: 78, two-word rows
 
     @pytest.fixture()
     def path(self, tmp_path, graph):
-        return saved(tmp_path, KReachIndex(graph, 3), "planes.kr")
+        return saved(tmp_path, split_index(graph, 3), "planes.kr")
 
     @pytest.mark.parametrize("k", [0, 1, 2, 6, None])
     def test_layout_and_size(self, tmp_path, graph, k):
-        index = KReachIndex(graph, k)
+        index = split_index(graph, k)
         header = header_of(saved(tmp_path, index))
         assert header["layout"] == "planes"
         assert set(header["sections"]) == {
@@ -486,7 +495,7 @@ class TestPlaneFile:
         built, and the answers are bit-identical."""
         import mmap
 
-        index = KReachIndex(graph, k)
+        index = split_index(graph, k)
         loaded = load_mmap(saved(tmp_path, index), mode="r").prepare_batch()
         ig = loaded.index_graph
         assert ig._targets is None and not ig._matrices
@@ -498,6 +507,7 @@ class TestPlaneFile:
         with pytest.raises(ValueError):
             ig.levels[0][0, 0] = 0
         pairs = all_pairs(graph.n)
+        assert_every_case(loaded, pairs)
         assert np.array_equal(loaded.query_batch(pairs), index.query_batch(pairs))
         for s, t in pairs[:: 7].tolist():
             assert loaded.query(s, t) == index.query(s, t)
@@ -510,7 +520,7 @@ class TestPlaneFile:
     def test_csr_file_still_opens(self, tmp_path, graph, k):
         """A CSR-layout file (the only layout before the planes, with no
         ``layout`` header field) opens and answers the same."""
-        index = KReachIndex(graph, k)
+        index = split_index(graph, k)
         path = saved(tmp_path, csr_index(graph, k, cover=index.cover), "csr.kr")
         old = tampered_header(
             path, tmp_path / "old.kr",
@@ -528,14 +538,15 @@ class TestPlaneFile:
         """``bitset_matrix_bytes`` caps the views a process would build:
         mapped planes stay the level stack at any setting, while a CSR
         file past the gate builds none."""
-        index = KReachIndex(graph, 6)
+        index = split_index(graph, 6)
         pairs = all_pairs(graph.n)
         loaded = load_mmap(saved(tmp_path, index), bitset_matrix_bytes=0)
         assert loaded._batch_views()[0] is not None
         assert not loaded.index_graph._matrices
         assert np.array_equal(loaded.query_batch(pairs), index.query_batch(pairs))
         csr = load_mmap(
-            saved(tmp_path, csr_index(graph, 6), "csr.kr"), bitset_matrix_bytes=0
+            saved(tmp_path, csr_index(graph, 6, cover=index.cover), "csr.kr"),
+            bitset_matrix_bytes=0,
         )
         assert csr._batch_views()[0] is None and csr._batch_views()[1] is None
         assert np.array_equal(csr.query_batch(pairs), index.query_batch(pairs))

@@ -12,13 +12,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.core.kreach import KReachIndex
-from repro.core.partition import partition_kreach
 from repro.core.serialize import save_mmap, save_sharded
 from repro.core.serve import QueryServer, ThreadQueryServer, UnknownTicketError
 from repro.core.sharded import ShardedQueryServer
 from repro.graph.generators import gnp_digraph
 from repro.workloads import random_pairs
+from tests.conftest import assert_every_case, split_index, split_shards
 
 K = 6
 
@@ -80,15 +79,23 @@ def pairs(graph):
 
 
 @pytest.fixture(scope="module")
-def expected(graph, pairs):
-    return KReachIndex(graph, K).query_batch(pairs)
+def index(graph, pairs):
+    """The served index, on the §4.3 cover so pairs reach Cases 1-4."""
+    index = split_index(graph, K)
+    assert_every_case(index, pairs)
+    return index
 
 
 @pytest.fixture(scope="module")
-def files(graph, tmp_path_factory):
+def expected(index, pairs):
+    return index.query_batch(pairs)
+
+
+@pytest.fixture(scope="module")
+def files(graph, index, tmp_path_factory):
     base = tmp_path_factory.mktemp("contract")
-    save_mmap(KReachIndex(graph, K), base / "index.kr6")
-    save_sharded(partition_kreach(graph, K, 2), base / "shards")
+    save_mmap(index, base / "index.kr6")
+    save_sharded(split_shards(graph, K, 2), base / "shards")
     return SimpleNamespace(index=base / "index.kr6", manifest=base / "shards")
 
 

@@ -12,12 +12,12 @@ import pytest
 
 from repro import faults
 from repro.core.kreach import KReachIndex
-from repro.core.partition import partition_kreach
 from repro.core.serialize import save_sharded
 from repro.core.serve import QueryTimeout
 from repro.core.sharded import ShardedQueryServer
 from repro.graph.generators import gnp_digraph
 from repro.workloads import random_pairs
+from tests.conftest import split_shards
 
 
 @pytest.fixture(scope="module")
@@ -32,12 +32,14 @@ def pairs(graph):
 
 @pytest.fixture(scope="module")
 def manifests(graph, tmp_path_factory):
-    """Shard-count -> manifest directory, for k=6."""
+    """Shard-count -> manifest directory, for k=6, on the §4.3 cover
+    (every shard's pairs reach Cases 1-4; the references below answer
+    on the default cover, all of V)."""
     base = tmp_path_factory.mktemp("manifests")
     out = {}
     for count in (1, 2, 4):
         directory = base / f"s{count}"
-        save_sharded(partition_kreach(graph, 6, count), directory)
+        save_sharded(split_shards(graph, 6, count), directory)
         out[count] = directory
     return out
 
@@ -55,7 +57,7 @@ class TestDifferential:
     @pytest.mark.parametrize("k", [2, None])
     def test_other_budgets(self, tmp_path, graph, pairs, k):
         directory = tmp_path / "m"
-        save_sharded(partition_kreach(graph, k, 2), directory)
+        save_sharded(split_shards(graph, k, 2), directory)
         reference = KReachIndex(graph, k).query_batch(pairs)
         with ShardedQueryServer(directory, backend="thread") as server:
             assert server.k == k

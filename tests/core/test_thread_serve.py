@@ -13,12 +13,11 @@ import pytest
 
 from repro import native
 from repro.baselines import BfsIndex
-from repro.core.kreach import KReachIndex
 from repro.core.serialize import save_mmap
 from repro.core.serve import QueryServer, ThreadQueryServer
 from repro.graph.generators import gnp_digraph
 from repro.workloads import random_pairs
-from tests.conftest import scalar_batch, vector_gate
+from tests.conftest import assert_every_case, scalar_batch, split_index, vector_gate
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +31,8 @@ def pairs(graph):
 
 
 def serve_file(tmp_path, graph, k):
-    index = KReachIndex(graph, k)
+    """The served index, on the §4.3 cover so pairs reach Cases 1-4."""
+    index = split_index(graph, k)
     path = tmp_path / f"k{k}.kr4"
     save_mmap(index, path)
     return index, path
@@ -43,6 +43,7 @@ class TestDifferential:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_matches_inprocess_and_oracle(self, tmp_path, graph, pairs, k, workers):
         index, path = serve_file(tmp_path, graph, k)
+        assert_every_case(index, pairs)
         expected = index.query_batch(pairs)
         with ThreadQueryServer(path, workers=workers) as server:
             got = server.query_batch(pairs)

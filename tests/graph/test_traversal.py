@@ -313,3 +313,36 @@ class TestBfsDistancesBlocked:
         )
         triples = sorted(zip(src.tolist(), dst.tolist(), dist.tolist()))
         assert triples == [(1, 2, 1), (1, 3, 2), (3, 4, 1)]
+
+
+class TestFrontierMerge:
+    """The numpy frontier expansion takes the sort merge below
+    ``n / _SCATTER_SHARE`` traversed edges and the scatter-OR merge at
+    or above it; both must equal the native kernel body."""
+
+    @pytest.mark.parametrize("direction", ["out", "in"])
+    @pytest.mark.parametrize("front_size", [1, 4, 40, 300])
+    def test_both_merges_match_the_native_body(self, direction, front_size):
+        from repro import native_kernels
+        from repro.graph import traversal
+
+        g = gnp_digraph(400, 0.03, seed=5)
+        indptr, indices = traversal._csr(g, direction)
+        rng = np.random.default_rng(front_size)
+        front_v = np.sort(rng.choice(g.n, size=front_size, replace=False))
+        front_m = rng.integers(1, 1 << 63, size=front_size, dtype=np.uint64)
+        visited = rng.integers(0, 1 << 63, size=g.n, dtype=np.uint64)
+        visited &= rng.integers(0, 1 << 63, size=g.n, dtype=np.uint64)
+        traversed = int((indptr[front_v + 1] - indptr[front_v]).sum())
+        scatter = traversed * traversal._SCATTER_SHARE >= g.n
+        assert scatter == (front_size >= 40)  # both sides are exercised
+        scratch = np.zeros(g.n, dtype=np.uint64)
+        args = (indptr, indices, front_v, front_m, visited)
+        got_v, got_m = traversal._expand_frontier_numpy(*args, scratch)
+        assert not scratch.any()
+        want_v, want_m = native_kernels.expand_frontier(
+            *args, np.zeros(g.n, dtype=np.uint64)
+        )
+        assert np.array_equal(got_v, want_v)
+        assert np.array_equal(got_m, want_m)
+        assert len(got_v) and bool(np.all(got_v[1:] > got_v[:-1]))

@@ -19,13 +19,13 @@ import pytest
 
 from repro import faults
 from repro.core.kreach import KReachIndex
-from repro.core.partition import partition_kreach
 from repro.core.serialize import save_mmap, save_sharded
 from repro.core.serve import ThreadQueryServer
 from repro.core.sharded import ShardedQueryServer
 from repro.graph.generators import gnp_digraph
 from repro.serve import FrontDoor, FrontDoorOverloaded, frontdoor, http_request
 from repro.workloads import random_pairs
+from tests.conftest import assert_every_case, split_index, split_shards
 
 
 @pytest.fixture(scope="module")
@@ -35,13 +35,16 @@ def graph():
 
 @pytest.fixture(scope="module")
 def reference(graph):
-    return KReachIndex(graph, 6).prepare_batch()
+    """The served index, on the §4.3 cover so pairs reach Cases 1-4."""
+    index = split_index(graph, 6).prepare_batch()
+    assert_every_case(index, random_pairs(graph.n, 2000, rng=np.random.default_rng(0)))
+    return index
 
 
 @pytest.fixture(scope="module")
 def manifest(graph, tmp_path_factory):
     directory = tmp_path_factory.mktemp("door") / "m2"
-    save_sharded(partition_kreach(graph, 6, 2), directory)
+    save_sharded(split_shards(graph, 6, 2), directory)
     return directory
 
 

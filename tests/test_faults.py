@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro import faults
-from repro.core.kreach import KReachIndex
 from repro.core.serialize import save_mmap
 from repro.core.serve import (
     QueryServer,
@@ -28,6 +27,7 @@ from repro.core.serve import (
 )
 from repro.graph.generators import gnp_digraph
 from repro.workloads import random_pairs
+from tests.conftest import assert_every_case, split_index
 
 
 @pytest.fixture(autouse=True)
@@ -42,8 +42,11 @@ def graph():
 
 
 @pytest.fixture(scope="module")
-def index(graph):
-    return KReachIndex(graph, 3)
+def index(graph, pairs):
+    """The served index, on the §4.3 cover so pairs reach Cases 1-4."""
+    index = split_index(graph, 3)
+    assert_every_case(index, pairs)
+    return index
 
 
 @pytest.fixture(scope="module")

@@ -19,6 +19,7 @@ from repro import native
 from repro.bitsets import ops
 from repro.core.batch import MISSING_WEIGHT, KeyedRowStore
 from repro.core.kreach import KReachIndex
+from repro.core.vertex_cover import vertex_cover_2approx
 from repro.graph.generators import gnp_digraph
 from repro.graph.traversal import bfs_distances, bfs_distances_blocked
 from repro.workloads import random_pairs
@@ -314,7 +315,8 @@ class TestEngineMatrix:
 
     @pytest.mark.parametrize("k", [0, 2, 6, None])
     def test_kreach_native_engine(self, graph, pairs, k):
-        idx = KReachIndex(graph, k)
+        # The §4.3 cover keeps Cases 2-4 (the default V is all Case 1).
+        idx = KReachIndex(graph, k, cover=vertex_cover_2approx(graph))
         reference = scalar_batch(idx, pairs)
         assert np.array_equal(reference, idx.query_batch(pairs))
         with native.use(COMPILED):
@@ -322,7 +324,7 @@ class TestEngineMatrix:
 
     @pytest.mark.parametrize("tier", TIERS)
     def test_kreach_under_forced_tier(self, graph, pairs, tier):
-        idx = KReachIndex(graph, 3)
+        idx = KReachIndex(graph, 3, cover=vertex_cover_2approx(graph))
         reference = scalar_batch(idx, pairs)
         with native.use(tier):
             assert np.array_equal(reference, idx.query_batch(pairs))
