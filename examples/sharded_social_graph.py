@@ -1,12 +1,13 @@
 #!/usr/bin/env python
-"""Sharded serving end to end: partition → manifest → scatter-gather → async front door.
+"""Sharded serving end to end: partition → file → scatter-gather → async front door.
 
 The ROADMAP's "millions of users" story: one index outgrows one box, so
 the graph is hub-aware partitioned (celebrity vertices replicated into
-every shard as the boundary set), persisted as a sharded manifest
-directory, served by a :class:`ShardedQueryServer` (one pool per
-shard), and fronted by an asyncio batching layer that aggregates many
-small concurrent client requests into few large pool batches — with an
+every shard as the boundary set), persisted as one sharded v6 index
+file, served by a :class:`ShardedQueryServer` (one pool per shard,
+each opening its own shard's sections of that file), and fronted by
+an asyncio batching layer that aggregates many small concurrent
+client requests into few large pool batches — with an
 LRU hot-pair cache, admission control, and live ``/healthz`` +
 ``/metrics``.
 
@@ -122,15 +123,13 @@ def main() -> int:
           f"{summary['boundary_size']}, shard sizes {summary['shard_sizes']}")
 
     with tempfile.TemporaryDirectory() as tmp:
-        manifest_dir = Path(tmp) / "social-shards"
-        save_sharded(sharded, manifest_dir)
-        files = sorted(p.name for p in manifest_dir.iterdir())
-        total_mb = sum(p.stat().st_size for p in manifest_dir.iterdir()) / 1e6
-        print(f"  manifest: {len(files)} files, {total_mb:.2f} MB "
-              f"({', '.join(files[:4])}, …)")
-        report = verify_file(manifest_dir)
-        print(f"  checksum audit: {'OK' if report['ok'] else 'CORRUPT'} "
-              f"({len(report['sections'])} sections)")
+        path = Path(tmp) / "social-shards.kr6"
+        save_sharded(sharded, path)
+        report = verify_file(path)
+        sections = [row["name"] for row in report["sections"][1:]]  # no header
+        print(f"  sharded file: {path.stat().st_size / 1e6:.2f} MB, "
+              f"{len(sections)} sections ({', '.join(sections[:4])}, …)")
+        print(f"  checksum audit: {'OK' if report['ok'] else 'CORRUPT'}")
         if not report["ok"]:
             return 1
 
@@ -138,7 +137,7 @@ def main() -> int:
             0, g.n, size=(20_000 if args.fast else 100_000, 2)
         )
         expected = reference.query_batch(pairs)
-        with ShardedQueryServer(manifest_dir, workers=1,
+        with ShardedQueryServer(path, workers=1,
                                 backend="process") as server:
             server.query_batch(pairs[:1024])  # warm the pools
             t0 = time.perf_counter()

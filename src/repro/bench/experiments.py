@@ -1308,8 +1308,8 @@ def run_shard(config: SuiteConfig) -> Table:
 
     Serves the ROADMAP's "sharded scatter-gather" milestone.  Every
     dataset's 6-reach index is hub-aware partitioned
-    (:func:`~repro.core.partition.partition_kreach`) into 1- and
-    2-shard manifests; one big random batch then runs through the
+    (:func:`~repro.core.partition.partition_kreach`) into a 1- and a
+    2-shard file; one big random batch then runs through the
     in-process engine and through
     :class:`~repro.core.sharded.ShardedQueryServer` at both shard
     counts (process pools, one worker per shard — total parallelism =
@@ -1326,15 +1326,16 @@ def run_shard(config: SuiteConfig) -> Table:
     table = Table(
         f"Shard — scatter-gather serving throughput (scale={config.scale}, "
         f"k={k}, {n_pairs} pairs per row, 1 worker per shard)",
-        ["dataset", "pairs", "|B|", "cross", "part ms", "mani MB",
+        ["dataset", "pairs", "|B|", "cross", "part ms", "file MB",
          "inproc ms", *(f"shard@{c} ms" for c in shard_counts), "speedup",
          "agree"],
         caption=(
             "|B| = replicated boundary (hub) vertices; cross = pairs "
             "stitched through the boundary portal tables instead of a "
-            "single shard; part ms = partition + manifest save; "
-            "shard@N = the batch through a ShardedQueryServer over an "
-            "N-shard manifest (process pool per shard); speedup = "
+            "single shard; part ms = partition + save; file MB = the "
+            "2-shard file; shard@N = the batch through a "
+            "ShardedQueryServer over an N-shard file (process pool per "
+            "shard); speedup = "
             "shard@1 / shard@2; agree = every served verdict "
             "bit-identical to the in-process global index.  TOTAL sums "
             "milliseconds; CI gates agree and shard@2 <= 1.25x shard@1 "
@@ -1342,27 +1343,27 @@ def run_shard(config: SuiteConfig) -> Table:
         ),
     )
 
-    def manifest(path: Path, count: int) -> Path:
-        return path.with_name(f"{path.stem}-{count}")
+    def shard_file(path: Path, count: int) -> Path:
+        return path.with_name(f"{path.stem}-{count}{path.suffix}")
 
     def partition(g: DiGraph, path: Path, pairs: np.ndarray, row: dict) -> None:
-        """Write every shard count's manifest; the |B|, cross and
-        mani MB cells describe the widest one."""
+        """Write every shard count's file; the |B|, cross and file MB
+        cells describe the widest one."""
         part_s = 0.0
         for count in shard_counts:
-            directory = manifest(path, count)
+            out = shard_file(path, count)
             sharded, seconds = timed(lambda: partition_kreach(g, k, count))
-            part_s += seconds + timed(lambda: save_sharded(sharded, directory))[1]
+            part_s += seconds + timed(lambda: save_sharded(sharded, out))[1]
         s64, t64 = (pairs[:, i].astype(np.int64) for i in (0, 1))
         row["|B|"] = len(sharded.boundary)
         row["cross"] = int((sharded.route(s64, t64) < 0).sum())
-        row["mani MB"] = fmt_mb(sum(f.stat().st_size for f in directory.iterdir()))
+        row["file MB"] = fmt_mb(out.stat().st_size)
         row["part ms"] = 1e3 * part_s
 
     backends = [
         (
             lambda path, c=count: ShardedQueryServer(
-                manifest(path, c), workers=1, backend="process"
+                shard_file(path, c), workers=1, backend="process"
             ),
             {f"shard@{count} ms": _batch},
         )

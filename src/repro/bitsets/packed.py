@@ -175,21 +175,6 @@ class PackedIntArray:
         values = bit_matrix @ (np.int64(1) << np.arange(self.bits, dtype=np.int64))
         return values.astype(dtype, copy=False)
 
-    def leq_mask(self, value: int) -> np.ndarray:
-        """Vectorized ``entry <= value`` over all entries (a bool array).
-
-        The bitset-join engines build their per-budget link matrices from
-        exactly this predicate (weights quantized at the §4.3 bit width
-        compared against a query budget), so it short-circuits the
-        saturating cases: a negative ``value`` matches nothing and
-        ``value >= 2**bits - 1`` matches everything without unpacking.
-        """
-        if value < 0:
-            return np.zeros(self.length, dtype=bool)
-        if value >= self._mask:
-            return np.ones(self.length, dtype=bool)
-        return self.as_numpy() <= value
-
     def _locate(self, i: int) -> tuple[int, int]:
         if not 0 <= i < self.length:
             raise IndexError(f"index {i} out of range [0, {self.length})")

@@ -246,8 +246,8 @@ def _verify_main(argv: list[str]) -> int:
         prog="kreach-bench verify",
         description=(
             "Audit the integrity of k-reach on-disk artifacts: v6 index "
-            "files (header + per-section CRC32), framed op logs (record "
-            "frames), and sharded-manifest directories (per-file CRC32)."
+            "files, sharded ones included (header + per-section CRC32, "
+            "then a validating open), and framed op logs (record frames)."
         ),
     )
     parser.add_argument("files", nargs="+", metavar="FILE")
@@ -277,7 +277,7 @@ def _verify_main(argv: list[str]) -> int:
                         f" crc32 stored={row['stored']:#010x} "
                         f"computed={row['computed']:#010x}"
                     )
-                print(f"  {row['status']:>9}  {row['name']:<16} {size}{crc}")
+                print(f"  {row['status']:>9}  {row['name']:<21} {size}{crc}")
     return 0 if all(r["ok"] for r in reports) else 1
 
 

@@ -20,7 +20,6 @@ from repro.core.partition import (
 from repro.core.serialize import (
     IndexCorruptionError,
     OpLog,
-    ShardManifest,
     load_mmap,
     load_sharded,
     read_oplog,
@@ -60,7 +59,6 @@ __all__ = [
     "load_mmap",
     "save_sharded",
     "load_sharded",
-    "ShardManifest",
     "IndexCorruptionError",
     "OpLog",
     "read_oplog",

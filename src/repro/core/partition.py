@@ -235,8 +235,8 @@ class Shard:
 class ShardedKReach:
     """A partitioned k-reach index answering exactly like the global one.
 
-    Construct with :func:`partition_kreach` (or rehydrate a saved
-    manifest via :meth:`from_manifest`).  :meth:`query_batch` serves
+    Construct with :func:`partition_kreach` (or open a saved one with
+    :func:`~repro.core.serialize.load_sharded`).  :meth:`query_batch` serves
     in-process; :class:`~repro.core.sharded.ShardedQueryServer` runs the
     same routing over per-shard worker pools.
 
@@ -267,23 +267,6 @@ class ShardedKReach:
     @property
     def num_shards(self) -> int:
         return len(self.shards)
-
-    @classmethod
-    def from_manifest(cls, manifest) -> "ShardedKReach":
-        """Assemble from a :func:`repro.core.serialize.load_sharded` result."""
-        shard_of = np.asarray(manifest.shard_of, dtype=np.int64)
-        shards = [
-            Shard(index=index, vertex_map=_vertex_map(shard_of, i))
-            for i, index in enumerate(manifest.indexes)
-        ]
-        return cls(
-            n=manifest.n,
-            k=manifest.k,
-            shard_of=shard_of,
-            entry=manifest.entry,
-            exit=manifest.exit,
-            shards=shards,
-        )
 
     # ----------------------------------------------------------- routing
 

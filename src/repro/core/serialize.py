@@ -27,23 +27,26 @@ holds the one index file format and the two artifacts built on it:
   arrive read-only (``mode='r'``); the whole query path is
   copy-on-build on top of them.  A file without a ``layout`` header
   field is a CSR file (every file written before the plane layout).
+* **The sharded file** (:func:`save_sharded` / :func:`load_sharded`)
+  is the same v6 file holding a
+  :class:`~repro.core.partition.ShardedKReach`: the routing array
+  ``shard_of`` and the two global portal tables ``entry`` and ``exit``,
+  then every shard's index sections under an ``s<i>/`` prefix, all
+  under one header and one section table.  A shard worker opens its
+  own sections with ``load_mmap(path, shard=i)``.  The boundary set and
+  every shard's vertex map are derived from ``shard_of``.
 * **The op log** (:class:`OpLog`) journals a dynamic index's updates.  A
   :class:`~repro.core.dynamic.DynamicKReachIndex` persists as its base
   snapshot in a v6 file plus that journal, and :func:`recover_dynamic`
   replays the journal over the validated base.
-* **The shard manifest** (:func:`save_sharded` / :func:`load_sharded`)
-  is a directory of per-shard v6 files plus the routing array and the
-  two global portal tables of a
-  :class:`~repro.core.partition.ShardedKReach`.  The boundary set and
-  every shard's vertex map are derived from the routing array.
 
 Retired layouts are not read: the v2/v3 compressed ``.npz`` dumps, the
 v4/v5 index files, which also stored the derived key / weight arrays,
 v6 files whose header carries a ``storage`` field (the retired
-``'wah'`` row storage, which added WAH copies of the rows), and v1
-shard manifests, which also stored the boundary, the vertex maps and
-per-shard portal tables.  Rebuild such an index and save it with
-:func:`save_mmap` (or :func:`save_sharded` after
+``'wah'`` row storage, which added WAH copies of the rows), and
+shard-manifest directories (a ``manifest.json`` beside ``.npy`` routing
+arrays and one index file per shard).  Rebuild such an index and save
+it with :func:`save_mmap` (or :func:`save_sharded` after
 :func:`~repro.core.partition.partition_kreach`).
 
 No Python-level edge loop runs in any direction on the array payloads.
@@ -55,14 +58,18 @@ temp file in the destination directory, flushed and ``fsync``-ed, then
 ``os.replace``-d over the target (and the directory entry synced) — a
 crash mid-save leaves the previous snapshot byte-identical, never a torn
 file under the expected name (chaos-tested through the
-``serialize.v4_write_mid`` failpoint in :mod:`repro.faults`).
+``serialize.v4_write_mid`` failpoint in :mod:`repro.faults`).  A
+sharded index is one such file, so an aborted re-save cannot mix the
+routing tables of one partition with the shards of another.
 
 The prologue carries a CRC32 of the JSON header, verified on every open
 (O(header), so the zero-copy open cost is unchanged), and the section
 table carries a CRC32 per array payload, verified by the opt-in
-``verify=True`` full scan and by ``kreach-bench verify``.  Integrity
-failures raise :class:`IndexCorruptionError` — a :class:`ValueError`
-subclass carrying the offending section and byte offset.
+``verify=True`` full scan and by ``kreach-bench verify``.  Every header
+scalar must be a JSON integer in range, and the file must end where its
+last section does.  Integrity failures raise
+:class:`IndexCorruptionError` — a :class:`ValueError` subclass carrying
+the offending section (or header field) and byte offset.
 
 Each :class:`OpLog` record carries its own CRC32.  A crash mid-append
 (the ``serialize.v3_log_tail`` failpoint) leaves a torn tail that the
@@ -72,12 +79,10 @@ garbage never does.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +93,7 @@ from repro.bitsets.packed import PackedIntArray
 from repro.core.dynamic import DynamicKReachIndex
 from repro.core.index_graph import IndexGraph
 from repro.core.kreach import KReachIndex, level_specs
-from repro.core.partition import _vertex_map
+from repro.core.partition import Shard, ShardedKReach, _vertex_map
 from repro.graph.digraph import DiGraph
 
 __all__ = [
@@ -101,12 +106,8 @@ __all__ = [
     "recover_dynamic",
     "save_sharded",
     "load_sharded",
-    "ShardManifest",
     "verify_file",
 ]
-
-#: Stored sentinel for the unbounded (n-reach) mode.
-_K_UNBOUNDED = -1
 
 #: Version 6 of the index file: v5's layout without its two derived
 #: sections (the sorted ``u * n + v`` keys and the int64 weights).
@@ -121,6 +122,11 @@ _MMAP_PROLOGUE = 20
 #: Every section starts at a multiple of this (cache-line alignment;
 #: any multiple of the widest itemsize would do for the views).
 _MMAP_ALIGN = 64
+
+#: The header ``kind`` of a file holding one index, and of one holding
+#: a sharded index.
+_PLAIN = "kreach"
+_SHARDED = "kreach-shards"
 
 #: The section tables: name -> dtype each array is stored (and mapped)
 #: in, per index layout.  Dtypes match the in-memory representation
@@ -142,6 +148,15 @@ _LAYOUTS = {
         "weight_words": np.dtype("<u8"),
     },
     "planes": {**_GRAPH_SECTIONS, "level_planes": np.dtype("<u8")},
+}
+
+#: A sharded file's routing sections, ahead of its shards' sections:
+#: the owning shard per vertex (-1 for the boundary set) and the two
+#: ``(n, |B|)`` portal tables, row-major.
+_ROUTING_SECTIONS = {
+    "shard_of": np.dtype("<i8"),
+    "entry": np.dtype("<i4"),
+    "exit": np.dtype("<i4"),
 }
 
 
@@ -170,13 +185,23 @@ def _retired_storage(storage) -> str:
     )
 
 
+def _retired_directory(path: Path) -> str:
+    """Why a directory (a retired shard manifest) is not opened."""
+    return (
+        f"{path} is a directory, not a v{_MMAP_FORMAT_VERSION} index file; "
+        "shard-manifest directories are no longer read — rebuild the index "
+        "with partition_kreach + save_sharded"
+    )
+
+
 class IndexCorruptionError(ValueError):
     """A stored index failed an integrity check.
 
     Subclasses :class:`ValueError`, so every pre-existing caller that
     catches the generic diagnosis keeps working; the typed form carries
-    the file, the failing section (or ``None`` for whole-file problems),
-    and the byte offset where the damage was detected (or ``None``).
+    the file, the failing section or header field (or ``None`` for
+    whole-file problems), and the byte offset where the damage was
+    detected (or ``None``).
     """
 
     def __init__(
@@ -239,11 +264,11 @@ def _align(offset: int) -> int:
     return (offset + _MMAP_ALIGN - 1) // _MMAP_ALIGN * _MMAP_ALIGN
 
 
-def _payload_arrays(
+def _index_payload(
     index: KReachIndex,
-) -> tuple[str, dict[str, list[np.ndarray]]]:
-    """The layout and its payload in section order, each section as the
-    arrays written back to back, coerced to the on-disk dtypes.
+) -> tuple[dict, dict[str, list[np.ndarray]]]:
+    """One index's header scalars and its sections in file order, each
+    section as the arrays written back to back, in the on-disk dtypes.
 
     The level planes whenever the index answers from them (see
     :func:`~repro.core.kreach.batch_views`), the CSR otherwise.
@@ -271,32 +296,37 @@ def _payload_arrays(
         arrays["level_planes"] = ig.link_matrices(
             list(dict.fromkeys(level_specs(index.k)))
         )
-    dtypes = _LAYOUTS[layout]
-    return layout, {
+    scalars = {
+        "n": int(g.n),
+        "weight_bits": int(ig.weight_bits),
+        "weight_base": int(ig.weight_base),
+        "layout": layout,
+    }
+    return scalars, _coerced(arrays, _LAYOUTS[layout])
+
+
+def _coerced(
+    arrays: dict[str, list], dtypes: dict[str, np.dtype]
+) -> dict[str, list[np.ndarray]]:
+    """Every part of every section as a C-contiguous on-disk array."""
+    return {
         name: [np.ascontiguousarray(part, dtype=dtypes[name]) for part in parts]
         for name, parts in arrays.items()
     }
 
 
-def save_mmap(index: KReachIndex, path: str | os.PathLike) -> None:
-    """Write ``index`` as a flat memory-mappable v6 file.
-
-    Layout: an 8-byte magic, a little-endian uint64 header length, a
-    little-endian uint32 CRC32 of the JSON header, the JSON header
-    carrying the scalars (``k``, ``n``, weight encoding, the index
-    ``layout``: ``'planes'`` inside the memory gate, ``'csr'`` past it)
-    and the section table (relative offset, element count, dtype, and
-    payload CRC32 per array), then every array's raw bytes at a
+def _write_file(
+    path: str | os.PathLike, header: dict, arrays: dict[str, list[np.ndarray]]
+) -> None:
+    """Write one v6 file atomically: the prologue, ``header`` completed
+    with the section table, then every section's arrays at a
     64-byte-aligned offset.
-    The payload is **uncompressed**, so :func:`load_mmap` can map it
-    zero-copy and the OS page cache can share the bytes across every
-    serving process.
 
-    The write is atomic: a crash mid-save (chaos-tested through the
-    ``serialize.v4_write_mid`` failpoint) leaves any previous snapshot
-    at ``path`` byte-identical.
+    The table records each section's offset (relative to the aligned
+    payload base), element count, dtype and payload CRC32.  The
+    ``serialize.v4_write_mid`` failpoint fires midway through the
+    payload, so a chaos test can abort or kill any save there.
     """
-    layout, arrays = _payload_arrays(index)
     sections: dict[str, dict[str, object]] = {}
     offset = 0  # relative to the aligned payload base
     payload_bytes = 0  # true (unpadded) end of the last section
@@ -314,12 +344,7 @@ def save_mmap(index: KReachIndex, path: str | os.PathLike) -> None:
         offset = _align(payload_bytes)
     header = {
         "format_version": _MMAP_FORMAT_VERSION,
-        "kind": "kreach",
-        "k": None if index.k is None else int(index.k),
-        "n": int(index.graph.n),
-        "weight_bits": int(index.index_graph.weight_bits),
-        "weight_base": int(index.index_graph.weight_base),
-        "layout": layout,
+        **header,
         "payload_bytes": payload_bytes,
         "sections": sections,
     }
@@ -347,49 +372,163 @@ def save_mmap(index: KReachIndex, path: str | os.PathLike) -> None:
     _atomic_write(Path(path), write)
 
 
-def load_mmap(
-    path: str | os.PathLike,
-    *,
-    mode: str = "r",
-    validate: bool = False,
-    verify: bool = False,
-    bitset_matrix_bytes: int = DEFAULT_MATRIX_BYTES,
-) -> KReachIndex:
-    """Open an index written by :func:`save_mmap`, zero-copy.
+def save_mmap(index: KReachIndex, path: str | os.PathLike) -> None:
+    """Write ``index`` as a flat memory-mappable v6 file.
 
-    The file is mapped once (``mode='r'``: shared read-only pages;
-    ``mode='c'``: copy-on-write, private) and every array is installed as
-    a view into the mapping — open cost is parsing the header plus O(1)
-    bounds checks per section, independent of index size.  The JSON
-    header's CRC32 is always verified (still O(header)), so a bit flip in
-    the section table can never install a wrong view.  Structural
-    problems the header can reveal — bad magic, a retired format version
-    or row storage, corrupt JSON, a missing / misaligned / out-of-bounds
-    section, disagreeing array lengths — raise :class:`ValueError`
-    (:class:`IndexCorruptionError` where a section is identifiable)
-    naming the offending section.
+    Layout: an 8-byte magic, a little-endian uint64 header length, a
+    little-endian uint32 CRC32 of the JSON header, the JSON header
+    carrying the scalars (``k``, ``n``, weight encoding, the index
+    ``layout``: ``'planes'`` inside the memory gate, ``'csr'`` past it)
+    and the section table (relative offset, element count, dtype, and
+    payload CRC32 per array), then every array's raw bytes at a
+    64-byte-aligned offset.
+    The payload is **uncompressed**, so :func:`load_mmap` can map it
+    zero-copy and the OS page cache can share the bytes across every
+    serving process.
 
-    ``verify=True`` additionally checks every section's stored CRC32
-    against its payload bytes (O(index) — opt in, the default preserves
-    the O(header) open); a mismatch raises :class:`IndexCorruptionError`
-    with the section and byte offset.  ``validate=True`` runs the full
-    structural scan (the graph's CSR invariants, and the index's: its
-    CSR's, or for planes their nesting, diagonal and padding bits) for
-    arrays of uncertain provenance.
-
-    The returned :class:`KReachIndex` serves queries directly off the
-    read-only pages; every cache it builds lazily (a plane file's CSR,
-    a CSR file's link matrices, keyed probe arrays, scalar probe dicts,
-    adjacency lists) is a private copy-on-build structure, so many
-    processes can open the same file and share its clean pages.
-    ``bitset_matrix_bytes`` is the index's memory gate, and it caps only
-    views the process would build privately: the mapped planes of a
-    plane file are the level stack at any setting, while a CSR file
-    builds its level views only if they fit the gate.
+    The write is atomic: a crash mid-save (chaos-tested through the
+    ``serialize.v4_write_mid`` failpoint) leaves any previous snapshot
+    at ``path`` byte-identical.
     """
-    path = Path(path)
+    scalars, arrays = _index_payload(index)
+    k = None if index.k is None else int(index.k)
+    _write_file(path, {"kind": _PLAIN, "k": k, **scalars}, arrays)
+
+
+def save_sharded(sharded: ShardedKReach, path: str | os.PathLike) -> Path:
+    """Write a :class:`~repro.core.partition.ShardedKReach` as one v6 file.
+
+    The header carries ``k``, the global ``n`` and, in ``shards``, the
+    scalars each shard's index would carry in a file of its own
+    (``n``, ``layout``, ``weight_bits``, ``weight_base``).  The section
+    table holds ``shard_of``, ``entry`` and ``exit``, then shard ``i``'s
+    index sections named ``s<i>/<section>`` (``s0/cover_ids``, ...).
+    Nothing derivable is stored: the boundary set and every shard's
+    vertex map come from ``shard_of``.
+
+    It is written through the same writer as :func:`save_mmap`, so the
+    save is atomic: a crash or an aborted re-save leaves the previous
+    file at ``path`` byte-identical.  Returns ``path``.
+    """
+    arrays = _coerced(
+        {
+            "shard_of": [sharded.shard_of],
+            "entry": [sharded.entry],
+            "exit": [sharded.exit],
+        },
+        _ROUTING_SECTIONS,
+    )
+    shards = []
+    for i, shard in enumerate(sharded.shards):
+        scalars, sections = _index_payload(shard.index)
+        shards.append(scalars)
+        arrays.update((f"s{i}/{name}", parts) for name, parts in sections.items())
+    k = None if sharded.k is None else int(sharded.k)
+    header = {"kind": _SHARDED, "k": k, "n": int(sharded.n), "shards": shards}
+    _write_file(path, header, arrays)
+    return Path(path)
+
+
+def _is_int(value, low: int | None = None, high: int | None = None) -> bool:
+    """``value`` is a JSON integer (not a bool) in ``[low, high]``."""
+    return (
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and (low is None or value >= low)
+        and (high is None or value <= high)
+    )
+
+
+def _corrupt(
+    path: Path, section: str | None, msg: str, offset: int | None = None
+) -> IndexCorruptionError:
+    """The typed error for a bad ``section`` (or header field) of ``path``."""
+    return IndexCorruptionError(
+        f"corrupt index file {path}: {msg}", path=path, section=section, offset=offset
+    )
+
+
+def _section_table(header: dict, path: Path) -> dict[str, np.dtype]:
+    """Check the header's scalars; return the sections they call for.
+
+    Every scalar must be a JSON integer (not a bool, float or string) in
+    range — ``n >= 0``, ``k >= 0`` or null (n-reach), ``weight_bits`` in
+    ``[1, 32]`` — and ``layout`` one of the index layouts (absent means
+    CSR), so a re-signed header with ``k: 1.5`` cannot open a 3-reach
+    file as a 1-reach index.  A plain file carries one index's scalars at the
+    top level; a sharded file carries its routing sections and, per
+    entry of ``shards``, one index's scalars and sections under an
+    ``s<i>/`` prefix.  Raises :class:`IndexCorruptionError` naming the
+    field.
+    """
+
+    def integer(fields: dict, name: str, low=None, high=None, where="") -> None:
+        value = fields.get(name)
+        if not _is_int(value, low, high):
+            need = (
+                "an integer" if low is None
+                else f"an integer >= {low}" if high is None
+                else f"an integer in [{low}, {high}]"
+            )
+            raise _corrupt(
+                path, where + name, f"header field {where}{name} must be {need}, "
+                f"got {value!r}"
+            )
+
+    def index_sections(fields: dict, where: str = "") -> dict[str, np.dtype]:
+        integer(fields, "n", 0, where=where)
+        integer(fields, "weight_bits", 1, 32, where=where)
+        integer(fields, "weight_base", where=where)
+        layout = fields.get("layout", "csr")
+        if not isinstance(layout, str) or layout not in _LAYOUTS:
+            raise _corrupt(
+                path, where + "layout", f"unknown layout {layout!r} in {where}layout"
+            )
+        return _LAYOUTS[layout]
+
+    if "k" not in header or not (header["k"] is None or _is_int(header["k"], 0)):
+        got = f"got {header['k']!r}" if "k" in header else "it is missing"
+        raise _corrupt(
+            path, "k", f"header field k must be null (n-reach) or an int >= 0, {got}"
+        )
+    integer(header, "n", 0)
+    if header["kind"] == _PLAIN:
+        return index_sections(header)
+    shards = header.get("shards")
+    if not (
+        isinstance(shards, list)
+        and shards
+        and all(isinstance(fields, dict) for fields in shards)
+    ):
+        raise _corrupt(
+            path, "shards", f"header field shards must be a non-empty list of "
+            f"objects, got {shards!r}"
+        )
+    table = dict(_ROUTING_SECTIONS)
+    for i, fields in enumerate(shards):
+        sections = index_sections(fields, f"shards[{i}].")
+        table.update((f"s{i}/{name}", dtype) for name, dtype in sections.items())
+    return table
+
+
+def _open(
+    path: Path, mode: str, verify: bool
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """Map a v6 file once; return its checked header and one view per
+    section.
+
+    Everything the header declares is checked here, in O(header): the
+    magic, the header CRC32, the format version, the ``kind``, every
+    scalar (:func:`_section_table`), and the section table itself — the
+    exact set of sections, each entry's offset, count, dtype and CRC32,
+    each section inside the file, and the file ending where its last
+    section does.  ``verify=True`` adds the O(file) CRC32 scan of every
+    section's payload.
+    """
     if mode not in ("r", "c"):
         raise ValueError(f"mode must be 'r' or 'c', got {mode!r}")
+    if path.is_dir():
+        raise IndexCorruptionError(_retired_directory(path), path=path)
     try:
         file_size = path.stat().st_size
         with open(path, "rb") as fh:
@@ -442,35 +581,68 @@ def load_mmap(
             f"(expected {_MMAP_FORMAT_VERSION})"
         )
     kind = header.get("kind")
-    if kind != "kreach":
+    if kind not in (_PLAIN, _SHARDED):
         raise ValueError(f"{path} holds a {kind!r} dump, not a k-reach index")
     if "storage" in header:
         raise IndexCorruptionError(
             f"{path} is {_retired_storage(header['storage'])}", path=path
         )
-    try:
-        n = int(header["n"])
-        k_raw = header["k"]
-        weight_bits = int(header["weight_bits"])
-        weight_base = int(header["weight_base"])
-        sections = header["sections"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(
-            f"corrupt header in {path}: missing or malformed field ({exc})"
-        ) from exc
-    if n < 0 or not 1 <= weight_bits <= 32:
-        raise ValueError(
-            f"corrupt header in {path}: n={n}, weight_bits={weight_bits}"
-        )
-    k = None if k_raw is None else int(k_raw)
+    table = _section_table(header, path)
+    sections = header.get("sections")
     if not isinstance(sections, dict):
-        raise ValueError(f"corrupt header in {path}: no section table")
-    layout = header.get("layout", "csr")
-    if layout not in _LAYOUTS:
-        raise ValueError(f"corrupt header in {path}: unknown layout {layout!r}")
-    table = _LAYOUTS[layout]
-
+        raise _corrupt(path, "sections", f"sections is not a table: {sections!r}")
+    for name in table:
+        if name not in sections:
+            raise _corrupt(path, name, f"missing section {name!r}")
+    for name in sections:
+        if name not in table:
+            raise _corrupt(path, name, f"unexpected section {name!r}")
     base = _align(_MMAP_PROLOGUE + hlen)
+    spans: dict[str, tuple[int, int]] = {}
+    payload_end, last = 0, None
+    for name, dtype in table.items():
+        entry = sections[name]
+        if not (
+            isinstance(entry, dict)
+            and _is_int(entry.get("offset"), 0)
+            and _is_int(entry.get("count"), 0)
+            and _is_int(entry.get("crc32"), 0, 0xFFFFFFFF)
+        ):
+            raise _corrupt(
+                path, name, f"malformed entry for section {name!r}: {entry!r}"
+            )
+        if entry.get("dtype") != dtype.str:
+            raise _corrupt(
+                path, name, f"section {name!r} declares dtype "
+                f"{entry.get('dtype')!r}, expected {dtype.str!r}"
+            )
+        start = base + entry["offset"]
+        stop = start + entry["count"] * dtype.itemsize
+        if entry["offset"] % _MMAP_ALIGN:
+            raise _corrupt(
+                path, name, f"section {name!r} has a misaligned offset", start
+            )
+        if stop > file_size:
+            raise _corrupt(
+                path, name, f"truncated: section {name!r} ends at byte {stop} "
+                f"but the file holds only {file_size}", start
+            )
+        spans[name] = (start, stop)
+        if stop - base >= payload_end:
+            payload_end, last = stop - base, name
+    declared = header.get("payload_bytes")
+    if not _is_int(declared) or declared != payload_end:
+        raise _corrupt(
+            path, "payload_bytes", f"payload_bytes {declared!r} disagrees with "
+            f"the section table end {payload_end}"
+        )
+    if base + payload_end != file_size:
+        raise _corrupt(
+            path, last, f"section {last!r} ends the payload at byte "
+            f"{base + payload_end}, but the file runs on to byte {file_size}",
+            base + payload_end,
+        )
+
     # One shared mapping for the whole payload; every section is a view
     # into it.  The raw mmap module beats np.memmap's subclass machinery
     # by ~0.2 ms per open — which matters when open is the O(header)
@@ -486,100 +658,55 @@ def load_mmap(
             ),
         )
     buf = np.frombuffer(mapping, dtype=np.uint8)
-    views: dict[str, np.ndarray] = {}
-    section_starts: dict[str, int] = {}
-    payload_end = 0
-    for name, dtype in table.items():
-        entry = sections.get(name)
-        if entry is None:
-            raise IndexCorruptionError(
-                f"corrupt mmap dump {path}: missing section {name!r}",
-                path=path,
-                section=name,
-            )
-        try:
-            rel = int(entry["offset"])
-            count = int(entry["count"])
-            declared = np.dtype(entry["dtype"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise IndexCorruptionError(
-                f"corrupt mmap dump {path}: malformed entry for section "
-                f"{name!r} ({exc})",
-                path=path,
-                section=name,
-            ) from exc
-        if declared != dtype:
-            raise IndexCorruptionError(
-                f"corrupt mmap dump {path}: section {name!r} declares dtype "
-                f"{declared}, expected {dtype}",
-                path=path,
-                section=name,
-            )
-        if count < 0 or rel < 0 or rel % _MMAP_ALIGN:
-            raise IndexCorruptionError(
-                f"corrupt mmap dump {path}: section {name!r} has a bad or "
-                f"misaligned offset (offset={rel}, count={count})",
-                path=path,
-                section=name,
-                offset=rel,
-            )
-        start = base + rel
-        stop = start + count * dtype.itemsize
-        if stop > file_size:
-            raise IndexCorruptionError(
-                f"truncated mmap dump {path}: section {name!r} ends at byte "
-                f"{stop} but the file holds only {file_size}",
-                path=path,
-                section=name,
-                offset=start,
-            )
-        payload_end = max(payload_end, rel + count * dtype.itemsize)
-        section_starts[name] = start
-        views[name] = buf[start:stop].view(dtype)
-    declared_payload = header.get("payload_bytes")
-    if declared_payload != payload_end:
-        raise ValueError(
-            f"corrupt header in {path}: payload_bytes "
-            f"{declared_payload!r} disagrees with the section table end "
-            f"{payload_end}"
-        )
+    views = {
+        name: buf[start:stop].view(table[name])
+        for name, (start, stop) in spans.items()
+    }
     if verify:
-        for name in table:
-            stored = sections[name].get("crc32")
-            if not isinstance(stored, int):
-                raise IndexCorruptionError(
-                    f"corrupt mmap dump {path}: section {name!r} records no "
-                    "checksum",
-                    path=path,
-                    section=name,
-                )
-            actual = zlib.crc32(views[name])
+        for name, view in views.items():
+            stored, actual = sections[name]["crc32"], zlib.crc32(view)
             if actual != stored:
-                raise IndexCorruptionError(
-                    f"corrupt mmap dump {path}: section {name!r} checksum "
-                    f"mismatch at byte {section_starts[name]} "
-                    f"(stored 0x{stored:08x}, computed 0x{actual:08x})",
-                    path=path,
-                    section=name,
-                    offset=section_starts[name],
+                start = spans[name][0]
+                raise _corrupt(
+                    path, name, f"section {name!r} checksum mismatch at byte "
+                    f"{start} (stored 0x{stored:08x}, computed 0x{actual:08x})",
+                    start,
                 )
+    return header, views
 
-    def bad(section: str, msg: str) -> ValueError:
-        return IndexCorruptionError(
-            f"corrupt mmap dump {path}: section {section!r} {msg}",
-            path=path,
-            section=section,
-        )
 
-    # O(1) cross-section consistency — enough to make every later array
-    # access in-bounds without scanning any payload.
-    if len(views["graph_out_indptr"]) != n + 1:
+def _index_from(
+    path: Path,
+    views: dict[str, np.ndarray],
+    prefix: str,
+    k: int | None,
+    scalars: dict,
+    *,
+    validate: bool = False,
+    bitset_matrix_bytes: int = DEFAULT_MATRIX_BYTES,
+) -> KReachIndex:
+    """Build one :class:`KReachIndex` from the sections named ``prefix +
+    <section>`` and its header ``scalars``.
+
+    The checks here are O(1) per section (O(|S|) for the cover ids) and
+    keep every later array access in bounds; ``validate=True`` adds the
+    O(index) structural scan.
+    """
+    n = scalars["n"]
+    layout = scalars.get("layout", "csr")
+    view = {name: views[prefix + name] for name in _LAYOUTS[layout]}
+
+    def bad(section: str, msg: str) -> IndexCorruptionError:
+        name = prefix + section
+        return _corrupt(path, name, f"section {name!r} {msg}")
+
+    if len(view["graph_out_indptr"]) != n + 1:
         raise bad("graph_out_indptr", f"must hold {n + 1} offsets")
-    if len(views["graph_in_indptr"]) != n + 1:
+    if len(view["graph_in_indptr"]) != n + 1:
         raise bad("graph_in_indptr", f"must hold {n + 1} offsets")
-    if len(views["graph_out_indices"]) != len(views["graph_in_indices"]):
+    if len(view["graph_out_indices"]) != len(view["graph_in_indices"]):
         raise bad("graph_in_indices", "disagrees with the out-direction on |E|")
-    cover_ids = views["cover_ids"]
+    cover_ids = view["cover_ids"]
     if len(cover_ids):
         # O(|S|) — the open path already scatters over the cover, and a
         # bad id here would corrupt that scatter silently (negative ids
@@ -588,50 +715,49 @@ def load_mmap(
             raise bad("cover_ids", f"holds vertex ids outside [0, {n})")
         if len(cover_ids) > 1 and not bool(np.all(cover_ids[1:] > cover_ids[:-1])):
             raise bad("cover_ids", "must be strictly ascending")
-    # The stored arrays go in verbatim: the checks here keep every
-    # access in bounds, and validate=True adds the O(index) scan.
     if layout == "planes":
         size = len(cover_ids)
         shape = (len(set(level_specs(k))), size, (size + 63) >> 6)
-        if len(views["level_planes"]) != shape[0] * shape[1] * shape[2]:
+        if len(view["level_planes"]) != shape[0] * shape[1] * shape[2]:
             raise bad(
                 "level_planes",
                 f"must hold {shape[0]} level planes of {shape[1]} x "
                 f"{shape[2]} words for k={k} and |S|={size}",
             )
         ig = IndexGraph.from_levels(
-            n, cover_ids, k, list(views["level_planes"].reshape(shape))
+            n, cover_ids, k, list(view["level_planes"].reshape(shape))
         )
     else:
-        edges = len(views["index_targets"])
-        if len(views["index_indptr"]) != len(cover_ids) + 1:
+        weight_bits = scalars["weight_bits"]
+        edges = len(view["index_targets"])
+        if len(view["index_indptr"]) != len(cover_ids) + 1:
             raise bad("index_indptr", "must hold cover size + 1 offsets")
-        if int(views["index_indptr"][-1]) != edges:
+        if int(view["index_indptr"][-1]) != edges:
             raise bad("index_indptr", f"must end at the {edges}-edge target count")
         expected_words = (edges * weight_bits + 63) // 64 + 1
-        if len(views["weight_words"]) != expected_words:
+        if len(view["weight_words"]) != expected_words:
             raise bad(
                 "weight_words",
                 f"must hold {expected_words} words for {edges} "
                 f"{weight_bits}-bit weights",
             )
         packed = PackedIntArray.from_words(
-            views["weight_words"], edges, bits=weight_bits, copy=False
+            view["weight_words"], edges, bits=weight_bits, copy=False
         )
         ig = IndexGraph(
             n,
             cover_ids,
-            views["index_indptr"],
-            views["index_targets"],
+            view["index_indptr"],
+            view["index_targets"],
             packed,
-            weight_base,
+            scalars["weight_base"],
         )
 
     g = DiGraph.from_csr(
-        views["graph_out_indptr"],
-        views["graph_out_indices"],
-        in_indptr=views["graph_in_indptr"],
-        in_indices=views["graph_in_indices"],
+        view["graph_out_indptr"],
+        view["graph_out_indices"],
+        in_indptr=view["graph_in_indptr"],
+        in_indices=view["graph_in_indices"],
         validate=validate,
     )
     if validate:
@@ -642,6 +768,147 @@ def load_mmap(
         cover=frozenset(cover_ids.tolist()),
         index_graph=ig,
         bitset_matrix_bytes=bitset_matrix_bytes,
+    )
+
+
+def load_mmap(
+    path: str | os.PathLike,
+    *,
+    mode: str = "r",
+    validate: bool = False,
+    verify: bool = False,
+    bitset_matrix_bytes: int = DEFAULT_MATRIX_BYTES,
+    shard: int | None = None,
+) -> KReachIndex:
+    """Open an index written by :func:`save_mmap`, zero-copy.
+
+    The file is mapped once (``mode='r'``: shared read-only pages;
+    ``mode='c'``: copy-on-write, private) and every array is installed as
+    a view into the mapping — open cost is parsing the header plus O(1)
+    bounds checks per section, independent of index size.  The JSON
+    header's CRC32 is always verified (still O(header)), so a bit flip in
+    the section table can never install a wrong view.  Structural
+    problems the header can reveal — bad magic, a retired format version
+    or row storage, corrupt JSON, a header scalar that is not an integer
+    in range, a missing / extra / misaligned / out-of-bounds section,
+    bytes past the last section, disagreeing array lengths — raise
+    :class:`ValueError` (:class:`IndexCorruptionError` where a section or
+    header field is identifiable) naming the offending section or field.
+
+    ``shard=i`` opens shard ``i``'s index of a :func:`save_sharded` file
+    (the address a shard's worker pool serves); a plain file opened with
+    ``shard`` set, and a sharded file opened without it, raise
+    :class:`ValueError` naming the right call.
+
+    ``verify=True`` additionally checks every section's stored CRC32
+    against its payload bytes (O(file) — opt in, the default preserves
+    the O(header) open); a mismatch raises :class:`IndexCorruptionError`
+    with the section and byte offset.  ``validate=True`` runs the full
+    structural scan (the graph's CSR invariants, and the index's: its
+    CSR's, or for planes their nesting, diagonal and padding bits) for
+    arrays of uncertain provenance.
+
+    The returned :class:`KReachIndex` serves queries directly off the
+    read-only pages; every cache it builds lazily (a plane file's CSR,
+    a CSR file's link matrices, keyed probe arrays, scalar probe dicts,
+    adjacency lists) is a private copy-on-build structure, so many
+    processes can open the same file and share its clean pages.
+    ``bitset_matrix_bytes`` is the index's memory gate, and it caps only
+    views the process would build privately: the mapped planes of a
+    plane file are the level stack at any setting, while a CSR file
+    builds its level views only if they fit the gate.
+    """
+    path = Path(path)
+    header, views = _open(path, mode, verify)
+    shards = header["shards"] if header["kind"] == _SHARDED else None
+    if (shard is None) != (shards is None):
+        raise ValueError(
+            f"{path} holds a sharded index: open it with load_sharded(path), "
+            "or one shard with load_mmap(path, shard=i)"
+            if shard is None
+            else f"{path} holds one index, not a sharded one: open it with "
+            "load_mmap(path), without shard="
+        )
+    if shard is None:
+        scalars, prefix = header, ""
+    elif isinstance(shard, (int, np.integer)) and 0 <= shard < len(shards):
+        scalars, prefix = shards[shard], f"s{int(shard)}/"
+    else:
+        raise ValueError(f"shard must be an int in [0, {len(shards)}), got {shard!r}")
+    return _index_from(
+        path,
+        views,
+        prefix,
+        header["k"],
+        scalars,
+        validate=validate,
+        bitset_matrix_bytes=bitset_matrix_bytes,
+    )
+
+
+def load_sharded(
+    path: str | os.PathLike,
+    *,
+    mode: str = "r",
+    verify: bool = False,
+) -> ShardedKReach:
+    """Open a :func:`save_sharded` file as a
+    :class:`~repro.core.partition.ShardedKReach`, every array zero-copy.
+
+    The file is mapped once and checked as :func:`load_mmap` checks it
+    (``verify=True`` adds the CRC32 scan of every section), and then for
+    what the routing relies on: ``shard_of`` holds one shard id in
+    ``[-1, num_shards)`` per vertex, ``entry`` and ``exit`` hold
+    ``(n, |B|)`` int32 tables, and each shard's vertex count equals that
+    of its vertex map derived from ``shard_of``.  Each failure raises
+    :class:`IndexCorruptionError` naming the section.  A plain index
+    file raises :class:`ValueError` pointing at :func:`load_mmap`, and a
+    shard-manifest directory (the retired sharded format)
+    :class:`IndexCorruptionError` naming the rebuild.
+    """
+    path = Path(path)
+    header, views = _open(path, mode, verify)
+    if header["kind"] != _SHARDED:
+        raise ValueError(
+            f"{path} holds one index, not a sharded one: open it with "
+            "load_mmap(path), or serve it with QueryServer(path)"
+        )
+    n, k, shards = header["n"], header["k"], header["shards"]
+    shard_of = views["shard_of"]
+    if len(shard_of) != n:
+        raise _corrupt(path, "shard_of", f"section 'shard_of' must hold {n} shard ids")
+    if n and (int(shard_of.min()) < -1 or int(shard_of.max()) >= len(shards)):
+        raise _corrupt(
+            path,
+            "shard_of",
+            f"section 'shard_of' holds shard ids outside [-1, {len(shards)})",
+        )
+    shape = (n, int(np.count_nonzero(shard_of < 0)))
+    for name in ("entry", "exit"):
+        if len(views[name]) != shape[0] * shape[1]:
+            raise _corrupt(
+                path, name, f"section {name!r} must hold a {shape[0]}x{shape[1]} table"
+            )
+    parts = []
+    for i, scalars in enumerate(shards):
+        vertex_map = _vertex_map(shard_of, i)
+        name = f"s{i}/graph_out_indptr"
+        if len(views[name]) != len(vertex_map) + 1:
+            raise _corrupt(
+                path,
+                name,
+                f"section {name!r} holds {len(views[name]) - 1} vertices, but "
+                f"shard_of maps {len(vertex_map)} to shard {i}",
+            )
+        index = _index_from(path, views, f"s{i}/", k, scalars)
+        parts.append(Shard(index=index, vertex_map=vertex_map))
+    return ShardedKReach(
+        n=n,
+        k=k,
+        shard_of=shard_of,
+        entry=views["entry"].reshape(shape),
+        exit=views["exit"].reshape(shape),
+        shards=parts,
     )
 
 
@@ -802,12 +1069,8 @@ class OpLog:
         for op, u, v in np.asarray(log, dtype=np.int64).reshape(-1, 3).tolist():
             self.append(op, u, v)
 
-    @property
-    def op_count(self) -> int:
-        """Records known durable (recovered at open + appended since)."""
-        return self._count
-
     def __len__(self) -> int:
+        """Records known durable (recovered at open + appended since)."""
         return self._count
 
     def close(self) -> None:
@@ -885,15 +1148,11 @@ def _audit_mmap(path: Path, report: dict) -> None:
         header = json.loads(blob)
     except ValueError:
         header = None
-    if not isinstance(header, dict) or not isinstance(header.get("sections"), dict):
-        report["detail"] = "header is not a JSON object with a section table"
-        return
-    sections = header["sections"]
-    if "storage" in header:
-        report["detail"] = f"{path} is {_retired_storage(header['storage'])}"
-        return
+    if not isinstance(header, dict):
+        header = {}
+    sections = header.get("sections")
     base = _align(_MMAP_PROLOGUE + hlen)
-    for name, entry in sections.items():
+    for name, entry in sections.items() if isinstance(sections, dict) else ():
         try:
             start = base + int(entry["offset"])
             nbytes = int(entry["count"]) * np.dtype(entry["dtype"]).itemsize
@@ -913,9 +1172,15 @@ def _audit_mmap(path: Path, report: dict) -> None:
             )
         report["sections"].append(row)
     # Checksums show the bytes are the ones written, not that they make
-    # an index: open it with the full structural scan as well.
+    # an index: open it (every shard of a sharded file, after its
+    # routing checks) with the full structural scan as well.  The
+    # loader's diagnosis of a bad header or section table is the detail.
     try:
-        load_mmap(path, validate=True)
+        if header.get("kind") == _SHARDED:
+            for i in range(load_sharded(path).num_shards):
+                load_mmap(path, shard=i, validate=True)
+        else:
+            load_mmap(path, validate=True)
     except ValueError as exc:
         report["detail"] = str(exc)
 
@@ -945,16 +1210,19 @@ def _audit_oplog(path: Path, report: dict) -> None:
 def verify_file(path: str | os.PathLike) -> dict:
     """Audit the checksums of any on-disk artifact this module writes.
 
-    Accepts a v6 index file, a framed op log, or a sharded-manifest
-    directory, and returns a report dict: ``format``, a ``sections``
-    list (name, size, stored/computed CRC32, per-section ``status``),
-    and ``ok`` — ``True`` iff nothing is corrupt.  An index file must
-    also open under ``load_mmap(validate=True)``; if it does not, the
-    reason is the report's ``detail``.  Statuses: ``ok``,
-    ``mismatch``, ``truncated``, ``malformed``, and ``torn-tail`` (an op
-    log's recoverable crashed append — not an error).  An index file or
-    shard manifest of another format version is reported by version, not
-    ``ok``.  This is the backend of ``kreach-bench verify``.
+    Accepts a v6 index file (one index or a sharded one) or a framed op
+    log, and returns a report dict: ``format``, a ``sections`` list
+    (name, size, stored/computed CRC32, per-section ``status``), and
+    ``ok`` — ``True`` iff nothing is corrupt.  An index file must also
+    open under ``load_mmap(validate=True)`` (a sharded file under
+    :func:`load_sharded`, then every shard under ``load_mmap(path,
+    shard=i, validate=True)``); if it does not, the reason is the
+    report's ``detail``.  Statuses: ``ok``, ``mismatch``, ``truncated``,
+    ``malformed``, and ``torn-tail`` (an op log's recoverable crashed
+    append — not an error).  An index file of another format version is
+    reported by version, and a directory (a retired shard manifest) with
+    the rebuild, neither ``ok``.  This is the backend of ``kreach-bench
+    verify``.
     """
     path = Path(path)
     report: dict = {
@@ -964,35 +1232,28 @@ def verify_file(path: str | os.PathLike) -> dict:
         "detail": "",
         "ok": False,
     }
-    if path.is_dir():  # a sharded-manifest directory
-        if (path / _SHARD_MANIFEST_NAME).exists():
-            _audit_sharded(path, report)
-        else:
-            report["detail"] = (
-                f"directory without a {_SHARD_MANIFEST_NAME}"
-            )
-            return report
+    if path.is_dir():
+        report["format"] = "directory"
+        report["detail"] = _retired_directory(path)
+        return report
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(8)
+    except OSError as exc:
+        report["detail"] = f"unreadable: {exc}"
+        return report
+    magic_version = _magic_version(magic)
+    if magic_version == _MMAP_FORMAT_VERSION:
+        _audit_mmap(path, report)
+    elif magic_version is not None:
+        report["format"] = f"v{magic_version} index file"
+        report["detail"] = f"{path} is {_other_version(magic_version)}"
+        return report
+    elif magic == _OPLOG_MAGIC:
+        _audit_oplog(path, report)
     else:
-        try:
-            with open(path, "rb") as fh:
-                magic = fh.read(8)
-        except OSError as exc:
-            report["detail"] = f"unreadable: {exc}"
-            return report
-        magic_version = _magic_version(magic)
-        if magic_version == _MMAP_FORMAT_VERSION:
-            _audit_mmap(path, report)
-        elif magic_version is not None:
-            report["format"] = f"v{magic_version} index file"
-            report["detail"] = f"{path} is {_other_version(magic_version)}"
-            return report
-        elif magic == _OPLOG_MAGIC:
-            _audit_oplog(path, report)
-        elif magic[:1] == b"{" and path.name == _SHARD_MANIFEST_NAME:
-            _audit_sharded(path.parent, report)
-        else:
-            report["detail"] = "not a k-reach index file or op log"
-            return report
+        report["detail"] = "not a k-reach index file or op log"
+        return report
     bad_statuses = {"mismatch", "truncated", "malformed"}
     report["ok"] = not report["detail"] and bool(report["sections"]) and not any(
         row["status"] in bad_statuses for row in report["sections"]
@@ -1000,376 +1261,3 @@ def verify_file(path: str | os.PathLike) -> dict:
     return report
 
 
-# ---------------------------------------------------------------------------
-# Sharded manifest (directory of per-shard index files + portal tables)
-# ---------------------------------------------------------------------------
-
-#: Sharded-manifest directory format: ``manifest.json`` + N per-shard
-#: index files + ``shard_of.npy`` and the two portal tables, each
-#: independently loadable and individually CRC32'd by the manifest.
-#: Version 2 dropped v1's derivable files (the boundary, the vertex
-#: maps, the boundary closure and the per-shard portal tables).
-_SHARD_FORMAT = "kreach-shards"
-_SHARD_FORMAT_VERSION = 2
-_SHARD_MANIFEST_NAME = "manifest.json"
-
-
-def _other_shard_version(version: int) -> str:
-    """Why a shard manifest of another format version is not opened."""
-    return (
-        f"a v{version} shard manifest; this reader opens only "
-        f"v{_SHARD_FORMAT_VERSION} — rebuild it with partition_kreach + "
-        "save_sharded"
-    )
-
-
-def _npy_payload(arr: np.ndarray) -> bytes:
-    """An array serialized in ``.npy`` v1 format, in memory (for CRCs)."""
-    buf = io.BytesIO()
-    np.lib.format.write_array(buf, np.ascontiguousarray(arr), version=(1, 0))
-    return buf.getvalue()
-
-
-def _file_crc32(path: Path) -> tuple[int, int]:
-    """Streamed ``(crc32, size)`` of an on-disk file."""
-    crc = 0
-    size = 0
-    with open(path, "rb") as fh:
-        while True:
-            chunk = fh.read(1 << 20)
-            if not chunk:
-                return crc, size
-            crc = zlib.crc32(chunk, crc)
-            size += len(chunk)
-
-
-def _manifest_digest(payload: dict) -> int:
-    """CRC32 of the manifest's canonical JSON, ``crc32`` field excluded."""
-    body = {key: value for key, value in payload.items() if key != "crc32"}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return zlib.crc32(canonical.encode("utf-8"))
-
-
-def shard_index_name(shard: int) -> str:
-    """File name of shard ``shard``'s index file inside a manifest dir."""
-    return f"shard-{shard:03d}.kr5"
-
-
-@dataclass
-class ShardManifest:
-    """A loaded sharded-manifest directory.
-
-    ``indexes[i]`` is shard ``i``'s :class:`KReachIndex` (each opened
-    zero-copy via :func:`load_mmap` from ``shard_paths[i]``).
-    ``shard_of`` (owning shard per vertex, ``-1`` for the boundary set)
-    and the ``(n, |B|)`` int32 portal tables ``entry`` and ``exit`` are
-    ``.npy``-memory-mapped; the boundary and the per-shard vertex maps
-    are derived from ``shard_of``.  Feed the whole object to
-    :meth:`repro.core.partition.ShardedKReach.from_manifest`.
-    """
-
-    directory: Path
-    k: int | None
-    n: int
-    num_shards: int
-    shard_of: np.ndarray
-    entry: np.ndarray
-    exit: np.ndarray
-    shard_paths: list[Path]
-    indexes: list[KReachIndex]
-    meta: dict = field(default_factory=dict)
-
-
-def save_sharded(sharded, directory: str | os.PathLike) -> Path:
-    """Persist a :class:`~repro.core.partition.ShardedKReach` to a directory.
-
-    Layout: one ``manifest.json`` (atomic-written, carrying a CRC32 of
-    its own canonical body plus per-file byte counts and CRC32s), N
-    ``shard-%03d.kr5`` index files — each independently
-    :func:`load_mmap`-able — and three ``.npy`` arrays: ``shard_of``,
-    ``entry`` and ``exit``.  Every file is written through the same
-    temp+fsync+rename discipline as :func:`save_mmap`, and the manifest
-    is written **last**, so a crash mid-save never leaves a manifest
-    naming files that do not match it.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    files: dict[str, dict] = {}
-
-    def put_npy(name: str, arr: np.ndarray) -> None:
-        payload = _npy_payload(arr)
-        _atomic_write(directory / name, lambda fh: fh.write(payload))
-        files[name] = {"bytes": len(payload), "crc32": zlib.crc32(payload)}
-
-    put_npy("shard_of.npy", np.asarray(sharded.shard_of, np.int64))
-    put_npy("entry.npy", np.asarray(sharded.entry, np.int32))
-    put_npy("exit.npy", np.asarray(sharded.exit, np.int32))
-    for i, shard in enumerate(sharded.shards):
-        index_name = shard_index_name(i)
-        save_mmap(shard.index, directory / index_name)
-        crc, size = _file_crc32(directory / index_name)
-        files[index_name] = {"bytes": size, "crc32": crc}
-
-    manifest = {
-        "format": _SHARD_FORMAT,
-        "format_version": _SHARD_FORMAT_VERSION,
-        "k": _K_UNBOUNDED if sharded.k is None else int(sharded.k),
-        "n": int(sharded.n),
-        "num_shards": int(sharded.num_shards),
-        "files": files,
-    }
-    manifest["crc32"] = _manifest_digest(manifest)
-    blob = json.dumps(manifest, indent=1, sort_keys=True).encode("utf-8")
-    _atomic_write(directory / _SHARD_MANIFEST_NAME, lambda fh: fh.write(blob))
-    return directory
-
-
-def _check_manifest(manifest: dict, manifest_path: Path) -> None:
-    """Refuse a manifest whose fields the loader cannot trust.
-
-    The CRC32 only shows that a writer signed these bytes, not that what
-    they say is usable.  ``n``, ``num_shards`` and ``k`` must be integers
-    in range (``k == -1`` is n-reach), and ``files`` must name exactly
-    ``shard_of.npy``, ``entry.npy``, ``exit.npy`` and the ``num_shards``
-    shard files, each as ``{"bytes": int, "crc32": int}``, so no file
-    escapes the size and checksum checks.  Raises
-    :class:`IndexCorruptionError` naming the field.
-    """
-
-    def bad(field: str, why: str) -> IndexCorruptionError:
-        return IndexCorruptionError(
-            f"malformed sharded manifest: {field} {why}",
-            path=manifest_path,
-            section=field,
-        )
-
-    def is_int(value) -> bool:
-        return isinstance(value, int) and not isinstance(value, bool)
-
-    for name, low in (("n", 0), ("num_shards", 1), ("k", _K_UNBOUNDED)):
-        value = manifest.get(name)
-        if not is_int(value) or value < low:
-            raise bad(name, f"must be an integer >= {low}, got {value!r}")
-    files = manifest.get("files")
-    if not isinstance(files, dict):
-        raise bad("files", f"must be a table of files, got {files!r}")
-    num_shards = manifest["num_shards"]
-    expected = {"shard_of.npy", "entry.npy", "exit.npy"}
-    if len(files) == len(expected) + num_shards:
-        expected.update(shard_index_name(i) for i in range(num_shards))
-    if set(files) != expected:
-        raise bad(
-            "files",
-            f"must name shard_of.npy, entry.npy, exit.npy and {num_shards} "
-            f"shard files, got {sorted(files)}",
-        )
-    for name, entry in files.items():
-        if not (
-            isinstance(entry, dict)
-            and is_int(entry.get("bytes"))
-            and is_int(entry.get("crc32"))
-            and entry["bytes"] >= 0
-            and 0 <= entry["crc32"] < 1 << 32
-        ):
-            raise bad(
-                f"files[{name!r}]",
-                f'must be {{"bytes": int, "crc32": int}}, got {entry!r}',
-            )
-
-
-def _read_manifest(directory: Path) -> dict:
-    manifest_path = directory / _SHARD_MANIFEST_NAME
-    try:
-        with open(manifest_path, "rb") as fh:
-            manifest = json.loads(fh.read().decode("utf-8"))
-    except OSError as exc:
-        raise IndexCorruptionError(
-            f"unreadable sharded manifest: {exc}", path=manifest_path
-        ) from exc
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise IndexCorruptionError(
-            f"malformed sharded manifest: {exc}", path=manifest_path
-        ) from exc
-    if not isinstance(manifest, dict) or manifest.get("format") != _SHARD_FORMAT:
-        raise IndexCorruptionError(
-            f"not a {_SHARD_FORMAT} manifest", path=manifest_path
-        )
-    version = manifest.get("format_version")
-    if version != _SHARD_FORMAT_VERSION:
-        raise IndexCorruptionError(
-            f"{directory} is {_other_shard_version(version)}"
-            if isinstance(version, int)
-            else f"unsupported manifest version {version!r}",
-            path=manifest_path,
-        )
-    if _manifest_digest(manifest) != manifest.get("crc32"):
-        raise IndexCorruptionError(
-            "manifest CRC32 mismatch", path=manifest_path, section="manifest"
-        )
-    _check_manifest(manifest, manifest_path)
-    return manifest
-
-
-def _load_npy(
-    directory: Path, name: str, dtype: type, shape: tuple[int, ...]
-) -> np.ndarray:
-    """Memory-map one manifest array, refusing a wrong dtype or shape."""
-    path = directory / name
-    try:
-        arr = np.load(path, mmap_mode="r")
-    except (OSError, ValueError) as exc:
-        raise IndexCorruptionError(
-            f"unreadable array file: {exc}", path=path, section=name
-        ) from exc
-    if arr.dtype != dtype or arr.shape != shape:
-        raise IndexCorruptionError(
-            f"{name} holds {arr.dtype} {arr.shape}, expected "
-            f"{np.dtype(dtype)} {shape}",
-            path=path,
-            section=name,
-        )
-    return arr
-
-
-def load_sharded(
-    directory: str | os.PathLike,
-    *,
-    mode: str = "r",
-    verify: bool = False,
-) -> ShardManifest:
-    """Open a :func:`save_sharded` directory; every shard zero-copy.
-
-    ``verify=True`` additionally CRC32-checks every listed file against
-    the manifest (O(bytes) — opt in; the default only validates the
-    manifest's own checksum and each file's presence and size).  A
-    missing, resized, or corrupt file raises
-    :class:`IndexCorruptionError` naming it, as does anything the
-    routing would trip over: a ``shard_of`` entry outside
-    ``[-1, num_shards)``, portal tables of the wrong dtype or shape, or
-    a shard file whose vertex count disagrees with its derived vertex
-    map.  A v1 manifest is refused by version.
-    """
-    directory = Path(directory)
-    manifest = _read_manifest(directory)
-    for name, entry in manifest["files"].items():
-        path = directory / name
-        try:
-            size = path.stat().st_size
-        except OSError as exc:
-            raise IndexCorruptionError(
-                f"missing shard file: {exc}", path=path
-            ) from exc
-        if size != entry["bytes"]:
-            raise IndexCorruptionError(
-                f"size mismatch: manifest says {entry['bytes']} B, "
-                f"found {size} B",
-                path=path,
-                section=name,
-            )
-        if verify:
-            crc, _ = _file_crc32(path)
-            if crc != entry["crc32"]:
-                raise IndexCorruptionError(
-                    "file CRC32 mismatch", path=path, section=name
-                )
-
-    n = manifest["n"]
-    num_shards = manifest["num_shards"]
-    shard_of = _load_npy(directory, "shard_of.npy", np.int64, (n,))
-    if n and (int(shard_of.min()) < -1 or int(shard_of.max()) >= num_shards):
-        raise IndexCorruptionError(
-            f"shard_of.npy holds shard ids outside [-1, {num_shards})",
-            path=directory / "shard_of.npy",
-            section="shard_of.npy",
-        )
-    boundary_size = int(np.count_nonzero(shard_of < 0))
-    table_shape = (n, boundary_size)
-    entry_table = _load_npy(directory, "entry.npy", np.int32, table_shape)
-    exit_table = _load_npy(directory, "exit.npy", np.int32, table_shape)
-    shard_paths = [directory / shard_index_name(i) for i in range(num_shards)]
-    indexes = [load_mmap(path, mode=mode) for path in shard_paths]
-    for i, (path, index) in enumerate(zip(shard_paths, indexes)):
-        size = len(_vertex_map(shard_of, i))
-        if index.graph.n != size:
-            raise IndexCorruptionError(
-                f"{path.name} holds {index.graph.n} vertices, but shard_of.npy "
-                f"maps {size} to its shard",
-                path=path,
-                section=path.name,
-            )
-    stored_k = manifest["k"]
-    return ShardManifest(
-        directory=directory,
-        k=None if stored_k == _K_UNBOUNDED else stored_k,
-        n=n,
-        num_shards=num_shards,
-        shard_of=shard_of,
-        entry=entry_table,
-        exit=exit_table,
-        shard_paths=shard_paths,
-        indexes=indexes,
-        meta=manifest,
-    )
-
-
-def _audit_sharded(directory: Path, report: dict) -> None:
-    """Per-file CRC audit of a sharded manifest directory."""
-    report["format"] = f"{_SHARD_FORMAT}(v{_SHARD_FORMAT_VERSION})"
-    manifest_path = directory / _SHARD_MANIFEST_NAME
-    try:
-        with open(manifest_path, "rb") as fh:
-            blob = fh.read()
-        manifest = json.loads(blob.decode("utf-8"))
-        stored = int(manifest.get("crc32", -1))
-        computed = _manifest_digest(manifest)
-        version = manifest.get("format_version")
-        wrong_shape = manifest.get("format") != _SHARD_FORMAT or not isinstance(
-            version, int
-        )
-    except OSError as exc:
-        report["detail"] = f"unreadable manifest: {exc}"
-        return
-    except (ValueError, UnicodeDecodeError, TypeError, AttributeError):
-        wrong_shape = True
-    if wrong_shape:
-        report["sections"].append(
-            {"name": "manifest.json", "bytes": len(blob), "status": "malformed"}
-        )
-        return
-    if version != _SHARD_FORMAT_VERSION:
-        report["format"] = f"{_SHARD_FORMAT}(v{version})"
-        report["detail"] = f"{directory} is {_other_shard_version(version)}"
-        return
-    report["sections"].append(
-        {
-            "name": "manifest.json",
-            "bytes": len(blob),
-            "stored": stored,
-            "computed": computed,
-            "status": "ok" if stored == computed else "mismatch",
-        }
-    )
-    try:
-        _check_manifest(manifest, manifest_path)
-    except IndexCorruptionError as exc:
-        report["detail"] = str(exc)
-        return
-    for name, entry in manifest["files"].items():
-        path = directory / name
-        row = {"name": name, "bytes": entry["bytes"]}
-        try:
-            size = path.stat().st_size
-        except OSError:
-            row["status"] = "truncated"  # listed in the manifest, not on disk
-            report["sections"].append(row)
-            continue
-        if size != entry["bytes"]:
-            row["bytes"] = size
-            row["status"] = "truncated"
-            report["sections"].append(row)
-            continue
-        crc, _ = _file_crc32(path)
-        row["stored"] = entry["crc32"]
-        row["computed"] = crc
-        row["status"] = "ok" if crc == entry["crc32"] else "mismatch"
-        report["sections"].append(row)

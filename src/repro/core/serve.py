@@ -194,6 +194,7 @@ def _resolve_deadline(
 
 def _worker_main(
     path,
+    shard,
     worker_id,
     generation,
     slots,
@@ -230,7 +231,7 @@ def _worker_main(
         result_w.send((kind, worker_id, generation, detail))
 
     try:
-        index = load_mmap(path)
+        index = load_mmap(path, shard=shard)
         if prepare:
             index.prepare_batch()
     except BaseException:
@@ -602,6 +603,10 @@ class QueryServer(_TicketServer):
         A file written by :func:`~repro.core.serialize.save_mmap`.  Each
         worker (and the parent, for the case pre-split) opens it
         zero-copy; the kernel shares the clean pages between them.
+    shard:
+        The shard to serve when ``path`` is a
+        :func:`~repro.core.serialize.save_sharded` file (see
+        ``load_mmap(path, shard=i)``); ``None`` for a plain index file.
     workers:
         Pool size.  Throughput scales with cores until the memory bus
         saturates; 1 is a valid (supervised, out-of-process) deployment.
@@ -650,6 +655,7 @@ class QueryServer(_TicketServer):
         self,
         path,
         *,
+        shard: int | None = None,
         workers: int = 2,
         slot_pairs: int = DEFAULT_SLOT_PAIRS,
         prepare: bool = True,
@@ -666,9 +672,10 @@ class QueryServer(_TicketServer):
         from repro.core.serialize import load_mmap
 
         self._path = os.fspath(path)
+        self._shard = shard
         # The parent's own O(header) view: cover flags for the case
         # pre-split and input validation.  It never runs a kernel.
-        self._index = load_mmap(self._path)
+        self._index = load_mmap(self._path, shard=shard)
         self._n = self._index.graph.n
         self._prepare = bool(prepare)
         self._ctx = mp.get_context(_START_METHOD)
@@ -719,6 +726,7 @@ class QueryServer(_TicketServer):
             target=_worker_main,
             args=(
                 self._path,
+                self._shard,
                 w.id,
                 w.generation,
                 _SLOTS_PER_WORKER,
@@ -1163,6 +1171,9 @@ class ThreadQueryServer(_TicketServer):
     ----------
     path:
         A file written by :func:`~repro.core.serialize.save_mmap`.
+    shard:
+        As for :class:`QueryServer`: the shard of a sharded file to
+        serve, ``None`` for a plain index file.
     workers:
         Thread-pool size.
     slot_pairs:
@@ -1192,6 +1203,7 @@ class ThreadQueryServer(_TicketServer):
         self,
         path,
         *,
+        shard: int | None = None,
         workers: int = 2,
         slot_pairs: int = DEFAULT_SLOT_PAIRS,
         prepare: bool = True,
@@ -1205,7 +1217,7 @@ class ThreadQueryServer(_TicketServer):
         self.kernel_threads = native.pin_kernel_threads(
             native.thread_budget(workers)
         )
-        self._index = load_mmap(path)
+        self._index = load_mmap(path, shard=shard)
         self._n = self._index.graph.n
         self._prep_lock = threading.Lock()
         self._prepared = False

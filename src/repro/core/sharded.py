@@ -1,10 +1,11 @@
-"""Scatter-gather serving over a sharded manifest.
+"""Scatter-gather serving over a sharded index file.
 
 :class:`ShardedQueryServer` is the multi-shard sibling of
 :class:`~repro.core.serve.QueryServer`: it opens a
-:func:`~repro.core.serialize.save_sharded` directory, runs one worker
-pool per shard (process pools by default, thread pools on the native
-tier), and keeps the single-server contract intact — it runs on the
+:func:`~repro.core.serialize.save_sharded` file, runs one worker pool
+per shard, each opening its own shard's sections of that file (process
+pools by default, thread pools on the native tier), and keeps the
+single-server contract intact — it runs on the
 same ticket core as the pools (``submit``/``collect`` tickets,
 ``timeout=``/``deadline=`` bounds, verdicts reassembled in input order,
 one ``stats()`` schema), and its answers are **bit-identical** to the
@@ -30,7 +31,6 @@ import os
 
 import numpy as np
 
-from repro.core.partition import ShardedKReach
 from repro.core.serialize import load_sharded
 from repro.core.serve import (
     QueryServer,
@@ -55,8 +55,9 @@ class ShardedQueryServer(_TicketServer):
 
     Parameters
     ----------
-    manifest_dir:
-        A directory written by :func:`~repro.core.serialize.save_sharded`.
+    path:
+        A file written by :func:`~repro.core.serialize.save_sharded`;
+        shard ``i``'s pool serves ``load_mmap(path, shard=i)``.
     workers:
         Pool size **per shard** — total parallelism is
         ``num_shards x workers``.
@@ -67,7 +68,7 @@ class ShardedQueryServer(_TicketServer):
         the compiled-kernel tier, or when shards are the only
         parallelism wanted).
     verify:
-        Check every manifest file's CRC32 before serving.
+        Check every section's CRC32 before serving.
     server_kwargs:
         Extra keyword arguments forwarded to every pool constructor
         (e.g. ``slot_pairs=`` for either backend, ``hang_timeout=`` or
@@ -76,7 +77,7 @@ class ShardedQueryServer(_TicketServer):
 
     def __init__(
         self,
-        manifest_dir: str | os.PathLike,
+        path: str | os.PathLike,
         *,
         workers: int = 1,
         backend: str = "process",
@@ -87,10 +88,9 @@ class ShardedQueryServer(_TicketServer):
             raise ValueError(
                 f"backend must be 'process' or 'thread', got {backend!r}"
             )
-        manifest = load_sharded(manifest_dir, verify=verify)
+        sharded = load_sharded(path, verify=verify)
         kwargs = dict(server_kwargs or {})
         kwargs.setdefault("workers", workers)
-        sharded = ShardedKReach.from_manifest(manifest)
         super().__init__(kwargs["workers"] * sharded.num_shards)
         self._index = sharded
         self._n = sharded.n
@@ -100,8 +100,8 @@ class ShardedQueryServer(_TicketServer):
         cls = QueryServer if backend == "process" else ThreadQueryServer
         self.servers: list = []
         try:
-            for path in manifest.shard_paths:
-                self.servers.append(cls(path, **kwargs))
+            for i in range(sharded.num_shards):
+                self.servers.append(cls(path, shard=i, **kwargs))
         except BaseException:
             self.close()
             raise

@@ -12,7 +12,8 @@ Sites (see :data:`SITES` for the authoritative list):
 
 ``serialize.v4_write_mid``
     Fires halfway through the section payload of a
-    :func:`~repro.core.serialize.save_mmap` write, after the bytes so
+    :func:`~repro.core.serialize.save_mmap` or
+    :func:`~repro.core.serialize.save_sharded` write, after the bytes so
     far are flushed.  With mode ``exit`` this leaves a torn temp file on
     disk and kills the process — the atomic-rename save must leave the
     previous snapshot untouched.
@@ -101,7 +102,7 @@ __all__ = [
 #: Registered injection sites — arming an unknown name is an error so a
 #: typo in KREACH_FAULTS fails loudly instead of silently never firing.
 SITES = {
-    "serialize.v4_write_mid": "mid-payload of a save_mmap section write",
+    "serialize.v4_write_mid": "mid-payload of a v6 file's section write",
     "serialize.v3_log_tail": "after a partial OpLog record hit the file",
     "serve.worker_hang": "query-server worker, before computing a shard",
     "serve.worker_exit": "query-server worker, before computing a shard",

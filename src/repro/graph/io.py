@@ -1,17 +1,14 @@
-"""Graph serialization.
+"""Graph serialization as edge-list text.
 
-Two formats:
-
-* **Edge-list text** (`.txt` / `.el`, optionally gzipped): one ``u v``
-  pair per line, ``#``/``%`` comments allowed — the interchange format
-  the original datasets ship in.  Parsing is vectorized through the same
-  :func:`~repro.graph.ingest.parse_edge_block` helper the streamed
-  ingester uses; this eager reader stays as the small-graph differential
-  baseline for :func:`~repro.graph.ingest.ingest_edge_list`.
-* **NPZ binary** (`.npz`): the CSR arrays verbatim, loading in O(1) parses.
-
-Both round-trip exactly (up to edge dedup, which :class:`DiGraph` always
-performs).
+Edge-list text (`.txt` / `.el`, optionally gzipped): one ``u v`` pair
+per line, ``#``/``%`` comments allowed — the interchange format the
+original datasets ship in.  Parsing is vectorized through the same
+:func:`~repro.graph.ingest.parse_edge_block` helper the streamed
+ingester uses; this eager reader stays as the small-graph differential
+baseline for :func:`~repro.graph.ingest.ingest_edge_list`.  A write
+followed by a read round-trips exactly (up to edge dedup, which
+:class:`DiGraph` always performs).  A graph travels in binary form
+inside its index's v6 file (:func:`~repro.core.serialize.save_mmap`).
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ import numpy as np
 from repro.graph.digraph import DiGraph
 from repro.graph.ingest import open_edge_stream, parse_edge_block
 
-__all__ = ["write_edge_list", "read_edge_list", "save_npz", "load_npz"]
+__all__ = ["write_edge_list", "read_edge_list"]
 
 
 def write_edge_list(g: DiGraph, path: str | os.PathLike, *, header: bool = True) -> None:
@@ -54,34 +51,3 @@ def read_edge_list(path: str | os.PathLike, *, n: int | None = None) -> DiGraph:
         return DiGraph(n if n is not None else 0)
     size = n if n is not None else int(max(u.max(), v.max())) + 1
     return DiGraph(size, np.column_stack([u, v]))
-
-
-def save_npz(g: DiGraph, path: str | os.PathLike) -> None:
-    """Save the CSR arrays as a compressed ``.npz`` archive."""
-    np.savez_compressed(
-        Path(path),
-        n=np.int64(g.n),
-        out_indptr=g.out_indptr,
-        out_indices=g.out_indices,
-        in_indptr=g.in_indptr,
-        in_indices=g.in_indices,
-    )
-
-
-def load_npz(path: str | os.PathLike) -> DiGraph:
-    """Load a graph previously written by :func:`save_npz`.
-
-    Reassembled through :meth:`DiGraph.from_csr
-    <repro.graph.digraph.DiGraph.from_csr>`, which validates the CSR
-    invariants instead of trusting the file blindly.
-    """
-    with np.load(Path(path)) as data:
-        g = DiGraph.from_csr(
-            data["out_indptr"],
-            data["out_indices"],
-            in_indptr=data["in_indptr"],
-            in_indices=data["in_indices"],
-        )
-        if g.n != int(data["n"]):
-            raise ValueError("stored vertex count disagrees with the CSR arrays")
-    return g

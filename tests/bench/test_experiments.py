@@ -242,7 +242,7 @@ def test_run_shard_smoke():
     assert all(row["agree"] == "yes" for row in table.rows)
     for row in table.rows[:-1]:
         assert row["|B|"] >= 0 and 0 <= row["cross"] <= row["pairs"]
-        assert float(row["mani MB"]) > 0 and row["part ms"] > 0
+        assert float(row["file MB"]) > 0 and row["part ms"] > 0
 
 
 def test_run_ingest_smoke():

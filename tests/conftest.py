@@ -162,6 +162,13 @@ def gated_twin(index: KReachIndex, path: str) -> KReachIndex:
     )
 
 
+def header_of(path) -> dict:
+    """The JSON header of a v6 index file."""
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:16], "little")
+    return json.loads(raw[_MMAP_PROLOGUE : _MMAP_PROLOGUE + hlen])
+
+
 def tampered_header(path, out_path, mutate):
     """Rewrite an index file with its JSON header replaced by
     ``mutate(header)``, which may edit the header in place and return
@@ -204,3 +211,26 @@ def tampered_section(path, out_path, name, transform):
     raw[start:stop] = np.ascontiguousarray(transform(arr), dtype=dtype).tobytes()
     out_path.write_bytes(bytes(raw))
     return out_path
+
+
+def resigned_section(path, out_path, name, transform):
+    """Rewrite an index file with section ``name`` starting with
+    ``transform(array)`` (at most its stored count), and its count and
+    CRC32 re-signed to match, so only the checks past the checksums can
+    tell the file is wrong."""
+    data = []
+
+    def replace(arr):
+        data.append(np.ascontiguousarray(transform(arr), dtype=arr.dtype).reshape(-1))
+        assert data[0].size <= arr.size
+        return np.concatenate([data[0], arr[data[0].size :]])
+
+    out = tampered_section(path, out_path, name, replace)
+
+    def mutate(header):
+        header["sections"][name].update(
+            count=int(data[0].size), crc32=zlib.crc32(data[0].tobytes())
+        )
+        return header
+
+    return tampered_header(out, out, mutate)

@@ -197,7 +197,7 @@ class TestOpLog:
             log.append(0, 1, 2)
             log.append(1, 3, 4)
             log.extend([(0, 5, 6)])
-            assert log.op_count == 3
+            assert len(log) == 3
         assert read_oplog(path).tolist() == [[0, 1, 2], [1, 3, 4], [0, 5, 6]]
 
     def test_empty_log(self, tmp_path):
@@ -228,7 +228,7 @@ class TestOpLog:
             fh.write(b"\xff" * 10)  # torn tail from a crash
         with OpLog(path, fsync=False) as log:
             assert log.recovered_bytes == 10
-            assert log.op_count == 1
+            assert len(log) == 1
             log.append(1, 7, 8)
         assert read_oplog(path).tolist() == [[0, 1, 2], [1, 7, 8]]
 

@@ -65,13 +65,13 @@ def test_in_process_answerers_refuse_removed_names(graph, answerer):
 def test_servers_front_door_and_cli_take_no_engine(graph, tmp_path):
     path = tmp_path / "index.kr6"
     save_mmap(KReachIndex(graph, 3), path)
-    manifest = tmp_path / "shards"
-    save_sharded(partition_kreach(graph, 3, 2), manifest)
+    shards = tmp_path / "shards.kr6"
+    save_sharded(partition_kreach(graph, 3, 2), shards)
     # Keyword binding fails before any worker starts.
     for cls, target in (
         (QueryServer, path),
         (ThreadQueryServer, path),
-        (ShardedQueryServer, manifest),
+        (ShardedQueryServer, shards),
     ):
         with pytest.raises(TypeError, match="engine"):
             cls(target, engine="auto")
@@ -80,7 +80,7 @@ def test_servers_front_door_and_cli_take_no_engine(graph, tmp_path):
             server.query_batch([(0, 1)], engine="auto")
         with pytest.raises(TypeError, match="engine"):
             FrontDoor(server, engine="auto")
-    with ShardedQueryServer(manifest, backend="thread") as sharded:
+    with ShardedQueryServer(shards, backend="thread") as sharded:
         with pytest.raises(TypeError, match="engine"):
             sharded.submit([(0, 1)], engine="auto")
     with pytest.raises(SystemExit):

@@ -6,37 +6,40 @@ global index (and to the BFS oracle) for every shard count, hop budget,
 and engine — including hub-stress graphs where the interesting pairs
 all cross shards — plus the structural invariants that make the claim
 hold (boundary separation, boundary ⊆ cover), the portal tables, and
-the manifest round-trip.
+the sharded file's round trip and integrity checks.
 """
 
 import json
-import shutil
-import zlib
 from collections import deque
 
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.baselines import BfsIndex
 from repro.core.index_graph import IndexGraph
 from repro.core.kreach import KReachIndex, level_specs
-from repro.core.partition import (
-    ShardedKReach,
-    default_hub_count,
-    partition_kreach,
-)
+from repro.core.partition import default_hub_count, partition_kreach
 from repro.core.serialize import (
     IndexCorruptionError,
-    _manifest_digest,
+    load_mmap,
     load_sharded,
+    save_mmap,
     save_sharded,
     verify_file,
 )
+from repro.core.sharded import ShardedQueryServer
 from repro.core.vertex_cover import vertex_cover_2approx
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import gnp_digraph
 from repro.graph.scc import condensation
 from repro.workloads import random_pairs
+from tests.conftest import (
+    header_of,
+    resigned_section,
+    tampered_header,
+    tampered_section,
+)
 
 
 @pytest.fixture(scope="module")
@@ -86,65 +89,58 @@ def bfs_levels(adjacency, source):
     return dist
 
 
-def resign(directory, name, arr):
-    """Replace one manifest array and re-sign the manifest around it, so
-    only the load-time routing checks can tell the file is wrong."""
-    np.save(directory / name, arr)
-    path = directory / "manifest.json"
-    manifest = json.loads(path.read_text())
-    blob = (directory / name).read_bytes()
-    manifest["files"][name] = {"bytes": len(blob), "crc32": zlib.crc32(blob)}
-    manifest["crc32"] = _manifest_digest(manifest)
-    path.write_text(json.dumps(manifest))
-
-
-def forge_manifest(directory, forge):
-    """Apply ``forge`` to the manifest and re-sign it, so only the schema
-    check can tell the manifest is wrong."""
-    path = directory / "manifest.json"
-    manifest = json.loads(path.read_text())
-    forge(manifest)
-    manifest["crc32"] = _manifest_digest(manifest)
-    path.write_text(json.dumps(manifest))
-
-
-#: Forged manifest fields -> (forgery, the field the refusal names).
+#: Re-signed header forgeries of a sharded file -> (forgery, the header
+#: field or section the refusal names).  The ids are the fields of the
+#: retired manifest directory; each forgery moves to the header field or
+#: section-table entry that took its place (``num_shards`` is the length
+#: of ``shards``, and ``files`` the section table).
 FORGED_MANIFESTS = {
-    "n-dropped": (lambda m: m.pop("n"), "n"),
-    "n-string": (lambda m: m.update(n="x"), "n"),
-    "n-negative": (lambda m: m.update(n=-1), "n"),
-    "n-bool": (lambda m: m.update(n=True), "n"),
-    "k-string": (lambda m: m.update(k="x"), "k"),
-    "k-below-unbounded": (lambda m: m.update(k=-2), "k"),
-    "num_shards-zero": (lambda m: m.update(num_shards=0), "num_shards"),
-    "num_shards-huge": (lambda m: m.update(num_shards=10**12), "files"),
-    "files-list": (lambda m: m.update(files=[]), "files"),
-    "exit-unlisted": (lambda m: m["files"].pop("exit.npy"), "files"),
-    "shard-unlisted": (lambda m: m["files"].pop("shard-001.kr5"), "files"),
+    "n-dropped": (lambda h: h.pop("n"), "n"),
+    "n-string": (lambda h: h.update(n="x"), "n"),
+    "n-negative": (lambda h: h.update(n=-1), "n"),
+    "n-bool": (lambda h: h.update(n=True), "n"),
+    "k-string": (lambda h: h.update(k="x"), "k"),
+    "k-below-unbounded": (lambda h: h.update(k=-2), "k"),
+    "num_shards-zero": (lambda h: h.update(shards=[]), "shards"),
+    "num_shards-huge": (
+        lambda h: h["shards"].extend(h["shards"] * 500),
+        "s2/graph_out_indptr",
+    ),
+    "files-list": (lambda h: h.update(sections=[]), "sections"),
+    "exit-unlisted": (lambda h: h["sections"].pop("exit"), "exit"),
+    "shard-unlisted": (lambda h: h["sections"].pop("s1/cover_ids"), "s1/cover_ids"),
     "extra-file": (
-        lambda m: m["files"].update({"extra.npy": {"bytes": 0, "crc32": 0}}),
-        "files",
+        lambda h: h["sections"].update(extra=dict(h["sections"]["exit"])),
+        "extra",
     ),
-    "bytes-string": (
-        lambda m: m["files"]["entry.npy"].update(bytes="x"),
-        "files['entry.npy']",
-    ),
-    "crc32-dropped": (
-        lambda m: m["files"]["shard_of.npy"].pop("crc32"),
-        "files['shard_of.npy']",
-    ),
+    "bytes-string": (lambda h: h["sections"]["entry"].update(count="x"), "entry"),
+    "crc32-dropped": (lambda h: h["sections"]["shard_of"].pop("crc32"), "shard_of"),
     "entry-not-a-table": (
-        lambda m: m["files"].update({"shard-000.kr5": 7}),
-        "files['shard-000.kr5']",
+        lambda h: h["sections"].update({"s0/cover_ids": 7}),
+        "s0/cover_ids",
     ),
 }
 
 
 @pytest.fixture(scope="module")
 def signed_shards(graph, tmp_path_factory):
-    """A clean 2-shard manifest directory, copied before each forgery."""
-    directory = tmp_path_factory.mktemp("signed") / "m"
-    save_sharded(partition_kreach(graph, 6, 2), directory)
+    """A clean 2-shard file, copied by each forgery."""
+    path = tmp_path_factory.mktemp("signed") / "shards.kr6"
+    save_sharded(partition_kreach(graph, 6, 2), path)
+    return path
+
+
+def manifest_directory(sharded, directory, version=2):
+    """A sharded index laid out as the retired shard-manifest directory:
+    ``manifest.json``, the routing arrays as ``.npy`` files and one v6
+    file per shard."""
+    directory.mkdir()
+    manifest = {"format": "kreach-shards", "format_version": version}
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    for name in ("shard_of", "entry", "exit"):
+        np.save(directory / f"{name}.npy", getattr(sharded, name))
+    for i, shard in enumerate(sharded.shards):
+        save_mmap(shard.index, directory / f"shard-{i:03d}.kr5")
     return directory
 
 
@@ -321,14 +317,15 @@ class TestInvariants:
 
 
 class TestManifest:
+    """The sharded file: one v6 file whose header and section table are
+    the manifest of the routing arrays and of every shard's sections."""
+
     @pytest.mark.parametrize("k", [6, None])
     def test_roundtrip_bit_identical(self, tmp_path, graph, pairs, k):
         sharded = partition_kreach(graph, k, 2)
-        directory = tmp_path / f"m{k}"
-        save_sharded(sharded, directory)
-        loaded = ShardedKReach.from_manifest(
-            load_sharded(directory, verify=True)
-        )
+        path = tmp_path / f"m{k}.kr6"
+        assert save_sharded(sharded, path) == path
+        loaded = load_sharded(path, verify=True)
         assert np.array_equal(
             loaded.query_batch(pairs), sharded.query_batch(pairs)
         )
@@ -338,127 +335,225 @@ class TestManifest:
         assert np.array_equal(loaded.entry, sharded.entry)
         for got, want in zip(loaded.shards, sharded.shards):
             assert np.array_equal(got.vertex_map, want.vertex_map)
+            assert not got.index.index_graph.cover_ids.flags.writeable
 
     def test_writes_only_underivable_files(self, tmp_path, graph):
-        directory = tmp_path / "m"
-        save_sharded(partition_kreach(graph, 6, 3), directory)
-        assert sorted(p.name for p in directory.iterdir()) == [
-            "entry.npy",
-            "exit.npy",
-            "manifest.json",
-            "shard-000.kr5",
-            "shard-001.kr5",
-            "shard-002.kr5",
-            "shard_of.npy",
+        """The section table names the routing arrays and each shard's
+        index sections, nothing derivable (boundary, vertex maps)."""
+        path = tmp_path / "m.kr6"
+        sharded = partition_kreach(graph, 6, 3)
+        save_sharded(sharded, path)
+        header = header_of(path)
+        shard_sections = [
+            "graph_out_indptr", "graph_out_indices", "graph_in_indptr",
+            "graph_in_indices", "cover_ids", "level_planes",
+        ]
+        assert list(header["sections"]) == ["shard_of", "entry", "exit"] + [
+            f"s{i}/{name}" for i in range(3) for name in shard_sections
+        ]
+        assert header["kind"] == "kreach-shards"
+        assert (header["k"], header["n"]) == (6, graph.n)
+        assert [
+            sorted(fields) for fields in header["shards"]
+        ] == [["layout", "n", "weight_base", "weight_bits"]] * 3
+        assert [fields["n"] for fields in header["shards"]] == [
+            shard.n for shard in sharded.shards
         ]
 
     def test_verify_file_clean_and_corrupt(self, tmp_path, graph):
-        directory = tmp_path / "m"
-        save_sharded(partition_kreach(graph, 6, 2), directory)
-        report = verify_file(directory)
+        path = tmp_path / "m.kr6"
+        save_sharded(partition_kreach(graph, 6, 2), path)
+        report = verify_file(path)
         assert report["ok"], report
-        assert any(r["name"] == "manifest.json" for r in report["sections"])
-        # Also accepts the manifest path itself.
-        assert verify_file(directory / "manifest.json")["ok"]
-        # Flip one byte mid-shard-file: the audit must name the file.
-        victim = directory / "shard-001.kr5"
-        blob = bytearray(victim.read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
-        victim.write_bytes(bytes(blob))
-        report = verify_file(directory)
-        assert not report["ok"]
-        assert any(
-            r["status"] == "mismatch" and r["name"] == "shard-001.kr5"
-            for r in report["sections"]
+        names = [row["name"] for row in report["sections"]]
+        assert names[:4] == ["<header>", "shard_of", "entry", "exit"]
+        assert "s1/cover_ids" in names
+        # Flip the bits of shard 1's first edge target: the audit must
+        # name that section and no other.
+        bad = tampered_section(
+            path, tmp_path / "bad.kr6", "s1/graph_out_indices",
+            lambda arr: np.concatenate([arr[:1] ^ 0xFF, arr[1:]]),
         )
+        report = verify_file(bad)
+        assert not report["ok"]
+        assert [
+            row["name"] for row in report["sections"] if row["status"] != "ok"
+        ] == ["s1/graph_out_indices"]
 
     def test_load_rejects_missing_and_resized(self, tmp_path, graph):
-        directory = tmp_path / "m"
-        save_sharded(partition_kreach(graph, 6, 2), directory)
-        victim = directory / "entry.npy"
-        original = victim.read_bytes()
-        victim.unlink()
-        with pytest.raises(IndexCorruptionError, match="missing"):
-            load_sharded(directory)
-        victim.write_bytes(original + b"\x00")
-        with pytest.raises(IndexCorruptionError, match="size mismatch"):
-            load_sharded(directory)
+        """A truncated file and a grown one are both refused at open."""
+        path = tmp_path / "m.kr6"
+        save_sharded(partition_kreach(graph, 6, 2), path)
+        raw = path.read_bytes()
+        short = tmp_path / "short.kr6"
+        short.write_bytes(raw[:-8])
+        with pytest.raises(IndexCorruptionError, match="truncated"):
+            load_sharded(short)
+        grown = tmp_path / "grown.kr6"
+        grown.write_bytes(raw + b"\x00")
+        with pytest.raises(IndexCorruptionError, match="runs on to byte") as info:
+            load_sharded(grown)
+        assert info.value.section == header_of(path)["sections"].popitem()[0]
+        for bad in (short, grown):
+            assert not verify_file(bad)["ok"]
 
     def test_load_rejects_manifest_tamper(self, tmp_path, graph):
-        directory = tmp_path / "m"
-        save_sharded(partition_kreach(graph, 6, 2), directory)
-        manifest = directory / "manifest.json"
-        text = manifest.read_text().replace('"n": 90', '"n": 91')
-        manifest.write_text(text)
-        with pytest.raises(IndexCorruptionError, match="CRC32"):
-            load_sharded(directory)
+        """An edit to the header without re-signing fails its CRC32."""
+        path = tmp_path / "m.kr6"
+        save_sharded(partition_kreach(graph, 6, 2), path)
+        raw = path.read_bytes()
+        assert raw.count(b'"n":90') == 1
+        path.write_bytes(raw.replace(b'"n":90', b'"n":91'))
+        with pytest.raises(IndexCorruptionError, match="header checksum"):
+            load_sharded(path)
 
     def test_load_rejects_out_of_range_shard_id(self, tmp_path, graph):
-        """A same-size byte flip in shard_of.npy must not reach routing."""
-        directory = tmp_path / "m"
-        save_sharded(partition_kreach(graph, 6, 2), directory)
-        victim = directory / "shard_of.npy"
-        size = victim.stat().st_size
-        shard_of = np.load(victim)
-        shard_of[int(np.flatnonzero(shard_of >= 0)[0])] = 7
-        np.save(victim, shard_of)
-        assert victim.stat().st_size == size
-        with pytest.raises(IndexCorruptionError, match="shard_of.npy") as info:
-            load_sharded(directory)
-        assert info.value.path == str(victim)
+        """A same-size byte flip in shard_of must not reach routing."""
+        path = tmp_path / "m.kr6"
+        sharded = partition_kreach(graph, 6, 2)
+        save_sharded(sharded, path)
+        first = int(np.flatnonzero(sharded.shard_of >= 0)[0])
+
+        def flip(shard_of):
+            shard_of[first] = 7
+            return shard_of
+
+        bad = tampered_section(path, tmp_path / "bad.kr6", "shard_of", flip)
+        with pytest.raises(IndexCorruptionError, match="'shard_of'") as info:
+            load_sharded(bad)
+        assert info.value.path == str(bad)
+        assert info.value.section == "shard_of"
 
     def test_load_rejects_wrong_shape_table(self, tmp_path, graph):
-        directory = tmp_path / "m"
-        save_sharded(partition_kreach(graph, 6, 2), directory)
-        table = np.load(directory / "exit.npy")
-        resign(directory, "exit.npy", table[:, :-1])
-        with pytest.raises(IndexCorruptionError, match="exit.npy") as info:
-            load_sharded(directory, verify=True)
-        assert info.value.section == "exit.npy"
-        resign(directory, "exit.npy", table.astype(np.int64))
-        with pytest.raises(IndexCorruptionError, match="exit.npy"):
-            load_sharded(directory, verify=True)
+        path = tmp_path / "m.kr6"
+        sharded = partition_kreach(graph, 6, 2)
+        save_sharded(sharded, path)
+        narrow = resigned_section(
+            path, tmp_path / "narrow.kr6", "exit", lambda arr: sharded.exit[:, :-1]
+        )
+        with pytest.raises(IndexCorruptionError, match="'exit'") as info:
+            load_sharded(narrow, verify=True)
+        assert info.value.section == "exit"
+
+        def widen(header):
+            header["sections"]["exit"]["dtype"] = "<i8"
+            return header
+
+        wide = tampered_header(path, tmp_path / "wide.kr6", widen)
+        with pytest.raises(IndexCorruptionError, match="'exit'"):
+            load_sharded(wide, verify=True)
 
     def test_load_rejects_vertex_map_disagreeing_with_shard(self, tmp_path, graph):
-        directory = tmp_path / "m"
-        save_sharded(partition_kreach(graph, 6, 2), directory)
-        shard_of = np.load(directory / "shard_of.npy")
+        path = tmp_path / "m.kr6"
+        sharded = partition_kreach(graph, 6, 2)
+        save_sharded(sharded, path)
+        shard_of = sharded.shard_of.copy()
         shard_of[int(np.flatnonzero(shard_of == 0)[0])] = 1
-        resign(directory, "shard_of.npy", shard_of)
-        with pytest.raises(IndexCorruptionError, match="shard-000.kr5"):
-            load_sharded(directory, verify=True)
+        bad = resigned_section(
+            path, tmp_path / "bad.kr6", "shard_of", lambda arr: shard_of
+        )
+        with pytest.raises(IndexCorruptionError, match="s0/graph_out_indptr") as info:
+            load_sharded(bad, verify=True)
+        assert info.value.section == "s0/graph_out_indptr"
 
     def test_v1_manifest_refused_by_version(self, tmp_path, graph):
-        directory = tmp_path / "m"
-        save_sharded(partition_kreach(graph, 6, 2), directory)
-        path = directory / "manifest.json"
-        manifest = json.loads(path.read_text())
-        manifest["format_version"] = 1
-        manifest["crc32"] = _manifest_digest(manifest)
-        path.write_text(json.dumps(manifest))
+        """A v1 shard-manifest directory is refused with the rebuild, by
+        the loader and the audit alike."""
+        directory = manifest_directory(
+            partition_kreach(graph, 6, 2), tmp_path / "m", version=1
+        )
         with pytest.raises(
             IndexCorruptionError,
-            match="v1 shard manifest; this reader opens only v2 — rebuild it "
-            "with partition_kreach \\+ save_sharded",
+            match="shard-manifest directories are no longer read — rebuild "
+            "the index with partition_kreach \\+ save_sharded",
         ):
             load_sharded(directory)
         report = verify_file(directory)
         assert not report["ok"]
-        assert report["format"] == "kreach-shards(v1)"
-        assert "v1 shard manifest" in report["detail"]
-        assert not any(r["status"] == "malformed" for r in report["sections"])
+        assert report["format"] == "directory"
+        assert "partition_kreach + save_sharded" in report["detail"]
 
     @pytest.mark.parametrize("forgery", sorted(FORGED_MANIFESTS))
     def test_forged_manifest_refused(self, tmp_path, signed_shards, forgery):
-        """A re-signed manifest passes its CRC32, so the schema check is
-        what must refuse it, naming the field, in the loader and the
-        audit alike."""
+        """A re-signed header passes its CRC32, so the header and
+        section-table checks are what must refuse it, naming the field,
+        in the loader and the audit alike."""
         forge, field = FORGED_MANIFESTS[forgery]
-        directory = shutil.copytree(signed_shards, tmp_path / "m")
-        forge_manifest(directory, forge)
-        with pytest.raises(IndexCorruptionError, match="malformed") as info:
-            load_sharded(directory)
+
+        def mutate(header):
+            forge(header)
+            return header
+
+        bad = tampered_header(signed_shards, tmp_path / "bad.kr6", mutate)
+        with pytest.raises(IndexCorruptionError) as info:
+            load_sharded(bad)
         assert info.value.section == field
-        report = verify_file(directory)
+        report = verify_file(bad)
         assert not report["ok"]
         assert field in report["detail"]
+
+    def test_aborted_resave_keeps_previous_file(self, tmp_path):
+        """A save aborted mid-payload over an existing file leaves it
+        byte-identical: the routing tables of the new partition (same
+        boundary, other portal distances) never meet the old shards."""
+        g = gnp_digraph(400, 0.006, seed=5)
+        old = partition_kreach(g, 6, 2)
+        new = partition_kreach(g, 2, 2)
+        assert np.array_equal(old.boundary, new.boundary)
+        assert not np.array_equal(old.exit, new.exit)
+        path = tmp_path / "shards.kr6"
+        save_sharded(old, path)
+        before = path.read_bytes()
+        with faults.inject("serialize.v4_write_mid", "error"):
+            with pytest.raises(faults.FaultInjected):
+                save_sharded(new, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["shards.kr6"]
+        pairs = random_pairs(g.n, 20000, rng=np.random.default_rng(1))
+        loaded = load_sharded(path)
+        assert loaded.k == 6
+        assert np.array_equal(loaded.query_batch(pairs), old.query_batch(pairs))
+
+    def test_manifest_directory_refused(self, tmp_path, graph):
+        """The retired directory layout is refused with the rebuild by
+        the loader, the server and the audit."""
+        directory = manifest_directory(partition_kreach(graph, 6, 2), tmp_path / "m")
+        rebuild = "rebuild the index with partition_kreach \\+ save_sharded"
+        with pytest.raises(IndexCorruptionError, match=rebuild):
+            load_sharded(directory)
+        with pytest.raises(IndexCorruptionError, match=rebuild):
+            ShardedQueryServer(directory, backend="thread")
+        report = verify_file(directory)
+        assert not report["ok"]
+        assert "partition_kreach + save_sharded" in report["detail"]
+
+    @pytest.mark.parametrize("k", [2, None])
+    def test_load_mmap_opens_one_shard(self, tmp_path, graph, k):
+        """``load_mmap(path, shard=i)`` answers like the shard that
+        ``load_sharded`` opens; the wrong kind of call names the right
+        one."""
+        sharded = partition_kreach(graph, k, 2, cover=vertex_cover_2approx(graph))
+        path = tmp_path / "shards.kr6"
+        save_sharded(sharded, path)
+        loaded = load_sharded(path)
+        for i, shard in enumerate(loaded.shards):
+            one = load_mmap(path, shard=i, validate=True, verify=True)
+            local = np.stack(np.divmod(np.arange(shard.n**2), shard.n), axis=1)
+            assert one.cover == shard.index.cover
+            assert np.array_equal(
+                one.query_case_batch(local), shard.index.query_case_batch(local)
+            )
+            assert np.array_equal(
+                one.query_batch(local), sharded.shards[i].index.query_batch(local)
+            )
+        with pytest.raises(ValueError, match="load_sharded\\(path\\)"):
+            load_mmap(path)
+        for bad in (-1, 2, "0"):
+            with pytest.raises(ValueError, match="shard must be"):
+                load_mmap(path, shard=bad)
+        plain = tmp_path / "plain.kr6"
+        save_mmap(KReachIndex(graph, k), plain)
+        with pytest.raises(ValueError, match="without shard="):
+            load_mmap(plain, shard=0)
+        with pytest.raises(ValueError, match="load_mmap\\(path\\)"):
+            load_sharded(plain)

@@ -39,6 +39,8 @@ from repro.core.serialize import (
 from repro.graph.generators import gnp_digraph, paper_example_graph
 from tests.conftest import (
     assert_every_case,
+    header_of,
+    resigned_section,
     scalar_batch,
     split_index,
     tampered_header,
@@ -56,12 +58,6 @@ def saved(tmp_path, index, name="index.kr4"):
 def csr_index(g, k, **options):
     """An index past the memory gate: it is stored, and saved, as CSR."""
     return KReachIndex(g, k, bitset_matrix_bytes=0, **options)
-
-
-def header_of(path):
-    raw = path.read_bytes()
-    hlen = int.from_bytes(raw[8:16], "little")
-    return json.loads(raw[_MMAP_PROLOGUE : _MMAP_PROLOGUE + hlen])
 
 
 def all_pairs(n):
@@ -210,10 +206,76 @@ class TestCrossVersion:
         assert "storage" not in header
 
 
+#: Re-signed forgeries of a plain file's header -> (forgery, the field
+#: or section the refusal names).  Every header scalar and section entry
+#: must be a JSON integer in range, and the table must name exactly the
+#: layout's sections.
+FORGED_HEADERS = {
+    "k-list": (lambda h: h.update(k=[1]), "k"),
+    "k-float": (lambda h: h.update(k=1.5), "k"),
+    "k-negative": (lambda h: h.update(k=-5), "k"),
+    "k-bool": (lambda h: h.update(k=True), "k"),
+    "k-dropped": (lambda h: h.pop("k"), "k"),
+    "n-string": (lambda h: h.update(n="60"), "n"),
+    "n-float": (lambda h: h.update(n=float(h["n"])), "n"),
+    "weight_bits-zero": (lambda h: h.update(weight_bits=0), "weight_bits"),
+    "weight_base-string": (lambda h: h.update(weight_base="1"), "weight_base"),
+    "layout-list": (lambda h: h.update(layout=["planes"]), "layout"),
+    "kind-sharded": (lambda h: h.update(kind="kreach-shards"), "shards"),
+    "offset-float": (
+        lambda h: h["sections"]["cover_ids"].update(
+            offset=float(h["sections"]["cover_ids"]["offset"])
+        ),
+        "cover_ids",
+    ),
+    "crc32-dropped": (lambda h: h["sections"]["cover_ids"].pop("crc32"), "cover_ids"),
+    "extra-section": (
+        lambda h: h["sections"].update(extra=dict(h["sections"]["cover_ids"])),
+        "extra",
+    ),
+    "payload_bytes-string": (
+        lambda h: h.update(payload_bytes=str(h["payload_bytes"])),
+        "payload_bytes",
+    ),
+}
+
+
 class TestCorruption:
     @pytest.fixture()
     def path(self, tmp_path):
         return saved(tmp_path, KReachIndex(gnp_digraph(25, 0.12, seed=6), 3))
+
+    @pytest.mark.parametrize("forgery", sorted(FORGED_HEADERS))
+    def test_forged_header_refused(self, tmp_path, path, forgery, capsys):
+        """A re-signed header passes its CRC32, so the one header check
+        must refuse it with the typed error naming the field, in the
+        loader, the audit and ``kreach-bench verify`` alike."""
+        from repro.cli import main as cli_main
+
+        forge, field = FORGED_HEADERS[forgery]
+
+        def mutate(header):
+            forge(header)
+            return header
+
+        bad = tampered_header(path, tmp_path / "forged.kr", mutate)
+        with pytest.raises(IndexCorruptionError) as info:
+            load_mmap(bad)
+        assert info.value.section == field
+        report = verify_file(bad)
+        assert not report["ok"]
+        assert field in report["detail"]
+        assert cli_main(["verify", str(bad)]) == 1
+        assert "CORRUPT" in capsys.readouterr().out
+
+    def test_grown_file_refused(self, tmp_path, path):
+        """A file must end where its last section does."""
+        grown = tmp_path / "grown.kr"
+        grown.write_bytes(path.read_bytes() + b"\x00" * 64)
+        with pytest.raises(IndexCorruptionError, match="runs on to byte") as info:
+            load_mmap(grown)
+        assert info.value.section == "level_planes"
+        assert not verify_file(grown)["ok"]
 
     @pytest.fixture()
     def csr_path(self, tmp_path):
@@ -298,7 +360,7 @@ class TestCorruption:
             return h
 
         bad = tampered_header(path, tmp_path / "align.kr4", mutate)
-        with pytest.raises(ValueError, match="misaligned.*'cover_ids'"):
+        with pytest.raises(ValueError, match="'cover_ids' has a misaligned offset"):
             load_mmap(bad)
 
     def test_wrong_dtype(self, tmp_path, csr_path):
@@ -615,8 +677,9 @@ class TestPlaneFile:
                 planes[1, 0, -1] |= np.uint64(1) << np.uint64(63)
             return planes.reshape(-1)
 
-        bad = tampered_section(path, tmp_path / "bad.kr", "level_planes", transform)
-        resigned = tampered_header(bad, bad, lambda h: _resign(h, bad))
+        resigned = resigned_section(
+            path, tmp_path / "bad.kr", "level_planes", transform
+        )
         assert header["sections"]["level_planes"]["count"] == 3 * size * words
         assert size % 64  # the padding damage lands past |S|
         load_mmap(resigned)  # the O(header) open does not scan payloads
@@ -625,14 +688,3 @@ class TestPlaneFile:
         report = verify_file(resigned)
         assert not report["ok"]
         assert match.split()[0] in report["detail"]
-
-
-def _resign(header, path):
-    """``header`` with the ``level_planes`` CRC32 recomputed from ``path``."""
-    raw = path.read_bytes()
-    hlen = int.from_bytes(raw[8:16], "little")
-    sec = header["sections"]["level_planes"]
-    start = (_MMAP_PROLOGUE + hlen + 63) // 64 * 64 + sec["offset"]
-    sec["crc32"] = zlib.crc32(raw[start : start + 8 * sec["count"]])
-    return header
-

@@ -61,7 +61,7 @@ def open_server(kind, files, **knobs):
         return ThreadQueryServer(files.index, workers=2, **knobs)
     backend = kind.split("-")[1]
     return ShardedQueryServer(
-        files.manifest, backend=backend, server_kwargs=knobs
+        files.shards, backend=backend, server_kwargs=knobs
     )
 
 
@@ -95,8 +95,8 @@ def expected(index, pairs):
 def files(graph, index, tmp_path_factory):
     base = tmp_path_factory.mktemp("contract")
     save_mmap(index, base / "index.kr6")
-    save_sharded(split_shards(graph, K, 2), base / "shards")
-    return SimpleNamespace(index=base / "index.kr6", manifest=base / "shards")
+    save_sharded(split_shards(graph, K, 2), base / "shards.kr6")
+    return SimpleNamespace(index=base / "index.kr6", shards=base / "shards.kr6")
 
 
 @pytest.fixture(scope="module", params=KINDS)

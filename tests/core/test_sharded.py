@@ -31,26 +31,26 @@ def pairs(graph):
 
 
 @pytest.fixture(scope="module")
-def manifests(graph, tmp_path_factory):
-    """Shard-count -> manifest directory, for k=6, on the §4.3 cover
+def shard_files(graph, tmp_path_factory):
+    """Shard-count -> sharded index file, for k=6, on the §4.3 cover
     (every shard's pairs reach Cases 1-4; the references below answer
     on the default cover, all of V)."""
-    base = tmp_path_factory.mktemp("manifests")
+    base = tmp_path_factory.mktemp("shards")
     out = {}
     for count in (1, 2, 4):
-        directory = base / f"s{count}"
-        save_sharded(split_shards(graph, 6, count), directory)
-        out[count] = directory
+        path = base / f"s{count}.kr6"
+        save_sharded(split_shards(graph, 6, count), path)
+        out[count] = path
     return out
 
 
 class TestDifferential:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("num_shards", [1, 2, 4])
-    def test_bit_identical(self, graph, pairs, manifests, backend, num_shards):
+    def test_bit_identical(self, graph, pairs, shard_files, backend, num_shards):
         reference = KReachIndex(graph, 6).query_batch(pairs)
         with ShardedQueryServer(
-            manifests[num_shards], workers=1, backend=backend
+            shard_files[num_shards], workers=1, backend=backend
         ) as server:
             assert np.array_equal(server.query_batch(pairs), reference)
 
@@ -63,21 +63,21 @@ class TestDifferential:
             assert server.k == k
             assert np.array_equal(server.query_batch(pairs), reference)
 
-    def test_pipelined_tickets_in_input_order(self, graph, pairs, manifests):
+    def test_pipelined_tickets_in_input_order(self, graph, pairs, shard_files):
         reference = KReachIndex(graph, 6).query_batch(pairs)
         chunks = [c for c in np.array_split(pairs, 5) if len(c)]
-        with ShardedQueryServer(manifests[2], backend="thread") as server:
+        with ShardedQueryServer(shard_files[2], backend="thread") as server:
             tickets = [server.submit(c) for c in chunks]
             gathered = np.concatenate([server.collect(t) for t in tickets])
         assert np.array_equal(gathered, reference)
 
-    def test_empty_batch(self, manifests):
-        with ShardedQueryServer(manifests[2], backend="thread") as server:
+    def test_empty_batch(self, shard_files):
+        with ShardedQueryServer(shard_files[2], backend="thread") as server:
             assert len(server.query_batch(np.empty((0, 2), dtype=np.int64))) == 0
 
 
 class TestLifecycle:
-    def test_deadline_bounds_hung_shard(self, tmp_path, graph, pairs, manifests):
+    def test_deadline_bounds_hung_shard(self, tmp_path, graph, pairs, shard_files):
         """A hung shard worker trips the collect bound; the ticket stays
         collectable and settles exactly once the watchdog recovers."""
         reference = KReachIndex(graph, 6).query_batch(pairs)
@@ -85,7 +85,7 @@ class TestLifecycle:
             "serve.worker_hang", "hang", token=str(tmp_path / "tok")
         ):
             with ShardedQueryServer(
-                manifests[2],
+                shard_files[2],
                 workers=1,
                 backend="process",
                 server_kwargs={"hang_timeout": 1.0, "slot_pairs": 256},
@@ -98,8 +98,8 @@ class TestLifecycle:
                 assert server.stats()["timeouts"] == 1
         assert np.array_equal(got, reference)
 
-    def test_stats_shape(self, manifests, pairs):
-        with ShardedQueryServer(manifests[2], backend="process") as server:
+    def test_stats_shape(self, shard_files, pairs):
+        with ShardedQueryServer(shard_files[2], backend="process") as server:
             server.query_batch(pairs[:200])
             stats = server.stats()
         assert stats["num_shards"] == 2
@@ -109,25 +109,25 @@ class TestLifecycle:
         for shard_stats in stats["shards"]:
             assert shard_stats["worker_restarts"] == [0]
 
-    def test_bad_backend(self, manifests):
+    def test_bad_backend(self, shard_files):
         with pytest.raises(ValueError, match="backend"):
-            ShardedQueryServer(manifests[1], backend="carrier-pigeon")
+            ShardedQueryServer(shard_files[1], backend="carrier-pigeon")
 
 
 class TestFaultTolerance:
-    def test_shard_worker_killed_mid_ticket(self, graph, pairs, manifests):
+    def test_shard_worker_killed_mid_ticket(self, graph, pairs, shard_files):
         """SIGKILL one shard's worker between submit and collect."""
         reference = KReachIndex(graph, 6).query_batch(pairs)
         with ShardedQueryServer(
-            manifests[2], workers=1, backend="process"
+            shard_files[2], workers=1, backend="process"
         ) as server:
             ticket = server.submit(pairs)
             server.servers[1]._workers[0].process.kill()
             assert np.array_equal(server.collect(ticket), reference)
 
-    def test_explicit_restart_counts_per_worker(self, manifests, pairs):
+    def test_explicit_restart_counts_per_worker(self, shard_files, pairs):
         with ShardedQueryServer(
-            manifests[2], workers=2, backend="process"
+            shard_files[2], workers=2, backend="process"
         ) as server:
             server.restart_worker(1, 0)
             server.query_batch(pairs[:200])

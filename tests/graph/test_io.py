@@ -4,7 +4,7 @@ import pytest
 
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import gnp_digraph
-from repro.graph.io import load_npz, read_edge_list, save_npz, write_edge_list
+from repro.graph.io import read_edge_list, write_edge_list
 
 
 class TestEdgeList:
@@ -43,20 +43,3 @@ class TestEdgeList:
         path.write_text("")
         g = read_edge_list(path)
         assert g.n == 0 and g.m == 0
-
-
-class TestNpz:
-    def test_round_trip(self, tmp_path):
-        g = gnp_digraph(25, 0.12, seed=2)
-        path = tmp_path / "g.npz"
-        save_npz(g, path)
-        h = load_npz(path)
-        assert g == h
-        assert h.in_lists() == g.in_lists()
-
-    def test_empty_graph(self, tmp_path):
-        g = DiGraph(4)
-        path = tmp_path / "g.npz"
-        save_npz(g, path)
-        h = load_npz(path)
-        assert h.n == 4 and h.m == 0

@@ -42,10 +42,10 @@ def reference(graph):
 
 
 @pytest.fixture(scope="module")
-def manifest(graph, tmp_path_factory):
-    directory = tmp_path_factory.mktemp("door") / "m2"
-    save_sharded(split_shards(graph, 6, 2), directory)
-    return directory
+def shard_file(graph, tmp_path_factory):
+    path = tmp_path_factory.mktemp("door") / "shards.kr6"
+    save_sharded(split_shards(graph, 6, 2), path)
+    return path
 
 
 #: Bound on every wait in the gated tests, so a stuck batcher fails them.
@@ -97,9 +97,9 @@ def _requests(graph, sizes, seed=0):
 
 
 class TestBatching:
-    def test_64_concurrent_clients_agree(self, graph, reference, manifest):
+    def test_64_concurrent_clients_agree(self, graph, reference, shard_file):
         async def scenario():
-            with ShardedQueryServer(manifest, backend="thread") as server:
+            with ShardedQueryServer(shard_file, backend="thread") as server:
                 async with FrontDoor(
                     server, max_batch=2048, cache_pairs=4096
                 ) as door:
@@ -361,9 +361,9 @@ class TestAdmission:
 
 
 class TestHttp:
-    def test_routes(self, graph, reference, manifest):
+    def test_routes(self, graph, reference, shard_file):
         async def scenario():
-            with ShardedQueryServer(manifest, backend="thread") as server:
+            with ShardedQueryServer(shard_file, backend="thread") as server:
                 door = FrontDoor(server)
                 host, port = await door.start_http()
                 pairs = [[0, 5], [5, 9]]
@@ -513,7 +513,7 @@ class TestValidation:
 
 class TestFaults:
     def test_worker_sigkill_no_wrong_or_dropped_verdicts(
-        self, tmp_path, graph, reference, manifest
+        self, tmp_path, graph, reference, shard_file
     ):
         """SIGKILL a shard worker (faults registry) under live traffic."""
 
@@ -522,7 +522,7 @@ class TestFaults:
                 "serve.worker_exit", "exit", token=str(tmp_path / "tok")
             ):
                 with ShardedQueryServer(
-                    manifest,
+                    shard_file,
                     workers=1,
                     backend="process",
                     server_kwargs={"slot_pairs": 256},
