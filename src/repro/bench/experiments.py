@@ -455,6 +455,13 @@ def run_table9(config: SuiteConfig) -> Table:
         kreach = KReachIndex(g, mu, cover=vc)
         hkreach = HKReachIndex(g, 2, mu, cover=vc2, strict=False)
         paper = paper_tables.COVER_SIZES.get(name)
+        sample = pairs[: config.bfs_queries]
+        truth = bulk_reaches_within(g, sample[:, 0], sample[:, 1], mu).tolist()
+        agree = all(
+            index.query_batch(sample).tolist() == truth
+            and [index.query(s, t) for s, t in sample.tolist()] == truth
+            for index in (kreach, hkreach)
+        )
         return {
             "|VC|": len(vc),
             "|VC| pruned": len(pruned),
@@ -465,13 +472,15 @@ def run_table9(config: SuiteConfig) -> Table:
             "(2,mu)-reach µs": fmt_us(time_queries(hkreach.query, pairs).us_per_query),
             "paper |VC|": paper[0] if paper else None,
             "paper |2hop-VC|": paper[1] if paper else None,
+            "agree": "yes" if agree else "NO",
         }
 
     return _per_dataset(
         config,
         f"Table 9 — cover sizes and query cost (scale={config.scale})",
         ["|VC|", "|VC| pruned", "|2hop-VC|", "shrink %", "shrink vs pruned %",
-         "mu-reach µs", "(2,mu)-reach µs", "paper |VC|", "paper |2hop-VC|"],
+         "mu-reach µs", "(2,mu)-reach µs", "paper |VC|", "paper |2hop-VC|",
+         "agree"],
         row,
         caption=(
             "shrink % = 1 - |2hop-VC| / |VC|, the paper's column (it keeps "
@@ -479,7 +488,9 @@ def run_table9(config: SuiteConfig) -> Table:
             "unpruned §4.1.1 cover.  |VC| pruned = the same 1-hop cover "
             "after the redundancy pass the 2-hop cover gets "
             "(hhop_vertex_cover(g, 1)); shrink vs pruned % = 1 - "
-            "|2hop-VC| / |VC| pruned is the like-for-like comparison."
+            "|2hop-VC| / |VC| pruned is the like-for-like comparison.  "
+            "agree = the µ-reach and (2,µ)-reach batch and scalar verdicts "
+            "equal BFS on the first bfs_queries pairs."
         ),
     )
 
@@ -1041,7 +1052,7 @@ def run_ablation_general_k(config: SuiteConfig) -> Table:
         g = config.graph(name)
         oracle = CoverDistanceOracle(g)
         sampled, _ = shortest_path_stats(g, sample_size=min(g.n, 400), rng=rng)
-        diameter = max(sampled, int(oracle.index_graph.weights64().max(initial=0)))
+        diameter = max(sampled, oracle.max_distance)
         pairs = config.pairs(name)
         batch = partial(oracle.reaches_within_batch, k=6)
         batch(pairs[:1])  # build k=6's views off the clock
@@ -1071,7 +1082,8 @@ def run_ablation_general_k(config: SuiteConfig) -> Table:
             "One exact cover-distance oracle answers every k (§4.4). d = the "
             "longest distance seen from 400 sampled BFS sources or between "
             "two cover vertices; oracle MB = its §4.3 storage model; views "
-            "MB = the three bit views one hop budget adds; µs/q = "
+            "MB = the three bit views one hop budget reads (inside the "
+            "gate the oracle stores d + 1 planes and reads them); µs/q = "
             "reaches_within_batch at k=6 over the query workload; agree = "
             "batch verdicts equal BFS on 300 pairs, each at a random "
             "k <= d+1, and on the same pairs at k=None."

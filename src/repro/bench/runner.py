@@ -120,7 +120,7 @@ def time_queries(
     The pairs are pre-converted to Python ints so the measured loop pays
     only the query cost, mirroring the paper's methodology of timing the
     query phase alone.  A short untimed warm-up prefix runs first so
-    lazily built lookup structures (adjacency lists, probe dicts) are
+    lazily built lookup structures (adjacency lists, scalar probes) are
     charged to neither the build nor the per-query numbers — the scalar
     counterpart of calling ``prepare_batch()`` before
     :func:`time_batch_queries`.  The prefix spans several pairs because

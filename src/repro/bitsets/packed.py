@@ -60,11 +60,6 @@ class PackedIntArray:
         self._mask = (1 << bits) - 1
 
     @classmethod
-    def from_values(cls, values: "list[int] | np.ndarray", *, bits: int) -> "PackedIntArray":
-        """Pack an existing sequence (vectorized; see :meth:`from_numpy`)."""
-        return cls.from_numpy(np.asarray(values, dtype=np.int64), bits=bits)
-
-    @classmethod
     def from_numpy(cls, values: np.ndarray, *, bits: int) -> "PackedIntArray":
         """Pack a numpy integer array without a Python-level loop.
 

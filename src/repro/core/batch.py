@@ -455,8 +455,8 @@ def _cross_block(
     ic = (graph.in_indptr[t + 1] - graph.in_indptr[t]).astype(np.int64)
     cross = oc * ic
     total = int(cross.sum())
-    out_flat, _, _ = gather_segments(graph.out_indptr, graph.out_indices, s)
-    u = np.repeat(out_flat, np.repeat(ic, oc))
+    outs, _, _ = gather_segments(graph.out_indptr, graph.out_indices, s)
+    u = np.repeat(outs, np.repeat(ic, oc))
     owner = np.repeat(np.arange(len(s), dtype=np.int64), cross)
     offsets = np.zeros(len(s), dtype=np.int64)
     np.cumsum(cross[:-1], out=offsets[1:])

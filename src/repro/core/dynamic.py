@@ -359,7 +359,7 @@ class DynamicKReachIndex:
         if row is not None:
             w = row.get(y)
         else:
-            w = self._base.index_graph.flat().get(x * self.n + y)
+            w = self._base.index_graph.probe()[1](x, y)
             prow = self._patch.get(x)
             if prow is not None:
                 pw = prow.get(y)
@@ -1106,11 +1106,10 @@ class DynamicKReachIndex:
             lo, hi = ig.row_bounds(u)
             total -= hi - lo
         if self._patch:
-            flat = ig.flat()
-            n = self.n
+            within = ig.probe()[0]
             for x, prow in self._patch.items():
                 for y in prow:
-                    if flat.get(x * n + y) is None:
+                    if not within(x, y):
                         total += 1
         return total
 

@@ -4,11 +4,13 @@ A k-reach index answers only the ``k`` it was built for.  §4.4 serves
 every hop budget by keeping the **exact** distance between every pair of
 cover vertices (a full BFS instead of Algorithm 1's k-hop BFS,
 ``⌈log2 d⌉`` bits per entry).  :class:`CoverDistanceOracle` stores those
-distances in the §4.3 CSR layout and answers ``s →k t`` exactly for
-every k, and doubles as a shortest-path-distance oracle.  The paper
-notes the index graph becomes dense; that is the price of generality,
-but it is one structure whatever the diameter ``d``, where a family of
-per-k indexes grows with ``d``.
+distances as k-reach stores its weights: inside the memory gate, the
+nested cover-position bit planes ≤0 … ≤d (the longest stored distance),
+scattered once from the BFS triples; past it, the §4.3 CSR.  It answers
+``s →k t`` exactly for every k from the stored planes, and doubles as a
+shortest-path-distance oracle.  The paper notes the index graph becomes
+dense; that is the price of generality, but it is one structure whatever
+the diameter ``d``, where a family of per-k indexes grows with ``d``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.core.batch import (
     plan_cross_products,
 )
 from repro.core.index_graph import IndexGraph, cover_triples_blocked, level_specs
-from repro.core.kreach import algorithm2_batch, batch_views, level_within
+from repro.core.kreach import algorithm2_batch, batch_views, level_within, views_fit
 from repro.core.vertex_cover import cover_from_strategy, is_vertex_cover
 from repro.graph.digraph import DiGraph
 
@@ -38,16 +40,21 @@ class CoverDistanceOracle:
     """Exact cover-pair distances → exact k-hop answers for every k.
 
     Construction is Algorithm 1 with the k-hop BFS replaced by a full BFS
-    (§4.4, first approach).  A hop budget ``k`` reads the distances at
-    the three budgets Algorithm 2 needs: Case 1 within k, Cases 2/3
-    within k-1 and Case 4 within k-2, the ``u == v`` handshake included
-    wherever a zero distance fits.  :meth:`reaches_within_batch` is
-    therefore :func:`~repro.core.kreach.algorithm2_batch`, the body
+    (§4.4, first approach).  While the ``d + 1`` planes ≤0 … ≤d fit
+    ``bitset_matrix_bytes`` (``d`` = :attr:`max_distance`), the BFS
+    triples are scattered into them once and the CSR is dropped; past
+    that the oracle keeps the CSR.  A hop budget ``k`` reads the
+    distances at the three budgets Algorithm 2 needs: Case 1 within k,
+    Cases 2/3 within k-1 and Case 4 within k-2, the ``u == v`` handshake
+    included wherever a zero distance fits.  :meth:`reaches_within_batch`
+    is therefore :func:`~repro.core.kreach.algorithm2_batch`, the body
     :class:`~repro.core.kreach.KReachIndex` runs, over this oracle's
     views at those budgets, and ``bitset_matrix_bytes`` picks its path
     by the same rule (:func:`~repro.core.kreach.batch_views`):
 
-    * the three views as cover-position bit matrices when they fit
+    * the stored planes of those budgets (a budget past ``d`` reads the
+      last plane), for any k with no scatter and no cache;
+    * past the gate, the three views as bit matrices when they fit
       together (one scatter over the CSR per new budget, cached on the
       :class:`~repro.core.index_graph.IndexGraph`);
     * else sorted-key probes of the distances, with the Case-4 bitset
@@ -55,8 +62,9 @@ class CoverDistanceOracle:
     * else chunked cross products for Case 4, hub×hub pairs going to the
       scalar :meth:`reaches_within`.
 
-    The scalar :meth:`reaches_within` runs the same cases over one flat
-    probe dict and stops at the first witness.  :meth:`distance` and
+    The scalar :meth:`reaches_within` runs the same cases over the index
+    graph's zero-copy :meth:`~repro.core.index_graph.IndexGraph.probe`
+    and stops at the first witness.  :meth:`distance` and
     :meth:`distance_batch` minimize over the same cases instead:
 
     * Case 1: ``d(s, t)``;
@@ -105,23 +113,39 @@ class CoverDistanceOracle:
         self._cover_flags = bytearray(self._in_cover.tobytes())
         self._out_lists: list[list[int]] | None = None
         self._in_lists: list[list[int]] | None = None
-        # Exact cover-pair distances in the canonical CSR storage, fed by
-        # the blocked multi-source BFS (full sweeps: k=None, no floor).
+        # Exact cover-pair distances from the blocked multi-source BFS
+        # (full sweeps: k=None, no floor), scattered into the planes
+        # ≤0 … ≤d while they fit the gate.
         triples = cover_triples_blocked(graph, cover, None)
-        self._ig = IndexGraph.from_triples(graph.n, cover, *triples)
-        weights = self._ig.weights64()
-        self._max_distance = int(weights.max()) if len(weights) else 0
+        ig = IndexGraph.from_triples(graph.n, cover, *triples)
+        del triples
+        self._max_distance = int(ig.weights64().max(initial=0))
+        specs = [(budget, True) for budget in range(self._max_distance + 1)]
+        if views_fit(specs, ig.cover_size, self.bitset_matrix_bytes):
+            ig = IndexGraph.from_levels(
+                graph.n, ig.cover_ids, 0, ig.link_matrices(specs)
+            )
+        self._ig = ig
 
     @property
     def index_graph(self) -> IndexGraph:
-        """The canonical CSR storage (§4.3 physical layout)."""
+        """The distance storage: the planes ≤0 … ≤d inside the memory
+        gate, the §4.3 CSR past it (see :class:`IndexGraph`)."""
         return self._ig
 
+    @property
+    def max_distance(self) -> int:
+        """``d``, the longest stored cover-pair distance (0 if none)."""
+        return self._max_distance
+
     def prepare_batch(self) -> "CoverDistanceOracle":
-        """Build the keyed distance store now (what :meth:`distance_batch`
-        and the probes past the memory gate read).  The views of a hop
-        budget are built by its first batch.  Returns ``self``."""
-        self._ig.keyed()
+        """Build the batch engine's lookup structures now: nothing for a
+        plane-form oracle, the keyed distance store past the gate (what
+        the probes there read).  The views of a hop budget past the gate
+        are built by its first batch; :meth:`distance_batch` derives the
+        keyed store on first use.  Returns ``self``."""
+        if self._ig.levels is None:
+            self._ig.keyed()
         return self
 
     def _adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
@@ -134,7 +158,7 @@ class CoverDistanceOracle:
     def _pair_distance(self, u: int, v: int) -> float:
         if u == v:
             return 0
-        w = self._ig.flat().get(u * self.graph.n + v)
+        w = self._ig.probe()[1](u, v)
         return INFINITE_DISTANCE if w is None else w
 
     def distance(self, s: int, t: int) -> float:
@@ -235,56 +259,41 @@ class CoverDistanceOracle:
     def reaches_within(self, s: int, t: int, k: int | None) -> bool:
         """Exact ``s →k t`` for any non-negative k (``None``: reachability).
 
-        Algorithm 2's cases over the flat distance dict, returning at the
+        Algorithm 2's cases over the index graph's
+        :meth:`~repro.core.index_graph.IndexGraph.probe`, returning at the
         first witness: Case 1 one probe, Cases 2/3 one probe per neighbor
-        of the uncovered endpoint, Case 4 one per neighbor pair.
+        of the uncovered endpoint, Case 4 one bridge over the neighbor
+        sets.
         """
-        if k is None:
-            k = INFINITE_DISTANCE
-        elif k < 0:
+        if k is not None and k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
         flags = self._cover_flags
-        n = len(flags)
-        s, t = as_vertex_pair(s, t, n)
+        s, t = as_vertex_pair(s, t, len(flags))
         if s == t:
             return True
-        if k < 1:
+        if k == 0:
             return False
-        flat = self._ig.flat()
+        probe = self._ig.probe
         if flags[s] and flags[t]:
-            w = flat.get(s * n + t)
-            return w is not None and w <= k
+            return probe(k)[0](s, t)
+        near = None if k is None else k - 1
         outs, ins = self._adjacency()
         if flags[s]:
-            row = s * n
+            within = probe(near)[0]
             for v in ins[t]:  # every in-neighbor of t is covered
-                if v == s:
-                    return True
-                w = flat.get(row + v)
-                if w is not None and w < k:
+                if v == s or within(s, v):
                     return True
             return False
         if flags[t]:
+            within = probe(near)[0]
             for u in outs[s]:
-                if u == t:
-                    return True
-                w = flat.get(u * n + t)
-                if w is not None and w < k:
+                if u == t or within(u, t):
                     return True
             return False
-        if k < 2:
+        if k == 1:
             return False  # no 2-hop bridge fits
         preds = ins[t]
-        bound = k - 2
-        for u in outs[s]:
-            row = u * n
-            for v in preds:
-                if u == v:
-                    return True  # s -> u -> t
-                w = flat.get(row + v)
-                if w is not None and w <= bound:
-                    return True
-        return False
+        return bool(preds) and probe(None if k is None else k - 2)[2](outs[s], preds)
 
     def reaches_within_batch(self, pairs, k: int | None) -> np.ndarray:
         """Vectorized :meth:`reaches_within`: an ``(m,)`` bool array.
@@ -306,7 +315,11 @@ class CoverDistanceOracle:
         ig = self._ig
         row_pos = ig.row_pos()
         stack, matrix = batch_views(
-            ig.link_matrices, specs, ig.cover_size, self.bitset_matrix_bytes
+            ig.link_matrices,
+            specs,
+            ig.cover_size,
+            self.bitset_matrix_bytes,
+            stored=ig.levels is not None,
         )
         within = level_within(
             specs, stack, row_pos, lambda u, v: ig.keyed().lookup(u, v)

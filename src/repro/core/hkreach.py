@@ -5,7 +5,13 @@ by an **h-hop vertex cover** (every simple directed path of length ``h``
 meets the cover), which Corollary 1 shows is never larger.  The index graph
 ``H = (V_H, E_H, ω_H)`` stores, for cover pairs, the shortest distance
 quantized to the ``2h+1`` values ``{k-2h, …, k}`` — ``ceil(log2(2h+1))``
-bits per edge.
+bits per edge; ``k = None`` stores presence only.
+
+The storage is k-reach's: inside the memory gate, the nested
+cover-position bit planes ≤max(k-2h, 0) … ≤k of one reverse bit-parallel
+MS-BFS (:func:`~repro.core.index_graph.cover_planes_blocked`; one
+presence plane for ``k = None``), so every index probe is one bit; past
+it, the §4.3 CSR of the blocked triples.
 
 Queries (Algorithm 3) mirror k-reach's four cases but expand up to
 ``h``-hop neighborhoods around uncovered endpoints:
@@ -25,7 +31,7 @@ Queries (Algorithm 3) mirror k-reach's four cases but expand up to
    neither endpoint covered).
 
 Both are handled by a meet-in-the-middle *direct-contact test* that runs
-before the index lookups (see :meth:`HKReachIndex._contact_limit`).
+before the index lookups (see :meth:`HKReachIndex._join_params`).
 
 **Query-time engineering.**  The paper notes that expansions "terminate
 earlier as soon as a match is found"; we go further and bound how deep an
@@ -65,8 +71,8 @@ from repro.core.batch import (
     segment_any,
 )
 from repro.core.index_graph import (
-    LINK_MATRIX_CACHE_CAP,
     IndexGraph,
+    cover_planes_blocked,
     cover_triples_blocked,
 )
 from repro.core.kreach import views_fit
@@ -121,13 +127,12 @@ class HKReachIndex:
         quantized less aggressively); the paper itself does this in
         Table 9, where (2, µ)-reach is evaluated with µ = 2.
     bitset_matrix_bytes:
-        Memory ceiling for the batch engine's stack of per-budget
-        cover-local link matrices (up to ``2h`` matrices of ``~|V_H|²/8``
-        bytes each; default
-        :data:`~repro.bitsets.ops.DEFAULT_MATRIX_BYTES`).  When the
-        stack would exceed it, batches fall back to the memoized scalar
-        Algorithm-3 walk; ``0`` keeps the batch engine off the bitset
-        path entirely.
+        Memory ceiling for the nested planes the index is built as
+        (``k - max(k-2h, 0) + 1`` planes of ``~|V_H|²/8`` bytes each, one
+        for ``k = None``; default
+        :data:`~repro.bitsets.ops.DEFAULT_MATRIX_BYTES`).  Past it the
+        index is the §4.3 CSR and batches take the memoized scalar
+        Algorithm-3 walk; ``0`` keeps the index off the planes entirely.
 
     Examples
     --------
@@ -180,23 +185,34 @@ class HKReachIndex:
         if cover:
             self._in_cover[list(cover)] = True
         self.bitset_matrix_bytes = int(bitset_matrix_bytes)
+        self._caps = self._join_params()
         self._ig = self._build()
-        self._flat: dict[int, int] | None = None
 
     # ------------------------------------------------------------------
     # Construction (Algorithm 1 with Definition-2 weights)
     # ------------------------------------------------------------------
     def _build(self) -> IndexGraph:
-        """Blocked MS-BFS sweeps into the canonical CSR storage."""
+        """The nested planes ≤max(k-2h, 0) … ≤k of one reverse blocked
+        MS-BFS while they fit :attr:`bitset_matrix_bytes`, else the CSR of
+        the blocked triples with weights ``max(dist, k-2h)``."""
         g, k = self.graph, self.k
-        floor = max(k - 2 * self.h, 0) if k is not None else 0
+        base = 0 if k is None else max(k - 2 * self.h, 0)
+        planes = 1 if k is None else k - base + 1
+        if views_fit(
+            [(base + i, True) for i in range(planes)],
+            len(self.cover),
+            self.bitset_matrix_bytes,
+        ):
+            cover_ids, levels = cover_planes_blocked(g, self.cover, base, k)
+            return IndexGraph.from_levels(g.n, cover_ids, base, levels)
         triples = cover_triples_blocked(g, self.cover, k)
         return IndexGraph.from_triples(
             g.n,
             self.cover,
             *triples,
-            floor=floor,
-            weight_bits=self.weight_bits() if k is not None else None,
+            floor=base,
+            zero_weights=k is None,
+            weight_bits=bits_needed(planes),
         )
 
     # ------------------------------------------------------------------
@@ -206,43 +222,7 @@ class HKReachIndex:
         """Index-certified ``d(u, v) ≤ budget``; ``u == v`` is distance 0."""
         if u == v:
             return budget is None or budget >= 0
-        flat = self._flat
-        if flat is None:
-            flat = self._flat = self._ig.flat()
-        w = flat.get(u * self.graph.n + v)
-        if w is None:
-            return False
-        return budget is None or w <= budget
-
-    def _contact_limit(self, *, both_uncovered: bool) -> int:
-        """Hop bound for the meet-in-the-middle direct test.
-
-        Cases 2/3 (one endpoint covered): a path whose only cover vertex is
-        the covered endpoint itself is cover-free afterwards, hence shorter
-        than ``h`` — the test needs ``min(h, k)`` hops.
-
-        Case 4: a shortest path may carry exactly **one** cover vertex,
-        within ``h`` of both endpoints.  That certificate is the u == v
-        self-handshake (weight 0), which the link-expansion caps cannot
-        see, so the direct test must cover it: up to ``min(2h, k)`` hops.
-        """
-        reach = 2 * self.h if both_uncovered else self.h
-        if self.k is None:
-            return reach
-        return min(reach, self.k)
-
-    def _min_link_weight(self) -> int:
-        """Smallest weight a (u != v) index edge can carry.
-
-        Weights are ``max(distance, k-2h)`` and distinct cover vertices are
-        at distance ≥ 1, so no link is cheaper than ``max(1, k-2h)``.  The
-        expansion-depth caps below derive from this: expanding further than
-        the cheapest link can pay off is pure waste — on hub-dominated
-        graphs the difference is a ~1000x query-time cliff, since a 2-hop
-        ball around a hub neighbor covers most of the graph.
-        """
-        assert self.k is not None
-        return max(1, self.k - 2 * self.h)
+        return self._ig.probe(budget)[0](u, v)
 
     def _levels(
         self,
@@ -287,11 +267,12 @@ class HKReachIndex:
 
     def _query_impl(self, s: int, t: int, memo: dict | None) -> bool:
         """Algorithm 3 for one validated pair (``memo``: see :meth:`_levels`)."""
-        g, k, h = self.graph, self.k, self.h
+        g, k = self.graph, self.k
         if s == t:
             return True
         if k == 0:
             return False
+        L23, L4, link_limit, side_limit = self._caps
         s_in = bool(self._in_cover[s])
         t_in = bool(self._in_cover[t])
 
@@ -302,20 +283,14 @@ class HKReachIndex:
         if s_in or t_in:
             # Cases 2/3: one uncovered endpoint.  Direct contact first
             # (meet-in-the-middle keeps hub balls unexpanded), then cover
-            # links, nearest levels first — a level-i link needs budget
-            # k-i ≥ min link weight, capping the expansion depth.
-            limit = self._contact_limit(both_uncovered=False)
+            # links, nearest levels first, down to link_limit.
             contact = (
-                reaches_within_small(g, s, t, limit)
-                if limit <= 3
-                else bidirectional_reaches_within(g, s, t, limit)
+                reaches_within_small(g, s, t, L23)
+                if L23 <= 3
+                else bidirectional_reaches_within(g, s, t, L23)
             )
             if contact:
                 return True
-            if k is None:
-                link_limit = h
-            else:
-                link_limit = min(h, k - self._min_link_weight())
             if s_in:
                 levels = self._levels(t, link_limit, "in", memo)
                 for i, level in enumerate(levels, start=1):
@@ -333,20 +308,14 @@ class HKReachIndex:
             return False
 
         # Case 4: both endpoints uncovered.
-        limit = self._contact_limit(both_uncovered=True)
         contact = (
-            reaches_within_small(g, s, t, limit)
-            if limit <= 3
-            else bidirectional_reaches_within(g, s, t, limit)
+            reaches_within_small(g, s, t, L4)
+            if L4 <= 3
+            else bidirectional_reaches_within(g, s, t, L4)
         )
         if contact:
             return True
-        if k is None:
-            side_limit = h
-        else:
-            # i + j + min_weight <= k with i, j >= 1 bounds each side.
-            side_limit = min(h, k - 1 - self._min_link_weight())
-        if side_limit <= 0:
+        if side_limit == 0:
             return False
         fwd_levels = self._levels(s, side_limit, "out", memo)
         back_levels = self._levels(t, side_limit, "in", memo)
@@ -386,26 +355,38 @@ class HKReachIndex:
     def prepare_batch(self) -> "HKReachIndex":
         """Build the batch engine's lookup structures now (see
         :meth:`KReachIndex.prepare_batch
-        <repro.core.kreach.KReachIndex.prepare_batch>`), including the
-        per-budget link matrices when they fit
-        :attr:`bitset_matrix_bytes`."""
-        self._ig.keyed()
-        if self._bitset_ready():
-            self._ig.link_matrices(self._bitset_specs())
+        <repro.core.kreach.KReachIndex.prepare_batch>`): nothing for a
+        plane-form index, the keyed Case-1 store past the gate."""
+        if not self._bitset_ready():
+            self._ig.keyed()
         return self
 
     def _join_params(self) -> tuple[int, int, int, int]:
-        """``(L23, L4, link_limit, side_limit)`` — Algorithm 3's depth caps.
+        """``(L23, L4, link_limit, side_limit)`` — Algorithm 3's depth caps
+        (fixed at construction, read as ``_caps``).
 
-        ``L23`` / ``L4`` are the direct-contact hop bounds of Cases 2/3
-        and Case 4 (:meth:`_contact_limit`); ``link_limit`` /
-        ``side_limit`` the deepest expansion levels that can still
-        certify an index link (see :meth:`_min_link_weight`).
+        ``L23`` / ``L4`` bound the meet-in-the-middle direct test.  Cases
+        2/3 (one endpoint covered): a path whose only cover vertex is the
+        covered endpoint itself is cover-free afterwards, hence shorter
+        than ``h`` — the test needs ``min(h, k)`` hops.  Case 4: a shortest
+        path may carry exactly **one** cover vertex, within ``h`` of both
+        endpoints.  That certificate is the u == v self-handshake (weight
+        0), which the link-expansion caps cannot see, so the direct test
+        must cover it: up to ``min(2h, k)`` hops.
+
+        ``link_limit`` / ``side_limit`` are the deepest expansion levels
+        that can still certify an index link.  Weights are ``max(distance,
+        k-2h)`` and distinct cover vertices are at distance ≥ 1, so no link
+        is cheaper than ``minw = max(1, k-2h)``: a level-i link needs
+        ``k - i >= minw``, and Case 4's ``i + j + minw <= k`` with ``i, j
+        >= 1`` bounds each side.  Expanding further is pure waste — on
+        hub-dominated graphs the difference is a ~1000x query-time cliff,
+        since a 2-hop ball around a hub neighbor covers most of the graph.
         """
         k, h = self.k, self.h
         if k is None:
             return h, 2 * h, h, h
-        minw = self._min_link_weight()
+        minw = max(1, k - 2 * h)
         return (
             min(h, k),
             min(2 * h, k),
@@ -413,39 +394,13 @@ class HKReachIndex:
             max(0, min(h, k - 1 - minw)),
         )
 
-    def _bitset_specs(self) -> list[tuple[int | None, bool]]:
-        """The ``(budget, diagonal)`` views the bitset path joins against.
-
-        One cover-local matrix, diagonal set, is built per distinct
-        budget: ``k - j`` for the Case-2/3 levels and every non-negative
-        ``k - i - j`` Case 4 can combine — at most ``2h`` values.
-        ``k=None`` needs only the presence matrix.
-        """
-        if self.k is None:
-            return [(None, True)]
-        _, _, link_limit, side_limit = self._join_params()
-        budgets: set[int] = {self.k - j for j in range(1, link_limit + 1)}
-        for i in range(1, side_limit + 1):
-            for j in range(1, side_limit + 1):
-                if self.k - i - j >= 0:
-                    budgets.add(self.k - i - j)
-        return [(budget, True) for budget in sorted(budgets)]
-
     def _bitset_ready(self) -> bool:
-        """Whether the per-budget matrix stack passes the memory gate
-        (:func:`~repro.core.kreach.views_fit`).
-
-        The stack must also fit the :class:`IndexGraph` matrix cache in
-        full — otherwise a long batch would silently rebuild evicted
-        budgets every slice instead of amortizing them.
-        """
-        specs = self._bitset_specs()
-        return len(specs) <= LINK_MATRIX_CACHE_CAP and views_fit(
-            specs, self._ig.cover_size, self.bitset_matrix_bytes
-        )
+        """The memory gate: whether the index holds its planes (the build
+        put them under :attr:`bitset_matrix_bytes`)."""
+        return self._ig.levels is not None
 
     def _matrix(self, budget: int | None) -> np.ndarray:
-        """The cover-local link matrix for one budget, diagonal set.
+        """The stored plane for one budget, diagonal set.
 
         The diagonal encodes the ``u == v`` handshake
         (:meth:`_link_within` treats it as distance 0), which every
@@ -462,20 +417,20 @@ class HKReachIndex:
         scalar path, ``(0,)`` for empty input, :class:`ValueError` for
         out-of-range ids.
 
-        Algorithm 3's case split is vectorized over the cover flags and
-        Case 1 resolves through one bulk sorted-key gather.  Cases 2–4
-        then take one of two paths, picked by :attr:`bitset_matrix_bytes`
-        (:meth:`_bitset_ready`):
+        Algorithm 3's case split is vectorized over the cover flags.  The
+        memory gate (:meth:`_bitset_ready`: the index holds its planes)
+        picks one of two paths:
 
-        * the per-budget link matrices fit — 64-source bit-parallel ball
-          expansion over the batch's distinct endpoints: one blocked
-          sweep answers every direct-contact test at its exact hop
-          checkpoint and collects per-endpoint cover-contact bitsets,
-          which then resolve the index joins as word-wise AND tests
-          against the per-budget matrix rows.  No per-pair Python walk
-          remains.
-        * else — the per-pair Algorithm-3 walk with the shared FIFO
-          level-expansion memo.
+        * planes — Case 1 probes one bit of the top plane per pair, and
+          Cases 2–4 run a 64-source bit-parallel ball expansion over the
+          batch's distinct endpoints: one blocked sweep answers every
+          direct-contact test at its exact hop checkpoint and collects
+          per-endpoint cover-contact bitsets, which then resolve the
+          index joins as word-wise AND tests against the plane rows of
+          each budget.  No per-pair Python walk remains.
+        * CSR — Case 1 resolves through one bulk sorted-key gather, and
+          Cases 2–4 take the per-pair Algorithm-3 walk with the shared
+          FIFO level-expansion memo.
 
         Repeated (s, t) pairs are deduplicated and the distinct pairs
         grouped by case code before the kernels run
@@ -503,16 +458,19 @@ class HKReachIndex:
         t_in = self._in_cover[t]
         undecided = ~out  # s != t
 
-        # Case 1: one bulk weight gather.
+        # Case 1: every stored link is within k.
         sel = np.flatnonzero(undecided & s_in & t_in)
-        if len(sel):
-            bk = UNBOUNDED_BUDGET if k is None else np.int64(k)
-            out[sel] = self._ig.keyed().lookup(s[sel], t[sel]) <= bk
+        planes = self._ig.levels
+        if len(sel) and planes is not None:
+            pos = self._ig.row_pos()
+            out[sel] = probe_bits(planes[-1], pos[s[sel]], pos[t[sel]])
+        elif len(sel):
+            out[sel] = self._ig.keyed().lookup(s[sel], t[sel]) <= UNBOUNDED_BUDGET
 
         rest = np.flatnonzero(undecided & ~(s_in & t_in))
         if not len(rest):
             return out
-        if not self._bitset_ready():
+        if planes is None:
             # Per-pair Algorithm-3 walk with shared level memo.
             memo: dict = {}
             for j in rest.tolist():
@@ -551,7 +509,7 @@ class HKReachIndex:
         row_pos = ig.row_pos()
         cover_size = ig.cover_size
         words = words_for(cover_size)
-        L23, L4, link_limit, side_limit = self._join_params()
+        L23, L4, link_limit, side_limit = self._caps
         case = np.where(rs_in, 2, np.where(self._in_cover[rt], 3, 4)).astype(np.int8)
 
         # Phase 1: forward contact sweep over distinct sources.
@@ -712,7 +670,8 @@ class HKReachIndex:
     # ------------------------------------------------------------------
     @property
     def index_graph(self) -> IndexGraph:
-        """The canonical CSR storage (§4.3 physical layout)."""
+        """The index storage: the nested planes inside the memory gate,
+        the §4.3 CSR past it (see :class:`IndexGraph`)."""
         return self._ig
 
     @property
@@ -748,8 +707,8 @@ class HKReachIndex:
     def packed_weights(self) -> PackedIntArray:
         """Edge weights packed at ``weight_bits()`` bits (offset by k-2h).
 
-        With the CSR-native storage this is the canonical weight array of
-        the :class:`IndexGraph`, not a copy.
+        The weight array of the :class:`IndexGraph` CSR (derived from the
+        planes of a plane-form index).
         """
         if self.k is None:
             raise ValueError("the unbounded mode stores no weights")

@@ -1,34 +1,37 @@
 """Physical storage for cover-pair indexes (§4.3).
 
 Every index the paper describes — k-reach, (h,k)-reach, the general-k
-oracle — stores the same thing: a weighted digraph over a vertex cover.
-§4.3 spells out the physical layout: a cover-id table, a CSR of offsets
-and targets, and a packed small-integer weight array.  :class:`IndexGraph`
-holds it in one of two forms:
+oracle — stores the same thing: cover-pair distances cut to the budgets
+its queries test.  §4.3 spells out the physical layout: a cover-id
+table, a CSR of offsets and targets, and a packed small-integer weight
+array.  :class:`IndexGraph` holds it in one of two forms:
 
 * **CSR** — ``cover_ids``, the ``indptr`` / ``targets`` CSR (targets
   ascending per row) and a :class:`~repro.bitsets.packed.PackedIntArray`
-  of ``w - weight_base`` codes at the §4.3 bit width (2 bits for
-  fixed-k).  Every index family builds it from ``(src, dst, dist)``
-  triple arrays (:meth:`IndexGraph.from_triples`).
-* **Level planes** (k-reach only) — ``cover_ids`` plus the distinct
-  cover-position bit matrices of :func:`level_specs` (≤k-2, ≤k-1 and ≤k;
-  one presence plane for n-reach).  Algorithm 2 only ever asks "within
-  k-2, k-1 or k?", and the 2-bit weight is exactly which of the nested
-  planes a pair first appears in, so the planes *are* the index.
+  of ``w - weight_base`` codes.  Past the memory gate every index family
+  builds it from ``(src, dst, dist)`` triple arrays
+  (:meth:`IndexGraph.from_triples`).
+* **Planes** — ``cover_ids`` plus nested cover-position bit matrices at
+  the consecutive budgets ``base … top`` (:meth:`IndexGraph.from_levels`):
+  plane ``i`` is the ≤ base+i view, holding the diagonal wherever that
+  budget is ≥ 0, and the last plane holds every stored link.  A link's
+  weight is ``base`` plus the number of lower planes that miss it, so the
+  planes *are* the index.  k-reach keeps ≤k-2, ≤k-1 and ≤k
+  (:func:`level_specs`; one presence plane for n-reach), (h,k)-reach
+  ≤max(k-2h, 0) … ≤k, and the §4.4 oracle ≤0 … ≤d.
   :func:`cover_planes_blocked` builds them from one reverse MS-BFS; the
-  on-disk loader installs them memory-mapped (:meth:`IndexGraph.from_levels`).
+  on-disk loader installs them memory-mapped.
 
 Everything else is a *view*: the batch engines probe cover-position bit
-views (:meth:`IndexGraph.link_matrices`, the planes themselves in the
-plane form, one scatter over the CSR otherwise), the keyed fallback
-probes one :class:`~repro.core.batch.KeyedRowStore` over the sorted
-``u * n + v`` key array (:meth:`IndexGraph.keyed`), and the scalar
-query path reads one flat probe dict (CSR) or one bit per probe
-(planes).  In the plane form the CSR — ``indptr``,
-``targets``, the weights and every view of them — is derived at most
-once, on first use, bit-identical to :meth:`IndexGraph.for_kreach` over
-the same index; only row consumers (dynamic maintenance,
+views (:meth:`IndexGraph.link_matrices`: the planes themselves in the
+plane form, one cached scatter over the CSR otherwise), the keyed
+fallback probes one :class:`~repro.core.batch.KeyedRowStore` over the
+sorted ``u * n + v`` key array (:meth:`IndexGraph.keyed`), and every
+scalar path reads one zero-copy :meth:`IndexGraph.probe` (a byte of a
+plane, or a bisect of a CSR row).  In the plane form the CSR —
+``indptr``, ``targets``, the weights and the keys — is derived at most
+once, on first use, bit-identical to the triple-built CSR of the same
+index; only row consumers (dynamic maintenance,
 :meth:`~IndexGraph.weighted_edges`, the keyed fallback) pay for it.
 
 The triples come from the per-source BFS loop
@@ -42,6 +45,7 @@ sorting; other input is sorted there first.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -67,10 +71,9 @@ __all__ = [
     "level_specs",
 ]
 
-#: Entries the per-IndexGraph :meth:`IndexGraph.link_matrix` FIFO cache
-#: retains.  Engines that join against a *stack* of budgets (the
-#: (h,k)-reach batch path) must fit their whole stack inside this cap or
-#: fall back, so a cached view is never silently rebuilt per batch.
+#: Entries the FIFO view cache of a CSR-form graph retains (see
+#: :meth:`IndexGraph.link_matrices`); a plane-form graph caches nothing,
+#: since its views are its planes.
 LINK_MATRIX_CACHE_CAP = 16
 
 #: Edges :meth:`IndexGraph.link_matrices` scatters per row block.  Each
@@ -137,7 +140,8 @@ class IndexGraph:
         "_keys",
         "_store",
         "_row_pos",
-        "_flat",
+        "_probe",
+        "_probes",
         "_matrices",
     )
 
@@ -156,14 +160,15 @@ class IndexGraph:
         self._targets = targets
         self._packed = packed
         self.weight_base = int(weight_base)
-        # The plane form: level spec -> cover-position bit plane.
-        self._levels: dict[tuple[int | None, bool], np.ndarray] | None = None
+        # The plane form: the ≤ weight_base + i bit plane at index i.
+        self._levels: list[np.ndarray] | None = None
         self._edges: int | None = None
         self._weights64: np.ndarray | None = None
         self._keys: np.ndarray | None = None
         self._store: KeyedRowStore | None = None
         self._row_pos: np.ndarray | None = None
-        self._flat: dict[int, int] | None = None
+        self._probe: tuple | None = None
+        self._probes: dict[int | None, tuple] = {}
         self._matrices: dict[tuple[int | None, bool], np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -174,31 +179,32 @@ class IndexGraph:
         cls,
         n: int,
         cover_ids: np.ndarray,
-        k: int | None,
+        base: int,
         planes: list[np.ndarray],
     ) -> "IndexGraph":
-        """The plane form of a k-reach index graph.
+        """The plane form: nested planes at the budgets ``base … top``.
 
         ``cover_ids`` is the strictly ascending cover table and
-        ``planes`` the distinct views of :func:`level_specs` in order
-        (≤k-2, ≤k-1, ≤k; the one presence view for n-reach), each a
-        ``(|S|, ceil(|S| / 64))`` uint64 matrix in cover positions.  The
-        arrays are installed verbatim (read-only mapped views included);
-        only their shapes are checked here — :meth:`validate` checks
-        their contents.  The CSR is derived on first use, with the
-        k-reach encoding of :meth:`for_kreach`.
+        ``planes[i]`` the ≤ ``base + i`` view, a ``(|S|, ceil(|S| / 64))``
+        uint64 matrix in cover positions; the last plane (budget ``top =
+        base + len(planes) - 1 >= 0``) holds every stored link.  A k-reach
+        index passes base k-2 and its :func:`level_specs` planes (base 0
+        and the presence plane for n-reach).  The arrays are installed
+        verbatim (read-only mapped views included); only their shapes are
+        checked here — :meth:`validate` checks their contents.  The CSR is
+        derived on first use, with ``weight_base = base``.
         """
-        specs = list(dict.fromkeys(level_specs(k)))
         shape = (len(cover_ids), words_for(len(cover_ids)))
-        if len(planes) != len(specs) or any(
-            plane.shape != shape or plane.dtype != np.uint64 for plane in planes
+        if (
+            base + len(planes) < 1
+            or any(p.shape != shape or p.dtype != np.uint64 for p in planes)
         ):
             raise ValueError(
-                f"k={k} needs {len(specs)} uint64 level planes of shape "
-                f"{shape}, got {[(p.dtype.str, p.shape) for p in planes]}"
+                f"base {base} needs uint64 level planes of shape {shape} up "
+                f"to a budget >= 0, got {[(p.dtype.str, p.shape) for p in planes]}"
             )
-        ig = cls(n, cover_ids, None, None, None, 0 if k is None else k - 2)
-        ig._levels = dict(zip(specs, planes))
+        ig = cls(n, cover_ids, None, None, None, base)
+        ig._levels = list(planes)
         return ig
 
     @classmethod
@@ -263,8 +269,8 @@ class IndexGraph:
                 np.any((src[1:] == src[:-1]) & (dst[1:] == dst[:-1]))
             )
         if dup:
-            # Silent last-wins merging would let weight_of (binary
-            # search) and flat() (hash) disagree; fail loudly instead.
+            # Silent last-wins merging would let the row bisect and the
+            # keyed store disagree; fail loudly instead.
             raise ValueError("duplicate (src, dst) triples")
         # Row i is the run of cover_ids[i] in the sorted src; the runs
         # cover every triple iff every source is a cover vertex.
@@ -381,59 +387,51 @@ class IndexGraph:
 
     @property
     def levels(self) -> list[np.ndarray] | None:
-        """The level planes of the plane form (see :meth:`from_levels`),
-        or None for a CSR-form graph."""
-        return None if self._levels is None else list(self._levels.values())
+        """The nested planes of the plane form, lowest budget first (see
+        :meth:`from_levels`), or None for a CSR-form graph."""
+        return None if self._levels is None else list(self._levels)
 
     @property
     def weight_bits(self) -> int:
         """Bits per packed weight code (read without deriving a CSR)."""
         if self._levels is not None:
-            return 1 if len(self._levels) == 1 else 2
+            return bits_needed(len(self._levels))
         return self._packed.bits
 
     def _derive_csr(self) -> None:
         """Build the CSR of a plane-form graph, in row blocks.
 
-        Row ``i``'s targets are the off-diagonal bits of the ≤k plane;
-        an edge's code is 0 in the ≤k-2 plane, 1 in the ≤k-1 plane but
-        not below, 2 otherwise (all zero for n-reach) — the
-        ``max(dist, k-2) - (k-2)`` codes :meth:`for_kreach` packs.
+        Row ``i``'s targets are the off-diagonal bits of the last plane,
+        and a link's code ``w - weight_base`` is the number of lower
+        planes that miss it — the codes the triple build packs.
         """
-        planes = list(self._levels.values())
+        planes = self._levels
         size = self.cover_size
         width = planes[0].shape[1] * 64
         step = max(1, _UNPACK_BITS // max(width, 1))
         counts = np.zeros(size + 1, dtype=np.int64)
-        cols: list[np.ndarray] = []
-        codes: list[np.ndarray] = []
+        cols: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        codes: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+
+        def bits(plane: np.ndarray, r0: int, r1: int) -> np.ndarray:
+            block = np.ascontiguousarray(plane[r0:r1]).view(np.uint8)
+            return np.unpackbits(block, axis=1, bitorder="little")
+
         for r0 in range(0, size, step):
             r1 = min(size, r0 + step)
-            bits = [
-                np.unpackbits(
-                    np.ascontiguousarray(plane[r0:r1]).view(np.uint8),
-                    axis=1,
-                    bitorder="little",
-                )
-                for plane in planes
-            ]
+            top = bits(planes[-1], r0, r1)
             rows = np.arange(r1 - r0)
-            bits[-1][rows, rows + r0] = 0  # the handshake, not an edge
-            hit = np.flatnonzero(bits[-1])
-            counts[r0 + 1 : r1 + 1] = np.count_nonzero(bits[-1], axis=1)
+            top[rows, rows + r0] = 0  # the handshake, not an edge
+            hit = np.flatnonzero(top)
+            counts[r0 + 1 : r1 + 1] = np.count_nonzero(top, axis=1)
             cols.append(hit % width)
-            if len(planes) > 1:
-                code = 2 - bits[0] - bits[1]
-                codes.append(code.reshape(-1)[hit])
+            code = np.full(len(hit), len(planes) - 1, dtype=np.int64)
+            for plane in planes[:-1]:
+                code -= bits(plane, r0, r1).reshape(-1)[hit]
+            codes.append(code)
         indptr = np.cumsum(counts)
-        if cols:
-            targets = self.cover_ids[np.concatenate(cols)].astype(np.int64)
-        else:
-            targets = np.empty(0, dtype=np.int64)
-        if codes:
-            w = np.concatenate(codes).astype(np.int64)
-        else:
-            w = np.zeros(len(targets), dtype=np.int64)
+        targets = self.cover_ids[np.concatenate(cols)].astype(np.int64)
+        w = np.concatenate(codes)
         packed = PackedIntArray.from_numpy(w, bits=self.weight_bits)
         w += self.weight_base
         self._indptr, self._targets, self._packed = indptr, targets, packed
@@ -476,17 +474,139 @@ class IndexGraph:
             self._row_pos = pos
         return self._row_pos
 
-    def flat(self) -> dict[int, int]:
-        """One flat ``{u * n + v: w}`` probe dict for the scalar query path.
+    def probe(self, budget: int | None = None) -> tuple:
+        """``(within, weight, bridge)``, the scalar probes of every answerer
+        at one ``budget`` (None: any stored link), built once per budget.
 
-        A single hash probe per weight lookup — the scalar-speed view of
-        the CSR, built in one pass over the arrays (no nested dicts).
+        ``within(u, v)``: whether the index links ``u != v`` within the
+        budget.  ``weight(u, v)``: the stored weight of ``(u, v)``, ``u !=
+        v``, or None.  ``bridge(outs, preds)``: Algorithm 2's Case 4, some
+        ``u`` in ``outs`` linked to some ``v`` in ``preds`` within the
+        budget, the ``u == v`` handshake included when the budget is ≥ 0.
+        Ids must be valid vertices.  All are zero-copy, with no Python
+        object per stored link: a byte of the budget's plane (the lowest
+        plane holding the link, for ``weight``) or a bisect of ``u``'s CSR
+        row over memoryviews.  Budgets past the longest link ``top`` share
+        one probe, as do those below -1, so at most ``top + 3`` are kept.
         """
-        if self._flat is None:
-            self._flat = dict(
-                zip(self.keys().tolist(), self.weights64().tolist())
-            )
-        return self._flat
+        probes = self._probes.get(budget)
+        if probes is None:
+            if self._probe is None:
+                planes = self._levels is not None
+                self._probe = self._plane_probe() if planes else self._csr_probe()
+            top, build = self._probe
+            key = top if budget is None or budget > top else max(budget, -1)
+            probes = self._probes.get(key)
+            if probes is None:
+                probes = self._probes[key] = build(key)
+            if budget is None:
+                self._probes[None] = probes
+        return probes
+
+    def _plane_probe(self) -> tuple:
+        """``(top, build)`` for :meth:`probe` over the planes, each read as
+        its little-endian bytes: bit ``j`` of row ``i`` is bit ``j & 7`` of
+        byte ``i * row_bytes + (j >> 3)``."""
+        pos = self.row_pos().tolist()
+        row_bytes = self._levels[0].shape[1] * 8
+        views = [memoryview(p.view(np.uint8).reshape(-1)) for p in self._levels]
+        base, last = self.weight_base, views[-1]
+
+        def weight(u: int, v: int) -> int | None:
+            pu = pos[u]
+            pv = pos[v]
+            if pu < 0 or pv < 0:
+                return None
+            at, bit = pu * row_bytes + (pv >> 3), pv & 7
+            if not last[at] >> bit & 1:
+                return None
+            i = 0  # the planes nest: find the lowest one holding the link
+            while not views[i][at] >> bit & 1:
+                i += 1
+            return base + i
+
+        def build(budget: int) -> tuple:
+            if budget < base:  # no link this short: only the handshake is left
+                hand = budget >= 0
+                return (
+                    lambda u, v: False,
+                    weight,
+                    lambda outs, preds: hand and not set(preds).isdisjoint(outs),
+                )
+            view = views[budget - base]
+
+            def within(u: int, v: int) -> bool:
+                pu = pos[u]
+                pv = pos[v]
+                if pu < 0 or pv < 0:
+                    return False
+                return bool(view[pu * row_bytes + (pv >> 3)] >> (pv & 7) & 1)
+
+            def bridge(outs, preds) -> bool:
+                # A plane of budget >= 0 holds the diagonal, so a predecessor
+                # that is itself an out-neighbor needs no separate test.
+                mask = 0
+                for v in preds:
+                    pv = pos[v]
+                    if pv >= 0:
+                        mask |= 1 << pv
+                if not mask:
+                    return False
+                for u in outs:
+                    at = pos[u] * row_bytes  # negative off the cover
+                    if at >= 0:
+                        if int.from_bytes(view[at : at + row_bytes], "little") & mask:
+                            return True
+                return False
+
+            return within, weight, bridge
+
+        return base + len(views) - 1, build
+
+    def _csr_probe(self) -> tuple:
+        """``(top, build)`` for :meth:`probe` over the CSR: a bisect of
+        ``u``'s row slice."""
+        pos = self.row_pos().tolist()
+        indptr = memoryview(self.indptr)
+        targets = memoryview(self.targets)
+        weights = memoryview(self.weights64())
+
+        def weight(u: int, v: int) -> int | None:
+            p = pos[u]
+            if p < 0:
+                return None
+            hi = indptr[p + 1]
+            i = bisect_left(targets, v, indptr[p], hi)
+            return weights[i] if i < hi and targets[i] == v else None
+
+        def build(limit: int) -> tuple:
+            def within(u: int, v: int) -> bool:
+                w = weight(u, v)
+                return w is not None and w <= limit
+
+            def bridge(outs, preds) -> bool:
+                pred_set = set(preds)
+                for u in outs:
+                    if limit >= 0 and u in pred_set:
+                        return True  # s -> u -> t
+                    p = pos[u]
+                    if p < 0:
+                        continue
+                    a, b = indptr[p], indptr[p + 1]
+                    if b - a < len(pred_set):
+                        # Scan the smaller row against the predecessor set.
+                        for i in range(a, b):
+                            if weights[i] <= limit and targets[i] in pred_set:
+                                return True
+                    else:
+                        for v in pred_set:
+                            if within(u, v):
+                                return True
+                return False
+
+            return within, weight, bridge
+
+        return int(self.weights64().max(initial=0)), build
 
     def link_matrix(
         self, budget: int | None = None, *, diagonal: bool = False
@@ -503,9 +623,11 @@ class IndexGraph:
         a zero distance satisfies their budget.  Targets outside the
         cover (legal in hand-built graphs) are ignored.
 
-        Each distinct ``(budget, diagonal)`` view is built once and
-        cached (a small FIFO keeps the cache from growing without bound
-        when a general-k oracle probes many budgets); size one view with
+        In the plane form a view is a stored plane (or derived from one,
+        see :meth:`link_matrices`).  Otherwise each distinct ``(budget,
+        diagonal)`` view is built once and cached (a small FIFO keeps the
+        cache from growing without bound when a general-k oracle past the
+        gate probes many budgets); size one view with
         :meth:`link_matrix_bytes` before building.  Several views are
         cheaper built together through :meth:`link_matrices`.
         """
@@ -517,10 +639,13 @@ class IndexGraph:
         """Several :meth:`link_matrix` views, built in one pass.
 
         ``specs`` lists ``(budget, diagonal)`` pairs; the views come back
-        in the same order, each cached as :meth:`link_matrix` caches it.
-        In the plane form the :func:`level_specs` views are the stored
-        planes themselves, never copied or evicted.
-        Views not cached yet share one scatter over the CSR: every edge
+        in the same order.  In the plane form a view is the plane of its
+        budget itself (the last plane for ``None`` or any budget above
+        it), never copied or cached; a view below the base is empty, and
+        one whose diagonal the plane does not share gets it flipped on an
+        uncached copy, so no view ever derives the CSR.  In the CSR form
+        views are cached as :meth:`link_matrix` caches them, and the
+        views not cached yet share one scatter over the CSR: every edge
         sets its bit in the lowest requested view whose budget admits
         it, and then each view ORs in the one below it, since a link
         within a budget is within every larger one.  The scatter's cost
@@ -532,8 +657,9 @@ class IndexGraph:
             (None if budget is None else int(budget), bool(diagonal))
             for budget, diagonal in specs
         ]
-        stored = self._levels or {}
-        views = {key: stored.get(key, self._matrices.get(key)) for key in keys}
+        if self._levels is not None:
+            return [self._plane_view(*key) for key in keys]
+        views = {key: self._matrices.get(key) for key in keys}
         todo = sorted(
             (key for key, mat in views.items() if mat is None),
             key=lambda key: (key[0] is None, key[0] or 0),
@@ -545,6 +671,20 @@ class IndexGraph:
                     self._matrices.pop(next(iter(self._matrices)))
                 self._matrices[key] = mat
         return [views[key] for key in keys]
+
+    def _plane_view(self, budget: int | None, diagonal: bool) -> np.ndarray:
+        """One :meth:`link_matrices` view of the plane form."""
+        top = len(self._levels) - 1
+        i = top if budget is None else min(budget - self.weight_base, top)
+        if i < 0:
+            view, held = np.zeros(self._levels[0].shape, dtype=np.uint64), False
+        else:
+            view, held = self._levels[i], self.weight_base + i >= 0
+        if diagonal != held:
+            view = np.array(view)
+            diag = np.arange(self.cover_size)
+            view[diag, diag >> 6] ^= np.uint64(1) << (diag & 63).astype(np.uint64)
+        return view
 
     def _build_link_matrices(
         self, specs: list[tuple[int | None, bool]]
@@ -644,33 +784,12 @@ class IndexGraph:
         return heads, self.targets, self.weights64()
 
     def weight_of(self, u: int, v: int) -> int | None:
-        """The stored weight of edge ``(u, v)``, or None if absent.
-
-        One ``row_pos`` load plus one binary search over the row slice;
-        in the plane form, up to three bit tests.
-        """
-        if not 0 <= u < self.n:
+        """The stored weight of edge ``(u, v)``, or None if absent (the
+        ``u == v`` handshake is not a stored edge).  Reads the
+        :meth:`probe`: a bisect of the row slice, or of the nested planes."""
+        if not (0 <= u < self.n and 0 <= v < self.n) or u == v:
             return None
-        if self._levels is not None:
-            if not 0 <= v < self.n or u == v:
-                return None
-            pos = self.row_pos()
-            pu, pv = int(pos[u]), int(pos[v])
-            word, bit = pv >> 6, np.uint64(pv & 63)
-            planes = list(self._levels.values())
-            if pu < 0 or pv < 0 or not (planes[-1][pu, word] >> bit) & 1:
-                return None
-            return self.weight_base + sum(
-                1 - int((plane[pu, word] >> bit) & 1) for plane in planes[:-1]
-            )
-        lo, hi = self.row_bounds(u)
-        if lo == hi:
-            return None
-        row = self.targets[lo:hi]
-        i = int(np.searchsorted(row, v))
-        if i < len(row) and int(row[i]) == v:
-            return int(self.weights64()[lo + i])
-        return None
+        return self.probe()[1](u, v)
 
     # ------------------------------------------------------------------
     # Introspection & conversion
@@ -682,13 +801,13 @@ class IndexGraph:
 
     @property
     def edge_count(self) -> int:
-        """``|E_I|`` — in the plane form, a popcount of the ≤k plane
+        """``|E_I|`` — in the plane form, a popcount of the last plane
         less its diagonal (the handshake is not a stored edge)."""
         if self._edges is None:
             if self._levels is None:
                 self._edges = len(self._targets)
             else:
-                top = list(self._levels.values())[-1]
+                top = self._levels[-1]
                 self._edges = int(np.bitwise_count(top).sum()) - self.cover_size
         return self._edges
 
@@ -698,18 +817,6 @@ class IndexGraph:
         return list(
             zip(heads.tolist(), self.targets.tolist(), self.weights64().tolist())
         )
-
-    def rows_dict(self) -> dict[int, dict[int, int]]:
-        """Conversion helper: the legacy nested-dict view (tests/tools only)."""
-        out: dict[int, dict[int, int]] = {}
-        indptr = self.indptr.tolist()
-        targets = self.targets.tolist()
-        weights = self.weights64().tolist()
-        for i, u in enumerate(self.cover_ids.tolist()):
-            lo, hi = indptr[i], indptr[i + 1]
-            if hi > lo:
-                out[u] = dict(zip(targets[lo:hi], weights[lo:hi]))
-        return out
 
     def validate(self) -> "IndexGraph":
         """Check the structural invariants; raise :class:`ValueError` if broken.
@@ -721,9 +828,9 @@ class IndexGraph:
         are shared with :meth:`DiGraph.from_csr
         <repro.graph.digraph.DiGraph.from_csr>` via
         :func:`~repro.graph.digraph.validate_csr`; the plane form checks
-        that its planes nest, carry the diagonal exactly where
-        :func:`level_specs` puts the handshake and leave the padding
-        bits clear.  Returns ``self`` for chaining.
+        that its planes nest, carry the diagonal exactly where the budget
+        admits the handshake and leave the padding bits clear.  Returns
+        ``self`` for chaining.
         """
         cover = self.cover_ids
         if len(cover):
@@ -742,26 +849,24 @@ class IndexGraph:
         return self
 
     def _validate_levels(self) -> None:
-        """The plane form's invariants: nested planes, the diagonal
-        exactly where :func:`level_specs` puts the handshake, nothing in
-        a plane of negative budget, and zero padding past ``|V_I|``."""
+        """The plane form's invariants: nested planes, the whole diagonal
+        in every plane of budget ≥ 0, nothing in a plane of negative
+        budget, and zero padding past ``|V_I|``."""
         size = self.cover_size
         diag = np.arange(size)
         pad = np.uint64(0)
         if size % 64:
             pad = ~((np.uint64(1) << np.uint64(size % 64)) - np.uint64(1))
         below = None
-        for (budget, diagonal), plane in self._levels.items():
-            name = f"level plane {budget, diagonal}"
+        for budget, plane in enumerate(self._levels, start=self.weight_base):
+            name = f"level plane <={budget}"
             if size and bool(np.any(plane[:, -1] & pad)):
                 raise ValueError(f"{name} sets padding bits past |V_I|")
             on_diag = (plane[diag, diag >> 6] >> (diag & 63).astype(np.uint64)) & 1
-            if diagonal and not bool(np.all(on_diag)):
-                raise ValueError(f"{name} must hold the whole diagonal")
-            if not diagonal and bool(np.any(on_diag)):
-                raise ValueError(f"{name} must not hold the diagonal")
-            if budget is not None and budget < 0 and bool(np.any(plane)):
+            if budget < 0 and bool(np.any(plane)):
                 raise ValueError(f"{name} must be empty")
+            if budget >= 0 and not bool(np.all(on_diag)):
+                raise ValueError(f"{name} must hold the whole diagonal")
             if below is not None and bool(np.any(below & ~plane)):
                 raise ValueError(f"{name} must contain the plane below it")
             below = plane
@@ -863,22 +968,18 @@ def cover_triples_blocked(
 
 
 def cover_planes_blocked(
-    graph: DiGraph, cover: Iterable[int], k: int | None
+    graph: DiGraph, cover: Iterable[int], base: int, top: int | None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """``(cover_ids, planes)`` of the plane form (the in-gate builder).
 
-    The distinct :func:`level_specs` views straight from one blocked
-    MS-BFS over in-edges
-    (:func:`~repro.graph.traversal.blocked_reach_planes`), snapshotted
-    after levels k-2, k-1 and k (after exhaustion for n-reach): a plane
-    of negative budget is empty and every other one holds the diagonal,
-    exactly the views :meth:`IndexGraph.link_matrices` builds from the
-    :meth:`IndexGraph.for_kreach` CSR of the same cover.
+    The nested ≤base … ≤top views straight from one blocked MS-BFS over
+    in-edges (:func:`~repro.graph.traversal.blocked_reach_planes`),
+    snapshotted after each of those levels; ``top=None`` gives the one
+    presence plane, taken after exhaustion (pass ``base=0``).  A plane of
+    negative budget is empty and every other one holds the diagonal:
+    exactly the views :meth:`IndexGraph.link_matrices` scatters from the
+    triple-built CSR of the same cover with weights floored at ``base``.
     """
     cover_ids = np.unique(np.fromiter((int(v) for v in cover), dtype=np.int64))
-    depths = [
-        budget for budget, _ in dict.fromkeys(level_specs(k))
-    ]
-    if k is not None:
-        depths[-1] = k
+    depths = [None] if top is None else list(range(base, top + 1))
     return cover_ids, blocked_reach_planes(graph, cover_ids, depths)

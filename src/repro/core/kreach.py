@@ -17,7 +17,8 @@ planes of :func:`level_specs` (one presence plane for n-reach), taken
 from one blocked bit-parallel MS-BFS over in-edges
 (:func:`~repro.core.index_graph.cover_planes_blocked`).  This applies
 while the planes fit ``bitset_matrix_bytes``; there the planes *are*
-the index and its CSR is derived only for the consumers that read rows.
+the index and its CSR is derived only for the consumers that read rows
+(the same plane form holds the (h,k)-reach index and the §4.4 oracle).
 Past that gate, construction feeds the §4.3 CSR (cover-id table +
 offsets + targets + packed weights) from the ``(src, dst, dist)``
 triple arrays of the blocked multi-source BFS; both routes give the
@@ -164,8 +165,9 @@ class KReachIndex:
             if not is_vertex_cover(graph, cover):
                 raise ValueError("provided vertex set is not a vertex cover")
         if views_fit(level_specs(k), len(cover), bitset_matrix_bytes):
-            cover_ids, planes = cover_planes_blocked(graph, cover, k)
-            ig = IndexGraph.from_levels(graph.n, cover_ids, k, planes)
+            base = 0 if k is None else k - 2
+            cover_ids, planes = cover_planes_blocked(graph, cover, base, k)
+            ig = IndexGraph.from_levels(graph.n, cover_ids, base, planes)
         else:
             triples = cover_triples_blocked(graph, cover, k)
             ig = IndexGraph.for_kreach(graph.n, cover, *triples, k)
@@ -200,7 +202,7 @@ class KReachIndex:
         # O(header)).  The batch engines never touch these lists.
         self._out_lists: list[list[int]] | None = None
         self._in_lists: list[list[int]] | None = None
-        # Lazily-built scalar probe view and vectorized lookup structures.
+        # The scalar query's probes, taken on first use (see _scalar_view).
         self._scalar: tuple | None = None
         self._flags_np: np.ndarray | None = None
 
@@ -228,34 +230,20 @@ class KReachIndex:
         return self
 
     # ------------------------------------------------------------------
-    # Scalar probe view (derived from the IndexGraph, built on first use)
-    # ------------------------------------------------------------------
-    def _scalar_view(self) -> tuple:
-        """``(within, bridge)`` for the scalar query loop.
-
-        ``within(level, u, v)`` says whether the index links ``u != v``
-        within level 0, 1 or 2 of :func:`level_specs` (≤k-2, ≤k-1, ≤k);
-        ``bridge(outs, preds)`` is Case 4: whether some ``u`` in
-        ``outs`` links some ``v`` in ``preds`` within k-2, the ``u ==
-        v`` handshake included.  A plane-form index answers both from
-        its level planes — one bit per probe, one row AND per bridge
-        step — and never derives its CSR; a CSR index probes one flat
-        ``{u * n + v: w}`` dict and scans the smaller of a row and the
-        predecessor set.
-        """
-        if self._scalar is None:
-            ig = self._ig
-            if ig.levels is not None:
-                self._scalar = _plane_scalar_view(
-                    ig.link_matrices(level_specs(self.k)), ig.row_pos().tolist()
-                )
-            else:
-                self._scalar = _csr_scalar_view(ig, self.k)
-        return self._scalar
-
-    # ------------------------------------------------------------------
     # Query processing (Algorithm 2)
     # ------------------------------------------------------------------
+    def _scalar_view(self) -> tuple:
+        """``(linked, near, bridge)``: the index graph's
+        :meth:`~repro.core.index_graph.IndexGraph.probe` for Case 1 (any
+        stored link), Cases 2/3 (a link within k-1) and Case 4 (a bridge
+        within k-2; every budget is None for n-reach).  A plane-form index
+        reads one byte per probe and never derives its CSR."""
+        if self._scalar is None:
+            ig, k = self._ig, self.k
+            near, far = (None, None) if k is None else (k - 1, k - 2)
+            self._scalar = ig.probe()[0], ig.probe(near)[0], ig.probe(far)[2]
+        return self._scalar
+
     def _out_adj(self) -> list[list[int]]:
         """Plain-list out-adjacency for the scalar loops (first use only —
         each direction is O(n + m) of Python lists, so Case 1/2 queries
@@ -280,20 +268,20 @@ class KReachIndex:
             return False
         # From here on k >= 1 (or n-reach), so the u == v handshake fits
         # the k-1 budget of Cases 2 and 3.
-        within, bridge = self._scalar_view()
+        linked, near, bridge = self._scalar_view()
         if flags[s]:
             if flags[t]:
                 # Case 1: all stored weights are <= k by construction.
-                return within(2, s, t)
+                return linked(s, t)
             # Case 2: all in-neighbors of t are covered.
             for v in self._in_adj()[t]:
-                if v == s or within(1, s, v):
+                if v == s or near(s, v):
                     return True
             return False
         if flags[t]:
             # Case 3: all out-neighbors of s are covered.
             for u in self._out_adj()[s]:
-                if u == t or within(1, u, t):
+                if u == t or near(u, t):
                     return True
             return False
         # Case 4: bridge an out-neighbor of s to an in-neighbor of t.
@@ -492,84 +480,6 @@ class KReachIndex:
         return (
             f"KReachIndex(k={k}, |V_I|={self.cover_size}, |E_I|={self.edge_count})"
         )
-
-
-def _plane_scalar_view(stack: list[np.ndarray], pos: list[int]) -> tuple:
-    """:meth:`KReachIndex._scalar_view` over the three level planes.
-
-    Each plane is read as its little-endian bytes, so a probe is one
-    byte load: bit ``j`` of row ``i`` is bit ``j & 7`` of byte
-    ``i * row_bytes + (j >> 3)``.
-    """
-    row_bytes = stack[0].shape[1] * 8
-    views = [memoryview(plane.view(np.uint8).reshape(-1)) for plane in stack]
-
-    def within(level: int, u: int, v: int) -> bool:
-        pu = pos[u]
-        pv = pos[v]
-        if pu < 0 or pv < 0:
-            return False
-        return bool(views[level][pu * row_bytes + (pv >> 3)] >> (pv & 7) & 1)
-
-    def bridge(outs, preds) -> bool:
-        # The ≤k-2 plane's diagonal is the handshake, so a predecessor
-        # that is itself an out-neighbor needs no separate test.
-        mask = 0
-        for v in preds:
-            pv = pos[v]
-            if pv >= 0:
-                mask |= 1 << pv
-        if not mask:
-            return False
-        low = views[0]
-        for u in outs:
-            pu = pos[u]
-            if pu >= 0:
-                row = low[pu * row_bytes : (pu + 1) * row_bytes]
-                if int.from_bytes(row, "little") & mask:
-                    return True
-        return False
-
-    return within, bridge
-
-
-def _csr_scalar_view(ig: IndexGraph, k: int | None) -> tuple:
-    """:meth:`KReachIndex._scalar_view` over the CSR and its flat dict."""
-    handshake = k is None or k >= 2  # may u == v bridge within k-2?
-    flat = ig.flat()
-    n = ig.n
-    limits = [int(UNBOUNDED_BUDGET) if b is None else b for b, _ in level_specs(k)]
-    budget = limits[0]
-    targets = ig.targets.tolist()
-    weights = ig.weights64().tolist()
-    row_pos = ig.row_pos().tolist()
-    indptr = ig.indptr.tolist()
-
-    def within(level: int, u: int, v: int) -> bool:
-        w = flat.get(u * n + v)
-        return w is not None and w <= limits[level]
-
-    def bridge(outs, preds) -> bool:
-        pred_set = set(preds)
-        for u in outs:
-            if handshake and u in pred_set:
-                return True  # s -> u -> t
-            p = row_pos[u]
-            if p < 0:
-                continue
-            a, b = indptr[p], indptr[p + 1]
-            if b - a < len(pred_set):
-                # Scan the smaller row against the predecessor set.
-                for i in range(a, b):
-                    if weights[i] <= budget and targets[i] in pred_set:
-                        return True
-            else:
-                for v in pred_set:
-                    if within(0, u, v):
-                        return True
-        return False
-
-    return within, bridge
 
 
 #: The cover rule takes V only while V's level planes are at most this

@@ -412,7 +412,7 @@ def partition_kreach(
             sliced = IndexGraph.from_levels(
                 len(vertex_map),
                 local_cover,
-                k,
+                ig.weight_base,
                 [ops.bit_submatrix(plane, rows, rows) for plane in planes],
             )
         else:

@@ -724,9 +724,8 @@ def _index_from(
                 f"must hold {shape[0]} level planes of {shape[1]} x "
                 f"{shape[2]} words for k={k} and |S|={size}",
             )
-        ig = IndexGraph.from_levels(
-            n, cover_ids, k, list(view["level_planes"].reshape(shape))
-        )
+        planes = list(view["level_planes"].reshape(shape))
+        ig = IndexGraph.from_levels(n, cover_ids, 0 if k is None else k - 2, planes)
     else:
         weight_bits = scalars["weight_bits"]
         edges = len(view["index_targets"])
@@ -810,8 +809,8 @@ def load_mmap(
 
     The returned :class:`KReachIndex` serves queries directly off the
     read-only pages; every cache it builds lazily (a plane file's CSR,
-    a CSR file's link matrices, keyed probe arrays, scalar probe dicts,
-    adjacency lists) is a private copy-on-build structure, so many
+    a CSR file's link matrices, keyed probe arrays, the scalar probe's
+    unpacked weights, adjacency lists) is a private copy-on-build structure, so many
     processes can open the same file and share its clean pages.
     ``bitset_matrix_bytes`` is the index's memory gate, and it caps only
     views the process would build privately: the mapped planes of a

@@ -12,7 +12,7 @@ that scales batch-query throughput with cores:
   :func:`~repro.core.serialize.load_mmap`; the OS page cache backs all of
   them with one copy of the clean index pages.  Nothing graph-sized is
   ever pickled to a worker.  Only the lazily built caches (link
-  matrices, probe dicts) are per-worker, copy-on-build.
+  matrices, keyed probe arrays) are per-worker, copy-on-build.
 * **Shared-memory dispatch.**  Query pairs travel to workers — and
   verdicts travel back — through preallocated shared-memory ndarray
   slots; the per-worker control pipes carry only tiny ``(slot, count)``

@@ -96,6 +96,7 @@ class TestTables:
         assert [r["dataset"] for r in table.rows] == ["aMaze"]
         row = table.rows[0]
         assert int(row["|2hop-VC|"]) <= int(row["|VC|"])
+        assert row["agree"] == "yes", row
 
     def test_table9_pruned_cover_column(self):
         """The like-for-like column: the 1-hop cover after the same

@@ -72,7 +72,7 @@ class TestPackedIntArray:
             PackedIntArray(3, bits=33)
 
     def test_from_values(self):
-        a = PackedIntArray.from_values([1, 2, 3, 0, 3], bits=2)
+        a = PackedIntArray.from_numpy(np.array([1, 2, 3, 0, 3]), bits=2)
         assert a.to_list() == [1, 2, 3, 0, 3]
 
     def test_len(self):
@@ -96,7 +96,7 @@ class TestPackedIntArray:
 def test_property_round_trip(bits, values):
     mask = (1 << bits) - 1
     clipped = [v & mask for v in values]
-    a = PackedIntArray.from_values(clipped, bits=bits)
+    a = PackedIntArray.from_numpy(np.asarray(clipped, dtype=np.int64), bits=bits)
     assert a.to_list() == clipped
 
 

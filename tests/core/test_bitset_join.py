@@ -206,9 +206,9 @@ class TestHKReachEngines:
             g, h, k, cover=idx.cover, strict=strict, bitset_matrix_bytes=0
         )
         pairs = workload(g, seed)
-        assert idx._bitset_ready()  # the default gate admits the matrices
-        if walk._bitset_specs():  # gate 0: the memoized walk
-            assert not walk._bitset_ready()
+        assert idx._bitset_ready()  # the default gate admits the planes
+        assert idx.index_graph.levels is not None
+        assert walk._bitset_ready() == (walk.cover_size == 0)  # gate 0: walk
         bitset = idx.query_batch(pairs)
         assert np.array_equal(bitset, walk.query_batch(pairs))
         for (s, t), got in list(zip(pairs, bitset))[:120]:
@@ -275,7 +275,9 @@ class TestLinkMatrix:
         monkeypatch.setattr(index_graph_module, "_SCATTER_EDGES", 64)
         g = celebrity_graph(0)
         ig = KReachIndex(g, 6, cover=vertex_cover_2approx(g)).index_graph
-        rows = ig.rows_dict()
+        rows: dict[int, dict[int, int]] = {}
+        for u, v, w in ig.weighted_edges():
+            rows.setdefault(u, {})[v] = w
         rows[int(ig.cover_ids[0])][int(np.flatnonzero(ig.row_pos() < 0)[0])] = 5
 
         def build():
@@ -301,8 +303,12 @@ class TestLinkMatrix:
             assert hand.link_matrix(budget, diagonal=diagonal) is got  # cached
 
     def test_diagonal_and_cache(self):
+        """A CSR-form graph caches each (budget, diagonal) view; the plane
+        form serves the same views from its planes and caches nothing."""
         g = paper_example_graph()
-        ig = KReachIndex(g, 3).index_graph
+        index = KReachIndex(g, 3)
+        planes = index.index_graph
+        ig = KReachIndex(g, 3, cover=index.cover, bitset_matrix_bytes=0).index_graph
         plain = ig.link_matrix(1)
         diag = ig.link_matrix(1, diagonal=True)
         size = ig.cover_size
@@ -311,6 +317,14 @@ class TestLinkMatrix:
         )
         assert np.array_equal(diag, plain | only_diag)
         assert ig.link_matrix(1) is plain  # cached per (budget, diagonal)
+        assert planes.link_matrix(1, diagonal=True) is planes.levels[0]
+        for budget in (-1, 0, 1, 2, 3, 9, None):
+            for diagonal in (False, True):
+                assert np.array_equal(
+                    planes.link_matrix(budget, diagonal=diagonal),
+                    ig.link_matrix(budget, diagonal=diagonal),
+                ), (budget, diagonal)
+        assert not planes._matrices and planes._targets is None
 
     def test_bytes_model(self):
         ig = KReachIndex(paper_example_graph(), 3).index_graph

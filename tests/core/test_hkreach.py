@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bitsets.ops import DEFAULT_MATRIX_BYTES
 from repro.core.hkreach import HKReachIndex
 from repro.core.kreach import KReachIndex
 from repro.graph.digraph import DiGraph
@@ -92,20 +93,28 @@ class TestAgainstKReach:
 class TestOracle:
     @pytest.mark.parametrize("h,k", [(1, 3), (1, None), (2, 5), (2, 7), (3, 7), (2, None)])
     def test_matches_bfs_on_corpus(self, h, k):
+        """On the planes (default gate) and on the CSR (gate 0)."""
         for g in graph_corpus():
-            idx = HKReachIndex(g, h, k)
-            for s, t in all_pairs(g):
-                assert idx.query(s, t) == brute_force_khop(g, s, t, k), (g, h, k, s, t)
+            for gate in (DEFAULT_MATRIX_BYTES, 0):
+                idx = HKReachIndex(g, h, k, bitset_matrix_bytes=gate)
+                assert (idx.index_graph.levels is None) == (gate == 0 < idx.cover_size)
+                for s, t in all_pairs(g):
+                    assert idx.query(s, t) == brute_force_khop(g, s, t, k), (
+                        g, h, k, gate, s, t
+                    )
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_bfs_random_nonstrict(self, seed):
         rng = np.random.default_rng(seed)
         g = gnp_digraph(int(rng.integers(8, 30)), 0.12, seed=seed)
         for h, k in ((2, 2), (2, 3), (3, 4), (4, 2)):
-            idx = HKReachIndex(g, h, k, strict=False)
-            for _ in range(80):
-                s, t = int(rng.integers(0, g.n)), int(rng.integers(0, g.n))
-                assert idx.query(s, t) == brute_force_khop(g, s, t, k), (h, k, s, t)
+            for gate in (DEFAULT_MATRIX_BYTES, 0):
+                idx = HKReachIndex(g, h, k, strict=False, bitset_matrix_bytes=gate)
+                for _ in range(80):
+                    s, t = int(rng.integers(0, g.n)), int(rng.integers(0, g.n))
+                    assert idx.query(s, t) == brute_force_khop(g, s, t, k), (
+                        h, k, gate, s, t
+                    )
 
     def test_self_query(self):
         idx = HKReachIndex(path_graph(4), 2, 5)
@@ -141,6 +150,20 @@ class TestStorage:
 
     def test_weight_bits_unbounded(self):
         assert HKReachIndex(path_graph(6), 2, None).weight_bits() == 0
+
+    @pytest.mark.parametrize("gate", [None, 0])
+    def test_unbounded_stores_presence_only(self, gate):
+        """k = None stores no distance: every stored link weighs 0, as in
+        ``KReachIndex(g, None)``, on the planes and past the gate."""
+        g = gnp_digraph(30, 0.1, seed=3)
+        kwargs = {} if gate is None else {"bitset_matrix_bytes": gate}
+        idx = HKReachIndex(g, 1, None, **kwargs)
+        assert (idx.index_graph.levels is None) == (gate == 0)
+        kr = KReachIndex(g, None, cover=idx.cover)
+        assert idx.weighted_edges() == kr.weighted_edges()
+        assert idx.weighted_edges() and {w for _, _, w in idx.weighted_edges()} == {0}
+        for u, v, _ in idx.weighted_edges():
+            assert idx.weight(u, v) == 0
 
     def test_weight_floor(self):
         # k=5, h=2: weights live in {1..5}, floored at k-2h = 1

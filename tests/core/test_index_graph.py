@@ -31,7 +31,9 @@ class TestIndexGraphUnit:
         ig = IndexGraph.from_rows(6, [1, 4, 5], rows)
         assert ig.cover_size == 3  # cover vertex 5 keeps an (empty) row
         assert ig.edge_count == 3
-        assert ig.rows_dict() == rows
+        assert ig.weighted_edges() == [
+            (u, v, w) for u in sorted(rows) for v, w in sorted(rows[u].items())
+        ]
         assert ig.weighted_edges() == [(1, 2, 1), (1, 4, 2), (4, 1, 3)]
 
     def test_weight_of(self):
@@ -43,16 +45,39 @@ class TestIndexGraphUnit:
         assert ig.weight_of(-1, 0) is None
 
     def test_keys_sorted_and_flat_agree(self):
-        rng = np.random.default_rng(5)
+        """The sorted keys and the scalar probes of both forms, at every
+        budget, agree with the weighted edges link for link, and a bridge
+        is some link or handshake across its two sets."""
         g = gnp_digraph(40, 0.1, seed=5)
-        idx = KReachIndex(g, 4)
-        ig = idx.index_graph
-        keys = ig.keys()
-        assert bool(np.all(keys[:-1] < keys[1:]))
-        flat = ig.flat()
-        for u, v, w in ig.weighted_edges():
-            assert flat[u * g.n + v] == w
-        assert len(flat) == ig.edge_count
+        rng = np.random.default_rng(5)
+        for gate in (None, 0):
+            kwargs = {} if gate is None else {"bitset_matrix_bytes": gate}
+            ig = KReachIndex(g, 4, **kwargs).index_graph
+            keys = ig.keys()
+            assert bool(np.all(keys[:-1] < keys[1:]))
+            weight = ig.probe()[1]
+            edges = {(u, v): w for u, v, w in ig.weighted_edges()}
+            assert len(edges) == len(keys) == ig.edge_count
+            sets = [
+                (rng.choice(ig.cover_ids, 3).tolist(), rng.choice(ig.cover_ids, 3).tolist())
+                for _ in range(40)
+            ]
+            for budget in (None, -3, -1, 0, 1, 2, 3, 4, 5, 9):
+                within, _, bridge = ig.probe(budget)
+                for u in range(g.n):
+                    for v in range(g.n):
+                        if u != v:
+                            w = edges.get((u, v))
+                            assert weight(u, v) == w == ig.weight_of(u, v)
+                            assert within(u, v) == (
+                                w is not None and (budget is None or w <= budget)
+                            )
+                for outs, preds in sets:
+                    assert bridge(outs, preds) == any(
+                        within(u, v) if u != v else budget is None or budget >= 0
+                        for u in outs
+                        for v in preds
+                    ), (gate, budget, outs, preds)
 
     def test_quantization_floor(self):
         src = np.array([0, 0, 0])
@@ -92,7 +117,10 @@ class TestIndexGraphUnit:
         ig = IndexGraph.from_rows(5, [], {})
         assert ig.cover_size == 0 and ig.edge_count == 0
         assert ig.weighted_edges() == []
-        assert ig.flat() == {}
+        within, weight, bridge = ig.probe()
+        assert not within(0, 1) and weight(0, 1) is None
+        assert not bridge([0], [1, 2]) and bridge([0, 1], [1, 2])
+        assert ig.probe(0)[2]([0, 1], [1, 2]) and not ig.probe(-1)[2]([0, 1], [1, 2])
 
     def test_equality(self):
         a = IndexGraph.from_rows(6, [1, 4], {1: {4: 2}})
