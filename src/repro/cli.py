@@ -239,8 +239,8 @@ def _verify_main(argv: list[str]) -> int:
 
     Prints one line per section with its stored/computed CRC32 status
     and exits 0 iff every file is clean (a recoverable op-log
-    ``torn-tail`` counts as clean; ``mismatch`` / ``truncated`` /
-    ``malformed`` do not).
+    ``torn-tail`` counts as clean; a ``mismatch``, or a file the loader
+    refuses, printed with its reason, does not).
     """
     parser = argparse.ArgumentParser(
         prog="kreach-bench verify",

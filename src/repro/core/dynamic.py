@@ -9,17 +9,17 @@ architecture:
 * **Base snapshot** — an immutable :class:`~repro.core.kreach.KReachIndex`
   over the graph as of the last compaction: its
   :class:`~repro.core.index_graph.IndexGraph` (level planes for a fresh
-  build inside the memory gate, the §4.3 CSR after a compaction merge),
-  the :class:`~repro.core.batch.KeyedRowStore` over its CSR, and its
-  bitset link views.  A plane-form base serves clean batches from its
-  planes and derives its CSR once, at the first flush that reads rows.
-  Nothing in this tier ever mutates.
-* **Delta overlay** — the small mutable tail: the cover rows *replaced*
-  since the snapshot (copy-on-write, full-row semantics), sparse
-  *min-patches* on otherwise-clean rows, the vertices whose adjacency
-  diverged from the snapshot graph, the cover vertices added since, and
-  the replayable operation log an :class:`~repro.core.serialize.OpLog`
-  persists beside the base snapshot's index file.
+  build inside the memory gate, the §4.3 CSR after a compaction merge)
+  and its bitset link views.  Nothing in this tier ever mutates.
+* **Delta overlay** — the small mutable tail, held as arrays: one
+  sorted ``x * n + y`` key array with its weights, and a replaced-row
+  mask over the vertices.  A *replaced* row's entries are its whole row
+  (the mask hides its base row; an empty replaced row has no entries);
+  any other row's entries are *min-patches* that lower weights of its
+  base row.  Beside them sit the vertices whose adjacency diverged from
+  the snapshot graph, the cover vertices added since, and the replayable
+  operation log an :class:`~repro.core.serialize.OpLog` persists beside
+  the base snapshot's index file.
 
 Queries — scalar *and* :meth:`DynamicKReachIndex.query_batch` — route
 through the same four-case Algorithm 2 the static engine runs; batch
@@ -28,11 +28,11 @@ over two array views of the current state, rebuilt on the first read
 after a write burst changed them.  The **patched CSR** is the base
 snapshot's CSRs with the rows of vertices whose adjacency changed
 rewritten from their sets; deferred repairs and compactions traverse it
-too.  The **patched level stack** is the base snapshot's cached ≤k-2 /
-≤k-1 / ≤k link views with replaced rows refilled from the overlay,
-min-patches ORed in, and rows for the cover vertices added since, so
-Cases 1–3 are one bit probe each and Case 4 is the bitset join.  Past
-the memory gate the keyed three-tier lookup answers the probes instead.
+too.  The **patched level stack** is the base snapshot's ≤k-2 / ≤k-1 /
+≤k link views with the replaced rows cleared and every overlay link
+set, so Cases 1–3 are one bit probe each and Case 4 is the bitset join.
+Past the memory gate a keyed lookup of the overlay over the base answers
+the probes instead.
 
 **Maintenance** is the same incremental algebra as before, applied to
 the overlay:
@@ -40,36 +40,35 @@ the overlay:
 * **Edge insertion** is cheap, because every stored quantity is a
   *minimum*: distances only shrink.  Inserting ``(u, v)`` repairs the
   vertex-cover invariant (the higher-degree uncovered endpoint joins the
-  cover) and relaxes cover-pair weights through the new edge —
-  ``d(x, y) ≤ d(x, u) + 1 + d(v, y)`` over the backward/forward
-  ``(k-1)``-balls.  The candidate relaxations are *queued as arrays*
-  (one vectorized outer sum per insert) and min-merged into the overlay
-  at the next read — one sort + one bulk lookup per write burst instead
-  of a Python probe per candidate pair — dirtying exactly the rows that
-  improve.
+  cover, and its row is pinned for the next flush) and relaxes
+  cover-pair weights through the new edge — ``d(x, y) ≤ d(x, u) + 1 +
+  d(v, y)`` over the backward/forward ``(k-1)``-balls.  The candidate
+  relaxations are *queued as arrays* (one vectorized outer sum per
+  insert) and min-merged into the overlay at the next read — one sort +
+  one bulk lookup per write burst instead of a Python probe per
+  candidate pair.
 * **Edge deletion** is the hard direction (stored minima cannot be
   "un-relaxed").  The affected rows are pinned *exactly* at delete time
   by comparing ``v``'s backward k-ball before and after the removal —
   on well-connected graphs almost every deleted edge has same-length
   alternates, so most deletions pin nothing — and the recomputation is
-  *deferred* to the next read: consecutive deletions in a write burst
-  share one repair pass, which runs 64 rows per sweep through the same
-  blocked bit-parallel MS-BFS the static builder uses, and a repair
-  crossing the compaction threshold merges straight into a fresh
-  snapshot without ever materializing dict rows.
+  *deferred* to the next read: every row pinned in a write burst is
+  recomputed by one pass of the blocked bit-parallel MS-BFS the static
+  builder uses, 64 rows per sweep, whose sorted triples become the
+  rows' overlay entries.
 
-**Compaction** bounds the overlay: once the replaced-row count crosses
-``max(compaction_min_rows, compaction_ratio · |S_base|)`` (checked after
-every write and read-side flush when ``auto_compact`` is on),
-:meth:`compact` merges clean
-base rows (array mask + concatenate, no per-edge Python) with the
-overlay rows into a fresh :class:`IndexGraph` and promotes it — with the
-current graph snapshot — to the new base; ``rebuild=True`` instead
-re-derives every row from the graph through the blocked bit-parallel
-MS-BFS builder (useful after heavy churn, when a fresh degree-ordered
-cover can undo the monotone cover growth).  :meth:`freeze` is compaction
-promoted to an API: settle the overlay and hand back the static base
-snapshot for the serving/serialization paths.
+**Compaction** bounds the overlay: once a repair takes the replaced-row
+count to ``max(compaction_min_rows, compaction_ratio · |S_base|)`` (when
+``auto_compact`` is on), the repaired triples, the overlay and the clean
+base rows (array mask + concatenate, no per-edge Python) are min-reduced
+by key into a fresh :class:`IndexGraph`, which is promoted — with the
+current graph snapshot — to the new base; :meth:`compact` runs the same
+merge on demand, and ``rebuild=True`` instead re-derives every row from
+the graph through the blocked bit-parallel MS-BFS builder (useful after
+heavy churn, when a fresh degree-ordered cover can undo the monotone
+cover growth).  :meth:`freeze` is compaction promoted to an API: settle
+the overlay and hand back the static base snapshot for the
+serving/serialization paths.
 
 Equivalence after arbitrary update sequences — against a freshly built
 static index, against :meth:`freeze`'s output, and against the BFS
@@ -78,6 +77,8 @@ oracle — is the central test invariant
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
@@ -106,14 +107,6 @@ __all__ = ["DynamicKReachIndex", "OP_INSERT", "OP_DELETE"]
 #: array of ``(op, u, v)`` rows (one framed record each in an OpLog).
 OP_INSERT = 0
 OP_DELETE = 1
-
-#: Affected-row count at which a deletion repairs through one blocked
-#: bit-parallel MS-BFS over the current graph instead of per-row scalar
-#: sweeps.  The blocked path runs over the patched CSR, whose O(n + m)
-#: numpy build the next read needs anyway, but each 64-source sweep
-#: still pays an O(n) reset and numpy dispatch per level, so tiny
-#: repair sets stay on the scalar sweeps.
-_BLOCKED_REBUILD_MIN = 16
 
 #: Caps on queued insert-relaxation candidates: the outer-product chunk
 #: size per insert, and the total queue volume at which the pending
@@ -148,23 +141,24 @@ class DynamicKReachIndex:
         Hop budget (``None`` for the classic-reachability mode).
     compaction_ratio:
         Overlay size ratio triggering automatic compaction: the overlay
-        merges into a fresh base snapshot once its dirty-row count
+        merges into a fresh base snapshot once its replaced-row count
         reaches this fraction of the base cover size.
     compaction_min_rows:
         Floor under the ratio trigger.  A single k-hop deletion can
-        dirty every cover row within its backward ball, so a floor well
-        above typical ball sizes keeps small covers from compacting
+        replace every cover row within its backward ball, so a floor
+        well above typical ball sizes keeps small covers from compacting
         after every other write.
     auto_compact:
-        Run the threshold check after every update (default).  Off, the
-        overlay grows until an explicit :meth:`compact` / :meth:`freeze`.
+        Run the threshold check after every row repair (default).  Off,
+        the overlay grows until an explicit :meth:`compact` /
+        :meth:`freeze`.
     bitset_matrix_bytes:
         Memory ceiling for the patched level stack, mirroring the static
         index's parameter: the three ≤k-2 / ≤k-1 / ≤k views (one for
         n-reach) of ~|S|²/8 bytes each must fit together.  Past it,
-        batches probe the keyed three-tier lookup and Case 4 joins
-        against the patched ≤k-2 view alone while that fits; past that
-        too, it walks the chunked cross products.
+        batches probe the keyed lookup of the overlay over the base, and
+        Case 4 joins against the patched ≤k-2 view alone while that
+        fits; past that too, it walks the chunked cross products.
 
     Examples
     --------
@@ -273,20 +267,14 @@ class DynamicKReachIndex:
         # row changes (the patched CSR's per-burst input).
         self._out_rows: dict[int, np.ndarray] = {}
         self._in_rows: dict[int, np.ndarray] = {}
-        # Overlay state: everything that diverged since the snapshot.
-        self._delta: dict[int, dict[int, int]] = {}
-        # Per-row flattened (sorted dst, w) views of delta rows; entries
-        # drop when their row changes, so a flush re-flattens only what
-        # moved instead of the whole overlay.
-        self._row_arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # Min-patches: sparse {y: w} improvements on top of CLEAN base
-        # rows (insert relaxations rarely touch more than a few entries,
-        # and a full-row copy per improvement would dirty the row, mask
-        # it out of the base link matrix, and push it toward compaction
-        # for no reason).  Invariant: patch keys never overlap delta
-        # keys — improvements on an already-replaced row go into its
-        # delta dict directly, and a repair drops the row's patch.
-        self._patch: dict[int, dict[int, int]] = {}
+        # The overlay: sorted x * n + y keys with their weights, and the
+        # rows whose entries replace their base row whole.  Improvements
+        # on other rows stay sparse min-patches: a full-row copy each
+        # would mask the row out of the base views and push it toward
+        # compaction for no reason.
+        empty = np.empty(0, dtype=np.int64)
+        self._set_overlay(empty, empty)
+        self._replaced = np.zeros(self.n, dtype=bool)
         self._cover_added: list[int] = []
         self._dirty_out: set[int] = set()
         self._dirty_in: set[int] = set()
@@ -303,22 +291,23 @@ class DynamicKReachIndex:
 
         Only base promotion needs this.  Ordinary writes maintain the
         O(n) views (cover flags, position map) *incrementally* and drop
-        only what they change: the patched CSR, plus the overlay views
-        when a cover addition replaces a row (repairs and relaxations
-        drop them at the flush).  A write burst thus frees nothing the
-        next read rebuilds unchanged.
+        only what they change: the patched CSR, plus the patched views
+        when the cover grows or the overlay changes.  A write burst thus
+        frees nothing the next read rebuilds unchanged.
         """
         self._flags_np: np.ndarray | None = None
         self._row_pos_np: np.ndarray | None = None
-        self._delta_cache: (
-            tuple[KeyedRowStore, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-            | None
-        ) = None
-        self._patch_cache: (
-            tuple[KeyedRowStore, np.ndarray, np.ndarray, np.ndarray] | None
-        ) = None
         self._graph_cache: DiGraph | None = None
         self._views: tuple[list, list[np.ndarray]] | None = None
+
+    def _set_overlay(self, keys: np.ndarray, weights: np.ndarray) -> None:
+        """Install the overlay's sorted unique ``keys`` and their
+        ``weights``, with their keyed store, the memoryviews the scalar
+        probe bisects, and no patched views."""
+        self._keys, self._weights = keys, weights
+        self._store = KeyedRowStore(keys, weights, self.n)
+        self._key_view, self._weight_view = memoryview(keys), memoryview(weights)
+        self._views = None
 
     # ------------------------------------------------------------------
     # Internal helpers (maintenance algebra)
@@ -353,19 +342,17 @@ class DynamicKReachIndex:
         return dist
 
     def _row_get(self, x: int, y: int) -> int | None:
-        """Current stored weight of (x, y): overlay row or base, min'd
-        with the row's pending insert patch."""
-        row = self._delta.get(x)
-        if row is not None:
-            w = row.get(y)
-        else:
-            w = self._base.index_graph.probe()[1](x, y)
-            prow = self._patch.get(x)
-            if prow is not None:
-                pw = prow.get(y)
-                if pw is not None and (w is None or pw < w):
-                    w = pw
-        return w
+        """Current stored weight of (x, y): the overlay entry on a
+        replaced row; elsewhere the min-patch, which only ever lowers the
+        base weight, or else the base weight."""
+        key = x * self.n + y
+        keys = self._key_view
+        i = bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            return self._weight_view[i]
+        if self._replaced[x]:
+            return None
+        return self._base.index_graph.probe()[1](x, y)
 
     def _queue_relax(
         self, xs: np.ndarray, ys: np.ndarray, dists: np.ndarray
@@ -387,185 +374,131 @@ class DynamicKReachIndex:
     def _apply_relaxations(self) -> None:
         """Min-merge the queued insert candidates into the overlay.
 
-        One concatenation + sort gives the best candidate per (x, y);
-        one bulk lookup over all tiers finds the pairs that actually
-        improve; only those touch Python dicts — an entry in the row's
-        min-patch when the row is clean, an in-place update when the row
-        was already replaced.  No candidate ever dirties a clean row
-        (replaced rows are masked out of the base link matrix and count
-        toward the compaction threshold; patches just OR extra bits in).
+        One fused sort gives the best candidate per (x, y); one bulk
+        lookup finds those that improve on the current weight, and only
+        those merge into the overlay's arrays — a min-patch on a row that
+        is not replaced, an entry of a replaced one.  No candidate ever
+        replaces a row (replaced rows are masked out of the base link
+        views and count toward the compaction threshold).
         """
         if not self._pending_relax:
             return
         parts = self._pending_relax
         self._pending_relax = []
         self._pending_relax_size = 0
-        xs = np.concatenate([p[0] for p in parts])
-        ys = np.concatenate([p[1] for p in parts])
-        dists = np.concatenate([p[2] for p in parts])
+        xs, ys, dists = (np.concatenate(column) for column in zip(*parts))
+        keys, w = self._min_by_key(xs * self.n + ys, self._quantize(dists))
+        better = w < self._lookup(*np.divmod(keys, self.n))
+        if bool(better.any()):
+            self._set_overlay(
+                *self._min_by_key(
+                    np.concatenate((self._keys, keys[better])),
+                    np.concatenate((self._weights, w[better])),
+                    "stable",
+                )
+            )
+
+    def _quantize(self, dists: np.ndarray) -> np.ndarray:
+        """The stored k-reach weights of raw distances: ``max(d, k-2)``,
+        or all zero for n-reach."""
         if self.k is None:
-            w = np.zeros(len(dists), dtype=np.int64)
-        else:
-            w = np.maximum(dists, self.k - 2)
-        keys = xs * self.n + ys
+            return np.zeros(len(dists), dtype=np.int64)
+        return np.maximum(dists, self.k - 2)
+
+    def _min_by_key(
+        self, keys: np.ndarray, w: np.ndarray, kind: str = "quicksort"
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted unique ``keys``, each with its least quantized weight.
+
+        The weights span {k-2, k-1, k} (all zero for n-reach), so below
+        n = 2^30 they fuse into the key's two low bits and one sort
+        orders by (key, weight); the first entry per key is its least.
+        ``kind`` is numpy's sort kind: callers that concatenate sorted
+        arrays pass ``"stable"``, whose run merging reads about 3x
+        faster there and 5x slower on shuffled keys.
+        """
         if self.k is None:
-            order = np.argsort(keys, kind="stable")  # weights all equal
+            order = np.argsort(keys, kind=kind)
         elif self.n < (1 << 30):
-            # Quantized weights span {k-2, k-1, k}: fuse them into the
-            # low bits so one radix pass orders by (key, weight).
-            order = np.argsort(keys * np.int64(4) + (w - (self.k - 2)))
+            order = np.argsort(keys * np.int64(4) + (w - (self.k - 2)), kind=kind)
         else:
             order = np.lexsort((w, keys))
-        kk = keys[order]
-        ww = w[order]
-        first = np.empty(len(kk), dtype=bool)
-        first[0] = True
-        np.not_equal(kk[1:], kk[:-1], out=first[1:])
-        bounds = np.flatnonzero(first)
-        ukeys = kk[bounds]
-        uw = ww[bounds]  # sorted by (key, w): first entry per key is min
-        ux = ukeys // self.n
-        uy = ukeys % self.n
-        improved = uw < self._lookup(ux, uy)
-        if not bool(improved.any()):
-            return
-        delta = self._delta
-        patch = self._patch
-        drop_arrays = self._row_arrays.pop
-        for x, y, wv in zip(
-            ux[improved].tolist(), uy[improved].tolist(), uw[improved].tolist()
-        ):
-            row = delta.get(x)
-            if row is not None:  # already-replaced row: update in place
-                row[y] = wv
-                drop_arrays(x, None)
-                self._delta_cache = None
-                continue
-            prow = patch.get(x)
-            if prow is None:
-                prow = patch[x] = {}
-            prow[y] = wv
-        self._patch_cache = None
-        self._views = None
+        keys, w = keys[order], w[order]
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        return keys[first], w[first]
 
-    def _rebuild_row(self, x: int) -> None:
-        """Recompute cover vertex ``x``'s row with a fresh bounded BFS."""
-        dist = self._ball_dists(x, self.k, "out")
-        mask = (dist >= 0) & self._flags()
-        mask[x] = False
-        hit = np.flatnonzero(mask)
-        if self.k is None:
-            row = dict.fromkeys(hit.tolist(), 0)
-        else:
-            weights = np.maximum(dist[hit], self.k - 2)
-            row = dict(zip(hit.tolist(), weights.tolist()))
-        # An empty dict is meaningful: the row exists and has no edges
-        # (absence from the overlay means "clean", not "empty").
-        self._delta[x] = row
-        self._row_arrays.pop(x, None)
-        self._delta_cache = None
-        self._views = None
-        # A fresh recompute supersedes the row's pending patch and repair.
-        if self._patch.pop(x, None) is not None:
-            self._patch_cache = None
-        self._pending_repair.discard(x)
+    def _repair_rows(self) -> None:
+        """Recompute every pinned row in one blocked MS-BFS pass.
 
-    def _rebuild_rows_blocked(self, affected: list[int]) -> None:
-        """Recompute many dirtied rows in one blocked MS-BFS pass.
-
-        A deletion on a dense region can dirty most of the cover; per-row
-        scalar sweeps would then cost nearly a full rebuild in Python
-        loops.  Instead the affected rows ride the same 64-sources-per-
-        sweep bit-parallel kernel Algorithm-1 construction uses, against
-        a snapshot of the current adjacency.  When the repair set alone
-        crosses the compaction threshold, the fresh triples merge
-        straight into a new base snapshot — arrays to arrays, never
-        materializing a dict overlay that the very next write burst
-        would flatten again.
+        The rows pinned by deletions and cover growth ride the same
+        64-sources-per-sweep bit-parallel kernel Algorithm-1
+        construction uses, over the patched CSR.  Their triples, sorted
+        by ``(src, dst)``, replace the rows' overlay entries, and the
+        rows are marked replaced — unless that takes the replaced-row
+        count to the compaction threshold: then they merge straight
+        into a fresh snapshot, which the overlay would only hand them to
+        moments later.
         """
+        sources = np.fromiter(self._pending_repair, dtype=np.int64)
+        self._pending_repair.clear()
         g = self._graph()
-        sources = np.unique(np.asarray(affected, dtype=np.int64))
         src, dst, dist = bfs_distances_blocked(
             g, sources, k=self.k, emit=self._flags()
         )
-        # A repair crossing the compaction threshold merges straight
-        # into a fresh snapshot — the overlay would only hand the same
-        # rows to a compaction moments later.  Anything smaller lands in
-        # the overlay as dict rows whose flattened-array views are
-        # seeded below for free.
-        if self.auto_compact and len(sources) >= self.compaction_threshold:
-            self._merge(g, (sources, src, dst, dist))
+        rows = np.zeros(self.n, dtype=bool)
+        rows[sources] = True
+        keys, w = src * self.n + dst, self._quantize(dist)
+        replaced = self._replaced | rows
+        if (
+            self.auto_compact
+            and np.count_nonzero(replaced) >= self.compaction_threshold
+        ):
+            self._merge(g, (rows, keys, w))
             return
-        if self.k is None:
-            w = np.zeros(len(dist), dtype=np.int64)
-        else:
-            w = np.maximum(dist, self.k - 2)
-        starts = np.searchsorted(src, sources, side="left")
-        stops = np.searchsorted(src, sources, side="right")
-        for x, lo, hi in zip(sources.tolist(), starts.tolist(), stops.tolist()):
-            xi = int(x)
-            self._delta[xi] = dict(zip(dst[lo:hi].tolist(), w[lo:hi].tolist()))
-            # The blocked BFS emits (src, dst) ascending, so each row's
-            # slices double as its flattened-array cache.
-            self._row_arrays[xi] = (dst[lo:hi], w[lo:hi])
-            if self._patch.pop(xi, None) is not None:
-                self._patch_cache = None
+        self._replaced = replaced
+        keep = ~rows[self._keys // self.n]
+        self._set_overlay(
+            *self._min_by_key(
+                np.concatenate((self._keys[keep], keys)),
+                np.concatenate((self._weights[keep], w)),
+                "stable",
+            )
+        )
 
-    def _materialize_patches(self) -> None:
-        """Fold the pending insert patches into full delta rows.
+    def _merged(self, repaired: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The current index as sorted unique ``(keys, weights)``.
 
-        Only the compaction merges need this — steady-state queries read
-        patches through their own store — so the full-row copies are
-        paid once per compaction instead of once per improvement.
+        Three parts, min-reduced by key (a min-patch beats the base link
+        it lowers): the base's :meth:`IndexGraph.triples
+        <repro.core.index_graph.IndexGraph.triples>` minus the replaced
+        and repaired rows, the overlay minus the repaired rows, and the
+        repaired rows.  ``repaired`` is a repair's ``(rows, keys,
+        weights)``: its row mask over the vertices and its triples.
         """
-        if not self._patch:
-            return
-        row_dict = self._base.index_graph.row_dict
-        for x, prow in self._patch.items():
-            row = self._delta.get(x)
-            if row is None:
-                row = self._delta[x] = row_dict(x)
-            for y, w in prow.items():
-                old = row.get(y)
-                if old is None or w < old:
-                    row[y] = w
-            self._row_arrays.pop(x, None)
-        self._patch.clear()
-        self._patch_cache = None
-        self._delta_cache = None
+        hidden = self._replaced
+        keys, w = [self._keys], [self._weights]
+        if repaired is not None:
+            rows, rkeys, rw = repaired
+            hidden = hidden | rows
+            keep = ~rows[self._keys // self.n]
+            keys, w = [self._keys[keep], rkeys], [self._weights[keep], rw]
+        src, dst, bw = self._base.index_graph.triples()
+        keep = ~hidden[src]
+        keys.append(src[keep] * self.n + dst[keep])
+        w.append(bw[keep])
+        return self._min_by_key(np.concatenate(keys), np.concatenate(w), "stable")
 
     def _merge(self, g: DiGraph, repaired: tuple | None = None) -> KReachIndex:
-        """The compaction merge: clean base rows, surviving overlay rows
-        and, after a mass repair, the freshly repaired rows merge into a
-        new base snapshot over ``g``, which is promoted and returned.
-
-        Patches are materialized first; dirty sources are masked out of
-        the base's :meth:`IndexGraph.triples
-        <repro.core.index_graph.IndexGraph.triples>` stream, and the
-        parts concatenate into the :meth:`IndexGraph.for_kreach
+        """The compaction merge: :meth:`_merged`'s triples, with a
+        repair's rows when ``repaired`` is given, become a new base
+        snapshot over ``g`` through the :meth:`IndexGraph.for_kreach
         <repro.core.index_graph.IndexGraph.for_kreach>` array path every
-        other builder uses.  ``repaired`` is a blocked repair's
-        ``(sources, src, dst, dist)``: its rows replace those sources'
-        base and overlay rows.  Its raw BFS distances need no
-        quantization here — ``for_kreach`` applies it to them and
-        (idempotently) to the stored weights alike.
-        """
-        self._materialize_patches()
+        other builder uses; it is promoted and returned."""
+        keys, w = self._merged(repaired)
+        src, dst = np.divmod(keys, self.n)
         cover = frozenset(self._cover)
-        exclude = np.zeros(self.n, dtype=bool)
-        parts = []
-        if repaired is not None:
-            exclude[repaired[0]] = True
-            parts.append(repaired[1:])
-        if self._delta:
-            _, dirty, d_src, d_dst, d_w = self._delta_store()
-            survive = ~exclude[d_src]
-            parts.append((d_src[survive], d_dst[survive], d_w[survive]))
-            exclude |= dirty
-        base_src, base_dst, base_w = self._base.index_graph.triples()
-        keep = ~exclude[base_src]
-        parts.append((base_src[keep], base_dst[keep], base_w[keep]))
-        src, dst, w = (np.concatenate(column) for column in zip(*parts))
         ig = IndexGraph.for_kreach(self.n, cover, src, dst, w, self.k)
         base = KReachIndex.from_index_graph(
             g,
@@ -589,7 +522,8 @@ class DynamicKReachIndex:
         return verts, dist[verts]
 
     def _add_to_cover(self, w: int) -> None:
-        """Grow the cover by ``w``: forward row + backward in-links."""
+        """Grow the cover by ``w``: its forward row is pinned for the
+        next flush's repair, its backward in-links queued."""
         self._cover.add(w)
         self._cover_added.append(w)
         if self._flags_np is not None:
@@ -598,7 +532,8 @@ class DynamicKReachIndex:
             self._row_pos_np[w] = (
                 self._base.index_graph.cover_size + len(self._cover_added) - 1
             )
-        self._rebuild_row(w)
+        self._pending_repair.add(w)
+        self._views = None
         bx, bd = self._cover_ball_arrays(
             self._ball_dists(w, self.k, "in"), w
         )
@@ -640,7 +575,6 @@ class DynamicKReachIndex:
                 if self.k is not None:
                     keep &= dist <= self.k
                 self._queue_relax(xs[keep], ys[keep], dist[keep])
-        self._after_write()
 
     def delete_edge(self, u: int, v: int) -> None:
         """Delete the directed edge ``(u, v)`` and repair the overlay.
@@ -682,7 +616,6 @@ class DynamicKReachIndex:
         # merged in.
         changed = (back_pre >= 0) & (back_post != back_pre) & self._flags()
         self._pending_repair.update(np.flatnonzero(changed).tolist())
-        self._after_write()
 
     def _mark_dirty_adjacency(self, u: int, v: int) -> None:
         """An edge (u, v) changed: u's out-list and v's in-list diverged."""
@@ -692,10 +625,6 @@ class DynamicKReachIndex:
         self._in_rows.pop(v, None)
         self._graph_cache = None
 
-    def _after_write(self) -> None:
-        if self.auto_compact and len(self._delta) >= self.compaction_threshold:
-            self.compact()
-
     def _flush_repairs(self) -> None:
         """Settle the deferred write work (called before any row read).
 
@@ -703,34 +632,22 @@ class DynamicKReachIndex:
         touched get overwritten by their repair right after, so a stale
         candidate can never survive — see :meth:`delete_edge` for why
         the repair set provably covers every broken candidate path).
-        Then the deletion repairs run: small sets per row with scalar
-        BFS, larger ones through the blocked MS-BFS kernel, 64 rows per
-        sweep.  Every read entry point (scalar query, batch query,
-        compaction, freeze, introspection that reads rows) funnels
-        through here, so deferral is invisible to callers — answers are
-        always exact.
+        Then every pinned row is recomputed in one blocked MS-BFS pass
+        (:meth:`_repair_rows`).  Every read entry point (scalar query,
+        batch query, compaction, freeze, introspection that reads rows)
+        funnels through here, so deferral is invisible to callers —
+        answers are always exact.
         """
         self._apply_relaxations()
-        if not self._pending_repair:
-            return
-        affected = list(self._pending_repair)
-        self._pending_repair.clear()
-        if len(affected) >= _BLOCKED_REBUILD_MIN:
-            self._rebuild_rows_blocked(affected)
-        else:
-            for x in affected:
-                self._rebuild_row(x)
-        self._delta_cache = None
-        self._views = None
-        if self.auto_compact and len(self._delta) >= self.compaction_threshold:
-            self.compact()
+        if self._pending_repair:
+            self._repair_rows()
 
     # ------------------------------------------------------------------
     # Compaction (the maintenance loop's snapshot merge)
     # ------------------------------------------------------------------
     @property
     def compaction_threshold(self) -> int:
-        """Dirty-row count at which automatic compaction fires."""
+        """Replaced-row count at which automatic compaction fires."""
         return max(
             self.compaction_min_rows,
             int(self.compaction_ratio * self._base.cover_size),
@@ -740,18 +657,18 @@ class DynamicKReachIndex:
         """Merge the overlay into a fresh base snapshot and promote it.
 
         The default path never re-traverses the graph: clean base rows
-        are taken as array slices and the overlay rows appended, the one
-        merge a mass repair also runs.  ``rebuild=True`` instead
+        are taken as array slices and min-reduced with the overlay, the
+        one merge a mass repair also runs.  ``rebuild=True`` instead
         re-derives all rows from the current graph through the blocked
         bit-parallel MS-BFS builder (and a fresh degree-ordered cover) —
         full Algorithm-1 cost, worth paying after heavy churn since the
-        maintained cover only ever grows.  Either way the overlay (dirty
-        rows, dirty adjacency, pending log) resets to empty and the
-        current graph becomes the new snapshot graph.  Returns the new
-        base.
+        maintained cover only ever grows.  Either way the overlay
+        (entries, replaced rows, dirty adjacency, pending log) resets to
+        empty and the current graph becomes the new snapshot graph.
+        Returns the new base.
         """
         self._flush_repairs()  # may itself promote a merged snapshot
-        if not self._log and not self._delta:
+        if not self._log:
             return self._base  # nothing pending; keep the snapshot
         g = self._graph()
         if not rebuild:
@@ -852,99 +769,15 @@ class DynamicKReachIndex:
             self._row_pos_np = pos
         return self._row_pos_np
 
-    def _row_arrays_of(self, x: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(sorted dst, aligned w)`` arrays of delta row ``x`` (cached)."""
-        cached = self._row_arrays.get(x)
-        if cached is not None:
-            return cached
-        row = self._delta[x]
-        dst = np.fromiter(row.keys(), dtype=np.int64, count=len(row))
-        w = np.fromiter(row.values(), dtype=np.int64, count=len(row))
-        order = np.argsort(dst)
-        arrays = (dst[order], w[order])
-        self._row_arrays[x] = arrays
-        return arrays
-
-    def _delta_store(
-        self,
-    ) -> tuple[KeyedRowStore, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The overlay flattened for bulk work, rebuilt per write burst.
-
-        ``(store, dirty, src, dst, w)``: a :class:`KeyedRowStore` over
-        the dirty rows, per-vertex dirty-source flags, and the aligned
-        triple arrays (shared by the patched-matrix fill and the
-        compaction merges, so the overlay is flattened at most once per
-        burst).  Rows concatenate in ascending source order with sorted
-        targets, so the store's keys arrive pre-sorted and only rows
-        whose per-row cache dropped pay a re-flatten.
-        """
-        if self._delta_cache is None:
-            dirty = np.zeros(self.n, dtype=bool)
-            if self._delta:
-                row_ids = np.asarray(sorted(self._delta), dtype=np.int64)
-                dirty[row_ids] = True
-                pairs = [self._row_arrays_of(int(x)) for x in row_ids]
-                counts = np.fromiter(
-                    (len(p[0]) for p in pairs), dtype=np.int64, count=len(pairs)
-                )
-                src = np.repeat(row_ids, counts)
-                dst = np.concatenate([p[0] for p in pairs])
-                w = np.concatenate([p[1] for p in pairs])
-            else:
-                src = np.empty(0, dtype=np.int64)
-                dst = src.copy()
-                w = src.copy()
-            store = KeyedRowStore(src * self.n + dst, w, self.n)
-            self._delta_cache = (store, dirty, src, dst, w)
-        return self._delta_cache
-
-    def _patch_store(
-        self,
-    ) -> tuple[KeyedRowStore, np.ndarray, np.ndarray, np.ndarray]:
-        """``(store, src, dst, w)`` over the pending insert patches."""
-        if self._patch_cache is None:
-            if self._patch:
-                row_ids = sorted(self._patch)
-                counts = np.fromiter(
-                    (len(self._patch[x]) for x in row_ids),
-                    dtype=np.int64,
-                    count=len(row_ids),
-                )
-                src = np.repeat(
-                    np.asarray(row_ids, dtype=np.int64), counts
-                )
-                dst = np.fromiter(
-                    (y for x in row_ids for y in self._patch[x]),
-                    dtype=np.int64,
-                    count=int(counts.sum()),
-                )
-                w = np.fromiter(
-                    (pw for x in row_ids for pw in self._patch[x].values()),
-                    dtype=np.int64,
-                    count=int(counts.sum()),
-                )
-            else:
-                src = np.empty(0, dtype=np.int64)
-                dst = src.copy()
-                w = src.copy()
-            store = KeyedRowStore(src * self.n + dst, w, self.n)
-            self._patch_cache = (store, src, dst, w)
-        return self._patch_cache
-
     def _lookup(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Bulk weight lookup over the tiers: base, overridden by
-        replaced (dirty) rows, min'd with the pending insert patches."""
-        weights = self._base.index_graph.keyed().lookup(u, v)
-        if self._delta:
-            store, dirty = self._delta_store()[:2]
-            d = dirty[u]
-            if d.any():
-                weights[d] = store.lookup(u[d], v[d])
-        if self._patch:
-            np.minimum(
-                weights, self._patch_store()[0].lookup(u, v), out=weights
-            )
-        return weights
+        """Bulk weight lookup: the overlay weight on a replaced row, and
+        the lesser of the base weight and the min-patch on any other."""
+        over = self._store.lookup(u, v)
+        return np.where(
+            self._replaced[u],
+            over,
+            np.minimum(self._base.index_graph.lookup(u, v), over),
+        )
 
     def _graph(self) -> DiGraph:
         """The current graph: the base snapshot's CSRs with the diverged
@@ -974,19 +807,19 @@ class DynamicKReachIndex:
         current index, the distinct ones built in one pass per write
         burst (a repeated spec, as n-reach's, shares its view).
 
-        Each is the base snapshot's cached view copied into the top-left
-        block (base positions are stable across overlay growth), with the
-        replaced rows cleared and refilled from the overlay, the
-        min-patches ORed in (they only ever lower weights), and the
-        diagonal set on replaced rows — cover additions among them —
-        where the view holds the handshake.  A clean overlay serves the
-        base's cached views themselves.  The patched views share one
-        buffer that later bursts overwrite; its rows are rounded up to
-        whole words (the extra rows stay zero), so cover growth
-        reallocates it once per 64 vertices.
+        Each is the base snapshot's view copied into the top-left block
+        (base positions are stable across overlay growth), with the
+        replaced rows — cover additions among them — cleared, every
+        overlay link within the budget set (a min-patch only ever lowers
+        a weight, so setting its bit is enough), and the diagonal set on
+        the replaced rows where the view holds the handshake.  A clean
+        overlay serves the base's views themselves.  The patched views
+        share one buffer that later bursts overwrite; its rows are
+        rounded up to whole words (the extra rows stay zero), so cover
+        growth reallocates it once per 64 vertices.
         """
         ig = self._base.index_graph
-        if not (self._delta or self._patch):
+        if not (len(self._keys) or self._replaced.any()):
             return ig.link_matrices(specs)
         if self._views is not None and self._views[0] == specs:
             return self._views[1]
@@ -997,12 +830,9 @@ class DynamicKReachIndex:
             self._view_buf = np.empty(shape, dtype=np.uint64)
         rows_b, words_b = ig.cover_size, words_for(ig.cover_size)
         row_pos = self._row_pos()
-        dirty_pos = row_pos[np.fromiter(self._delta, dtype=np.int64)]
-        links = []
-        for src, dst, w in (self._delta_store()[2:], self._patch_store()[1:]):
-            pv = row_pos[dst]
-            keep = pv >= 0
-            links.append((row_pos[src][keep], pv[keep], w[keep]))
+        replaced = row_pos[np.flatnonzero(self._replaced)]
+        src, dst = np.divmod(self._keys, self.n)
+        pu, pv = row_pos[src], row_pos[dst]
         views = list(self._view_buf)
         for view, base, (budget, diagonal) in zip(
             views, ig.link_matrices(distinct), distinct
@@ -1010,12 +840,11 @@ class DynamicKReachIndex:
             view[:rows_b, :words_b] = base
             view[:rows_b, words_b:] = 0
             view[rows_b:] = 0
-            view[dirty_pos] = 0
-            for pu, pv, w in links:
-                fit = slice(None) if budget is None else w <= budget
-                set_bits(view, pu[fit], pv[fit])
+            view[replaced] = 0
+            fit = slice(None) if budget is None else self._weights <= budget
+            set_bits(view, pu[fit], pv[fit])
             if diagonal:
-                set_bits(view, dirty_pos, dirty_pos)
+                set_bits(view, replaced, replaced)
         built = dict(zip(distinct, views))
         self._views = (specs, [built[spec] for spec in specs])
         return self._views[1]
@@ -1038,17 +867,16 @@ class DynamicKReachIndex:
         <repro.core.kreach.KReachIndex.prepare_batch>`: settles the
         deferred write work and builds the patched CSR plus the patched
         level stack when it fits :attr:`bitset_matrix_bytes` (the base's
-        own cached views while the overlay is clean), else the keyed
-        three-tier lookup and the patched ≤k-2 view while that fits.
-        Returns ``self`` for chaining.
+        own views while the overlay is clean), else the base's keyed
+        probe arrays and the patched ≤k-2 view while that fits.  Returns
+        ``self`` for chaining.
         """
         self._flush_repairs()
         self._flags()
         self._graph()
         if self._batch_views()[0] is None:
-            self._base.index_graph.keyed()
-            self._delta_store()
-            self._patch_store()
+            empty = np.empty(0, dtype=np.int64)
+            self._base.index_graph.lookup(empty, empty)
         return self
 
     def query_batch(self, pairs) -> np.ndarray:
@@ -1062,7 +890,8 @@ class DynamicKReachIndex:
         CSR on the path the one memory gate picks
         (:func:`~repro.core.kreach.batch_views`): the patched level
         stack while it fits :attr:`bitset_matrix_bytes`, else the keyed
-        three-tier lookup, with Case 4 joining against the patched ≤k-2
+        lookup of the overlay over the base, with Case 4 joining against
+        the patched ≤k-2
         view while that fits and walking the chunked cross products
         past it.
         """
@@ -1098,31 +927,25 @@ class DynamicKReachIndex:
 
     @property
     def edge_count(self) -> int:
-        """Current number of index edges (clean base rows + overlay rows)."""
+        """Current number of index edges: those a compaction would keep."""
         self._flush_repairs()
-        ig = self._base.index_graph
-        total = ig.edge_count + sum(len(row) for row in self._delta.values())
-        for u in self._delta:
-            lo, hi = ig.row_bounds(u)
-            total -= hi - lo
-        if self._patch:
-            within = ig.probe()[0]
-            for x, prow in self._patch.items():
-                for y in prow:
-                    if not within(x, y):
-                        total += 1
-        return total
+        if not self.overlay_rows:
+            return self._base.index_graph.edge_count
+        return len(self._merged()[0])
 
     @property
     def overlay_rows(self) -> int:
-        """Cover rows currently living in the delta overlay (replaced
-        rows plus rows with pending insert patches)."""
-        return len(self._delta) + len(self._patch)
+        """Cover rows the overlay touches: replaced rows plus rows with
+        min-patches."""
+        rows = self._replaced.copy()
+        rows[self._keys // self.n] = True
+        return int(np.count_nonzero(rows))
 
     @property
     def pending_repairs(self) -> int:
-        """Rows pinned by deletions but not yet recomputed (the deferred
-        repair set; drained by the next read or compaction)."""
+        """Rows pinned for the next flush's repair but not yet
+        recomputed: those deletions pinned, and the rows of cover
+        vertices added since (drained by the next read or compaction)."""
         return len(self._pending_repair)
 
     @property

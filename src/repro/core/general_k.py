@@ -140,10 +140,10 @@ class CoverDistanceOracle:
 
     def prepare_batch(self) -> "CoverDistanceOracle":
         """Build the batch engine's lookup structures now: nothing for a
-        plane-form oracle, the keyed distance store past the gate (what
-        the probes there read).  The views of a hop budget past the gate
-        are built by its first batch; :meth:`distance_batch` derives the
-        keyed store on first use.  Returns ``self``."""
+        plane-form oracle (its batches and :meth:`distance_batch` read the
+        planes), the keyed distance store past the gate (what the probes
+        there read).  The views of a hop budget past the gate are built
+        by its first batch.  Returns ``self``."""
         if self._ig.levels is None:
             self._ig.keyed()
         return self
@@ -194,7 +194,10 @@ class CoverDistanceOracle:
         Entries are exact shortest-path distances, with
         :data:`INFINITE_DISTANCE` for unreachable pairs.  Same case split
         as the scalar path, but the per-case minimizations run as bulk
-        sorted-key gathers plus segmented ``minimum`` reductions; only
+        :meth:`IndexGraph.lookup
+        <repro.core.index_graph.IndexGraph.lookup>` gathers (bit probes
+        of the planes inside the gate, sorted-key probes past it) plus
+        segmented ``minimum`` reductions; only
         hub×hub Case-4 pairs whose neighbor cross product would dominate
         memory fall back to the scalar loop.
         """
@@ -205,7 +208,7 @@ class CoverDistanceOracle:
             return np.empty(0, dtype=np.float64)
         dist = np.full(m, MISSING_WEIGHT, dtype=np.int64)
         dist[s == t] = 0
-        store = self._ig.keyed()
+        lookup = self._ig.lookup
         s_in = self._in_cover[s]
         t_in = self._in_cover[t]
         undecided = s != t
@@ -213,14 +216,14 @@ class CoverDistanceOracle:
         # Case 1: direct cover-pair distance.
         sel = np.flatnonzero(undecided & s_in & t_in)
         if len(sel):
-            dist[sel] = store.lookup(s[sel], t[sel])
+            dist[sel] = lookup(s[sel], t[sel])
 
         # Case 2: min over in-neighbors v of t of d(s, v) + 1 (d(s, s) = 0).
         sel = np.flatnonzero(undecided & s_in & ~t_in)
         if len(sel):
             nbrs, owner, _ = gather_segments(g.in_indptr, g.in_indices, t[sel])
             src = s[sel][owner]
-            cand = np.where(nbrs == src, 0, store.lookup(src, nbrs)) + 1
+            cand = np.where(nbrs == src, 0, lookup(src, nbrs)) + 1
             best = np.full(len(sel), MISSING_WEIGHT, dtype=np.int64)
             np.minimum.at(best, owner, cand)
             dist[sel] = best
@@ -230,7 +233,7 @@ class CoverDistanceOracle:
         if len(sel):
             nbrs, owner, _ = gather_segments(g.out_indptr, g.out_indices, s[sel])
             dst = t[sel][owner]
-            cand = np.where(nbrs == dst, 0, store.lookup(nbrs, dst)) + 1
+            cand = np.where(nbrs == dst, 0, lookup(nbrs, dst)) + 1
             best = np.full(len(sel), MISSING_WEIGHT, dtype=np.int64)
             np.minimum.at(best, owner, cand)
             dist[sel] = best
@@ -242,7 +245,7 @@ class CoverDistanceOracle:
             best = np.full(len(sel), MISSING_WEIGHT, dtype=np.int64)
             big, chunks = plan_cross_products(g, s4, t4)
             for sub, u, v, owner in chunks:
-                cand = np.where(u == v, 0, store.lookup(u, v)) + 2
+                cand = np.where(u == v, 0, lookup(u, v)) + 2
                 cur = np.full(len(sub), MISSING_WEIGHT, dtype=np.int64)
                 np.minimum.at(cur, owner, cand)
                 best[sub] = np.minimum(best[sub], cur)
@@ -321,9 +324,7 @@ class CoverDistanceOracle:
             self.bitset_matrix_bytes,
             stored=ig.levels is not None,
         )
-        within = level_within(
-            specs, stack, row_pos, lambda u, v: ig.keyed().lookup(u, v)
-        )
+        within = level_within(specs, stack, row_pos, ig.lookup)
         return algorithm2_batch(
             self.graph,
             s,

@@ -50,9 +50,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.bitsets.ops import matrix_bytes, set_bits, words_for
+from repro.bitsets.ops import matrix_bytes, probe_bits, set_bits, words_for
 from repro.bitsets.packed import PackedIntArray, bits_needed
-from repro.core.batch import KeyedRowStore
+from repro.core.batch import MISSING_WEIGHT, KeyedRowStore
 from repro.graph.digraph import DiGraph, validate_csr
 from repro.graph.traversal import (
     UNREACHED,
@@ -82,8 +82,11 @@ LINK_MATRIX_CACHE_CAP = 16
 #: the views about 1.4x faster than 1M-edge blocks.
 _SCATTER_EDGES = 1 << 16
 
-#: Plane bits the CSR derivation unpacks per row block (one byte each).
-_UNPACK_BITS = 1 << 22
+#: Plane bits per row block of the plane scans: the CSR derivation
+#: unpacks a block's bits (one byte each), and the nesting check of
+#: :meth:`IndexGraph.validate` holds a block's words (512 KiB), so
+#: neither allocates in proportion to the planes.
+_BLOCK_BITS = 1 << 22
 
 # Below this k a scalar sparse BFS beats the vectorized full-array BFS
 # for the per-source serial builder (tiny k-hop balls).
@@ -339,9 +342,8 @@ class IndexGraph:
     ) -> "IndexGraph":
         """Conversion helper: build from legacy ``{u: {v: w}}`` mappings.
 
-        Accepts any rows with ``.items()``.  Only tests, tools, and the
-        dynamic index's freeze path should need this; construction proper
-        goes through :meth:`from_triples`.
+        Accepts any rows with ``.items()``.  Only tests and tools should
+        need this; construction proper goes through :meth:`from_triples`.
         """
         srcs: list[int] = []
         dsts: list[int] = []
@@ -408,7 +410,7 @@ class IndexGraph:
         planes = self._levels
         size = self.cover_size
         width = planes[0].shape[1] * 64
-        step = max(1, _UNPACK_BITS // max(width, 1))
+        step = max(1, _BLOCK_BITS // max(width, 1))
         counts = np.zeros(size + 1, dtype=np.int64)
         cols: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
         codes: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
@@ -465,6 +467,31 @@ class IndexGraph:
         if self._store is None:
             self._store = KeyedRowStore(self.keys(), self.weights64(), self.n)
         return self._store
+
+    def lookup(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Stored weights of aligned ``(u, v)`` vertex arrays, with
+        :data:`~repro.core.batch.MISSING_WEIGHT` where no link is stored
+        (the ``u == v`` handshake included).
+
+        The CSR form reads its :meth:`keyed` store.  The plane form
+        derives no CSR: a link's weight is ``weight_base`` plus the
+        number of lower planes that miss it, one bit probe per plane.
+        """
+        if self._levels is None:
+            return self.keyed().lookup(u, v)
+        pos = self.row_pos()
+        pu, pv = pos[u], pos[v]
+        at = np.flatnonzero((pu >= 0) & (pv >= 0) & (u != v))
+        pu, pv = pu[at], pv[at]
+        hit = probe_bits(self._levels[-1], pu, pv)
+        at, pu, pv = at[hit], pu[hit], pv[hit]
+        top = self.weight_base + len(self._levels) - 1
+        w = np.full(len(at), top, dtype=np.int64)
+        for plane in self._levels[:-1]:
+            w -= probe_bits(plane, pu, pv)
+        out = np.full(len(u), MISSING_WEIGHT, dtype=np.int64)
+        out[at] = w
+        return out
 
     def row_pos(self) -> np.ndarray:
         """Dense vertex-id → row-index map (-1 for non-cover vertices)."""
@@ -754,25 +781,6 @@ class IndexGraph:
             return 0, 0
         return int(self.indptr[p]), int(self.indptr[p + 1])
 
-    def row_dict(self, u: int) -> dict[int, int]:
-        """One row as a mutable ``{target: weight}`` dict (empty if ``u``
-        has no row).
-
-        This is the copy-on-write seed of the dynamic engine's delta
-        overlay: the first update touching a cover row materializes
-        exactly that row from the immutable arrays, leaving every clean
-        row on the zero-copy base path.
-        """
-        lo, hi = self.row_bounds(u)
-        if lo == hi:
-            return {}
-        return dict(
-            zip(
-                self.targets[lo:hi].tolist(),
-                self.weights64()[lo:hi].tolist(),
-            )
-        )
-
     def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All edges as aligned ``(src, dst, weight)`` int64 arrays.
 
@@ -857,6 +865,7 @@ class IndexGraph:
         pad = np.uint64(0)
         if size % 64:
             pad = ~((np.uint64(1) << np.uint64(size % 64)) - np.uint64(1))
+        step = max(1, _BLOCK_BITS // max(self._levels[0].shape[1] * 64, 1))
         below = None
         for budget, plane in enumerate(self._levels, start=self.weight_base):
             name = f"level plane <={budget}"
@@ -867,7 +876,10 @@ class IndexGraph:
                 raise ValueError(f"{name} must be empty")
             if budget >= 0 and not bool(np.all(on_diag)):
                 raise ValueError(f"{name} must hold the whole diagonal")
-            if below is not None and bool(np.any(below & ~plane)):
+            if below is not None and any(
+                np.any(below[r : r + step] & ~plane[r : r + step])
+                for r in range(0, size, step)
+            ):
                 raise ValueError(f"{name} must contain the plane below it")
             below = plane
 

@@ -395,12 +395,7 @@ class KReachIndex:
             return s == t
         row_pos = self._ig.row_pos()
         stack, matrix = self._batch_views()
-        within = level_within(
-            level_specs(self.k),
-            stack,
-            row_pos,
-            lambda u, v: self._ig.keyed().lookup(u, v),
-        )
+        within = level_within(level_specs(self.k), stack, row_pos, self._ig.lookup)
         return algorithm2_batch(
             self.graph, s, t, self._flags(), row_pos, within, matrix, self.query
         )

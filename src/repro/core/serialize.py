@@ -512,7 +512,7 @@ def _section_table(header: dict, path: Path) -> dict[str, np.dtype]:
 
 
 def _open(
-    path: Path, mode: str, verify: bool
+    path: Path, mode: str, verify: bool, audit: list | None = None
 ) -> tuple[dict, dict[str, np.ndarray]]:
     """Map a v6 file once; return its checked header and one view per
     section.
@@ -523,7 +523,10 @@ def _open(
     exact set of sections, each entry's offset, count, dtype and CRC32,
     each section inside the file, and the file ending where its last
     section does.  ``verify=True`` adds the O(file) CRC32 scan of every
-    section's payload.
+    section's mapped payload.  An ``audit`` list turns that scan into
+    :func:`verify_file`'s report instead of raising at a mismatch: one
+    row for the header, then one per section in file order, each with
+    its stored and computed CRC32.
     """
     if mode not in ("r", "c"):
         raise ValueError(f"mode must be 'r' or 'c', got {mode!r}")
@@ -662,17 +665,38 @@ def _open(
         name: buf[start:stop].view(table[name])
         for name, (start, stop) in spans.items()
     }
-    if verify:
-        for name, view in views.items():
-            stored, actual = sections[name]["crc32"], zlib.crc32(view)
-            if actual != stored:
-                start = spans[name][0]
+    if audit is not None:
+        audit.append(
+            _audit_row("<header>", _MMAP_PROLOGUE, hlen, stored_crc, actual_crc)
+        )
+    if verify or audit is not None:
+        for name in sorted(spans, key=spans.get):
+            (start, stop), stored = spans[name], sections[name]["crc32"]
+            actual = zlib.crc32(views[name])
+            if audit is not None:
+                audit.append(_audit_row(name, start, stop - start, stored, actual))
+            elif actual != stored:
                 raise _corrupt(
                     path, name, f"section {name!r} checksum mismatch at byte "
                     f"{start} (stored 0x{stored:08x}, computed 0x{actual:08x})",
                     start,
                 )
     return header, views
+
+
+def _audit_row(
+    name: str, offset: int, nbytes: int, stored: int, computed: int
+) -> dict:
+    """One row of :func:`verify_file`'s report: the CRC32 check of the
+    ``nbytes`` at ``offset``."""
+    return {
+        "name": name,
+        "bytes": nbytes,
+        "offset": offset,
+        "stored": stored,
+        "computed": computed,
+        "status": "ok" if stored == computed else "mismatch",
+    }
 
 
 def _index_from(
@@ -1122,60 +1146,16 @@ def recover_dynamic(
 # Checksum audit (the `kreach-bench verify` backend)
 # ----------------------------------------------------------------------
 def _audit_mmap(path: Path, report: dict) -> None:
-    raw = path.read_bytes()
     report["format"] = f"v{_MMAP_FORMAT_VERSION} index file"
-    if len(raw) < _MMAP_PROLOGUE:
-        report["detail"] = "file shorter than its prologue"
-        return
-    hlen = int.from_bytes(raw[8:16], "little")
-    if hlen <= 0 or _MMAP_PROLOGUE + hlen > len(raw):
-        report["detail"] = f"declared header length {hlen} does not fit the file"
-        return
-    blob = raw[_MMAP_PROLOGUE : _MMAP_PROLOGUE + hlen]
-    stored = int.from_bytes(raw[16:20], "little")
-    computed = zlib.crc32(blob)
-    report["sections"].append(
-        {
-            "name": "<header>",
-            "bytes": hlen,
-            "stored": stored,
-            "computed": computed,
-            "status": "ok" if stored == computed else "mismatch",
-        }
-    )
+    # The loader's own parser checks the header and section table and
+    # fills the CRC rows from the mapped sections; a file it refuses
+    # reports its typed message.  Checksums show the bytes are the ones
+    # written, not that they make an index: open it (every shard of a
+    # sharded file, after its routing checks) with the full structural
+    # scan as well.
     try:
-        header = json.loads(blob)
-    except ValueError:
-        header = None
-    if not isinstance(header, dict):
-        header = {}
-    sections = header.get("sections")
-    base = _align(_MMAP_PROLOGUE + hlen)
-    for name, entry in sections.items() if isinstance(sections, dict) else ():
-        try:
-            start = base + int(entry["offset"])
-            nbytes = int(entry["count"]) * np.dtype(entry["dtype"]).itemsize
-            stored = int(entry["crc32"])
-        except (KeyError, TypeError, ValueError):
-            report["sections"].append({"name": name, "status": "malformed"})
-            continue
-        row = {"name": name, "bytes": nbytes, "offset": start}
-        if start + nbytes > len(raw):
-            row["status"] = "truncated"
-        else:
-            computed = zlib.crc32(raw[start : start + nbytes])
-            row.update(
-                stored=stored,
-                computed=computed,
-                status="ok" if stored == computed else "mismatch",
-            )
-        report["sections"].append(row)
-    # Checksums show the bytes are the ones written, not that they make
-    # an index: open it (every shard of a sharded file, after its
-    # routing checks) with the full structural scan as well.  The
-    # loader's diagnosis of a bad header or section table is the detail.
-    try:
-        if header.get("kind") == _SHARDED:
+        header, _ = _open(path, "r", False, audit=report["sections"])
+        if header["kind"] == _SHARDED:
             for i in range(load_sharded(path).num_shards):
                 load_mmap(path, shard=i, validate=True)
         else:
@@ -1216,11 +1196,17 @@ def verify_file(path: str | os.PathLike) -> dict:
     open under ``load_mmap(validate=True)`` (a sharded file under
     :func:`load_sharded`, then every shard under ``load_mmap(path,
     shard=i, validate=True)``); if it does not, the reason is the
-    report's ``detail``.  Statuses: ``ok``, ``mismatch``, ``truncated``,
-    ``malformed``, and ``torn-tail`` (an op log's recoverable crashed
-    append — not an error).  An index file of another format version is
-    reported by version, and a directory (a retired shard manifest) with
-    the rebuild, neither ``ok``.  This is the backend of ``kreach-bench
+    report's ``detail``.  An index file's rows come from the loader's
+    one parser: the ``<header>`` row, then one row per section in file
+    order, each with ``bytes``, ``offset``, ``stored``, ``computed`` and
+    ``status``, every section's CRC32 computed over its mapped view, so
+    the audit reads no
+    file into memory; a file the loader refuses has no rows and its
+    typed message as ``detail``.  Statuses: ``ok``, ``mismatch``, and
+    ``torn-tail`` (an op log's recoverable crashed append — not an
+    error).  An index file of another format version is reported by
+    version, and a directory (a retired shard manifest) with the
+    rebuild, neither ``ok``.  This is the backend of ``kreach-bench
     verify``.
     """
     path = Path(path)
@@ -1253,9 +1239,8 @@ def verify_file(path: str | os.PathLike) -> dict:
     else:
         report["detail"] = "not a k-reach index file or op log"
         return report
-    bad_statuses = {"mismatch", "truncated", "malformed"}
     report["ok"] = not report["detail"] and bool(report["sections"]) and not any(
-        row["status"] in bad_statuses for row in report["sections"]
+        row["status"] == "mismatch" for row in report["sections"]
     )
     return report
 

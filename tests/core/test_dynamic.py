@@ -10,6 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import repro.core.dynamic as dynamic_module
 from repro.core.batch import KeyedRowStore
 from repro.core.dynamic import DynamicKReachIndex
 from repro.core.kreach import KReachIndex
@@ -241,13 +242,26 @@ class TestFreeze:
                 assert frozen.query(s, t) == fresh.query(s, t), (s, t)
 
     def test_freeze_uses_dynamic_cover_and_array_path(self):
-        dyn = DynamicKReachIndex(path_graph(6), 2)
-        dyn.insert_edge(5, 0)
-        frozen = dyn.freeze()
-        assert frozen.cover == frozenset(dyn._cover)
-        assert frozen.edge_count == dyn.edge_count
-        # The frozen index carries a canonical IndexGraph (array storage).
-        assert frozen.index_graph.edge_count == dyn.edge_count
+        """Over churned overlays holding replaced rows, min-patches and
+        cover growth, ``edge_count`` counts what ``freeze`` keeps, and the
+        frozen rows are a static build's on the same cover."""
+        for k in (1, 2, 3, 6, None):
+            rng = np.random.default_rng(21)
+            n = 120
+            edges = hub_dag(n, 360, rng)
+            live = LiveEdges(n, edges, rng)
+            dyn = DynamicKReachIndex(DiGraph(n, edges), k, auto_compact=False)
+            for _ in range(6):
+                live.burst(dyn)
+            dyn.prepare_batch()  # settle the bursts into the overlay
+            assert dyn.overlay_rows > 0 and dyn.cover_size > dyn.base.cover_size
+            edges_before = dyn.edge_count
+            frozen = dyn.freeze()
+            assert frozen.cover == frozenset(dyn._cover)
+            # The frozen index carries a canonical IndexGraph (array storage).
+            assert frozen.index_graph.edge_count == edges_before == dyn.edge_count
+            static = KReachIndex(dyn.to_digraph(), k, cover=frozen.cover)
+            assert frozen.weighted_edges() == static.weighted_edges(), k
 
     @pytest.mark.parametrize("k", [0, None])
     def test_freeze_edge_modes(self, k):
@@ -547,7 +561,7 @@ class TestChurnScale:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 6, None])
     def test_bursts_match_bfs_oracle(self, k, monkeypatch):
-        calls = count_calls(monkeypatch, DynamicKReachIndex, "_rebuild_rows_blocked")
+        calls = count_calls(monkeypatch, DynamicKReachIndex, "_repair_rows")
         merge = DynamicKReachIndex._merge
 
         def count_repair_merges(self, g, repaired=None):
@@ -574,9 +588,44 @@ class TestChurnScale:
             assert np.array_equal(got, want[:200]), (k, burst, "scalar")
             after_compaction += dyn.compactions > compactions
         assert after_compaction >= 1
-        if k not in (1, 2):  # small balls rarely pin 16 rows in one burst
-            assert calls["_rebuild_rows_blocked"] >= 3, calls
+        assert calls["_repair_rows"] >= 3, calls
+        if k not in (1, 2):  # small balls rarely pin a threshold's worth of rows
             assert calls["repair merges"] >= 2, calls
+
+
+class TestOneRepairPath:
+    """Every row repair — one pinned row or many, a deletion's or a new
+    cover vertex's — runs the one blocked MS-BFS at the next read."""
+
+    @pytest.fixture()
+    def sweeps(self, monkeypatch):
+        calls = []
+        blocked = dynamic_module.bfs_distances_blocked
+
+        def spy(g, sources, **kwargs):
+            calls.append(sorted(np.unique(sources).tolist()))
+            return blocked(g, sources, **kwargs)
+
+        monkeypatch.setattr(dynamic_module, "bfs_distances_blocked", spy)
+        return calls
+
+    def test_one_pinned_row_runs_the_blocked_bfs_once(self, sweeps):
+        g = DiGraph(5, [(0, 1), (1, 2), (3, 4)])
+        dyn = DynamicKReachIndex(g, 2, auto_compact=False)
+        dyn.delete_edge(0, 1)
+        assert dyn.pending_repairs == 1 and not sweeps
+        assert not dyn.query(0, 2)
+        assert sweeps == [[0]] and dyn.pending_repairs == 0
+        assert dyn.overlay_rows == 1 and dyn.edge_count == 1
+
+    def test_cover_growth_pins_the_new_row(self, sweeps):
+        dyn = DynamicKReachIndex(DiGraph(4, [(0, 1)]), 2)
+        before = dyn.cover_size
+        dyn.insert_edge(2, 3)  # neither endpoint covered: 2 joins the cover
+        assert dyn.cover_size == before + 1
+        assert dyn.pending_repairs == 1 and not sweeps
+        assert dyn.query(2, 3)
+        assert sweeps == [[2]] and dyn.pending_repairs == 0
 
 
 class TestPatchedViews:
@@ -624,21 +673,39 @@ class TestPatchedViews:
             assert (matrix is None) == (budget == 0)
             assert np.array_equal(dyn.query_batch(pairs), want)
 
+    @pytest.mark.parametrize("k", [1, 2, 6, None])
+    def test_over_gate_lookup_at_every_k(self, k):
+        """Past the gate the probes read the overlay over the base's
+        ``IndexGraph.lookup``: the planes of a fresh base (its CSR never
+        derived), then the CSR base a compaction leaves."""
+        dyn, live = self.churned(k, auto_compact=False)
+        n = dyn.n
+        pairs = np.array([(s, t) for s in range(n) for t in range(n)])
+        want = reach_matrix(n, live.array(), k).ravel()
+        dyn.bitset_matrix_bytes = 0
+        assert np.array_equal(dyn.query_batch(pairs), want)
+        assert dyn.base.index_graph._targets is None
+        dyn.compact()
+        live.burst(dyn)
+        want = reach_matrix(n, live.array(), k).ravel()
+        assert dyn.base.index_graph.levels is None
+        assert np.array_equal(dyn.query_batch(pairs), want)
+
     def test_repair_and_compact_never_rebuild_from_edges(self, monkeypatch):
         dyn, live = self.churned(6, bursts=0, auto_compact=False)
         rng = np.random.default_rng(3)
         for _ in range(40):
             u, v = live.edges.pop(int(rng.integers(0, len(live.edges))))
             dyn.delete_edge(u, v)
-        assert dyn.pending_repairs >= 16  # the blocked MS-BFS repair path
-        calls = count_calls(monkeypatch, DynamicKReachIndex, "_rebuild_rows_blocked")
+        assert dyn.pending_repairs >= 16  # many rows, one blocked MS-BFS pass
+        calls = count_calls(monkeypatch, DynamicKReachIndex, "_repair_rows")
 
         def boom(self, *args, **kwargs):
             raise AssertionError("DiGraph rebuilt from an edge list")
 
         monkeypatch.setattr(DiGraph, "__init__", boom)
         dyn.prepare_batch()
-        assert calls["_rebuild_rows_blocked"] == 1
+        assert calls["_repair_rows"] == 1
         dyn.compact()
         monkeypatch.undo()
         n = dyn.n

@@ -86,6 +86,24 @@ def test_batch_equals_scalar_equals_bfs(g, path):
     assert [oracle.reaches(s, t) for s, t in pairs.tolist()] == reached.tolist()
 
 
+@pytest.mark.parametrize("g", CONFORMANCE_GRAPHS, ids=repr)
+def test_plane_distance_batch_reads_the_planes(g):
+    """A plane-form oracle's ``distance_batch`` probes its planes: it
+    derives no CSR or keyed store, and answers as the CSR-form oracle
+    and BFS do."""
+    oracle = CoverDistanceOracle(g)
+    ig = oracle.index_graph
+    assert ig.levels is not None
+    pairs, dist = bfs_truth(g)
+    got = oracle.distance_batch(pairs)
+    assert ig._targets is None and ig._keys is None
+    csr = CoverDistanceOracle(g, cover=oracle.cover, bitset_matrix_bytes=0)
+    assert csr.index_graph.levels is None or not ig.cover_size
+    assert np.array_equal(got, csr.distance_batch(pairs))
+    want = np.where(dist == UNREACHED, INFINITE_DISTANCE, dist)
+    assert np.array_equal(got, want)
+
+
 def test_hub_spill_answers_exactly(monkeypatch):
     """Past every view, hub×hub Case-4 pairs go to the scalar answer: a
     one-element chunk budget sends every larger cross product there."""

@@ -122,6 +122,19 @@ def test_answers_match_bfs_oracle(gi, k):
 
 
 @pytest.mark.parametrize("gi,k", CASES)
+def test_lookup_reads_the_planes(gi, k):
+    """``IndexGraph.lookup`` over the planes returns the CSR's stored
+    weights on every pair (MISSING_WEIGHT off the links and on the
+    diagonal) without deriving the CSR."""
+    g = GRAPHS[gi]
+    ig = KReachIndex(g, k, cover=vertex_cover_2approx(g)).index_graph
+    reference = triple_graph(g, ig.cover_ids.tolist(), k)
+    u, v = all_pairs(g.n).T
+    assert np.array_equal(ig.lookup(u, v), reference.lookup(u, v))
+    assert_untouched(ig)
+
+
+@pytest.mark.parametrize("gi,k", CASES)
 def test_scalar_surface_reads_the_planes(gi, k):
     """``query``, ``weight``, ``edge_count`` and ``storage_bytes`` answer
     from the planes: the CSR is never derived."""
@@ -206,12 +219,13 @@ def test_from_levels_checks_shapes():
 
 @pytest.mark.parametrize("k", [2, 3, None])
 def test_dynamic_base_derives_its_csr_only_when_rows_are_read(k):
-    """A dynamic index over a plane-form base serves batches from the
-    base planes; only the first flush after a write derives the CSR."""
+    """A dynamic index over a plane-form base serves batches, and the
+    flush after a write, from the base planes; only a compaction, which
+    merges the base rows, derives the CSR."""
     from repro.core.dynamic import DynamicKReachIndex
 
     g = GRAPHS[-1]
-    dyn = DynamicKReachIndex(g, k).prepare_batch()
+    dyn = DynamicKReachIndex(g, k, auto_compact=False).prepare_batch()
     ig = dyn.base.index_graph
     pairs = all_pairs(g.n)
     before = dyn.query_batch(pairs)
@@ -220,6 +234,7 @@ def test_dynamic_base_derives_its_csr_only_when_rows_are_read(k):
     dyn.insert_edge(0, g.n // 2)
     dyn.delete_edge(*next(iter(g.edges())))
     got = dyn.query_batch(pairs)
+    assert dyn.overlay_rows and ig._targets is None
     truth = np.array(
         [reaches_within_bfs(dyn.to_digraph(), s, t, k) for s, t in pairs.tolist()]
     )

@@ -22,6 +22,7 @@ small graphs the default cover is all of V, where every pair is Case 1.
 """
 
 import json
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -36,6 +37,7 @@ from repro.core.serialize import (
     save_mmap,
     verify_file,
 )
+from repro.graph.digraph import DiGraph
 from repro.graph.generators import gnp_digraph, paper_example_graph
 from tests.conftest import (
     assert_every_case,
@@ -577,6 +579,30 @@ class TestPlaneFile:
         assert loaded.edge_count == index.edge_count
         assert ig._targets is None  # no scalar probe derived the CSR
         assert loaded.index_graph == index.index_graph
+
+    def test_audit_reads_the_mapped_sections(self, tmp_path):
+        """``verify_file`` checks each section's CRC32 on its mapped view
+        (the loader's parser): auditing a 9 MiB plane file allocates
+        under 1 MiB, and the report lists the header, then every section
+        in file order."""
+        n = 5000  # all of V in the cover: three 5000 x 79-word planes
+        path = saved(tmp_path, KReachIndex(DiGraph(n), 3, cover=range(n)))
+        assert path.stat().st_size >= 8 << 20
+        tracemalloc.start()
+        try:
+            report = verify_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["ok"], report
+        assert peak < 1 << 20, peak
+        rows = report["sections"]
+        assert rows[0]["name"] == "<header>"
+        assert [row["name"] for row in rows[1:]] == list(header_of(path)["sections"])
+        offsets = [row["offset"] for row in rows]
+        assert offsets == sorted(offsets)
+        fields = {"name", "bytes", "offset", "stored", "computed", "status"}
+        assert all(set(row) == fields for row in rows)
 
     @pytest.mark.parametrize("k", [2, 6, None])
     def test_csr_file_still_opens(self, tmp_path, graph, k):
